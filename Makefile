@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-race bench bench-json bench-diff fuzz-smoke vet vet-trace check
+.PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick fuzz-smoke vet vet-trace check
 
 # Where bench-diff writes its fresh recording; override for parallel runs.
 BENCH_FRESH ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/hpcqc_bench_fresh.json
@@ -30,7 +30,7 @@ bench:
 # dispatch hot paths in the root package plus the program-cache/router
 # primitives in internal/daemon, plus the wide-matrix sweep and saturation
 # search that gate the capacity-planning engine.
-BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch
+BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch
 BENCH_PKGS = . ./internal/daemon
 
 # bench-json records the fleet-scaling and load-generation benchmark
@@ -50,13 +50,23 @@ bench-json:
 # sweep and saturation search are -required: renaming or dropping any of
 # them must fail the gate, not skip it. The priority benchmark's interleaved
 # slo-urgency/constant cost ratio is additionally capped at 10% by
-# benchdiff's -priority-overhead rule.
+# benchdiff's -priority-overhead rule. The deep-backlog replay and the queue
+# pop layer benchmark are -required too; the latter is held to 0 allocs/op and
+# to ns/op at backlog depth 1e5 within 4x of depth 1e3 (benchdiff popFlatness).
 bench-diff:
 	$(GO) test -bench='$(BENCH_PATTERN)' \
 		-benchmem -run='^$$' -json $(BENCH_PKGS) > $(BENCH_FRESH)
 	$(GO) run ./cmd/benchdiff \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch \
 		BENCH_fleet.json $(BENCH_FRESH)
+
+# bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a
+# module of its own, so `go test ./...` here does not reach it) compiling
+# against the API surface it froze and passing its own correctness gate: its
+# unit tests, then one --quick pass over all five workloads (~1/50 scale).
+bench-e2e-quick:
+	$(GO) test -C benchmark -short ./...
+	$(GO) run -C benchmark hpcqc/benchmark --seed 1 --quick
 
 # fuzz-smoke runs each trace-ingestion fuzz target for a fixed iteration
 # count — a deterministic-duration CI pass over the JSONL reader and the

@@ -17,9 +17,11 @@
 // bound. Benchmarks present in one file but not the other are
 // reported but never fail the diff, so adding or renaming a benchmark does
 // not require regenerating the baseline in the same commit — except the
-// benchmarks named by -require, which must appear in both files: those are
-// the gate's load-bearing members, and silently dropping one (a renamed
-// benchmark, a stale baseline) would otherwise turn the gate into a no-op.
+// benchmarks named by -require, which must appear in both files (by name, or
+// as the parent of sub-benchmarks): those are the gate's load-bearing
+// members, and silently dropping one (a renamed benchmark, a stale baseline)
+// would otherwise turn the gate into a no-op. Names are compared without the
+// -GOMAXPROCS suffix, so a baseline recorded on one core gates a run on four.
 //
 // Two intra-run rules ride along, both built on the same interleaved-ratio
 // construction: a benchmark runs its instrumented and baseline variants back
@@ -33,6 +35,11 @@
 // re-scoring over the constant policy's legacy pop — capped by
 // -priority-overhead: the deadline axis must stay a scheduling knob, not a
 // replay throughput tax.
+//
+// A third intra-run rule holds the queue's indexed extraction to its
+// complexity claim: for every BenchmarkClassQueuePop/<path>, ns/op at backlog
+// depth 10⁵ may be at most popFlatness times ns/op at depth 10³, and no depth
+// may allocate.
 package main
 
 import (
@@ -41,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -122,8 +130,40 @@ func parseResultLine(line string) (string, map[string]float64, bool) {
 	if len(metrics) == 0 {
 		return "", nil, false
 	}
-	return fields[0], metrics, true
+	return stripProcs(fields[0]), metrics, true
 }
+
+// stripProcs drops the -GOMAXPROCS suffix `go test` appends to benchmark
+// names when it is not 1.
+func stripProcs(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
+}
+
+// has reports whether results hold the named benchmark or sub-benchmarks of
+// it.
+func has(results map[string]map[string]float64, name string) bool {
+	if _, ok := results[name]; ok {
+		return true
+	}
+	for n := range results {
+		if strings.HasPrefix(n, name+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// popFlatness bounds ns/op at backlog depth 10⁵ over depth 10³ for every
+// BenchmarkClassQueuePop path. A 4-ary heap is 5/3 the height at the deeper
+// mark and no longer fits the cache: the built-in paths measure 1.3–2.6×
+// (EXPERIMENTS.md h-backlog-flat). √n growth would read 10×, a linear scan
+// 100×.
+const popFlatness = 4.0
 
 func main() {
 	threshold := flag.Float64("threshold", 0.20, "maximum allowed fractional drop in a guarded metric")
@@ -166,11 +206,11 @@ func main() {
 			continue
 		}
 		missing := false
-		if _, ok := baseline[name]; !ok {
+		if !has(baseline, name) {
 			fmt.Fprintf(os.Stderr, "benchdiff: required benchmark %s absent from baseline %s\n", name, flag.Arg(0))
 			missing = true
 		}
-		if _, ok := fresh[name]; !ok {
+		if !has(fresh, name) {
 			fmt.Fprintf(os.Stderr, "benchdiff: required benchmark %s absent from fresh run %s\n", name, flag.Arg(1))
 			missing = true
 		}
@@ -254,6 +294,42 @@ func main() {
 		}
 		fmt.Printf("%s priority overhead: %.1f%% slo-urgency-vs-constant replay cost (limit %.0f%%)\n",
 			status, pct, *priorityOverhead*100)
+	}
+	// Pop-flatness rule: the queue's extraction cost across backlog depths,
+	// measured within the fresh run.
+	const deep, shallow = "/depth=100000", "/depth=1000"
+	var pops []string
+	for name := range fresh {
+		if strings.HasPrefix(name, "BenchmarkClassQueuePop/") {
+			pops = append(pops, name)
+		}
+	}
+	sort.Strings(pops)
+	for _, name := range pops {
+		m := fresh[name]
+		if allocs := m["allocs/op"]; allocs > 0 {
+			failed = true
+			fmt.Printf("FAIL %s: %.0f allocs/op, want 0\n", name, allocs)
+		}
+		path, isDeep := strings.CutSuffix(name, deep)
+		if !isDeep {
+			continue
+		}
+		base, ok := fresh[path+shallow]
+		if !ok || base["ns/op"] <= 0 {
+			failed = true
+			fmt.Printf("FAIL %s: no %s sibling to compare against\n", name, shallow)
+			continue
+		}
+		compared++
+		ratio := m["ns/op"] / base["ns/op"]
+		status := "ok  "
+		if ratio > popFlatness {
+			status = "FAIL"
+			failed = true
+		}
+		fmt.Printf("%s pop flatness %s: %.0f ns/op at depth 1e5 vs %.0f at 1e3 (%.1fx, limit %.0fx)\n",
+			status, strings.TrimPrefix(path, "BenchmarkClassQueuePop/"), m["ns/op"], base["ns/op"], ratio, popFlatness)
 	}
 	if compared == 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: no guarded metrics in common — wrong files?")

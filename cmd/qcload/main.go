@@ -14,11 +14,13 @@
 //	qcload replay  --trace trace.jsonl [--router least-loaded] [--scheduler fifo]
 //	               [--admission accept-all] [--priority constant] [--devices 4]
 //	               [--seed 1] [--cache 0] [--setup 0]
+//	               [--cpuprofile cpu.prof] [--memprofile mem.prof]
 //	qcload sweep   --trace trace.jsonl [--routers all] [--schedulers all]
 //	               [--admissions all] [--priorities constant] [--devices 4]
 //	               [--fleets 2,4,8] [--preemption on,off] [--rate-scales 1,2]
 //	               [--shot-scales 1] [--workers GOMAXPROCS] [--seed 1]
 //	               [--out report.json] [--tracing=true] [--cache 0] [--setup 0]
+//	               [--cpuprofile cpu.prof] [--memprofile mem.prof]
 //	qcload saturate --trace trace.jsonl [--routers all] [--schedulers all]
 //	               [--admissions accept-all] [--priorities constant]
 //	               [--devices 4] [--fleets 2,4,8] [--objective p99-wait]
@@ -56,6 +58,9 @@
 // stamps from the per-class contracts. The sweep priority axis defaults to
 // the constant singleton (not all) so existing sweeps keep their exact
 // combination list; pass --priorities all to expand it.
+// replay and sweep take --cpuprofile / --memprofile to write pprof profiles
+// of the run (trace decode included) — `go tool pprof -top qcload cpu.prof`
+// then names the hotspot for that trace and policy tuple.
 // trace export replays a trace with the flight recorder attached and
 // writes the full span set as Chrome trace-event JSON — open it in Perfetto
 // (or chrome://tracing) to see partitions as busy/idle tracks and every
@@ -76,10 +81,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -322,7 +330,45 @@ func runInfo(args []string, out io.Writer) error {
 	})
 }
 
-func runReplay(args []string, out io.Writer) error {
+// profileFlags registers --cpuprofile and --memprofile on a subcommand. The
+// returned start begins CPU profiling; the stop it returns ends it and
+// writes the allocation profile, and must run before the command returns.
+func profileFlags(fs *flag.FlagSet) (start func() (stop func() error, err error)) {
+	cpuPath := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memPath := fs.String("memprofile", "", "write a pprof allocation profile of the run to this file")
+	return func() (func() error, error) {
+		var cpu *os.File
+		if *cpuPath != "" {
+			f, err := os.Create(*cpuPath)
+			if err != nil {
+				return nil, err
+			}
+			if err := pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+				return nil, err
+			}
+			cpu = f
+		}
+		return func() error {
+			var errs []error
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				errs = append(errs, cpu.Close())
+			}
+			if *memPath != "" {
+				f, err := os.Create(*memPath)
+				if err != nil {
+					return errors.Join(append(errs, err)...)
+				}
+				runtime.GC() // settle the statistics the profile is cut from
+				errs = append(errs, pprof.Lookup("allocs").WriteTo(f, 0), f.Close())
+			}
+			return errors.Join(errs...)
+		}, nil
+	}
+}
+
+func runReplay(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	trace := fs.String("trace", "", "trace file (required)")
 	router := fs.String("router", "least-loaded", "routing policy")
@@ -334,12 +380,18 @@ func runReplay(args []string, out io.Writer) error {
 	tracing := fs.Bool("tracing", true, "attach span tracing and report per-stage latency breakdown")
 	cacheSize := fs.Int("cache", 0, "per-partition program-cache entries (0 = caching off)")
 	setup := fs.Float64("setup", 0, "cold-setup QPU seconds a program-cache miss pays (requires --cache)")
+	startProfiles := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *trace == "" {
 		return fmt.Errorf("replay: --trace is required")
 	}
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 	tr, err := loadgen.ReadTraceFile(*trace)
 	if err != nil {
 		return err
@@ -356,7 +408,7 @@ func runReplay(args []string, out io.Writer) error {
 	return enc.Encode(rep)
 }
 
-func runSweep(args []string, out io.Writer) error {
+func runSweep(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	trace := fs.String("trace", "", "trace file (required)")
 	routers := fs.String("routers", "all", "comma-separated router axis, or all")
@@ -374,6 +426,7 @@ func runSweep(args []string, out io.Writer) error {
 	tracing := fs.Bool("tracing", true, "attach span tracing and report per-stage latency breakdown per cell")
 	cacheSize := fs.Int("cache", 0, "per-partition program-cache entries shared by every combination (0 = caching off)")
 	setup := fs.Float64("setup", 0, "cold-setup QPU seconds a program-cache miss pays (requires --cache)")
+	startProfiles := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -392,6 +445,11 @@ func runSweep(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 	tr, err := loadgen.ReadTraceFile(*trace)
 	if err != nil {
 		return err

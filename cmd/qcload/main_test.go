@@ -148,6 +148,45 @@ func TestQcloadSweepSaturateSmoke(t *testing.T) {
 	}
 }
 
+// TestQcloadProfileFlags: replay and sweep write pprof profiles on request
+// without touching the report, and an unwritable profile path is an error,
+// not a silently unprofiled run.
+func TestQcloadProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "trace.jsonl")
+	if err := run([]string{"gen", "--out", trace, "--duration", "30m", "--rate", "120", "--seed", "9"}, os.Stdout); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range [][]string{
+		{"replay", "--trace", trace, "--devices", "1", "--scheduler", "fair-share"},
+		{"sweep", "--trace", trace, "--routers", "least-loaded", "--admissions", "accept-all"},
+	} {
+		var plain, profiled bytes.Buffer
+		if err := run(sub, &plain); err != nil {
+			t.Fatal(err)
+		}
+		cpu, mem := filepath.Join(dir, sub[0]+".cpu.prof"), filepath.Join(dir, sub[0]+".mem.prof")
+		if err := run(append(sub[:len(sub):len(sub)], "--cpuprofile", cpu, "--memprofile", mem), &profiled); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+			t.Fatalf("%s: profiling changed the report", sub[0])
+		}
+		for _, path := range []string{cpu, mem} {
+			if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+				t.Fatalf("%s: profile %s missing or empty (%v)", sub[0], path, err)
+			}
+		}
+		bad := filepath.Join(dir, "no-such-dir", "x.prof")
+		if err := run(append(sub[:len(sub):len(sub)], "--cpuprofile", bad), &bytes.Buffer{}); err == nil {
+			t.Fatalf("%s: unwritable --cpuprofile accepted", sub[0])
+		}
+		if err := run(append(sub[:len(sub):len(sub)], "--memprofile", bad), &bytes.Buffer{}); err == nil {
+			t.Fatalf("%s: unwritable --memprofile accepted", sub[0])
+		}
+	}
+}
+
 // TestQcloadGenClosedPointsToCapture: the old closed-loop gen mode is
 // superseded by the capture subcommand; the error says where to go, even
 // for the full old invocation including the retired closed-mode flags.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"hpcqc/internal/qrmi"
 	"hpcqc/internal/sched"
@@ -25,7 +26,14 @@ type Client struct {
 	// Partition pins submissions to a named fleet partition. Empty lets
 	// the daemon's router place each job.
 	Partition string
-	http      *http.Client
+	// ExpectedQPU optionally declares how long each submission will hold
+	// the QPU (zero: the daemon estimates it from the program).
+	ExpectedQPU time.Duration
+	// Deadline optionally gives each submission a completion deadline,
+	// relative to its submit time — what the slo-urgency and edf priority
+	// policies schedule by (zero: the per-class fallback contract).
+	Deadline time.Duration
+	http     *http.Client
 }
 
 // NewClient opens a session with the daemon and returns a bound client.
@@ -191,12 +199,19 @@ func (c *Client) Close() error {
 // TaskStart implements qrmi.Resource. When Partition is set the job is
 // pinned to that fleet partition; the daemon rejects unknown names.
 func (c *Client) TaskStart(payload []byte) (string, error) {
-	body, err := json.Marshal(map[string]any{
+	req := map[string]any{
 		"program": json.RawMessage(payload),
 		"class":   c.class.String(),
 		"pattern": string(c.Pattern),
 		"device":  c.Partition,
-	})
+	}
+	if c.ExpectedQPU > 0 {
+		req["expected_qpu_seconds"] = c.ExpectedQPU.Seconds()
+	}
+	if c.Deadline > 0 {
+		req["deadline_seconds"] = c.Deadline.Seconds()
+	}
+	body, err := json.Marshal(req)
 	if err != nil {
 		return "", err
 	}

@@ -372,13 +372,15 @@ type Daemon struct {
 	cfg    Config
 	router Router
 	order  OrderPolicy
-	// priority is the dynamic-urgency axis; priorityTie is the order
-	// policy's comparator factory for breaking score ties (nil when the
-	// order cannot express one — FIFO tie-break then). priorityConstant
-	// short-circuits dispatch onto the legacy order-only pop path.
-	priority         PriorityPolicy
-	priorityTie      func(usage func() map[string]float64) func(a, b *sched.Item) bool
-	priorityConstant bool
+	// priority is the dynamic-urgency axis. ranker is order × priority as
+	// one indexed rank, set when both policies state theirs (every built-in
+	// combination); otherwise popNext falls back to the policies' own
+	// linear entry points, and tieOrder is the order's rank for breaking a
+	// scoring-only priority's ties (nil: push order). Both are chosen once,
+	// by composeRanker.
+	priority PriorityPolicy
+	ranker   *sched.Ranker
+	tieOrder *sched.Ranker
 
 	// admitMu serializes admission decisions so stateful policies (token
 	// buckets, SLO windows) see submissions in a single, reproducible order.
@@ -562,10 +564,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		waitCount:   make(map[sched.Class]int),
 		usageByUser: make(map[string]float64),
 	}
-	_, d.priorityConstant = priority.(constantPriority)
-	if cmp, ok := order.(orderComparator); ok {
-		d.priorityTie = cmp.less
-	}
+	d.ranker, d.tieOrder = composeRanker(order, priority)
 	d.admitObserver, _ = admitter.(admission.Observer)
 	d.internAdmissionDetails()
 	d.flight = cfg.Flight
@@ -679,10 +678,10 @@ func (d *Daemon) PriorityName() string { return d.priority.Name() }
 // priorityStatusName renders the priority axis for status reports: empty
 // under the constant default, so reports predating the axis are unchanged.
 func (d *Daemon) priorityStatusName() string {
-	if d.priorityConstant {
-		return ""
+	if name := d.priority.Name(); name != "constant" {
+		return name
 	}
-	return d.priority.Name()
+	return ""
 }
 
 // primary returns the first partition — the whole fleet in single-device
@@ -989,7 +988,7 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 	// Stage 3: queueing — the partition's ClassQueue holds the job under
 	// class priority; the configured OrderPolicy acts within the class at
 	// pop time. Stage 4: dispatch.
-	if err := ds.queue.Push(d.queueItem(j)); err != nil {
+	if err := d.enqueue(ds, j); err != nil {
 		return nil, err
 	}
 	release()
@@ -1105,6 +1104,17 @@ func defaultSource(s string) string {
 		return "slurm"
 	}
 	return s
+}
+
+// enqueue puts the job on the partition's queue. A push the queue refuses
+// fails the job — terminal state, Finished event and span like any other
+// failure — rather than leaving a queued record no dispatch will ever reach.
+func (d *Daemon) enqueue(ds *deviceState, j *Job) error {
+	err := ds.queue.Push(d.queueItem(j))
+	if err != nil {
+		d.finishJob(j, JobFailed, nil, err)
+	}
+	return err
 }
 
 // queueItem builds the scheduler item for a job, carrying the class,
@@ -1286,19 +1296,60 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 	return true
 }
 
-// popNext removes the next item under the configured within-class order —
-// the queueing stage's policy hook. Under the constant priority it is the
-// order policy's own Pop, untouched; a non-constant priority re-scores the
-// backlog at this tick and hands score ties to the order's comparator.
+// composeRanker states order × priority as one rank — the priority's key,
+// then the order's lane and key, then push order. The constant priority adds
+// no key, so constant × fifo is push order by construction. When either
+// policy cannot state its part there is no indexed rank: ranker is nil, and
+// tie is what is left of the order for popNext's scoring fallback — its rank
+// if it states one that is more than push order.
+func composeRanker(order OrderPolicy, priority PriorityPolicy) (ranker, tie *sched.Ranker) {
+	ro, ok := order.(rankedOrder)
+	if !ok {
+		return nil, nil
+	}
+	r := ro.rank()
+	rp, ok := priority.(rankedPriority)
+	if !ok {
+		if r.Lane == nil && r.Ord == nil {
+			return nil, nil
+		}
+		return nil, r
+	}
+	if pri := rp.rankKey(); pri != nil {
+		r = &sched.Ranker{Pri: pri, Lane: r.Lane, Ord: r.Ord}
+	}
+	return r, nil
+}
+
+// popNext removes the next item under the configured within-class order and
+// priority — the queueing stage's policy hook. Every built-in combination is
+// one indexed PopRanked. A custom policy on either axis dispatches through
+// its own interface instead, by linear scan: a custom priority re-scores the
+// backlog at this tick with score ties going to the order's rank, and a
+// custom order under the constant priority pops for itself.
 func (d *Daemon) popNext(ds *deviceState) *sched.Item {
-	if d.priorityConstant {
+	if r := d.ranker; r != nil {
+		if r.Lane == nil {
+			return ds.queue.PopRanked(r, nil)
+		}
+		// Lane weights are the live per-user usage: read in place under
+		// d.mu (the queue's own mutex is a leaf lock), not copied per pop.
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return ds.queue.PopRanked(r, d.usageByUser)
+	}
+	if _, constant := d.priority.(constantPriority); constant {
 		return d.order.Pop(ds.queue, d.usageSnapshot)
 	}
-	now := d.cfg.Clock.Now()
 	var tie func(a, b *sched.Item) bool
-	if d.priorityTie != nil {
-		tie = d.priorityTie(d.usageSnapshot)
+	if r := d.tieOrder; r != nil {
+		var usage map[string]float64
+		if r.Lane != nil {
+			usage = d.usageSnapshot()
+		}
+		tie = scoreTie(r, usage)
 	}
+	now := d.cfg.Clock.Now()
 	return ds.queue.PopByScore(func(it *sched.Item) float64 {
 		return d.priority.Score(it, now)
 	}, tie)
@@ -1470,7 +1521,7 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 					Device: target.id, Start: j.enqueuedAt, End: j.enqueuedAt})
 			}
 			d.mu.Unlock()
-			_ = target.queue.Push(d.queueItem(j))
+			_ = d.enqueue(target, j) // a refused push has failed the job
 			if target != ds {
 				d.routeDone(target)
 				d.dispatchDevice(target)

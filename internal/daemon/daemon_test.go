@@ -240,6 +240,57 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestRefusedPushFailsJob: a job the partition queue refuses must turn
+// failed — with a Finished event, so a listener's submitted = terminal
+// accounting still balances — instead of staying queued forever in the
+// daemon's and the session's records with nothing left to dispatch it.
+func TestRefusedPushFailsJob(t *testing.T) {
+	clk := simclock.New()
+	dev, err := device.New(device.Config{Clock: clk, Seed: 11, TimingOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := map[string][]JobEventType{}
+	d, err := NewDaemon(Config{Devices: []*device.Device{dev}, Clock: clk, AdminToken: "x",
+		JobListener: func(ev JobEvent) { events[ev.Job.ID] = append(events[ev.Job.ID], ev.Type) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := d.OpenSession("alice")
+	running, _ := d.Submit(s.Token, SubmitRequest{Program: payload(t, 100), Class: sched.ClassDev})
+	queued, _ := d.Submit(s.Token, SubmitRequest{Program: payload(t, 10), Class: sched.ClassDev})
+	// Re-run the queueing stage for the waiting job with a record the queue
+	// will refuse (out-of-range class).
+	ds := d.fleet[0]
+	if !ds.queue.Remove(queued.ID) {
+		t.Fatal("second job was not queued")
+	}
+	d.mu.Lock()
+	j := d.jobs[queued.ID]
+	j.Class = sched.Class(9)
+	d.mu.Unlock()
+	if err := d.enqueue(ds, j); err == nil {
+		t.Fatal("queue accepted an invalid class")
+	}
+	got, err := d.JobStatus(s.Token, queued.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != JobFailed || got.Error == "" {
+		t.Fatalf("refused job is %s (error %q), want failed with the queue's reason", got.State, got.Error)
+	}
+	clk.Advance(10 * time.Minute)
+	for _, id := range []string{running.ID, queued.ID} {
+		evs := events[id]
+		if len(evs) == 0 || evs[0] != JobEventSubmitted || evs[len(evs)-1] != JobEventFinished {
+			t.Fatalf("%s: events %v, want submitted … finished", id, evs)
+		}
+	}
+	if n := ds.queue.Len(); n != 0 {
+		t.Fatalf("%d items left queued", n)
+	}
+}
+
 func TestCloseSessionCancelsQueuedJobs(t *testing.T) {
 	env := newEnv(t)
 	s, _ := env.d.OpenSession("alice")

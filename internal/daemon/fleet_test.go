@@ -19,14 +19,26 @@ type fleetEnv struct {
 }
 
 func newFleetEnv(t *testing.T, n int, router Router) *fleetEnv {
+	return newFleetEnvOrdered(t, n, router, "fifo", "constant")
+}
+
+func newFleetEnvOrdered(t *testing.T, n int, router Router, order, priority string) *fleetEnv {
 	t.Helper()
 	clk := simclock.New()
 	fleet, err := device.NewFleet(n, device.Config{Clock: clk, Seed: 31, DriftInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o, err := NewOrder(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPriority(priority)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := NewDaemon(Config{
-		Devices: fleet.Devices(), Router: router, Clock: clk,
+		Devices: fleet.Devices(), Router: router, Clock: clk, Order: o, Priority: p,
 		AdminToken: "admin", EnablePreemption: true, Seed: 3,
 	})
 	if err != nil {
@@ -91,9 +103,16 @@ func TestFleetSpreadsJobsAcrossDevices(t *testing.T) {
 // TestFleetConcurrentSubmit hammers the daemon from many sessions while a
 // separate goroutine advances the shared clock — the race the per-device
 // orphan buffer exists for. Run under -race (make test-race); every job must
-// reach a terminal state and none may be lost.
+// reach a terminal state and none may be lost. The fair-share run adds the
+// dispatch path that reads the live per-user usage map (under d.mu, inside
+// the queue's rank index) while completions on other partitions update it.
 func TestFleetConcurrentSubmit(t *testing.T) {
-	env := newFleetEnv(t, 4, NewLeastLoadedRouter())
+	t.Run("fifo", func(t *testing.T) { fleetConcurrentSubmit(t, "fifo", "constant") })
+	t.Run("fair-share/slo-urgency", func(t *testing.T) { fleetConcurrentSubmit(t, "fair-share", "slo-urgency") })
+}
+
+func fleetConcurrentSubmit(t *testing.T, order, priority string) {
+	env := newFleetEnvOrdered(t, 4, NewLeastLoadedRouter(), order, priority)
 	const (
 		sessions = 6
 		perSess  = 8

@@ -112,6 +112,7 @@ func (d *Daemon) Handler() http.Handler {
 			Source             string          `json:"source"`
 			Device             string          `json:"device"`
 			ExpectedQPUSeconds float64         `json:"expected_qpu_seconds"`
+			DeadlineSeconds    float64         `json:"deadline_seconds"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
@@ -131,6 +132,7 @@ func (d *Daemon) Handler() http.Handler {
 			Program: req.Program, Class: class, Pattern: pattern,
 			Source: req.Source, Device: req.Device,
 			ExpectedQPUSeconds: req.ExpectedQPUSeconds,
+			DeadlineSeconds:    req.DeadlineSeconds,
 		})
 		if err != nil {
 			var rej *RejectedError
@@ -385,6 +387,9 @@ func jobJSON(j *Job) map[string]any {
 		"preemptions":          j.Preemptions,
 		"source":               j.Source,
 		"expected_qpu_seconds": j.ExpectedQPUSeconds,
+	}
+	if j.DeadlineSeconds > 0 {
+		out["deadline_seconds"] = j.DeadlineSeconds
 	}
 	if j.Pattern != "" {
 		out["pattern"] = string(j.Pattern)

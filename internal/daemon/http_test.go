@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -373,4 +374,145 @@ func TestHTTPSubmitHintsRoundTrip(t *testing.T) {
 	if job.Source != "slurm" || job.Expected <= 0 {
 		t.Fatalf("defaults: source=%q expected=%g", job.Source, job.Expected)
 	}
+}
+
+// TestHTTPSubmitRequestParity: every SubmitRequest field must survive both
+// REST intakes — the raw POST /api/v1/jobs body and daemon.Client.TaskStart —
+// all the way into the job record and the queued sched.Item the order and
+// priority policies rank by. The field list is read by reflection, so adding
+// a SubmitRequest field without wiring it over HTTP fails here.
+func TestHTTPSubmitRequestParity(t *testing.T) {
+	clk := simclock.New()
+	fleet, err := device.NewFleet(2, device.Config{Clock: clk, Seed: 21, TimingOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDaemon(Config{Devices: fleet.Devices(), Clock: clk, AdminToken: "root-token"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	pin := fleet.Devices()[1].ID()
+	want := SubmitRequest{
+		Program:            analogPayload(t, 30),
+		Class:              sched.ClassTest,
+		Pattern:            sched.PatternCCHeavy,
+		Source:             "cloud",
+		Device:             pin,
+		ExpectedQPUSeconds: 12.5,
+		DeadlineSeconds:    90,
+	}
+	// jsonKey maps each SubmitRequest field to its wire name.
+	jsonKey := map[string]string{
+		"Program": "program", "Class": "class", "Pattern": "pattern", "Source": "source",
+		"Device": "device", "ExpectedQPUSeconds": "expected_qpu_seconds", "DeadlineSeconds": "deadline_seconds",
+	}
+	body := map[string]any{}
+	rv := reflect.ValueOf(want)
+	for i := 0; i < rv.NumField(); i++ {
+		name := rv.Type().Field(i).Name
+		key, ok := jsonKey[name]
+		if !ok {
+			t.Fatalf("SubmitRequest.%s has no HTTP wire name in this test: wire it through http.go and client.go, then add it here", name)
+		}
+		if rv.Field(i).IsZero() {
+			t.Fatalf("SubmitRequest.%s is zero in the parity request", name)
+		}
+		switch v := rv.Field(i).Interface().(type) {
+		case []byte:
+			body[key] = json.RawMessage(v)
+		case sched.Class:
+			body[key] = v.String()
+		default:
+			body[key] = v
+		}
+	}
+
+	client, err := NewClient(ts.URL, "alice", want.Class, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Pattern, client.Partition = want.Pattern, want.Device
+	client.ExpectedQPU = simclock.Seconds(want.ExpectedQPUSeconds)
+	client.Deadline = simclock.Seconds(want.DeadlineSeconds)
+	token := client.SessionToken()
+	// Occupy the pinned partition so the submissions under test stay queued.
+	if code, out := httpDo(t, "POST", ts.URL+"/api/v1/jobs", token,
+		map[string]any{"program": analogPayload(t, 500), "class": "production", "device": pin}); code != http.StatusAccepted {
+		t.Fatalf("blocker submit = %d: %s", code, out)
+	}
+
+	submitAt := clk.Now()
+	check := func(intake, id string, source string) {
+		t.Helper()
+		d.mu.Lock()
+		j := *d.jobs[id]
+		d.mu.Unlock()
+		if j.State != JobQueued {
+			t.Fatalf("%s: job is %s, want queued", intake, j.State)
+		}
+		got := SubmitRequest{Program: j.payload, Class: j.Class, Pattern: j.Pattern, Source: j.Source,
+			Device: j.Device, ExpectedQPUSeconds: j.ExpectedQPUSeconds, DeadlineSeconds: j.DeadlineSeconds}
+		exp := want
+		exp.Source = source
+		if !j.Pinned || !reflect.DeepEqual(normalizeProgram(t, got), normalizeProgram(t, exp)) {
+			t.Fatalf("%s: job record carries %+v (pinned=%v), submitted %+v", intake, got, j.Pinned, exp)
+		}
+		var item *sched.Item
+		ds := d.byDevice[pin]
+		for it := ds.queue.Pop(); it != nil; it = ds.queue.Pop() {
+			if it.ID == id {
+				item = it
+			}
+		}
+		if item == nil {
+			t.Fatalf("%s: job %s is not on partition %s's queue", intake, id, pin)
+		}
+		if item.Class != want.Class || item.Pattern != want.Pattern || item.Enqueued != submitAt ||
+			item.ExpectedQPU != simclock.Seconds(want.ExpectedQPUSeconds) ||
+			item.Deadline != submitAt+simclock.Seconds(want.DeadlineSeconds) {
+			t.Fatalf("%s: queued item %+v does not carry the request", intake, *item)
+		}
+	}
+
+	code, out := httpDo(t, "POST", ts.URL+"/api/v1/jobs", token, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", code, out)
+	}
+	var job struct {
+		ID       string  `json:"id"`
+		Deadline float64 `json:"deadline_seconds"`
+	}
+	if err := json.Unmarshal(out, &job); err != nil {
+		t.Fatal(err)
+	}
+	if job.Deadline != want.DeadlineSeconds {
+		t.Fatalf("response echoes deadline_seconds %g, want %g", job.Deadline, want.DeadlineSeconds)
+	}
+	check("POST /api/v1/jobs", job.ID, want.Source)
+
+	// The QRMI client has no source knob: its submissions are the default
+	// intake. Everything else must arrive.
+	id, err := client.TaskStart(want.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Client.TaskStart", id, "slurm")
+}
+
+// normalizeProgram re-encodes the request's program so byte-level JSON
+// formatting differences between intakes do not count as a mismatch.
+func normalizeProgram(t *testing.T, r SubmitRequest) SubmitRequest {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(r.Program, &v); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Program = raw
+	return r
 }

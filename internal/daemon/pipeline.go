@@ -51,7 +51,8 @@ type OrderPolicy interface {
 	Pop(q *sched.ClassQueue, usage func() map[string]float64) *sched.Item
 }
 
-// fifoOrder is plain arrival order within a class.
+// fifoOrder is plain arrival order within a class: push order, so a
+// preempted-and-requeued job joins the tail of its class.
 type fifoOrder struct{}
 
 func (fifoOrder) Name() string { return "fifo" }
@@ -61,20 +62,13 @@ func (fifoOrder) Pop(q *sched.ClassQueue, _ func() map[string]float64) *sched.It
 
 // fairShareOrder runs the least-served user first within a class (FIFO on
 // ties) — the "fairer resource sharing" extension the paper's discussion
-// names.
+// names. Each user is a lane of the queue's rank index, weighted at pop time
+// by the QPU-seconds the user has been served.
 type fairShareOrder struct{}
 
 func (fairShareOrder) Name() string { return "fair-share" }
 func (fairShareOrder) Pop(q *sched.ClassQueue, usage func() map[string]float64) *sched.Item {
-	served := usage()
-	return q.PopBy(func(a, b *sched.Item) bool {
-		ua := served[a.Payload.(*Job).User]
-		ub := served[b.Payload.(*Job).User]
-		if ua != ub {
-			return ua < ub
-		}
-		return a.Enqueued < b.Enqueued
-	})
+	return q.PopRanked(fairShareRank, usage())
 }
 
 // shortestFirstOrder orders by the expected QPU duration hint (§3.5),
@@ -83,40 +77,50 @@ type shortestFirstOrder struct{}
 
 func (shortestFirstOrder) Name() string { return "shortest-first" }
 func (shortestFirstOrder) Pop(q *sched.ClassQueue, _ func() map[string]float64) *sched.Item {
-	return q.PopBy(sched.ShortestExpectedFirst)
+	return q.PopRanked(shortestFirstRank, nil)
 }
 
-// orderComparator is the composition hook between the queueing and priority
-// axes: an order that can state its policy as a pairwise comparator lets a
-// non-constant PriorityPolicy compose with it — the priority score decides,
-// and the order's comparator breaks score ties. All built-in orders
-// implement it; a custom OrderPolicy that does not falls back to FIFO
-// tie-breaking under a non-constant priority.
-type orderComparator interface {
-	// less returns the order's within-class comparator. usage is the same
-	// lazy per-user QPU-seconds snapshot Pop receives; orders that do not
-	// need it must not call it.
-	less(usage func() map[string]float64) func(a, b *sched.Item) bool
-}
-
-func (fifoOrder) less(_ func() map[string]float64) func(a, b *sched.Item) bool {
-	return func(a, b *sched.Item) bool { return a.Enqueued < b.Enqueued }
-}
-
-func (fairShareOrder) less(usage func() map[string]float64) func(a, b *sched.Item) bool {
-	served := usage()
-	return func(a, b *sched.Item) bool {
-		ua := served[a.Payload.(*Job).User]
-		ub := served[b.Payload.(*Job).User]
-		if ua != ub {
-			return ua < ub
-		}
-		return a.Enqueued < b.Enqueued
+// The built-in orders as rankers (Lane and Ord only; the priority axis
+// contributes Pri, see Daemon.ranker).
+var (
+	fifoRank      = &sched.Ranker{}
+	fairShareRank = &sched.Ranker{
+		Lane: func(it *sched.Item) string { return it.Payload.(*Job).User },
+		Ord:  func(it *sched.Item) [2]int64 { return [2]int64{int64(it.Enqueued)} },
 	}
+	shortestFirstRank = &sched.Ranker{Ord: sched.ShortestExpectedKey}
+)
+
+// rankedOrder is the composition hook between the queueing and priority
+// axes: an order that states itself as a sched.Ranker composes with any
+// priority — indexed when the priority has a static key too, and as the
+// score tie-break (scoreTie) when it can only score. All built-in
+// orders implement it; under a non-constant priority a custom OrderPolicy
+// that does not is ignored in favour of push-order tie-breaking.
+type rankedOrder interface {
+	rank() *sched.Ranker
 }
 
-func (shortestFirstOrder) less(_ func() map[string]float64) func(a, b *sched.Item) bool {
-	return sched.ShortestExpectedFirst
+func (fifoOrder) rank() *sched.Ranker          { return fifoRank }
+func (fairShareOrder) rank() *sched.Ranker     { return fairShareRank }
+func (shortestFirstOrder) rank() *sched.Ranker { return shortestFirstRank }
+
+// scoreTie states an order's rank — its lane under weight, then its key — as
+// the pairwise tie-break PopByScore takes; equal again falls to the earlier
+// queued, which is PopByScore's own last resort.
+func scoreTie(r *sched.Ranker, weight map[string]float64) func(a, b *sched.Item) bool {
+	return func(a, b *sched.Item) bool {
+		if r.Lane != nil {
+			if wa, wb := weight[r.Lane(a)], weight[r.Lane(b)]; wa != wb {
+				return wa < wb
+			}
+		}
+		if r.Ord != nil {
+			ka, kb := r.Ord(a), r.Ord(b)
+			return ka[0] < kb[0] || (ka[0] == kb[0] && ka[1] < kb[1])
+		}
+		return false
+	}
 }
 
 // NewOrder builds a within-class order by name ("fifo", "fair-share",

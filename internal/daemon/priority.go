@@ -9,10 +9,15 @@ package daemon
 // policy's comparator breaks score ties, so `slo-urgency × fair-share` means
 // "most urgent first, least-served user among equally urgent".
 //
-// The `constant` policy is the identity element: every item scores the same,
-// the tie-break does all the work, and the daemon short-circuits it onto the
-// exact legacy OrderPolicy.Pop path so replay reports stay byte-identical to
-// a build without the axis (the determinism sweeps gate this).
+// The `constant` policy is the identity element: every item scores the same
+// and contributes no rank key, so the order policy alone decides.
+//
+// Every built-in score has the shape f(item) − g(now): `now` is common to all
+// queued items and cancels out of any comparison, so the *ranking* is static
+// even though the scores move. The built-ins state f as an exact integer key
+// (rankedPriority) and the daemon dispatches them through the queue's rank
+// index; Score remains the contract for custom policies, which dispatch by
+// linear scan.
 
 import (
 	"fmt"
@@ -38,18 +43,26 @@ type PriorityPolicy interface {
 	Score(it *sched.Item, now time.Duration) float64
 }
 
+// rankedPriority is implemented by priorities whose ranking is static:
+// rankKey returns the sched.Ranker.Pri key — lower is more urgent, and
+// ordering by it must equal ordering by descending Score at any one `now` —
+// or nil when every item ranks equal.
+type rankedPriority interface {
+	rankKey() func(it *sched.Item) int64
+}
+
 // noDeadlineScore sorts items without any resolvable deadline behind every
 // item that has one, for the deadline-driven policies. Equal among
 // themselves, so the order policy's tie-break takes over.
 const noDeadlineScore = -math.MaxFloat64
 
 // constantPriority is the default identity policy: all items score equally,
-// leaving the order policy in sole control. The daemon detects it and keeps
-// dispatch on the legacy pop path.
+// leaving the order policy in sole control.
 type constantPriority struct{}
 
-func (constantPriority) Name() string                              { return "constant" }
+func (constantPriority) Name() string                             { return "constant" }
 func (constantPriority) Score(*sched.Item, time.Duration) float64 { return 0 }
+func (constantPriority) rankKey() func(*sched.Item) int64         { return nil }
 
 // agePriority scores items by time spent queued — pure anti-starvation: the
 // longest-waiting item runs first regardless of how it arrived. Within a
@@ -61,6 +74,9 @@ type agePriority struct{}
 func (agePriority) Name() string { return "age" }
 func (agePriority) Score(it *sched.Item, now time.Duration) float64 {
 	return (now - it.Enqueued).Seconds()
+}
+func (agePriority) rankKey() func(*sched.Item) int64 {
+	return func(it *sched.Item) int64 { return int64(it.Enqueued) }
 }
 
 // deadlinePriority implements both deadline-driven policies over the same
@@ -104,6 +120,19 @@ func (p *deadlinePriority) Score(it *sched.Item, now time.Duration) float64 {
 		return -dl.Seconds()
 	}
 	return -(dl - now - it.ExpectedQPU).Seconds()
+}
+
+func (p *deadlinePriority) rankKey() func(*sched.Item) int64 {
+	return func(it *sched.Item) int64 {
+		dl := p.deadline(it)
+		switch {
+		case dl <= 0:
+			return math.MaxInt64
+		case p.edf:
+			return int64(dl)
+		}
+		return int64(dl - it.ExpectedQPU)
+	}
 }
 
 // configure applies colon-separated key=value parameters to the fallback
