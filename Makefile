@@ -53,11 +53,14 @@ bench-json:
 # benchdiff's -priority-overhead rule. The deep-backlog replay and the queue
 # pop layer benchmark are -required too; the latter is held to 0 allocs/op and
 # to ns/op at backlog depth 1e5 within 4x of depth 1e3 (benchdiff popFlatness).
+# The long unsaturated replay (1e5 jobs) is -required as well: its peak_heap_mb
+# falls under the same lower-is-better rule, which is what holds replay memory
+# at O(in-flight) rather than O(jobs seen).
 bench-diff:
 	$(GO) test -bench='$(BENCH_PATTERN)' \
 		-benchmem -run='^$$' -json $(BENCH_PKGS) > $(BENCH_FRESH)
 	$(GO) run ./cmd/benchdiff \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch \
 		BENCH_fleet.json $(BENCH_FRESH)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a

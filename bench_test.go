@@ -650,6 +650,41 @@ func BenchmarkLoadgenReplayBacklog(b *testing.B) {
 	b.ReportMetric(float64(rep.Completed), "jobs_completed")
 }
 
+// BenchmarkLoadgenReplayLong is the replay benchmark at the length sites
+// actually size fleets with: four weeks of Poisson arrivals (≈100 k jobs) on
+// four partitions at utilisation ≈ 0.45, so queues stay empty and almost
+// every job is terminal almost all of the time. What it guards is retention:
+// peak_heap_mb is the trace plus the analyzer's per-job samples plus the jobs
+// in flight — not every record the run has seen (DESIGN §5 INV-R1) — and
+// jobs_per_wall_s shows the collector no longer marking that history. The
+// peak includes the trace this process generated, on both sides of a diff.
+func BenchmarkLoadgenReplayLong(b *testing.B) {
+	tr, err := loadgen.Generate(loadgen.Config{
+		Seed: 1, Horizon: 672 * time.Hour,
+		Process: &loadgen.Poisson{RatePerHour: 150},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(tr.Records) < 100000 {
+		b.Fatalf("trace has %d jobs, want ≥ 100000", len(tr.Records))
+	}
+	heapPeak := trackHeapPeak()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rep *loadgen.Report
+	for i := 0; i < b.N; i++ {
+		rep, err = loadgen.Replay(tr, loadgen.ReplayConfig{Devices: 4, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(tr.Records))*float64(b.N)/b.Elapsed().Seconds(), "jobs_per_wall_s")
+	b.ReportMetric(heapPeak(), "peak_heap_mb")
+	b.ReportMetric(float64(rep.Completed), "jobs_completed")
+}
+
 // BenchmarkLoadgenReplayRecorded additionally attaches a flight recorder
 // sized to retain every job trace — the `qcload trace export` configuration,
 // the most expensive consumer (every span is stored, not just aggregated).
@@ -726,6 +761,24 @@ func sampleHeapPeak(stop <-chan struct{}, peak *uint64) {
 	}
 }
 
+// trackHeapPeak collects garbage, starts the sampler and returns the function
+// that stops it and yields the high-water mark in MB.
+func trackHeapPeak() (stop func() float64) {
+	runtime.GC()
+	halt := make(chan struct{})
+	done := make(chan struct{})
+	var peak uint64
+	go func() {
+		defer close(done)
+		sampleHeapPeak(halt, &peak)
+	}()
+	return func() float64 {
+		close(halt)
+		<-done
+		return float64(peak) / (1 << 20)
+	}
+}
+
 // BenchmarkSweepWideMatrix measures the bounded-memory sweep engine at the
 // scale it exists for: a thousand-cell generalized-axis matrix (3 routers ×
 // 3 schedulers × 4 admissions × 2 priorities × 2 fleets × 2 preemption × 2
@@ -750,14 +803,7 @@ func BenchmarkSweepWideMatrix(b *testing.B) {
 		RateScales:  []float64{1, 2},
 		ShotScales:  []float64{1, 2},
 	}
-	runtime.GC()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	var peak uint64
-	go func() {
-		defer close(done)
-		sampleHeapPeak(stop, &peak)
-	}()
+	heapPeak := trackHeapPeak()
 	b.ResetTimer()
 	cells := 0
 	for i := 0; i < b.N; i++ {
@@ -768,10 +814,8 @@ func BenchmarkSweepWideMatrix(b *testing.B) {
 		cells += len(rep.Results)
 	}
 	b.StopTimer()
-	close(stop)
-	<-done
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells_per_wall_s")
-	b.ReportMetric(float64(peak)/(1<<20), "peak_heap_mb")
+	b.ReportMetric(heapPeak(), "peak_heap_mb")
 }
 
 // BenchmarkSaturateSearch measures the capacity-frontier search: nine policy

@@ -64,6 +64,10 @@ type Session struct {
 	User      string        `json:"user"`
 	CreatedAt time.Duration `json:"created_at"`
 	Jobs      []string      `json:"jobs"`
+
+	// released counts Jobs entries whose records Release has pooled since the
+	// list was last compacted.
+	released int
 }
 
 // Job is the daemon's job record.
@@ -148,7 +152,7 @@ func (j *Job) ClassName() string { return j.Class.String() }
 
 // jobPool recycles Job records across replay cells. A thousand-cell sweep
 // churns through millions of job records whose lifetimes end with their
-// daemon's report; pooling them (via the replay driver's Release call) keeps
+// daemon's report; pooling them (via the replay driver's Release calls) keeps
 // the sweep's live heap proportional to the worker count, not the cell count.
 var jobPool = sync.Pool{New: func() any { return new(Job) }}
 
@@ -160,21 +164,43 @@ func newJob() *Job {
 	return j
 }
 
-// Release returns every retained job record to the shared pool and empties
-// the daemon's job table. It is safe only once the daemon is quiescent and
-// no caller still holds *Job pointers obtained from this daemon — public
-// accessors hand out copies, so the one caller with that guarantee is the
-// replay driver, which calls Release after extracting its report. Records
-// already pruned from the table (bounded rejected history) are simply
-// dropped: their pointers may have escaped through RejectedError.
+// Release pools every job record that has turned terminal through dispatch
+// (completed, failed, cancelled) since the last call, takes it out of the job
+// table and trims its ID from the owning session's Jobs list — amortized
+// O(released), whatever the backlog: the walk is over the settled list, and a
+// session's list is compacted only once more than half of it is released.
+// Queued and running jobs are never touched, which is what makes it callable
+// mid-run: the replay driver calls it between clock events at a fixed cadence
+// so a long trace holds its in-flight jobs, not every job it has seen, and
+// once more after extracting its report. Rejected records stay, bounded by
+// Config.RejectedHistory (their pointers escape through RejectedError).
+//
+// It is safe only while no other daemon call is in progress and no caller
+// holds *Job pointers obtained from this daemon — public accessors hand out
+// copies, so a single-goroutine driver between events has that guarantee. A
+// released ID reads as an unknown job; a serving daemon never calls this and
+// keeps every record.
 func (d *Daemon) Release() {
 	d.mu.Lock()
-	for id, j := range d.jobs {
-		delete(d.jobs, id)
+	defer d.mu.Unlock()
+	for i, j := range d.settled {
+		d.settled[i] = nil
+		delete(d.jobs, j.ID)
+		if s := d.sessions[j.Session]; s != nil {
+			if s.released++; 2*s.released > len(s.Jobs) {
+				kept := s.Jobs[:0]
+				for _, id := range s.Jobs {
+					if _, live := d.jobs[id]; live {
+						kept = append(kept, id)
+					}
+				}
+				s.Jobs, s.released = kept, 0
+			}
+		}
 		*j = Job{} // drop payload/result references before pooling
 		jobPool.Put(j)
 	}
-	d.mu.Unlock()
+	d.settled = d.settled[:0]
 }
 
 // JobEventType enumerates the job lifecycle transitions the daemon reports to
@@ -422,6 +448,10 @@ type Daemon struct {
 	// cfg.RejectedHistory.
 	rejectedTotal int
 	rejectedIDs   []string
+	// settled lists the records finishLocked turned terminal since the last
+	// Release — what lets Release run in O(terminal) under a deep backlog. A
+	// serving daemon never drains it: one pointer per record it retains anyway.
+	settled []*Job
 
 	mJobs, mQueueLen, mSessions          *telemetry.Metric
 	mWait                                *telemetry.Metric
@@ -1530,6 +1560,10 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 			d.finishJob(j, JobCancelled, nil, nil)
 		}
 	}
+	// The job now carries everything the task had to say (result, error,
+	// timing): the daemon forgets a device task when it settles it, or every
+	// finished task's program, result and clock event would outlive the job.
+	ds.dev.Forget(taskID)
 	d.emitQueueTelemetry()
 	d.dispatchDevice(ds)
 }
@@ -1602,6 +1636,7 @@ func (d *Daemon) finishLocked(j *Job, state JobState, result []byte, err error) 
 	if err != nil {
 		j.Error = err.Error()
 	}
+	d.settled = append(d.settled, j)
 	if d.mJobs != nil {
 		if b := d.bJobs[j.Class][state]; b != nil {
 			b.Inc(1)

@@ -1,7 +1,10 @@
 package daemon
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,5 +89,72 @@ func TestClientPartitionPinning(t *testing.T) {
 	}
 	if _, err := c.TaskStart(payload(t, 5)); err == nil {
 		t.Fatal("task start against unknown partition accepted")
+	}
+}
+
+// TestLiveSettleForgetsDeviceTasks is the served side of the ownership rule
+// "the daemon forgets a device task when it settles it": a thousand jobs
+// through Handler() leave every partition's task table empty — before, each
+// finished task's program, result and clock event stayed for the life of the
+// process — while the daemon's own retention is untouched: every record is
+// still listed and every result still fetched.
+func TestLiveSettleForgetsDeviceTasks(t *testing.T) {
+	clk := simclock.New()
+	fleet, err := device.NewFleet(4, device.Config{Clock: clk, Seed: 5, TimingOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDaemon(Config{Devices: fleet.Devices(), Clock: clk, AdminToken: "root-token", EnablePreemption: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.Handler())
+	t.Cleanup(ts.Close)
+	c, err := NewClient(ts.URL, "alice", sched.ClassTest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs, burst = 1000, 50
+	prog := payload(t, 10)
+	ids := make([]string, 0, jobs)
+	for len(ids) < jobs {
+		for k := 0; k < burst; k++ {
+			id, err := c.TaskStart(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		// No pump goroutine: the clock only moves here, between requests,
+		// far enough for the burst to drain (50 × 10 s over 4 partitions).
+		clk.Advance(5 * time.Minute)
+	}
+	for _, dev := range fleet.Devices() {
+		if left := dev.TaskIDs(); len(left) != 0 {
+			t.Errorf("%s still holds %d task records, e.g. %s", dev.ID(), len(left), left[0])
+		}
+		if snap := dev.AdminSnapshot(); snap.TasksTotal == 0 {
+			t.Errorf("%s ran nothing: the fleet was not exercised", dev.ID())
+		}
+	}
+	listed := d.ListJobs()
+	if len(listed) != jobs {
+		t.Fatalf("ListJobs returns %d records, want all %d", len(listed), jobs)
+	}
+	for _, j := range listed {
+		if j.State != JobCompleted {
+			t.Fatalf("%s is %s, want completed", j.ID, j.State)
+		}
+	}
+	for _, id := range []string{ids[0], ids[jobs/2], ids[jobs-1]} {
+		raw, err := c.TaskResult(id)
+		if err != nil || !strings.Contains(string(raw), `"timing-only"`) {
+			t.Fatalf("result of %s after its task was forgotten: %q, %v", id, raw, err)
+		}
+	}
+	code, body := httpDo(t, http.MethodGet, ts.URL+"/admin/v1/jobs", "root-token", nil)
+	var viaHTTP []map[string]any
+	if err := json.Unmarshal(body, &viaHTTP); code != http.StatusOK || err != nil || len(viaHTTP) != jobs {
+		t.Fatalf("GET /admin/v1/jobs: status %d, %d records, err %v", code, len(viaHTTP), err)
 	}
 }

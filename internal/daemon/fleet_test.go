@@ -373,10 +373,17 @@ func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
 	if err := env.d.CancelJob(s.Token, j.ID, false); err != nil {
 		t.Fatal(err)
 	}
-	// Free the device and finish the dispatcher's submission.
+	// Free the device and finish the dispatcher's submission. The daemon
+	// forgets a task as it settles it, so the withdrawal is observed where
+	// the device reports it: on the task listener, ahead of the daemon.
 	if err := env.d.CancelJob(s.Token, blocker.ID, false); err != nil {
 		t.Fatal(err)
 	}
+	terminal := make(map[string]device.TaskState)
+	ds.dev.SetTaskListener(func(deviceID, taskID string, state device.TaskState) {
+		terminal[taskID] = state
+		env.d.onDeviceTask(deviceID, taskID, state)
+	})
 	prog, err := decodeAndValidate(item.Payload.(*Job).payload, ds.dev.Spec())
 	if err != nil {
 		t.Fatal(err)
@@ -391,8 +398,14 @@ func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
 	if got.State != JobCancelled {
 		t.Fatalf("cancelled job resurrected: %s", got.State)
 	}
-	if st, _ := ds.dev.TaskStatus(taskID); st != device.TaskCancelled {
-		t.Fatalf("device task = %s, want cancelled", st)
+	if st := terminal[taskID]; st != device.TaskCancelled {
+		t.Fatalf("device task reported %q, want cancelled", st)
+	}
+	if snap := ds.dev.AdminSnapshot(); snap.Running != "" || snap.QueueLength != 0 {
+		t.Fatalf("withdrawn task still on the device: running=%q queued=%d", snap.Running, snap.QueueLength)
+	}
+	if _, err := ds.dev.TaskStatus(taskID); err == nil {
+		t.Fatal("settled task was not forgotten by the device")
 	}
 	env.clk.Advance(time.Hour)
 	got, _ = env.d.JobStatus(s.Token, j.ID)

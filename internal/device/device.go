@@ -492,6 +492,19 @@ func (d *Device) TaskResult(id string) (*qir.Result, error) {
 	}
 }
 
+// Forget drops the device's record of a terminal task — its program, result
+// and fired clock event — once the caller has read what it needs; the ID then
+// reads as an unknown task. A queued or running task is left alone, and an
+// unknown ID is a no-op. The device never forgets by itself: whoever consumes
+// a task's outcome owns its record (the daemon forgets as it settles).
+func (d *Device) Forget(id string) {
+	d.mu.Lock()
+	if t, ok := d.tasks[id]; ok && t.state != TaskQueued && t.state != TaskRunning {
+		delete(d.tasks, id)
+	}
+	d.mu.Unlock()
+}
+
 // Cancel aborts a queued or running task.
 func (d *Device) Cancel(id string) error {
 	d.mu.Lock()

@@ -1,6 +1,8 @@
 package device
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -427,5 +429,93 @@ func TestDigitalDeviceWideCircuitUsesMPS(t *testing.T) {
 	}
 	if res.Counts.TotalShots() != 10 {
 		t.Fatalf("shots = %d", res.Counts.TotalShots())
+	}
+}
+
+// TestForget: the owner of a task's outcome may drop the device's record of
+// it, but only once the task is terminal — a live task cannot be lost.
+func TestForget(t *testing.T) {
+	clk := simclock.New()
+	d, err := New(Config{Clock: clk, Seed: 42, TimingOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running, _ := d.Submit(testProgram(10))
+	queued, _ := d.Submit(testProgram(10))
+	cancelled, _ := d.Submit(testProgram(10))
+	if err := d.Cancel(cancelled); err != nil {
+		t.Fatal(err)
+	}
+	completed, _ := d.Submit(testProgram(10))
+
+	cases := []struct {
+		name      string
+		id        string
+		state     TaskState
+		forgotten bool
+	}{
+		{"running", running, TaskRunning, false},
+		{"queued", queued, TaskQueued, false},
+		{"cancelled", cancelled, TaskCancelled, true},
+		{"unknown", "qpu-task-999", "", true},
+	}
+	check := func(name, id string, state TaskState, forgotten bool) {
+		t.Helper()
+		d.Forget(id)
+		st, err := d.TaskStatus(id)
+		switch {
+		case forgotten && (err == nil || err.Error() != `device: unknown task "`+id+`"`):
+			t.Fatalf("%s: forgotten task reads (%q, %v), want unknown task", name, st, err)
+		case !forgotten && (err != nil || st != state):
+			t.Fatalf("%s: live task reads (%q, %v) after Forget, want %s", name, st, err, state)
+		}
+	}
+	for _, c := range cases {
+		check(c.name, c.id, c.state, c.forgotten)
+	}
+	// The survivors run to completion, untouched by the attempts above.
+	clk.Advance(time.Minute)
+	for _, id := range []string{running, queued, completed} {
+		if res, err := d.TaskResult(id); err != nil || res.QPUSeconds != 10 {
+			t.Fatalf("%s: result (%v, %v) after the run", id, res, err)
+		}
+		check("completed", id, TaskCompleted, true)
+		if _, err := d.TaskResult(id); err == nil {
+			t.Fatalf("%s: forgotten task still has a result", id)
+		}
+	}
+	if ids := d.TaskIDs(); len(ids) != 0 {
+		t.Fatalf("task table holds %v after every task was forgotten", ids)
+	}
+	if snap := d.AdminSnapshot(); snap.TasksTotal != 3 {
+		t.Fatalf("forgetting changed the counters: tasks_total = %d, want 3", snap.TasksTotal)
+	}
+}
+
+// TestFullFidelityResultReproducible: with the emulator in the loop (no
+// TimingOnly), one program on two identically seeded devices yields results
+// that marshal byte-equal — DESIGN §5's determinism rule, which the emulator's
+// wall-clock elapsed_ms stamp used to break.
+func TestFullFidelityResultReproducible(t *testing.T) {
+	var runs [2][]byte
+	for i := range runs {
+		clk := simclock.New()
+		d := newTestDevice(t, clk)
+		clk.Advance(90 * time.Minute) // let calibration drift: the metadata carries it
+		id, err := d.Submit(testProgram(40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(time.Minute)
+		res, err := d.TaskResult(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(runs[0], runs[1]) {
+		t.Fatalf("same program, seed and history, different results:\n %s\n %s", runs[0], runs[1])
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"time"
 
 	"hpcqc/internal/qir"
 )
@@ -65,7 +64,6 @@ func (b *SVBackend) Run(p *qir.Program, seed int64) (*qir.Result, error) {
 	if err := p.Validate(&b.spec); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	sv, err := NewStateVector(p.NumQubits())
 	if err != nil {
 		return nil, err
@@ -88,7 +86,6 @@ func (b *SVBackend) Run(p *qir.Program, seed int64) (*qir.Result, error) {
 		Metadata: map[string]string{
 			"backend":     b.Name(),
 			"method":      "statevector",
-			"elapsed_ms":  strconv.FormatInt(time.Since(start).Milliseconds(), 10),
 			"shots":       strconv.Itoa(p.Shots),
 			"seed":        strconv.FormatInt(seed, 10),
 			"noise_model": fmt.Sprintf("prep=%g,fp=%g,fn=%g", b.cfg.Noise.EpsPrep, b.cfg.Noise.EpsFalsePos, b.cfg.Noise.EpsFalseNeg),
@@ -151,7 +148,6 @@ func (b *MPSBackend) Run(p *qir.Program, seed int64) (*qir.Result, error) {
 	if err := p.Validate(&b.spec); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	mps, err := NewMPS(p.NumQubits(), b.cfg.MaxBond)
 	if err != nil {
 		return nil, err
@@ -178,7 +174,6 @@ func (b *MPSBackend) Run(p *qir.Program, seed int64) (*qir.Result, error) {
 			"bond_dimension":   strconv.Itoa(b.cfg.MaxBond),
 			"max_bond_reached": strconv.Itoa(mps.MaxBondDim()),
 			"truncation_error": strconv.FormatFloat(mps.TruncationError, 'g', 6, 64),
-			"elapsed_ms":       strconv.FormatInt(time.Since(start).Milliseconds(), 10),
 			"shots":            strconv.Itoa(p.Shots),
 			"seed":             strconv.FormatInt(seed, 10),
 		},

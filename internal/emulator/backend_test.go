@@ -1,6 +1,8 @@
 package emulator
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -75,6 +77,40 @@ func TestSVBackendDeterministicSeed(t *testing.T) {
 	for k, v := range r1.Counts {
 		if r2.Counts[k] != v {
 			t.Fatalf("seeded runs differ at %s", k)
+		}
+	}
+}
+
+// TestBackendResultsReproducible: a result is a pure function of (program,
+// seed, configuration) — counts and metadata alike — so two runs marshal to
+// the same bytes. The backends used to stamp their wall-clock run time into
+// the metadata (elapsed_ms), which made every full-fidelity result unique.
+func TestBackendResultsReproducible(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		backend Backend
+		prog    *qir.Program
+	}{
+		{"sv/digital", NewSVBackend(SVConfig{Noise: DefaultNoise()}), bellProgram(300)},
+		{"sv/analog", NewSVBackend(SVConfig{DTNs: 0.5, Noise: DefaultNoise()}), blockadeProgram(300)},
+		{"mps/digital", NewMPSBackend(MPSConfig{MaxBond: 4, Noise: DefaultNoise()}), bellProgram(300)},
+		{"mps/analog", NewMPSBackend(MPSConfig{MaxBond: 4, DTNs: 0.5, Noise: DefaultNoise()}), blockadeProgram(300)},
+	} {
+		var runs [2][]byte
+		for i := range runs {
+			res, err := c.backend.Run(c.prog, 42)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if v, ok := res.Metadata["elapsed_ms"]; ok {
+				t.Errorf("%s: metadata carries wall-clock elapsed_ms=%s", c.name, v)
+			}
+			if runs[i], err = json.Marshal(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(runs[0], runs[1]) {
+			t.Errorf("%s: same program and seed, different results:\n %s\n %s", c.name, runs[0], runs[1])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package emulator
 
 import (
 	"math/rand"
+	"sort"
 
 	"hpcqc/internal/qir"
 )
@@ -35,15 +36,22 @@ func (n NoiseModel) Enabled() bool {
 }
 
 // Apply resamples counts through the readout channels. Shot totals are
-// preserved; only bit values flip.
+// preserved; only bit values flip. Outcomes are visited in sorted order, not
+// map order, so the draws each shot consumes — and with them the result — are
+// a function of (counts, rng state) alone.
 func (n NoiseModel) Apply(counts qir.Counts, rng *rand.Rand) qir.Counts {
 	if !n.Enabled() {
 		return counts
 	}
+	outcomes := make([]string, 0, len(counts))
+	for bits := range counts {
+		outcomes = append(outcomes, bits)
+	}
+	sort.Strings(outcomes)
 	out := make(qir.Counts, len(counts))
 	buf := make([]byte, 0, 64)
-	for bits, c := range counts {
-		for shot := 0; shot < c; shot++ {
+	for _, bits := range outcomes {
+		for shot := 0; shot < counts[bits]; shot++ {
 			buf = buf[:0]
 			buf = append(buf, bits...)
 			for i := range buf {

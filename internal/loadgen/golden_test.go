@@ -15,97 +15,97 @@ import (
 
 var updateGolden = flag.Bool("update", false, "regenerate internal/loadgen/testdata/golden from this build")
 
-const (
-	goldenTrace   = "testdata/golden/backlog600.jsonl"
-	goldenDigests = "testdata/golden/backlog600.sha256.json"
-	// goldenReportCell is the one combination whose full report is committed
-	// beside the digests, so a digest mismatch has a readable diff.
-	goldenReportCell = "fair-share/slo-urgency"
-	goldenReport     = "testdata/golden/backlog600.fair-share.slo-urgency.report.json"
-)
+// goldenCell is one named replay configuration of a golden corpus.
+type goldenCell struct {
+	name string
+	cfg  ReplayConfig
+}
 
-// TestGoldenBacklogDigests pins the schedule across commits, not just across
-// reruns: one small saturated trace (≈660 jobs on 1 device, ≈5× overloaded,
-// per-job deadlines, preemption on) replayed under all 12 order × priority
-// combinations must reproduce the committed report SHA-256s byte for byte.
-// The digests were recorded from the build that still extracted by linear
-// scan, so they are the cross-commit gate for the indexed queue (DESIGN §5,
-// INV-Q1). Regenerate only with `go test ./internal/loadgen -run
-// TestGoldenBacklogDigests -update`, and name the reason in CHANGES.md.
-func TestGoldenBacklogDigests(t *testing.T) {
+// goldenCorpus is one committed trace plus the SHA-256 of its report under
+// every cell, and one cell's full report so a digest mismatch has a readable
+// diff. Files live under testdata/golden/<name>.*.
+type goldenCorpus struct {
+	name string
+	gen  Config
+	// reportCell names the cell whose indented report is committed beside the
+	// digests, as <name>.<reportFile>.report.json.
+	reportCell, reportFile string
+	cells                  []goldenCell
+	// check is the per-cell sanity gate: a corpus that stops exercising the
+	// regime it was recorded for pins nothing.
+	check func(t *testing.T, cell string, tr *Trace, rep *Report)
+	// minDistinct is how many of the cells must produce different reports.
+	minDistinct int
+}
+
+func (g *goldenCorpus) path(suffix string) string {
+	return filepath.Join("testdata", "golden", g.name+suffix)
+}
+
+// run replays every cell and compares against (or, under -update,
+// regenerates) the committed digests and the full report.
+func (g *goldenCorpus) run(t *testing.T) {
+	tracePath, digestPath := g.path(".jsonl"), g.path(".sha256.json")
+	reportPath := g.path("." + g.reportFile + ".report.json")
 	if *updateGolden {
-		tr, err := Generate(Config{
-			Seed:      14,
-			Horizon:   86 * time.Minute,
-			Process:   &Poisson{RatePerHour: 420},
-			Deadlines: workload.DefaultDeadlines(),
-		})
+		tr, err := Generate(g.gen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenTrace), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(tracePath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.WriteFile(goldenTrace); err != nil {
+		if err := tr.WriteFile(tracePath); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tr, err := ReadTraceFile(goldenTrace)
+	tr, err := ReadTraceFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(map[string]string)
 	distinct := make(map[string]bool)
-	for _, scheduler := range AllSchedulers() {
-		for _, priority := range AllPriorities() {
-			rep, err := Replay(tr, ReplayConfig{Devices: 1, Scheduler: scheduler, Priority: priority, Seed: 1})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", scheduler, priority, err)
-			}
-			if rep.Completed != len(tr.Records) || rep.Preemptions == 0 {
-				t.Fatalf("%s/%s: completed %d of %d with %d preemptions — the golden trace must drain and must preempt",
-					scheduler, priority, rep.Completed, len(tr.Records), rep.Preemptions)
-			}
-			cell := scheduler + "/" + priority
-			b := marshalReport(t, rep)
-			sum := sha256.Sum256(b)
-			got[cell] = hex.EncodeToString(sum[:])
-			distinct[got[cell]] = true
-			if cell != goldenReportCell {
-				continue
-			}
-			pretty, err := json.MarshalIndent(rep, "", " ")
-			if err != nil {
+	for _, cell := range g.cells {
+		rep, err := Replay(tr, cell.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cell.name, err)
+		}
+		g.check(t, cell.name, tr, rep)
+		sum := sha256.Sum256(marshalReport(t, rep))
+		got[cell.name] = hex.EncodeToString(sum[:])
+		distinct[got[cell.name]] = true
+		if cell.name != g.reportCell {
+			continue
+		}
+		pretty, err := json.MarshalIndent(rep, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pretty = append(pretty, '\n')
+		if *updateGolden {
+			if err := os.WriteFile(reportPath, pretty, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			pretty = append(pretty, '\n')
-			if *updateGolden {
-				if err := os.WriteFile(goldenReport, pretty, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			} else if want, err := os.ReadFile(goldenReport); err != nil {
-				t.Fatal(err)
-			} else if string(want) != string(pretty) {
-				t.Errorf("%s: full report differs from %s (diff the file against `-update` output)", cell, goldenReport)
-			}
+		} else if want, err := os.ReadFile(reportPath); err != nil {
+			t.Fatal(err)
+		} else if string(want) != string(pretty) {
+			t.Errorf("%s: full report differs from %s (diff the file against `-update` output)", cell.name, reportPath)
 		}
 	}
-	// fifo×age and fifo×constant may coincide (both are seniority orders
-	// until a requeue); a trace on which most cells agree pins nothing.
-	if len(distinct) < 8 {
-		t.Fatalf("only %d distinct reports over 12 combinations: the golden trace does not discriminate the orders", len(distinct))
+	if len(distinct) < g.minDistinct {
+		t.Fatalf("only %d distinct reports over %d cells: the golden trace does not discriminate them", len(distinct), len(g.cells))
 	}
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenDigests, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(digestPath, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(goldenDigests)
+	raw, err := os.ReadFile(digestPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,4 +121,81 @@ func TestGoldenBacklogDigests(t *testing.T) {
 			t.Errorf("%s: report sha256 %s, golden %s", cell, sum, want[cell])
 		}
 	}
+}
+
+// TestGoldenBacklogDigests pins the schedule across commits, not just across
+// reruns: one small saturated trace (≈660 jobs on 1 device, ≈5× overloaded,
+// per-job deadlines, preemption on) replayed under all 12 order × priority
+// combinations must reproduce the committed report SHA-256s byte for byte.
+// The digests were recorded from the build that still extracted by linear
+// scan, so they are the cross-commit gate for the indexed queue (DESIGN §5,
+// INV-Q1). Regenerate only with `go test ./internal/loadgen -run
+// TestGoldenBacklogDigests -update`, and name the reason in CHANGES.md.
+func TestGoldenBacklogDigests(t *testing.T) {
+	g := &goldenCorpus{
+		name: "backlog600",
+		gen: Config{
+			Seed:      14,
+			Horizon:   86 * time.Minute,
+			Process:   &Poisson{RatePerHour: 420},
+			Deadlines: workload.DefaultDeadlines(),
+		},
+		reportCell: "fair-share/slo-urgency",
+		reportFile: "fair-share.slo-urgency",
+		check: func(t *testing.T, cell string, tr *Trace, rep *Report) {
+			if rep.Completed != len(tr.Records) || rep.Preemptions == 0 {
+				t.Fatalf("%s: completed %d of %d with %d preemptions — the golden trace must drain and must preempt",
+					cell, rep.Completed, len(tr.Records), rep.Preemptions)
+			}
+		},
+		// fifo×age and fifo×constant may coincide (both are seniority orders
+		// until a requeue); a trace on which most cells agree pins nothing.
+		minDistinct: 8,
+	}
+	for _, scheduler := range AllSchedulers() {
+		for _, priority := range AllPriorities() {
+			g.cells = append(g.cells, goldenCell{scheduler + "/" + priority,
+				ReplayConfig{Devices: 1, Scheduler: scheduler, Priority: priority, Seed: 1}})
+		}
+	}
+	g.run(t)
+}
+
+// TestGoldenSteadyDigests is the unsaturated twin of the backlog corpus: a
+// ≈300-job Poisson trace on 4 devices (utilisation ≈ 0.45, queues mostly
+// empty, a 4-variant program menu per pattern) under the three router presets plus the
+// affinity router over an 8-entry program cache. Here the arrival path, the
+// router and terminal-record handling do the work and queue order does none —
+// the path the arrival cursor and mid-run reclamation changed, which the
+// 1-device saturated corpus does not reach. Recorded from the commit before
+// those landed. Regenerate only with `-run TestGoldenSteadyDigests -update`.
+func TestGoldenSteadyDigests(t *testing.T) {
+	g := &goldenCorpus{
+		name: "steady150",
+		gen: Config{
+			Seed:      15,
+			Horizon:   2 * time.Hour,
+			Process:   &Poisson{RatePerHour: 150},
+			Programs:  4,
+			Deadlines: workload.DefaultDeadlines(),
+		},
+		reportCell: "affinity+cache8",
+		reportFile: "affinity-cache8",
+		cells: []goldenCell{
+			{"round-robin", ReplayConfig{Devices: 4, Router: "round-robin", Seed: 1}},
+			{"least-loaded", ReplayConfig{Devices: 4, Router: "least-loaded", Seed: 1}},
+			{"class-affinity", ReplayConfig{Devices: 4, Router: "class-affinity", Seed: 1}},
+			{"affinity+cache8", ReplayConfig{Devices: 4, Router: "affinity", ProgramCache: 8, SetupSeconds: 30, Seed: 1}},
+		},
+		check: func(t *testing.T, cell string, tr *Trace, rep *Report) {
+			if rep.Completed != len(tr.Records) {
+				t.Fatalf("%s: completed %d of %d — the golden trace must drain", cell, rep.Completed, len(tr.Records))
+			}
+			if cell == "affinity+cache8" && (rep.ProgramCacheHits == 0 || rep.ProgramCacheMisses == 0) {
+				t.Fatalf("%s: cache hits %d misses %d — the cache cell must see both", cell, rep.ProgramCacheHits, rep.ProgramCacheMisses)
+			}
+		},
+		minDistinct: 4,
+	}
+	g.run(t)
 }

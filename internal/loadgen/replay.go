@@ -138,10 +138,16 @@ func prepareTrace(tr *Trace) (*preparedTrace, error) {
 	return p, nil
 }
 
-// analyzerPool recycles SLO analyzers (their maps, order slices, stage
-// sample buffers and jobTrack slabs) across replay cells. Only registry-less
-// analyzers — the sweep/saturate case — are pooled.
+// analyzerPool recycles SLO analyzers (their maps, stage sample buffers and
+// jobTrack slabs) across replay cells. Only registry-less analyzers — the
+// sweep/saturate case — are pooled.
 var analyzerPool = sync.Pool{New: func() any { return NewAnalyzer(nil) }}
+
+// reclaimEvery is how many arrivals pass between the replay cursor's
+// Daemon.Release calls: small enough that the terminal records held between
+// two calls are noise beside the trace, large enough that the call's fixed
+// cost (a lock, a slice reset) vanishes per job.
+const reclaimEvery = 1024
 
 // Replay submits every trace record at its recorded arrival instant against
 // a fresh fleet on a fresh virtual clock, runs the clock to completion, and
@@ -160,7 +166,42 @@ func Replay(tr *Trace, cfg ReplayConfig) (*Report, error) {
 // saturation engines call it directly so the decode cost is paid once, not
 // per cell or per probe.
 func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
-	tr := prep.tr
+	r, err := newReplayRun(prep, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.run()
+}
+
+// replayRun is one replay assembled and ready to run: a fresh clock, fleet,
+// daemon and analyzer, with one session open per submitter.
+type replayRun struct {
+	prep *preparedTrace
+	cfg  ReplayConfig // defaults resolved; RateScale 0 normalized to 1
+	clk  *simclock.Clock
+	d    *daemon.Daemon
+	an   *Analyzer
+	// sessions maps each submitter to their session.
+	sessions map[string]*daemon.Session
+	// submitErrs counts arrivals that failed for any reason but an admission
+	// shed (those are first-class outcomes the analyzer counts).
+	submitErrs int
+}
+
+// at maps a recorded arrival offset onto the (possibly rate-scaled) replay
+// clock. Integer-microsecond division through float64 is exact enough to be
+// deterministic (IEEE 754) and monotone (us1 ≤ us2 keeps us1/s ≤ us2/s), so
+// scaled replays are as reproducible as unscaled ones; scale 1 bypasses the
+// float path entirely for bit-safety.
+func (r *replayRun) at(us int64) time.Duration {
+	if r.cfg.RateScale == 1 {
+		return time.Duration(us) * time.Microsecond
+	}
+	return time.Duration(int64(float64(us)/r.cfg.RateScale)) * time.Microsecond
+}
+
+// newReplayRun resolves the configuration and builds the run's fixtures.
+func newReplayRun(prep *preparedTrace, cfg ReplayConfig) (*replayRun, error) {
 	if cfg.Devices <= 0 {
 		cfg.Devices = 4
 	}
@@ -198,20 +239,8 @@ func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// at maps a recorded arrival offset onto the (possibly rate-scaled)
-	// replay clock. Integer-microsecond division through float64 is exact
-	// enough to be deterministic (IEEE 754) and monotone (us1 ≤ us2 keeps
-	// us1/s ≤ us2/s), so scaled replays are as reproducible as unscaled
-	// ones; scale 1 bypasses the float path entirely for bit-safety.
-	scale := cfg.RateScale
-	if scale == 0 {
-		scale = 1
-	}
-	at := func(us int64) time.Duration {
-		if scale == 1 {
-			return time.Duration(us) * time.Microsecond
-		}
-		return time.Duration(int64(float64(us)/scale)) * time.Microsecond
+	if cfg.RateScale == 0 {
+		cfg.RateScale = 1
 	}
 
 	clk := simclock.New()
@@ -233,8 +262,7 @@ func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
 	// buffers and track slabs are recycled across the cells of a sweep, so a
 	// thousand-cell run's live heap stays proportional to its worker count.
 	var an *Analyzer
-	pooled := cfg.Registry == nil
-	if pooled {
+	if cfg.Registry == nil {
 		an = analyzerPool.Get().(*Analyzer)
 		an.Reset()
 	} else {
@@ -272,45 +300,60 @@ func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
 
 	// One session per distinct submitter, opened in first-appearance order so
 	// token generation consumes the daemon's RNG identically across runs.
-	tokens := make(map[string]string, len(prep.users))
+	sessions := make(map[string]*daemon.Session, len(prep.users))
 	for _, user := range prep.users {
-		s, err := d.OpenSession(user)
-		if err != nil {
+		if sessions[user], err = d.OpenSession(user); err != nil {
 			return nil, err
 		}
-		tokens[user] = s.Token
 	}
+	return &replayRun{prep: prep, cfg: cfg, clk: clk, d: d, an: an, sessions: sessions}, nil
+}
 
-	submitErrs := 0
-	for i := range tr.Records {
-		rec := &tr.Records[i]
-		token := tokens[rec.User]
-		class := prep.classes[i]
-		payload := prep.payloads[i]
-		pattern := sched.Pattern(rec.Pattern)
-		expected := rec.ExpectedQPUSeconds
-		deadline := rec.DeadlineSeconds
-		clk.ScheduleAt(at(rec.AtUS), "loadgen-arrival", func() {
-			_, err := d.Submit(token, daemon.SubmitRequest{
-				Program:            payload,
-				Class:              class,
-				Pattern:            pattern,
-				Source:             "loadgen",
-				ExpectedQPUSeconds: expected,
-				DeadlineSeconds:    deadline,
-			})
-			var rej *daemon.RejectedError
-			if err != nil && !errors.As(err, &rej) {
-				// Admission sheds are first-class outcomes counted by the
-				// analyzer; anything else is a real submit error.
-				submitErrs++
-			}
-		})
+// run replays the trace to quiescence and returns the report.
+func (r *replayRun) run() (*Report, error) {
+	// One arrival cursor walks the trace: a single re-arming clock slot, fired
+	// in exactly the order one event per record would (simclock.ScheduleSeries),
+	// so the heap and the closures held at any instant do not grow with the
+	// trace. The cursor also paces reclamation — every reclaimEvery arrivals
+	// the daemon pools the records that turned terminal since — which keeps
+	// the live job state at in-flight + cadence instead of everything seen.
+	records := r.prep.tr.Records
+	r.clk.ScheduleSeries(len(records), "loadgen-arrival", func(i int) time.Duration {
+		return r.at(records[i].AtUS)
+	}, func(i int) {
+		if i%reclaimEvery == reclaimEvery-1 {
+			r.d.Release()
+		}
+		r.submit(i)
+	})
+	return r.drain()
+}
+
+// submit offers trace record i to the daemon, now.
+func (r *replayRun) submit(i int) {
+	rec := &r.prep.tr.Records[i]
+	_, err := r.d.Submit(r.sessions[rec.User].Token, daemon.SubmitRequest{
+		Program:            r.prep.payloads[i],
+		Class:              r.prep.classes[i],
+		Pattern:            sched.Pattern(rec.Pattern),
+		Source:             "loadgen",
+		ExpectedQPUSeconds: rec.ExpectedQPUSeconds,
+		DeadlineSeconds:    rec.DeadlineSeconds,
+	})
+	var rej *daemon.RejectedError
+	if err != nil && !errors.As(err, &rej) {
+		r.submitErrs++
 	}
+}
 
-	horizon := at(tr.Header.HorizonUS)
+// drain runs the clock — arrivals already scheduled — to the horizon and on
+// until every job is terminal, then builds the report and hands the run's
+// scratch back to the shared pools.
+func (r *replayRun) drain() (*Report, error) {
+	tr, cfg, clk, d, an := r.prep.tr, r.cfg, r.clk, r.d, r.an
+	horizon := r.at(tr.Header.HorizonUS)
 	if n := len(tr.Records); n > 0 {
-		if last := at(tr.Records[n-1].AtUS); last >= horizon {
+		if last := r.at(tr.Records[n-1].AtUS); last >= horizon {
 			horizon = last + time.Microsecond
 		}
 	}
@@ -357,14 +400,14 @@ func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
 	if cfg.DisablePreemption {
 		rep.Preemption = "off"
 	}
-	if scale != 1 {
-		rep.RateScale = scale
+	if cfg.RateScale != 1 {
+		rep.RateScale = cfg.RateScale
 	}
 	if cfg.ShotScale != 0 && cfg.ShotScale != 1 {
 		rep.ShotScale = cfg.ShotScale
 	}
-	rep.SubmitErrors = submitErrs
-	for _, dev := range fleet.Devices() {
+	rep.SubmitErrors = r.submitErrs
+	for _, dev := range d.Devices() {
 		dv := rep.PerDevice[dev.ID()]
 		if dv == nil {
 			dv = &DeviceSLO{}
@@ -373,12 +416,12 @@ func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
 		dv.Utilization = dev.Utilization()
 	}
 	// The report is self-contained; hand the per-cell scratch back to the
-	// shared pools. Release recycles the daemon's job records (safe here —
-	// every accessor above returned copies) and the analyzer returns with
-	// its slab for the next cell. Error paths skip this: a dropped analyzer
-	// is just a pool miss.
+	// shared pools. Release recycles the job records that finished since the
+	// cursor's last reclaim (safe here — every accessor above returned
+	// copies) and the analyzer returns with its slab for the next cell. Error
+	// paths skip this: a dropped analyzer is just a pool miss.
 	d.Release()
-	if pooled {
+	if cfg.Registry == nil {
 		analyzerPool.Put(an)
 	}
 	return rep, nil

@@ -212,8 +212,11 @@ type jobTrack struct {
 // loadgen_slowdown) so a live site scrapes SLO attainment from /metrics with
 // the same machinery as every other signal.
 type Analyzer struct {
+	// jobs indexes the tracks of jobs still in flight: an entry goes when its
+	// job turns terminal, so the map — and the ID strings it pins — follows
+	// the backlog, not the trace. The tracks themselves stay in the slab, in
+	// submission order, for Report.
 	jobs          map[string]*jobTrack
-	order         []string
 	preemptByDev  map[string]int
 	preempts      int
 	requeues      int
@@ -267,14 +270,13 @@ func (a *Analyzer) newTrack() *jobTrack {
 }
 
 // Reset clears the analyzer for a fresh replay while retaining every
-// allocation it has made — maps, the job-order slice, stage sample slices and
-// the track slab. This is the state-pooling hook behind the sweep engine: a
-// thousand-cell sweep recycles one analyzer per worker instead of growing the
-// heap by one per cell. Only registry-less analyzers are pooled (bound
-// telemetry series belong to a specific registry).
+// allocation it has made — maps, stage sample slices and the track slab. This
+// is the state-pooling hook behind the sweep engine: a thousand-cell sweep
+// recycles one analyzer per worker instead of growing the heap by one per
+// cell. Only registry-less analyzers are pooled (bound telemetry series
+// belong to a specific registry).
 func (a *Analyzer) Reset() {
 	clear(a.jobs)
-	a.order = a.order[:0]
 	clear(a.preemptByDev)
 	a.preempts, a.requeues, a.crossRequeues, a.terminal = 0, 0, 0, 0
 	a.lastTerminal = 0
@@ -325,10 +327,10 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 			t.requested = ev.Job.RequestedClass.String()
 		}
 		a.jobs[ev.Job.ID] = t
-		a.order = append(a.order, ev.Job.ID)
 	case daemon.JobEventRejected:
 		// Shed submissions are terminal from birth: they count as offered
-		// load (for shed rates) but never enter the wait distributions.
+		// load (for shed rates) but never enter the wait distributions — or
+		// the in-flight index.
 		t := a.newTrack()
 		t.class = ev.Job.Class.String()
 		t.submitted = ev.Job.SubmittedAt
@@ -337,8 +339,6 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 		t.terminal = true
 		t.rejected = true
 		t.finished = ev.At
-		a.jobs[ev.Job.ID] = t
-		a.order = append(a.order, ev.Job.ID)
 		a.terminal++
 		if ev.At > a.lastTerminal {
 			a.lastTerminal = ev.At
@@ -377,9 +377,10 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 		}
 	case daemon.JobEventFinished:
 		t := a.jobs[ev.Job.ID]
-		if t == nil || t.terminal {
+		if t == nil {
 			return
 		}
+		delete(a.jobs, ev.Job.ID)
 		t.terminal = true
 		t.state = ev.Job.State
 		t.finished = ev.At
@@ -431,7 +432,7 @@ func (a *Analyzer) ObserveSpan(s trace.Span) {
 // Counts reports (accepted, terminal) job totals — the replay driver's drain
 // condition.
 func (a *Analyzer) Counts() (submitted, terminal int) {
-	return len(a.jobs), a.terminal
+	return a.used, a.terminal
 }
 
 // Report aggregates the distributions observed so far.
@@ -459,8 +460,8 @@ func (a *Analyzer) Report() *Report {
 		}
 		return c
 	}
-	for _, id := range a.order {
-		t := a.jobs[id]
+	for i := 0; i < a.used; i++ {
+		t := &a.chunks[i/trackChunkSize][i%trackChunkSize]
 		rep.Jobs++
 		c := classSLO(t.class)
 		c.Jobs++

@@ -23,9 +23,19 @@ type Event struct {
 	Name string
 	Fn   func()
 
-	seq   uint64 // tie-break: FIFO among equal timestamps
-	index int    // heap bookkeeping
-	dead  bool   // cancelled
+	seq    uint64  // tie-break: FIFO among equal timestamps
+	index  int     // heap bookkeeping
+	dead   bool    // cancelled
+	series *series // non-nil: the re-arming slot of a ScheduleSeries
+}
+
+// series is the state behind ScheduleSeries: which element the slot holds and
+// what the remaining ones need to take its place.
+type series struct {
+	i, n int
+	at   func(i int) time.Duration
+	fn   func(i int)
+	seq0 uint64 // element i has tie-break sequence seq0+i
 }
 
 type eventHeap []*Event
@@ -65,6 +75,9 @@ type Clock struct {
 	events  eventHeap
 	nextSeq uint64
 	running bool
+	// deferred counts the elements of live series that are not in the heap
+	// yet: Pending reports them, as if each had its own slot.
+	deferred int
 	// nowAtomic mirrors now (written only under mu) so Now() is a lock-free
 	// load — it sits on every hot path (device status, span emission) and a
 	// mutex round-trip per read is measurable at replay rates.
@@ -112,6 +125,31 @@ func (c *Clock) ScheduleAt(at time.Duration, name string, fn func()) *Event {
 	return c.Schedule(delay, name, fn)
 }
 
+// ScheduleSeries registers fn(0) … fn(n-1) at the absolute times at(0) ≤ at(1)
+// ≤ … through one heap slot that re-arms itself as each element fires — O(1)
+// clock memory for a series of any length, which is what lets a replay keep
+// a million arrivals out of the heap. It is defined to be order-identical to
+// n ScheduleAt calls made now, in index order: times in the past are clamped
+// to the current instant, and the elements own a block of n consecutive
+// tie-break sequence numbers reserved here, so against any other event — one
+// queued before, one scheduled from inside a callback, an exact timestamp tie
+// — element i fires where the i-th of those calls would have. NextEventAt and
+// Pending read the same too. An at(i) below at(i-1) breaks the precondition
+// and fires in index order, right after its predecessor. at must be a pure
+// function of i; it is called once per element, outside the clock's lock.
+func (c *Clock) ScheduleSeries(n int, name string, at func(i int) time.Duration, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	first := at(0)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := &series{n: n, at: at, fn: fn, seq0: c.nextSeq}
+	c.nextSeq += uint64(n)
+	c.deferred += n - 1
+	heap.Push(&c.events, &Event{At: max(first, c.now), Name: name, seq: s.seq0, series: s})
+}
+
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (c *Clock) Cancel(e *Event) {
@@ -146,7 +184,7 @@ func (c *Clock) NextEventAt() (time.Duration, bool) {
 func (c *Clock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.events)
+	return len(c.events) + c.deferred
 }
 
 // Step fires the earliest pending event, advancing the clock to its
@@ -163,7 +201,21 @@ func (c *Clock) Step() bool {
 		c.nowAtomic.Store(int64(e.At))
 	}
 	c.mu.Unlock()
-	if !e.dead && e.Fn != nil {
+	if s := e.series; s != nil {
+		// Re-arm before the callback runs: whatever fn(i) schedules must
+		// find element i+1 queued ahead of it, as n separate events would be.
+		// e.At already carries the clamp, so max with it keeps both the clamp
+		// and index order.
+		i := s.i
+		if s.i++; s.i < s.n {
+			e.At, e.seq = max(s.at(s.i), e.At), s.seq0+uint64(s.i)
+			c.mu.Lock()
+			c.deferred--
+			heap.Push(&c.events, e)
+			c.mu.Unlock()
+		}
+		s.fn(i)
+	} else if !e.dead && e.Fn != nil {
 		e.Fn()
 	}
 	return true
@@ -214,7 +266,7 @@ func (c *Clock) Advance(d time.Duration) int {
 func (c *Clock) String() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return fmt.Sprintf("simclock{now=%s pending=%d}", c.now, len(c.events))
+	return fmt.Sprintf("simclock{now=%s pending=%d}", c.now, len(c.events)+c.deferred)
 }
 
 // Seconds converts a float seconds value into the clock's duration unit,
