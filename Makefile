@@ -50,7 +50,7 @@ bench-json:
 # sweep and saturation search are -required: renaming or dropping any of
 # them must fail the gate, not skip it. The priority benchmark's interleaved
 # slo-urgency/constant cost ratio is additionally capped at 10% by
-# benchdiff's -priority-overhead rule. The deep-backlog replay and the queue
+# benchdiff's priorityOverhead rule. The deep-backlog replay and the queue
 # pop layer benchmark are -required too; the latter is held to 0 allocs/op and
 # to ns/op at backlog depth 1e5 within 4x of depth 1e3 (benchdiff popFlatness).
 # The long unsaturated replay (1e5 jobs) is -required as well: its peak_heap_mb
@@ -92,4 +92,8 @@ vet-trace:
 	$(GO) vet ./internal/trace/...
 	$(GO) test -race ./internal/trace/...
 
-check: vet vet-trace build test test-race
+# bench-e2e-quick is last on purpose: benchmark/ is a frozen surface compiled
+# against this module's exported constructors and config fields, and its
+# byte-equality gate (harness-traced report == loadgen.Replay's) is the proof
+# that a refactor here left that surface and the reports intact.
+check: vet vet-trace build test test-race bench-e2e-quick

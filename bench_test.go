@@ -503,7 +503,7 @@ func BenchmarkLoadgenReplayAffinity(b *testing.B) {
 // benchmark reports their ratio as trace_overhead_pct — interleaving makes
 // the number immune to the heap-growth/GC-pacing drift that skews
 // comparisons between benchmarks run minutes apart in the same process.
-// benchdiff's -trace-overhead rule gates that metric in CI. allocs/op and
+// benchdiff's traceOverhead rule gates that metric in CI. allocs/op and
 // B/op are measured around the traced replay only (the span pipeline's
 // allocation budget), overriding the framework's combined numbers.
 func BenchmarkLoadgenReplayTraced(b *testing.B) {
@@ -562,7 +562,7 @@ func BenchmarkLoadgenReplayTraced(b *testing.B) {
 //
 // Each iteration runs an slo-urgency and a constant (fifo-equivalent) replay
 // back to back and reports their cost ratio as priority_overhead_pct;
-// benchdiff's -priority-overhead rule gates that metric in CI at 10%, the
+// benchdiff's priorityOverhead rule gates that metric in CI at 10%, the
 // same interleaved-ratio construction the tracing gate uses (immune to
 // machine speed across files and heap drift within a run). allocs/op and
 // B/op are measured around the slo-urgency replay only — scoring must not

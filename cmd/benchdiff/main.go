@@ -7,14 +7,14 @@
 //
 // Usage:
 //
-//	benchdiff [-threshold 0.20] [-metrics m1,m2] [-trace-overhead 0.10]
-//	          [-priority-overhead 0.10] [-require b1,b2] baseline.json fresh.json
+//	benchdiff [-require b1,b2] baseline.json fresh.json
 //
 // Only explicitly guarded metrics are compared; ns/op and sim-time metrics
 // vary with benchtime and fleet width in ways that are not regressions. The
-// -metrics list is higher-is-better (a drop fails); the -lower-metrics list
-// is lower-is-better (a rise fails) and guards the sweep engine's peak-heap
-// bound. Benchmarks present in one file but not the other are
+// higherMetrics set is higher-is-better (a drop past threshold fails); the
+// lowerMetrics set is lower-is-better (a rise fails) and guards the sweep
+// engine's peak-heap bound. The gate's numbers are constants below, not flags:
+// nothing ever set them. Benchmarks present in one file but not the other are
 // reported but never fail the diff, so adding or renaming a benchmark does
 // not require regenerating the baseline in the same commit — except the
 // benchmarks named by -require, which must appear in both files (by name, or
@@ -28,12 +28,12 @@
 // to back inside the same iterations and reports their cost ratio, which
 // makes the rule immune both to machine-speed noise across files and to the
 // heap-growth drift between benchmarks minutes apart in one run. The traced
-// replay benchmark reports trace_overhead_pct, capped by -trace-overhead —
+// replay benchmark reports trace_overhead_pct, capped by traceOverhead —
 // span emission is sold as allocation-lean observation, and this is where
 // that claim is enforced. The priority replay benchmark reports
 // priority_overhead_pct — the cost of slo-urgency's per-dispatch backlog
 // re-scoring over the constant policy's legacy pop — capped by
-// -priority-overhead: the deadline axis must stay a scheduling knob, not a
+// priorityOverhead: the deadline axis must stay a scheduling knob, not a
 // replay throughput tax.
 //
 // A third intra-run rule holds the queue's indexed extraction to its
@@ -59,15 +59,25 @@ type event struct {
 	Output string `json:"Output"`
 }
 
-// defaultMetrics are the wall-clock throughput metrics guarded by default.
-const defaultMetrics = "jobs_per_wall_s,replayed_jobs_per_wall_s,cells_per_wall_s"
+// threshold is the maximum allowed fractional move, in the bad direction, of
+// a guarded metric against the baseline.
+const threshold = 0.20
 
-// defaultLowerMetrics are the lower-is-better metrics guarded by default: a
-// rise past the threshold fails. peak_heap_mb is the sweep engine's
-// bounded-memory contract — the worker pool exists so a thousand-cell matrix
-// holds a few cells of scratch, not a goroutine per cell — and this is where
-// that bound is enforced.
-const defaultLowerMetrics = "peak_heap_mb"
+// higherMetrics are the guarded wall-clock throughput metrics: a drop past
+// the threshold fails.
+var higherMetrics = map[string]bool{"jobs_per_wall_s": true, "replayed_jobs_per_wall_s": true, "cells_per_wall_s": true}
+
+// lowerMetrics are the guarded lower-is-better metrics: a rise past the
+// threshold fails. peak_heap_mb is the sweep engine's bounded-memory contract
+// — the worker pool exists so a thousand-cell matrix holds a few cells of
+// scratch, not a goroutine per cell — and this is where that bound is
+// enforced.
+var lowerMetrics = map[string]bool{"peak_heap_mb": true}
+
+// traceOverhead and priorityOverhead cap the two interleaved cost ratios: the
+// traced replay over the untraced one, and the slo-urgency priority axis over
+// the constant default, each measured within one run.
+const traceOverhead, priorityOverhead = 0.10, 0.10
 
 // parseFile reconstructs the benchmark result lines from a test2json stream
 // and returns metric values per benchmark: bench → metric unit → value.
@@ -166,15 +176,10 @@ func has(results map[string]map[string]float64, name string) bool {
 const popFlatness = 4.0
 
 func main() {
-	threshold := flag.Float64("threshold", 0.20, "maximum allowed fractional drop in a guarded metric")
-	metricsFlag := flag.String("metrics", defaultMetrics, "comma-separated higher-is-better metrics to guard")
-	lowerFlag := flag.String("lower-metrics", defaultLowerMetrics, "comma-separated lower-is-better metrics to guard (a rise past the threshold fails)")
-	traceOverhead := flag.Float64("trace-overhead", 0.10, "maximum fractional jobs/wall-s cost of the traced replay vs the untraced one, same run")
-	priorityOverhead := flag.Float64("priority-overhead", 0.10, "maximum fractional replay cost of the slo-urgency priority axis vs the constant default, same run")
 	require := flag.String("require", "", "comma-separated benchmarks that must be present in both files")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold 0.20] [-metrics m1,m2] [-trace-overhead 0.10] [-require b1,b2] baseline.json fresh.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-require b1,b2] baseline.json fresh.json")
 		os.Exit(2)
 	}
 	baseline, err := parseFile(flag.Arg(0))
@@ -186,18 +191,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
-	}
-	guarded := make(map[string]bool)
-	for _, m := range strings.Split(*metricsFlag, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			guarded[m] = true
-		}
-	}
-	lower := make(map[string]bool)
-	for _, m := range strings.Split(*lowerFlag, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			lower[m] = true
-		}
 	}
 	// Required benchmarks must exist on both sides before any comparison:
 	// a missing one means the gate would silently stop guarding it.
@@ -241,7 +234,7 @@ func main() {
 			continue
 		}
 		for metric, base := range baseline[name] {
-			if (!guarded[metric] && !lower[metric]) || base <= 0 {
+			if (!higherMetrics[metric] && !lowerMetrics[metric]) || base <= 0 {
 				continue
 			}
 			cur, ok := fm[metric]
@@ -253,12 +246,12 @@ func main() {
 			change := (cur - base) / base
 			status := "ok  "
 			// Higher-is-better fails on a drop; lower-is-better on a rise.
-			if lower[metric] {
-				if change > *threshold {
+			if lowerMetrics[metric] {
+				if change > threshold {
 					status = "FAIL"
 					failed = true
 				}
-			} else if change < -*threshold {
+			} else if change < -threshold {
 				status = "FAIL"
 				failed = true
 			}
@@ -276,24 +269,24 @@ func main() {
 	if pct, ok := fresh["BenchmarkLoadgenReplayTraced"]["trace_overhead_pct"]; ok {
 		compared++
 		status := "ok  "
-		if pct > *traceOverhead*100 {
+		if pct > traceOverhead*100 {
 			status = "FAIL"
 			failed = true
 		}
 		fmt.Printf("%s tracing overhead: %.1f%% traced-vs-untraced replay cost (limit %.0f%%)\n",
-			status, pct, *traceOverhead*100)
+			status, pct, traceOverhead*100)
 	}
 	// Priority-axis rule: the interleaved slo-urgency/constant cost ratio the
 	// priority replay benchmark measured within its own iterations.
 	if pct, ok := fresh["BenchmarkLoadgenReplayPriority"]["priority_overhead_pct"]; ok {
 		compared++
 		status := "ok  "
-		if pct > *priorityOverhead*100 {
+		if pct > priorityOverhead*100 {
 			status = "FAIL"
 			failed = true
 		}
 		fmt.Printf("%s priority overhead: %.1f%% slo-urgency-vs-constant replay cost (limit %.0f%%)\n",
-			status, pct, *priorityOverhead*100)
+			status, pct, priorityOverhead*100)
 	}
 	// Pop-flatness rule: the queue's extraction cost across backlog depths,
 	// measured within the fresh run.
@@ -337,8 +330,8 @@ func main() {
 	}
 	if failed {
 		fmt.Fprintf(os.Stderr, "benchdiff: benchmark gate failed (threshold %.0f%% vs %s, tracing overhead limit %.0f%%, priority overhead limit %.0f%%)\n",
-			*threshold*100, flag.Arg(0), *traceOverhead*100, *priorityOverhead*100)
+			threshold*100, flag.Arg(0), traceOverhead*100, priorityOverhead*100)
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: %d guarded metrics within %.0f%% of baseline\n", compared, *threshold*100)
+	fmt.Printf("benchdiff: %d guarded metrics within %.0f%% of baseline\n", compared, threshold*100)
 }

@@ -5,32 +5,37 @@
 //	               [--rate 150] [--duration 24h] [--seed 1] [--users 8]
 //	               [--class-mix 1:2:7] [--pattern-mix 1:1:2] [--programs N]
 //	               [--deadlines]
-//	qcload capture --out trace.jsonl [--router least-loaded] [--scheduler fifo]
-//	               [--admission accept-all] [--duration 24h] [--users 16]
+//	qcload capture --out trace.jsonl [--router SPEC] [--scheduler SPEC]
+//	               [--admission SPEC] [--duration 24h] [--users 16]
 //	               [--think 5m] [--devices 4] [--seed 1]
 //	qcload import  --in jobs.swf --out trace.jsonl [--format swf|sacct]
 //	               [--scale 1.0] [--max-jobs N]
 //	qcload info    --trace trace.jsonl
-//	qcload replay  --trace trace.jsonl [--router least-loaded] [--scheduler fifo]
-//	               [--admission accept-all] [--priority constant] [--devices 4]
+//	qcload replay  --trace trace.jsonl [--router SPEC] [--scheduler SPEC]
+//	               [--admission SPEC] [--priority SPEC] [--devices 4]
 //	               [--seed 1] [--cache 0] [--setup 0]
 //	               [--cpuprofile cpu.prof] [--memprofile mem.prof]
 //	qcload sweep   --trace trace.jsonl [--routers all] [--schedulers all]
-//	               [--admissions all] [--priorities constant] [--devices 4]
+//	               [--admissions all] [--priorities SPEC,...] [--devices 4]
 //	               [--fleets 2,4,8] [--preemption on,off] [--rate-scales 1,2]
 //	               [--shot-scales 1] [--workers GOMAXPROCS] [--seed 1]
 //	               [--out report.json] [--tracing=true] [--cache 0] [--setup 0]
 //	               [--cpuprofile cpu.prof] [--memprofile mem.prof]
 //	qcload saturate --trace trace.jsonl [--routers all] [--schedulers all]
-//	               [--admissions accept-all] [--priorities constant]
+//	               [--admissions SPEC,...] [--priorities SPEC,...]
 //	               [--devices 4] [--fleets 2,4,8] [--objective p99-wait]
 //	               [--target 120] [--max-scale 64] [--tolerance 0.05]
 //	               [--cost-per-device-hour 1] [--workers GOMAXPROCS]
 //	               [--seed 1] [--out frontier.json]
 //	qcload trace export --trace trace.jsonl --out spans.json
-//	               [--router least-loaded] [--scheduler fifo]
-//	               [--admission accept-all] [--priority constant]
+//	               [--router SPEC] [--scheduler SPEC]
+//	               [--admission SPEC] [--priority SPEC]
 //	               [--devices 4] [--seed 1]
+//
+// A SPEC is name[:key=value[:key=value...]] on that axis's policy registry
+// (internal/policy); each subcommand's -h prints the registered names, their
+// parameters and the default. Commas split a sweep axis, so the colons inside
+// one spec survive: --routers least-loaded,affinity:load=0.6:cap=0.1.
 //
 // gen synthesizes an open-loop trace from an arrival process. capture records
 // arrivals from a live closed-loop fleet run (completion-driven submitters)
@@ -46,18 +51,16 @@
 // default, which adds a per-class, per-stage latency breakdown (validate,
 // admission, route, queued, requeued, execute) to each SLO report cell;
 // --tracing=false turns it off (the schedule itself is identical either
-// way). Router axis values may be parameterized scorer-weight spellings like
-// affinity:load=0.6:affinity=0.3:cap=0.1 (commas split the axis, so colons
-// inside one router name survive); --cache/--setup size the per-partition
-// program cache and the cold-setup cost a miss pays, the model the affinity
-// router exploits. --priority (replay) and --priorities (sweep axis) pick the
-// dynamic-urgency policy composing with the within-class order: constant,
-// age, slo-urgency, edf — the deadline-driven pair also takes inline
-// fallback-deadline parameters like slo-urgency:deadline=120s or
-// edf:production=90s, and reads the per-job deadlines that `gen --deadlines`
-// stamps from the per-class contracts. The sweep priority axis defaults to
-// the constant singleton (not all) so existing sweeps keep their exact
-// combination list; pass --priorities all to expand it.
+// way). --cache/--setup size the per-partition program cache and the
+// cold-setup cost a miss pays, the model the affinity router exploits.
+// --priority (replay) and --priorities (sweep axis) pick the dynamic-urgency
+// policy composing with the within-class order; the deadline-driven ones take
+// fallback-deadline parameters (slo-urgency:deadline=120s, edf:production=90s)
+// and read the per-job deadlines that `gen --deadlines` stamps from the
+// per-class contracts. The sweep priority axis defaults to the axis default
+// alone (not all) so existing sweeps keep their exact combination list; pass
+// --priorities all to expand it. `all` routers means the cache-independent
+// ones: the affinity router joins a sweep only by name.
 // replay and sweep take --cpuprofile / --memprofile to write pprof profiles
 // of the run (trace decode included) — `go tool pprof -top qcload cpu.prof`
 // then names the hotspot for that trace and policy tuple.
@@ -92,6 +95,8 @@ import (
 	"strings"
 	"time"
 
+	"hpcqc/internal/admission"
+	"hpcqc/internal/daemon"
 	"hpcqc/internal/loadgen"
 	"hpcqc/internal/trace"
 	"hpcqc/internal/workload"
@@ -223,9 +228,7 @@ func runGen(args []string) error {
 func runCapture(args []string) error {
 	fs := flag.NewFlagSet("capture", flag.ContinueOnError)
 	out := fs.String("out", "", "trace file to write (required)")
-	router := fs.String("router", "least-loaded", "routing policy driving the capture run")
-	scheduler := fs.String("scheduler", "fifo", "within-class order driving the capture run")
-	admission := fs.String("admission", "accept-all", "admission policy driving the capture run")
+	pol := policyFlags(fs, 3) // the capture run has no priority axis
 	duration := fs.Duration("duration", 24*time.Hour, "capture horizon in simulation time")
 	seed := fs.Int64("seed", 1, "capture seed")
 	users := fs.Int("users", 16, "concurrent closed-loop users")
@@ -250,7 +253,7 @@ func runCapture(args []string) error {
 	tr, err := loadgen.GenerateClosedLoop(loadgen.ClosedLoopConfig{
 		Seed: *seed, Horizon: *duration, Users: *users, ThinkMean: *think,
 		Devices: *devices,
-		Router:  *router, Scheduler: *scheduler, Admission: *admission,
+		Router:  pol.router, Scheduler: pol.scheduler, Admission: pol.admission,
 		Classes:  loadgen.ClassMix{Production: cm[0], Test: cm[1], Dev: cm[2]},
 		Patterns: workload.Mix{QCHeavy: pm[0], CCHeavy: pm[1], Balanced: pm[2]},
 	})
@@ -261,7 +264,7 @@ func runCapture(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "qcload: captured %d arrivals over %s to %s (%s/%s/%s)\n",
-		tr.Header.Jobs, tr.Header.Horizon(), *out, *router, *scheduler, *admission)
+		tr.Header.Jobs, tr.Header.Horizon(), *out, pol.router, pol.scheduler, pol.admission)
 	return nil
 }
 
@@ -330,6 +333,41 @@ func runInfo(args []string, out io.Writer) error {
 	})
 }
 
+// policyAxes is the four policy axes in pipeline order: the flag that picks
+// one policy for a single run, the flag that lists a sweep axis, and the
+// registry that supplies the default and the help text — so a newly
+// registered policy reaches every subcommand's -h by itself.
+var policyAxes = [4]struct {
+	one, many string
+	reg       interface {
+		Default() string
+		Usage() string
+	}
+}{
+	{"router", "routers", daemon.Routers}, {"scheduler", "schedulers", daemon.Orders},
+	{"admission", "admissions", admission.Policies}, {"priority", "priorities", daemon.Priorities},
+}
+
+// policySpecs is where the policy flags land: one spec per axis for a single
+// run, or one comma-separated spec list per axis for a sweep.
+type policySpecs struct{ router, scheduler, admission, priority string }
+
+// policyFlags registers the flags of the first n policy axes: the single-run
+// ones (--router …), each defaulting to its registry's default, or — given
+// sweepDefaults — the sweep-axis ones (--routers …).
+func policyFlags(fs *flag.FlagSet, n int, sweepDefaults ...string) *policySpecs {
+	p := new(policySpecs)
+	for i, dst := range []*string{&p.router, &p.scheduler, &p.admission, &p.priority}[:n] {
+		ax := policyAxes[i]
+		if sweepDefaults == nil {
+			fs.StringVar(dst, ax.one, ax.reg.Default(), ax.one+" policy: "+ax.reg.Usage())
+		} else {
+			fs.StringVar(dst, ax.many, sweepDefaults[i], "comma-separated "+ax.one+" axis, or all: "+ax.reg.Usage())
+		}
+	}
+	return p
+}
+
 // profileFlags registers --cpuprofile and --memprofile on a subcommand. The
 // returned start begins CPU profiling; the stop it returns ends it and
 // writes the allocation profile, and must run before the command returns.
@@ -371,10 +409,7 @@ func profileFlags(fs *flag.FlagSet) (start func() (stop func() error, err error)
 func runReplay(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	trace := fs.String("trace", "", "trace file (required)")
-	router := fs.String("router", "least-loaded", "routing policy")
-	scheduler := fs.String("scheduler", "fifo", "within-class order: fifo, fair-share, shortest-first")
-	admission := fs.String("admission", "accept-all", "admission policy: accept-all, queue-depth, token-bucket, slo-guard")
-	priority := fs.String("priority", "constant", "dynamic-urgency axis: constant, age, slo-urgency[:key=DUR...], edf[:key=DUR...]")
+	pol := policyFlags(fs, 4)
 	devices := fs.Int("devices", 4, "fleet size")
 	seed := fs.Int64("seed", 1, "replay seed")
 	tracing := fs.Bool("tracing", true, "attach span tracing and report per-stage latency breakdown")
@@ -397,7 +432,7 @@ func runReplay(args []string, out io.Writer) (err error) {
 		return err
 	}
 	rep, err := loadgen.Replay(tr, loadgen.ReplayConfig{
-		Devices: *devices, Router: *router, Scheduler: *scheduler, Admission: *admission, Priority: *priority, Seed: *seed,
+		Devices: *devices, Router: pol.router, Scheduler: pol.scheduler, Admission: pol.admission, Priority: pol.priority, Seed: *seed,
 		Tracing: *tracing, ProgramCache: *cacheSize, SetupSeconds: *setup,
 	})
 	if err != nil {
@@ -411,10 +446,9 @@ func runReplay(args []string, out io.Writer) (err error) {
 func runSweep(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	trace := fs.String("trace", "", "trace file (required)")
-	routers := fs.String("routers", "all", "comma-separated router axis, or all")
-	schedulers := fs.String("schedulers", "all", "comma-separated scheduler axis, or all")
-	admissions := fs.String("admissions", "all", "comma-separated admission axis, or all")
-	priorities := fs.String("priorities", "constant", "comma-separated priority axis, or all (defaults to the constant singleton, not all)")
+	// The priority axis defaults to its identity policy alone, not all, so
+	// sweeps that never name it keep their exact combination list.
+	pol := policyFlags(fs, 4, "all", "all", "all", daemon.Priorities.Default())
 	devices := fs.Int("devices", 4, "fleet size per combination (when --fleets is unset)")
 	fleets := fs.String("fleets", "", "comma-separated fleet-size axis (overrides --devices when set)")
 	preemption := fs.String("preemption", "", "comma-separated preemption axis: on, off (default on only)")
@@ -458,10 +492,10 @@ func runSweep(args []string, out io.Writer) (err error) {
 	rep, err := loadgen.Sweep(tr, loadgen.SweepConfig{
 		Devices:      *devices,
 		Seed:         *seed,
-		Routers:      splitAxis(*routers),
-		Schedulers:   splitAxis(*schedulers),
-		Admissions:   splitAxis(*admissions),
-		Priorities:   splitAxis(*priorities),
+		Routers:      splitAxis(pol.router),
+		Schedulers:   splitAxis(pol.scheduler),
+		Admissions:   splitAxis(pol.admission),
+		Priorities:   splitAxis(pol.priority),
 		FleetSizes:   fleetAxis,
 		Preemptions:  splitAxis(*preemption),
 		RateScales:   rateAxis,
@@ -499,10 +533,7 @@ func runSweep(args []string, out io.Writer) (err error) {
 func runSaturate(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("saturate", flag.ContinueOnError)
 	trace := fs.String("trace", "", "trace file (required)")
-	routers := fs.String("routers", "all", "comma-separated router axis, or all")
-	schedulers := fs.String("schedulers", "all", "comma-separated scheduler axis, or all")
-	admissions := fs.String("admissions", "accept-all", "comma-separated admission axis, or all")
-	priorities := fs.String("priorities", "constant", "comma-separated priority axis, or all")
+	pol := policyFlags(fs, 4, "all", "all", admission.Policies.Default(), daemon.Priorities.Default())
 	devices := fs.Int("devices", 4, "fleet size per tuple (when --fleets is unset)")
 	fleets := fs.String("fleets", "", "comma-separated fleet-size axis (overrides --devices when set)")
 	objective := fs.String("objective", loadgen.ObjectiveP99Wait, "knee objective: p99-wait (production p99 wait ≤ target seconds) or deadline-hit (hit rate ≥ target)")
@@ -529,10 +560,10 @@ func runSaturate(args []string, out io.Writer) error {
 		Devices:           *devices,
 		FleetSizes:        fleetAxis,
 		Seed:              *seed,
-		Routers:           splitAxis(*routers),
-		Schedulers:        splitAxis(*schedulers),
-		Admissions:        splitAxis(*admissions),
-		Priorities:        splitAxis(*priorities),
+		Routers:           splitAxis(pol.router),
+		Schedulers:        splitAxis(pol.scheduler),
+		Admissions:        splitAxis(pol.admission),
+		Priorities:        splitAxis(pol.priority),
 		Objective:         *objective,
 		MaxScale:          *maxScale,
 		Tolerance:         *tolerance,
@@ -583,10 +614,7 @@ func runSaturate(args []string, out io.Writer) error {
 func runTraceExport(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("trace export", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "trace file (required)")
-	router := fs.String("router", "least-loaded", "routing policy")
-	scheduler := fs.String("scheduler", "fifo", "within-class order: fifo, fair-share, shortest-first")
-	admission := fs.String("admission", "accept-all", "admission policy: accept-all, queue-depth, token-bucket, slo-guard")
-	priority := fs.String("priority", "constant", "dynamic-urgency axis: constant, age, slo-urgency[:key=DUR...], edf[:key=DUR...]")
+	pol := policyFlags(fs, 4)
 	devices := fs.Int("devices", 4, "fleet size")
 	seed := fs.Int64("seed", 1, "replay seed")
 	outPath := fs.String("out", "", "trace-event JSON file (default stdout)")
@@ -604,7 +632,7 @@ func runTraceExport(args []string, out io.Writer) error {
 	// full recording, not a flight-recorder tail.
 	rec := trace.NewFlightRecorder(max(1, len(tr.Records)))
 	if _, err := loadgen.Replay(tr, loadgen.ReplayConfig{
-		Devices: *devices, Router: *router, Scheduler: *scheduler, Admission: *admission, Priority: *priority, Seed: *seed,
+		Devices: *devices, Router: pol.router, Scheduler: pol.scheduler, Admission: pol.admission, Priority: pol.priority, Seed: *seed,
 		SpanListener: rec.Observe,
 	}); err != nil {
 		return err
@@ -623,7 +651,7 @@ func runTraceExport(args []string, out io.Writer) error {
 	}
 	live, done := rec.Len()
 	fmt.Fprintf(os.Stderr, "qcload: exported %d job traces across %d partitions (%s/%s/%s)\n",
-		live+done, *devices, *router, *scheduler, *admission)
+		live+done, *devices, pol.router, pol.scheduler, pol.admission)
 	return nil
 }
 

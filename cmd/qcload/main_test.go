@@ -3,11 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hpcqc/internal/admission"
+	"hpcqc/internal/daemon"
 	"hpcqc/internal/loadgen"
 )
 
@@ -312,6 +317,56 @@ func TestQcloadErrors(t *testing.T) {
 	} {
 		if err := run(args, os.Stdout); err == nil {
 			t.Fatalf("args %v accepted", args)
+		}
+	}
+}
+
+// registeredPolicies lists every name on every policy axis.
+func registeredPolicies() []string {
+	names := append(daemon.Routers.Names(), daemon.Orders.Names()...)
+	names = append(names, admission.Policies.Names()...)
+	return append(names, daemon.Priorities.Names()...)
+}
+
+// TestHelpNamesEveryRegisteredPolicy: the policy flags' help text is
+// generated from the registries, so `qcload sweep -h` (axis flags) and
+// `qcload replay -h` (single-run flags) must mention every registered name.
+func TestHelpNamesEveryRegisteredPolicy(t *testing.T) {
+	for _, sub := range []string{"sweep", "replay"} {
+		// flag.FlagSet prints usage to os.Stderr unless told otherwise; the
+		// help text is far below a pipe's buffer, so no reader goroutine.
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = w
+		err = run([]string{sub, "-h"}, io.Discard)
+		os.Stderr = stderr
+		w.Close()
+		help, _ := io.ReadAll(r)
+		if !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%s -h returned %v, want flag.ErrHelp", sub, err)
+		}
+		for _, name := range registeredPolicies() {
+			if !strings.Contains(string(help), name) {
+				t.Errorf("qcload %s -h does not mention registered policy %q:\n%s", sub, name, help)
+			}
+		}
+	}
+}
+
+// TestREADMENamesEveryRegisteredPolicy keeps README's policy-axes table from
+// drifting behind the registries: every registered name must appear there in
+// code quotes.
+func TestREADMENamesEveryRegisteredPolicy(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range registeredPolicies() {
+		if !strings.Contains(string(readme), "`"+name) {
+			t.Errorf("README.md does not list registered policy `%s`", name)
 		}
 	}
 }

@@ -5,35 +5,28 @@
 // Usage:
 //
 //	qcsd [-listen :8080] [-admin-token TOKEN] [-seed N] [-timescale X]
-//	     [-devices N] [-router POLICY] [-admission POLICY] [-priority POLICY]
+//	     [-devices N] [-router SPEC] [-admission SPEC] [-priority SPEC]
 //	     [-program-cache N] [-setup S]
-//	     [-slo-wait-target D] [-slo-warn-fraction F]
 //	     [-trace-buffer N] [-debug-listen ADDR]
 //
 // -timescale compresses simulated device time: X simulated seconds advance
 // per wall-clock second (default 10), so a 1 Hz-shot device is usable
 // interactively.
 //
-// -devices sets the number of managed QPU partitions; -router picks how
-// jobs are spread across them (round-robin, least-loaded, class-affinity,
-// or the weighted scorer router affinity[:load=W:affinity=W:cap=W]);
-// -admission picks the load-shedding policy at the submit pipeline's door
-// (accept-all, queue-depth, token-bucket, slo-guard — slo-guard also takes
-// inline parameters, e.g. slo-guard:wait=45s:warn=0.7, including
-// lateness=F, the deadline-door factor for deadline-carrying submissions).
-//
-// -priority picks the dynamic-urgency scheduling axis that composes with the
-// within-class order (constant, age, slo-urgency, edf — the deadline-driven
-// pair also takes inline fallback-deadline parameters, e.g.
-// slo-urgency:deadline=120s or edf:production=90s).
+// -devices sets the number of managed QPU partitions. -router, -admission and
+// -priority each take a policy spec, name[:key=value...], on that axis's
+// registry (internal/policy; `qcsd -h` prints every registered name and its
+// parameters): how jobs are spread across the partitions (e.g. least-loaded,
+// or the weighted scorer router affinity:load=0.6:affinity=0.3:cap=0.1), the
+// load-shedding policy at the submit pipeline's door (e.g.
+// slo-guard:wait=45s:warn=0.7, including lateness=F, the deadline-door factor
+// for deadline-carrying submissions), and the dynamic-urgency axis that
+// composes with the within-class order (e.g. slo-urgency:deadline=120s or
+// edf:production=90s, the fallback deadlines for jobs that carry none).
 //
 // -program-cache sizes each partition's calibration-warm program cache in
 // entries (0 disables it); -setup charges that many QPU seconds of cold
 // setup on every cache miss (requires -program-cache > 0).
-//
-// -slo-wait-target and -slo-warn-fraction override the slo-guard
-// controller's production p99 wait target and down-class pressure fraction
-// (they require -admission slo-guard).
 //
 // -trace-buffer sizes the flight recorder: the daemon retains the last N
 // terminal job traces for GET /api/v1/trace and `qctl trace <job>`
@@ -70,98 +63,78 @@ type node struct {
 	d     *daemon.Daemon
 }
 
-// nodeOptions carries the tunables beyond the core sextet newNode has always
-// taken — slo-guard controller overrides and the flight-recorder size.
-type nodeOptions struct {
-	// sloWaitTarget overrides the slo-guard production p99 wait target when
-	// positive; sloWarnFraction overrides its down-class pressure fraction
-	// when non-negative. Both require an slo-guard admission policy.
-	sloWaitTarget   time.Duration
-	sloWarnFraction float64
-	// traceBuffer is the flight recorder's terminal-trace ring size; zero or
-	// negative disables tracing entirely.
-	traceBuffer int
-	// programCache sizes each partition's calibration-warm program cache
-	// (entries; 0 disables it); setupSeconds is the cold-setup QPU time a
-	// cache miss charges the device (requires programCache > 0).
-	programCache int
-	setupSeconds float64
-	// priority names the dynamic-urgency scheduling axis (empty = constant,
-	// the identity policy).
-	priority string
+// options is everything the command line configures; the flag defaults are
+// what a bare `qcsd -admin-token T` serves with.
+type options struct {
+	listen, debugListen string
+	adminToken          string
+	seed                int64
+	timescale           float64
+	devices             int
+	// router, admission and priority are policy specs (see internal/policy).
+	router, admission, priority string
+	programCache                int
+	setupSeconds                float64
+	traceBuffer                 int
 }
 
-// defaultProgramCache is the serving default: large enough that an
-// interactive session's re-runs stay calibration-warm, small enough that a
-// partition never pins more than a screenful of programs.
-const defaultProgramCache = 64
+// bind registers every flag on fs. The policy flags' help lists come from the
+// registries, so a newly registered policy shows up in -h by itself.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.listen, "listen", ":8080", "address to serve the REST API on")
+	fs.StringVar(&o.adminToken, "admin-token", "", "admin API token (required)")
+	fs.Int64Var(&o.seed, "seed", 1, "device model seed")
+	fs.Float64Var(&o.timescale, "timescale", 10, "simulated seconds per wall second")
+	fs.IntVar(&o.devices, "devices", 1, "number of managed QPU partitions")
+	fs.StringVar(&o.router, "router", daemon.Routers.Default(), "fleet routing policy ("+daemon.Routers.Usage()+")")
+	// 64 entries: large enough that an interactive session's re-runs stay
+	// calibration-warm, small enough that a partition never pins more than a
+	// screenful of programs.
+	fs.IntVar(&o.programCache, "program-cache", 64, "per-partition calibration-warm program cache entries (0 disables)")
+	fs.Float64Var(&o.setupSeconds, "setup", 0, "cold-setup QPU seconds charged on a program-cache miss (requires -program-cache > 0)")
+	fs.StringVar(&o.admission, "admission", admission.Policies.Default(), "admission policy ("+admission.Policies.Usage()+")")
+	fs.StringVar(&o.priority, "priority", daemon.Priorities.Default(), "dynamic-urgency scheduling axis ("+daemon.Priorities.Usage()+")")
+	fs.IntVar(&o.traceBuffer, "trace-buffer", trace.DefaultFlightCapacity, "flight recorder size: retained terminal job traces (0 disables tracing)")
+	fs.StringVar(&o.debugListen, "debug-listen", "", "serve net/http/pprof on this address (empty = off)")
+}
 
 // newNode wires the fleet, daemon and observability stack exactly as the
-// serving binary runs them, with a default-sized flight recorder. Split from
-// main so tests can boot the same composition without sockets or flags.
-func newNode(adminToken string, seed int64, timescale float64, devices int, routerPolicy, admissionPolicy string) (*node, error) {
-	return newNodeOpts(adminToken, seed, timescale, devices, routerPolicy, admissionPolicy,
-		nodeOptions{sloWarnFraction: -1, traceBuffer: trace.DefaultFlightCapacity,
-			programCache: defaultProgramCache})
-}
-
-func newNodeOpts(adminToken string, seed int64, timescale float64, devices int, routerPolicy, admissionPolicy string, opts nodeOptions) (*node, error) {
-	if adminToken == "" {
+// serving binary runs them. Split from main so tests can boot the same
+// composition without sockets.
+func newNode(o options) (*node, error) {
+	if o.adminToken == "" {
 		return nil, fmt.Errorf("qcsd: -admin-token is required")
 	}
-	if timescale <= 0 {
-		return nil, fmt.Errorf("qcsd: -timescale must be positive, got %g", timescale)
-	}
-	router, err := daemon.NewRouter(routerPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("qcsd: %w", err)
-	}
-	admitter, err := admission.NewPolicy(admissionPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("qcsd: %w", err)
-	}
-	priority, err := daemon.NewPriority(opts.priority)
-	if err != nil {
-		return nil, fmt.Errorf("qcsd: %w", err)
-	}
-	if opts.sloWaitTarget > 0 || opts.sloWarnFraction >= 0 {
-		guard, ok := admitter.(*admission.SLOGuard)
-		if !ok {
-			return nil, fmt.Errorf("qcsd: -slo-wait-target/-slo-warn-fraction require -admission slo-guard (got %q)", admitter.Name())
-		}
-		if opts.sloWaitTarget > 0 {
-			guard.WaitTarget = opts.sloWaitTarget
-		}
-		if opts.sloWarnFraction >= 0 {
-			if opts.sloWarnFraction > 1 {
-				return nil, fmt.Errorf("qcsd: -slo-warn-fraction must be in [0, 1], got %g", opts.sloWarnFraction)
-			}
-			guard.WarnFraction = opts.sloWarnFraction
-		}
+	if o.timescale <= 0 {
+		return nil, fmt.Errorf("qcsd: -timescale must be positive, got %g", o.timescale)
 	}
 	var flight *trace.FlightRecorder
-	if opts.traceBuffer > 0 {
-		flight = trace.NewFlightRecorder(opts.traceBuffer)
+	if o.traceBuffer > 0 {
+		flight = trace.NewFlightRecorder(o.traceBuffer)
 	}
 	clk := simclock.New()
 	reg := telemetry.NewRegistry()
 	tsdb := telemetry.NewTSDB(24*time.Hour, 0)
-	fleet, err := device.NewFleet(devices, device.Config{
-		Clock: clk, Seed: seed, Registry: reg, TSDB: tsdb,
+	fleet, err := device.NewFleet(o.devices, device.Config{
+		Clock: clk, Seed: o.seed, Registry: reg, TSDB: tsdb,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("qcsd: device: %w", err)
 	}
-	d, err := daemon.NewDaemon(daemon.Config{
-		Devices: fleet.Devices(), Router: router, Admission: admitter, Priority: priority, Clock: clk,
-		AdminToken:       adminToken,
+	cfg := daemon.Config{
+		Devices: fleet.Devices(), Clock: clk,
+		AdminToken:       o.adminToken,
 		EnablePreemption: true,
-		ProgramCache:     opts.programCache,
-		SetupSeconds:     opts.setupSeconds,
+		ProgramCache:     o.programCache,
+		SetupSeconds:     o.setupSeconds,
 		Registry:         reg, TSDB: tsdb,
 		Flight: flight,
-		Seed:   seed,
-	})
+		Seed:   o.seed,
+	}
+	if err := cfg.UsePolicies(o.router, "", o.admission, o.priority); err != nil {
+		return nil, fmt.Errorf("qcsd: %w", err)
+	}
+	d, err := daemon.NewDaemon(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("qcsd: daemon: %w", err)
 	}
@@ -185,25 +158,11 @@ func (n *node) pump(timescale float64, tick time.Duration, stop <-chan struct{})
 }
 
 func main() {
-	listen := flag.String("listen", ":8080", "address to serve the REST API on")
-	adminToken := flag.String("admin-token", "", "admin API token (required)")
-	seed := flag.Int64("seed", 1, "device model seed")
-	timescale := flag.Float64("timescale", 10, "simulated seconds per wall second")
-	devices := flag.Int("devices", 1, "number of managed QPU partitions")
-	router := flag.String("router", "least-loaded", "fleet routing policy (round-robin, least-loaded, class-affinity, affinity[:load=W:affinity=W:cap=W])")
-	programCache := flag.Int("program-cache", defaultProgramCache, "per-partition calibration-warm program cache entries (0 disables)")
-	setupSeconds := flag.Float64("setup", 0, "cold-setup QPU seconds charged on a program-cache miss (requires -program-cache > 0)")
-	admissionPolicy := flag.String("admission", "accept-all", "admission policy (accept-all, queue-depth, token-bucket, slo-guard[:key=value...])")
-	priorityPolicy := flag.String("priority", "constant", "dynamic-urgency scheduling axis (constant, age, slo-urgency[:key=DUR...], edf[:key=DUR...])")
-	sloWait := flag.Duration("slo-wait-target", 0, "slo-guard production p99 wait target (0 = policy default; requires -admission slo-guard)")
-	sloWarn := flag.Float64("slo-warn-fraction", -1, "slo-guard down-class pressure fraction in [0,1] (-1 = policy default; requires -admission slo-guard)")
-	traceBuffer := flag.Int("trace-buffer", trace.DefaultFlightCapacity, "flight recorder size: retained terminal job traces (0 disables tracing)")
-	debugListen := flag.String("debug-listen", "", "serve net/http/pprof on this address (empty = off)")
+	var o options
+	o.bind(flag.CommandLine)
 	flag.Parse()
 
-	n, err := newNodeOpts(*adminToken, *seed, *timescale, *devices, *router, *admissionPolicy,
-		nodeOptions{sloWaitTarget: *sloWait, sloWarnFraction: *sloWarn, traceBuffer: *traceBuffer,
-			programCache: *programCache, setupSeconds: *setupSeconds, priority: *priorityPolicy})
+	n, err := newNode(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -211,9 +170,9 @@ func main() {
 
 	stop := make(chan struct{})
 	defer close(stop)
-	go n.pump(*timescale, 100*time.Millisecond, stop)
+	go n.pump(o.timescale, 100*time.Millisecond, stop)
 
-	if *debugListen != "" {
+	if o.debugListen != "" {
 		// The profiler rides a separate mux on a separate listener, so
 		// production API exposure never includes pprof by accident.
 		dbg := http.NewServeMux()
@@ -223,16 +182,16 @@ func main() {
 		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			log.Printf("qcsd: pprof debug mux on %s", *debugListen)
-			if err := http.ListenAndServe(*debugListen, dbg); err != nil {
+			log.Printf("qcsd: pprof debug mux on %s", o.debugListen)
+			if err := http.ListenAndServe(o.debugListen, dbg); err != nil {
 				log.Printf("qcsd: debug mux: %v", err)
 			}
 		}()
 	}
 
 	log.Printf("qcsd: serving %s ×%d (%s routing, %s admission, %s priority) on %s (timescale %gx)",
-		n.dev.Spec().Name, n.fleet.Size(), n.d.RouterName(), n.d.AdmissionName(), n.d.PriorityName(), *listen, *timescale)
-	if err := http.ListenAndServe(*listen, n.d.Handler()); err != nil {
+		n.dev.Spec().Name, n.fleet.Size(), n.d.RouterName(), n.d.AdmissionName(), n.d.PriorityName(), o.listen, o.timescale)
+	if err := http.ListenAndServe(o.listen, n.d.Handler()); err != nil {
 		log.Fatalf("qcsd: %v", err)
 	}
 }

@@ -2,30 +2,62 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"hpcqc/internal/admission"
+	"hpcqc/internal/daemon"
 )
 
+// testNode boots a node from the flag defaults with the six options the tests
+// vary overridden.
+func testNode(adminToken string, seed int64, timescale float64, devices int, router, admissionPolicy string) (*node, error) {
+	var o options
+	o.bind(flag.NewFlagSet("qcsd", flag.ContinueOnError))
+	o.adminToken, o.seed, o.timescale, o.devices = adminToken, seed, timescale, devices
+	o.router, o.admission = router, admissionPolicy
+	return newNode(o)
+}
+
+// TestHelpNamesEveryRegisteredPolicy: the -h text is generated from the
+// policy registries, so every registered name on the three axes qcsd exposes
+// must appear in it.
+func TestHelpNamesEveryRegisteredPolicy(t *testing.T) {
+	var o options
+	var help strings.Builder
+	fs := flag.NewFlagSet("qcsd", flag.ContinueOnError)
+	fs.SetOutput(&help)
+	o.bind(fs)
+	fs.PrintDefaults()
+	names := append(append(daemon.Routers.Names(), admission.Policies.Names()...), daemon.Priorities.Names()...)
+	for _, name := range names {
+		if !strings.Contains(help.String(), name) {
+			t.Errorf("qcsd -h does not mention registered policy %q:\n%s", name, help.String())
+		}
+	}
+}
+
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := newNode("", 1, 10, 1, "least-loaded", "accept-all"); err == nil {
+	if _, err := testNode("", 1, 10, 1, "least-loaded", "accept-all"); err == nil {
 		t.Fatal("missing admin token accepted")
 	}
-	if _, err := newNode("tok", 1, 0, 1, "least-loaded", "accept-all"); err == nil {
+	if _, err := testNode("tok", 1, 0, 1, "least-loaded", "accept-all"); err == nil {
 		t.Fatal("zero timescale accepted")
 	}
-	if _, err := newNode("tok", 1, -3, 1, "least-loaded", "accept-all"); err == nil {
+	if _, err := testNode("tok", 1, -3, 1, "least-loaded", "accept-all"); err == nil {
 		t.Fatal("negative timescale accepted")
 	}
-	if _, err := newNode("tok", 1, 10, 0, "least-loaded", "accept-all"); err == nil {
+	if _, err := testNode("tok", 1, 10, 0, "least-loaded", "accept-all"); err == nil {
 		t.Fatal("zero devices accepted")
 	}
-	if _, err := newNode("tok", 1, 10, 1, "coin-flip", "accept-all"); err == nil {
+	if _, err := testNode("tok", 1, 10, 1, "coin-flip", "accept-all"); err == nil {
 		t.Fatal("unknown router policy accepted")
 	}
-	if _, err := newNode("tok", 1, 10, 1, "least-loaded", "bouncer"); err == nil {
+	if _, err := testNode("tok", 1, 10, 1, "least-loaded", "bouncer"); err == nil {
 		t.Fatal("unknown admission policy accepted")
 	}
 }
@@ -33,7 +65,7 @@ func TestNewNodeValidation(t *testing.T) {
 // TestNodeFleetComposition boots a multi-partition node and checks the
 // partitions surface through the fleet listing endpoint.
 func TestNodeFleetComposition(t *testing.T) {
-	n, err := newNode("secret", 7, 10, 3, "round-robin", "accept-all")
+	n, err := testNode("secret", 7, 10, 3, "round-robin", "accept-all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +114,7 @@ func TestNodeFleetComposition(t *testing.T) {
 // walks the public surface: health, session, device characteristics, metrics
 // and the admin plane behind the token.
 func TestNodeServesEndToEnd(t *testing.T) {
-	n, err := newNode("secret", 7, 10, 1, "least-loaded", "slo-guard")
+	n, err := testNode("secret", 7, 10, 1, "least-loaded", "slo-guard")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +183,7 @@ func TestNodeServesEndToEnd(t *testing.T) {
 // TestPumpAdvancesSimTime verifies the timescale pump: simulated time moves
 // forward by ~timescale× wall time while it runs, and stops when told.
 func TestPumpAdvancesSimTime(t *testing.T) {
-	n, err := newNode("secret", 1, 500, 1, "least-loaded", "accept-all")
+	n, err := testNode("secret", 1, 500, 1, "least-loaded", "accept-all")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,24 +12,27 @@
 // The middleware daemon manages a fleet of N simulated QPU partitions
 // (device.Fleet) rather than a single device. Its submit path is an
 // explicit four-stage pipeline — admission → routing → queueing →
-// dispatch — each stage an independent, composable policy axis:
+// dispatch — each stage an independent, composable policy axis. An axis is
+// a registry of named policies (internal/policy); a policy is selected by a
+// spec name[:key=value...], and the registries are the one list of names —
+// `qcsd -h` and `qcload sweep -h` print them, README tabulates them:
 //
-//   - Admission ("who enters, at what class"): an admission.Policy —
-//     accept-all, queue-depth, token-bucket, or slo-guard (an SLO
-//     feedback controller that sheds or down-classes best-effort work
-//     when production p99 targets are at risk; production is never
-//     shed). Rejections are terminal job records with a reason,
-//     surfaced as HTTP 429 and daemon_admission_* counters. qcsd
-//     selects the policy with -admission POLICY.
-//   - Routing ("which partition"): a daemon.Router — round-robin,
-//     least-loaded, or class-affinity — picks the target partition at
-//     submission time. qcsd selects it with -devices N -router POLICY;
-//     submissions may also pin a named partition (pins bypass the
-//     router, never the admission door).
+//   - Admission ("who enters, at what class"): an admission.Policy from
+//     the admission.Policies registry — e.g. slo-guard, an SLO feedback
+//     controller that sheds or down-classes best-effort work when
+//     production p99 targets are at risk; production is never shed.
+//     Rejections are terminal job records with a reason, surfaced as
+//     HTTP 429 and daemon_admission_* counters. qcsd selects the policy
+//     with -admission SPEC.
+//   - Routing ("which partition"): a daemon.Router from daemon.Routers
+//     picks the target partition at submission time. qcsd selects it
+//     with -devices N -router SPEC; submissions may also pin a named
+//     partition (pins bypass the router, never the admission door).
 //   - Queueing ("what order"): each partition keeps its own
 //     sched.ClassQueue with the paper's priority classes; a
-//     daemon.OrderPolicy (fifo, fair-share, shortest-expected-first)
-//     orders work within a class.
+//     daemon.OrderPolicy from daemon.Orders orders work within a class,
+//     composed with a daemon.PriorityPolicy from daemon.Priorities (the
+//     dynamic-urgency axis; qcsd -priority SPEC).
 //   - Dispatch ("when, whom to preempt"): production preemption,
 //     confined to the victim's partition; the waits and slowdowns it
 //     produces feed back into the admission stage.

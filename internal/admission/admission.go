@@ -16,10 +16,9 @@
 package admission
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
+	"hpcqc/internal/policy"
 	"hpcqc/internal/sched"
 )
 
@@ -157,46 +156,22 @@ func (AcceptAll) Name() string { return "accept-all" }
 // Admit implements Policy.
 func (AcceptAll) Admit(req Request, _ View) Decision { return Accept(req.Class) }
 
-// NewPolicy builds an admission policy by name — the switch behind qcsd's
-// -admission flag and the loadgen sweep axis. slo-guard accepts
-// colon-separated controller parameters (colons, not commas, so a
-// parameterized name survives comma-separated sweep-axis lists):
-//
-//	slo-guard:wait=45s:warn=0.7
-//
-// with keys wait (p99 wait target, duration), slowdown (p99 slowdown
-// target), window (rolling window, duration), warn (down-class pressure
-// fraction), shed (shed-test pressure factor) and min (min window samples).
-// A parameterized policy keeps the full spelling as its Name(), so sweep
-// cells comparing two slo-guard tunings stay distinguishable in reports.
-func NewPolicy(name string) (Policy, error) {
-	base, params, hasParams := strings.Cut(name, ":")
-	if base == "slo-guard" {
-		g := NewSLOGuard()
-		if hasParams {
-			if err := g.configure(params); err != nil {
-				return nil, err
-			}
-			g.label = name
-		}
-		return g, nil
-	}
-	if hasParams {
-		return nil, fmt.Errorf("admission: policy %q takes no parameters (only slo-guard is parameterizable)", base)
-	}
-	switch base {
-	case "accept-all", "":
-		return AcceptAll{}, nil
-	case "queue-depth":
-		return NewQueueDepth(), nil
-	case "token-bucket":
-		return NewTokenBucket(), nil
-	default:
-		return nil, fmt.Errorf("admission: unknown policy %q (accept-all, queue-depth, token-bucket, slo-guard)", name)
-	}
+// Policies is the admission axis. Only slo-guard takes parameters (see
+// SLOGuard); a parameterized policy keeps the full spelling as its Name(), so
+// sweep cells comparing two slo-guard tunings stay distinguishable in reports.
+var Policies = policy.NewRegistry[Policy]("admission: policy")
+
+func init() {
+	Policies.AddDefault(func() Policy { return AcceptAll{} })
+	Policies.Add(func() Policy { return NewQueueDepth() })
+	Policies.Add(func() Policy { return NewTokenBucket() })
+	Policies.Register(NewSLOGuard().Name(),
+		"wait=DUR:slowdown=F:window=DUR:warn=F:shed=F:min=N:lateness=F", newSLOGuardFromSpec)
 }
 
+// NewPolicy builds an admission policy from its spec — the lookup behind
+// qcsd's -admission flag and the loadgen sweep axis.
+func NewPolicy(spec string) (Policy, error) { return Policies.New(spec) }
+
 // AllPolicies lists the policy names a sweep axis expands "all" to.
-func AllPolicies() []string {
-	return []string{"accept-all", "queue-depth", "token-bucket", "slo-guard"}
-}
+func AllPolicies() []string { return Policies.Names() }

@@ -3,11 +3,10 @@ package admission
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
+	"hpcqc/internal/policy"
 	"hpcqc/internal/sched"
 )
 
@@ -53,8 +52,9 @@ type SLOGuard struct {
 	// never affected.
 	LatenessFactor float64
 
-	// label is the full parameterized spelling when the controller was built
-	// from one (e.g. "slo-guard:wait=45s:warn=0.7"); empty for defaults.
+	// label is the full spelling the controller was built from (e.g.
+	// "slo-guard:wait=45s:warn=0.7"), so reports and telemetry tell tunings
+	// apart.
 	label string
 
 	mu    sync.Mutex
@@ -77,74 +77,33 @@ func NewSLOGuard() *SLOGuard {
 		ShedTestFactor: 2,
 		MinSamples:     3,
 		LatenessFactor: 1,
+		label:          "slo-guard",
 	}
 }
 
-// Name implements Policy. A controller built from a parameterized spelling
-// keeps it, so reports and telemetry distinguish tunings.
-func (p *SLOGuard) Name() string {
-	if p.label != "" {
-		return p.label
-	}
-	return "slo-guard"
-}
+// Name implements Policy.
+func (p *SLOGuard) Name() string { return p.label }
 
-// configure applies colon-separated key=value controller parameters (see
-// NewPolicy for the grammar).
-func (p *SLOGuard) configure(params string) error {
-	for _, kv := range strings.Split(params, ":") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok || v == "" {
-			return fmt.Errorf("admission: slo-guard parameter %q is not key=value", kv)
-		}
-		switch k {
-		case "wait":
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				return fmt.Errorf("admission: slo-guard wait target %q must be a positive duration", v)
-			}
-			p.WaitTarget = d
-		case "window":
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				return fmt.Errorf("admission: slo-guard window %q must be a positive duration", v)
-			}
-			p.Window = d
-		case "slowdown":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 {
-				return fmt.Errorf("admission: slo-guard slowdown target %q must be a positive number", v)
-			}
-			p.SlowdownTarget = f
-		case "warn":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 || f > 1 {
-				return fmt.Errorf("admission: slo-guard warn fraction %q must be in [0, 1]", v)
-			}
-			p.WarnFraction = f
-		case "shed":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 1 {
-				return fmt.Errorf("admission: slo-guard shed factor %q must be >= 1", v)
-			}
-			p.ShedTestFactor = f
-		case "min":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return fmt.Errorf("admission: slo-guard min samples %q must be a positive integer", v)
-			}
-			p.MinSamples = n
-		case "lateness":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
-				return fmt.Errorf("admission: slo-guard lateness factor %q must be >= 0 (0 disables the deadline door)", v)
-			}
-			p.LatenessFactor = f
-		default:
-			return fmt.Errorf("admission: unknown slo-guard parameter %q (wait, slowdown, window, warn, shed, min, lateness)", k)
-		}
+// newSLOGuardFromSpec builds the controller a spec tunes, e.g.
+// "slo-guard:wait=45s:warn=0.7": one key per exported field, the rest keep
+// their defaults.
+func newSLOGuardFromSpec(s *policy.Spec) (Policy, error) {
+	p := NewSLOGuard()
+	p.label = s.String()
+	err := s.Apply(
+		policy.Duration("wait", policy.Positive, policy.Into(&p.WaitTarget)),
+		policy.Float("slowdown", policy.Positive, policy.Into(&p.SlowdownTarget)),
+		policy.Duration("window", policy.Positive, policy.Into(&p.Window)),
+		policy.Float("warn", policy.Fraction, policy.Into(&p.WarnFraction)),
+		policy.Float("shed", policy.AtLeastOne, policy.Into(&p.ShedTestFactor)),
+		policy.Int("min", policy.AtLeastOne, policy.Into(&p.MinSamples)),
+		// 0 disables the deadline door.
+		policy.Float("lateness", policy.NonNegative, policy.Into(&p.LatenessFactor)),
+	)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return p, nil
 }
 
 // Observe implements Observer: only production signals steer the controller.

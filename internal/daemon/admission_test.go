@@ -393,7 +393,7 @@ func TestAdmissionDecisionContract(t *testing.T) {
 
 // TestOrderPolicyConfig covers the queueing stage's policy switch.
 func TestOrderPolicyConfig(t *testing.T) {
-	for _, name := range []string{"fifo", "fair-share", "shortest-first"} {
+	for _, name := range Orders.Names() {
 		o, err := NewOrder(name)
 		if err != nil {
 			t.Fatal(err)
@@ -411,9 +411,6 @@ func TestOrderPolicyConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	order, _ := NewOrder("fair-share")
-	if _, err := NewDaemon(Config{Device: dev, Clock: clk, Order: order, ShortestFirst: true}); err == nil {
-		t.Fatal("Order combined with ShortestFirst accepted")
-	}
 	d, err := NewDaemon(Config{Device: dev, Clock: clk, Order: order})
 	if err != nil {
 		t.Fatal(err)

@@ -257,7 +257,6 @@ type Config struct {
 	// (queue waits, slowdowns) the dispatch stages produce.
 	Admission admission.Policy
 	// Order is the queueing stage's within-class order. Defaults to FIFO.
-	// Mutually exclusive with the FairShare/ShortestFirst shorthands below.
 	Order OrderPolicy
 	// Priority is the dynamic-urgency axis composing with Order: a per-item
 	// score recomputed at each dispatch tick, with the order policy breaking
@@ -278,15 +277,6 @@ type Config struct {
 	// jobs (the paper's policy; on by default via NewDaemon). Preemption is
 	// confined to the partition the production job was routed to.
 	EnablePreemption bool
-	// FairShare orders jobs within a class by their owner's accumulated
-	// QPU seconds (least-served first) instead of plain FIFO — the
-	// "fairer resource sharing" extension the paper's discussion names.
-	FairShare bool
-	// ShortestFirst orders jobs within a class by expected QPU duration
-	// (shortest first, FIFO on ties) — the paper's §3.5 proposal to use
-	// "the expected time running on the QC hardware" as a scheduler hint.
-	// Mutually exclusive with FairShare.
-	ShortestFirst bool
 	// AllowedLowLevelOps is the gated allowlist of low-level control
 	// operations exposed to integrators (§2.5). Others are rejected.
 	AllowedLowLevelOps []string
@@ -338,6 +328,24 @@ type Config struct {
 	TSDB *telemetry.TSDB
 	// Seed drives session-token generation.
 	Seed int64
+}
+
+// UsePolicies fills each policy stage that is still nil from its spec (see
+// internal/policy for the grammar); an empty spec selects that axis's default.
+func (c *Config) UsePolicies(router, scheduler, admit, priority string) (err error) {
+	if c.Router == nil {
+		c.Router, err = Routers.New(router)
+	}
+	if c.Order == nil && err == nil {
+		c.Order, err = Orders.New(scheduler)
+	}
+	if c.Admission == nil && err == nil {
+		c.Admission, err = admission.Policies.New(admit)
+	}
+	if c.Priority == nil && err == nil {
+		c.Priority, err = Priorities.New(priority)
+	}
+	return err
 }
 
 // deviceState is one partition's scheduling state. Its mutex guards the
@@ -536,12 +544,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if len(devices) == 0 || cfg.Clock == nil {
 		return nil, errors.New("daemon: config requires at least one device and a clock")
 	}
-	if cfg.FairShare && cfg.ShortestFirst {
-		return nil, errors.New("daemon: FairShare and ShortestFirst are mutually exclusive within-class orders")
-	}
-	if cfg.Order != nil && (cfg.FairShare || cfg.ShortestFirst) {
-		return nil, errors.New("daemon: Order and the FairShare/ShortestFirst shorthands are mutually exclusive")
-	}
 	if len(cfg.AllowedLowLevelOps) == 0 {
 		cfg.AllowedLowLevelOps = []string{"recalibrate", "qa_check"}
 	}
@@ -557,29 +559,11 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.RejectedHistory <= 0 {
 		cfg.RejectedHistory = 1024
 	}
-	router := cfg.Router
-	if router == nil {
-		router = NewLeastLoadedRouter()
+	// A stage left nil runs its axis default.
+	if err := cfg.UsePolicies("", "", "", ""); err != nil {
+		return nil, err
 	}
-	order := cfg.Order
-	if order == nil {
-		switch {
-		case cfg.FairShare:
-			order = fairShareOrder{}
-		case cfg.ShortestFirst:
-			order = shortestFirstOrder{}
-		default:
-			order = fifoOrder{}
-		}
-	}
-	admitter := cfg.Admission
-	if admitter == nil {
-		admitter = admission.AcceptAll{}
-	}
-	priority := cfg.Priority
-	if priority == nil {
-		priority = constantPriority{}
-	}
+	router, order, admitter, priority := cfg.Router, cfg.Order, cfg.Admission, cfg.Priority
 	d := &Daemon{
 		cfg:         cfg,
 		router:      router,
@@ -708,7 +692,7 @@ func (d *Daemon) PriorityName() string { return d.priority.Name() }
 // priorityStatusName renders the priority axis for status reports: empty
 // under the constant default, so reports predating the axis are unchanged.
 func (d *Daemon) priorityStatusName() string {
-	if name := d.priority.Name(); name != "constant" {
+	if name := d.priority.Name(); name != Priorities.Default() {
 		return name
 	}
 	return ""

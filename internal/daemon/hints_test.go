@@ -16,7 +16,7 @@ func newHintEnv(t *testing.T) *testEnv {
 		Clock:            env.clk,
 		AdminToken:       "admin-secret",
 		EnablePreemption: true,
-		ShortestFirst:    true,
+		Order:            shortestFirstOrder{},
 		Seed:             1,
 	})
 	if err != nil {
@@ -24,16 +24,6 @@ func newHintEnv(t *testing.T) *testEnv {
 	}
 	env.d = d
 	return env
-}
-
-func TestFairShareAndShortestFirstExclusive(t *testing.T) {
-	env := newEnv(t)
-	if _, err := NewDaemon(Config{
-		Device: env.dev, Clock: env.clk, AdminToken: "x",
-		FairShare: true, ShortestFirst: true,
-	}); err == nil {
-		t.Fatal("FairShare+ShortestFirst accepted together")
-	}
 }
 
 func TestExpectedQPUEstimateFallback(t *testing.T) {
@@ -175,11 +165,11 @@ func TestSourceAccounting(t *testing.T) {
 // backlog of unequal jobs, shortest-first strictly reduces the mean wait
 // versus FIFO while the makespan (same total work) stays the same.
 func TestShortestFirstMeanWait(t *testing.T) {
-	run := func(shortestFirst bool) (meanWait time.Duration) {
+	run := func(order OrderPolicy) (meanWait time.Duration) {
 		env := newEnv(t)
 		d, err := NewDaemon(Config{
 			Device: env.dev, Clock: env.clk, AdminToken: "x",
-			ShortestFirst: shortestFirst, Seed: 1,
+			Order: order, Seed: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -203,8 +193,8 @@ func TestShortestFirstMeanWait(t *testing.T) {
 		}
 		return sum / time.Duration(len(ids))
 	}
-	fifo := run(false)
-	sjf := run(true)
+	fifo := run(fifoOrder{})
+	sjf := run(shortestFirstOrder{})
 	if sjf >= fifo {
 		t.Fatalf("shortest-first mean wait %s !< FIFO %s", sjf, fifo)
 	}

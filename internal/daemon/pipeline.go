@@ -7,20 +7,25 @@ package daemon
 //	    │
 //	    ▼
 //	[1] admission   admission.Policy — who enters the system, at what class
-//	    │               (accept-all, queue-depth, token-bucket, slo-guard;
-//	    │                rejected jobs terminate here with a reason)
+//	    │               (registry admission.Policies; rejected jobs terminate
+//	    │                here with a reason)
 //	    ▼
 //	[2] routing     Router — which partition
-//	    │               (round-robin, least-loaded, class-affinity; pins skip
-//	    │                the router but never the door)
+//	    │               (registry Routers; pins skip the router but never
+//	    │                the door)
 //	    ▼
 //	[3] queueing    OrderPolicy over sched.ClassQueue — what order within
-//	    │               the partition (fifo, fair-share, shortest-first;
-//	    │                class priority is fixed, the order acts within class)
+//	    │               the partition (registry Orders; class priority is
+//	    │                fixed, the order acts within class), composed with a
+//	    │               PriorityPolicy — what urgency (registry Priorities)
 //	    ▼
 //	[4] dispatch    per-partition dispatch loop — when to run, whom to
 //	                    preempt (production preempts lower classes; serial
 //	                    per device, concurrent across the fleet)
+//
+// Each registry (internal/policy) is the one list of its axis's policy names
+// and parameters; NewRouter, NewOrder, NewPriority and admission.NewPolicy are
+// lookups on them.
 //
 // Stages 2–4 were already independent policy axes; stage 1 closes the loop:
 // the SLO signals dispatch produces (waits, slowdowns) feed back into
@@ -32,6 +37,7 @@ import (
 	"time"
 
 	"hpcqc/internal/admission"
+	"hpcqc/internal/policy"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/telemetry"
 )
@@ -123,20 +129,19 @@ func scoreTie(r *sched.Ranker, weight map[string]float64) func(a, b *sched.Item)
 	}
 }
 
-// NewOrder builds a within-class order by name ("fifo", "fair-share",
-// "shortest-first") — the switch behind the loadgen scheduler axis.
-func NewOrder(name string) (OrderPolicy, error) {
-	switch name {
-	case "fifo", "":
-		return fifoOrder{}, nil
-	case "fair-share":
-		return fairShareOrder{}, nil
-	case "shortest-first":
-		return shortestFirstOrder{}, nil
-	default:
-		return nil, fmt.Errorf("daemon: unknown scheduler %q (fifo, fair-share, shortest-first)", name)
-	}
+// Orders is the queueing stage's axis of within-class orders — what the
+// loadgen and CLI layers call the scheduler axis. None takes parameters.
+var Orders = policy.NewRegistry[OrderPolicy]("daemon: scheduler")
+
+func init() {
+	Orders.AddDefault(func() OrderPolicy { return fifoOrder{} })
+	Orders.Add(func() OrderPolicy { return fairShareOrder{} })
+	Orders.Add(func() OrderPolicy { return shortestFirstOrder{} })
 }
+
+// NewOrder builds a within-class order from its spec — the lookup behind the
+// loadgen scheduler axis.
+func NewOrder(spec string) (OrderPolicy, error) { return Orders.New(spec) }
 
 // --- admission stage ---
 

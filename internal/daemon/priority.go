@@ -20,11 +20,10 @@ package daemon
 // linear scan.
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"time"
 
+	"hpcqc/internal/policy"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/workload"
 )
@@ -135,72 +134,44 @@ func (p *deadlinePriority) rankKey() func(*sched.Item) int64 {
 	}
 }
 
-// configure applies colon-separated key=value parameters to the fallback
-// deadline contracts. `deadline=DUR` replaces every class contract with a
-// flat DUR allowance; `production=DUR`, `test=DUR`, `dev=DUR` replace one
-// class each (DUR of 0 removes that class's fallback entirely). Explicit
-// per-job deadlines always win over any fallback.
-func (p *deadlinePriority) configure(params string) error {
-	for _, kv := range strings.Split(params, ":") {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok || val == "" {
-			return fmt.Errorf("daemon: priority %s: malformed parameter %q (want key=value)", p.label, kv)
-		}
-		dur, err := time.ParseDuration(val)
-		if err != nil || dur < 0 {
-			return fmt.Errorf("daemon: priority %s: parameter %s wants a non-negative duration, got %q", p.label, key, val)
-		}
-		switch key {
-		case "deadline":
+// newDeadlinePriority is the constructor both deadline-driven policies share.
+// Their parameters set the fallback deadline contracts: `deadline=DUR`
+// replaces every class contract with a flat DUR allowance; `production=DUR`,
+// `test=DUR`, `dev=DUR` replace one class each (a DUR of 0 leaves that class
+// without a fallback), applied in spec order. Explicit per-job deadlines always
+// win over any fallback. The full spelling is the policy's Name.
+func newDeadlinePriority(edf bool) func(*policy.Spec) (PriorityPolicy, error) {
+	return func(s *policy.Spec) (PriorityPolicy, error) {
+		p := &deadlinePriority{label: s.String(), edf: edf, fallback: workload.DefaultDeadlines()}
+		params := []policy.Param{policy.Duration("deadline", policy.NonNegative, func(d time.Duration) {
 			for c := range p.fallback {
-				p.fallback[c] = workload.DeadlineSpec{Base: dur}
+				p.fallback[c] = workload.DeadlineSpec{Base: d}
 			}
-		case "production":
-			p.fallback[sched.ClassProduction] = workload.DeadlineSpec{Base: dur}
-		case "test":
-			p.fallback[sched.ClassTest] = workload.DeadlineSpec{Base: dur}
-		case "dev":
-			p.fallback[sched.ClassDev] = workload.DeadlineSpec{Base: dur}
-		default:
-			return fmt.Errorf("daemon: priority %s: unknown parameter %q (deadline, production, test, dev)", p.label, key)
+		})}
+		for c := sched.ClassProduction; c >= sched.ClassDev; c-- {
+			params = append(params, policy.Duration(c.String(), policy.NonNegative, func(d time.Duration) {
+				p.fallback[c] = workload.DeadlineSpec{Base: d}
+			}))
 		}
-	}
-	return nil
-}
-
-// NewPriority builds a priority policy by name — the switch behind the
-// loadgen priority axis and qcsd's -priority flag. The empty name is the
-// constant default; slo-urgency and edf accept inline fallback-deadline
-// parameters, e.g. "slo-urgency:deadline=120s" or "edf:production=90s".
-// The full parameterized spelling is preserved as the policy's Name.
-func NewPriority(name string) (PriorityPolicy, error) {
-	base, params, hasParams := strings.Cut(name, ":")
-	switch base {
-	case "constant", "":
-		if hasParams {
-			return nil, fmt.Errorf("daemon: priority constant takes no parameters (got %q)", name)
-		}
-		return constantPriority{}, nil
-	case "age":
-		if hasParams {
-			return nil, fmt.Errorf("daemon: priority age takes no parameters (got %q)", name)
-		}
-		return agePriority{}, nil
-	case "slo-urgency", "edf":
-		p := &deadlinePriority{label: name, edf: base == "edf", fallback: workload.DefaultDeadlines()}
-		if hasParams {
-			if err := p.configure(params); err != nil {
-				return nil, err
-			}
+		if err := s.Apply(params...); err != nil {
+			return nil, err
 		}
 		return p, nil
-	default:
-		return nil, fmt.Errorf("daemon: unknown priority %q (constant, age, slo-urgency, edf)", name)
 	}
 }
 
-// AllPriorities lists the built-in priority policy names, in their canonical
-// sweep-axis order.
-func AllPriorities() []string {
-	return []string{"constant", "age", "slo-urgency", "edf"}
+// Priorities is the dynamic-urgency axis; constant, the identity, is its
+// default.
+var Priorities = policy.NewRegistry[PriorityPolicy]("daemon: priority")
+
+func init() {
+	const deadlineParams = "deadline=DUR:production=DUR:test=DUR:dev=DUR"
+	Priorities.AddDefault(func() PriorityPolicy { return constantPriority{} })
+	Priorities.Add(func() PriorityPolicy { return agePriority{} })
+	Priorities.Register("slo-urgency", deadlineParams, newDeadlinePriority(false))
+	Priorities.Register("edf", deadlineParams, newDeadlinePriority(true))
 }
+
+// NewPriority builds a priority policy from its spec — the lookup behind the
+// loadgen priority axis and qcsd's -priority flag.
+func NewPriority(spec string) (PriorityPolicy, error) { return Priorities.New(spec) }

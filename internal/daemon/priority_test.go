@@ -196,7 +196,7 @@ func TestNewPriorityParameters(t *testing.T) {
 }
 
 func TestAllPrioritiesConstructible(t *testing.T) {
-	names := AllPriorities()
+	names := Priorities.Names()
 	if len(names) != 4 || names[0] != "constant" {
 		t.Fatalf("AllPriorities = %v", names)
 	}

@@ -34,7 +34,7 @@ func legacyTies(served map[string]float64) map[string]func(a, b *sched.Item) boo
 func TestComposedRankerMatchesScores(t *testing.T) {
 	orders := []string{"fifo", "fair-share", "shortest-first"}
 	for _, oname := range orders {
-		for _, pname := range append(AllPriorities(), "slo-urgency:deadline=90s", "edf:dev=0s") {
+		for _, pname := range append(Priorities.Names(), "slo-urgency:deadline=90s", "edf:dev=0s") {
 			oname, pname := oname, pname
 			t.Run(oname+"/"+pname, func(t *testing.T) {
 				order, err := NewOrder(oname)
@@ -152,7 +152,7 @@ func TestWrappedPoliciesDispatchIdentically(t *testing.T) {
 		return started
 	}
 	for _, oname := range []string{"fifo", "fair-share", "shortest-first"} {
-		for _, pname := range AllPriorities() {
+		for _, pname := range Priorities.Names() {
 			order, _ := NewOrder(oname)
 			priority, _ := NewPriority(pname)
 			want := starts(t, order, priority)

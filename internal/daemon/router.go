@@ -2,11 +2,10 @@ package daemon
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"hpcqc/internal/device"
+	"hpcqc/internal/policy"
 	"hpcqc/internal/qir"
 	"hpcqc/internal/sched"
 )
@@ -95,7 +94,6 @@ func eligibleInto(buf []int, infos []DeviceInfo) []int {
 // el; higher is better, values in [0, 1]). score is called exactly once per
 // Pick, which is what lets the round-robin scorer keep rotation state.
 type scorer interface {
-	name() string
 	score(j *Job, infos []DeviceInfo, el []int, out []float64)
 }
 
@@ -116,8 +114,6 @@ func leastLoadedPick(infos []DeviceInfo, el []int) int {
 // with lowest-index ties reproduces the classic least-loaded pick exactly.
 type loadScorer struct{}
 
-func (loadScorer) name() string { return "load" }
-
 func (loadScorer) score(_ *Job, infos []DeviceInfo, el []int, out []float64) {
 	for k, i := range el {
 		out[k] = 1.0 / (1.0 + float64(infos[i].load()))
@@ -129,8 +125,6 @@ func (loadScorer) score(_ *Job, infos []DeviceInfo, el []int, out []float64) {
 // (nil cache or no fingerprint) every partition scores 0 and the scorer is
 // inert. The probe is an O(1) map lookup per partition — no scans.
 type affinityScorer struct{}
-
-func (affinityScorer) name() string { return "affinity" }
 
 func (affinityScorer) score(j *Job, infos []DeviceInfo, el []int, out []float64) {
 	for k, i := range el {
@@ -148,8 +142,6 @@ func (affinityScorer) score(j *Job, infos []DeviceInfo, el []int, out []float64)
 // 0.5, raised to 1.0 on the job's class-home partition (production → 0,
 // test → 1, dev → 2 — the class-affinity isolation prior).
 type capScorer struct{}
-
-func (capScorer) name() string { return "cap" }
 
 func (capScorer) score(j *Job, infos []DeviceInfo, el []int, out []float64) {
 	home := -1
@@ -178,8 +170,6 @@ func (capScorer) score(j *Job, infos []DeviceInfo, el []int, out []float64) {
 type roundRobinScorer struct {
 	next int
 }
-
-func (*roundRobinScorer) name() string { return "round-robin" }
 
 func (r *roundRobinScorer) score(_ *Job, _ []DeviceInfo, el []int, out []float64) {
 	for k := range el {
@@ -211,8 +201,6 @@ func (r *roundRobinScorer) score(_ *Job, _ []DeviceInfo, el []int, out []float64
 // spills: it preempts on its home, and keeping it on partition 0 is the
 // isolation the policy exists for.
 type classHomeScorer struct{}
-
-func (classHomeScorer) name() string { return "class" }
 
 func (classHomeScorer) score(j *Job, infos []DeviceInfo, el []int, out []float64) {
 	target := classHomePick(j, infos, el)
@@ -283,14 +271,11 @@ type weightedRouter struct {
 	acc []float64
 }
 
-// newWeightedRouter normalizes the weights (dropping nothing — zero-weight
-// scorers are kept but skipped per pick) and rejects non-positive totals.
+// newWeightedRouter normalizes the weights (each ≥ 0 — zero-weight scorers
+// are kept but skipped per pick) and rejects a non-positive total.
 func newWeightedRouter(label string, scorers []scorer, weights []float64) (*weightedRouter, error) {
 	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("daemon: router %q: negative weight %g for scorer %q", label, w, scorers[i].name())
-		}
+	for _, w := range weights {
 		total += w
 	}
 	if total <= 0 {
@@ -360,79 +345,40 @@ func NewClassAffinityRouter() Router {
 	return r
 }
 
-// Default affinity-router weights: load still dominates (idle capacity beats
-// warmth when the spread is large), warmth breaks backlog near-ties (a 0.3
-// bonus outweighs the load-score gap between, say, 3 and 5 queued jobs), and
-// the capability/class grade is a thin prior.
-const (
-	defaultAffinityLoadWeight = 0.6
-	defaultAffinityWarmWeight = 0.3
-	defaultAffinityCapWeight  = 0.1
-)
+// AffinityRouter names the weighted scorer-blend router — the one router
+// whose picks depend on the program cache, which is why sweeps leave it out
+// of "all".
+const AffinityRouter = "affinity"
 
-// NewAffinityRouter blends the load, cache-affinity and capability/class
-// scorers with the given weights (each ≥ 0, at least one positive; they are
-// normalized internally). label becomes the router's reported name.
-func NewAffinityRouter(label string, load, warm, capability float64) (Router, error) {
-	return newWeightedRouter(label,
-		[]scorer{loadScorer{}, affinityScorer{}, capScorer{}},
-		[]float64{load, warm, capability})
+// Routers is the routing axis. The three classic presets take no parameters;
+// the affinity router takes one weight per scorer (each ≥ 0, at least one
+// positive; normalized internally), e.g.
+// "affinity:load=0.6:affinity=0.3:cap=0.1" — omitted keys keep the defaults,
+// and the full spelling is the router's name so reports stay self-describing.
+var Routers = policy.NewRegistry[Router]("daemon: router")
+
+func init() {
+	Routers.Add(NewRoundRobinRouter)
+	Routers.AddDefault(NewLeastLoadedRouter)
+	Routers.Add(NewClassAffinityRouter)
+	Routers.Register(AffinityRouter, "load=W:affinity=W:cap=W", func(s *policy.Spec) (Router, error) {
+		// Default weights: load still dominates (idle capacity beats warmth
+		// when the spread is large), warmth breaks backlog near-ties (a 0.3
+		// bonus outweighs the load-score gap between, say, 3 and 5 queued
+		// jobs), and the capability/class grade is a thin prior.
+		weights := []float64{0.6, 0.3, 0.1}
+		err := s.Apply(
+			policy.Float("load", policy.NonNegative, policy.Into(&weights[0])),
+			policy.Float("affinity", policy.NonNegative, policy.Into(&weights[1])),
+			policy.Float("cap", policy.NonNegative, policy.Into(&weights[2])))
+		if err != nil {
+			return nil, err
+		}
+		scorers := []scorer{loadScorer{}, affinityScorer{}, capScorer{}}
+		return newWeightedRouter(s.String(), scorers, weights)
+	})
 }
 
-// routerUsage is the catalogue NewRouter errors point at.
-const routerUsage = "round-robin, least-loaded, class-affinity, affinity[:load=W:affinity=W:cap=W]"
-
-// NewRouter builds a router by policy name — the switch behind qcsd's
-// -router flag and the sweep axis values. The three classic names take no
-// parameters. "affinity" accepts colon-separated key=value weights for its
-// three scorers (load, affinity, cap), e.g.
-// "affinity:load=0.6:affinity=0.3:cap=0.1"; omitted keys keep the defaults,
-// and the full spelling is preserved as the router's name so reports stay
-// self-describing.
-func NewRouter(policy string) (Router, error) {
-	base, params, hasParams := strings.Cut(policy, ":")
-	switch base {
-	case "round-robin":
-		if hasParams {
-			return nil, fmt.Errorf("daemon: router %q takes no parameters", base)
-		}
-		return NewRoundRobinRouter(), nil
-	case "least-loaded", "":
-		if hasParams {
-			return nil, fmt.Errorf("daemon: router %q takes no parameters", base)
-		}
-		return NewLeastLoadedRouter(), nil
-	case "class-affinity":
-		if hasParams {
-			return nil, fmt.Errorf("daemon: router %q takes no parameters", base)
-		}
-		return NewClassAffinityRouter(), nil
-	case "affinity":
-		load, warm, capability := defaultAffinityLoadWeight, defaultAffinityWarmWeight, defaultAffinityCapWeight
-		if hasParams {
-			for _, kv := range strings.Split(params, ":") {
-				key, val, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fmt.Errorf("daemon: router affinity: parameter %q is not key=value", kv)
-				}
-				w, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("daemon: router affinity: weight %s=%q is not a number", key, val)
-				}
-				switch key {
-				case "load":
-					load = w
-				case "affinity":
-					warm = w
-				case "cap":
-					capability = w
-				default:
-					return nil, fmt.Errorf("daemon: router affinity: unknown parameter %q (load, affinity, cap)", key)
-				}
-			}
-		}
-		return NewAffinityRouter(policy, load, warm, capability)
-	default:
-		return nil, fmt.Errorf("daemon: unknown router policy %q (%s)", policy, routerUsage)
-	}
-}
+// NewRouter builds a router from its spec — the lookup behind qcsd's -router
+// flag and the sweep axis values.
+func NewRouter(spec string) (Router, error) { return Routers.New(spec) }

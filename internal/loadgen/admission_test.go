@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"hpcqc/internal/admission"
 )
 
 // burstyTrace is the campaign-style overload trace the admission tests run
@@ -26,7 +28,7 @@ func burstyTrace(t *testing.T, seed int64, horizon time.Duration) *Trace {
 // byte-identical reports, with every admission policy.
 func TestReplayWithSheddingDeterministic(t *testing.T) {
 	tr := burstyTrace(t, 5, 2*time.Hour)
-	for _, adm := range AllAdmissions() {
+	for _, adm := range admission.Policies.Names() {
 		cfg := ReplayConfig{Devices: 2, Seed: 4, Admission: adm}
 		r1, err := Replay(tr, cfg)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"hpcqc/internal/admission"
 	"hpcqc/internal/daemon"
 	"hpcqc/internal/device"
 	"hpcqc/internal/sched"
@@ -31,8 +30,8 @@ type ClosedLoopConfig struct {
 	ThinkMean time.Duration
 	// Devices sizes the fleet driven during capture (default 4).
 	Devices int
-	// Router, Scheduler and Admission pick the policies the capture run
-	// executes under (defaults: least-loaded, fifo, accept-all). Closed-loop
+	// Router, Scheduler and Admission are the specs of the policies the
+	// capture run executes under ("" = each axis's default). Closed-loop
 	// arrivals are completion-coupled, so the recorded trace depends on the
 	// policies driving the run — capturing under the policy mix being
 	// studied is the point of these knobs. Arrivals shed by the admission
@@ -72,18 +71,6 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 	if cfg.Devices <= 0 {
 		cfg.Devices = 4
 	}
-	router, err := daemon.NewRouter(cfg.Router)
-	if err != nil {
-		return nil, err
-	}
-	order, err := daemon.NewOrder(cfg.Scheduler)
-	if err != nil {
-		return nil, err
-	}
-	admitter, err := admission.NewPolicy(cfg.Admission)
-	if err != nil {
-		return nil, err
-	}
 	shared := Config{
 		Classes:      cfg.Classes,
 		Patterns:     cfg.Patterns,
@@ -116,11 +103,8 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 	specs := workload.DefaultPatternSpecs()
 	cache := sharedPrograms
 
-	d, err := daemon.NewDaemon(daemon.Config{
+	dcfg := daemon.Config{
 		Devices:          fleet.Devices(),
-		Router:           router,
-		Order:            order,
-		Admission:        admitter,
 		Clock:            clk,
 		AdminToken:       "loadgen",
 		EnablePreemption: true,
@@ -140,7 +124,11 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 			think := simclock.Seconds(rng.ExpFloat64() * cfg.ThinkMean.Seconds())
 			clk.Schedule(think, fmt.Sprintf("think-user-%02d", u), func() { submitUser(u) })
 		},
-	})
+	}
+	if err := dcfg.UsePolicies(cfg.Router, cfg.Scheduler, cfg.Admission, ""); err != nil {
+		return nil, err
+	}
+	d, err := daemon.NewDaemon(dcfg)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: closed-loop daemon: %w", err)
 	}

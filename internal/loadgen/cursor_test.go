@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hpcqc/internal/daemon"
 	"hpcqc/internal/workload"
 )
 
@@ -55,8 +56,8 @@ func TestReplayCursorMatchesPerRecordArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	preempted := false
-	for _, scheduler := range AllSchedulers() {
-		for _, priority := range AllPriorities() {
+	for _, scheduler := range daemon.Orders.Names() {
+		for _, priority := range daemon.Priorities.Names() {
 			for _, rate := range []float64{1, 2.5} {
 				for _, noPreempt := range []bool{false, true} {
 					cfg := ReplayConfig{Devices: 2, Scheduler: scheduler, Priority: priority, Seed: 5,

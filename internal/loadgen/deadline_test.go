@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hpcqc/internal/daemon"
 	"hpcqc/internal/experiments"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/workload"
@@ -208,7 +209,7 @@ func TestDeadlineUnsaturatedNegativeControl(t *testing.T) {
 			if base == nil {
 				t.Fatal("missing constant cell")
 			}
-			for _, name := range AllPriorities()[1:] {
+			for _, name := range daemon.Priorities.Names()[1:] {
 				cell := s.FindCell(Cell{Router: "least-loaded", Scheduler: "fifo", Admission: "accept-all", Priority: name})
 				if cell == nil {
 					t.Fatalf("missing %s cell", name)

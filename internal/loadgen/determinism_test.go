@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"hpcqc/internal/admission"
 )
 
 // TestSweep24hBurstyByteIdentical is the explicit byte-for-byte gate every
@@ -33,7 +35,7 @@ func TestSweep24hBurstyByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 3 * 3 * len(AllAdmissions()); len(s1.Results) != want {
+	if want := 3 * 3 * len(admission.Policies.Names()); len(s1.Results) != want {
 		t.Fatalf("sweep produced %d results, want %d", len(s1.Results), want)
 	}
 	for _, rep := range s1.Results {

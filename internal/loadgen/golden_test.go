@@ -7,9 +7,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"hpcqc/internal/admission"
+	"hpcqc/internal/daemon"
 	"hpcqc/internal/workload"
 )
 
@@ -33,7 +36,7 @@ type goldenCorpus struct {
 	cells                  []goldenCell
 	// check is the per-cell sanity gate: a corpus that stops exercising the
 	// regime it was recorded for pins nothing.
-	check func(t *testing.T, cell string, tr *Trace, rep *Report)
+	check func(t *testing.T, cell goldenCell, tr *Trace, rep *Report)
 	// minDistinct is how many of the cells must produce different reports.
 	minDistinct int
 }
@@ -70,7 +73,7 @@ func (g *goldenCorpus) run(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cell.name, err)
 		}
-		g.check(t, cell.name, tr, rep)
+		g.check(t, cell, tr, rep)
 		sum := sha256.Sum256(marshalReport(t, rep))
 		got[cell.name] = hex.EncodeToString(sum[:])
 		distinct[got[cell.name]] = true
@@ -142,18 +145,18 @@ func TestGoldenBacklogDigests(t *testing.T) {
 		},
 		reportCell: "fair-share/slo-urgency",
 		reportFile: "fair-share.slo-urgency",
-		check: func(t *testing.T, cell string, tr *Trace, rep *Report) {
+		check: func(t *testing.T, cell goldenCell, tr *Trace, rep *Report) {
 			if rep.Completed != len(tr.Records) || rep.Preemptions == 0 {
 				t.Fatalf("%s: completed %d of %d with %d preemptions — the golden trace must drain and must preempt",
-					cell, rep.Completed, len(tr.Records), rep.Preemptions)
+					cell.name, rep.Completed, len(tr.Records), rep.Preemptions)
 			}
 		},
 		// fifo×age and fifo×constant may coincide (both are seniority orders
 		// until a requeue); a trace on which most cells agree pins nothing.
 		minDistinct: 8,
 	}
-	for _, scheduler := range AllSchedulers() {
-		for _, priority := range AllPriorities() {
+	for _, scheduler := range daemon.Orders.Names() {
+		for _, priority := range daemon.Priorities.Names() {
 			g.cells = append(g.cells, goldenCell{scheduler + "/" + priority,
 				ReplayConfig{Devices: 1, Scheduler: scheduler, Priority: priority, Seed: 1}})
 		}
@@ -187,15 +190,84 @@ func TestGoldenSteadyDigests(t *testing.T) {
 			{"class-affinity", ReplayConfig{Devices: 4, Router: "class-affinity", Seed: 1}},
 			{"affinity+cache8", ReplayConfig{Devices: 4, Router: "affinity", ProgramCache: 8, SetupSeconds: 30, Seed: 1}},
 		},
-		check: func(t *testing.T, cell string, tr *Trace, rep *Report) {
+		check: func(t *testing.T, cell goldenCell, tr *Trace, rep *Report) {
 			if rep.Completed != len(tr.Records) {
-				t.Fatalf("%s: completed %d of %d — the golden trace must drain", cell, rep.Completed, len(tr.Records))
+				t.Fatalf("%s: completed %d of %d — the golden trace must drain", cell.name, rep.Completed, len(tr.Records))
 			}
-			if cell == "affinity+cache8" && (rep.ProgramCacheHits == 0 || rep.ProgramCacheMisses == 0) {
-				t.Fatalf("%s: cache hits %d misses %d — the cache cell must see both", cell, rep.ProgramCacheHits, rep.ProgramCacheMisses)
+			if cell.name == "affinity+cache8" && (rep.ProgramCacheHits == 0 || rep.ProgramCacheMisses == 0) {
+				t.Fatalf("%s: cache hits %d misses %d — the cache cell must see both", cell.name, rep.ProgramCacheHits, rep.ProgramCacheMisses)
 			}
 		},
 		minDistinct: 4,
+	}
+	g.run(t)
+}
+
+// TestGoldenBurstyAdmissionDigests pins the admission door and the
+// parameterized policy spellings: a ≈300-job bursty trace that saturates 2
+// devices inside its bursts, under the four admission policies × {constant,
+// edf:production=90s}, plus one cell each for a tuned slo-guard and the fully
+// spelled affinity router over an 8-entry program cache. Shed and down-class
+// decisions, the fallback-deadline parameter and the scorer weights all reach
+// the report bytes here, which neither other corpus exercises. Recorded from
+// the commit before the policy constructors moved onto internal/policy.
+// Regenerate only with `-run TestGoldenBurstyAdmissionDigests -update`.
+func TestGoldenBurstyAdmissionDigests(t *testing.T) {
+	const tunedGuard, spelledAffinity = "slo-guard:wait=45s:warn=0.7", "affinity:load=0.6:affinity=0.3:cap=0.1"
+	g := &goldenCorpus{
+		name: "bursty300",
+		gen: Config{
+			Seed:    16,
+			Horizon: 66 * time.Minute,
+			Process: &Bursty{BurstRatePerHour: 900, IdleRatePerHour: 30,
+				MeanBurst: 8 * time.Minute, MeanIdle: 25 * time.Minute},
+			Programs:  4,
+			Deadlines: workload.DefaultDeadlines(),
+		},
+		reportCell: tunedGuard,
+		reportFile: "slo-guard-tuned",
+		cells: []goldenCell{
+			{tunedGuard, ReplayConfig{Devices: 2, Admission: tunedGuard, Seed: 1}},
+			{spelledAffinity, ReplayConfig{Devices: 2, Router: spelledAffinity, ProgramCache: 8, Seed: 1}},
+		},
+		check: func(t *testing.T, cell goldenCell, tr *Trace, rep *Report) {
+			if rep.Jobs != len(tr.Records) || rep.Completed+rep.Rejected != rep.Jobs {
+				t.Fatalf("%s: %d jobs, %d completed + %d rejected of %d records — the golden trace must drain",
+					cell.name, rep.Jobs, rep.Completed, rep.Rejected, len(tr.Records))
+			}
+			// Parameterized spellings are the policies' Name()s and must reach
+			// the report verbatim ("" is the omitted constant default).
+			want := cell.cfg
+			if want.Router == "" {
+				want.Router = "least-loaded"
+			}
+			if want.Admission == "" {
+				want.Admission = "accept-all"
+			}
+			if rep.Router != want.Router || rep.Admission != want.Admission || rep.Priority != want.Priority {
+				t.Fatalf("%s: report names %s/%s/%q, configured %s/%s/%q", cell.name,
+					rep.Router, rep.Admission, rep.Priority, want.Router, want.Admission, want.Priority)
+			}
+			if shedding := want.Admission != "accept-all"; shedding != (rep.Rejected > 0) {
+				t.Fatalf("%s: %d rejected — every admission policy but accept-all must shed on this trace", cell.name, rep.Rejected)
+			}
+			if guard := strings.HasPrefix(want.Admission, "slo-guard"); guard != (rep.Downgraded > 0) {
+				t.Fatalf("%s: %d down-classed — slo-guard, and only it, must down-class on this trace", cell.name, rep.Downgraded)
+			}
+			if cell.cfg.ProgramCache > 0 && (rep.ProgramCacheHits == 0 || rep.ProgramCacheMisses == 0) {
+				t.Fatalf("%s: cache hits %d misses %d — the cache cell must see both", cell.name, rep.ProgramCacheHits, rep.ProgramCacheMisses)
+			}
+		},
+		minDistinct: 10,
+	}
+	for _, adm := range admission.Policies.Names() {
+		for _, priority := range []string{"", "edf:production=90s"} {
+			name := adm + "/constant"
+			if priority != "" {
+				name = adm + "/" + priority
+			}
+			g.cells = append(g.cells, goldenCell{name, ReplayConfig{Devices: 2, Admission: adm, Priority: priority, Seed: 1}})
+		}
 	}
 	g.run(t)
 }

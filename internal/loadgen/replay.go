@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
-	"hpcqc/internal/admission"
 	"hpcqc/internal/daemon"
 	"hpcqc/internal/device"
 	"hpcqc/internal/qir"
@@ -17,36 +17,21 @@ import (
 	"hpcqc/internal/trace"
 )
 
-// AllRouters lists the routing policies a sweep expands "all" to.
-func AllRouters() []string { return []string{"round-robin", "least-loaded", "class-affinity"} }
-
-// AllSchedulers lists the within-class orders a sweep expands "all" to.
-func AllSchedulers() []string { return []string{"fifo", "fair-share", "shortest-first"} }
-
-// AllAdmissions lists the admission policies a sweep expands "all" to.
-func AllAdmissions() []string { return admission.AllPolicies() }
-
-// AllPriorities lists the priority policies a sweep expands "all" to.
-func AllPriorities() []string { return daemon.AllPriorities() }
-
 // ReplayConfig parameterizes one deterministic trace replay.
 type ReplayConfig struct {
 	// Devices sizes the fleet (default 4).
 	Devices int
-	// Router is the routing policy name (default least-loaded).
-	Router string
-	// Scheduler is the within-class order: fifo, fair-share or
-	// shortest-first (default fifo).
+	// Router, Scheduler, Admission and Priority are the policy tuple, each a
+	// spec on its axis's registry (daemon.Routers, daemon.Orders,
+	// admission.Policies, daemon.Priorities; "" = that axis's default).
+	// Arrivals the admission policy rejects appear in the report as shed
+	// work, never as submit errors. Priority composes with Scheduler; under
+	// its default — the identity policy — reports stay byte-identical to a
+	// replay without the axis and omit the priority field.
+	Router    string
 	Scheduler string
-	// Admission is the admission policy: accept-all, queue-depth,
-	// token-bucket or slo-guard (default accept-all). Rejected arrivals
-	// appear in the report as shed work, never as submit errors.
 	Admission string
-	// Priority is the dynamic-urgency axis composing with Scheduler:
-	// constant, age, slo-urgency or edf (default constant — the identity
-	// policy, whose reports stay byte-identical to a replay without the
-	// axis; the report omits the priority field for it).
-	Priority string
+	Priority  string
 	// Seed drives the fleet and daemon randomness. The same trace and seed
 	// produce bit-identical schedule decisions and reports.
 	Seed int64
@@ -90,6 +75,50 @@ type ReplayConfig struct {
 	// (implies Tracing) — the hook `qcload trace export` uses to capture a
 	// replay into a flight recorder for Chrome trace-event export.
 	SpanListener trace.Listener
+}
+
+// stamp writes the replay's coordinates on every axis into rep: the policy
+// triple always, and each later axis only off its default — so a report from
+// before an axis existed keeps its bytes when that axis is left alone. It is
+// the single statement of that rule: drain stamps reports with it, FindCell
+// and the frontier points derive what to look for from it.
+func (cfg *ReplayConfig) stamp(rep *Report) {
+	rep.Router, rep.Scheduler, rep.Admission = cfg.Router, cfg.Scheduler, cfg.Admission
+	if cfg.Priority != daemon.Priorities.Default() {
+		rep.Priority = cfg.Priority
+	}
+	if cfg.DisablePreemption {
+		rep.Preemption = "off"
+	}
+	if cfg.RateScale != 1 {
+		rep.RateScale = cfg.RateScale
+	}
+	if cfg.ShotScale != 1 {
+		rep.ShotScale = cfg.ShotScale
+	}
+}
+
+// label names the replay in error messages by the same coordinates, plus the
+// fleet size: enough to tell which sweep cell or saturation probe failed.
+func (cfg *ReplayConfig) label() string {
+	var at Report
+	cfg.stamp(&at)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s/%s/%s", at.Router, at.Scheduler, at.Admission)
+	if at.Priority != "" {
+		b.WriteString("/" + at.Priority)
+	}
+	if at.Preemption != "" {
+		b.WriteString("/preempt=" + at.Preemption)
+	}
+	fmt.Fprintf(&b, " fleet=%d", cfg.Devices)
+	if at.RateScale != 0 {
+		fmt.Fprintf(&b, " rate=%g", at.RateScale)
+	}
+	if at.ShotScale != 0 {
+		fmt.Fprintf(&b, " shot=%g", at.ShotScale)
+	}
+	return b.String()
 }
 
 // preparedTrace is a trace decoded once for many replays: per-record classes
@@ -200,44 +229,23 @@ func (r *replayRun) at(us int64) time.Duration {
 	return time.Duration(int64(float64(us)/r.cfg.RateScale)) * time.Microsecond
 }
 
+// validScale reports whether a rate or shot multiplier is usable: 0 (unset)
+// or positive and finite.
+func validScale(v float64) bool { return v >= 0 && !math.IsInf(v, 0) }
+
 // newReplayRun resolves the configuration and builds the run's fixtures.
 func newReplayRun(prep *preparedTrace, cfg ReplayConfig) (*replayRun, error) {
 	if cfg.Devices <= 0 {
 		cfg.Devices = 4
 	}
-	if cfg.Router == "" {
-		cfg.Router = "least-loaded"
-	}
-	if cfg.Scheduler == "" {
-		cfg.Scheduler = "fifo"
-	}
-	if cfg.Admission == "" {
-		cfg.Admission = "accept-all"
-	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 14 * 24 * time.Hour
 	}
-	if cfg.RateScale < 0 || math.IsNaN(cfg.RateScale) || math.IsInf(cfg.RateScale, 0) {
+	if !validScale(cfg.RateScale) {
 		return nil, fmt.Errorf("loadgen: invalid rate scale %g", cfg.RateScale)
 	}
-	if cfg.ShotScale < 0 || math.IsNaN(cfg.ShotScale) || math.IsInf(cfg.ShotScale, 0) {
+	if !validScale(cfg.ShotScale) {
 		return nil, fmt.Errorf("loadgen: invalid shot scale %g", cfg.ShotScale)
-	}
-	router, err := daemon.NewRouter(cfg.Router)
-	if err != nil {
-		return nil, err
-	}
-	order, err := daemon.NewOrder(cfg.Scheduler)
-	if err != nil {
-		return nil, err
-	}
-	admitter, err := admission.NewPolicy(cfg.Admission)
-	if err != nil {
-		return nil, err
-	}
-	priority, err := daemon.NewPriority(cfg.Priority)
-	if err != nil {
-		return nil, err
 	}
 	if cfg.RateScale == 0 {
 		cfg.RateScale = 1
@@ -268,32 +276,28 @@ func newReplayRun(prep *preparedTrace, cfg ReplayConfig) (*replayRun, error) {
 	} else {
 		an = NewAnalyzer(cfg.Registry)
 	}
-	var spans trace.Listener
-	pipelineOnly := false
+	dcfg := daemon.Config{
+		Devices:          fleet.Devices(),
+		Clock:            clk,
+		AdminToken:       "loadgen",
+		EnablePreemption: !cfg.DisablePreemption,
+		Seed:             cfg.Seed,
+		ProgramCache:     cfg.ProgramCache,
+		SetupSeconds:     cfg.SetupSeconds,
+		JobListener:      an.Observe,
+		Registry:         cfg.Registry,
+	}
+	if err := dcfg.UsePolicies(cfg.Router, cfg.Scheduler, cfg.Admission, cfg.Priority); err != nil {
+		return nil, err
+	}
 	if cfg.Tracing || cfg.SpanListener != nil {
-		spans = trace.Tee(an.ObserveSpan, cfg.SpanListener)
+		dcfg.SpanListener = trace.Tee(an.ObserveSpan, cfg.SpanListener)
 		// With only the analyzer listening, marks and occupancy spans would
 		// be built and discarded — have the daemon skip them. Any external
 		// listener (flight recorder, exporter) gets the full stream.
-		pipelineOnly = cfg.SpanListener == nil
+		dcfg.PipelineSpansOnly = cfg.SpanListener == nil
 	}
-	d, err := daemon.NewDaemon(daemon.Config{
-		Devices:           fleet.Devices(),
-		Router:            router,
-		Order:             order,
-		Admission:         admitter,
-		Priority:          priority,
-		Clock:             clk,
-		AdminToken:        "loadgen",
-		EnablePreemption:  !cfg.DisablePreemption,
-		Seed:              cfg.Seed,
-		ProgramCache:      cfg.ProgramCache,
-		SetupSeconds:      cfg.SetupSeconds,
-		JobListener:       an.Observe,
-		SpanListener:      spans,
-		PipelineSpansOnly: pipelineOnly,
-		Registry:          cfg.Registry,
-	})
+	d, err := daemon.NewDaemon(dcfg)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: replay daemon: %w", err)
 	}
@@ -351,6 +355,9 @@ func (r *replayRun) submit(i int) {
 // scratch back to the shared pools.
 func (r *replayRun) drain() (*Report, error) {
 	tr, cfg, clk, d, an := r.prep.tr, r.cfg, r.clk, r.d, r.an
+	// The report and the error labels carry the tuple as the policies name
+	// themselves: "" resolved to the axis default.
+	cfg.Router, cfg.Scheduler, cfg.Admission, cfg.Priority = d.RouterName(), d.OrderName(), d.AdmissionName(), d.PriorityName()
 	horizon := r.at(tr.Header.HorizonUS)
 	if n := len(tr.Records); n > 0 {
 		if last := r.at(tr.Records[n-1].AtUS); last >= horizon {
@@ -371,13 +378,13 @@ func (r *replayRun) drain() (*Report, error) {
 			break
 		}
 		if clk.Now() >= deadline {
-			return nil, fmt.Errorf("loadgen: %s/%s/%s backlog did not drain within %s past the horizon (%d/%d jobs terminal)",
-				cfg.Router, cfg.Scheduler, cfg.Admission, cfg.DrainGrace, terminal, submitted)
+			return nil, fmt.Errorf("loadgen: %s backlog did not drain within %s past the horizon (%d/%d jobs terminal)",
+				cfg.label(), cfg.DrainGrace, terminal, submitted)
 		}
 		next, ok := clk.NextEventAt()
 		if !ok {
-			return nil, fmt.Errorf("loadgen: %s/%s/%s event queue drained with %d/%d jobs terminal",
-				cfg.Router, cfg.Scheduler, cfg.Admission, terminal, submitted)
+			return nil, fmt.Errorf("loadgen: %s event queue drained with %d/%d jobs terminal",
+				cfg.label(), terminal, submitted)
 		}
 		if next > deadline {
 			next = deadline
@@ -386,26 +393,7 @@ func (r *replayRun) drain() (*Report, error) {
 	}
 
 	rep := an.Report()
-	rep.Router = cfg.Router
-	rep.Scheduler = cfg.Scheduler
-	rep.Admission = cfg.Admission
-	// The constant default leaves the report's priority field empty, so
-	// replays predating the axis (and reruns of their traces) stay
-	// byte-identical; any non-default policy is labeled for sweep cells.
-	if cfg.Priority != "" && cfg.Priority != "constant" {
-		rep.Priority = cfg.Priority
-	}
-	// Same omit-at-default convention for the generalized axes: only a
-	// non-default value marks the cell, so pre-axis reports keep their bytes.
-	if cfg.DisablePreemption {
-		rep.Preemption = "off"
-	}
-	if cfg.RateScale != 1 {
-		rep.RateScale = cfg.RateScale
-	}
-	if cfg.ShotScale != 0 && cfg.ShotScale != 1 {
-		rep.ShotScale = cfg.ShotScale
-	}
+	cfg.stamp(rep)
 	rep.SubmitErrors = r.submitErrs
 	for _, dev := range d.Devices() {
 		dv := rep.PerDevice[dev.ID()]

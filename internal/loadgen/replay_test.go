@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"hpcqc/internal/daemon"
 )
 
 // smallTrace is a 2-hour trace shared by the replay tests.
@@ -84,7 +86,7 @@ func TestReplaySeedMatters(t *testing.T) {
 // production p95 wait at or below dev p95 wait under every scheduler.
 func TestReplayProductionBeatsDev(t *testing.T) {
 	tr := smallTrace(t)
-	for _, sched := range AllSchedulers() {
+	for _, sched := range daemon.Orders.Names() {
 		rep, err := Replay(tr, ReplayConfig{Devices: 2, Seed: 4, Scheduler: sched})
 		if err != nil {
 			t.Fatal(err)

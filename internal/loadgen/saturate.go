@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
-	"sync"
 )
 
 // Saturation objectives. The knee is the largest arrival-rate multiplier at
@@ -105,15 +103,11 @@ type FrontierPoint struct {
 	CostPerThousandJobs float64 `json:"cost_per_thousand_jobs,omitempty"`
 }
 
-// Tuple renders the point's policy tuple and fleet for human output.
+// Tuple renders the point's policy tuple and fleet for human output — the
+// label of the replays that found it.
 func (p *FrontierPoint) Tuple() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s/%s", p.Router, p.Scheduler, p.Admission)
-	if p.Priority != "" {
-		fmt.Fprintf(&b, "/%s", p.Priority)
-	}
-	fmt.Fprintf(&b, " fleet=%d", p.FleetSize)
-	return b.String()
+	return (&ReplayConfig{Router: p.Router, Scheduler: p.Scheduler, Admission: p.Admission,
+		Priority: p.Priority, Devices: p.FleetSize}).label()
 }
 
 // FrontierRank is one row of the cost-per-met-SLO ranking.
@@ -179,15 +173,10 @@ func saturateObjective(rep *Report, objective string, cfg *SaturateConfig) (valu
 // not monotone in load and a bracketing search cannot be trusted, so the
 // search fails loudly instead of reporting a fabricated knee.
 func searchKnee(prep *preparedTrace, cfg *SaturateConfig, base ReplayConfig) (*FrontierPoint, error) {
-	pt := &FrontierPoint{
-		Router:    base.Router,
-		Scheduler: base.Scheduler,
-		Admission: base.Admission,
-		FleetSize: base.Devices,
-	}
-	if base.Priority != "" && base.Priority != "constant" {
-		pt.Priority = base.Priority
-	}
+	var at Report
+	base.stamp(&at)
+	pt := &FrontierPoint{Router: at.Router, Scheduler: at.Scheduler, Admission: at.Admission,
+		Priority: at.Priority, FleetSize: base.Devices}
 	probeFn := cfg.probe
 	if probeFn == nil {
 		probeFn = replayPrepared
@@ -332,12 +321,15 @@ func Saturate(tr *Trace, cfg SaturateConfig) (*FrontierReport, error) {
 	// Tuple enumeration and validation ride on the sweep's combo machinery;
 	// the rate axis belongs to the search itself.
 	combos, err := sweepCombos(&SweepConfig{
-		Devices:    cfg.Devices,
-		Routers:    cfg.Routers,
-		Schedulers: cfg.Schedulers,
-		Admissions: cfg.Admissions,
-		Priorities: cfg.Priorities,
-		FleetSizes: cfg.FleetSizes,
+		Devices:      cfg.Devices,
+		Seed:         cfg.Seed,
+		Routers:      cfg.Routers,
+		Schedulers:   cfg.Schedulers,
+		Admissions:   cfg.Admissions,
+		Priorities:   cfg.Priorities,
+		FleetSizes:   cfg.FleetSizes,
+		ProgramCache: cfg.ProgramCache,
+		SetupSeconds: cfg.SetupSeconds,
 	})
 	if err != nil {
 		return nil, err
@@ -360,37 +352,12 @@ func Saturate(tr *Trace, cfg SaturateConfig) (*FrontierReport, error) {
 	}
 
 	points := make([]*FrontierPoint, len(combos))
-	errs := make([]error, len(combos))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < sweepWorkers(cfg.Workers, len(combos)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				c := combos[i]
-				points[i], errs[i] = searchKnee(prep, &cfg, ReplayConfig{
-					Devices:      c.fleet,
-					Router:       c.router,
-					Scheduler:    c.scheduler,
-					Admission:    c.admission,
-					Priority:     c.priority,
-					Seed:         cfg.Seed,
-					ProgramCache: cfg.ProgramCache,
-					SetupSeconds: cfg.SetupSeconds,
-				})
-			}
-		}()
-	}
-	for i := range combos {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: saturate %s: %w", combos[i].label(), err)
-		}
+	err = runCombos("saturate", cfg.Workers, combos, func(i int) (err error) {
+		points[i], err = searchKnee(prep, &cfg, combos[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	target := cfg.TargetSeconds

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 
 	"hpcqc/internal/admission"
 	"hpcqc/internal/daemon"
+	"hpcqc/internal/policy"
 )
 
 // SweepConfig parameterizes a policy what-if sweep.
@@ -17,13 +17,14 @@ type SweepConfig struct {
 	// fleet size when FleetSizes is empty.
 	Devices int
 	Seed    int64
-	// Routers, Schedulers and Admissions are the policy axes; a single
-	// "all" entry (or an empty slice) expands to the full axis.
+	// Routers, Schedulers and Admissions are the policy axes, each entry a
+	// spec on that axis's registry; a single "all" entry (or an empty slice)
+	// expands to the full axis (see sweepAxes for what "all" routers means).
 	Routers    []string
 	Schedulers []string
 	Admissions []string
 	// Priorities is the fourth axis — the dynamic-urgency policies. Unlike
-	// the other axes, empty defaults to just "constant" (the identity
+	// the other axes, empty defaults to just the axis default (the identity
 	// policy), so existing three-axis sweeps are unchanged; a single "all"
 	// expands to every priority policy.
 	Priorities []string
@@ -77,10 +78,10 @@ type SweepReport struct {
 }
 
 // Cell names one sweep combination across every axis. Zero values mean the
-// axis default and match cells from sweeps that never crossed that axis:
-// empty Priority (or "constant") is the constant cell, empty Preemption (or
-// "on") is preemptive dispatch, FleetSize 0 is the sweep-wide device count,
-// and RateScale/ShotScale 0 (or 1) are unscaled.
+// axis default and match cells from sweeps that never crossed that axis: an
+// empty policy (or the axis default by name) is the default-policy cell, empty
+// Preemption (or "on") is preemptive dispatch, FleetSize 0 is the sweep-wide
+// device count, and RateScale/ShotScale 0 (or 1) are unscaled.
 type Cell struct {
 	Router     string
 	Scheduler  string
@@ -105,187 +106,176 @@ func (s *SweepReport) Find(router, scheduler, admissionPolicy string) *Report {
 }
 
 // FindCell returns the report for one fully pinned combination, or nil. The
-// cell's zero values are normalized against the sweep's defaults (see Cell),
-// so FindCell(Cell{Router: "fifo", ...}) finds the same cell whether the
-// caller spells the default as "" or explicitly.
+// cell is normalized through the same stamping rule that labels reports (see
+// ReplayConfig.stamp), so FindCell finds the same cell whether the caller
+// spells a default as its zero value or explicitly.
 func (s *SweepReport) FindCell(c Cell) *Report {
-	if c.Priority == "constant" {
-		c.Priority = ""
-	}
-	if c.Preemption == "on" {
-		c.Preemption = ""
-	}
-	if c.RateScale == 1 {
-		c.RateScale = 0
-	}
-	if c.ShotScale == 1 {
-		c.ShotScale = 0
-	}
+	var want Report
+	(&ReplayConfig{Router: c.Router, Scheduler: c.Scheduler, Admission: c.Admission, Priority: c.Priority,
+		DisablePreemption: c.Preemption == "off", RateScale: c.RateScale, ShotScale: c.ShotScale}).stamp(&want)
 	// Cells carry a fleet size only when the sweep crossed fleet sizes; in
 	// that case every cell is stamped, so "the default" spells out as the
 	// sweep-wide device count, and vice versa for single-fleet sweeps.
+	want.FleetSize = c.FleetSize
 	if len(s.FleetSizes) > 0 {
-		if c.FleetSize == 0 {
-			c.FleetSize = s.Devices
+		if want.FleetSize == 0 {
+			want.FleetSize = s.Devices
 		}
-	} else if c.FleetSize == s.Devices {
-		c.FleetSize = 0
+	} else if want.FleetSize == s.Devices {
+		want.FleetSize = 0
 	}
 	for _, r := range s.Results {
-		if r.Router == c.Router && r.Scheduler == c.Scheduler && r.Admission == c.Admission &&
-			r.Priority == c.Priority && r.FleetSize == c.FleetSize && r.Preemption == c.Preemption &&
-			r.RateScale == c.RateScale && r.ShotScale == c.ShotScale {
+		if r.Router == want.Router && r.Scheduler == want.Scheduler && r.Admission == want.Admission &&
+			r.Priority == want.Priority && r.FleetSize == want.FleetSize && r.Preemption == want.Preemption &&
+			r.RateScale == want.RateScale && r.ShotScale == want.ShotScale {
 			return r
 		}
 	}
 	return nil
 }
 
-// expandAxis resolves "all"/empty to the full axis.
-func expandAxis(axis, all []string) []string {
-	if len(axis) == 0 || (len(axis) == 1 && axis[0] == "all") {
-		return all
-	}
-	return axis
+// sweepAxis is one dimension of the sweep cross-product: n values, each
+// checked once, and how value i lands in a cell's ReplayConfig.
+type sweepAxis struct {
+	n     int
+	check func(i int) error
+	set   func(rc *ReplayConfig, i int)
 }
 
-// sweepCombo is one point of the sweep cross-product.
-type sweepCombo struct {
-	router, scheduler, admission, priority string
-	fleet                                  int
-	preempt                                string
-	rate, shot                             float64
+// axisOf builds an axis over vals; a value that fails ok is reported against
+// what the axis wants.
+func axisOf[V any](name string, vals []V, ok func(V) bool, want string, set func(*ReplayConfig, V)) sweepAxis {
+	return sweepAxis{len(vals), func(i int) error {
+		if !ok(vals[i]) {
+			return fmt.Errorf("loadgen: sweep %s %v (want %s)", name, vals[i], want)
+		}
+		return nil
+	}, func(rc *ReplayConfig, i int) { set(rc, vals[i]) }}
 }
 
-// label renders the combo for error messages: the policy quadruple, plus the
-// generalized axes only when they left their defaults.
-func (c sweepCombo) label() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s/%s/%s", c.router, c.scheduler, c.admission, c.priority)
-	if c.preempt == "off" {
-		b.WriteString("/preempt=off")
+// orDefault is the values a config names for an axis, or the single default
+// when it names none — which is what keeps a sweep that never mentions an
+// axis on its exact pre-axis combination list.
+func orDefault[V any](named []V, def V) []V {
+	if len(named) == 0 {
+		return []V{def}
 	}
-	fmt.Fprintf(&b, " fleet=%d", c.fleet)
-	if c.rate != 1 {
-		fmt.Fprintf(&b, " rate=%g", c.rate)
-	}
-	if c.shot != 1 {
-		fmt.Fprintf(&b, " shot=%g", c.shot)
-	}
-	return b.String()
+	return named
 }
 
-// sweepCombos builds the full cross-product in canonical axis order and
-// fail-fast validates every axis value. Shared by Sweep and the saturation
-// engine's tuple enumeration.
-func sweepCombos(cfg *SweepConfig) ([]sweepCombo, error) {
-	routers := expandAxis(cfg.Routers, AllRouters())
-	schedulers := expandAxis(cfg.Schedulers, AllSchedulers())
-	admissions := expandAxis(cfg.Admissions, AllAdmissions())
-	// The priority axis defaults to the constant singleton — not the full
-	// axis — so a sweep that never mentions priorities keeps its exact
-	// pre-axis combination list and report bytes.
-	priorities := cfg.Priorities
-	if len(priorities) == 0 {
-		priorities = []string{"constant"}
-	} else if len(priorities) == 1 && priorities[0] == "all" {
-		priorities = AllPriorities()
+// policyAxis is an axis over a policy registry: values are specs, checked by
+// constructing each once; naming nothing, or a lone "all", means the list all.
+func policyAxis[T interface{ Name() string }](reg *policy.Registry[T], named, all []string, set func(*ReplayConfig, string)) sweepAxis {
+	if len(named) == 0 || (len(named) == 1 && named[0] == "all") {
+		named = all
 	}
-	fleets := cfg.FleetSizes
-	if len(fleets) == 0 {
-		fleets = []int{cfg.Devices}
-	}
-	preempts := cfg.Preemptions
-	if len(preempts) == 0 {
-		preempts = []string{"on"}
-	}
-	rates := cfg.RateScales
-	if len(rates) == 0 {
-		rates = []float64{1}
-	}
-	shots := cfg.ShotScales
-	if len(shots) == 0 {
-		shots = []float64{1}
-	}
-	for _, n := range fleets {
-		if n < 1 {
-			return nil, fmt.Errorf("loadgen: sweep fleet size %d (every fleet needs at least one partition)", n)
+	return sweepAxis{len(named), func(i int) error { _, err := reg.New(named[i]); return err },
+		func(rc *ReplayConfig, i int) { set(rc, named[i]) }}
+}
+
+// sweepAxes is the axis table, outermost first — the canonical cell order.
+// Adding a sweep axis is one row here plus its SweepConfig field.
+func sweepAxes(cfg *SweepConfig) []sweepAxis {
+	// "all" routers — and the unnamed router axis — is the cache-independent
+	// ones: the affinity router is inert without a program cache, so it joins
+	// a sweep only by name, which keeps the default matrix at 36 cells.
+	var routers []string
+	for _, name := range daemon.Routers.Names() {
+		if name != daemon.AffinityRouter {
+			routers = append(routers, name)
 		}
 	}
-	for _, p := range preempts {
-		if p != "on" && p != "off" {
-			return nil, fmt.Errorf("loadgen: sweep preemption %q (want on or off)", p)
-		}
+	orders, admissions, priorities := daemon.Orders.Names(), admission.Policies.Names(), daemon.Priorities.Names()
+	scale := func(v float64) bool { return v > 0 && !math.IsInf(v, 0) }
+	return []sweepAxis{
+		policyAxis(daemon.Routers, cfg.Routers, routers, func(rc *ReplayConfig, v string) { rc.Router = v }),
+		policyAxis(daemon.Orders, cfg.Schedulers, orders, func(rc *ReplayConfig, v string) { rc.Scheduler = v }),
+		policyAxis(admission.Policies, cfg.Admissions, admissions, func(rc *ReplayConfig, v string) { rc.Admission = v }),
+		// The priority axis defaults to its identity policy alone — not the
+		// full axis — so a sweep that never mentions priorities keeps its
+		// exact pre-axis combination list and report bytes.
+		policyAxis(daemon.Priorities, orDefault(cfg.Priorities, daemon.Priorities.Default()), priorities, func(rc *ReplayConfig, v string) { rc.Priority = v }),
+		axisOf("fleet size", orDefault(cfg.FleetSizes, cfg.Devices), func(n int) bool { return n >= 1 },
+			"at least one partition per fleet", func(rc *ReplayConfig, n int) { rc.Devices = n }),
+		axisOf("preemption", orDefault(cfg.Preemptions, "on"), func(p string) bool { return p == "on" || p == "off" },
+			"on or off", func(rc *ReplayConfig, p string) { rc.DisablePreemption = p == "off" }),
+		axisOf("rate scale", orDefault(cfg.RateScales, 1), scale,
+			"a positive finite multiplier", func(rc *ReplayConfig, v float64) { rc.RateScale = v }),
+		axisOf("shot scale", orDefault(cfg.ShotScales, 1), scale,
+			"a positive finite multiplier", func(rc *ReplayConfig, v float64) { rc.ShotScale = v }),
 	}
-	for _, v := range rates {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("loadgen: sweep rate scale %g (want a positive finite multiplier)", v)
-		}
-	}
-	for _, v := range shots {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("loadgen: sweep shot scale %g (want a positive finite multiplier)", v)
-		}
-	}
-	combos := make([]sweepCombo, 0, len(routers)*len(schedulers)*len(admissions)*len(priorities)*len(fleets)*len(preempts)*len(rates)*len(shots))
-	for _, r := range routers {
-		for _, s := range schedulers {
-			for _, a := range admissions {
-				for _, p := range priorities {
-					for _, n := range fleets {
-						for _, pe := range preempts {
-							for _, rs := range rates {
-								for _, ss := range shots {
-									combos = append(combos, sweepCombo{r, s, a, p, n, pe, rs, ss})
-								}
-							}
-						}
-					}
-				}
+}
+
+// sweepCombos validates every axis value once, then builds the full
+// cross-product in canonical order — an odometer over sweepAxes, last axis
+// fastest — on top of the fields every cell shares. Shared by Sweep and the
+// saturation engine's tuple enumeration.
+func sweepCombos(cfg *SweepConfig) ([]ReplayConfig, error) {
+	axes := sweepAxes(cfg)
+	total := 1
+	for _, ax := range axes {
+		for i := 0; i < ax.n; i++ {
+			if err := ax.check(i); err != nil {
+				return nil, err
 			}
 		}
+		total *= ax.n
 	}
-	// Fail fast on bad policy names before spawning any fleet.
-	for _, c := range combos {
-		if _, err := daemon.NewRouter(c.router); err != nil {
-			return nil, err
-		}
-		if _, err := daemon.NewOrder(c.scheduler); err != nil {
-			return nil, err
-		}
-		if _, err := admission.NewPolicy(c.admission); err != nil {
-			return nil, err
-		}
-		if _, err := daemon.NewPriority(c.priority); err != nil {
-			return nil, err
+	combos := make([]ReplayConfig, total)
+	for k := range combos {
+		rc := &combos[k]
+		*rc = ReplayConfig{Seed: cfg.Seed, ProgramCache: cfg.ProgramCache, SetupSeconds: cfg.SetupSeconds, Tracing: cfg.Tracing}
+		rem := k
+		for a := len(axes) - 1; a >= 0; a-- {
+			axes[a].set(rc, rem%axes[a].n)
+			rem /= axes[a].n
 		}
 	}
 	return combos, nil
 }
 
-// sweepWorkers resolves a worker-count knob against a combo count.
-func sweepWorkers(workers, combos int) int {
+// runCombos runs fn(i) once per combo on a bounded worker pool (default
+// GOMAXPROCS workers, never more than combos) and returns the first failure
+// in combo order, labelled with its combo. Workers draw indices from a
+// channel; fn writes its result by index, which is what keeps output order
+// canonical whatever the worker count or completion interleaving.
+func runCombos(what string, workers int, combos []ReplayConfig, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > combos {
-		workers = combos
+	errs := make([]error, len(combos))
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < max(1, min(workers, len(combos))); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				errs[i] = fn(i)
+			}
+		}()
 	}
-	if workers < 1 {
-		workers = 1
+	for i := range combos {
+		idx <- i
 	}
-	return workers
+	close(idx)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("loadgen: %s %s: %w", what, combos[i].label(), err)
+		}
+	}
+	return nil
 }
 
 // Sweep replays one trace against every axis combination and collects the
 // per-cell SLO reports. Cells run on a bounded worker pool (SweepConfig.
-// Workers, default GOMAXPROCS): each worker replays one cell at a time on
+// Workers, see runCombos): each worker replays one cell at a time on
 // its own virtual clock with its own policy instances — controller state
 // never bleeds across combinations — while the decoded trace, program
 // payloads and session roster are shared read-only via one preparedTrace.
-// Workers draw cells from a channel but write results by index, so the
-// output is always in canonical axis order and byte-identical whatever the
-// worker count or completion interleaving. Per-cell scratch (daemon job
+// The output is always in canonical axis order and byte-identical whatever
+// the worker count. Per-cell scratch (daemon job
 // records, analyzer state) returns to shared pools between cells, keeping a
 // thousand-cell sweep's live heap O(workers), not O(cells).
 func Sweep(tr *Trace, cfg SweepConfig) (*SweepReport, error) {
@@ -300,48 +290,15 @@ func Sweep(tr *Trace, cfg SweepConfig) (*SweepReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	fleetAxis := len(cfg.FleetSizes) > 0
-
 	results := make([]*Report, len(combos))
-	errs := make([]error, len(combos))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < sweepWorkers(cfg.Workers, len(combos)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				c := combos[i]
-				rep, err := replayPrepared(prep, ReplayConfig{
-					Devices:           c.fleet,
-					Router:            c.router,
-					Scheduler:         c.scheduler,
-					Admission:         c.admission,
-					Priority:          c.priority,
-					Seed:              cfg.Seed,
-					RateScale:         c.rate,
-					ShotScale:         c.shot,
-					DisablePreemption: c.preempt == "off",
-					ProgramCache:      cfg.ProgramCache,
-					SetupSeconds:      cfg.SetupSeconds,
-					Tracing:           cfg.Tracing,
-				})
-				if err == nil && fleetAxis {
-					rep.FleetSize = c.fleet
-				}
-				results[i], errs[i] = rep, err
-			}
-		}()
-	}
-	for i := range combos {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: sweep %s: %w", combos[i].label(), err)
+	err = runCombos("sweep", cfg.Workers, combos, func(i int) (err error) {
+		if results[i], err = replayPrepared(prep, combos[i]); err == nil && len(cfg.FleetSizes) > 0 {
+			results[i].FleetSize = combos[i].Devices
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &SweepReport{
 		Trace:        tr.Header,

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hpcqc/internal/admission"
+	"hpcqc/internal/daemon"
 )
 
 // wideTrace is the thousand-cell matrix workload: short enough that a single
@@ -297,5 +300,61 @@ func TestReplayShotScale(t *testing.T) {
 	// strictly earlier.
 	if rf.MakespanSeconds >= plain.MakespanSeconds {
 		t.Fatalf("4x shot rate did not shrink makespan: %g vs %g", rf.MakespanSeconds, plain.MakespanSeconds)
+	}
+}
+
+// TestSweepDefaultCombinations pins what an unconfigured sweep enumerates: 36
+// cells — the three cache-independent routers × every scheduler × every
+// admission policy × the default priority — router-major, scheduler next,
+// admission fastest. `all` on the router axis deliberately leaves out the
+// affinity router (inert without a program cache); naming it adds it.
+func TestSweepDefaultCombinations(t *testing.T) {
+	combos, err := sweepCombos(&SweepConfig{Devices: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, r := range []string{"round-robin", "least-loaded", "class-affinity"} {
+		for _, s := range daemon.Orders.Names() {
+			for _, a := range admission.Policies.Names() {
+				want = append(want, r+"/"+s+"/"+a+" fleet=4")
+			}
+		}
+	}
+	if len(combos) != 36 || len(want) != 36 {
+		t.Fatalf("default sweep has %d cells (%d expected from the registries), want 36", len(combos), len(want))
+	}
+	for i := range combos {
+		if got := combos[i].label(); got != want[i] {
+			t.Fatalf("cell %d is %q, want %q", i, got, want[i])
+		}
+		if combos[i].Seed != 9 || combos[i].RateScale != 1 || combos[i].ShotScale != 1 || combos[i].DisablePreemption {
+			t.Fatalf("cell %d does not carry the shared fields and axis defaults: %+v", i, combos[i])
+		}
+	}
+	named, err := sweepCombos(&SweepConfig{Devices: 4, Routers: []string{"all"}, Schedulers: []string{"fifo"},
+		Admissions: []string{"accept-all"}})
+	if err != nil || len(named) != 3 {
+		t.Fatalf(`routers "all" expands to %d cells (%v), want the 3 cache-independent routers`, len(named), err)
+	}
+	if _, err := sweepCombos(&SweepConfig{Devices: 4, Routers: []string{"least-loaded", "warp"}}); err == nil {
+		t.Fatal("unknown router on the axis accepted")
+	}
+}
+
+// TestReplayLabelNamesEveryAxis: the one label behind sweep, saturate and
+// drain errors names every axis that left its default, so a stuck
+// edf × preempt=off cell is identifiable from the message alone.
+func TestReplayLabelNamesEveryAxis(t *testing.T) {
+	cfg := ReplayConfig{Devices: 1, Router: "least-loaded", Scheduler: "fair-share", Admission: "accept-all", Priority: "edf:production=90s",
+		DisablePreemption: true, RateScale: 8, ShotScale: 1.5}
+	if got, want := cfg.label(), "least-loaded/fair-share/accept-all/edf:production=90s/preempt=off fleet=1 rate=8 shot=1.5"; got != want {
+		t.Fatalf("label = %q, want %q", got, want)
+	}
+	// A backlog that cannot drain inside the grace reports that label.
+	tr := burstyTrace(t, 5, 2*time.Hour)
+	cfg.DrainGrace = time.Second
+	if _, err := Replay(tr, cfg); err == nil || !strings.Contains(err.Error(), cfg.label()) {
+		t.Fatalf("drain error %v does not carry the replay label %q", err, cfg.label())
 	}
 }
