@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick fuzz-smoke vet vet-trace check
+.PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick fuzz-smoke vet vet-trace check loc
 
 # Where bench-diff writes its fresh recording; override for parallel runs.
 BENCH_FRESH ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/hpcqc_bench_fresh.json
@@ -97,3 +97,17 @@ vet-trace:
 # byte-equality gate (harness-traced report == loadgen.Replay's) is the proof
 # that a refactor here left that surface and the reports intact.
 check: vet vet-trace build test test-race bench-e2e-quick
+
+# loc prints the figure every PR quotes in CHANGES.md, produced the same way
+# each time: net non-test Go lines per package since BASE by `git diff
+# --numstat` (run it after `git add -A`, or new files are not counted; a pure
+# move nets to zero within a package), then any non-test .go file over 800
+# lines.
+BASE ?= HEAD~1
+loc:
+	@git diff --numstat --no-renames $(BASE) -- '*.go' | awk '$$3 !~ /_test\.go$$/ { \
+		pkg = $$3; if (!sub(/\/[^\/]*$$/, "", pkg)) pkg = "."; \
+		add[pkg] += $$1; del[pkg] += $$2; A += $$1; D += $$2 } \
+		END { for (k in add) printf "%-32s %+6d  (+%d -%d)\n", k, add[k] - del[k], add[k], del[k] | "sort"; close("sort"); \
+		printf "%-32s %+6d  (+%d -%d)\n", "net non-test Go", A - D, A, D }'
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" && $$1 > 800 { printf "over 800 lines: %s (%d)\n", $$2, $$1 }'

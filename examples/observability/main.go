@@ -29,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 	dmn, err := daemon.NewDaemon(daemon.Config{
-		Device: dev, Clock: clk, AdminToken: "admin",
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "admin",
 		AllowedLowLevelOps: []string{"recalibrate", "qa_check"},
 		Registry:           reg, TSDB: tsdb,
 	})

@@ -307,59 +307,6 @@ func TestMalformedSubmitSparesQuota(t *testing.T) {
 	}
 }
 
-// TestRejectedHistoryBounded: a rejection flood keeps only the newest
-// records while the lifetime counter keeps counting.
-func TestRejectedHistoryBounded(t *testing.T) {
-	clk := simclock.New()
-	dev, err := device.New(device.Config{Clock: clk, Seed: 1, DriftInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDaemon(Config{
-		Device: dev, Clock: clk, AdminToken: "admin", Seed: 3,
-		Admission:       oneShotBucket(),
-		RejectedHistory: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := d.OpenSession("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Submit(s.Token, SubmitRequest{Program: payload(t, 50), Class: sched.ClassDev}); err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	for i := 0; i < 10; i++ {
-		_, err := d.Submit(s.Token, SubmitRequest{Program: payload(t, 50), Class: sched.ClassDev})
-		var rej *RejectedError
-		if !errors.As(err, &rej) {
-			t.Fatalf("submission %d not shed: %v", i, err)
-		}
-		ids = append(ids, rej.Job.ID)
-	}
-	if st := d.AdminStatus(); st.Rejected != 10 {
-		t.Fatalf("lifetime rejected = %d, want 10", st.Rejected)
-	}
-	// Only the newest 3 records remain queryable; older ones are pruned.
-	for _, id := range ids[len(ids)-3:] {
-		if _, err := d.JobStatus(s.Token, id); err != nil {
-			t.Fatalf("recent rejected record %s pruned: %v", id, err)
-		}
-	}
-	for _, id := range ids[:len(ids)-3] {
-		if _, err := d.JobStatus(s.Token, id); err == nil {
-			t.Fatalf("old rejected record %s not pruned", id)
-		}
-	}
-	// The session's job list is pruned with the records: one accepted job
-	// plus at most RejectedHistory rejected IDs.
-	if n := len(s.Jobs); n != 4 {
-		t.Fatalf("session job list has %d entries, want 4 (1 accepted + 3 retained rejects)", n)
-	}
-}
-
 // brokenPolicy returns a fixed decision regardless of the request —
 // exercising the daemon's Decision-contract enforcement.
 type brokenPolicy struct{ dec admission.Decision }
@@ -411,7 +358,7 @@ func TestOrderPolicyConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	order, _ := NewOrder("fair-share")
-	d, err := NewDaemon(Config{Device: dev, Clock: clk, Order: order})
+	d, err := NewDaemon(Config{Devices: []*device.Device{dev}, Clock: clk, Order: order})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func newEnv(t *testing.T) *testEnv {
 		t.Fatal(err)
 	}
 	d, err := NewDaemon(Config{
-		Device:           dev,
+		Devices:          []*device.Device{dev},
 		Clock:            clk,
 		AdminToken:       "admin-secret",
 		EnablePreemption: true,
@@ -194,7 +194,7 @@ func TestProductionPreemptsRunningDev(t *testing.T) {
 func TestNoPreemptionWhenDisabled(t *testing.T) {
 	clk := simclock.New()
 	dev, _ := device.New(device.Config{Clock: clk, Seed: 2})
-	d, _ := NewDaemon(Config{Device: dev, Clock: clk, AdminToken: "x", EnablePreemption: false})
+	d, _ := NewDaemon(Config{Devices: []*device.Device{dev}, Clock: clk, AdminToken: "x", EnablePreemption: false})
 	bob, _ := d.OpenSession("bob")
 	alice, _ := d.OpenSession("alice")
 	devJob, _ := d.Submit(bob.Token, SubmitRequest{Program: payload(t, 100), Class: sched.ClassDev})
@@ -269,7 +269,7 @@ func TestRefusedPushFailsJob(t *testing.T) {
 	j := d.jobs[queued.ID]
 	j.Class = sched.Class(9)
 	d.mu.Unlock()
-	if err := d.enqueue(ds, j); err == nil {
+	if err := d.push(ds, j); err == nil {
 		t.Fatal("queue accepted an invalid class")
 	}
 	got, err := d.JobStatus(s.Token, queued.ID)
@@ -349,7 +349,7 @@ func TestLowLevelMaintenanceOps(t *testing.T) {
 	clk := simclock.New()
 	dev, _ := device.New(device.Config{Clock: clk, Seed: 2})
 	d, _ := NewDaemon(Config{
-		Device: dev, Clock: clk, AdminToken: "x",
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "x",
 		AllowedLowLevelOps: []string{"maintenance_on", "maintenance_off"},
 	})
 	if _, err := d.LowLevelOp("maintenance_on"); err != nil {
@@ -410,7 +410,7 @@ func TestFairShareOrdersWithinClass(t *testing.T) {
 	clk := simclock.New()
 	dev, _ := device.New(device.Config{Clock: clk, Seed: 51})
 	d, _ := NewDaemon(Config{
-		Device: dev, Clock: clk, AdminToken: "x",
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "x",
 		EnablePreemption: true, Order: fairShareOrder{},
 	})
 	alice, _ := d.OpenSession("alice")
@@ -446,7 +446,7 @@ func TestFairShareOrdersWithinClass(t *testing.T) {
 func TestFIFOWithoutFairShare(t *testing.T) {
 	clk := simclock.New()
 	dev, _ := device.New(device.Config{Clock: clk, Seed: 52})
-	d, _ := NewDaemon(Config{Device: dev, Clock: clk, AdminToken: "x"})
+	d, _ := NewDaemon(Config{Devices: []*device.Device{dev}, Clock: clk, AdminToken: "x"})
 	alice, _ := d.OpenSession("alice")
 	bob, _ := d.OpenSession("bob")
 	hog, _ := d.Submit(alice.Token, SubmitRequest{Program: payload(t, 100), Class: sched.ClassDev})

@@ -13,7 +13,7 @@ func newGatedEnv(t *testing.T) *testEnv {
 	t.Helper()
 	env := newEnv(t)
 	d, err := NewDaemon(Config{
-		Device: env.dev, Clock: env.clk, AdminToken: "admin-secret",
+		Devices: []*device.Device{env.dev}, Clock: env.clk, AdminToken: "admin-secret",
 		EnablePreemption:   true,
 		AllowedLowLevelOps: []string{"recalibrate", "qa_check", "maintenance_on", "maintenance_off"},
 		Seed:               1,

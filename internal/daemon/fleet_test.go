@@ -370,6 +370,7 @@ func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
 	if item == nil || item.Payload.(*Job).ID != j.ID {
 		t.Fatalf("popped %+v, want %s", item, j.ID)
 	}
+	prog := item.Payload.(*Job).prog // read with the check, as dispatchOnce does
 	if err := env.d.CancelJob(s.Token, j.ID, false); err != nil {
 		t.Fatal(err)
 	}
@@ -384,10 +385,6 @@ func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
 		terminal[taskID] = state
 		env.d.onDeviceTask(deviceID, taskID, state)
 	})
-	prog, err := decodeAndValidate(item.Payload.(*Job).payload, ds.dev.Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
 	taskID, err := ds.dev.Submit(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -469,11 +466,11 @@ func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
 // first pick's in-flight slot already counts as load for the second.
 func TestRouteReservesInflightSlot(t *testing.T) {
 	env := newFleetEnv(t, 2, NewLeastLoadedRouter())
-	a, err := env.d.route(sched.ClassTest, "", "", nil, 0)
+	a, err := env.d.pick(sched.ClassTest, "", "", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := env.d.route(sched.ClassTest, "", "", nil, 0)
+	b, err := env.d.pick(sched.ClassTest, "", "", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +481,7 @@ func TestRouteReservesInflightSlot(t *testing.T) {
 	env.d.routeDone(b)
 	// Released reservations stop counting: the next pick ties back to the
 	// first partition.
-	c, err := env.d.route(sched.ClassTest, "", "", nil, 0)
+	c, err := env.d.pick(sched.ClassTest, "", "", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hpcqc/internal/device"
 	"hpcqc/internal/sched"
 )
 
@@ -12,7 +13,7 @@ func newHintEnv(t *testing.T) *testEnv {
 	t.Helper()
 	env := newEnv(t)
 	d, err := NewDaemon(Config{
-		Device:           env.dev,
+		Devices:          []*device.Device{env.dev},
 		Clock:            env.clk,
 		AdminToken:       "admin-secret",
 		EnablePreemption: true,
@@ -159,6 +160,16 @@ func TestSourceAccounting(t *testing.T) {
 	if rep.JobsBySource["slurm"] != 1 || rep.JobsBySource["cloud"] != 1 {
 		t.Fatalf("JobsBySource = %v", rep.JobsBySource)
 	}
+	// "Every job ever" outlives the records it counted.
+	drain(t, env)
+	env.clk.Advance(time.Hour)
+	env.d.Release()
+	if n := len(env.d.ListJobs()); n != 0 {
+		t.Fatalf("%d records left after Release, want the table empty", n)
+	}
+	if rep := env.d.AdminStatus(); rep.JobsBySource["slurm"] != 1 || rep.JobsBySource["cloud"] != 1 {
+		t.Fatalf("JobsBySource after eviction = %v", rep.JobsBySource)
+	}
 }
 
 // TestShortestFirstMeanWait is the ablation's core claim in miniature: on a
@@ -168,7 +179,7 @@ func TestShortestFirstMeanWait(t *testing.T) {
 	run := func(order OrderPolicy) (meanWait time.Duration) {
 		env := newEnv(t)
 		d, err := NewDaemon(Config{
-			Device: env.dev, Clock: env.clk, AdminToken: "x",
+			Devices: []*device.Device{env.dev}, Clock: env.clk, AdminToken: "x",
 			Order: order, Seed: 1,
 		})
 		if err != nil {

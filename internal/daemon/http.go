@@ -57,8 +57,7 @@ func (d *Daemon) Handler() http.Handler {
 		var req struct {
 			User string `json:"user"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		s, err := d.OpenSession(req.User)
@@ -76,7 +75,7 @@ func (d *Daemon) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "closed"})
 	}))
 	mux.HandleFunc("GET /api/v1/device", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		dev := d.primary().dev
+		dev := d.fleet[0].dev
 		writeJSON(w, http.StatusOK, map[string]any{
 			"id":          dev.ID(),
 			"spec":        dev.Spec(),
@@ -114,8 +113,7 @@ func (d *Daemon) Handler() http.Handler {
 			ExpectedQPUSeconds float64         `json:"expected_qpu_seconds"`
 			DeadlineSeconds    float64         `json:"deadline_seconds"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		class, err := parseClass(req.Class)
@@ -430,6 +428,28 @@ func parseClass(s string) (sched.Class, error) {
 	default:
 		return 0, fmt.Errorf("daemon: unknown class %q", s)
 	}
+}
+
+// maxBodyBytes caps a request body. Program payloads are pulse schedules of
+// kilobytes; a megabyte is room to spare and still nothing a flood of
+// oversized posts can turn into memory pressure.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v,
+// answering 413 for a larger one and 400 for a malformed one. It reports
+// whether the handler should go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, err)
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

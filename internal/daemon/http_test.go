@@ -38,7 +38,7 @@ func newHTTPEnv(t *testing.T) *httpEnv {
 		t.Fatal(err)
 	}
 	d, err := NewDaemon(Config{
-		Device: dev, Clock: clk, AdminToken: "root-token",
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "root-token",
 		EnablePreemption: true, Registry: reg, Seed: 4,
 	})
 	if err != nil {
@@ -254,6 +254,29 @@ func TestHTTPBadRequests(t *testing.T) {
 	code, _ = httpDo(t, "GET", env.ts.URL+"/api/v1/jobs/ghost", sess.Token, nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("ghost job: %d", code)
+	}
+}
+
+// TestHTTPBodyLimit: both endpoints that decode a request body stop reading
+// at maxBodyBytes and answer 413; a body just under the cap is still judged
+// on its content.
+func TestHTTPBodyLimit(t *testing.T) {
+	env := newHTTPEnv(t)
+	_, data := httpDo(t, "POST", env.ts.URL+"/api/v1/sessions", "", map[string]string{"user": "u"})
+	var sess Session
+	json.Unmarshal(data, &sess)
+	for _, tc := range []struct {
+		path, token, field string
+		pad, want          int
+	}{
+		{"/api/v1/sessions", "", "user", maxBodyBytes, http.StatusRequestEntityTooLarge},
+		{"/api/v1/jobs", sess.Token, "class", maxBodyBytes, http.StatusRequestEntityTooLarge},
+		{"/api/v1/jobs", sess.Token, "class", maxBodyBytes - 64, http.StatusBadRequest},
+	} {
+		body := map[string]string{tc.field: strings.Repeat("x", tc.pad)}
+		if code, out := httpDo(t, "POST", env.ts.URL+tc.path, tc.token, body); code != tc.want {
+			t.Fatalf("POST %s with a %d-byte field = %d, want %d: %.200s", tc.path, tc.pad, code, tc.want, out)
+		}
 	}
 }
 

@@ -3,8 +3,8 @@ package daemon
 // The submit→dispatch path is an explicit four-stage pipeline, each stage a
 // pluggable policy behind its own interface:
 //
-//	submission
-//	    │
+//	submission                                                   submit.go
+//	    │   validate — could any partition run this?
 //	    ▼
 //	[1] admission   admission.Policy — who enters the system, at what class
 //	    │               (registry admission.Policies; rejected jobs terminate
@@ -19,9 +19,19 @@ package daemon
 //	    │                fixed, the order acts within class), composed with a
 //	    │               PriorityPolicy — what urgency (registry Priorities)
 //	    ▼
-//	[4] dispatch    per-partition dispatch loop — when to run, whom to
-//	                    preempt (production preempts lower classes; serial
-//	                    per device, concurrent across the fleet)
+//	[4] dispatch    per-partition dispatch loop — when to run, whom to   dispatch.go
+//	    │               preempt (production preempts lower classes; serial
+//	    │                per device, concurrent across the fleet)
+//	    ▼
+//	    settle      device task → finish or requeue; cancel           settle.go
+//	    ▼
+//	    terminal    one transition for every ending (job.go), then   retention.go
+//	                    out of the table by one rule
+//
+// Submit walks stages 1–3 as named steps — validate, admit, route, enqueue —
+// over records minted by the one constructor in job.go; status.go is the read
+// side. This file holds the stage policies' interfaces and the admission
+// stage's view and feedback plumbing.
 //
 // Each registry (internal/policy) is the one list of its axis's policy names
 // and parameters; NewRouter, NewOrder, NewPriority and admission.NewPolicy are
@@ -30,7 +40,7 @@ package daemon
 // Stages 2–4 were already independent policy axes; stage 1 closes the loop:
 // the SLO signals dispatch produces (waits, slowdowns) feed back into
 // admission, which is the only stage that can act *before* overload damages
-// production latency. Submit in daemon.go walks the stages in order.
+// production latency.
 
 import (
 	"fmt"
@@ -146,9 +156,9 @@ func NewOrder(spec string) (OrderPolicy, error) { return Orders.New(spec) }
 // --- admission stage ---
 
 // RejectedError is Submit's error when the admission stage sheds the job.
-// Job is the terminal rejected record (queryable by its session like any
-// other job); Reason is the policy rationale. The HTTP layer renders it as
-// 429 Too Many Requests.
+// Job is a copy of the terminal rejected record (the record itself stays
+// queryable by its session like any other job); Reason is the policy
+// rationale. The HTTP layer renders it as 429 Too Many Requests.
 type RejectedError struct {
 	Job    *Job
 	Reason string
@@ -257,98 +267,12 @@ func (d *Daemon) retryAfterHint(class sched.Class) float64 {
 	return hint
 }
 
-// recordRejected creates the terminal rejected job record for a shed
-// submission and emits its lifecycle event. The record is owned by the
-// session like any accepted job, so status queries and the admin job listing
-// surface the rejection, its reason and the retry-after backoff hint.
-func (d *Daemon) recordRejected(s *Session, token string, req SubmitRequest, dec admission.Decision, retryAfter float64) *Job {
-	now := d.cfg.Clock.Now()
-	d.mu.Lock()
-	j := &Job{
-		ID:                 d.allocJobIDLocked(),
-		Session:            token,
-		User:               s.User,
-		Class:              req.Class,
-		RequestedClass:     req.Class,
-		Pattern:            req.Pattern,
-		Source:             defaultSource(req.Source),
-		Pinned:             req.Device != "",
-		ExpectedQPUSeconds: req.ExpectedQPUSeconds,
-		State:              JobRejected,
-		AdmissionOutcome:   string(admission.Rejected),
-		AdmissionReason:    dec.Reason,
-		RetryAfterSeconds:  retryAfter,
-		SubmittedAt:        now,
-		FinishedAt:         now,
+// feed sends one SLO signal back into the admission policy (stage 4 → stage
+// 1): a started job's queue wait, or a completed job's slowdown with
+// WaitSeconds −1. Caller may hold daemon locks; observers are leaf code that
+// must not call back in.
+func (d *Daemon) feed(sig admission.Signal) {
+	if d.admitObserver != nil {
+		d.admitObserver.Observe(sig)
 	}
-	d.jobs[j.ID] = j
-	s.Jobs = append(s.Jobs, j.ID)
-	d.rejectedTotal++
-	// Bound the retained records: admission absorbs floods, and the flood's
-	// rejection records must not become the new unbounded growth — neither
-	// in d.jobs nor in the owning session's job list. Counters, telemetry
-	// and lifecycle events still see every shed; only the oldest queryable
-	// records go (their IDs then read as unknown jobs).
-	d.rejectedIDs = append(d.rejectedIDs, j.ID)
-	if n := len(d.rejectedIDs) - d.cfg.RejectedHistory; n > 0 {
-		for _, id := range d.rejectedIDs[:n] {
-			old := d.jobs[id]
-			if old == nil {
-				continue
-			}
-			if os := d.sessions[old.Session]; os != nil {
-				os.Jobs = removeJobID(os.Jobs, id)
-			}
-			delete(d.jobs, id)
-		}
-		d.rejectedIDs = append(d.rejectedIDs[:0:0], d.rejectedIDs[n:]...)
-	}
-	if d.mJobs != nil {
-		if b := d.bJobs[j.Class][JobRejected]; b != nil {
-			b.Inc(1)
-		} else {
-			d.mJobs.Inc(telemetry.Labels{"class": j.Class.String(), "state": string(JobRejected)}, 1)
-		}
-	}
-	d.notify(JobEventRejected, *j)
-	d.mu.Unlock()
-	return j
-}
-
-// removeJobID filters one ID out of a session's job list in place.
-func removeJobID(ids []string, id string) []string {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
-}
-
-// feedWait feeds a started job's queue wait back into the admission policy
-// (stage 4 → stage 1 feedback). Caller may hold daemon locks; observers are
-// leaf code that must not call back in.
-func (d *Daemon) feedWait(class sched.Class, wait time.Duration, at time.Duration) {
-	if d.admitObserver == nil {
-		return
-	}
-	d.admitObserver.Observe(admission.Signal{
-		Class:       class,
-		At:          at,
-		WaitSeconds: wait.Seconds(),
-		Slowdown:    0,
-	})
-}
-
-// feedSlowdown feeds a completed job's slowdown into the admission policy.
-func (d *Daemon) feedSlowdown(class sched.Class, slowdown float64, at time.Duration) {
-	if d.admitObserver == nil || slowdown <= 0 {
-		return
-	}
-	d.admitObserver.Observe(admission.Signal{
-		Class:       class,
-		At:          at,
-		WaitSeconds: -1,
-		Slowdown:    slowdown,
-	})
 }

@@ -1,0 +1,196 @@
+package daemon
+
+// How a dispatched job comes back: device task notifications settle into a
+// finish or a requeue, and cancellation cuts a job short. Every ending goes
+// through finishLocked (job.go).
+
+import (
+	"errors"
+	"fmt"
+
+	"hpcqc/internal/device"
+	"hpcqc/internal/trace"
+)
+
+// onDeviceTask is the fleet-wide device listener: terminal device tasks are
+// routed to their partition by device ID, then finish or requeue their
+// daemon job and trigger that partition's next dispatch.
+func (d *Daemon) onDeviceTask(deviceID, taskID string, state device.TaskState) {
+	ds, ok := d.byDevice[deviceID]
+	if !ok {
+		return
+	}
+	ds.mu.Lock()
+	j, ok := ds.byTask[taskID]
+	if !ok {
+		// While a submission is in flight, this may be its terminal state
+		// racing ahead of registration — buffer it for startJob to
+		// consume. Otherwise the task is not ours (e.g. a pre-existing
+		// task on a FleetOf-wrapped device); ignore it.
+		if ds.submitting {
+			ds.orphans[taskID] = state
+		}
+		ds.mu.Unlock()
+		return
+	}
+	delete(ds.byTask, taskID)
+	if ds.running == j {
+		ds.running = nil
+		if d.spanMarks {
+			// Close the partition's busy occupancy span (ds.mu is held).
+			now := d.cfg.Clock.Now()
+			d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageBusy, Class: j.Class.String(),
+				Device: ds.id, Start: ds.occSince, End: now})
+			ds.occSince = now
+		}
+	}
+	ds.mu.Unlock()
+	d.settleTask(ds, j, taskID, state)
+}
+
+// settleTask finalizes or requeues a job whose device task reached a
+// terminal state, then re-dispatches the partition.
+func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device.TaskState) {
+	switch state {
+	case device.TaskCompleted, device.TaskFailed:
+		res, err := ds.dev.TaskResult(taskID)
+		d.mu.Lock()
+		if state == device.TaskCompleted && err == nil {
+			d.usageByUser[j.User] += res.QPUSeconds
+			j.res = res
+			d.finishLocked(j, JobCompleted, nil)
+		} else {
+			d.finishLocked(j, JobFailed, err)
+		}
+		d.mu.Unlock()
+	case device.TaskCancelled:
+		d.mu.Lock()
+		preempted := j.Preemptions > 0 && j.State == JobRunning
+		wasCancelled := j.State == JobCancelled
+		if preempted {
+			j.State = JobQueued
+			j.DeviceTask = ""
+			now := d.cfg.Clock.Now()
+			j.enqueuedAt = now
+			if d.traced() {
+				cls := j.Class.String()
+				d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageExecute, Class: cls, Device: ds.id,
+					Start: j.StartedAt, End: now, Detail: "preempted"})
+				if d.spanMarks {
+					d.emitSpan(trace.Span{Job: j.ID, Stage: trace.MarkPreempted, Class: cls, Device: ds.id,
+						Start: now, End: now})
+				}
+			}
+		}
+		d.mu.Unlock()
+		if preempted {
+			// Cross-partition requeue: if another idle partition can take the
+			// victim, re-route it through the router rather than pinning it
+			// behind the production job that evicted it. Seniority (original
+			// submit time) is preserved inside its class by FIFO on re-push.
+			target := d.requeuePartition(j, ds)
+			d.mu.Lock()
+			if target != ds {
+				j.Device = target.id
+			}
+			d.notify(JobEventRequeued, *j)
+			if d.spanMarks {
+				d.emitSpan(trace.Span{Job: j.ID, Stage: trace.MarkRequeued, Class: j.Class.String(),
+					Device: target.id, Start: j.enqueuedAt, End: j.enqueuedAt})
+			}
+			d.mu.Unlock()
+			_ = d.push(target, j) // a refused push has failed the job
+			if target != ds {
+				d.routeDone(target)
+				d.dispatchDevice(target)
+			}
+		} else if !wasCancelled {
+			d.finishJob(j, JobCancelled, nil)
+		}
+	}
+	// The job now carries everything the task had to say (result, error,
+	// timing): the daemon forgets a device task when it settles it, or every
+	// finished task's program, result and clock event would outlive the job.
+	ds.dev.Forget(taskID)
+	d.emitQueueTelemetry()
+	d.dispatchDevice(ds)
+}
+
+// requeuePartition picks where a preempted job waits next. The job stays on
+// its original partition unless it is unpinned, the fleet has more than one
+// partition, AND some other same-spec partition is completely idle — then the
+// router re-picks from a fresh fleet snapshot (the first ROADMAP follow-up:
+// work lost to preemption flows to idle capacity instead of queueing behind
+// its preemptor). The router's pick is honored only when it lands on such an
+// idle partition: a load-blind pick (round-robin pointing at a backlogged
+// partition) must not strand the victim somewhere worse than where it was.
+// When a move happens the returned partition carries an in-flight reservation
+// the caller must release with routeDone after the queue push.
+func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
+	if len(d.fleet) == 1 || j.Pinned {
+		return orig
+	}
+	d.routeMu.Lock()
+	defer d.routeMu.Unlock()
+	origSpec := orig.dev.Spec().Name
+	infos := d.fleetInfosLocked()
+	// idleTarget reports whether partition i can absorb the victim now: not
+	// the original, online, zero load, and the same spec the job's program
+	// was validated against (heterogeneous fleets may mix specs).
+	idleTarget := func(i int) bool {
+		ds := d.fleet[i]
+		return ds != orig && infos[i].Status == device.StatusOnline &&
+			infos[i].load() == 0 && ds.dev.Spec().Name == origSpec
+	}
+	idleElsewhere := false
+	for i := range infos {
+		if idleTarget(i) {
+			idleElsewhere = true
+			break
+		}
+	}
+	if !idleElsewhere {
+		return orig
+	}
+	idx := d.router.Pick(&Job{Class: j.Class, Pattern: j.Pattern, prog: j.prog, progHash: j.progHash}, infos)
+	if idx < 0 || idx >= len(d.fleet) || !idleTarget(idx) {
+		return orig
+	}
+	target := d.fleet[idx]
+	target.mu.Lock()
+	target.inflight++
+	target.mu.Unlock()
+	return target
+}
+
+// CancelJob cancels a queued or running job. Sessions may cancel their own
+// jobs; admin-initiated cancellations pass force=true.
+func (d *Daemon) CancelJob(token, jobID string, force bool) error {
+	d.mu.Lock()
+	j, ok := d.jobs[jobID]
+	if !ok {
+		d.mu.Unlock()
+		return fmt.Errorf("daemon: unknown job %q", jobID)
+	}
+	if !force && j.Session != token {
+		d.mu.Unlock()
+		return errors.New("daemon: job belongs to another session")
+	}
+	// Flip to cancelled under the same lock hold as the state check, before
+	// touching the partition: a concurrent dispatcher popping the item sees
+	// the terminal state and skips it, and settleTask does not requeue a
+	// device task withdrawn for a job already marked.
+	state, taskID, ds := j.State, j.DeviceTask, d.byDevice[j.Device]
+	cancelled := d.finishLocked(j, JobCancelled, nil)
+	d.mu.Unlock()
+	switch {
+	case !cancelled:
+		return fmt.Errorf("daemon: job %s already %s", jobID, state)
+	case state == JobQueued:
+		ds.queue.Remove(jobID) // best-effort; dispatch drops a stale head
+	default:
+		_ = ds.dev.Cancel(taskID)
+	}
+	d.emitQueueTelemetry()
+	return nil
+}

@@ -1,0 +1,327 @@
+package daemon
+
+// Read paths and the admin plane: job status and results for sessions, the
+// node overview, gated low-level controls, queue telemetry.
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"maps"
+	"sort"
+	"time"
+
+	"hpcqc/internal/device"
+	"hpcqc/internal/qrmi"
+	"hpcqc/internal/sched"
+	"hpcqc/internal/telemetry"
+)
+
+// RouterName reports the active routing policy.
+func (d *Daemon) RouterName() string { return d.router.Name() }
+
+// AdmissionName reports the active admission policy.
+func (d *Daemon) AdmissionName() string { return d.admitter.Name() }
+
+// OrderName reports the active within-class queueing order.
+func (d *Daemon) OrderName() string { return d.order.Name() }
+
+// PriorityName reports the active priority (dynamic-urgency) policy.
+func (d *Daemon) PriorityName() string { return d.priority.Name() }
+
+// priorityStatusName renders the priority axis for status reports: empty
+// under the constant default, so reports predating the axis are unchanged.
+func (d *Daemon) priorityStatusName() string {
+	if name := d.priority.Name(); name != Priorities.Default() {
+		return name
+	}
+	return ""
+}
+
+// ownedJobLocked resolves a job ID for the session asking. Another session's
+// job, an evicted one and one that never existed all read the same: unknown.
+// Caller holds d.mu.
+func (d *Daemon) ownedJobLocked(token, jobID string) (*Job, error) {
+	if _, ok := d.sessions[token]; !ok {
+		return nil, errors.New("daemon: invalid session token")
+	}
+	j, ok := d.jobs[jobID]
+	if !ok || j.Session != token {
+		return nil, fmt.Errorf("daemon: unknown job %q", jobID)
+	}
+	return j, nil
+}
+
+// JobStatus returns a session's view of a job.
+func (d *Daemon) JobStatus(token, jobID string) (*Job, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	j, err := d.ownedJobLocked(token, jobID)
+	if err != nil {
+		return nil, err
+	}
+	cp := *j
+	return &cp, nil
+}
+
+// JobResult returns the serialized result of a completed job. State and
+// result are read under one lock hold: between two, retention could evict
+// the record.
+func (d *Daemon) JobResult(token, jobID string) ([]byte, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	j, err := d.ownedJobLocked(token, jobID)
+	if err != nil {
+		return nil, err
+	}
+	switch j.State {
+	case JobCompleted:
+		if j.result == nil && j.res != nil {
+			if j.result, err = json.Marshal(j.res); err != nil {
+				return nil, err
+			}
+		}
+		return j.result, nil
+	case JobFailed:
+		return nil, fmt.Errorf("daemon: job failed: %s", j.Error)
+	case JobCancelled:
+		return nil, errors.New("daemon: job was cancelled")
+	default:
+		return nil, qrmi.ErrResultNotReady
+	}
+}
+
+// --- admin plane ---
+
+// AdminAuthorized checks the admin token.
+func (d *Daemon) AdminAuthorized(token string) bool {
+	return d.cfg.AdminToken != "" && token == d.cfg.AdminToken
+}
+
+// DeviceReport is the per-partition slice of the admin overview: the device
+// snapshot (which carries status and utilization) plus this partition's
+// daemon-level queue depths.
+type DeviceReport struct {
+	ID           string          `json:"id"`
+	Device       device.Snapshot `json:"device"`
+	QueuedByName map[string]int  `json:"queued_by_class"`
+	Running      string          `json:"running_job,omitempty"`
+}
+
+// StatusReport is the admin overview. The top-level Device/QueuedByName/
+// Running fields aggregate the fleet (Device is the first partition, kept
+// for single-device consumers); Devices carries the per-partition detail.
+type StatusReport struct {
+	Device  device.Snapshot `json:"device"`
+	Devices []DeviceReport  `json:"devices"`
+	Router  string          `json:"router"`
+	// Admission and Scheduler name the other two policy axes of the submit
+	// pipeline (stage 1 and stage 3); Rejected counts submissions the
+	// admission stage shed over the daemon's lifetime.
+	Admission string `json:"admission"`
+	Scheduler string `json:"scheduler"`
+	// Priority names the dynamic-urgency axis composing with the scheduler
+	// order (omitted for the constant default).
+	Priority     string                   `json:"priority,omitempty"`
+	Rejected     int                      `json:"rejected_total"`
+	Sessions     int                      `json:"sessions"`
+	QueuedByName map[string]int           `json:"queued_by_class"`
+	Running      string                   `json:"running_job,omitempty"`
+	Preemptions  int                      `json:"preemptions_total"`
+	MeanWait     map[string]time.Duration `json:"mean_wait_by_class"`
+	// JobsBySource counts every job ever submitted per intake path, shed
+	// ones included, so the hosting site can see how much work arrives via
+	// Slurm versus a cloud interface (§3.3 envisions multiple sources
+	// feeding one daemon).
+	JobsBySource map[string]int `json:"jobs_by_source"`
+}
+
+// AdminStatus summarizes the whole node.
+func (d *Daemon) AdminStatus() StatusReport {
+	rep := StatusReport{
+		Router:       d.router.Name(),
+		Admission:    d.admitter.Name(),
+		Scheduler:    d.order.Name(),
+		Priority:     d.priorityStatusName(),
+		QueuedByName: map[string]int{"production": 0, "test": 0, "dev": 0},
+		MeanWait:     make(map[string]time.Duration),
+	}
+	for _, ds := range d.fleet {
+		dr := DeviceReport{
+			ID:           ds.id,
+			Device:       ds.dev.AdminSnapshot(),
+			QueuedByName: queueLens(ds.queue),
+		}
+		ds.mu.Lock()
+		if ds.running != nil {
+			dr.Running = ds.running.ID
+		}
+		ds.mu.Unlock()
+		for name, n := range dr.QueuedByName {
+			rep.QueuedByName[name] += n
+		}
+		if rep.Running == "" && dr.Running != "" {
+			rep.Running = dr.Running
+		}
+		rep.Devices = append(rep.Devices, dr)
+	}
+	rep.Device = rep.Devices[0].Device
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rep.Sessions = len(d.sessions)
+	rep.Preemptions = d.preemptTotal
+	rep.Rejected = d.rejectedTotal
+	rep.JobsBySource = maps.Clone(d.jobsBySource)
+	for class, n := range d.waitCount {
+		if n > 0 {
+			rep.MeanWait[class.String()] = d.waitSum[class] / time.Duration(n)
+		}
+	}
+	return rep
+}
+
+// ListJobs returns a snapshot of every record in the job table — the jobs in
+// flight and the retained history — newest first, for the admin plane.
+func (d *Daemon) ListJobs() []*Job {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]*Job, 0, len(d.jobs))
+	for _, j := range d.jobs {
+		cp := *j
+		out = append(out, &cp)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].SubmittedAt > out[b].SubmittedAt })
+	return out
+}
+
+// LowLevelOp executes a gated low-level control operation (§2.5) across the
+// whole fleet: only allowlisted operations pass, providing the safeguard
+// indirection the paper argues must live at the daemon.
+func (d *Daemon) LowLevelOp(op string) (string, error) {
+	return d.lowLevelOp(op, d.fleet)
+}
+
+// LowLevelOpDevice executes a gated low-level control operation on one named
+// partition.
+func (d *Daemon) LowLevelOpDevice(op, deviceID string) (string, error) {
+	ds, err := d.lookupDevice(deviceID)
+	if err != nil {
+		return "", err
+	}
+	return d.lowLevelOp(op, []*deviceState{ds})
+}
+
+func (d *Daemon) lowLevelOp(op string, targets []*deviceState) (string, error) {
+	allowed := false
+	for _, a := range d.cfg.AllowedLowLevelOps {
+		if a == op {
+			allowed = true
+			break
+		}
+	}
+	if !allowed {
+		return "", fmt.Errorf("daemon: low-level op %q not allowed on this site (allowed: %v)", op, d.cfg.AllowedLowLevelOps)
+	}
+	switch op {
+	case "recalibrate":
+		for _, ds := range targets {
+			ds.dev.Recalibrate()
+		}
+		return "recalibrated", nil
+	case "qa_check":
+		healthy := true
+		for _, ds := range targets {
+			if !ds.dev.RunQACheck() {
+				healthy = false
+			}
+		}
+		if healthy {
+			return "qa passed", nil
+		}
+		return "qa failed: device degraded", nil
+	case "maintenance_on":
+		for _, ds := range targets {
+			ds.dev.StartMaintenance()
+		}
+		return "maintenance started", nil
+	case "maintenance_off":
+		for _, ds := range targets {
+			ds.dev.EndMaintenance()
+			d.dispatchDevice(ds)
+		}
+		return "maintenance ended", nil
+	default:
+		return "", fmt.Errorf("daemon: low-level op %q allowlisted but not implemented", op)
+	}
+}
+
+func (d *Daemon) emitQueueTelemetry() {
+	if d.mQueueLen == nil && d.cfg.TSDB == nil {
+		return
+	}
+	classes := []sched.Class{sched.ClassDev, sched.ClassTest, sched.ClassProduction}
+	now := d.cfg.Clock.Now()
+	totals := make(map[sched.Class]float64, len(classes))
+	for _, ds := range d.fleet {
+		for _, c := range classes {
+			n := float64(ds.queue.LenClass(c))
+			totals[c] += n
+			ds.gQueue[c].Set(n)
+			if d.cfg.TSDB != nil {
+				d.cfg.TSDB.Append("daemon_device_queue_length",
+					telemetry.Labels{"device": ds.id, "class": c.String()}, now, n)
+			}
+		}
+		if ds.gUtil != nil {
+			ds.gUtil.Set(ds.dev.Utilization())
+		}
+	}
+	for _, c := range classes {
+		d.bQueueTotal[c].Set(totals[c])
+		if d.cfg.TSDB != nil {
+			d.cfg.TSDB.Append("daemon_queue_length", telemetry.Labels{"class": c.String()}, now, totals[c])
+		}
+	}
+}
+
+// QueueLengths reports current queue depth by class, summed over the fleet.
+func (d *Daemon) QueueLengths() map[string]int {
+	out := map[string]int{"production": 0, "test": 0, "dev": 0}
+	for _, ds := range d.fleet {
+		for name, n := range queueLens(ds.queue) {
+			out[name] += n
+		}
+	}
+	return out
+}
+
+// CacheStatsByDevice snapshots each partition's program-cache counters, or
+// nil when program caching is disabled.
+func (d *Daemon) CacheStatsByDevice() map[string]*CacheStats {
+	if d.cfg.ProgramCache <= 0 {
+		return nil
+	}
+	out := make(map[string]*CacheStats, len(d.fleet))
+	for _, ds := range d.fleet {
+		out[ds.id] = ds.cache.stats()
+	}
+	return out
+}
+
+// QueueLengthsByDevice reports per-partition queue depth by class.
+func (d *Daemon) QueueLengthsByDevice() map[string]map[string]int {
+	out := make(map[string]map[string]int, len(d.fleet))
+	for _, ds := range d.fleet {
+		out[ds.id] = queueLens(ds.queue)
+	}
+	return out
+}
+
+// queueLens snapshots a partition queue's depth by class name.
+func queueLens(q *sched.ClassQueue) map[string]int {
+	return map[string]int{
+		"production": q.LenClass(sched.ClassProduction),
+		"test":       q.LenClass(sched.ClassTest),
+		"dev":        q.LenClass(sched.ClassDev),
+	}
+}

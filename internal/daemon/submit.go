@@ -1,0 +1,364 @@
+package daemon
+
+// The intake half of the pipeline (see pipeline.go): Submit walks a
+// submission through validate → admit → route → enqueue, then hands the
+// partition to dispatch.go.
+
+import (
+	"fmt"
+	"time"
+
+	"hpcqc/internal/admission"
+	"hpcqc/internal/qir"
+	"hpcqc/internal/sched"
+	"hpcqc/internal/trace"
+)
+
+// SubmitRequest is a job submission.
+type SubmitRequest struct {
+	// Program is the serialized qir.Program payload.
+	Program []byte
+	// Class is the queue class; use ClassFromSlurmPriority when the job
+	// arrives from a Slurm allocation.
+	Class sched.Class
+	// Pattern is the optional Table 1 workload hint.
+	Pattern sched.Pattern
+	// Source labels the submission path ("slurm", "cloud", …). Empty
+	// defaults to "slurm", the primary intake the paper describes.
+	Source string
+	// Device pins the job to a named fleet partition, bypassing the
+	// router. Empty lets the router pick.
+	Device string
+	// ExpectedQPUSeconds optionally declares how long the job will hold
+	// the QPU. When zero the daemon estimates it from the program and the
+	// target device spec, so the hint is always available to the
+	// shortest-first policy.
+	ExpectedQPUSeconds float64
+	// DeadlineSeconds optionally declares the submitter's completion
+	// deadline, in seconds from submission. Zero means none: the job is
+	// scored against per-class fallback contracts by deadline-aware
+	// priority policies and excluded from deadline-hit accounting.
+	DeadlineSeconds float64
+}
+
+// submission is one Submit call's working state as it moves through the
+// stages.
+type submission struct {
+	req  SubmitRequest
+	sess *Session
+	// prog is the decoded program and progHash its fingerprint; spec is the
+	// device spec it was validated against.
+	prog     *qir.Program
+	progHash uint64
+	spec     *qir.DeviceSpec
+	// estimated marks req.ExpectedQPUSeconds as the daemon's own estimate
+	// rather than the submitter's declaration.
+	estimated bool
+	// dec is the door's verdict; its Class is the class the record carries.
+	dec admission.Decision
+
+	// Stage spans carry the job ID, which exists only once the record is
+	// minted — after admission for a shed job, after routing for an accepted
+	// one. Each stage files its span here as it ends (stageDone) and
+	// newJobLocked emits them. In pure replay the stages collapse to instants
+	// (the clock does not advance inside Submit); under the live wall-clock
+	// pump they carry real deliberation time. mark is when the current stage
+	// began.
+	traced bool
+	mark   time.Duration
+	spans  [3]trace.Span
+	nspans int
+}
+
+// stageDone ends the submission's current pipeline stage, filing its span.
+func (d *Daemon) stageDone(sub *submission, stage trace.Stage, device, detail string) {
+	if !sub.traced {
+		return
+	}
+	now := d.cfg.Clock.Now()
+	sub.spans[sub.nspans] = trace.Span{Stage: stage, Device: device, Start: sub.mark, End: now, Detail: detail}
+	sub.nspans++
+	sub.mark = now
+}
+
+// Submit walks a submission through the pipeline stages (see pipeline.go):
+// validation checks that some partition could run it, admission decides
+// whether — and at what class — the job enters, routing picks its partition,
+// queueing inserts it under the within-class order, and dispatch runs the
+// partition's loop. A shed submission returns a *RejectedError carrying a
+// copy of the terminal rejected job record.
+func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
+	s, err := d.session(token)
+	if err != nil {
+		return nil, err
+	}
+	sub := submission{req: req, sess: s}
+	if d.traced() {
+		sub.traced, sub.mark = true, d.cfg.Clock.Now()
+	}
+	if err := d.validate(&sub); err != nil {
+		return nil, err
+	}
+	if err := d.admit(&sub); err != nil {
+		return nil, err
+	}
+	if sub.dec.Outcome == admission.Rejected {
+		return nil, d.shed(&sub)
+	}
+	ds, err := d.route(&sub)
+	if err != nil {
+		return nil, err
+	}
+	j, err := d.enqueue(&sub, ds)
+	if err != nil {
+		return nil, err
+	}
+	d.emitQueueTelemetry()
+	d.dispatchDevice(ds)
+	// Copy through the pointer, not the table: on a daemon with a short
+	// History a fast job may already have finished and been evicted.
+	d.mu.Lock()
+	cp := *j
+	d.mu.Unlock()
+	return &cp, nil
+}
+
+// validate is the stage before the door: request sanity, decode, and a
+// check that some partition could run the program. It precedes admission so a
+// submission no partition could run (bad pin, undecodable or invalid program)
+// cannot drain a stateful policy's quota: tokens are spent only on
+// submissions some partition could execute. The pinned device's spec is
+// authoritative for pins; otherwise any one fleet spec accepting the program
+// suffices. Residual (heterogeneous fleets only): a spec-blind router may
+// still land on a partition whose re-check in route fails after admission
+// spent the token — capability-aware routing is the open ROADMAP fix.
+func (d *Daemon) validate(sub *submission) error {
+	req := &sub.req
+	if req.Class < sched.ClassDev || req.Class > sched.ClassProduction {
+		return fmt.Errorf("daemon: invalid class %d", req.Class)
+	}
+	if req.ExpectedQPUSeconds < 0 {
+		return fmt.Errorf("daemon: negative expected QPU seconds %g", req.ExpectedQPUSeconds)
+	}
+	if req.DeadlineSeconds < 0 {
+		return fmt.Errorf("daemon: negative deadline seconds %g", req.DeadlineSeconds)
+	}
+	var err error
+	if sub.prog, sub.progHash, err = cachedProgram(req.Program); err != nil {
+		return err
+	}
+	if req.Device != "" {
+		pinned, unknown := d.lookupDevice(req.Device)
+		if unknown != nil {
+			return unknown
+		}
+		sub.spec = &pinned.spec
+		err = qir.ValidateCached(sub.prog, sub.spec)
+	} else {
+		// Partitions sharing a spec share its verdict: skip repeats of the
+		// spec that just refused, which is the whole scan on a homogeneous
+		// fleet.
+		for _, ds := range d.fleet {
+			if err != nil && ds.spec.Name == sub.spec.Name {
+				continue
+			}
+			sub.spec = &ds.spec
+			if err = qir.ValidateCached(sub.prog, sub.spec); err == nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("daemon: program rejected: %w", err)
+	}
+	// Resolve the duration hint before admission too, so policies — and the
+	// terminal record of a shed submission — see the daemon's estimate, not
+	// a missing hint. route re-derives it if it lands on a different spec.
+	if sub.estimated = req.ExpectedQPUSeconds == 0; sub.estimated {
+		req.ExpectedQPUSeconds = sub.prog.EstimatedQPUSeconds(sub.spec)
+	}
+	d.stageDone(sub, trace.StageValidate, "", "")
+	return nil
+}
+
+// admit is stage 1: the door. Pins bypass the router, not the door. The
+// Decision contract is enforced on custom policies before the class is acted
+// on: Accepted keeps the requested class (the zero Class value is ClassDev,
+// so an unset field must not silently down-class the job), Downgraded must go
+// strictly down and stay in range. A shed job is recorded at the class it
+// asked for.
+func (d *Daemon) admit(sub *submission) error {
+	req := &sub.req
+	dec := d.admitStage(sub.req, sub.sess.User)
+	switch {
+	case dec.Outcome == admission.Rejected:
+		dec.Class = req.Class
+	case dec.Outcome == admission.Accepted && dec.Class != req.Class:
+		return fmt.Errorf("daemon: admission policy %q accepted a %s job at class %d (use the Downgraded outcome to change class)",
+			d.admitter.Name(), req.Class, dec.Class)
+	case dec.Outcome == admission.Downgraded && (dec.Class < sched.ClassDev || dec.Class >= req.Class):
+		return fmt.Errorf("daemon: admission policy %q downgraded a %s job to invalid class %d",
+			d.admitter.Name(), req.Class, dec.Class)
+	case dec.Outcome != admission.Accepted && dec.Outcome != admission.Downgraded:
+		return fmt.Errorf("daemon: admission policy %q returned unknown outcome %q", d.admitter.Name(), dec.Outcome)
+	}
+	sub.dec = dec
+	if sub.traced {
+		d.stageDone(sub, trace.StageAdmission, "", d.admissionDetail(dec))
+	}
+	return nil
+}
+
+// shed ends a submission the door refused. It still gets a record — minted
+// and turned terminal in one lock hold — owned by its session like any
+// accepted job, so status queries and the admin listing surface the
+// rejection, its reason and the retry-after backoff hint.
+func (d *Daemon) shed(sub *submission) error {
+	hint := d.retryAfterHint(sub.req.Class)
+	d.mu.Lock()
+	j := d.newJobLocked(sub, "")
+	j.RetryAfterSeconds = hint
+	d.finishLocked(j, JobRejected, nil)
+	cp := *j
+	d.mu.Unlock()
+	return &RejectedError{Job: &cp, Reason: sub.dec.Reason}
+}
+
+// route is stage 2: pick the partition, reserving an in-flight slot on it
+// that enqueue releases, and settle what depends on the pick.
+func (d *Daemon) route(sub *submission) (*deviceState, error) {
+	req := &sub.req
+	ds, err := d.pick(sub.dec.Class, req.Pattern, req.Device, sub.prog, sub.progHash)
+	if err != nil {
+		return nil, err
+	}
+	// Heterogeneous fleets only: the router may land on a different spec
+	// than the one validated pre-admission. Re-check so users get immediate
+	// feedback instead of a failed device task later, and re-derive a
+	// daemon-made duration estimate against the device that will actually
+	// run the job (a submitter-declared hint is never touched).
+	if ds.spec.Name != sub.spec.Name {
+		if err := qir.ValidateCached(sub.prog, &ds.spec); err != nil {
+			d.routeDone(ds)
+			return nil, fmt.Errorf("daemon: program rejected: %w", err)
+		}
+		if sub.estimated {
+			req.ExpectedQPUSeconds = sub.prog.EstimatedQPUSeconds(&ds.spec)
+		}
+	}
+	// Tighten the daemon-made estimate with the setup model: a cold dispatch
+	// occupies the device for setup + execution, so the hint the shortest-
+	// first order and admission policies see should include it — unless the
+	// routed partition is already warm for this program, in which case the
+	// hit will skip setup and the bare execution estimate is the tight one.
+	// (Submitter-declared hints are never touched; SetupSeconds > 0 implies
+	// caching is on, so the cache-less path is unchanged.)
+	if sub.estimated && d.cfg.SetupSeconds > 0 && !ds.cache.contains(sub.progHash) {
+		req.ExpectedQPUSeconds += d.cfg.SetupSeconds
+	}
+	if sub.traced {
+		detail := d.router.Name()
+		if req.Device != "" {
+			detail = "pinned"
+		}
+		d.stageDone(sub, trace.StageRoute, ds.id, detail)
+	}
+	return ds, nil
+}
+
+// pick chooses the target partition and reserves an in-flight slot on it (the
+// caller must release via routeDone once the job is enqueued or abandoned).
+// An explicit pin wins; otherwise the router chooses from a point-in-time
+// fleet snapshot whose load view includes other submissions still in flight.
+// The chosen class, pattern and program identity travel on a throwaway job
+// record so routers can specialize — the affinity scorer probes partition
+// caches by fingerprint, the capability scorer validates the decoded program
+// — without the daemon pre-creating the real one.
+func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pin string, prog *qir.Program, progHash uint64) (*deviceState, error) {
+	d.routeMu.Lock()
+	defer d.routeMu.Unlock()
+	var picked *deviceState
+	switch {
+	case pin != "":
+		ds, err := d.lookupDevice(pin)
+		if err != nil {
+			return nil, err
+		}
+		picked = ds
+	case len(d.fleet) == 1:
+		picked = d.fleet[0]
+	default:
+		idx := d.router.Pick(&Job{Class: class, Pattern: pattern, prog: prog, progHash: progHash}, d.fleetInfosLocked())
+		if idx < 0 || idx >= len(d.fleet) {
+			return nil, fmt.Errorf("daemon: router %q picked invalid device index %d", d.router.Name(), idx)
+		}
+		picked = d.fleet[idx]
+	}
+	picked.mu.Lock()
+	picked.inflight++
+	picked.mu.Unlock()
+	return picked, nil
+}
+
+// fleetInfosLocked builds the router's point-in-time fleet load view — the
+// single definition shared by routing and requeue, so the two can never
+// disagree about what counts as load. Caller must hold routeMu.
+func (d *Daemon) fleetInfosLocked() []DeviceInfo {
+	infos := make([]DeviceInfo, len(d.fleet))
+	for i, ds := range d.fleet {
+		info := DeviceInfo{
+			ID:     ds.id,
+			Index:  i,
+			Status: ds.dev.Status(),
+			cache:  ds.cache,
+			spec:   &ds.spec,
+		}
+		ds.mu.Lock()
+		info.Queued = ds.queue.Len() + ds.inflight
+		if ds.running != nil {
+			info.Busy = true
+			info.RunningClass = ds.running.Class
+		}
+		ds.mu.Unlock()
+		infos[i] = info
+	}
+	return infos
+}
+
+// routeDone releases a route reservation once the job is in the partition's
+// queue (visible to the next routing snapshot) or the submission failed.
+func (d *Daemon) routeDone(ds *deviceState) {
+	ds.mu.Lock()
+	ds.inflight--
+	ds.mu.Unlock()
+}
+
+// enqueue is stage 3: mint the record on its partition and put it on that
+// partition's ClassQueue, which holds it under class priority until the
+// configured order and priority pick it at pop time.
+func (d *Daemon) enqueue(sub *submission, ds *deviceState) (*Job, error) {
+	d.mu.Lock()
+	j := d.newJobLocked(sub, ds.id)
+	// Emit under d.mu, before the queue push: the snapshot cannot race a
+	// concurrent cancel and "submitted" always precedes "started" in
+	// listener order.
+	d.notify(JobEventSubmitted, *j)
+	d.mu.Unlock()
+	err := d.push(ds, j)
+	// The reservation ends as soon as the job is visible to the next routing
+	// snapshot (or has failed), so the synchronous dispatch that follows
+	// does not double-count it in the router's load view.
+	d.routeDone(ds)
+	return j, err
+}
+
+// push puts the job on the partition's queue. A push the queue refuses
+// fails the job — terminal state, Finished event and span like any other
+// failure — rather than leaving a queued record no dispatch will ever reach.
+func (d *Daemon) push(ds *deviceState, j *Job) error {
+	err := ds.queue.Push(d.queueItem(j))
+	if err != nil {
+		d.finishJob(j, JobFailed, err)
+	}
+	return err
+}

@@ -36,7 +36,7 @@ func newTracedEnv(t *testing.T, admitter admission.Policy) *tracedEnv {
 	spans := &[]trace.Span{}
 	flight := trace.NewFlightRecorder(8)
 	d, err := NewDaemon(Config{
-		Device:           dev,
+		Devices:          []*device.Device{dev},
 		Clock:            clk,
 		AdminToken:       "admin-secret",
 		EnablePreemption: true,
@@ -270,7 +270,7 @@ func TestHTTPTraceEndpoints(t *testing.T) {
 	}
 	flight := trace.NewFlightRecorder(8)
 	d, err := NewDaemon(Config{
-		Device: dev, Clock: clk, AdminToken: "root-token",
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "root-token",
 		EnablePreemption: true, Flight: flight, Seed: 4,
 	})
 	if err != nil {
@@ -338,7 +338,7 @@ func TestHTTPMetricsQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := NewDaemon(Config{
-		Device: dev, Clock: clk, AdminToken: "root-token", TSDB: tsdb, Seed: 9,
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "root-token", TSDB: tsdb, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -171,7 +171,7 @@ func runFigure2Daemon(arrivals []figure2Arrival, seed int64) (*Figure2Row, error
 		return nil, err
 	}
 	dmn, err := daemon.NewDaemon(daemon.Config{
-		Device: dev, Clock: clk, AdminToken: "admin",
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "admin",
 		EnablePreemption: true, Registry: reg, Seed: seed,
 	})
 	if err != nil {
