@@ -1,7 +1,7 @@
 # Tier-1 entry points. `make test` is the fast gate (short mode, seconds);
 # `make test-full` runs everything including the ~40s experiment
 # reproductions; `make test-race` puts the race detector on the concurrent
-# fleet/scheduler/device/emulator paths.
+# fleet/scheduler/device/emulator/telemetry paths.
 
 GO ?= go
 
@@ -20,7 +20,7 @@ test-full:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/device/... ./internal/emulator/...
+	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/device/... ./internal/emulator/... ./internal/telemetry/...
 	$(GO) test -race -short ./internal/loadgen/...
 
 bench:
@@ -29,8 +29,9 @@ bench:
 # The benchmark selection behind bench-json and bench-diff: the replay and
 # dispatch hot paths in the root package plus the program-cache/router
 # primitives in internal/daemon, plus the wide-matrix sweep and saturation
-# search that gate the capacity-planning engine.
-BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch
+# search that gate the capacity-planning engine, plus the served write path
+# (in-process HTTP, the profiling entry point) and the TSDB append it leans on.
+BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkTSDBAppend$$
 BENCH_PKGS = . ./internal/daemon
 
 # bench-json records the fleet-scaling and load-generation benchmark
@@ -55,12 +56,15 @@ bench-json:
 # to ns/op at backlog depth 1e5 within 4x of depth 1e3 (benchdiff popFlatness).
 # The long unsaturated replay (1e5 jobs) is -required as well: its peak_heap_mb
 # falls under the same lower-is-better rule, which is what holds replay memory
-# at O(in-flight) rather than O(jobs seen).
+# at O(in-flight) rather than O(jobs seen). The served-submit benchmark and the
+# TSDB append pair are -required for presence (served throughput over loopback
+# HTTP is too noisy for the 20% rule; benchmark/ measures it in pairs), and
+# BenchmarkTSDBAppend/bound is held to 0 allocs/op beside the queue pop.
 bench-diff:
 	$(GO) test -bench='$(BENCH_PATTERN)' \
 		-benchmem -run='^$$' -json $(BENCH_PKGS) > $(BENCH_FRESH)
 	$(GO) run ./cmd/benchdiff \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit,BenchmarkTSDBAppend \
 		BENCH_fleet.json $(BENCH_FRESH)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a

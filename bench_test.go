@@ -10,9 +10,14 @@ package hpcqc
 // metrics so `go test -bench` output doubles as the results table.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +28,7 @@ import (
 	"hpcqc/internal/experiments"
 	"hpcqc/internal/loadgen"
 	"hpcqc/internal/qir"
+	"hpcqc/internal/qrmi"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
 	"hpcqc/internal/telemetry"
@@ -309,6 +315,39 @@ func BenchmarkTSDBAppendQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkTSDBAppend measures one sample into a series that already holds a
+// full retention window, by name (a label map built and rendered per sample,
+// as every producer wrote before Bind) and through a bound handle.
+// `make bench-diff` holds the bound path to 0 allocs/op.
+func BenchmarkTSDBAppend(b *testing.B) {
+	const window = 3600
+	for _, path := range []struct {
+		name string
+		// on returns the sampler for a fresh database.
+		on func(db *telemetry.TSDB) func(at time.Duration, v float64)
+	}{
+		{"by-name", func(db *telemetry.TSDB) func(time.Duration, float64) {
+			return func(at time.Duration, v float64) {
+				db.Append("qpu_queue_length", telemetry.Labels{"device": "analog-qpu-p0"}, at, v)
+			}
+		}},
+		{"bound", func(db *telemetry.TSDB) func(time.Duration, float64) {
+			return db.Bind("qpu_queue_length", telemetry.Labels{"device": "analog-qpu-p0"}).Append
+		}},
+	} {
+		b.Run(path.name, func(b *testing.B) {
+			sample := path.on(telemetry.NewTSDB(window*time.Second, 0))
+			for i := 0; i < 2*window+b.N; i++ {
+				if i == 2*window {
+					b.ReportAllocs()
+					b.ResetTimer()
+				}
+				sample(time.Duration(i)*time.Second, float64(i))
+			}
+		})
+	}
+}
+
 // BenchmarkPrometheusExposition measures the scrape path.
 func BenchmarkPrometheusExposition(b *testing.B) {
 	reg := telemetry.NewRegistry()
@@ -434,6 +473,143 @@ func BenchmarkFleetDispatch(b *testing.B) {
 			b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs_per_wall_s")
 		})
 	}
+}
+
+// BenchmarkServedSubmit is the served write path in one process, and the
+// standing way to profile it (`go test -run '^$' -bench ServedSubmit
+// -cpuprofile cpu.out -memprofile mem.out .`): an httptest server over
+// daemon.Handler(), two closed-loop daemon.Clients on one keep-alive
+// connection each, and a 4-partition TimingOnly fleet wired as cmd/qcsd wires
+// its node — registry, TSDB, flight recorder, 64-entry program cache. The
+// virtual clock is pumped from event to event while a job is outstanding, so
+// wall time is the middleware's and not a timer's. One op is one job:
+// TaskStart in bursts of 8, then TaskStatus until terminal and TaskResult.
+// It mirrors the `serve-submit` workload of the benchmark/ module, which is
+// the number of record; this one is for looking inside.
+func BenchmarkServedSubmit(b *testing.B) {
+	const clients, devices, programs, burst, warmup = 2, 4, 48, 8, 256
+	clk := simclock.New()
+	reg := telemetry.NewRegistry()
+	tsdb := telemetry.NewTSDB(24*time.Hour, 0)
+	fleet, err := device.NewFleet(devices, device.Config{Clock: clk, Seed: 1, Registry: reg, TSDB: tsdb, TimingOnly: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var outstanding atomic.Int64
+	// wake holds one pending signal: a second submit while one is pending
+	// needs no second wake-up.
+	wake, stop, pumped := make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+	d, err := daemon.NewDaemon(daemon.Config{
+		Devices: fleet.Devices(), Clock: clk, AdminToken: "bench", EnablePreemption: true, ProgramCache: 64,
+		Registry: reg, TSDB: tsdb, Flight: trace.NewFlightRecorder(trace.DefaultFlightCapacity), Seed: 1,
+		// Runs under daemon locks: count and signal, nothing else.
+		JobListener: func(ev daemon.JobEvent) {
+			switch ev.Type {
+			case daemon.JobEventSubmitted:
+				outstanding.Add(1)
+				select {
+				case wake <- struct{}{}:
+				default:
+				}
+			case daemon.JobEventFinished:
+				outstanding.Add(-1)
+			}
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	go func() {
+		defer close(pumped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-wake:
+			}
+			for outstanding.Load() > 0 {
+				next, ok := clk.NextEventAt()
+				if !ok {
+					break
+				}
+				clk.RunUntil(next)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-pumped
+	}()
+
+	menu := make([][]byte, programs)
+	for i := range menu {
+		if menu[i], err = loadgen.BuildProgram(1+i%4, 10+i/4).MarshalJSON(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	subs := make([]*daemon.Client, clients)
+	for i := range subs {
+		class := sched.ClassTest
+		if i%2 == 1 {
+			class = sched.ClassDev
+		}
+		hc := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+		if subs[i], err = daemon.NewClient(srv.URL, fmt.Sprintf("user%d", i), class, hc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// serve runs n jobs through client c, starting at its own place in the menu.
+	serve := func(c *daemon.Client, next, n int) (err error) {
+		ids := make([]string, burst)
+		for done := 0; done < n; done += burst {
+			k := min(burst, n-done)
+			for i := 0; i < k; i++ {
+				if ids[i], err = c.TaskStart(menu[next%programs]); err != nil {
+					return err
+				}
+				next++
+			}
+			for _, id := range ids[:k] {
+				for state := qrmi.StateQueued; !state.Terminal(); {
+					if state, err = c.TaskStatus(id); err != nil {
+						return err
+					}
+					if !state.Terminal() {
+						runtime.Gosched()
+					}
+				}
+				if res, err := c.TaskResult(id); err != nil || !json.Valid(res) {
+					return fmt.Errorf("job %s: result %q, %v", id, res, err)
+				}
+			}
+		}
+		return nil
+	}
+	drive := func(n int) {
+		var wg sync.WaitGroup
+		for i, c := range subs {
+			share := n / clients
+			if i < n%clients {
+				share++
+			}
+			wg.Add(1)
+			go func(i int, c *daemon.Client) {
+				defer wg.Done()
+				if err := serve(c, i*programs/clients, share); err != nil {
+					b.Error(err)
+				}
+			}(i, c)
+		}
+		wg.Wait()
+	}
+	drive(warmup)
+	b.ReportAllocs()
+	b.ResetTimer()
+	drive(b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "served_jobs_per_wall_s")
 }
 
 // --- L1: trace-driven load generation ---

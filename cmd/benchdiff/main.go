@@ -39,7 +39,8 @@
 // A third intra-run rule holds the queue's indexed extraction to its
 // complexity claim: for every BenchmarkClassQueuePop/<path>, ns/op at backlog
 // depth 10⁵ may be at most popFlatness times ns/op at depth 10³, and no depth
-// may allocate.
+// may allocate. The no-allocation half also covers BenchmarkTSDBAppend/bound,
+// a sample through a bound TSDB handle (see mustNotAllocate).
 package main
 
 import (
@@ -175,6 +176,15 @@ func has(results map[string]map[string]float64, name string) bool {
 // 100×.
 const popFlatness = 4.0
 
+const popBench, boundAppendBench = "BenchmarkClassQueuePop/", "BenchmarkTSDBAppend/bound"
+
+// mustNotAllocate names the benchmarks held to 0 allocs/op: the per-dispatch
+// queue pop and the per-sample bound TSDB append run once or many times per
+// job on the served path, where an allocation each is a GC cycle sooner.
+func mustNotAllocate(name string) bool {
+	return strings.HasPrefix(name, popBench) || name == boundAppendBench
+}
+
 func main() {
 	require := flag.String("require", "", "comma-separated benchmarks that must be present in both files")
 	flag.Parse()
@@ -288,17 +298,17 @@ func main() {
 		fmt.Printf("%s priority overhead: %.1f%% slo-urgency-vs-constant replay cost (limit %.0f%%)\n",
 			status, pct, priorityOverhead*100)
 	}
-	// Pop-flatness rule: the queue's extraction cost across backlog depths,
-	// measured within the fresh run.
+	// Zero-allocation and pop-flatness rules: the queue's extraction cost
+	// across backlog depths, measured within the fresh run.
 	const deep, shallow = "/depth=100000", "/depth=1000"
-	var pops []string
+	var held []string
 	for name := range fresh {
-		if strings.HasPrefix(name, "BenchmarkClassQueuePop/") {
-			pops = append(pops, name)
+		if mustNotAllocate(name) {
+			held = append(held, name)
 		}
 	}
-	sort.Strings(pops)
-	for _, name := range pops {
+	sort.Strings(held)
+	for _, name := range held {
 		m := fresh[name]
 		if allocs := m["allocs/op"]; allocs > 0 {
 			failed = true
@@ -322,7 +332,7 @@ func main() {
 			failed = true
 		}
 		fmt.Printf("%s pop flatness %s: %.0f ns/op at depth 1e5 vs %.0f at 1e3 (%.1fx, limit %.0fx)\n",
-			status, strings.TrimPrefix(path, "BenchmarkClassQueuePop/"), m["ns/op"], base["ns/op"], ratio, popFlatness)
+			status, strings.TrimPrefix(path, popBench), m["ns/op"], base["ns/op"], ratio, popFlatness)
 	}
 	if compared == 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: no guarded metrics in common — wrong files?")

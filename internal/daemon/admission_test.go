@@ -12,6 +12,7 @@ import (
 
 	"hpcqc/internal/admission"
 	"hpcqc/internal/device"
+	"hpcqc/internal/qrmi"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
 	"hpcqc/internal/telemetry"
@@ -364,5 +365,49 @@ func TestOrderPolicyConfig(t *testing.T) {
 	}
 	if d.OrderName() != "fair-share" || d.AdmissionName() != "accept-all" {
 		t.Fatalf("policy names = %s/%s", d.OrderName(), d.AdmissionName())
+	}
+}
+
+// TestRejectedJobResultIsTerminal: a shed job's result is a terminal error
+// carrying the admission reason, through Handler() and through the QRMI
+// client — not "not ready", which a caller polling TaskResult would wait on
+// forever. An ID the session cannot see reads 404 on the result path as it
+// does on the status path.
+func TestRejectedJobResultIsTerminal(t *testing.T) {
+	env, _ := newAdmissionEnv(t, 1, oneShotBucket())
+	ts := httptest.NewServer(env.d.Handler())
+	defer ts.Close()
+	c, err := NewClient(ts.URL, "alice", sched.ClassDev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.TaskStart(payload(t, 2)); err != nil {
+		t.Fatalf("first dev job: %v", err)
+	}
+	code, out := httpDo(t, "POST", ts.URL+"/api/v1/jobs", c.SessionToken(),
+		map[string]any{"program": json.RawMessage(payload(t, 2)), "class": "dev"})
+	var shed struct {
+		ID string `json:"id"`
+	}
+	if code != http.StatusTooManyRequests || json.Unmarshal(out, &shed) != nil || shed.ID == "" {
+		t.Fatalf("second dev job = %d: %s", code, out)
+	}
+
+	code, out = httpDo(t, "GET", ts.URL+"/api/v1/jobs/"+shed.ID+"/result", c.SessionToken(), nil)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(out), "token-bucket") {
+		t.Fatalf("result of rejected job = %d: %s; want 422 with the admission reason", code, out)
+	}
+	if st, err := c.TaskStatus(shed.ID); err != nil || !st.Terminal() {
+		t.Fatalf("TaskStatus of rejected job = %v, %v", st, err)
+	}
+	_, err = c.TaskResult(shed.ID)
+	if err == nil || errors.Is(err, qrmi.ErrResultNotReady) || !strings.Contains(err.Error(), "token-bucket") {
+		t.Fatalf("TaskResult of rejected job = %v; want a terminal error with the admission reason", err)
+	}
+
+	for _, id := range []string{"job-999999", "no-such-job"} {
+		if code, out := httpDo(t, "GET", ts.URL+"/api/v1/jobs/"+id+"/result", c.SessionToken(), nil); code != http.StatusNotFound {
+			t.Fatalf("result of unknown job %s = %d: %s; want 404", id, code, out)
+		}
 	}
 }

@@ -161,9 +161,11 @@ type deviceState struct {
 	byTask  map[string]*Job
 	// gQueue and gUtil are pre-bound per-device telemetry series (nil when
 	// no registry is configured), so queue-depth emission does not rebuild
-	// label keys per dispatch.
-	gQueue [3]*telemetry.BoundSeries
-	gUtil  *telemetry.BoundSeries
+	// label keys per dispatch; tsQueue is gQueue's TSDB side (nil without a
+	// TSDB).
+	gQueue  [3]*telemetry.BoundSeries
+	gUtil   *telemetry.BoundSeries
+	tsQueue [3]*telemetry.TSDBSeries
 
 	// inflight counts jobs routed here but not yet visible in the queue
 	// (between route's pick and Submit's queue.Push). route() includes it
@@ -265,6 +267,8 @@ type Daemon struct {
 	bQueueTotal [3]*telemetry.BoundSeries
 	bAdmit      [3]map[admission.Outcome]*telemetry.BoundSeries
 	bAdmitRej   [3]*telemetry.BoundSeries
+	// tsQueueTotal is bQueueTotal's TSDB side, nil without a TSDB.
+	tsQueueTotal [3]*telemetry.TSDBSeries
 
 	// spanMarks reports whether instant marks and occupancy spans are
 	// emitted (false under Config.PipelineSpansOnly).
@@ -386,6 +390,12 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 				ds.gCacheMisses = d.mCacheMisses.Bind(telemetry.Labels{"device": ds.id})
 				ds.gCacheEvictions = d.mCacheEvic.Bind(telemetry.Labels{"device": ds.id})
 			}
+		}
+	}
+	for c := sched.ClassDev; c <= sched.ClassProduction; c++ {
+		d.tsQueueTotal[c] = cfg.TSDB.Bind("daemon_queue_length", telemetry.Labels{"class": c.String()})
+		for _, ds := range d.fleet {
+			ds.tsQueue[c] = cfg.TSDB.Bind("daemon_device_queue_length", telemetry.Labels{"device": ds.id, "class": c.String()})
 		}
 	}
 	for _, ds := range d.fleet {

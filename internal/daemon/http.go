@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -23,7 +24,8 @@ import (
 //	GET    /api/v1/devices                  fleet partition listing (token auth)
 //	POST   /api/v1/jobs                     submit {program, class, pattern, device}
 //	GET    /api/v1/jobs/{id}                job status
-//	GET    /api/v1/jobs/{id}/result         job result
+//	GET    /api/v1/jobs/{id}/result         job result (409 not ready yet, 422 never
+//	                                        will be, 404 unknown or evicted ID)
 //	DELETE /api/v1/jobs/{id}                cancel
 //	GET    /api/v1/trace                    flight-recorder listing (token auth)
 //	GET    /api/v1/trace/{id}               one job's trace (token auth)
@@ -50,7 +52,7 @@ func (d *Daemon) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_, _ = w.Write([]byte(d.cfg.Registry.Expose()))
+		_, _ = io.WriteString(w, d.cfg.Registry.Expose())
 	})
 
 	mux.HandleFunc("POST /api/v1/sessions", func(w http.ResponseWriter, r *http.Request) {
@@ -170,6 +172,8 @@ func (d *Daemon) Handler() http.Handler {
 			_, _ = w.Write(res)
 		case errors.Is(err, qrmi.ErrResultNotReady):
 			writeErr(w, http.StatusConflict, err)
+		case errors.Is(err, ErrUnknownJob):
+			writeErr(w, http.StatusNotFound, err)
 		default:
 			writeErr(w, http.StatusUnprocessableEntity, err)
 		}

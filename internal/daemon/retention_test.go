@@ -221,8 +221,8 @@ func (e *liveEnv) check() {
 }
 
 // checkHistory: of each ring exactly the newest History records still read;
-// an older ID is an unknown job on the status path and an error, not a crash,
-// on the result path. The lifetime counters saw every job all the same.
+// an older ID is an unknown job (404) on the status path and on the result
+// path. The lifetime counters saw every job all the same.
 func (e *liveEnv) checkHistory() {
 	e.t.Helper()
 	if len(e.inFlight) != 0 {
@@ -238,7 +238,7 @@ func (e *liveEnv) checkHistory() {
 				e.t.Fatalf("status of %s (%d of %d in its ring, History %d) = %d, want %d: %s", id, i+1, len(ring), e.history, code, want, out)
 			}
 			if want == http.StatusNotFound {
-				if code, out := httpDo(e.t, "GET", e.ts.URL+"/api/v1/jobs/"+id+"/result", e.owner[id], nil); code != http.StatusUnprocessableEntity {
+				if code, out := httpDo(e.t, "GET", e.ts.URL+"/api/v1/jobs/"+id+"/result", e.owner[id], nil); code != http.StatusNotFound {
 					e.t.Fatalf("result of evicted %s = %d: %s", id, code, out)
 				}
 			}

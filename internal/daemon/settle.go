@@ -170,7 +170,7 @@ func (d *Daemon) CancelJob(token, jobID string, force bool) error {
 	j, ok := d.jobs[jobID]
 	if !ok {
 		d.mu.Unlock()
-		return fmt.Errorf("daemon: unknown job %q", jobID)
+		return fmt.Errorf("%w %q", ErrUnknownJob, jobID)
 	}
 	if !force && j.Session != token {
 		d.mu.Unlock()

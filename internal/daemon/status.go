@@ -14,7 +14,6 @@ import (
 	"hpcqc/internal/device"
 	"hpcqc/internal/qrmi"
 	"hpcqc/internal/sched"
-	"hpcqc/internal/telemetry"
 )
 
 // RouterName reports the active routing policy.
@@ -38,16 +37,19 @@ func (d *Daemon) priorityStatusName() string {
 	return ""
 }
 
+// ErrUnknownJob is the answer for a job ID the asking session cannot see.
+var ErrUnknownJob = errors.New("daemon: unknown job")
+
 // ownedJobLocked resolves a job ID for the session asking. Another session's
-// job, an evicted one and one that never existed all read the same: unknown.
-// Caller holds d.mu.
+// job, an evicted one and one that never existed all read the same:
+// ErrUnknownJob. Caller holds d.mu.
 func (d *Daemon) ownedJobLocked(token, jobID string) (*Job, error) {
 	if _, ok := d.sessions[token]; !ok {
 		return nil, errors.New("daemon: invalid session token")
 	}
 	j, ok := d.jobs[jobID]
 	if !ok || j.Session != token {
-		return nil, fmt.Errorf("daemon: unknown job %q", jobID)
+		return nil, fmt.Errorf("%w %q", ErrUnknownJob, jobID)
 	}
 	return j, nil
 }
@@ -64,9 +66,11 @@ func (d *Daemon) JobStatus(token, jobID string) (*Job, error) {
 	return &cp, nil
 }
 
-// JobResult returns the serialized result of a completed job. State and
-// result are read under one lock hold: between two, retention could evict
-// the record.
+// JobResult returns the serialized result of a completed job. Every other
+// terminal state answers with an error that says why there is none, and only
+// a job still queued or running with qrmi.ErrResultNotReady, so a caller
+// polling until "ready" always terminates. State and result are read under
+// one lock hold: between two, retention could evict the record.
 func (d *Daemon) JobResult(token, jobID string) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -86,6 +90,8 @@ func (d *Daemon) JobResult(token, jobID string) ([]byte, error) {
 		return nil, fmt.Errorf("daemon: job failed: %s", j.Error)
 	case JobCancelled:
 		return nil, errors.New("daemon: job was cancelled")
+	case JobRejected:
+		return nil, fmt.Errorf("daemon: job rejected at admission: %s", j.AdmissionReason)
 	default:
 		return nil, qrmi.ErrResultNotReady
 	}
@@ -255,32 +261,30 @@ func (d *Daemon) lowLevelOp(op string, targets []*deviceState) (string, error) {
 	}
 }
 
+// emitQueueTelemetry samples every partition's and the fleet's queue depth
+// by class into the registry and the TSDB, through handles bound in
+// NewDaemon: it runs on every submit, dispatch and settle, and allocates
+// nothing.
 func (d *Daemon) emitQueueTelemetry() {
 	if d.mQueueLen == nil && d.cfg.TSDB == nil {
 		return
 	}
-	classes := []sched.Class{sched.ClassDev, sched.ClassTest, sched.ClassProduction}
 	now := d.cfg.Clock.Now()
-	totals := make(map[sched.Class]float64, len(classes))
+	var totals [3]float64
 	for _, ds := range d.fleet {
-		for _, c := range classes {
+		for c := sched.ClassDev; c <= sched.ClassProduction; c++ {
 			n := float64(ds.queue.LenClass(c))
 			totals[c] += n
 			ds.gQueue[c].Set(n)
-			if d.cfg.TSDB != nil {
-				d.cfg.TSDB.Append("daemon_device_queue_length",
-					telemetry.Labels{"device": ds.id, "class": c.String()}, now, n)
-			}
+			ds.tsQueue[c].Append(now, n)
 		}
 		if ds.gUtil != nil {
 			ds.gUtil.Set(ds.dev.Utilization())
 		}
 	}
-	for _, c := range classes {
-		d.bQueueTotal[c].Set(totals[c])
-		if d.cfg.TSDB != nil {
-			d.cfg.TSDB.Append("daemon_queue_length", telemetry.Labels{"class": c.String()}, now, totals[c])
-		}
+	for c, total := range totals {
+		d.bQueueTotal[c].Set(total)
+		d.tsQueueTotal[c].Append(now, total)
 	}
 }
 

@@ -148,6 +148,8 @@ type Device struct {
 	// telemetry handles (nil-safe)
 	mQueueLen, mRabi, mDetOff, mStatus *telemetry.Metric
 	mTasks, mShots                     *telemetry.Metric
+	// The same four gauges as TSDB series, bound once (nil without a TSDB).
+	tsQueueLen, tsRabi, tsDetOff, tsStatus *telemetry.TSDBSeries
 }
 
 // SetTaskListener installs a callback invoked whenever a task reaches a
@@ -208,6 +210,11 @@ func New(cfg Config) (*Device, error) {
 		d.mTasks = cfg.Registry.MustCounter("qpu_tasks_total", "Tasks executed by final state.")
 		d.mShots = cfg.Registry.MustCounter("qpu_shots_total", "Shots executed.")
 	}
+	labels := telemetry.Labels{"device": d.id}
+	d.tsQueueLen = cfg.TSDB.Bind("qpu_queue_length", labels)
+	d.tsRabi = cfg.TSDB.Bind("qpu_calib_rabi_factor", labels)
+	d.tsDetOff = cfg.TSDB.Bind("qpu_calib_detuning_offset", labels)
+	d.tsStatus = cfg.TSDB.Bind("qpu_up", labels)
 	d.emitTelemetry()
 	d.scheduleDrift()
 	d.scheduleQA()
@@ -669,13 +676,10 @@ func (d *Device) emitTelemetry() {
 		d.mDetOff.Set(nil, det)
 		d.mStatus.Set(nil, up)
 	}
-	if d.cfg.TSDB != nil {
-		labels := telemetry.Labels{"device": d.id}
-		d.cfg.TSDB.Append("qpu_queue_length", labels, now, queueLen)
-		d.cfg.TSDB.Append("qpu_calib_rabi_factor", labels, now, rabi)
-		d.cfg.TSDB.Append("qpu_calib_detuning_offset", labels, now, det)
-		d.cfg.TSDB.Append("qpu_up", labels, now, up)
-	}
+	d.tsQueueLen.Append(now, queueLen)
+	d.tsRabi.Append(now, rabi)
+	d.tsDetOff.Append(now, det)
+	d.tsStatus.Append(now, up)
 }
 
 // Snapshot is an admin-facing summary of device state.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -365,7 +366,9 @@ func (r *Registry) Get(name string) *Metric {
 	return r.metrics[name]
 }
 
-// Expose renders every family in Prometheus text exposition format 0.0.4.
+// Expose renders every family in Prometheus text exposition format 0.0.4. A
+// series is stored under its canonical label rendering, so the scrape writes
+// that key back out instead of rendering the label set again.
 func (r *Registry) Expose() string {
 	r.mu.Lock()
 	names := append([]string(nil), r.order...)
@@ -389,14 +392,15 @@ func (r *Registry) Expose() string {
 			s := m.series[k]
 			switch m.Type {
 			case TypeHistogram:
+				count := strconv.FormatUint(s.count, 10)
 				for i, bound := range m.bounds {
-					fmt.Fprintf(&sb, "%s_bucket%s %s\n", m.Name, labelsWithLE(s.labels, formatFloat(bound)), formatFloat(s.buckets[i]))
+					writeSample(&sb, m.Name, "_bucket", k, formatFloat(bound), formatFloat(s.buckets[i]))
 				}
-				fmt.Fprintf(&sb, "%s_bucket%s %d\n", m.Name, labelsWithLE(s.labels, "+Inf"), s.count)
-				fmt.Fprintf(&sb, "%s_sum%s %s\n", m.Name, renderLabels(s.labels), formatFloat(s.sum))
-				fmt.Fprintf(&sb, "%s_count%s %d\n", m.Name, renderLabels(s.labels), s.count)
+				writeSample(&sb, m.Name, "_bucket", k, "+Inf", count)
+				writeSample(&sb, m.Name, "_sum", k, "", formatFloat(s.sum))
+				writeSample(&sb, m.Name, "_count", k, "", count)
 			default:
-				fmt.Fprintf(&sb, "%s%s %s\n", m.Name, renderLabels(s.labels), formatFloat(s.value))
+				writeSample(&sb, m.Name, "", k, "", formatFloat(s.value))
 			}
 		}
 		m.mu.Unlock()
@@ -404,26 +408,36 @@ func (r *Registry) Expose() string {
 	return sb.String()
 }
 
+// writeSample renders one sample line. key is the series' canonical label
+// rendering (the string it is stored under); le, when non-empty, is a
+// histogram bucket bound appended as the last label. Bounds are formatFloat
+// output or "+Inf", which quoting leaves as they are.
+func writeSample(sb *strings.Builder, name, suffix, key, le, value string) {
+	sb.WriteString(name)
+	sb.WriteString(suffix)
+	if key != "" || le != "" {
+		sb.WriteByte('{')
+		sb.WriteString(key)
+		if le != "" {
+			if key != "" {
+				sb.WriteByte(',')
+			}
+			sb.WriteString(`le="`)
+			sb.WriteString(le)
+			sb.WriteByte('"')
+		}
+		sb.WriteByte('}')
+	}
+	sb.WriteByte(' ')
+	sb.WriteString(value)
+	sb.WriteByte('\n')
+}
+
 func formatFloat(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.FormatInt(int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
-}
-
-func renderLabels(l Labels) string {
-	if len(l) == 0 {
-		return ""
-	}
-	return "{" + l.key() + "}"
-}
-
-func labelsWithLE(l Labels, le string) string {
-	inner := l.key()
-	if inner != "" {
-		inner += ","
-	}
-	return "{" + inner + fmt.Sprintf("le=%q", le) + "}"
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 func validMetricName(name string) bool {

@@ -53,11 +53,9 @@ func seriesKey(name string, labels Labels) string {
 	return name + "|" + labels.key()
 }
 
-// Append stores a sample. Out-of-order samples are inserted in place, which
-// happens when multiple producers share the database.
-func (db *TSDB) Append(name string, labels Labels, at time.Duration, value float64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+// seriesLocked is the by-name lookup: it renders the label set to find the
+// series, creating it on first use. Caller holds db.mu.
+func (db *TSDB) seriesLocked(name string, labels Labels) *tsSeries {
 	key := seriesKey(name, labels)
 	s, ok := db.series[key]
 	if !ok {
@@ -68,6 +66,52 @@ func (db *TSDB) Append(name string, labels Labels, at time.Duration, value float
 		s = &tsSeries{name: name, labels: copied}
 		db.series[key] = s
 	}
+	return s
+}
+
+// Append stores a sample. Out-of-order samples are inserted in place, which
+// happens when multiple producers share the database. A producer that writes
+// the same series again and again should Bind it once instead.
+func (db *TSDB) Append(name string, labels Labels, at time.Duration, value float64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.appendLocked(db.seriesLocked(name, labels), at, value)
+}
+
+// TSDBSeries is a pre-resolved (database, series) pair — the TSDB's
+// counterpart of BoundSeries. A producer that samples the same series on
+// every submit, dispatch and settle pays the label-set rendering once, at
+// Bind, and nothing but the lock and the slice append per sample. A nil
+// TSDBSeries is valid and drops all samples, so call sites can bind
+// unconditionally even when no database is configured.
+type TSDBSeries struct {
+	db *TSDB
+	s  *tsSeries
+}
+
+// Bind resolves (and creates, if absent) the series for a name and label
+// set. A nil receiver yields a nil TSDBSeries whose Append no-ops.
+func (db *TSDB) Bind(name string, labels Labels) *TSDBSeries {
+	if db == nil {
+		return nil
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return &TSDBSeries{db: db, s: db.seriesLocked(name, labels)}
+}
+
+// Append stores a sample on a bound series, exactly as TSDB.Append would.
+func (b *TSDBSeries) Append(at time.Duration, value float64) {
+	if b == nil {
+		return
+	}
+	b.db.mu.Lock()
+	b.db.appendLocked(b.s, at, value)
+	b.db.mu.Unlock()
+}
+
+// appendLocked is the one write path: insert in time order, then evict.
+func (db *TSDB) appendLocked(s *tsSeries, at time.Duration, value float64) {
 	if live := s.live(); len(live) > 0 && live[len(live)-1].At > at {
 		// Rare out-of-order insert: binary search the position.
 		idx := s.start + sort.Search(len(live), func(i int) bool { return live[i].At > at })
@@ -84,8 +128,12 @@ func (db *TSDB) evictLocked(s *tsSeries, now time.Duration) {
 	live := s.live()
 	drop := 0
 	if db.retention > 0 {
+		// Walk from the head: in steady state the head is still inside the
+		// window and this is one comparison; each point is passed once.
 		cut := now - db.retention
-		drop = sort.Search(len(live), func(i int) bool { return live[i].At >= cut })
+		for drop < len(live) && live[drop].At < cut {
+			drop++
+		}
 	}
 	if over := len(live) - drop - db.maxPoints; over > 0 {
 		drop += over
@@ -104,12 +152,23 @@ func (db *TSDB) evictLocked(s *tsSeries, now time.Duration) {
 	}
 }
 
+// lookupLocked is the read side's by-name lookup. A series that was bound
+// but has no sample yet reads as absent, so binding ahead of the first write
+// is invisible to queries. Caller holds db.mu.
+func (db *TSDB) lookupLocked(name string, labels Labels) *tsSeries {
+	s := db.series[seriesKey(name, labels)]
+	if s == nil || len(s.live()) == 0 {
+		return nil
+	}
+	return s
+}
+
 // Query returns samples of a series within [from, to], inclusive.
 func (db *TSDB) Query(name string, labels Labels, from, to time.Duration) []Point {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s, ok := db.series[seriesKey(name, labels)]
-	if !ok {
+	s := db.lookupLocked(name, labels)
+	if s == nil {
 		return nil
 	}
 	live := s.live()
@@ -124,21 +183,24 @@ func (db *TSDB) Query(name string, labels Labels, from, to time.Duration) []Poin
 func (db *TSDB) Latest(name string, labels Labels) (Point, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s, ok := db.series[seriesKey(name, labels)]
-	if !ok || len(s.live()) == 0 {
+	s := db.lookupLocked(name, labels)
+	if s == nil {
 		return Point{}, false
 	}
 	live := s.live()
 	return live[len(live)-1], true
 }
 
-// SeriesNames lists distinct series as "name|labelkey" strings, sorted.
+// SeriesNames lists distinct series holding at least one sample as
+// "name|labelkey" strings, sorted.
 func (db *TSDB) SeriesNames() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	names := make([]string, 0, len(db.series))
-	for k := range db.series {
-		names = append(names, k)
+	for k, s := range db.series {
+		if len(s.live()) > 0 {
+			names = append(names, k)
+		}
 	}
 	sort.Strings(names)
 	return names
