@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick fuzz-smoke vet vet-trace check loc
+.PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick profile-serve fuzz-smoke vet vet-trace check loc
 
 # Where bench-diff writes its fresh recording; override for parallel runs.
 BENCH_FRESH ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/hpcqc_bench_fresh.json
@@ -30,8 +30,9 @@ bench:
 # dispatch hot paths in the root package plus the program-cache/router
 # primitives in internal/daemon, plus the wide-matrix sweep and saturation
 # search that gate the capacity-planning engine, plus the served write path
-# (in-process HTTP, the profiling entry point) and the TSDB append it leans on.
-BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkTSDBAppend$$
+# (in-process HTTP, the profiling entry point), the TSDB append it leans on and
+# the job reply it ends with.
+BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkTSDBAppend$$|BenchmarkJobWireEncode
 BENCH_PKGS = . ./internal/daemon
 
 # bench-json records the fleet-scaling and load-generation benchmark
@@ -56,15 +57,16 @@ bench-json:
 # to ns/op at backlog depth 1e5 within 4x of depth 1e3 (benchdiff popFlatness).
 # The long unsaturated replay (1e5 jobs) is -required as well: its peak_heap_mb
 # falls under the same lower-is-better rule, which is what holds replay memory
-# at O(in-flight) rather than O(jobs seen). The served-submit benchmark and the
-# TSDB append pair are -required for presence (served throughput over loopback
-# HTTP is too noisy for the 20% rule; benchmark/ measures it in pairs), and
-# BenchmarkTSDBAppend/bound is held to 0 allocs/op beside the queue pop.
+# at O(in-flight) rather than O(jobs seen). The served-submit benchmark, the
+# TSDB append pair and the job-reply encode are -required for presence (served
+# throughput over loopback HTTP is too noisy for the 20% rule; benchmark/
+# measures it in pairs), and BenchmarkTSDBAppend/bound is held to 0 allocs/op
+# beside the queue pop.
 bench-diff:
 	$(GO) test -bench='$(BENCH_PATTERN)' \
 		-benchmem -run='^$$' -json $(BENCH_PKGS) > $(BENCH_FRESH)
 	$(GO) run ./cmd/benchdiff \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit,BenchmarkTSDBAppend \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
 		BENCH_fleet.json $(BENCH_FRESH)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a
@@ -74,6 +76,19 @@ bench-diff:
 bench-e2e-quick:
 	$(GO) test -C benchmark -short ./...
 	$(GO) run -C benchmark hpcqc/benchmark --seed 1 --quick
+
+# profile-serve is the standing way to look inside the served path: CPU and
+# allocation profiles of BenchmarkServedSubmit (30 000 jobs, ~5 s) into
+# .bench_build/, then the cumulative top of each. Dig further with
+# `go tool pprof -list <func> .bench_build/serve.test .bench_build/serve_cpu.out`.
+PROFILE_DIR = .bench_build
+profile-serve:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkServedSubmit$$' -benchtime 30000x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/serve_cpu.out -memprofile $(PROFILE_DIR)/serve_mem.out \
+		-o $(PROFILE_DIR)/serve.test .
+	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/serve.test $(PROFILE_DIR)/serve_cpu.out
+	$(GO) tool pprof -sample_index alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/serve.test $(PROFILE_DIR)/serve_mem.out
 
 # fuzz-smoke runs each trace-ingestion fuzz target for a fixed iteration
 # count — a deterministic-duration CI pass over the JSONL reader and the

@@ -483,7 +483,9 @@ func BenchmarkFleetDispatch(b *testing.B) {
 // its node — registry, TSDB, flight recorder, 64-entry program cache. The
 // virtual clock is pumped from event to event while a job is outstanding, so
 // wall time is the middleware's and not a timer's. One op is one job:
-// TaskStart in bursts of 8, then TaskStatus until terminal and TaskResult.
+// TaskStart in bursts of 8, then TaskStatus until terminal and TaskResult;
+// http_requests_per_job counts what that costs on the wire (one POST, the
+// status polls, and no result request when the last poll brought the result).
 // It mirrors the `serve-submit` workload of the benchmark/ module, which is
 // the number of record; this one is for looking inside.
 func BenchmarkServedSubmit(b *testing.B) {
@@ -519,7 +521,12 @@ func BenchmarkServedSubmit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := httptest.NewServer(d.Handler())
+	var requests atomic.Int64
+	handler := d.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		handler.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
 	go func() {
 		defer close(pumped)
@@ -606,10 +613,12 @@ func BenchmarkServedSubmit(b *testing.B) {
 	}
 	drive(warmup)
 	b.ReportAllocs()
+	requests.Store(0)
 	b.ResetTimer()
 	drive(b.N)
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "served_jobs_per_wall_s")
+	b.ReportMetric(float64(requests.Load())/float64(b.N), "http_requests_per_job")
 }
 
 // --- L1: trace-driven load generation ---

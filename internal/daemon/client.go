@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"hpcqc/internal/qrmi"
@@ -34,6 +35,15 @@ type Client struct {
 	// policies schedule by (zero: the per-class fallback contract).
 	Deadline time.Duration
 	http     *http.Client
+
+	// The status reply of a completed job carries its result, and the usual
+	// caller asks for exactly that result next (qrmi.RunProgram does):
+	// TaskStatus keeps the one pair its latest reply carried, TaskResult
+	// consumes it on an ID match and otherwise asks the daemon. At most one
+	// result is held, whatever the number of jobs served.
+	mu         sync.Mutex
+	memoID     string
+	memoResult []byte
 }
 
 // NewClient opens a session with the daemon and returns a bound client.
@@ -83,6 +93,14 @@ func (c *Client) do(method, path string, body []byte) (int, []byte, error) {
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
+	// A reply of declared length is read into a buffer of that size; one the
+	// daemon would not send (it caps bodies both ways) is not trusted to
+	// size an allocation.
+	if n := resp.ContentLength; n >= 0 && n <= maxBodyBytes {
+		data := make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+		return resp.StatusCode, data, err
+	}
 	data, err := io.ReadAll(resp.Body)
 	return resp.StatusCode, data, err
 }
@@ -193,23 +211,24 @@ func (c *Client) Close() error {
 		return clientErr(data, code)
 	}
 	c.token = ""
+	c.remember("", nil)
 	return nil
 }
 
 // TaskStart implements qrmi.Resource. When Partition is set the job is
 // pinned to that fleet partition; the daemon rejects unknown names.
 func (c *Client) TaskStart(payload []byte) (string, error) {
-	req := map[string]any{
-		"program": json.RawMessage(payload),
-		"class":   c.class.String(),
-		"pattern": string(c.Pattern),
-		"device":  c.Partition,
+	req := submitBody{
+		Program: payload,
+		Class:   c.class.String(),
+		Pattern: string(c.Pattern),
+		Device:  c.Partition,
 	}
 	if c.ExpectedQPU > 0 {
-		req["expected_qpu_seconds"] = c.ExpectedQPU.Seconds()
+		req.ExpectedQPUSeconds = c.ExpectedQPU.Seconds()
 	}
 	if c.Deadline > 0 {
-		req["deadline_seconds"] = c.Deadline.Seconds()
+		req.DeadlineSeconds = c.Deadline.Seconds()
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -253,11 +272,13 @@ func (c *Client) TaskStatus(taskID string) (qrmi.TaskState, error) {
 		return "", clientErr(data, code)
 	}
 	var j struct {
-		State string `json:"state"`
+		State  string          `json:"state"`
+		Result json.RawMessage `json:"result"`
 	}
 	if err := json.Unmarshal(data, &j); err != nil {
 		return "", err
 	}
+	c.remember(taskID, j.Result)
 	switch JobState(j.State) {
 	case JobQueued:
 		return qrmi.StateQueued, nil
@@ -274,8 +295,32 @@ func (c *Client) TaskStatus(taskID string) (qrmi.TaskState, error) {
 	}
 }
 
-// TaskResult implements qrmi.Resource.
+// remember replaces the memo with what the latest status reply carried: a
+// result, or nothing.
+func (c *Client) remember(taskID string, result []byte) {
+	c.mu.Lock()
+	c.memoID, c.memoResult = taskID, result
+	c.mu.Unlock()
+}
+
+// take hands over, once, the result remembered for taskID.
+func (c *Client) take(taskID string) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.memoID != taskID {
+		return nil
+	}
+	res := c.memoResult
+	c.memoID, c.memoResult = "", nil
+	return res
+}
+
+// TaskResult implements qrmi.Resource. A result the latest TaskStatus reply
+// already carried is not asked for again.
 func (c *Client) TaskResult(taskID string) ([]byte, error) {
+	if res := c.take(taskID); res != nil {
+		return res, nil
+	}
 	code, data, err := c.do(http.MethodGet, "/api/v1/jobs/"+taskID+"/result", nil)
 	if err != nil {
 		return nil, err

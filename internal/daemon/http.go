@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,8 +10,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
+	"hpcqc/internal/device"
+	"hpcqc/internal/qir"
 	"hpcqc/internal/qrmi"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/telemetry"
@@ -23,9 +27,11 @@ import (
 //	GET    /api/v1/device                   first-partition metadata (token auth)
 //	GET    /api/v1/devices                  fleet partition listing (token auth)
 //	POST   /api/v1/jobs                     submit {program, class, pattern, device}
-//	GET    /api/v1/jobs/{id}                job status
-//	GET    /api/v1/jobs/{id}/result         job result (409 not ready yet, 422 never
-//	                                        will be, 404 unknown or evicted ID)
+//	GET    /api/v1/jobs/{id}                job status; a completed job's reply
+//	                                        carries its result as "result"
+//	GET    /api/v1/jobs/{id}/result         job result, for callers that skipped
+//	                                        the status poll (409 not ready yet, 422
+//	                                        never will be, 404 unknown or evicted ID)
 //	DELETE /api/v1/jobs/{id}                cancel
 //	GET    /api/v1/trace                    flight-recorder listing (token auth)
 //	GET    /api/v1/trace/{id}               one job's trace (token auth)
@@ -88,33 +94,22 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/devices", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
 		queues := d.QueueLengthsByDevice()
 		caches := d.CacheStatsByDevice()
-		out := make([]map[string]any, 0, len(d.fleet))
+		out := devicesView{Devices: make([]deviceView, 0, len(d.fleet)), Router: d.RouterName()}
 		for _, dev := range d.Devices() {
-			entry := map[string]any{
-				"id":          dev.ID(),
-				"spec":        dev.Spec(),
-				"calibration": dev.CalibrationSnapshot(),
-				"status":      dev.Status(),
-				"queued":      queues[dev.ID()],
-				"utilization": dev.Utilization(),
-			}
-			if cs := caches[dev.ID()]; cs != nil {
-				entry["cache"] = cs
-			}
-			out = append(out, entry)
+			out.Devices = append(out.Devices, deviceView{
+				Cache:       caches[dev.ID()],
+				Calibration: dev.CalibrationSnapshot(),
+				ID:          dev.ID(),
+				Queued:      queues[dev.ID()],
+				Spec:        dev.Spec(),
+				Status:      dev.Status(),
+				Utilization: dev.Utilization(),
+			})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"router": d.RouterName(), "devices": out})
+		writeJSON(w, http.StatusOK, out)
 	}))
 	mux.HandleFunc("POST /api/v1/jobs", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Program            json.RawMessage `json:"program"`
-			Class              string          `json:"class"`
-			Pattern            string          `json:"pattern"`
-			Source             string          `json:"source"`
-			Device             string          `json:"device"`
-			ExpectedQPUSeconds float64         `json:"expected_qpu_seconds"`
-			DeadlineSeconds    float64         `json:"deadline_seconds"`
-		}
+		var req submitBody
 		if !decodeBody(w, r, &req) {
 			return
 		}
@@ -142,8 +137,8 @@ func (d *Daemon) Handler() http.Handler {
 				// the policy rationale and query the job later. The standard
 				// Retry-After header carries the queue-drain backoff hint
 				// (integer seconds, rounded up per RFC 9110).
-				out := jobJSON(rej.Job)
-				out["error"] = rej.Reason
+				out := newJobView(rej.Job)
+				out.Error = &rej.Reason
 				if rej.Job.RetryAfterSeconds > 0 {
 					w.Header().Set("Retry-After",
 						strconv.FormatInt(int64(math.Ceil(rej.Job.RetryAfterSeconds)), 10))
@@ -154,15 +149,17 @@ func (d *Daemon) Handler() http.Handler {
 			writeErr(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, jobJSON(j))
+		writeJSON(w, http.StatusAccepted, newJobView(j))
 	}))
 	mux.HandleFunc("GET /api/v1/jobs/{id}", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		j, err := d.JobStatus(token, r.PathValue("id"))
+		j, res, err := d.jobStatusResult(token, r.PathValue("id"))
 		if err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, jobJSON(j))
+		out := newJobView(j)
+		out.Result = res
+		writeJSON(w, http.StatusOK, out)
 	}))
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
 		res, err := d.JobResult(token, r.PathValue("id"))
@@ -218,9 +215,9 @@ func (d *Daemon) Handler() http.Handler {
 	}))
 	mux.HandleFunc("GET /admin/v1/jobs", d.withAdmin(func(w http.ResponseWriter, r *http.Request) {
 		jobs := d.ListJobs()
-		out := make([]map[string]any, len(jobs))
+		out := make([]jobView, len(jobs))
 		for i, j := range jobs {
-			out[i] = jobJSON(j)
+			out[i] = newJobView(j)
 		}
 		writeJSON(w, http.StatusOK, out)
 	}))
@@ -306,15 +303,11 @@ func (d *Daemon) handleMetricsQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		points = db.Query(name, labels, from, to)
 	}
-	out := make([]map[string]float64, len(points))
+	out := queryView{Labels: labels, Name: name, Points: make([]pointView, len(points))}
 	for i, p := range points {
-		out[i] = map[string]float64{"at_seconds": p.At.Seconds(), "value": p.Value}
+		out.Points[i] = pointView{AtSeconds: p.At.Seconds(), Value: p.Value}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"name":   name,
-		"labels": labels,
-		"points": out,
-	})
+	writeJSON(w, http.StatusOK, out)
 }
 
 // parseSimTime accepts a Go duration string ("90m") or plain seconds ("5400")
@@ -378,47 +371,113 @@ func (d *Daemon) withAdmin(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// jobJSON renders a job for API consumers including its class name.
-func jobJSON(j *Job) map[string]any {
-	out := map[string]any{
-		"id":                   j.ID,
-		"user":                 j.User,
-		"class":                j.ClassName(),
-		"state":                string(j.State),
-		"submitted_at":         j.SubmittedAt.Seconds(),
-		"preemptions":          j.Preemptions,
-		"source":               j.Source,
-		"expected_qpu_seconds": j.ExpectedQPUSeconds,
-	}
-	if j.DeadlineSeconds > 0 {
-		out["deadline_seconds"] = j.DeadlineSeconds
-	}
-	if j.Pattern != "" {
-		out["pattern"] = string(j.Pattern)
-	}
-	if j.Device != "" {
-		out["device"] = j.Device
-	}
-	if j.StartedAt > 0 {
-		out["started_at"] = j.StartedAt.Seconds()
-	}
-	if j.FinishedAt > 0 {
-		out["finished_at"] = j.FinishedAt.Seconds()
+// The reply views. Each was a map[string]any before it was a struct, and
+// encoding/json writes a map's keys sorted: fields are declared in that
+// order, and a key the map set only on a condition is omitempty here, so the
+// bytes on the wire are the ones clients have always parsed
+// (testdata/*_wire.golden). A new field goes where its key sorts.
+
+// jobView is a job as every job-bearing reply renders it: the 202 and 429 of
+// POST /api/v1/jobs, GET /api/v1/jobs/{id} and each element of
+// GET /admin/v1/jobs.
+type jobView struct {
+	AdmissionOutcome string `json:"admission_outcome,omitempty"`
+	// AdmissionReason and Error are pointers because their keys can be
+	// present and empty: the reason whenever there is an outcome, the error
+	// whenever a 429 overrides it with the rejection's.
+	AdmissionReason    *string `json:"admission_reason,omitempty"`
+	Class              string  `json:"class"`
+	DeadlineSeconds    float64 `json:"deadline_seconds,omitempty"`
+	Device             string  `json:"device,omitempty"`
+	Error              *string `json:"error,omitempty"`
+	ExpectedQPUSeconds float64 `json:"expected_qpu_seconds"`
+	FinishedAt         float64 `json:"finished_at,omitempty"`
+	ID                 string  `json:"id"`
+	Pattern            string  `json:"pattern,omitempty"`
+	Preemptions        int     `json:"preemptions"`
+	RequestedClass     string  `json:"requested_class,omitempty"`
+	// Result is set by the status handler alone, for a completed job.
+	Result            json.RawMessage `json:"result,omitempty"`
+	RetryAfterSeconds float64         `json:"retry_after_seconds,omitempty"`
+	Source            string          `json:"source"`
+	StartedAt         float64         `json:"started_at,omitempty"`
+	State             string          `json:"state"`
+	SubmittedAt       float64         `json:"submitted_at"`
+	User              string          `json:"user"`
+}
+
+// newJobView renders a job for API consumers. j must outlive the encode: the
+// view points into it.
+func newJobView(j *Job) jobView {
+	// Times and hints count when positive; omitempty drops the zero.
+	v := jobView{
+		AdmissionOutcome:   j.AdmissionOutcome,
+		Class:              j.ClassName(),
+		DeadlineSeconds:    max(j.DeadlineSeconds, 0),
+		Device:             j.Device,
+		ExpectedQPUSeconds: j.ExpectedQPUSeconds,
+		FinishedAt:         max(j.FinishedAt, 0).Seconds(),
+		ID:                 j.ID,
+		Pattern:            string(j.Pattern),
+		Preemptions:        j.Preemptions,
+		RetryAfterSeconds:  max(j.RetryAfterSeconds, 0),
+		Source:             j.Source,
+		StartedAt:          max(j.StartedAt, 0).Seconds(),
+		State:              string(j.State),
+		SubmittedAt:        j.SubmittedAt.Seconds(),
+		User:               j.User,
 	}
 	if j.Error != "" {
-		out["error"] = j.Error
+		v.Error = &j.Error
 	}
 	if j.AdmissionOutcome != "" {
-		out["admission_outcome"] = j.AdmissionOutcome
-		out["admission_reason"] = j.AdmissionReason
+		v.AdmissionReason = &j.AdmissionReason
 		if j.RequestedClass != j.Class {
-			out["requested_class"] = j.RequestedClass.String()
+			v.RequestedClass = j.RequestedClass.String()
 		}
 	}
-	if j.RetryAfterSeconds > 0 {
-		out["retry_after_seconds"] = j.RetryAfterSeconds
-	}
-	return out
+	return v
+}
+
+// submitBody is the POST /api/v1/jobs request, as the handler decodes it and
+// as Client.TaskStart encodes it.
+type submitBody struct {
+	Class              string          `json:"class"`
+	DeadlineSeconds    float64         `json:"deadline_seconds,omitempty"`
+	Device             string          `json:"device"`
+	ExpectedQPUSeconds float64         `json:"expected_qpu_seconds,omitempty"`
+	Pattern            string          `json:"pattern"`
+	Program            json.RawMessage `json:"program"`
+	Source             string          `json:"source,omitempty"`
+}
+
+// deviceView is one partition of GET /api/v1/devices; Cache is nil, and
+// absent, when program caching is off.
+type deviceView struct {
+	Cache       *CacheStats        `json:"cache,omitempty"`
+	Calibration device.Calibration `json:"calibration"`
+	ID          string             `json:"id"`
+	Queued      map[string]int     `json:"queued"`
+	Spec        qir.DeviceSpec     `json:"spec"`
+	Status      device.Status      `json:"status"`
+	Utilization float64            `json:"utilization"`
+}
+
+type devicesView struct {
+	Devices []deviceView `json:"devices"`
+	Router  string       `json:"router"`
+}
+
+// queryView is the GET /api/v1/metrics/query reply.
+type queryView struct {
+	Labels telemetry.Labels `json:"labels"`
+	Name   string           `json:"name"`
+	Points []pointView      `json:"points"`
+}
+
+type pointView struct {
+	AtSeconds float64 `json:"at_seconds"`
+	Value     float64 `json:"value"`
 }
 
 func parseClass(s string) (sched.Class, error) {
@@ -456,10 +515,25 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
+// bodies recycles the buffers writeJSON encodes into.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers code with v as one line of JSON. The body is encoded
+// before the status line goes out, so a value that cannot be encoded (a NaN
+// gauge, say) answers 500 and says why instead of a bare status with an empty
+// body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		http.Error(w, "daemon: encoding the reply: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client went away; there is no one to tell.
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

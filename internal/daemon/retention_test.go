@@ -363,3 +363,50 @@ func TestJobResultRacesEviction(t *testing.T) {
 		t.Fatalf("%d records retained, History 2", n)
 	}
 }
+
+// TestJobStatusResultRacesEviction: the same race for the status reply that
+// carries the result. A poll may find its job gone; one that finds it
+// completed finds its whole result, and any other state comes without one.
+func TestJobStatusResultRacesEviction(t *testing.T) {
+	clk := simclock.New()
+	dev, err := device.New(device.Config{Clock: clk, Seed: 9, TimingOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDaemon(Config{Devices: []*device.Device{dev}, Clock: clk, AdminToken: "x", History: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := d.OpenSession("alice")
+	const jobs = 300
+	ids := make(chan string, jobs)
+	var pollers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		pollers.Add(1)
+		go func() {
+			defer pollers.Done()
+			for id := range ids {
+				for i := 0; i < 20; i++ {
+					j, res, err := d.jobStatusResult(s.Token, id)
+					if err != nil {
+						continue
+					}
+					if (j.State == JobCompleted) != (res != nil) || (res != nil && !json.Valid(res)) {
+						t.Errorf("%s is %s with result %q", id, j.State, res)
+					}
+				}
+			}
+		}()
+	}
+	prog := payload(t, 1)
+	for i := 0; i < jobs; i++ {
+		j, err := d.Submit(s.Token, SubmitRequest{Program: prog, Class: sched.ClassDev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids <- j.ID
+		clk.Advance(time.Minute)
+	}
+	close(ids)
+	pollers.Wait()
+}

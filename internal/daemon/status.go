@@ -66,6 +66,38 @@ func (d *Daemon) JobStatus(token, jobID string) (*Job, error) {
 	return &cp, nil
 }
 
+// renderedResult returns a completed job's result as JSON, rendering it on
+// first use: replays, where no one fetches results, never pay for the marshal.
+// Caller holds d.mu.
+func (j *Job) renderedResult() ([]byte, error) {
+	if j.result == nil && j.res != nil {
+		var err error
+		if j.result, err = json.Marshal(j.res); err != nil {
+			return nil, err
+		}
+	}
+	return j.result, nil
+}
+
+// jobStatusResult is JobStatus and, for a completed job, JobResult in one
+// hold of d.mu — the status reply of a completed job carries its result, and
+// between two holds retention could evict the record. A result that fails to
+// render is left out; JobResult is where the caller then reads why.
+func (d *Daemon) jobStatusResult(token, jobID string) (*Job, []byte, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	j, err := d.ownedJobLocked(token, jobID)
+	if err != nil {
+		return nil, nil, err
+	}
+	var res []byte
+	if j.State == JobCompleted {
+		res, _ = j.renderedResult()
+	}
+	cp := *j
+	return &cp, res, nil
+}
+
 // JobResult returns the serialized result of a completed job. Every other
 // terminal state answers with an error that says why there is none, and only
 // a job still queued or running with qrmi.ErrResultNotReady, so a caller
@@ -80,12 +112,7 @@ func (d *Daemon) JobResult(token, jobID string) ([]byte, error) {
 	}
 	switch j.State {
 	case JobCompleted:
-		if j.result == nil && j.res != nil {
-			if j.result, err = json.Marshal(j.res); err != nil {
-				return nil, err
-			}
-		}
-		return j.result, nil
+		return j.renderedResult()
 	case JobFailed:
 		return nil, fmt.Errorf("daemon: job failed: %s", j.Error)
 	case JobCancelled:
