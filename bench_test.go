@@ -25,6 +25,7 @@ import (
 	"hpcqc/internal/daemon"
 	"hpcqc/internal/device"
 	"hpcqc/internal/emulator"
+	"hpcqc/internal/hybrid"
 	"hpcqc/internal/experiments"
 	"hpcqc/internal/loadgen"
 	"hpcqc/internal/qir"
@@ -127,7 +128,7 @@ func BenchmarkShotRateSweep(b *testing.B) {
 		rows, _ = experiments.RunShotRateSweep(5)
 	}
 	for _, r := range rows {
-		if r.Policy == sched.PolicyInterleave {
+		if r.Policy == hybrid.PolicyInterleave {
 			b.ReportMetric(r.QPUUtil, fmt.Sprintf("util_interleave_%gHz", r.ShotRateHz))
 		}
 	}
@@ -1043,13 +1044,13 @@ func BenchmarkSaturateSearch(b *testing.B) {
 // large synthetic batch.
 func BenchmarkOrchestratorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		gen := workload.NewGenerator(int64(i))
+		gen := hybrid.NewGenerator(int64(i))
 		jobs, err := gen.Batch(workload.Mix{QCHeavy: 20, CCHeavy: 20, Balanced: 20}, sched.ClassTest)
 		if err != nil {
 			b.Fatal(err)
 		}
 		clk := simclock.New()
-		o, err := sched.NewOrchestrator(clk, sched.PolicyInterleave)
+		o, err := hybrid.NewOrchestrator(clk, hybrid.PolicyInterleave)
 		if err != nil {
 			b.Fatal(err)
 		}

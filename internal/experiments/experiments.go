@@ -14,6 +14,7 @@ import (
 
 	"hpcqc/internal/core"
 	"hpcqc/internal/emulator"
+	"hpcqc/internal/hybrid"
 	"hpcqc/internal/qir"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
@@ -69,7 +70,7 @@ func fmtPct(f float64) string       { return fmt.Sprintf("%.1f%%", f*100) }
 // Table1Row is one (mix, policy) measurement.
 type Table1Row struct {
 	Mix        string
-	Policy     sched.Policy
+	Policy     hybrid.Policy
 	Makespan   time.Duration
 	QPUUtil    float64
 	QPUIdle    time.Duration
@@ -92,17 +93,17 @@ func RunTable1(seed int64) ([]Table1Row, *Table) {
 		{"C: balanced only", workload.Mix{Balanced: 6}},
 		{"mixed A+B+C", workload.Mix{QCHeavy: 2, CCHeavy: 2, Balanced: 2}},
 	}
-	policies := []sched.Policy{sched.PolicyExclusiveFIFO, sched.PolicyInterleave}
+	policies := []hybrid.Policy{hybrid.PolicyExclusiveFIFO, hybrid.PolicyInterleave}
 	var rows []Table1Row
 	for _, m := range mixes {
 		for _, pol := range policies {
-			gen := workload.NewGenerator(seed) // same jobs per policy
+			gen := hybrid.NewGenerator(seed) // same jobs per policy
 			jobs, err := gen.Batch(m.mix, sched.ClassTest)
 			if err != nil {
 				panic(err)
 			}
 			clk := simclock.New()
-			o, err := sched.NewOrchestrator(clk, pol)
+			o, err := hybrid.NewOrchestrator(clk, pol)
 			if err != nil {
 				panic(err)
 			}
@@ -317,7 +318,7 @@ func runBondSweep(seed int64, sizes, chis []int) ([]BondSweepRow, *Table, error)
 // ShotRateRow is one shot-rate measurement.
 type ShotRateRow struct {
 	ShotRateHz float64
-	Policy     sched.Policy
+	Policy     hybrid.Policy
 	Makespan   time.Duration
 	QPUUtil    float64
 }
@@ -332,18 +333,18 @@ type ShotRateRow struct {
 func RunShotRateSweep(seed int64) ([]ShotRateRow, *Table) {
 	var rows []ShotRateRow
 	for _, rate := range []float64{1, 10, 100} {
-		for _, pol := range []sched.Policy{sched.PolicyExclusiveFIFO, sched.PolicyInterleave} {
+		for _, pol := range []hybrid.Policy{hybrid.PolicyExclusiveFIFO, hybrid.PolicyInterleave} {
 			// A balanced job at shot rate r: the quantum segment is
 			// shots/rate; classical post-processing stays constant.
 			quantumSeg := simclock.Seconds(600 / rate)
 			clk := simclock.New()
-			o, _ := sched.NewOrchestrator(clk, pol)
+			o, _ := hybrid.NewOrchestrator(clk, pol)
 			for i := 0; i < 6; i++ {
-				j := &sched.HybridJob{
+				j := &hybrid.HybridJob{
 					ID:      fmt.Sprintf("j%d", i),
 					Class:   sched.ClassTest,
 					Pattern: sched.PatternBalanced,
-					Segments: []sched.Segment{
+					Segments: []hybrid.Segment{
 						{Quantum: true, Duration: quantumSeg},
 						{Quantum: false, Duration: 60 * time.Second},
 						{Quantum: true, Duration: quantumSeg},
@@ -392,23 +393,23 @@ type PreemptionRow struct {
 // inject production arrivals. Under the paper's policy production jobs never
 // wait behind dev work; without preemption they queue for the full dev job.
 func RunPreemption(seed int64) ([]PreemptionRow, *Table) {
-	build := func(pol sched.Policy) PreemptionRow {
+	build := func(pol hybrid.Policy) PreemptionRow {
 		clk := simclock.New()
-		o, _ := sched.NewOrchestrator(clk, pol)
+		o, _ := hybrid.NewOrchestrator(clk, pol)
 		// Dev flood: 5 long quantum jobs.
 		for i := 0; i < 5; i++ {
-			o.Submit(&sched.HybridJob{
+			o.Submit(&hybrid.HybridJob{
 				ID: fmt.Sprintf("dev%d", i), Class: sched.ClassDev,
-				Segments: []sched.Segment{{Quantum: true, Duration: 600 * time.Second}},
+				Segments: []hybrid.Segment{{Quantum: true, Duration: 600 * time.Second}},
 			})
 		}
 		// Production arrivals at t = 100s, 400s, 900s.
 		for i, at := range []time.Duration{100 * time.Second, 400 * time.Second, 900 * time.Second} {
 			i := i
 			clk.Schedule(at, "prod-arrival", func() {
-				o.Submit(&sched.HybridJob{
+				o.Submit(&hybrid.HybridJob{
 					ID: fmt.Sprintf("prod%d", i), Class: sched.ClassProduction,
-					Segments: []sched.Segment{{Quantum: true, Duration: 60 * time.Second}},
+					Segments: []hybrid.Segment{{Quantum: true, Duration: 60 * time.Second}},
 				})
 			})
 		}
@@ -432,9 +433,9 @@ func RunPreemption(seed int64) ([]PreemptionRow, *Table) {
 		}
 	}
 	rows := []PreemptionRow{
-		build(sched.PolicyExclusiveFIFO),
-		build(sched.PolicyPriorityExclusive),
-		build(sched.PolicyInterleave),
+		build(hybrid.PolicyExclusiveFIFO),
+		build(hybrid.PolicyPriorityExclusive),
+		build(hybrid.PolicyInterleave),
 	}
 	table := &Table{
 		Title:   "A5: production wait under dev flood (preemption ablation)",
@@ -521,7 +522,7 @@ type MalleableRow struct {
 func RunMalleable(seed int64) ([]MalleableRow, *Table, error) {
 	run := func(name string, minW, maxW int) (MalleableRow, error) {
 		clk := simclock.New()
-		pool, err := sched.NewMalleablePool(clk, 16)
+		pool, err := hybrid.NewMalleablePool(clk, 16)
 		if err != nil {
 			return MalleableRow{}, err
 		}
@@ -531,7 +532,7 @@ func RunMalleable(seed int64) ([]MalleableRow, *Table, error) {
 		for i, w := range works {
 			i, w := i, w
 			clk.Schedule(time.Duration(i)*5*time.Second, "arrival", func() {
-				_ = pool.Submit(&sched.MalleableTask{
+				_ = pool.Submit(&hybrid.MalleableTask{
 					ID:   fmt.Sprintf("%s-%d", name, i),
 					Work: w, MinWorkers: minW, MaxWorkers: maxW,
 				})

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"hpcqc/internal/sched"
+	"hpcqc/internal/hybrid"
 )
 
 // TestTable1Shape asserts the paper's Table 1 claims hold in the measured
@@ -203,16 +203,16 @@ func TestBondSweepShortSlice(t *testing.T) {
 func TestShotRateShape(t *testing.T) {
 	rows, _ := RunShotRateSweep(5)
 	gain := map[float64]float64{}
-	byRate := map[float64]map[sched.Policy]ShotRateRow{}
+	byRate := map[float64]map[hybrid.Policy]ShotRateRow{}
 	for _, r := range rows {
 		if byRate[r.ShotRateHz] == nil {
-			byRate[r.ShotRateHz] = map[sched.Policy]ShotRateRow{}
+			byRate[r.ShotRateHz] = map[hybrid.Policy]ShotRateRow{}
 		}
 		byRate[r.ShotRateHz][r.Policy] = r
 	}
 	for rate, m := range byRate {
-		excl := m[sched.PolicyExclusiveFIFO]
-		inter := m[sched.PolicyInterleave]
+		excl := m[hybrid.PolicyExclusiveFIFO]
+		inter := m[hybrid.PolicyInterleave]
 		gain[rate] = float64(excl.Makespan-inter.Makespan) / float64(excl.Makespan)
 	}
 	if gain[100] <= gain[1] {
@@ -223,13 +223,13 @@ func TestShotRateShape(t *testing.T) {
 	}
 	// The exclusive baseline's utilization collapses as the QPU speeds up;
 	// interleaving retains a large multiple of it.
-	exclDrop := byRate[1][sched.PolicyExclusiveFIFO].QPUUtil - byRate[100][sched.PolicyExclusiveFIFO].QPUUtil
+	exclDrop := byRate[1][hybrid.PolicyExclusiveFIFO].QPUUtil - byRate[100][hybrid.PolicyExclusiveFIFO].QPUUtil
 	if exclDrop < 0.5 {
 		t.Fatalf("exclusive utilization drop = %.2f, expected collapse", exclDrop)
 	}
-	if byRate[100][sched.PolicyInterleave].QPUUtil < 3*byRate[100][sched.PolicyExclusiveFIFO].QPUUtil {
+	if byRate[100][hybrid.PolicyInterleave].QPUUtil < 3*byRate[100][hybrid.PolicyExclusiveFIFO].QPUUtil {
 		t.Fatalf("interleave util %.2f not ≫ exclusive %.2f at 100 Hz",
-			byRate[100][sched.PolicyInterleave].QPUUtil, byRate[100][sched.PolicyExclusiveFIFO].QPUUtil)
+			byRate[100][hybrid.PolicyInterleave].QPUUtil, byRate[100][hybrid.PolicyExclusiveFIFO].QPUUtil)
 	}
 }
 
