@@ -1,7 +1,7 @@
 # Tier-1 entry points. `make test` is the fast gate (short mode, seconds);
 # `make test-full` runs everything including the ~40s experiment
 # reproductions; `make test-race` puts the race detector on the concurrent
-# fleet/scheduler/device/emulator/telemetry paths.
+# fleet/scheduler/hybrid-orchestrator/device/emulator/telemetry paths.
 
 GO ?= go
 
@@ -20,7 +20,7 @@ test-full:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/device/... ./internal/emulator/... ./internal/telemetry/...
+	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/hybrid/... ./internal/device/... ./internal/emulator/... ./internal/telemetry/...
 	$(GO) test -race -short ./internal/loadgen/...
 
 bench:

@@ -25,8 +25,8 @@ import (
 	"hpcqc/internal/daemon"
 	"hpcqc/internal/device"
 	"hpcqc/internal/emulator"
-	"hpcqc/internal/hybrid"
 	"hpcqc/internal/experiments"
+	"hpcqc/internal/hybrid"
 	"hpcqc/internal/loadgen"
 	"hpcqc/internal/qir"
 	"hpcqc/internal/qrmi"

@@ -158,8 +158,7 @@ func parseTriple(s, what string) ([3]int, error) {
 func runGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	out := fs.String("out", "", "trace file to write (required)")
-	mode := fs.String("mode", "open", "open (arrival process); closed-loop capture moved to the capture subcommand")
-	process := fs.String("process", "poisson", "arrival process: poisson, bursty, diurnal")
+	process := fs.String("process", "poisson", "open-loop arrival process: poisson, bursty, diurnal (closed-loop traces: qcload capture)")
 	rate := fs.Float64("rate", 150, "mean arrival rate in jobs/hour")
 	duration := fs.Duration("duration", 24*time.Hour, "trace horizon in simulation time")
 	seed := fs.Int64("seed", 1, "generation seed")
@@ -168,22 +167,11 @@ func runGen(args []string) error {
 	patternMix := fs.String("pattern-mix", "1:1:2", "qc-heavy:cc-heavy:balanced weights")
 	programs := fs.Int("programs", 0, "fixed per-pattern program variants (repeated-program workload; 0 = continuous jitter)")
 	deadlines := fs.Bool("deadlines", false, "stamp per-job completion deadlines from the per-class default contracts")
-	// Accepted but unused: the old closed-mode flags still parse so a
-	// pre-capture invocation reaches the migration error below instead of
-	// dying on an unknown flag.
-	fs.Duration("think", 5*time.Minute, "deprecated (closed-loop capture moved to the capture subcommand)")
-	fs.Int("devices", 4, "deprecated (closed-loop capture moved to the capture subcommand)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *out == "" {
 		return fmt.Errorf("gen: --out is required")
-	}
-	if *mode != "open" {
-		// One code path and one defaults table per operation: closed-loop
-		// capture lives in the capture subcommand, which also takes the
-		// policy triple driving the run.
-		return fmt.Errorf("gen: mode %q not supported; use 'qcload capture' for closed-loop traces", *mode)
 	}
 	cm, err := parseTriple(*classMix, "--class-mix")
 	if err != nil {
@@ -222,9 +210,7 @@ func runGen(args []string) error {
 }
 
 // runCapture is the closed-loop capture path: run a live fleet under a
-// chosen policy triple and record the arrivals. It replaces the old
-// `gen --mode closed`, which predated the policy knobs and always captured
-// under the defaults.
+// chosen policy triple and record the arrivals.
 func runCapture(args []string) error {
 	fs := flag.NewFlagSet("capture", flag.ContinueOnError)
 	out := fs.String("out", "", "trace file to write (required)")
@@ -438,9 +424,7 @@ func runReplay(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return writeReport(out, "", rep)
 }
 
 func runSweep(args []string, out io.Writer) (err error) {
@@ -467,15 +451,15 @@ func runSweep(args []string, out io.Writer) (err error) {
 	if *trace == "" {
 		return fmt.Errorf("sweep: --trace is required")
 	}
-	fleetAxis, err := splitInts(*fleets, "--fleets")
+	fleetAxis, err := splitNumbers(*fleets, "--fleets", "an integer", strconv.Atoi)
 	if err != nil {
 		return err
 	}
-	rateAxis, err := splitFloats(*rateScales, "--rate-scales")
+	rateAxis, err := splitNumbers(*rateScales, "--rate-scales", "a number", parseFloat)
 	if err != nil {
 		return err
 	}
-	shotAxis, err := splitFloats(*shotScales, "--shot-scales")
+	shotAxis, err := splitNumbers(*shotScales, "--shot-scales", "a number", parseFloat)
 	if err != nil {
 		return err
 	}
@@ -510,18 +494,7 @@ func runSweep(args []string, out io.Writer) (err error) {
 	}
 	fmt.Fprintf(os.Stderr, "qcload: swept %d jobs × %d policy combinations in %s\n",
 		tr.Header.Jobs, len(rep.Results), time.Since(start).Round(time.Millisecond))
-	w := out
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return writeReport(out, *outPath, rep)
 }
 
 // runSaturate is the capacity-planning search: per policy tuple × fleet
@@ -552,7 +525,7 @@ func runSaturate(args []string, out io.Writer) error {
 	if *trace == "" {
 		return fmt.Errorf("saturate: --trace is required")
 	}
-	fleetAxis, err := splitInts(*fleets, "--fleets")
+	fleetAxis, err := splitNumbers(*fleets, "--fleets", "an integer", strconv.Atoi)
 	if err != nil {
 		return err
 	}
@@ -594,18 +567,7 @@ func runSaturate(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(os.Stderr, "qcload: found %d capacity knees (%d probes × %d jobs) in %s\n",
 		len(rep.Points), probes, tr.Header.Jobs, time.Since(start).Round(time.Millisecond))
-	w := out
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return writeReport(out, *outPath, rep)
 }
 
 // runTraceExport replays a trace with the flight recorder attached and
@@ -637,16 +599,9 @@ func runTraceExport(args []string, out io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	w := out
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := trace.WriteChrome(w, rec.Jobs(), rec.Occupancy()); err != nil {
+	if err := writeTo(out, *outPath, func(w io.Writer) error {
+		return trace.WriteChrome(w, rec.Jobs(), rec.Occupancy())
+	}); err != nil {
 		return err
 	}
 	live, done := rec.Len()
@@ -666,28 +621,45 @@ func splitAxis(s string) []string {
 	return out
 }
 
-// splitInts parses a comma-separated integer axis like --fleets 2,4,8.
-func splitInts(s, what string) ([]int, error) {
-	var out []int
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// splitNumbers parses a comma-separated numeric axis like --fleets 2,4,8;
+// kind ("an integer") words the error for an element parse rejects.
+func splitNumbers[T any](s, what, kind string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, p := range splitAxis(s) {
-		n, err := strconv.Atoi(p)
+		v, err := parse(p)
 		if err != nil {
-			return nil, fmt.Errorf("%s element %q is not an integer", what, p)
+			return nil, fmt.Errorf("%s element %q is not %s", what, p, kind)
 		}
-		out = append(out, n)
+		out = append(out, v)
 	}
 	return out, nil
 }
 
-// splitFloats parses a comma-separated float axis like --rate-scales 1,2,4.
-func splitFloats(s, what string) ([]float64, error) {
-	var out []float64
-	for _, p := range splitAxis(s) {
-		f, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s element %q is not a number", what, p)
-		}
-		out = append(out, f)
+// writeTo runs write on the file at path, or on out when path is empty. The
+// file's Close error is the command's: a short write that surfaces only at
+// close must not leave a truncated report behind exit status 0.
+func writeTo(out io.Writer, path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(out)
 	}
-	return out, nil
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeReport writes v as indented JSON through writeTo.
+func writeReport(out io.Writer, path string, v any) error {
+	return writeTo(out, path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }

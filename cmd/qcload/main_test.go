@@ -153,6 +153,44 @@ func TestQcloadSweepSaturateSmoke(t *testing.T) {
 	}
 }
 
+// TestQcloadUnwritableReportFails: a report that cannot be written fails the
+// command instead of exiting 0 beside a missing or truncated file — --out at
+// a directory or under a missing one for sweep and saturate, a closed stdout
+// for replay (which has no --out) and for the other two without --out.
+func TestQcloadUnwritableReportFails(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "trace.jsonl")
+	if err := run([]string{"gen", "--out", trace, "--duration", "20m", "--rate", "120", "--seed", "9"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	closed, err := os.Create(filepath.Join(dir, "closed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	oneCell := []string{"--trace", trace, "--routers", "least-loaded", "--schedulers", "fifo", "--admissions", "accept-all"}
+	for _, tc := range []struct {
+		args   []string
+		hasOut bool
+	}{
+		{[]string{"replay", "--trace", trace}, false},
+		{append([]string{"sweep"}, oneCell...), true},
+		{append([]string{"saturate"}, oneCell...), true},
+	} {
+		if err := run(tc.args, closed); err == nil {
+			t.Errorf("%s onto a closed stdout exited 0", tc.args[0])
+		}
+		if !tc.hasOut {
+			continue
+		}
+		for _, path := range []string{dir, filepath.Join(dir, "missing", "report.json")} {
+			if err := run(append(tc.args, "--out", path), io.Discard); err == nil {
+				t.Errorf("%s --out %s exited 0", tc.args[0], path)
+			}
+		}
+	}
+}
+
 // TestQcloadProfileFlags: replay and sweep write pprof profiles on request
 // without touching the report, and an unwritable profile path is an error,
 // not a silently unprofiled run.
@@ -192,15 +230,20 @@ func TestQcloadProfileFlags(t *testing.T) {
 	}
 }
 
-// TestQcloadGenClosedPointsToCapture: the old closed-loop gen mode is
-// superseded by the capture subcommand; the error says where to go, even
-// for the full old invocation including the retired closed-mode flags.
+// TestQcloadGenClosedPointsToCapture: gen has no closed-loop mode. The old
+// invocation dies on flag's unknown-flag error, and the usage text flag
+// prints beside it names the capture subcommand — that pair is the migration
+// message.
 func TestQcloadGenClosedPointsToCapture(t *testing.T) {
-	err := run([]string{"gen", "--out", filepath.Join(t.TempDir(), "closed.jsonl"),
-		"--mode", "closed", "--duration", "30m",
-		"--users", "4", "--think", "1m", "--devices", "2", "--seed", "3"}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "capture") {
-		t.Fatalf("gen --mode closed = %v, want pointer to capture", err)
+	var err error
+	usage := stderrOf(t, func() {
+		err = run([]string{"gen", "--out", filepath.Join(t.TempDir(), "closed.jsonl"), "--mode", "closed"}, io.Discard)
+	})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -mode") {
+		t.Fatalf("gen --mode closed = %v, want flag's unknown-flag error", err)
+	}
+	if !strings.Contains(usage, "qcload capture") {
+		t.Fatalf("gen usage does not name the capture subcommand:\n%s", usage)
 	}
 }
 
@@ -297,7 +340,6 @@ func TestQcloadErrors(t *testing.T) {
 		{},
 		{"bogus"},
 		{"gen"},
-		{"gen", "--out", "/tmp/x.jsonl", "--mode", "sideways"},
 		{"gen", "--out", "/tmp/x.jsonl", "--process", "fractal"},
 		{"gen", "--out", "/tmp/x.jsonl", "--class-mix", "1:2"},
 		{"capture"},
@@ -328,28 +370,36 @@ func registeredPolicies() []string {
 	return append(names, daemon.Priorities.Names()...)
 }
 
+// stderrOf returns what fn writes to os.Stderr. flag.FlagSet prints usage
+// there unless told otherwise; the text is far below a pipe's buffer, so no
+// reader goroutine.
+func stderrOf(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	fn()
+	os.Stderr = stderr
+	w.Close()
+	text, _ := io.ReadAll(r)
+	return string(text)
+}
+
 // TestHelpNamesEveryRegisteredPolicy: the policy flags' help text is
 // generated from the registries, so `qcload sweep -h` (axis flags) and
 // `qcload replay -h` (single-run flags) must mention every registered name.
 func TestHelpNamesEveryRegisteredPolicy(t *testing.T) {
 	for _, sub := range []string{"sweep", "replay"} {
-		// flag.FlagSet prints usage to os.Stderr unless told otherwise; the
-		// help text is far below a pipe's buffer, so no reader goroutine.
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		stderr := os.Stderr
-		os.Stderr = w
-		err = run([]string{sub, "-h"}, io.Discard)
-		os.Stderr = stderr
-		w.Close()
-		help, _ := io.ReadAll(r)
+		var err error
+		help := stderrOf(t, func() { err = run([]string{sub, "-h"}, io.Discard) })
 		if !errors.Is(err, flag.ErrHelp) {
 			t.Fatalf("%s -h returned %v, want flag.ErrHelp", sub, err)
 		}
 		for _, name := range registeredPolicies() {
-			if !strings.Contains(string(help), name) {
+			if !strings.Contains(help, name) {
 				t.Errorf("qcload %s -h does not mention registered policy %q:\n%s", sub, name, help)
 			}
 		}

@@ -4,7 +4,7 @@
 // middleware daemon providing a second level of scheduling below the HPC
 // batch scheduler, multi-SDK frontends over a vendor-neutral resource
 // management interface, and a full observability stack — with every hardware
-// and site dependency (neutral-atom QPU, Slurm, cloud services) substituted
+// and site dependency (neutral-atom QPU, Slurm, a metrics stack) substituted
 // by faithful simulators so the complete system runs offline.
 //
 // # Fleet architecture

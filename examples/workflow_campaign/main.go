@@ -1,11 +1,12 @@
-// workflow_campaign runs a multi-step hybrid campaign on the DAG workflow
-// engine (paper §4: "workflow engine integrations"): a classical step plans a
-// detuning sweep, one quantum step per sweep point prepares the Z2-ordered
-// phase at that detuning, and a classical analysis step folds the results
-// into an order-parameter curve — the phase-boundary scan a neutral-atom
-// user actually runs. The whole DAG retargets with -qpu, so the identical
-// campaign executes on the laptop emulator, the HPC tensor-network emulator,
-// or the QPU model.
+// workflow_campaign runs a multi-step hybrid campaign as the plain program it
+// is: a classical step plans a detuning sweep, one quantum run per sweep
+// point prepares the Z2-ordered phase at that detuning, and a classical
+// analysis step folds the results into an order-parameter curve — the
+// phase-boundary scan a neutral-atom user actually runs. The whole campaign
+// retargets with -qpu, so the identical code executes on the laptop emulator,
+// the HPC tensor-network emulator, or the QPU model. Runs are sequential:
+// concurrency across programs belongs to the middleware's scheduler, not the
+// client.
 package main
 
 import (
@@ -13,12 +14,10 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sort"
 
 	"hpcqc/internal/core"
 	"hpcqc/internal/emulator"
 	"hpcqc/internal/qir"
-	"hpcqc/internal/workflow"
 )
 
 func main() {
@@ -38,103 +37,58 @@ func main() {
 	)
 	omega := 2 * math.Pi
 
-	wf := workflow.New()
+	// Plan (classical): final detunings from below to above the ordering
+	// transition, ascending — the one source of truth for the later steps.
+	final := make([]float64, *points)
+	fmt.Printf("plan: final detunings (rad/µs):")
+	for i := range final {
+		final[i] = omega * (0.5 + 2.5*float64(i)/float64(*points-1))
+		fmt.Printf(" %.1f", final[i])
+	}
+	fmt.Println()
 
-	// Step 1 (classical): plan the sweep. Downstream steps read the plan
-	// from the workflow context, so the campaign has one source of truth.
-	if err := wf.ClassicalStep("plan", nil, func(ctx *workflow.Context) error {
-		var final []float64
-		for i := 0; i < *points; i++ {
-			// Final detunings from below to above the ordering transition.
-			final = append(final, omega*(0.5+2.5*float64(i)/float64(*points-1)))
+	// Prepare (quantum): one adiabatic preparation per sweep point, each
+	// program built from the plan right before it runs.
+	results := make([]*qir.Result, *points)
+	for i, det := range final {
+		seq := qir.NewAnalogSequence(qir.LinearRegister("chain", n, 5.5))
+		// Ramp up, sweep detuning through the transition, ramp down.
+		seq.Add(qir.GlobalRydberg, qir.Pulse{
+			Amplitude: qir.RampWaveform{Dur: 300, Start: 0, Stop: omega},
+			Detuning:  qir.ConstantWaveform{Dur: 300, Val: -3 * omega},
+		})
+		seq.Add(qir.GlobalRydberg, qir.Pulse{
+			Amplitude: qir.ConstantWaveform{Dur: 2600, Val: omega},
+			Detuning:  qir.RampWaveform{Dur: 2600, Start: -3 * omega, Stop: det},
+		})
+		seq.Add(qir.GlobalRydberg, qir.Pulse{
+			Amplitude: qir.RampWaveform{Dur: 300, Start: omega, Stop: 0},
+			Detuning:  qir.ConstantWaveform{Dur: 300, Val: det},
+		})
+		if results[i], err = rt.Execute(qir.NewAnalogProgram(seq, shots)); err != nil {
+			log.Fatalf("prepare-%d: %v", i, err)
 		}
-		ctx.SetValue("sweep", final)
-		fmt.Printf("plan: final detunings (rad/µs):")
-		for _, d := range final {
-			fmt.Printf(" %.1f", d)
-		}
-		fmt.Println()
-		return nil
-	}); err != nil {
-		log.Fatal(err)
 	}
 
-	// Step 2..k (quantum): one adiabatic preparation per sweep point. Each
-	// step builds its program from the plan at execution time, after the
-	// runtime has fetched current device characteristics.
-	stepName := func(i int) string { return fmt.Sprintf("prepare-%d", i) }
-	for i := 0; i < *points; i++ {
-		i := i
-		err := wf.QuantumStep(stepName(i), []string{"plan"}, func(ctx *workflow.Context) (*qir.Program, error) {
-			sweepVal, _ := ctx.Value("sweep")
-			final := sweepVal.([]float64)[i]
-			seq := qir.NewAnalogSequence(qir.LinearRegister("chain", n, 5.5))
-			// Ramp up, sweep detuning through the transition, ramp down.
-			seq.Add(qir.GlobalRydberg, qir.Pulse{
-				Amplitude: qir.RampWaveform{Dur: 300, Start: 0, Stop: omega},
-				Detuning:  qir.ConstantWaveform{Dur: 300, Val: -3 * omega},
-			})
-			seq.Add(qir.GlobalRydberg, qir.Pulse{
-				Amplitude: qir.ConstantWaveform{Dur: 2600, Val: omega},
-				Detuning:  qir.RampWaveform{Dur: 2600, Start: -3 * omega, Stop: final},
-			})
-			seq.Add(qir.GlobalRydberg, qir.Pulse{
-				Amplitude: qir.RampWaveform{Dur: 300, Start: omega, Stop: 0},
-				Detuning:  qir.ConstantWaveform{Dur: 300, Val: final},
-			})
-			return qir.NewAnalogProgram(seq, shots), nil
-		})
+	// Analyse (classical): fold every preparation into the order-parameter
+	// curve.
+	fmt.Println("\nfinal detuning   staggered order   rydberg density")
+	for i, res := range results {
+		order, err := emulator.StaggeredMagnetization(res.Counts)
 		if err != nil {
 			log.Fatal(err)
 		}
+		density, err := emulator.RydbergDensity(res.Counts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		bar := ""
+		for k := 0; k < int(order*40); k++ {
+			bar += "#"
+		}
+		fmt.Printf("   %6.2f            %.3f          %.3f   %s\n", final[i], order, density, bar)
 	}
 
-	// Final step (classical): aggregate every preparation into the
-	// order-parameter curve.
-	after := make([]string, *points)
-	for i := range after {
-		after[i] = stepName(i)
-	}
-	if err := wf.ClassicalStep("analyze", after, func(ctx *workflow.Context) error {
-		type pt struct{ det, order, density float64 }
-		var curve []pt
-		sweepVal, _ := ctx.Value("sweep")
-		final := sweepVal.([]float64)
-		for i := 0; i < *points; i++ {
-			res, ok := ctx.Result(stepName(i))
-			if !ok {
-				return fmt.Errorf("missing result for %s", stepName(i))
-			}
-			order, err := emulator.StaggeredMagnetization(res.Counts)
-			if err != nil {
-				return err
-			}
-			density, err := emulator.RydbergDensity(res.Counts)
-			if err != nil {
-				return err
-			}
-			curve = append(curve, pt{final[i], order, density})
-		}
-		sort.Slice(curve, func(a, b int) bool { return curve[a].det < curve[b].det })
-		fmt.Println("\nfinal detuning   staggered order   rydberg density")
-		for _, p := range curve {
-			bar := ""
-			for k := 0; k < int(p.order*40); k++ {
-				bar += "#"
-			}
-			fmt.Printf("   %6.2f            %.3f          %.3f   %s\n", p.det, p.order, p.density, bar)
-		}
-		ctx.SetValue("curve", curve)
-		return nil
-	}); err != nil {
-		log.Fatal(err)
-	}
-
-	_, report, err := wf.Execute(rt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\ncampaign finished: %d steps in topological order: %v\n",
-		len(report.Order), report.Order)
-	fmt.Println("re-run with -qpu hpc-mps or -qpu qpu-onprem: the DAG is unchanged")
+	fmt.Printf("\ncampaign finished: plan, %d preparations, analysis\n", *points)
+	fmt.Println("re-run with -qpu hpc-mps or -qpu qpu-onprem: the program is unchanged")
 }

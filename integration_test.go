@@ -8,12 +8,14 @@ package hpcqc
 import (
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
-	"hpcqc/internal/cloud"
 	"hpcqc/internal/core"
 	"hpcqc/internal/daemon"
 	"hpcqc/internal/device"
@@ -191,41 +193,6 @@ func TestRuntimeAgainstDaemonHTTP(t *testing.T) {
 	}
 }
 
-// TestRuntimeAgainstCloudHTTP binds the runtime to the cloud service — the
-// loose-coupling path — and cross-checks physics with the local emulator.
-func TestRuntimeAgainstCloudHTTP(t *testing.T) {
-	srv := cloud.NewServer(cloud.ServerConfig{Tokens: []string{"tok"}, Seed: 3})
-	if err := srv.RegisterDevice(emulator.NewSVBackend(emulator.SVConfig{})); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	cl, err := cloud.NewClient(ts.URL, "emu-sv", "tok", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := core.NewRuntimeWithResource(cl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloudRes, err := rt.Execute(integrationProgram(2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	localRT, err := core.NewRuntimeFor("local-sv", "", []string{"QRMI_SEED=5"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	localRes, err := localRT.Execute(integrationProgram(2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tvd := emulator.TotalVariationDistance(cloudRes.Counts, localRes.Counts); tvd > 0.05 {
-		t.Fatalf("cloud vs local TVD = %g", tvd)
-	}
-}
-
 // TestDaemonSurvivesMaintenanceMidQueue covers the operational corner: jobs
 // queue up, the admin takes the device down, queued work resumes afterwards.
 func TestDaemonSurvivesMaintenanceMidQueue(t *testing.T) {
@@ -268,25 +235,55 @@ func TestDaemonSurvivesMaintenanceMidQueue(t *testing.T) {
 	}
 }
 
-// TestQRMIResourceContract is a contract test: every local resource type
-// honours the same lifecycle invariants.
+// TestQRMIResourceContract is a contract test: every resource type — the
+// local ones and the HTTP-backed daemon client — honours the same lifecycle
+// invariants. The one row that differs is stated in the table: daemon.Client
+// opens its session in NewClient, so "TaskStart before Acquire" does not
+// apply to it.
 func TestQRMIResourceContract(t *testing.T) {
-	resources := map[string]qrmi.Resource{
-		"emu-sv":  qrmi.NewEmulatorResource(emulator.NewSVBackend(emulator.SVConfig{}), 1),
-		"emu-mps": qrmi.NewEmulatorResource(emulator.NewMPSBackend(emulator.MPSConfig{MaxBond: 4}), 2),
-	}
 	clk := simclock.New()
 	dev, _ := device.New(device.Config{Clock: clk, Seed: 37})
 	dr := qrmi.NewDeviceResource(dev, clk)
 	dr.AutoAdvance = 30 * time.Second
-	resources["qpu-direct"] = dr
+
+	// The daemon behind httptest, its clock advanced by each request it
+	// serves: a poll loop makes simulated progress with no pump goroutine.
+	dclk := simclock.New()
+	ddev, _ := device.New(device.Config{Clock: dclk, Seed: 38})
+	dmn, err := daemon.NewDaemon(daemon.Config{Devices: []*device.Device{ddev}, Clock: dclk, AdminToken: "adm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := dmn.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dclk.Advance(5 * time.Second)
+		handler.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	dc, err := daemon.NewClient(ts.URL, "dora", sched.ClassTest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resources := []struct {
+		name string
+		r    qrmi.Resource
+		// sessionAtConstruction: the resource is usable before Acquire.
+		sessionAtConstruction bool
+	}{
+		{"emu-sv", qrmi.NewEmulatorResource(emulator.NewSVBackend(emulator.SVConfig{}), 1), false},
+		{"emu-mps", qrmi.NewEmulatorResource(emulator.NewMPSBackend(emulator.MPSConfig{MaxBond: 4}), 2), false},
+		{"qpu-direct", dr, false},
+		{"daemon-http", dc, true},
+	}
 
 	payload, err := qrmi.EncodeProgram(integrationProgram(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, r := range resources {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range resources {
+		r := tc.r
+		t.Run(tc.name, func(t *testing.T) {
 			// Metadata carries a parseable spec.
 			md, err := r.Metadata()
 			if err != nil {
@@ -296,8 +293,10 @@ func TestQRMIResourceContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Task ops require acquire.
-			if _, err := r.TaskStart(payload); err == nil {
-				t.Fatal("TaskStart before Acquire accepted")
+			if !tc.sessionAtConstruction {
+				if _, err := r.TaskStart(payload); err == nil {
+					t.Fatal("TaskStart before Acquire accepted")
+				}
 			}
 			tok, err := r.Acquire()
 			if err != nil {
@@ -403,5 +402,37 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %s:\n%s", want, out)
 		}
+	}
+}
+
+// TestREADMENamesEveryInternalPackage keeps README's tables and the tree from
+// drifting apart: every directory under internal/ is named in a table row,
+// and every `internal/<dir>` a row names exists.
+func TestREADMENamesEveryInternalPackage(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	inRow := regexp.MustCompile("`internal/([a-z]+)")
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "|") {
+			for _, m := range inRow.FindAllStringSubmatch(line, -1) {
+				named[m[1]] = true
+			}
+		}
+	}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && !named[d.Name()] {
+			t.Errorf("README.md's tables do not name internal/%s", d.Name())
+		}
+		delete(named, d.Name())
+	}
+	for name := range named {
+		t.Errorf("README.md names internal/%s, which does not exist", name)
 	}
 }

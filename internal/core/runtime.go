@@ -1,7 +1,7 @@
 // Package core implements the paper's primary contribution: a portable
 // runtime environment for hybrid quantum-classical programs. One program,
 // written once, executes on a laptop emulator, an HPC tensor-network
-// emulator, a cloud resource or the production QPU, switched only by the
+// emulator or the production QPU behind the daemon, switched only by the
 // `--qpu=<resource>` option or its environment equivalent — never by a
 // source change (paper §3.1–3.2, realizing the Figure 1 workflow).
 //
@@ -37,8 +37,8 @@ type Profiles struct {
 
 // BuiltinProfiles returns the out-of-the-box catalogue: the local exact
 // emulator, HPC-scale tensor-network emulators at two bond dimensions, the
-// χ=1 mock device, and a local on-prem-style device model. Cloud and daemon
-// profiles require endpoints, so sites add them via profile files.
+// χ=1 mock device, and a local on-prem-style device model. Daemon
+// profiles require an endpoint, so sites add them via profile files.
 func BuiltinProfiles() *Profiles {
 	return &Profiles{
 		Default: "local-sv",

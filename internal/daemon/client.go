@@ -16,8 +16,8 @@ import (
 
 // Client is the user side of the runtime environment: a qrmi.Resource that
 // talks to the middleware daemon, so programs written against QRMI run
-// unchanged whether they bind a local emulator, the cloud, or the shared
-// on-prem QPU behind the daemon.
+// unchanged whether they bind a local emulator or the shared on-prem QPU
+// behind the daemon.
 type Client struct {
 	base  string
 	token string

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -308,6 +309,31 @@ func TestCloseSessionCancelsQueuedJobs(t *testing.T) {
 	}
 	if states[running.ID] != JobRunning {
 		t.Fatalf("running = %s", states[running.ID])
+	}
+}
+
+// TestListJobsTotalOrder: jobs submitted at one simulated instant list
+// newest-first by mint order — numerically, so job-10 follows job-11 and
+// precedes job-9 — and identically on every call, not in Go map order.
+func TestListJobsTotalOrder(t *testing.T) {
+	env := newEnv(t)
+	s, _ := env.d.OpenSession("alice")
+	const n = 24
+	for i := 0; i < n; i++ {
+		if _, err := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 10), Class: sched.ClassDev}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for call := 0; call < 5; call++ {
+		jobs := env.d.ListJobs()
+		if len(jobs) != n {
+			t.Fatalf("listed %d jobs, want %d", len(jobs), n)
+		}
+		for i, j := range jobs {
+			if want := "job-" + strconv.Itoa(n-i); j.ID != want {
+				t.Fatalf("call %d: listing[%d] = %s, want %s", call, i, j.ID, want)
+			}
+		}
 	}
 }
 

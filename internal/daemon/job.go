@@ -129,6 +129,9 @@ type Job struct {
 	// preemption requeue) — the start of its current queued/requeued trace
 	// span. Guarded by d.mu like the exported timing fields.
 	enqueuedAt time.Duration
+	// seq is the number ID was minted from — the listing's sort key, since
+	// "job-10" sorts before "job-9" as text.
+	seq int
 }
 
 // ClassName renders the class for JSON consumers.
@@ -212,6 +215,7 @@ func (d *Daemon) newJobLocked(sub *submission, device string) *Job {
 	j := jobPool.Get().(*Job)
 	*j = Job{
 		ID:                 "job-" + strconv.Itoa(d.nextJob),
+		seq:                d.nextJob,
 		Session:            sub.sess.Token,
 		User:               sub.sess.User,
 		Class:              dec.Class,

@@ -214,7 +214,9 @@ func (d *Daemon) AdminStatus() StatusReport {
 }
 
 // ListJobs returns a snapshot of every record in the job table — the jobs in
-// flight and the retained history — newest first, for the admin plane.
+// flight and the retained history — newest first, for the admin plane. Mint
+// order is submit order (the clock never runs backwards), so it alone is the
+// key: a total order even among jobs submitted at one instant.
 func (d *Daemon) ListJobs() []*Job {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -223,7 +225,7 @@ func (d *Daemon) ListJobs() []*Job {
 		cp := *j
 		out = append(out, &cp)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].SubmittedAt > out[b].SubmittedAt })
+	sort.Slice(out, func(a, b int) bool { return out[a].seq > out[b].seq })
 	return out
 }
 

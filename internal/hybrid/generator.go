@@ -42,7 +42,7 @@ func (g *Generator) jittered(d time.Duration) time.Duration {
 func (g *Generator) Job(p sched.Pattern, class sched.Class) (*HybridJob, error) {
 	spec, ok := g.specs[p]
 	if !ok {
-		return nil, fmt.Errorf("workload: unknown pattern %q", p)
+		return nil, fmt.Errorf("hybrid: unknown pattern %q", p)
 	}
 	g.nextID++
 	j := &HybridJob{
@@ -60,7 +60,7 @@ func (g *Generator) Job(p sched.Pattern, class sched.Class) (*HybridJob, error) 
 // Batch builds a shuffled batch for a mix; all jobs share the class.
 func (g *Generator) Batch(m workload.Mix, class sched.Class) ([]*HybridJob, error) {
 	if m.Total() == 0 {
-		return nil, errors.New("workload: empty mix")
+		return nil, errors.New("hybrid: empty mix")
 	}
 	var jobs []*HybridJob
 	add := func(p sched.Pattern, n int) error {

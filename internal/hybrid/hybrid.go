@@ -148,7 +148,7 @@ type Orchestrator struct {
 // NewOrchestrator returns an orchestrator on the clock with the policy.
 func NewOrchestrator(clock *simclock.Clock, policy Policy) (*Orchestrator, error) {
 	if clock == nil {
-		return nil, errors.New("sched: orchestrator requires a clock")
+		return nil, errors.New("hybrid: orchestrator requires a clock")
 	}
 	return &Orchestrator{
 		clock:   clock,
@@ -162,20 +162,20 @@ func NewOrchestrator(clock *simclock.Clock, policy Policy) (*Orchestrator, error
 // Submit enqueues a hybrid job.
 func (o *Orchestrator) Submit(j *HybridJob) error {
 	if j.ID == "" {
-		return errors.New("sched: job needs an ID")
+		return errors.New("hybrid: job needs an ID")
 	}
 	if len(j.Segments) == 0 {
-		return errors.New("sched: job needs at least one segment")
+		return errors.New("hybrid: job needs at least one segment")
 	}
 	for i, s := range j.Segments {
 		if s.Duration <= 0 {
-			return fmt.Errorf("sched: job %s segment %d has non-positive duration", j.ID, i)
+			return fmt.Errorf("hybrid: job %s segment %d has non-positive duration", j.ID, i)
 		}
 	}
 	o.mu.Lock()
 	if _, dup := o.jobs[j.ID]; dup {
 		o.mu.Unlock()
-		return fmt.Errorf("sched: duplicate job ID %q", j.ID)
+		return fmt.Errorf("hybrid: duplicate job ID %q", j.ID)
 	}
 	j.submitAt = o.clock.Now()
 	o.jobs[j.ID] = j

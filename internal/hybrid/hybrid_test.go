@@ -290,11 +290,8 @@ func TestHybridJobTotals(t *testing.T) {
 	}
 }
 
-func TestPolicyAndClassStrings(t *testing.T) {
+func TestPolicyStrings(t *testing.T) {
 	if PolicyExclusiveFIFO.String() == "" || PolicyInterleave.String() == "" || Policy(9).String() != "unknown" {
 		t.Fatal("policy strings")
-	}
-	if sched.ClassProduction.String() != "production" || sched.ClassDev.String() != "dev" || sched.ClassTest.String() != "test" {
-		t.Fatal("class strings")
 	}
 }

@@ -39,16 +39,16 @@ type MalleableTask struct {
 // Validate checks task invariants.
 func (t *MalleableTask) Validate(poolSize int) error {
 	if t.ID == "" {
-		return errors.New("sched: malleable task needs an ID")
+		return errors.New("hybrid: malleable task needs an ID")
 	}
 	if t.Work <= 0 {
-		return fmt.Errorf("sched: task %s needs positive work", t.ID)
+		return fmt.Errorf("hybrid: task %s needs positive work", t.ID)
 	}
 	if t.MinWorkers < 1 || t.MaxWorkers < t.MinWorkers {
-		return fmt.Errorf("sched: task %s has invalid worker bounds [%d,%d]", t.ID, t.MinWorkers, t.MaxWorkers)
+		return fmt.Errorf("hybrid: task %s has invalid worker bounds [%d,%d]", t.ID, t.MinWorkers, t.MaxWorkers)
 	}
 	if t.MinWorkers > poolSize {
-		return fmt.Errorf("sched: task %s needs %d workers, pool has %d", t.ID, t.MinWorkers, poolSize)
+		return fmt.Errorf("hybrid: task %s needs %d workers, pool has %d", t.ID, t.MinWorkers, poolSize)
 	}
 	return nil
 }
@@ -75,10 +75,10 @@ type MalleablePool struct {
 // NewMalleablePool returns a pool of `workers` classical workers.
 func NewMalleablePool(clock *simclock.Clock, workers int) (*MalleablePool, error) {
 	if clock == nil {
-		return nil, errors.New("sched: malleable pool requires a clock")
+		return nil, errors.New("hybrid: malleable pool requires a clock")
 	}
 	if workers < 1 {
-		return nil, fmt.Errorf("sched: pool needs at least 1 worker, got %d", workers)
+		return nil, fmt.Errorf("hybrid: pool needs at least 1 worker, got %d", workers)
 	}
 	return &MalleablePool{
 		clock:     clock,
@@ -97,7 +97,7 @@ func (p *MalleablePool) Submit(t *MalleableTask) error {
 	p.mu.Lock()
 	if _, dup := p.all[t.ID]; dup {
 		p.mu.Unlock()
-		return fmt.Errorf("sched: duplicate task %q", t.ID)
+		return fmt.Errorf("hybrid: duplicate task %q", t.ID)
 	}
 	t.remaining = t.Work
 	t.arrived = p.clock.Now()

@@ -96,7 +96,7 @@ func TestRampIntegralProperty(t *testing.T) {
 
 // TestProgramRoundTripProperty: analog programs of arbitrary register size,
 // pulse shape and shot count survive the Marshal/Unmarshal boundary that
-// every submission path (daemon REST, cloud API, QRMI payload) crosses.
+// every submission path (daemon REST, QRMI payload) crosses.
 func TestProgramRoundTripProperty(t *testing.T) {
 	f := func(nRaw, shotsRaw uint8, rawDur, rawVal uint16) bool {
 		n := int(nRaw)%24 + 1

@@ -13,7 +13,7 @@ import (
 //
 //	QRMI_RESOURCE            name of the resource to bind ("--qpu=<name>")
 //	QRMI_RESOURCE_TYPE       resource type (emu-sv, emu-mps, qpu-direct,
-//	                         cloud, daemon, ...)
+//	                         daemon, ...)
 //	QRMI_<KEY>               type-specific settings, lower-cased into <key>
 //
 // Everything accepts an explicit map so tests and the Slurm plugin can

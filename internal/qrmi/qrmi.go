@@ -5,7 +5,7 @@
 // target can sit. The paper's contribution extends QRMI from connectivity
 // and Slurm scheduling to locally-running emulators and a middleware daemon;
 // this package provides the contract plus the local implementations, and the
-// cloud/daemon packages provide HTTP-backed ones.
+// daemon package provides the HTTP-backed one.
 package qrmi
 
 import (
@@ -73,8 +73,8 @@ type Resource interface {
 type Factory func(cfg map[string]string) (Resource, error)
 
 // factories is the type → Factory registry. Local types register here;
-// HTTP-backed types (cloud, daemon) are registered by their packages via
-// RegisterFactory so this package does not import them.
+// the HTTP-backed type (daemon) is registered by its package via
+// RegisterFactory so this package does not import it.
 var factories = map[string]Factory{}
 
 // RegisterFactory installs a resource-type factory. Later registrations

@@ -86,6 +86,12 @@ func TestShouldPreempt(t *testing.T) {
 	}
 }
 
+func TestClassStrings(t *testing.T) {
+	if ClassProduction.String() != "production" || ClassDev.String() != "dev" || ClassTest.String() != "test" {
+		t.Fatal("class strings")
+	}
+}
+
 func TestParsePattern(t *testing.T) {
 	for _, ok := range []string{"qc-heavy", "cc-heavy", "qc-balanced", ""} {
 		if _, err := ParsePattern(ok); err != nil {
