@@ -61,12 +61,14 @@ bench-json:
 # TSDB append pair and the job-reply encode are -required for presence (served
 # throughput over loopback HTTP is too noisy for the 20% rule; benchmark/
 # measures it in pairs), and BenchmarkTSDBAppend/bound is held to 0 allocs/op
-# beside the queue pop.
+# beside the queue pop. What the served path can be held to on any box is its
+# request count: BenchmarkServedSubmit must report http_requests_per_job
+# (-require name:metric), and benchdiff fails it above 1.5.
 bench-diff:
 	$(GO) test -bench='$(BENCH_PATTERN)' \
 		-benchmem -run='^$$' -json $(BENCH_PKGS) > $(BENCH_FRESH)
 	$(GO) run ./cmd/benchdiff \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
 		BENCH_fleet.json $(BENCH_FRESH)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a

@@ -485,8 +485,10 @@ func BenchmarkFleetDispatch(b *testing.B) {
 // virtual clock is pumped from event to event while a job is outstanding, so
 // wall time is the middleware's and not a timer's. One op is one job:
 // TaskStart in bursts of 8, then TaskStatus until terminal and TaskResult;
-// http_requests_per_job counts what that costs on the wire (one POST, the
-// status polls, and no result request when the last poll brought the result).
+// http_requests_per_job counts what that costs on the wire (one POST, a share
+// of the status polls — each names the rest of the burst, and its reply
+// settles every job that has ended — and no result request); cmd/benchdiff
+// fails it above 1.5.
 // It mirrors the `serve-submit` workload of the benchmark/ module, which is
 // the number of record; this one is for looking inside.
 func BenchmarkServedSubmit(b *testing.B) {

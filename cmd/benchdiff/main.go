@@ -18,7 +18,8 @@
 // reported but never fail the diff, so adding or renaming a benchmark does
 // not require regenerating the baseline in the same commit — except the
 // benchmarks named by -require, which must appear in both files (by name, or
-// as the parent of sub-benchmarks): those are the gate's load-bearing
+// as the parent of sub-benchmarks; "name:metric" also requires that metric of
+// it): those are the gate's load-bearing
 // members, and silently dropping one (a renamed benchmark, a stale baseline)
 // would otherwise turn the gate into a no-op. Names are compared without the
 // -GOMAXPROCS suffix, so a baseline recorded on one core gates a run on four.
@@ -34,7 +35,7 @@
 // priority_overhead_pct — the cost of slo-urgency's per-dispatch backlog
 // re-scoring over the constant policy's legacy pop — capped by
 // priorityOverhead: the deadline axis must stay a scheduling knob, not a
-// replay throughput tax.
+// replay throughput tax. A count is capped beside them (see capped).
 //
 // A third intra-run rule holds the queue's indexed extraction to its
 // complexity claim: for every BenchmarkClassQueuePop/<path>, ns/op at backlog
@@ -79,6 +80,22 @@ var lowerMetrics = map[string]bool{"peak_heap_mb": true}
 // traced replay over the untraced one, and the slo-urgency priority axis over
 // the constant default, each measured within one run.
 const traceOverhead, priorityOverhead = 0.10, 0.10
+
+// capped are the readings held under a fixed limit in the fresh run: the two
+// ratios above, in percent, and what a served job costs on the wire — a count,
+// so the one served-path figure that reads the same on any box (a POST plus a
+// status poll shared by a burst of 8 is ≈ 1.2; a poll per job reads ≥ 2).
+var capped = []struct {
+	bench, metric, format string
+	limit                 float64
+}{
+	{"BenchmarkLoadgenReplayTraced", "trace_overhead_pct",
+		"tracing overhead: %.1f%% traced-vs-untraced replay cost (limit %.0f%%)", traceOverhead * 100},
+	{"BenchmarkLoadgenReplayPriority", "priority_overhead_pct",
+		"priority overhead: %.1f%% slo-urgency-vs-constant replay cost (limit %.0f%%)", priorityOverhead * 100},
+	{"BenchmarkServedSubmit", "http_requests_per_job",
+		"served path: %.2f HTTP requests per job (limit %.1f)", 1.5},
+}
 
 // parseFile reconstructs the benchmark result lines from a test2json stream
 // and returns metric values per benchmark: bench → metric unit → value.
@@ -156,13 +173,11 @@ func stripProcs(name string) string {
 }
 
 // has reports whether results hold the named benchmark or sub-benchmarks of
-// it.
+// it — reporting the metric, when the name is given as "Benchmark:metric".
 func has(results map[string]map[string]float64, name string) bool {
-	if _, ok := results[name]; ok {
-		return true
-	}
-	for n := range results {
-		if strings.HasPrefix(n, name+"/") {
+	name, metric, _ := strings.Cut(name, ":")
+	for n, m := range results {
+		if _, ok := m[metric]; (ok || metric == "") && (n == name || strings.HasPrefix(n, name+"/")) {
 			return true
 		}
 	}
@@ -274,29 +289,19 @@ func main() {
 			fmt.Printf("NEW  %s: absent from baseline\n", name)
 		}
 	}
-	// Tracing-overhead rule: the interleaved traced/untraced cost ratio the
-	// traced replay benchmark measured within its own iterations.
-	if pct, ok := fresh["BenchmarkLoadgenReplayTraced"]["trace_overhead_pct"]; ok {
+	// Capped readings of the fresh run alone (see capped).
+	for _, c := range capped {
+		v, ok := fresh[c.bench][c.metric]
+		if !ok {
+			continue
+		}
 		compared++
 		status := "ok  "
-		if pct > traceOverhead*100 {
+		if v > c.limit {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%s tracing overhead: %.1f%% traced-vs-untraced replay cost (limit %.0f%%)\n",
-			status, pct, traceOverhead*100)
-	}
-	// Priority-axis rule: the interleaved slo-urgency/constant cost ratio the
-	// priority replay benchmark measured within its own iterations.
-	if pct, ok := fresh["BenchmarkLoadgenReplayPriority"]["priority_overhead_pct"]; ok {
-		compared++
-		status := "ok  "
-		if pct > priorityOverhead*100 {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%s priority overhead: %.1f%% slo-urgency-vs-constant replay cost (limit %.0f%%)\n",
-			status, pct, priorityOverhead*100)
+		fmt.Printf(status+" "+c.format+"\n", v, c.limit)
 	}
 	// Zero-allocation and pop-flatness rules: the queue's extraction cost
 	// across backlog depths, measured within the fresh run.

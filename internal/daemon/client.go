@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,8 +21,9 @@ import (
 // unchanged whether they bind a local emulator or the shared on-prem QPU
 // behind the daemon.
 type Client struct {
-	base  string
+	base  *url.URL // parsed once; do builds each request from it
 	token string
+	auth  string // "Bearer "+token
 	class sched.Class
 	// Pattern is the optional Table 1 hint sent with submissions.
 	Pattern sched.Pattern
@@ -36,14 +39,46 @@ type Client struct {
 	Deadline time.Duration
 	http     *http.Client
 
-	// The status reply of a completed job carries its result, and the usual
-	// caller asks for exactly that result next (qrmi.RunProgram does):
-	// TaskStatus keeps the one pair its latest reply carried, TaskResult
-	// consumes it on an ID match and otherwise asks the daemon. At most one
-	// result is held, whatever the number of jobs served.
-	mu         sync.Mutex
-	memoID     string
-	memoResult []byte
+	// One status request names every task the client still waits on, and the
+	// reply settles those that have ended: watching is the IDs TaskStart
+	// returned whose end has not been seen, settled what replies said of
+	// those that have. A terminal state is final, so TaskStatus answers it
+	// from settled without asking and TaskResult consumes the entry; queued
+	// and running are never kept. A task pushed out is asked about alone.
+	mu                sync.Mutex
+	watching, settled taskList
+}
+
+// task is what the client reads of a job in a status reply; watching holds IDs alone.
+type task struct {
+	ID     string          `json:"id"`
+	State  JobState        `json:"state"`
+	Result json.RawMessage `json:"result"`
+}
+
+// taskList holds at most memoSize tasks, oldest first: what one status request
+// can name, its own job and maxAlso more.
+type taskList []task
+
+const memoSize = 1 + maxAlso
+
+// remove takes the task with this ID out of the list, if it is there.
+func (l *taskList) remove(id string) (t task, ok bool) {
+	i := slices.IndexFunc(*l, func(t task) bool { return t.ID == id })
+	if i < 0 {
+		return t, false
+	}
+	t = (*l)[i]
+	*l = slices.Delete(*l, i, i+1)
+	return t, true
+}
+
+// push appends t, pushing the oldest task out of a full list.
+func (l *taskList) push(t task) {
+	if len(*l) == memoSize {
+		*l = slices.Delete(*l, 0, 1)
+	}
+	*l = append(*l, t)
 }
 
 // NewClient opens a session with the daemon and returns a bound client.
@@ -51,12 +86,16 @@ func NewClient(baseURL, user string, class sched.Class, hc *http.Client) (*Clien
 	if baseURL == "" || user == "" {
 		return nil, errors.New("daemon: client needs a base URL and user")
 	}
+	base, err := url.Parse(baseURL)
+	if err != nil {
+		return nil, err
+	}
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	c := &Client{base: baseURL, class: class, http: hc}
+	c := &Client{base: base, class: class, http: hc}
 	body, _ := json.Marshal(map[string]string{"user": user})
-	code, data, err := c.do(http.MethodPost, "/api/v1/sessions", body)
+	code, data, err := c.do(http.MethodPost, "/api/v1/sessions", "", body)
 	if err != nil {
 		return nil, err
 	}
@@ -67,26 +106,26 @@ func NewClient(baseURL, user string, class sched.Class, hc *http.Client) (*Clien
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, err
 	}
-	c.token = s.Token
+	c.token, c.auth = s.Token, "Bearer "+s.Token
 	return c, nil
 }
 
 var _ qrmi.Resource = (*Client)(nil)
 
-func (c *Client) do(method, path string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, c.base+path, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
+// do sends one request under the base URL and returns the reply's status and body.
+func (c *Client) do(method, path, rawQuery string, body []byte) (int, []byte, error) {
+	u := *c.base
+	u.Path += path
+	u.RawQuery = rawQuery
+	req := &http.Request{Method: method, URL: &u, Host: u.Host, Header: make(http.Header, 2)}
+	if c.auth != "" {
+		req.Header["Authorization"] = []string{c.auth}
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = []string{"application/json"}
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		req.Body, _ = req.GetBody()
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -123,7 +162,7 @@ func (c *Client) SessionToken() string { return c.token }
 
 // Metadata implements qrmi.Resource via GET /api/v1/device.
 func (c *Client) Metadata() (map[string]string, error) {
-	code, data, err := c.do(http.MethodGet, "/api/v1/device", nil)
+	code, data, err := c.do(http.MethodGet, "/api/v1/device", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +214,7 @@ func (c *Client) Acquire() (string, error) {
 
 // Partitions lists the daemon's fleet partition IDs.
 func (c *Client) Partitions() ([]string, error) {
-	code, data, err := c.do(http.MethodGet, "/api/v1/devices", nil)
+	code, data, err := c.do(http.MethodGet, "/api/v1/devices", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -203,15 +242,17 @@ func (c *Client) Release(string) error { return nil }
 
 // Close ends the daemon session.
 func (c *Client) Close() error {
-	code, data, err := c.do(http.MethodDelete, "/api/v1/sessions", nil)
+	code, data, err := c.do(http.MethodDelete, "/api/v1/sessions", "", nil)
 	if err != nil {
 		return err
 	}
 	if code != http.StatusOK {
 		return clientErr(data, code)
 	}
-	c.token = ""
-	c.remember("", nil)
+	c.token, c.auth = "", ""
+	c.mu.Lock()
+	c.watching, c.settled = nil, nil
+	c.mu.Unlock()
 	return nil
 }
 
@@ -234,7 +275,7 @@ func (c *Client) TaskStart(payload []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	code, data, err := c.do(http.MethodPost, "/api/v1/jobs", body)
+	code, data, err := c.do(http.MethodPost, "/api/v1/jobs", "", body)
 	if err != nil {
 		return "", err
 	}
@@ -247,12 +288,20 @@ func (c *Client) TaskStart(payload []byte) (string, error) {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return "", err
 	}
+	c.mu.Lock()
+	c.watching.push(task{ID: j.ID})
+	c.mu.Unlock()
 	return j.ID, nil
 }
 
-// TaskStop implements qrmi.Resource.
+// TaskStop implements qrmi.Resource. The client forgets the task: its next
+// status is the daemon's.
 func (c *Client) TaskStop(taskID string) error {
-	code, data, err := c.do(http.MethodDelete, "/api/v1/jobs/"+taskID, nil)
+	c.mu.Lock()
+	c.watching.remove(taskID)
+	c.settled.remove(taskID)
+	c.mu.Unlock()
+	code, data, err := c.do(http.MethodDelete, "/api/v1/jobs/"+taskID, "", nil)
 	if err != nil {
 		return err
 	}
@@ -262,66 +311,86 @@ func (c *Client) TaskStop(taskID string) error {
 	return nil
 }
 
-// TaskStatus implements qrmi.Resource.
-func (c *Client) TaskStatus(taskID string) (qrmi.TaskState, error) {
-	code, data, err := c.do(http.MethodGet, "/api/v1/jobs/"+taskID, nil)
-	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", clientErr(data, code)
-	}
-	var j struct {
-		State  string          `json:"state"`
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.Unmarshal(data, &j); err != nil {
-		return "", err
-	}
-	c.remember(taskID, j.Result)
-	switch JobState(j.State) {
+// taskState maps the job's state onto QRMI's.
+func (t *task) taskState() qrmi.TaskState {
+	switch t.State {
 	case JobQueued:
-		return qrmi.StateQueued, nil
+		return qrmi.StateQueued
 	case JobRunning:
-		return qrmi.StateRunning, nil
+		return qrmi.StateRunning
 	case JobCompleted:
-		return qrmi.StateCompleted, nil
+		return qrmi.StateCompleted
 	case JobCancelled:
-		return qrmi.StateCancelled, nil
+		return qrmi.StateCancelled
 	default:
 		// failed and rejected both surface as failed to QRMI consumers;
 		// the rejection reason travels in the job's result error.
-		return qrmi.StateFailed, nil
+		return qrmi.StateFailed
 	}
 }
 
-// remember replaces the memo with what the latest status reply carried: a
-// result, or nothing.
-func (c *Client) remember(taskID string, result []byte) {
+// TaskStatus implements qrmi.Resource. A terminal state an earlier reply
+// brought is answered without a request; otherwise the one request also names
+// the other watched tasks, and the reply settles every one that has ended.
+func (c *Client) TaskStatus(taskID string) (qrmi.TaskState, error) {
 	c.mu.Lock()
-	c.memoID, c.memoResult = taskID, result
+	if i := slices.IndexFunc(c.settled, func(t task) bool { return t.ID == taskID }); i >= 0 {
+		defer c.mu.Unlock()
+		return c.settled[i].taskState(), nil
+	}
+	var asked []string
+	for _, w := range c.watching {
+		if w.ID != taskID && len(asked) < maxAlso {
+			asked = append(asked, w.ID)
+		}
+	}
 	c.mu.Unlock()
-}
-
-// take hands over, once, the result remembered for taskID.
-func (c *Client) take(taskID string) []byte {
+	code, data, err := c.do(http.MethodGet, "/api/v1/jobs/"+taskID, url.Values{"also": asked}.Encode(), nil)
+	if err != nil {
+		return "", err
+	}
+	var r struct {
+		task
+		Also []task `json:"also"`
+	}
+	err = json.Unmarshal(data, &r) // an error body has none of the keys
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.memoID != taskID {
-		return nil
+	if code != http.StatusOK {
+		c.watching.remove(taskID)
+		return "", clientErr(data, code)
 	}
-	res := c.memoResult
-	c.memoID, c.memoResult = "", nil
-	return res
+	if err != nil {
+		return "", err
+	}
+	// A task asked about and not answered is one the daemon no longer knows;
+	// one no longer watched was stopped or settled by another call meanwhile.
+	for _, id := range asked {
+		i := slices.IndexFunc(r.Also, func(t task) bool { return t.ID == id })
+		if i < 0 || r.Also[i].taskState().Terminal() {
+			if _, ok := c.watching.remove(id); ok && i >= 0 {
+				c.settled.push(r.Also[i])
+			}
+		}
+	}
+	if r.taskState().Terminal() {
+		c.watching.remove(taskID)
+		c.settled.remove(taskID)
+		c.settled.push(task{taskID, r.State, r.Result})
+	}
+	return r.taskState(), nil
 }
 
-// TaskResult implements qrmi.Resource. A result the latest TaskStatus reply
-// already carried is not asked for again.
+// TaskResult implements qrmi.Resource. A result a status reply already brought
+// is handed over, once, and not asked for again.
 func (c *Client) TaskResult(taskID string) ([]byte, error) {
-	if res := c.take(taskID); res != nil {
-		return res, nil
+	c.mu.Lock()
+	t, _ := c.settled.remove(taskID)
+	c.mu.Unlock()
+	if t.Result != nil {
+		return t.Result, nil
 	}
-	code, data, err := c.do(http.MethodGet, "/api/v1/jobs/"+taskID+"/result", nil)
+	code, data, err := c.do(http.MethodGet, "/api/v1/jobs/"+taskID+"/result", "", nil)
 	if err != nil {
 		return nil, err
 	}

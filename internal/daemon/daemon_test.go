@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"math"
 	"strconv"
 	"strings"
@@ -212,8 +213,8 @@ func TestCancelJobOwnership(t *testing.T) {
 	alice, _ := env.d.OpenSession("alice")
 	bob, _ := env.d.OpenSession("bob")
 	j, _ := env.d.Submit(alice.Token, SubmitRequest{Program: payload(t, 100), Class: sched.ClassDev})
-	if err := env.d.CancelJob(bob.Token, j.ID, false); err == nil {
-		t.Fatal("cross-session cancel accepted")
+	if err := env.d.CancelJob(bob.Token, j.ID, false); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("cross-session cancel = %v, want ErrUnknownJob", err)
 	}
 	if err := env.d.CancelJob(alice.Token, j.ID, false); err != nil {
 		t.Fatal(err)

@@ -28,11 +28,13 @@ import (
 //	GET    /api/v1/devices                  fleet partition listing (token auth)
 //	POST   /api/v1/jobs                     submit {program, class, pattern, device}
 //	GET    /api/v1/jobs/{id}                job status; a completed job's reply
-//	                                        carries its result as "result"
+//	                                        carries its result as "result". Up to 31
+//	                                        ?also=<id> (more: 400) add an "also" array:
+//	                                        each named job the session can see, likewise
 //	GET    /api/v1/jobs/{id}/result         job result, for callers that skipped
 //	                                        the status poll (409 not ready yet, 422
 //	                                        never will be, 404 unknown or evicted ID)
-//	DELETE /api/v1/jobs/{id}                cancel
+//	DELETE /api/v1/jobs/{id}                cancel (409 already terminal, 404 as above)
 //	GET    /api/v1/trace                    flight-recorder listing (token auth)
 //	GET    /api/v1/trace/{id}               one job's trace (token auth)
 //	GET    /metrics                         Prometheus exposition (public)
@@ -152,14 +154,23 @@ func (d *Daemon) Handler() http.Handler {
 		writeJSON(w, http.StatusAccepted, newJobView(j))
 	}))
 	mux.HandleFunc("GET /api/v1/jobs/{id}", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		j, res, err := d.jobStatusResult(token, r.PathValue("id"))
+		also := r.URL.Query()["also"]
+		if len(also) > maxAlso {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("daemon: at most %d also parameters", maxAlso))
+			return
+		}
+		jobs, err := d.jobStatusResults(token, r.PathValue("id"), also)
 		if err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
-		out := newJobView(j)
-		out.Result = res
-		writeJSON(w, http.StatusOK, out)
+		views := make([]jobView, len(jobs))
+		for i := range jobs {
+			views[i] = newJobView(&jobs[i])
+			views[i].Result = jobs[i].result
+		}
+		views[0].Also = views[1:]
+		writeJSON(w, http.StatusOK, &views[0])
 	}))
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
 		res, err := d.JobResult(token, r.PathValue("id"))
@@ -177,7 +188,11 @@ func (d *Daemon) Handler() http.Handler {
 	}))
 	mux.HandleFunc("DELETE /api/v1/jobs/{id}", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
 		if err := d.CancelJob(token, r.PathValue("id"), false); err != nil {
-			writeErr(w, http.StatusConflict, err)
+			code := http.StatusConflict // already terminal
+			if errors.Is(err, ErrUnknownJob) {
+				code = http.StatusNotFound
+			}
+			writeErr(w, code, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "cancelled"})
@@ -385,17 +400,19 @@ type jobView struct {
 	// AdmissionReason and Error are pointers because their keys can be
 	// present and empty: the reason whenever there is an outcome, the error
 	// whenever a 429 overrides it with the rejection's.
-	AdmissionReason    *string `json:"admission_reason,omitempty"`
-	Class              string  `json:"class"`
-	DeadlineSeconds    float64 `json:"deadline_seconds,omitempty"`
-	Device             string  `json:"device,omitempty"`
-	Error              *string `json:"error,omitempty"`
-	ExpectedQPUSeconds float64 `json:"expected_qpu_seconds"`
-	FinishedAt         float64 `json:"finished_at,omitempty"`
-	ID                 string  `json:"id"`
-	Pattern            string  `json:"pattern,omitempty"`
-	Preemptions        int     `json:"preemptions"`
-	RequestedClass     string  `json:"requested_class,omitempty"`
+	AdmissionReason *string `json:"admission_reason,omitempty"`
+	// Also is set by the status handler alone: the jobs ?also= named.
+	Also               []jobView `json:"also,omitempty"`
+	Class              string    `json:"class"`
+	DeadlineSeconds    float64   `json:"deadline_seconds,omitempty"`
+	Device             string    `json:"device,omitempty"`
+	Error              *string   `json:"error,omitempty"`
+	ExpectedQPUSeconds float64   `json:"expected_qpu_seconds"`
+	FinishedAt         float64   `json:"finished_at,omitempty"`
+	ID                 string    `json:"id"`
+	Pattern            string    `json:"pattern,omitempty"`
+	Preemptions        int       `json:"preemptions"`
+	RequestedClass     string    `json:"requested_class,omitempty"`
 	// Result is set by the status handler alone, for a completed job.
 	Result            json.RawMessage `json:"result,omitempty"`
 	RetryAfterSeconds float64         `json:"retry_after_seconds,omitempty"`
@@ -438,6 +455,9 @@ func newJobView(j *Job) jobView {
 	}
 	return v
 }
+
+// maxAlso bounds the jobs one status request can name beside its own.
+const maxAlso = 31
 
 // submitBody is the POST /api/v1/jobs request, as the handler decodes it and
 // as Client.TaskStart encodes it.

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -318,6 +319,46 @@ func TestRejectionFloodSparesUnfetchedResult(t *testing.T) {
 	e.checkHistory()
 }
 
+// TestCancelOfUnseenJobIs404: DELETE of another session's job, of an evicted
+// one and of an ID never minted answer the same 404 — a caller learns nothing
+// about jobs it cannot see — while 409 still means "already terminal".
+func TestCancelOfUnseenJobIs404(t *testing.T) {
+	e := newLiveEnv(t, 1)
+	evicted := e.finished[0]
+	e.play(endCompleted) // pushes the warm-up job out of a History of 1
+	foreign := e.submit("test", http.StatusAccepted)
+	stranger := e.tokens[0]
+	if stranger == e.owner[foreign] {
+		stranger = e.tokens[1]
+	}
+	var bodies []string
+	for _, tc := range [][2]string{{foreign, stranger}, {evicted, e.owner[evicted]}, {"job-987654", stranger}} {
+		code, out := httpDo(t, "DELETE", e.ts.URL+"/api/v1/jobs/"+tc[0], tc[1], nil)
+		if code != http.StatusNotFound {
+			t.Fatalf("cancel of %s = %d, want 404: %s", tc[0], code, out)
+		}
+		bodies = append(bodies, strings.Replace(string(out), tc[0], "ID", 1))
+	}
+	if bodies[0] != bodies[1] || bodies[1] != bodies[2] || !strings.Contains(bodies[0], `unknown job \"ID\"`) {
+		t.Fatalf("the three 404 bodies differ: %q", bodies)
+	}
+	e.cancel(foreign) // untouched by the stranger's attempt
+	if code, out := httpDo(t, "DELETE", e.ts.URL+"/api/v1/jobs/"+foreign, e.owner[foreign], nil); code != http.StatusConflict {
+		t.Fatalf("second cancel = %d, want 409: %s", code, out)
+	}
+
+	// The forced cancel of the admin plane and CloseSession reaches any job.
+	id := e.submit("test", http.StatusAccepted)
+	if err := e.d.CancelJob("", "job-987654", true); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("forced cancel of an unknown ID = %v", err)
+	}
+	if err := e.d.CancelJob("", id, true); err != nil {
+		t.Fatal(err)
+	}
+	e.ended(id, JobCancelled)
+	e.check()
+}
+
 // TestJobResultRacesEviction: result fetches race the terminal transitions
 // that evict the records they read (run under -race). A fetch may find its
 // job gone; it must not find half of it.
@@ -387,10 +428,11 @@ func TestJobStatusResultRacesEviction(t *testing.T) {
 			defer pollers.Done()
 			for id := range ids {
 				for i := 0; i < 20; i++ {
-					j, res, err := d.jobStatusResult(s.Token, id)
+					got, err := d.jobStatusResults(s.Token, id, nil)
 					if err != nil {
 						continue
 					}
+					j, res := &got[0], got[0].result
 					if (j.State == JobCompleted) != (res != nil) || (res != nil && !json.Valid(res)) {
 						t.Errorf("%s is %s with result %q", id, j.State, res)
 					}

@@ -56,14 +56,17 @@ func (e *roundTripEnv) advance(d time.Duration) {
 	e.clk.Advance(d)
 }
 
-func newRoundTripEnv(t *testing.T) *roundTripEnv {
+func newRoundTripEnv(t *testing.T) *roundTripEnv { return newRoundTripEnvHistory(t, 0) }
+
+// newRoundTripEnvHistory is newRoundTripEnv with Config.History set.
+func newRoundTripEnvHistory(t *testing.T, history int) *roundTripEnv {
 	t.Helper()
 	e := &roundTripEnv{clk: simclock.New()}
 	dev, err := device.New(device.Config{Clock: e.clk, Seed: 7, TimingOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.d, err = NewDaemon(Config{Devices: []*device.Device{dev}, Clock: e.clk, AdminToken: "x"}); err != nil {
+	if e.d, err = NewDaemon(Config{Devices: []*device.Device{dev}, Clock: e.clk, AdminToken: "x", History: history}); err != nil {
 		t.Fatal(err)
 	}
 	dev.SetTaskListener(func(deviceID, taskID string, state device.TaskState) {
@@ -157,9 +160,30 @@ func TestRunProgramTakesTwoKindsOfRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClientResultMemo: the memo hands over exactly the bytes GET …/result
-// serves, once, for the job the latest status reply was about — and every
-// other order of calls falls back to the request and still succeeds.
+// start sends n TaskStarts of distinct small programs and returns the IDs.
+func (e *roundTripEnv) start(t *testing.T, n int) []string {
+	t.Helper()
+	ids := make([]string, n)
+	for i := range ids {
+		var err error
+		if ids[i], err = e.c.TaskStart(payload(t, 2+i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ids
+}
+
+// memo returns the sizes of the client's two lists.
+func (e *roundTripEnv) memo() (watching, settled int) {
+	e.c.mu.Lock()
+	defer e.c.mu.Unlock()
+	return len(e.c.watching), len(e.c.settled)
+}
+
+// TestClientResultMemo: a settled result is exactly the bytes GET …/result
+// serves, handed over once and only for its own ID — and every other order of
+// calls falls back to the request and still succeeds. TaskStop and Close
+// forget.
 func TestClientResultMemo(t *testing.T) {
 	e := newRoundTripEnv(t)
 
@@ -191,34 +215,152 @@ func TestClientResultMemo(t *testing.T) {
 	if n := e.trips(false).results; err != nil || n != 1 || !bytes.Equal(res, e.fetched(t, id)) {
 		t.Fatalf("TaskResult without a poll = %q, %v, %d result requests", res, err, n)
 	}
+	// Its terminal state was never seen, so it is still watched: the next
+	// poll settles it, and the entry goes to whoever asks for the result.
+	e.poll(t, id)
+	if w, s := e.memo(); w != 0 || s != 1 {
+		t.Fatalf("after the late poll: %d watched, %d settled", w, s)
+	}
+	if again, err := e.c.TaskResult(id); err != nil || !bytes.Equal(again, res) {
+		t.Fatalf("TaskResult after the late poll = %q, %v", again, err)
+	}
 
-	// A status for another job in between: the later one owns the memo.
-	x, y := e.finish(t, 7), e.finish(t, 8)
-	for _, id := range []string{x, y} {
-		if _, err := e.c.TaskStatus(id); err != nil {
-			t.Fatal(err)
+	// Two jobs settled by one reply, results taken in the other order: each
+	// ID gets its own.
+	xy := e.start(t, 2)
+	e.advance(time.Minute)
+	e.trips(true)
+	for _, id := range xy {
+		if st := e.poll(t, id); st != qrmi.StateCompleted {
+			t.Fatalf("%s is %s", id, st)
 		}
 	}
-	e.trips(true)
-	resX, errX := e.c.TaskResult(x)
-	resY, errY := e.c.TaskResult(y)
-	if n := e.trips(false).results; errX != nil || errY != nil || n != 1 {
-		t.Fatalf("TaskResult(x), TaskResult(y) after statuses for x then y = %v, %v, %d result requests; want one, for x", errX, errY, n)
+	resY, errY := e.c.TaskResult(xy[1])
+	resX, errX := e.c.TaskResult(xy[0])
+	if n := e.trips(false); errX != nil || errY != nil || n.statuses != 1 || n.results != 0 {
+		t.Fatalf("two jobs polled and fetched = %v, %v, %+v; want one status request and no result request", errX, errY, n)
 	}
-	if !bytes.Equal(resX, e.fetched(t, x)) || !bytes.Equal(resY, e.fetched(t, y)) || bytes.Equal(resX, resY) {
+	if !bytes.Equal(resX, e.fetched(t, xy[0])) || !bytes.Equal(resY, e.fetched(t, xy[1])) || bytes.Equal(resX, resY) {
 		t.Fatalf("results crossed: x %q, y %q", resX, resY)
 	}
 
-	// Close forgets the result along with the session.
-	id = e.finish(t, 9)
+	// TaskStop forgets: a settled task is asked about again, a watched one
+	// is no longer named.
+	done, held := e.finish(t, 9), e.start(t, 1)[0]
+	if err := e.c.TaskStop(done); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("TaskStop of a completed job = %v, want the 409", err)
+	}
+	if err := e.c.TaskStop(held); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := e.memo(); w != 0 || s != 0 {
+		t.Fatalf("after TaskStop of both: %d watched, %d settled", w, s)
+	}
+	e.trips(true)
+	if st, err := e.c.TaskStatus(done); err != nil || st != qrmi.StateCompleted || e.trips(false).statuses != 1 {
+		t.Fatalf("status of a forgotten job = %s, %v, %+v; want one request", st, err, e.trips(false))
+	}
+
+	// Close forgets everything along with the session.
+	e.start(t, 3)
 	if err := e.c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if e.c.memoID != "" || e.c.memoResult != nil {
-		t.Fatalf("memo after Close: %q %q", e.c.memoID, e.c.memoResult)
+	if w, s := e.memo(); w != 0 || s != 0 {
+		t.Fatalf("after Close: %d watched, %d settled", w, s)
 	}
-	if _, err := e.c.TaskResult(id); err == nil {
+	if _, err := e.c.TaskResult(done); err == nil {
 		t.Fatal("TaskResult on a closed session succeeded")
+	}
+}
+
+// TestBurstCostsOnePoll: eight TaskStarts, then status and result per job as
+// every SDK loop does it — the first poll names the other seven, and its reply
+// settles the burst.
+func TestBurstCostsOnePoll(t *testing.T) {
+	e := newRoundTripEnv(t)
+	e.trips(true)
+	ids := e.start(t, 8)
+	e.advance(time.Minute)
+	for _, id := range ids {
+		if st := e.poll(t, id); st != qrmi.StateCompleted {
+			t.Fatalf("%s is %s", id, st)
+		}
+		res, err := e.c.TaskResult(id)
+		if err != nil || !bytes.Equal(res, e.fetched(t, id)) {
+			t.Fatalf("result of %s = %q, %v", id, res, err)
+		}
+	}
+	// fetched made its own 8 result requests, beside the client.
+	if n := e.trips(false); n.posts != 8 || n.statuses > 2 || n.results != 8 {
+		t.Fatalf("burst of 8 made %+v; want 8 POSTs, at most 2 status requests and no result request of the client's", n)
+	}
+	if w, s := e.memo(); w != 0 || s != 0 {
+		t.Fatalf("after the burst: %d watched, %d settled", w, s)
+	}
+
+	// Unfinished jobs are asked about again: nothing but a terminal state is
+	// kept.
+	ids = e.start(t, 2)
+	e.trips(true)
+	for i := 0; i < 3; i++ {
+		if st, err := e.c.TaskStatus(ids[1]); err != nil || st.Terminal() {
+			t.Fatalf("poll %d of the queued job = %s, %v", i, st, err)
+		}
+	}
+	if n := e.trips(false).statuses; n != 3 {
+		t.Fatalf("3 polls of a queued job made %d status requests", n)
+	}
+}
+
+// TestClientMemoBounded: the client holds at most memoSize watched IDs and
+// memoSize settled results, whatever it started and never came back for, and
+// a task pushed out of either list still reads correctly.
+func TestClientMemoBounded(t *testing.T) {
+	e := newRoundTripEnv(t)
+	ids := e.start(t, 100)
+	if w, _ := e.memo(); w != memoSize {
+		t.Fatalf("%d watched after 100 TaskStarts, want %d", w, memoSize)
+	}
+	e.advance(24 * time.Hour)
+	for _, id := range ids {
+		if st := e.poll(t, id); st != qrmi.StateCompleted {
+			t.Fatalf("%s is %s", id, st)
+		}
+		if w, s := e.memo(); w > memoSize || s > memoSize {
+			t.Fatalf("%d watched, %d settled; the bound is %d", w, s, memoSize)
+		}
+	}
+	if w, s := e.memo(); w != 0 || s != memoSize {
+		t.Fatalf("100 finished and never fetched: %d watched, %d settled", w, s)
+	}
+	for _, id := range []string{ids[0], ids[99]} { // pushed out, still held
+		if res, err := e.c.TaskResult(id); err != nil || !bytes.Equal(res, e.fetched(t, id)) {
+			t.Fatalf("result of %s = %q, %v", id, res, err)
+		}
+	}
+}
+
+// TestEvictedJobLeavesTheMemo: a job Config.History evicted between two polls
+// reads as the unknown job it is to a client that never batched, and is not
+// named again.
+func TestEvictedJobLeavesTheMemo(t *testing.T) {
+	e := newRoundTripEnvHistory(t, 2)
+	ids := e.start(t, 4)
+	if st, err := e.c.TaskStatus(ids[0]); err != nil || st.Terminal() {
+		t.Fatalf("first poll = %s, %v", st, err)
+	}
+	e.advance(time.Hour) // all four finish; the first two are evicted
+	if st := e.poll(t, ids[2]); st != qrmi.StateCompleted {
+		t.Fatalf("%s is %s", ids[2], st)
+	}
+	if w, s := e.memo(); w != 0 || s != 2 {
+		t.Fatalf("after the reply left two IDs out: %d watched, %d settled", w, s)
+	}
+	_, err := e.c.TaskStatus(ids[0])
+	_, want := e.c.TaskStatus("job-0")
+	if err == nil || want == nil || err.Error() != strings.Replace(want.Error(), "job-0", ids[0], 1) {
+		t.Fatalf("status of an evicted job = %v; of a never-minted one = %v", err, want)
 	}
 }
 
@@ -254,7 +396,8 @@ func TestClientResultOfUnsuccessfulJobs(t *testing.T) {
 }
 
 // TestClientMemoConcurrentUse: goroutines sharing one Client each get their
-// own job's result, whichever of them the memo last served (run under -race).
+// own job's result, whichever of them sent the poll that settled it, while
+// another starts and stops tasks beside them (run under -race).
 func TestClientMemoConcurrentUse(t *testing.T) {
 	e := newRoundTripEnv(t)
 	var wg sync.WaitGroup
@@ -272,7 +415,25 @@ func TestClientMemoConcurrentUse(t *testing.T) {
 			}
 		}()
 	}
+	long := payload(t, 400)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 25; i++ {
+			id, err := e.c.TaskStart(long)
+			if err == nil {
+				err = e.c.TaskStop(id)
+			}
+			if st, _ := e.wait(id); err != nil || st != qrmi.StateCancelled {
+				t.Errorf("stopped task %s is %s (%v)", id, st, err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	if w, s := e.memo(); w != 0 || s > memoSize {
+		t.Fatalf("when all is done: %d watched, %d settled", w, s)
+	}
 }
 
 // runOne is RunProgram's loop for a raw payload, checking that the result is

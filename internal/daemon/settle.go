@@ -5,7 +5,6 @@ package daemon
 // through finishLocked (job.go).
 
 import (
-	"errors"
 	"fmt"
 
 	"hpcqc/internal/device"
@@ -164,17 +163,20 @@ func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 }
 
 // CancelJob cancels a queued or running job. Sessions may cancel their own
-// jobs; admin-initiated cancellations pass force=true.
+// jobs — any other ID is ErrUnknownJob to them; admin-initiated cancellations
+// pass force=true and reach every job.
 func (d *Daemon) CancelJob(token, jobID string, force bool) error {
 	d.mu.Lock()
-	j, ok := d.jobs[jobID]
-	if !ok {
-		d.mu.Unlock()
-		return fmt.Errorf("%w %q", ErrUnknownJob, jobID)
+	var j *Job
+	var err error
+	if !force {
+		j, err = d.ownedJobLocked(token, jobID)
+	} else if j = d.jobs[jobID]; j == nil {
+		err = fmt.Errorf("%w %q", ErrUnknownJob, jobID)
 	}
-	if !force && j.Session != token {
+	if err != nil {
 		d.mu.Unlock()
-		return errors.New("daemon: job belongs to another session")
+		return err
 	}
 	// Flip to cancelled under the same lock hold as the state check, before
 	// touching the partition: a concurrent dispatcher popping the item sees

@@ -79,23 +79,29 @@ func (j *Job) renderedResult() ([]byte, error) {
 	return j.result, nil
 }
 
-// jobStatusResult is JobStatus and, for a completed job, JobResult in one
-// hold of d.mu — the status reply of a completed job carries its result, and
-// between two holds retention could evict the record. A result that fails to
-// render is left out; JobResult is where the caller then reads why.
-func (d *Daemon) jobStatusResult(token, jobID string) (*Job, []byte, error) {
+// jobStatusResults is JobStatus and, for a completed job, JobResult — of jobID
+// first, then of each also ID the session can see, in that order — in one hold
+// of d.mu: the status reply of a completed job carries its result, and between
+// two holds retention could evict the record. Each copy carries its result
+// rendered; one that fails to render is left out, and JobResult is where the
+// caller then reads why.
+func (d *Daemon) jobStatusResults(token, jobID string, also []string) ([]Job, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j, err := d.ownedJobLocked(token, jobID)
-	if err != nil {
-		return nil, nil, err
+	jobs := make([]Job, 0, 1+len(also))
+	for i, id := range append([]string{jobID}, also...) {
+		j, err := d.ownedJobLocked(token, id)
+		if err != nil && i == 0 {
+			return nil, err
+		} else if err != nil {
+			continue
+		}
+		if j.State == JobCompleted {
+			_, _ = j.renderedResult()
+		}
+		jobs = append(jobs, *j)
 	}
-	var res []byte
-	if j.State == JobCompleted {
-		res, _ = j.renderedResult()
-	}
-	cp := *j
-	return &cp, res, nil
+	return jobs, nil
 }
 
 // JobResult returns the serialized result of a completed job. Every other

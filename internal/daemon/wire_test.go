@@ -177,6 +177,33 @@ func TestJobWireGolden(t *testing.T) {
 	// Recorded from the views: the one body that differs from the map form.
 	e.record("status, completed, carries the result", http.MethodGet, "/api/v1/jobs/"+a, "")
 	e.record("result, the same bytes", http.MethodGet, "/api/v1/jobs/"+a+"/result", "")
+
+	// Recorded when ?also= was added; every body above was left as it was
+	// (the result body ends without a newline, hence the one written here).
+	e.out.WriteString("\n")
+	// One more job of the session's, still running; one of another session's;
+	// and the oldest finished record (c, cancelled) evicted the way
+	// Config.History does it.
+	running, err := e.d.Submit(e.token, SubmitRequest{Program: payload(t, 25), Class: sched.ClassTest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, _ := e.d.OpenSession("bob")
+	foreign, err := e.d.Submit(bob.Token, SubmitRequest{Program: payload(t, 26), Class: sched.ClassTest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.d.mu.Lock()
+	e.d.evictLocked(&e.d.finished, e.d.finished.len()-1, false)
+	e.d.mu.Unlock()
+	e.record("status, evicted", http.MethodGet, "/api/v1/jobs/"+c, "")
+	e.record("status, also: completed, running, another session's, evicted, never minted, rejected", http.MethodGet,
+		"/api/v1/jobs/"+p+"?also="+a+"&also="+running.ID+"&also="+foreign.ID+"&also="+c+"&also=job-404&also="+d, "")
+	e.record("status, also names the job itself and another twice", http.MethodGet,
+		"/api/v1/jobs/"+d+"?also="+d+"&also="+running.ID+"&also="+running.ID, "")
+	e.record("status, also sees nothing", http.MethodGet, "/api/v1/jobs/"+d+"?also="+foreign.ID+"&also=", "")
+	e.record("status, unknown, also ignored", http.MethodGet, "/api/v1/jobs/"+c+"?also="+a, "")
+	e.record("status, 32 also", http.MethodGet, "/api/v1/jobs/"+d+strings.Replace(strings.Repeat("&also="+a, maxAlso+1), "&", "?", 1), "")
 	checkGolden(t, "job_wire.golden", e.out.String())
 }
 
