@@ -177,7 +177,10 @@ func stripProcs(name string) string {
 func has(results map[string]map[string]float64, name string) bool {
 	name, metric, _ := strings.Cut(name, ":")
 	for n, m := range results {
-		if _, ok := m[metric]; (ok || metric == "") && (n == name || strings.HasPrefix(n, name+"/")) {
+		if n != name && !strings.HasPrefix(n, name+"/") {
+			continue
+		}
+		if _, ok := m[metric]; ok || metric == "" {
 			return true
 		}
 	}

@@ -180,7 +180,7 @@ func (e *roundTripEnv) memo() (watching, settled int) {
 	return len(e.c.watching), len(e.c.settled)
 }
 
-// TestClientResultMemo: a settled result is exactly the bytes GET …/result
+// TestClientResultMemo (DESIGN §5 INV-C1): a settled result is exactly the bytes GET …/result
 // serves, handed over once and only for its own ID — and every other order of
 // calls falls back to the request and still succeeds. TaskStop and Close
 // forget.
@@ -282,21 +282,26 @@ func TestBurstCostsOnePoll(t *testing.T) {
 	e.trips(true)
 	ids := e.start(t, 8)
 	e.advance(time.Minute)
-	for _, id := range ids {
+	results := make([][]byte, len(ids))
+	for i, id := range ids {
 		if st := e.poll(t, id); st != qrmi.StateCompleted {
 			t.Fatalf("%s is %s", id, st)
 		}
-		res, err := e.c.TaskResult(id)
-		if err != nil || !bytes.Equal(res, e.fetched(t, id)) {
-			t.Fatalf("result of %s = %q, %v", id, res, err)
+		var err error
+		if results[i], err = e.c.TaskResult(id); err != nil {
+			t.Fatalf("result of %s: %v", id, err)
 		}
 	}
-	// fetched made its own 8 result requests, beside the client.
-	if n := e.trips(false); n.posts != 8 || n.statuses > 2 || n.results != 8 {
-		t.Fatalf("burst of 8 made %+v; want 8 POSTs, at most 2 status requests and no result request of the client's", n)
+	if n := e.trips(false); n.posts != 8 || n.statuses > 2 || n.results != 0 || n.requests != n.posts+n.statuses {
+		t.Fatalf("burst of 8 made %+v; want 8 POSTs, at most 2 status requests and nothing else", n)
 	}
 	if w, s := e.memo(); w != 0 || s != 0 {
 		t.Fatalf("after the burst: %d watched, %d settled", w, s)
+	}
+	for i, id := range ids {
+		if !bytes.Equal(results[i], e.fetched(t, id)) {
+			t.Fatalf("result of %s = %q, GET result %q", id, results[i], e.fetched(t, id))
+		}
 	}
 
 	// Unfinished jobs are asked about again: nothing but a terminal state is

@@ -91,9 +91,10 @@ func (d *Daemon) jobStatusResults(token, jobID string, also []string) ([]Job, er
 	jobs := make([]Job, 0, 1+len(also))
 	for i, id := range append([]string{jobID}, also...) {
 		j, err := d.ownedJobLocked(token, id)
-		if err != nil && i == 0 {
-			return nil, err
-		} else if err != nil {
+		if err != nil {
+			if i == 0 {
+				return nil, err
+			}
 			continue
 		}
 		if j.State == JobCompleted {
