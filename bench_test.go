@@ -491,8 +491,16 @@ func BenchmarkFleetDispatch(b *testing.B) {
 // fails it above 1.5.
 // It mirrors the `serve-submit` workload of the benchmark/ module, which is
 // the number of record; this one is for looking inside.
-func BenchmarkServedSubmit(b *testing.B) {
-	const clients, devices, programs, burst, warmup = 2, 4, 48, 8, 256
+func BenchmarkServedSubmit(b *testing.B) { benchServed(b, 8) }
+
+// BenchmarkServedSubmitSerial is the same path with one task outstanding per
+// client — qrmi.RunProgram's shape, and the traffic the batched poll has
+// nothing to offer: every job costs its POST and its own polls (≥ 2 requests).
+// It is here so that what the burst gains is not taken from this caller.
+func BenchmarkServedSubmitSerial(b *testing.B) { benchServed(b, 1) }
+
+func benchServed(b *testing.B, burst int) {
+	const clients, devices, programs, warmup = 2, 4, 48, 256
 	clk := simclock.New()
 	reg := telemetry.NewRegistry()
 	tsdb := telemetry.NewTSDB(24*time.Hour, 0)

@@ -81,10 +81,9 @@ var lowerMetrics = map[string]bool{"peak_heap_mb": true}
 // the constant default, each measured within one run.
 const traceOverhead, priorityOverhead = 0.10, 0.10
 
-// capped are the readings held under a fixed limit in the fresh run: the two
-// ratios above, in percent, and what a served job costs on the wire — a count,
-// so the one served-path figure that reads the same on any box (a POST plus a
-// status poll shared by a burst of 8 is ≈ 1.2; a poll per job reads ≥ 2).
+// capped are the fresh run's readings held under a fixed limit: the two ratios
+// above, in percent, and a served job's requests on the wire — a count, so the
+// same on any box (a poll shared by a burst of 8 reads ≈ 1.2, one per job ≥ 2).
 var capped = []struct {
 	bench, metric, format string
 	limit                 float64

@@ -23,7 +23,7 @@ import (
 type Client struct {
 	base  *url.URL // parsed once; do builds each request from it
 	token string
-	auth  string // "Bearer "+token
+	auth  string // "Bearer "+token, and not cleared: do reads it unlocked
 	class sched.Class
 	// Pattern is the optional Table 1 hint sent with submissions.
 	Pattern sched.Pattern
@@ -39,46 +39,39 @@ type Client struct {
 	Deadline time.Duration
 	http     *http.Client
 
-	// One status request names every task the client still waits on, and the
-	// reply settles those that have ended: watching is the IDs TaskStart
-	// returned whose end has not been seen, settled what replies said of
-	// those that have. A terminal state is final, so TaskStatus answers it
-	// from settled without asking and TaskResult consumes the entry; queued
-	// and running are never kept. A task pushed out is asked about alone.
-	mu                sync.Mutex
-	watching, settled taskList
+	// One status request names every task the client still waits on: watching
+	// is the IDs TaskStart returned whose end has not been seen, settled what
+	// replies said of those that have ended — final, so TaskStatus answers it
+	// without asking and TaskResult consumes it; queued and running are never
+	// kept. Each holds at most memoSize, oldest out. mu guards both and token.
+	mu       sync.Mutex
+	watching []string
+	settled  []task
 }
 
-// task is what the client reads of a job in a status reply; watching holds IDs alone.
+// task is what the client reads of a job in a status reply.
 type task struct {
 	ID     string          `json:"id"`
 	State  JobState        `json:"state"`
 	Result json.RawMessage `json:"result"`
 }
 
-// taskList holds at most memoSize tasks, oldest first: what one status request
-// can name, its own job and maxAlso more.
-type taskList []task
-
-const memoSize = 1 + maxAlso
-
-// remove takes the task with this ID out of the list, if it is there.
-func (l *taskList) remove(id string) (t task, ok bool) {
-	i := slices.IndexFunc(*l, func(t task) bool { return t.ID == id })
-	if i < 0 {
-		return t, false
+// pushBounded appends v, pushing the oldest entry out of a full list.
+func pushBounded[T any](l []T, v T) []T {
+	if len(l) == memoSize {
+		l = slices.Delete(l, 0, 1)
 	}
-	t = (*l)[i]
-	*l = slices.Delete(*l, i, i+1)
-	return t, true
+	return append(l, v)
 }
 
-// push appends t, pushing the oldest task out of a full list.
-func (l *taskList) push(t task) {
-	if len(*l) == memoSize {
-		*l = slices.Delete(*l, 0, 1)
+// forget takes the task out of both lists and returns what settled held of it.
+func (c *Client) forget(id string) (t task) {
+	c.watching = slices.DeleteFunc(c.watching, func(w string) bool { return w == id })
+	if i := slices.IndexFunc(c.settled, func(t task) bool { return t.ID == id }); i >= 0 {
+		t = c.settled[i]
+		c.settled = slices.Delete(c.settled, i, i+1)
 	}
-	*l = append(*l, t)
+	return t
 }
 
 // NewClient opens a session with the daemon and returns a bound client.
@@ -249,9 +242,8 @@ func (c *Client) Close() error {
 	if code != http.StatusOK {
 		return clientErr(data, code)
 	}
-	c.token, c.auth = "", ""
 	c.mu.Lock()
-	c.watching, c.settled = nil, nil
+	c.token, c.watching, c.settled = "", nil, nil
 	c.mu.Unlock()
 	return nil
 }
@@ -289,7 +281,7 @@ func (c *Client) TaskStart(payload []byte) (string, error) {
 		return "", err
 	}
 	c.mu.Lock()
-	c.watching.push(task{ID: j.ID})
+	c.watching = pushBounded(c.watching, j.ID)
 	c.mu.Unlock()
 	return j.ID, nil
 }
@@ -298,8 +290,7 @@ func (c *Client) TaskStart(payload []byte) (string, error) {
 // status is the daemon's.
 func (c *Client) TaskStop(taskID string) error {
 	c.mu.Lock()
-	c.watching.remove(taskID)
-	c.settled.remove(taskID)
+	c.forget(taskID)
 	c.mu.Unlock()
 	code, data, err := c.do(http.MethodDelete, "/api/v1/jobs/"+taskID, "", nil)
 	if err != nil {
@@ -312,8 +303,8 @@ func (c *Client) TaskStop(taskID string) error {
 }
 
 // taskState maps the job's state onto QRMI's.
-func (t *task) taskState() qrmi.TaskState {
-	switch t.State {
+func taskState(s JobState) qrmi.TaskState {
+	switch s {
 	case JobQueued:
 		return qrmi.StateQueued
 	case JobRunning:
@@ -336,16 +327,16 @@ func (c *Client) TaskStatus(taskID string) (qrmi.TaskState, error) {
 	c.mu.Lock()
 	if i := slices.IndexFunc(c.settled, func(t task) bool { return t.ID == taskID }); i >= 0 {
 		defer c.mu.Unlock()
-		return c.settled[i].taskState(), nil
+		return taskState(c.settled[i].State), nil
 	}
-	var asked []string
-	for _, w := range c.watching {
-		if w.ID != taskID && len(asked) < maxAlso {
-			asked = append(asked, w.ID)
-		}
-	}
+	asked := slices.DeleteFunc(slices.Clone(c.watching), func(w string) bool { return w == taskID })
+	asked = asked[:min(len(asked), maxAlso)]
 	c.mu.Unlock()
-	code, data, err := c.do(http.MethodGet, "/api/v1/jobs/"+taskID, url.Values{"also": asked}.Encode(), nil)
+	var query string
+	if len(asked) > 0 {
+		query = url.Values{"also": asked}.Encode()
+	}
+	code, data, err := c.do(http.MethodGet, "/api/v1/jobs/"+taskID, query, nil)
 	if err != nil {
 		return "", err
 	}
@@ -357,35 +348,34 @@ func (c *Client) TaskStatus(taskID string) (qrmi.TaskState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if code != http.StatusOK {
-		c.watching.remove(taskID)
+		if code == http.StatusNotFound {
+			c.forget(taskID)
+		}
 		return "", clientErr(data, code)
 	}
-	if err != nil {
-		return "", err
+	if err != nil || c.token == "" { // closed meanwhile: nothing is kept
+		return taskState(r.State), err
 	}
-	// A task asked about and not answered is one the daemon no longer knows;
-	// one no longer watched was stopped or settled by another call meanwhile.
-	for _, id := range asked {
-		i := slices.IndexFunc(r.Also, func(t task) bool { return t.ID == id })
-		if i < 0 || r.Also[i].taskState().Terminal() {
-			if _, ok := c.watching.remove(id); ok && i >= 0 {
-				c.settled.push(r.Also[i])
-			}
+	// A task that ended is settled in place of whatever was held of it; one
+	// asked about and not answered is one the daemon no longer knows.
+	got := append(r.Also, r.task)
+	for _, id := range append(asked, taskID) {
+		i := slices.IndexFunc(got, func(t task) bool { return t.ID == id })
+		if i >= 0 && !taskState(got[i].State).Terminal() {
+			continue
+		}
+		if c.forget(id); i >= 0 {
+			c.settled = pushBounded(c.settled, got[i])
 		}
 	}
-	if r.taskState().Terminal() {
-		c.watching.remove(taskID)
-		c.settled.remove(taskID)
-		c.settled.push(task{taskID, r.State, r.Result})
-	}
-	return r.taskState(), nil
+	return taskState(r.State), nil
 }
 
 // TaskResult implements qrmi.Resource. A result a status reply already brought
-// is handed over, once, and not asked for again.
+// is handed over, once, and not asked for again; a task asked for is unwatched.
 func (c *Client) TaskResult(taskID string) ([]byte, error) {
 	c.mu.Lock()
-	t, _ := c.settled.remove(taskID)
+	t := c.forget(taskID)
 	c.mu.Unlock()
 	if t.Result != nil {
 		return t.Result, nil

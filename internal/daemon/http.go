@@ -28,9 +28,8 @@ import (
 //	GET    /api/v1/devices                  fleet partition listing (token auth)
 //	POST   /api/v1/jobs                     submit {program, class, pattern, device}
 //	GET    /api/v1/jobs/{id}                job status; a completed job's reply
-//	                                        carries its result as "result". Up to 31
-//	                                        ?also=<id> (more: 400) add an "also" array:
-//	                                        each named job the session can see, likewise
+//	                                        carries its result as "result"; ≤ 31 ?also=<id>
+//	                                        (more: 400) add "also": those the session sees, likewise
 //	GET    /api/v1/jobs/{id}/result         job result, for callers that skipped
 //	                                        the status poll (409 not ready yet, 422
 //	                                        never will be, 404 unknown or evicted ID)
@@ -456,8 +455,9 @@ func newJobView(j *Job) jobView {
 	return v
 }
 
-// maxAlso bounds the jobs one status request can name beside its own.
-const maxAlso = 31
+// maxAlso bounds the jobs one status request can name beside its own; memoSize,
+// those and its own, bounds each of the two lists Client keeps to name them.
+const maxAlso, memoSize = 31, 32
 
 // submitBody is the POST /api/v1/jobs request, as the handler decodes it and
 // as Client.TaskStart encodes it.

@@ -32,8 +32,18 @@ type roundTripEnv struct {
 	// failNext makes the next device completion reach the daemon as a failure.
 	failNext atomic.Bool
 
-	mu sync.Mutex // guards n, and serializes the clock's drivers
+	mu sync.Mutex // guards n and onStatus, and serializes the clock's drivers
 	n  roundTrips
+	// onStatus, when set, answers the next status request in the handler's
+	// place (which it is given, to call or not); it is used once.
+	onStatus func(w http.ResponseWriter, r *http.Request, next http.Handler)
+}
+
+// interceptStatus sets onStatus.
+func (e *roundTripEnv) interceptStatus(f func(w http.ResponseWriter, r *http.Request, next http.Handler)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.onStatus = f
 }
 
 // roundTrips counts requests: all of them, and the three kinds a job costs.
@@ -78,6 +88,7 @@ func newRoundTripEnvHistory(t *testing.T, history int) *roundTripEnv {
 	h := e.d.Handler()
 	e.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id, isJob := strings.CutPrefix(r.URL.Path, "/api/v1/jobs")
+		var intercept func(http.ResponseWriter, *http.Request, http.Handler)
 		e.mu.Lock()
 		e.n.requests++
 		switch {
@@ -89,8 +100,13 @@ func newRoundTripEnvHistory(t *testing.T, history int) *roundTripEnv {
 		case r.Method == http.MethodGet:
 			e.n.statuses++
 			e.clk.Advance(time.Second)
+			intercept, e.onStatus = e.onStatus, nil
 		}
 		e.mu.Unlock()
+		if intercept != nil {
+			intercept(w, r, h)
+			return
+		}
 		h.ServeHTTP(w, r)
 	}))
 	t.Cleanup(e.ts.Close)
@@ -215,8 +231,11 @@ func TestClientResultMemo(t *testing.T) {
 	if n := e.trips(false).results; err != nil || n != 1 || !bytes.Equal(res, e.fetched(t, id)) {
 		t.Fatalf("TaskResult without a poll = %q, %v, %d result requests", res, err, n)
 	}
-	// Its terminal state was never seen, so it is still watched: the next
-	// poll settles it, and the entry goes to whoever asks for the result.
+	// A task asked for is no longer watched; a later poll of it still settles
+	// it, and the entry goes to whoever asks for the result next.
+	if w, s := e.memo(); w != 0 || s != 0 {
+		t.Fatalf("after TaskResult without a poll: %d watched, %d settled", w, s)
+	}
 	e.poll(t, id)
 	if w, s := e.memo(); w != 0 || s != 1 {
 		t.Fatalf("after the late poll: %d watched, %d settled", w, s)
@@ -369,6 +388,59 @@ func TestEvictedJobLeavesTheMemo(t *testing.T) {
 	}
 }
 
+// TestFailedPollKeepsWatching: only the daemon's 404 says a task is gone. A
+// status request that fails any other way — here a 503 from in front of the
+// daemon — leaves the task watched, and the next poll names it again.
+func TestFailedPollKeepsWatching(t *testing.T) {
+	e := newRoundTripEnv(t)
+	ids := e.start(t, 2)
+	e.advance(time.Minute)
+	e.interceptStatus(func(w http.ResponseWriter, _ *http.Request, _ http.Handler) {
+		http.Error(w, "upstream unavailable", http.StatusServiceUnavailable)
+	})
+	if _, err := e.c.TaskStatus(ids[0]); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("status through the outage = %v, want the 503", err)
+	}
+	if w, s := e.memo(); w != 2 || s != 0 {
+		t.Fatalf("after the failed poll: %d watched, %d settled", w, s)
+	}
+	e.trips(true)
+	for _, id := range []string{ids[1], ids[0]} {
+		if st := e.poll(t, id); st != qrmi.StateCompleted {
+			t.Fatalf("%s is %s", id, st)
+		}
+	}
+	if n := e.trips(false).statuses; n != 1 {
+		t.Fatalf("%d status requests after the outage, want the one that names both", n)
+	}
+}
+
+// TestStatusInFlightAcrossClose: a status reply that arrives after Close
+// cleared the memo puts nothing back into it — the state it brought is
+// returned, the result is not kept for a session that has ended.
+func TestStatusInFlightAcrossClose(t *testing.T) {
+	e := newRoundTripEnv(t)
+	ids := e.start(t, 2)
+	e.advance(time.Minute)
+	e.interceptStatus(func(w http.ResponseWriter, r *http.Request, next http.Handler) {
+		next.ServeHTTP(w, r) // the reply leaves when this handler returns
+		if err := e.c.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if st, err := e.c.TaskStatus(ids[0]); err != nil || st != qrmi.StateCompleted {
+		t.Fatalf("status answered across Close = %s, %v", st, err)
+	}
+	if w, s := e.memo(); w != 0 || s != 0 {
+		t.Fatalf("after Close with a poll in flight: %d watched, %d settled", w, s)
+	}
+	for _, id := range ids {
+		if _, err := e.c.TaskResult(id); err == nil || !strings.Contains(err.Error(), "401") {
+			t.Fatalf("TaskResult of %s on the closed session = %v, want the 401", id, err)
+		}
+	}
+}
+
 // TestClientResultOfUnsuccessfulJobs: a failed or cancelled job's status
 // reply carries no result, so TaskResult asks and reports the daemon's 422
 // reason as before (TestRejectedJobResultIsTerminal does the same for a
@@ -402,7 +474,8 @@ func TestClientResultOfUnsuccessfulJobs(t *testing.T) {
 
 // TestClientMemoConcurrentUse: goroutines sharing one Client each get their
 // own job's result, whichever of them sent the poll that settled it, while
-// another starts and stops tasks beside them (run under -race).
+// another starts and stops tasks beside them; then Close beside goroutines
+// that still poll (run under -race).
 func TestClientMemoConcurrentUse(t *testing.T) {
 	e := newRoundTripEnv(t)
 	var wg sync.WaitGroup
@@ -438,6 +511,25 @@ func TestClientMemoConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if w, s := e.memo(); w != 0 || s > memoSize {
 		t.Fatalf("when all is done: %d watched, %d settled", w, s)
+	}
+
+	// Close beside the pollers: each polls its task — to the end, then from
+	// the memo — until the closed session refuses it; nothing is left behind.
+	for _, id := range e.start(t, 4) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for err := error(nil); err == nil; {
+				_, err = e.c.TaskStatus(id)
+			}
+		}()
+	}
+	if err := e.c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if w, s := e.memo(); w != 0 || s != 0 {
+		t.Fatalf("after Close beside pollers: %d watched, %d settled", w, s)
 	}
 }
 

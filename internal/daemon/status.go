@@ -79,12 +79,11 @@ func (j *Job) renderedResult() ([]byte, error) {
 	return j.result, nil
 }
 
-// jobStatusResults is JobStatus and, for a completed job, JobResult — of jobID
-// first, then of each also ID the session can see, in that order — in one hold
-// of d.mu: the status reply of a completed job carries its result, and between
-// two holds retention could evict the record. Each copy carries its result
-// rendered; one that fails to render is left out, and JobResult is where the
-// caller then reads why.
+// jobStatusResults is JobStatus and, for a completed job, JobResult — of jobID,
+// then of each also ID the session can see, in that order — in one hold of
+// d.mu: a completed job's status reply carries its result, and between two
+// holds retention could evict the record. A result that fails to render is
+// left out of its copy; JobResult is where the caller then reads why.
 func (d *Daemon) jobStatusResults(token, jobID string, also []string) ([]Job, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
