@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick profile-serve fuzz-smoke vet vet-trace check loc
+.PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick profile-serve profile-replay fuzz-smoke vet vet-trace check loc
 
 # Where bench-diff writes its fresh recording; override for parallel runs.
 BENCH_FRESH ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/hpcqc_bench_fresh.json
@@ -61,14 +61,17 @@ bench-json:
 # TSDB append pair and the job-reply encode are -required for presence (served
 # throughput over loopback HTTP is too noisy for the 20% rule; benchmark/
 # measures it in pairs), and BenchmarkTSDBAppend/bound is held to 0 allocs/op
-# beside the queue pop. What the served path can be held to on any box is its
-# request count: BenchmarkServedSubmit must report http_requests_per_job
-# (-require name:metric), and benchdiff fails it above 1.5.
+# beside the queue pop. The trace-decode layer benchmark is -required for
+# presence: it is where a record scanner that fell back to encoding/json on
+# every line would show (≈ 2 300 against ≈ 300 ns/record). What the served
+# path can be held to on any box is its request count: BenchmarkServedSubmit
+# must report http_requests_per_job (-require name:metric), and benchdiff
+# fails it above 1.5.
 bench-diff:
 	$(GO) test -bench='$(BENCH_PATTERN)' \
 		-benchmem -run='^$$' -json $(BENCH_PKGS) > $(BENCH_FRESH)
 	$(GO) run ./cmd/benchdiff \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
 		BENCH_fleet.json $(BENCH_FRESH)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a
@@ -91,6 +94,19 @@ profile-serve:
 		-o $(PROFILE_DIR)/serve.test .
 	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/serve.test $(PROFILE_DIR)/serve_cpu.out
 	$(GO) tool pprof -sample_index alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/serve.test $(PROFILE_DIR)/serve_mem.out
+
+# profile-replay is profile-serve's twin for the trace file → replay → report
+# path, on the replay-steady shape (four weeks of Poisson arrivals, ≈100 k
+# jobs, 4 partitions, ≈0.6 s): CPU and allocation profiles of one `qcload
+# replay` into .bench_build/, then the cumulative top of each.
+profile-replay:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/qcload ./cmd/qcload
+	$(PROFILE_DIR)/qcload gen --out $(PROFILE_DIR)/profile_steady.jsonl --rate 150 --duration 672h --seed 1
+	$(PROFILE_DIR)/qcload replay --trace $(PROFILE_DIR)/profile_steady.jsonl --devices 4 \
+		--cpuprofile $(PROFILE_DIR)/replay_cpu.out --memprofile $(PROFILE_DIR)/replay_mem.out > /dev/null
+	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/qcload $(PROFILE_DIR)/replay_cpu.out
+	$(GO) tool pprof -sample_index alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/qcload $(PROFILE_DIR)/replay_mem.out
 
 # fuzz-smoke runs each trace-ingestion fuzz target for a fixed iteration
 # count — a deterministic-duration CI pass over the JSONL reader and the

@@ -10,6 +10,7 @@ package hpcqc
 // metrics so `go test -bench` output doubles as the results table.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -879,6 +880,58 @@ func BenchmarkLoadgenReplayLong(b *testing.B) {
 	b.ReportMetric(float64(len(tr.Records))*float64(b.N)/b.Elapsed().Seconds(), "jobs_per_wall_s")
 	b.ReportMetric(heapPeak(), "peak_heap_mb")
 	b.ReportMetric(float64(rep.Completed), "jobs_completed")
+}
+
+// BenchmarkLoadgenReadTrace is the decode layer of the trace file → replay →
+// report path on its own: the long unsaturated trace of
+// BenchmarkLoadgenReplayLong read from memory. `canonical` is the file as
+// Trace.Write emits it, every line of which the record scanner in
+// loadgen.ReadTrace decodes itself; `fallback` is the same records with a
+// space after each colon, valid JSON the scanner declines line by line, so
+// it prices the encoding/json path every foreign or hand-edited trace takes
+// (DESIGN §6). Bars: canonical ≤ 600 ns/record and ≤ 0.01 allocs/record — the
+// Records slice, the interned strings and the line buffer, nothing per line.
+func BenchmarkLoadgenReadTrace(b *testing.B) {
+	tr, err := loadgen.Generate(loadgen.Config{
+		Seed: 1, Horizon: 672 * time.Hour,
+		Process: &loadgen.Poisson{RatePerHour: 150},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		b.Fatal(err)
+	}
+	canonical := buf.Bytes()
+	for _, in := range []struct {
+		name string
+		data []byte
+	}{
+		{"canonical", canonical},
+		{"fallback", bytes.ReplaceAll(canonical, []byte(`":`), []byte(`": `))},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			b.SetBytes(int64(len(in.data)))
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := loadgen.ReadTrace(bytes.NewReader(in.data))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(got.Records) != len(tr.Records) {
+					b.Fatalf("read %d records, wrote %d", len(got.Records), len(tr.Records))
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			records := float64(len(tr.Records)) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
+		})
+	}
 }
 
 // BenchmarkLoadgenReplayRecorded additionally attaches a flight recorder

@@ -63,12 +63,29 @@ func FuzzReadTrace(f *testing.F) {
 {"seq":0,"at_us":50,"user":"u","class":"dev","qubits":2,"shots":1,"expected_qpu_seconds":1}
 {"seq":1,"at_us":10,"user":"u","class":"dev","qubits":2,"shots":1,"expected_qpu_seconds":1}
 `))
+	// A header whose job count no file could back (once a makeslice panic),
+	// and an arrival before the epoch (−1 alone once passed Validate).
+	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1000000000000000}`))
+	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1}
+{"seq":0,"at_us":-1,"user":"u","class":"dev","qubits":2,"shots":1,"expected_qpu_seconds":1}
+`))
+	// Lines around the record scanner's edges: valid JSON it must decline,
+	// near-JSON it must not accept.
+	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"jobs":3}
+{"Seq":0, "at_us":1e1,"user":"caf\u00e9","class":"dev","qubits":2,"shots":1,"expected_qpu_seconds":0.5,"x":null}
+{"seq":01,"at_us":20,"user":"u","class":"dev","qubits":2,"shots":1.0,"expected_qpu_seconds":1.,}
+{"shots":1,"shots":2,"seq":2,"at_us":999999999999999999,"user":"u","class":"dev","qubits":2,"expected_qpu_seconds":-0}
+`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadTrace(bytes.NewReader(data))
-		if err != nil {
-			return
+		// Differential against encoding/json, line by line and as a file:
+		// whatever the scanner accepts decodes as json.Unmarshal would, and
+		// ReadTrace answers as the all-encoding/json reader does.
+		for sc := traceLines(data); sc.Scan(); {
+			checkScannerAgainstJSON(t, sc.Bytes())
 		}
-		checkTraceInvariants(t, tr)
+		if tr := checkReadTraceAgainstReference(t, data); tr != nil {
+			checkTraceInvariants(t, tr)
+		}
 	})
 }
 

@@ -204,6 +204,15 @@ func TestTraceValidation(t *testing.T) {
 			t.Fatal("out-of-order arrivals accepted")
 		}
 	}
+	// Every arrival before the epoch is refused, −1 included (the
+	// monotonicity walk once started below zero and let exactly −1 through).
+	for _, at := range []int64{-1, -2} {
+		tr = base()
+		tr.Records[0].AtUS = at
+		if tr.Validate() == nil {
+			t.Fatalf("arrival at %dus accepted", at)
+		}
+	}
 	tr = base()
 	tr.Records[0].Class = "vip"
 	if tr.Validate() == nil {

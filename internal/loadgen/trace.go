@@ -2,11 +2,13 @@ package loadgen
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"strconv"
 	"time"
 
 	"hpcqc/internal/sched"
@@ -102,7 +104,7 @@ func (t *Trace) Validate() error {
 	if t.Header.Jobs != len(t.Records) {
 		return fmt.Errorf("loadgen: header says %d jobs, file has %d", t.Header.Jobs, len(t.Records))
 	}
-	prev := int64(-1)
+	prev := int64(0)
 	for i, r := range t.Records {
 		if r.AtUS < prev {
 			return fmt.Errorf("loadgen: record %d arrives at %dus, before its predecessor %dus", i, r.AtUS, prev)
@@ -152,7 +154,14 @@ func (t *Trace) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadTrace parses and validates a JSONL trace.
+// maxPresizeRecords bounds what ReadTrace reserves on the header's word
+// alone (≈12 MB): a longer trace grows by append, and a header that lies about
+// its count costs a Validate error instead of the allocation it names.
+const maxPresizeRecords = 1 << 17
+
+// ReadTrace parses and validates a JSONL trace. Record lines in the form
+// Trace.Write and Recorder emit are decoded by scanRecord; every other line
+// goes to encoding/json, which alone defines what is accepted and every error.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -167,17 +176,25 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("loadgen: parsing trace header: %w", err)
 	}
 	if t.Header.Jobs > 0 {
-		t.Records = make([]Record, 0, t.Header.Jobs)
+		t.Records = make([]Record, 0, min(t.Header.Jobs, maxPresizeRecords))
 	}
+	// user, class and pattern repeat: the records of one read share one
+	// string per distinct value.
+	intern := make(map[string]string)
 	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
+		line := sc.Bytes()
+		if len(line) == 0 {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("loadgen: parsing trace record %d: %w", len(t.Records), err)
+		t.Records = append(t.Records, Record{})
+		rec := &t.Records[len(t.Records)-1]
+		if scanRecord(line, rec, intern) {
+			continue
 		}
-		t.Records = append(t.Records, rec)
+		*rec = Record{}
+		if err := json.Unmarshal(line, rec); err != nil {
+			return nil, fmt.Errorf("loadgen: parsing trace record %d: %w", len(t.Records)-1, err)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("loadgen: reading trace: %w", err)
@@ -193,6 +210,127 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// scanRecord decodes a canonical record line into rec without reflection and
+// reports whether it did. Canonical means: one object, no whitespace, only
+// Record's nine keys spelled exactly (any order, the last duplicate wins),
+// string values of printable ASCII with no escape, numbers as plain
+// non-negative decimals of at most 18 integer digits with no leading zero and
+// no exponent, and integers where the field is one. Those are the lines on
+// which the result provably equals json.Unmarshal's; on anything else it
+// returns false, having possibly written part of rec, and the caller decodes
+// the line with encoding/json instead (DESIGN §6).
+func scanRecord(line []byte, rec *Record, intern map[string]string) bool {
+	if len(line) == 0 || line[0] != '{' {
+		return false
+	}
+	for i := 1; ; i++ {
+		if i >= len(line) || line[i] != '"' {
+			return false
+		}
+		end := bytes.IndexByte(line[i+1:], '"')
+		if end < 0 {
+			return false
+		}
+		key := line[i+1 : i+1+end]
+		i += end + 2
+		if i >= len(line) || line[i] != ':' {
+			return false
+		}
+		i++
+		switch string(key) {
+		case "seq":
+			i = scanInt(line, i, &rec.Seq)
+		case "at_us":
+			rec.AtUS, i = scanDigits(line, i)
+		case "user":
+			rec.User, i = scanString(line, i, intern)
+		case "class":
+			rec.Class, i = scanString(line, i, intern)
+		case "pattern":
+			rec.Pattern, i = scanString(line, i, intern)
+		case "qubits":
+			i = scanInt(line, i, &rec.Qubits)
+		case "shots":
+			i = scanInt(line, i, &rec.Shots)
+		case "expected_qpu_seconds":
+			rec.ExpectedQPUSeconds, i = scanFloat(line, i)
+		case "deadline_seconds":
+			rec.DeadlineSeconds, i = scanFloat(line, i)
+		default:
+			return false
+		}
+		// Each value scanner returns the index after its value, 0 to decline.
+		if i == 0 || i >= len(line) || (line[i] != ',' && line[i] != '}') {
+			return false
+		}
+		if line[i] == '}' {
+			return i+1 == len(line)
+		}
+	}
+}
+
+// scanDigits reads a plain non-negative integer of at most 18 digits (so it
+// fits int64 and converts to float64 exactly as strconv would round it).
+func scanDigits(line []byte, i int) (v int64, next int) {
+	start := i
+	for ; i < len(line) && line[i]-'0' <= 9; i++ {
+		v = v*10 + int64(line[i]-'0')
+	}
+	if n := i - start; n == 0 || n > 18 || (n > 1 && line[start] == '0') {
+		return 0, 0
+	}
+	return v, i
+}
+
+// scanInt is scanDigits into an int field; a value int cannot hold declines.
+func scanInt(line []byte, i int, dst *int) (next int) {
+	v, next := scanDigits(line, i)
+	*dst = int(v)
+	if int64(*dst) != v {
+		return 0
+	}
+	return next
+}
+
+// scanFloat reads digits with an optional fraction; a fraction is parsed by
+// the strconv call encoding/json makes.
+func scanFloat(line []byte, i int) (float64, int) {
+	v, next := scanDigits(line, i)
+	if next == 0 || next >= len(line) || line[next] != '.' {
+		return float64(v), next
+	}
+	end := next + 1
+	for end < len(line) && line[end]-'0' <= 9 {
+		end++
+	}
+	if f, err := strconv.ParseFloat(string(line[i:end]), 64); end > next+1 && err == nil {
+		return f, end
+	}
+	return 0, 0
+}
+
+// scanString reads a string of printable ASCII with no escape, interned.
+func scanString(line []byte, i int, intern map[string]string) (string, int) {
+	if i >= len(line) || line[i] != '"' {
+		return "", 0
+	}
+	start := i + 1
+	for i = start; i < len(line); i++ {
+		switch c := line[i]; {
+		case c == '"':
+			s, ok := intern[string(line[start:i])]
+			if !ok {
+				s = string(line[start:i])
+				intern[s] = s
+			}
+			return s, i + 1
+		case c < 0x20 || c >= 0x7f || c == '\\':
+			return "", 0
+		}
+	}
+	return "", 0
 }
 
 // ReadTraceFile reads a trace from a path.
