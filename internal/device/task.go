@@ -1,0 +1,236 @@
+package device
+
+import (
+	"errors"
+	"fmt"
+	"strconv"
+	"time"
+
+	"hpcqc/internal/qir"
+	"hpcqc/internal/simclock"
+	"hpcqc/internal/telemetry"
+)
+
+// task is an internal execution record.
+type task struct {
+	id       string
+	program  *qir.Program
+	state    TaskState
+	result   *qir.Result
+	err      error
+	queuedAt time.Duration
+	startAt  time.Duration
+	endAt    time.Duration
+	event    *simclock.Event
+	// setup is extra cold-start occupancy charged before the shots — the
+	// daemon's program-cache miss cost. Zero for warm (or cache-less)
+	// submissions, leaving timing untouched.
+	setup time.Duration
+}
+
+// Submit validates and enqueues a program, returning a task ID. Execution
+// happens on the simulation clock at the device shot rate. Validation runs
+// through the qir verdict memo: the daemon dispatches the same decoded
+// program against the same spec thousands of times per replay, and the memo
+// collapses the repeated full-waveform walks to one. Submitted programs must
+// therefore not be mutated afterwards.
+func (d *Device) Submit(p *qir.Program) (string, error) {
+	return d.SubmitWithSetup(p, 0)
+}
+
+// SubmitWithSetup is Submit with an explicit cold-setup charge: the task
+// occupies the QPU for setupSeconds before its shots begin. The daemon's
+// program-cache layer uses it to make cache misses pay calibration/compile
+// setup while warm hits skip it; zero setup is exactly Submit.
+func (d *Device) SubmitWithSetup(p *qir.Program, setupSeconds float64) (string, error) {
+	if setupSeconds < 0 {
+		return "", fmt.Errorf("device: negative setup seconds %g", setupSeconds)
+	}
+	if err := qir.ValidateCached(p, &d.spec); err != nil {
+		return "", err
+	}
+	d.mu.Lock()
+	if d.status == StatusMaintenance {
+		d.mu.Unlock()
+		return "", errors.New("device: in maintenance, not accepting tasks")
+	}
+	d.nextID++
+	t := &task{
+		id:       "qpu-task-" + strconv.Itoa(d.nextID),
+		program:  p,
+		state:    TaskQueued,
+		queuedAt: d.cfg.Clock.Now(),
+		setup:    simclock.Seconds(setupSeconds),
+	}
+	d.tasks[t.id] = t
+	d.queue = append(d.queue, t)
+	d.mu.Unlock()
+	d.pump()
+	d.emitTelemetry()
+	return t.id, nil
+}
+
+// pump starts the next queued task if the device is idle.
+func (d *Device) pump() {
+	d.mu.Lock()
+	if d.running != nil || len(d.queue) == 0 || d.status == StatusMaintenance {
+		d.mu.Unlock()
+		return
+	}
+	t := d.queue[0]
+	d.queue = d.queue[1:]
+	t.state = TaskRunning
+	t.startAt = d.cfg.Clock.Now()
+	d.running = t
+	d.busySince = t.startAt
+	dur := simclock.Seconds(t.program.EstimatedQPUSeconds(&d.spec))
+	if dur <= 0 {
+		dur = time.Second
+	}
+	// Cold-setup occupancy precedes the shots; zero for warm submissions, so
+	// setup-free tasks keep their exact historical timing.
+	dur += t.setup
+	t.event = d.cfg.Clock.Schedule(dur, "qpu-exec", func() { d.finish(t) })
+	d.mu.Unlock()
+}
+
+// finish computes the task result and starts the next task.
+func (d *Device) finish(t *task) {
+	d.mu.Lock()
+	if t.state != TaskRunning {
+		d.mu.Unlock()
+		return
+	}
+	calib := d.calib
+	seed := d.rng.Int63()
+	d.mu.Unlock()
+
+	res, err := d.execute(t.program, calib, seed)
+
+	d.mu.Lock()
+	t.endAt = d.cfg.Clock.Now()
+	d.totalBusy += t.endAt - t.startAt
+	if err != nil {
+		t.state = TaskFailed
+		t.err = err
+		d.tasksFailed++
+	} else {
+		t.state = TaskCompleted
+		t.result = res
+		d.shotsTotal += int64(t.program.Shots)
+		if d.mShots != nil {
+			d.mShots.Inc(nil, float64(t.program.Shots))
+		}
+	}
+	d.tasksTotal++
+	if d.mTasks != nil {
+		d.mTasks.Inc(telemetry.Labels{"state": string(t.state)}, 1)
+	}
+	d.running = nil
+	listener := d.listener
+	state := t.state
+	d.mu.Unlock()
+	if listener != nil {
+		listener(d.id, t.id, state)
+	}
+	d.pump()
+	d.emitTelemetry()
+}
+
+// TaskStatus returns the lifecycle state of a task.
+func (d *Device) TaskStatus(id string) (TaskState, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	t, ok := d.tasks[id]
+	if !ok {
+		return "", fmt.Errorf("device: unknown task %q", id)
+	}
+	return t.state, nil
+}
+
+// TaskResult returns the result of a completed task.
+func (d *Device) TaskResult(id string) (*qir.Result, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	t, ok := d.tasks[id]
+	if !ok {
+		return nil, fmt.Errorf("device: unknown task %q", id)
+	}
+	switch t.state {
+	case TaskCompleted:
+		return t.result, nil
+	case TaskFailed:
+		return nil, t.err
+	default:
+		return nil, fmt.Errorf("device: task %s is %s", id, t.state)
+	}
+}
+
+// Forget drops the device's record of a terminal task — its program, result
+// and fired clock event — once the caller has read what it needs; the ID then
+// reads as an unknown task. A queued or running task is left alone, and an
+// unknown ID is a no-op. The device never forgets by itself: whoever consumes
+// a task's outcome owns its record (the daemon forgets as it settles).
+func (d *Device) Forget(id string) {
+	d.mu.Lock()
+	if t, ok := d.tasks[id]; ok && t.state != TaskQueued && t.state != TaskRunning {
+		delete(d.tasks, id)
+	}
+	d.mu.Unlock()
+}
+
+// Cancel aborts a queued or running task.
+func (d *Device) Cancel(id string) error {
+	d.mu.Lock()
+	t, ok := d.tasks[id]
+	if !ok {
+		d.mu.Unlock()
+		return fmt.Errorf("device: unknown task %q", id)
+	}
+	listener := d.listener
+	switch t.state {
+	case TaskQueued:
+		for i, q := range d.queue {
+			if q == t {
+				d.queue = append(d.queue[:i], d.queue[i+1:]...)
+				break
+			}
+		}
+		t.state = TaskCancelled
+		d.mu.Unlock()
+		if listener != nil {
+			listener(d.id, t.id, TaskCancelled)
+		}
+	case TaskRunning:
+		d.cfg.Clock.Cancel(t.event)
+		t.state = TaskCancelled
+		t.endAt = d.cfg.Clock.Now()
+		d.totalBusy += t.endAt - t.startAt
+		d.running = nil
+		d.mu.Unlock()
+		if listener != nil {
+			listener(d.id, t.id, TaskCancelled)
+		}
+		d.pump()
+	default:
+		d.mu.Unlock()
+		return fmt.Errorf("device: task %s already %s", id, t.state)
+	}
+	d.emitTelemetry()
+	return nil
+}
+
+// WaitTime returns how long a task waited in queue before starting; zero for
+// tasks that have not started.
+func (d *Device) WaitTime(id string) (time.Duration, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	t, ok := d.tasks[id]
+	if !ok {
+		return 0, fmt.Errorf("device: unknown task %q", id)
+	}
+	if t.state == TaskQueued {
+		return 0, nil
+	}
+	return t.startAt - t.queuedAt, nil
+}

@@ -1,0 +1,97 @@
+package device
+
+import (
+	"sort"
+	"strconv"
+	"time"
+)
+
+// emitTelemetry pushes the current state to the registry and TSDB.
+func (d *Device) emitTelemetry() {
+	if d.mQueueLen == nil && d.cfg.TSDB == nil {
+		return
+	}
+	d.mu.Lock()
+	queueLen := float64(len(d.queue))
+	rabi := d.calib.RabiFactor
+	det := d.calib.DetuningOffset
+	var up float64
+	switch d.status {
+	case StatusOnline:
+		up = 1
+	case StatusDegraded:
+		up = 0.5
+	}
+	now := d.cfg.Clock.Now()
+	d.mu.Unlock()
+
+	if d.mQueueLen != nil {
+		d.mQueueLen.Set(nil, queueLen)
+		d.mRabi.Set(nil, rabi)
+		d.mDetOff.Set(nil, det)
+		d.mStatus.Set(nil, up)
+	}
+	d.tsQueueLen.Append(now, queueLen)
+	d.tsRabi.Append(now, rabi)
+	d.tsDetOff.Append(now, det)
+	d.tsStatus.Append(now, up)
+}
+
+// Snapshot is an admin-facing summary of device state.
+type Snapshot struct {
+	ID           string        `json:"id"`
+	Name         string        `json:"name"`
+	Status       Status        `json:"status"`
+	QueueLength  int           `json:"queue_length"`
+	Running      string        `json:"running,omitempty"`
+	Calibration  Calibration   `json:"calibration"`
+	Utilization  float64       `json:"utilization"`
+	TasksTotal   int64         `json:"tasks_total"`
+	TasksFailed  int64         `json:"tasks_failed"`
+	ShotsTotal   int64         `json:"shots_total"`
+	MaintWindows int           `json:"maintenance_windows"`
+	Uptime       time.Duration `json:"uptime"`
+}
+
+// AdminSnapshot returns the current summary.
+func (d *Device) AdminSnapshot() Snapshot {
+	util := d.Utilization()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := Snapshot{
+		ID:           d.id,
+		Name:         d.spec.Name,
+		Status:       d.status,
+		QueueLength:  len(d.queue),
+		Calibration:  d.calib,
+		Utilization:  util,
+		TasksTotal:   d.tasksTotal,
+		TasksFailed:  d.tasksFailed,
+		ShotsTotal:   d.shotsTotal,
+		MaintWindows: d.maintWindows,
+		Uptime:       d.cfg.Clock.Now() - d.createdAt,
+	}
+	if d.running != nil {
+		s.Running = d.running.id
+	}
+	return s
+}
+
+// TaskIDs lists all known task IDs sorted by submission order.
+func (d *Device) TaskIDs() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ids := make([]string, 0, len(d.tasks))
+	for id := range d.tasks {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		return taskNum(ids[i]) < taskNum(ids[j])
+	})
+	return ids
+}
+
+func taskNum(id string) int {
+	n, _ := strconv.Atoi(id[len("qpu-task-"):])
+	return n
+}
