@@ -118,8 +118,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSWF$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSacct$$' -fuzztime=2000x ./internal/loadgen
 
+# vet also fails when gofmt would rewrite a file, listing it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # vet-trace is the trace-subsystem gate: vet plus the race detector over the
 # span pipeline. Span emission happens under daemon locks from dispatch-side

@@ -356,7 +356,7 @@ func BenchmarkPrometheusExposition(b *testing.B) {
 	for i := 0; i < 20; i++ {
 		g := reg.MustGauge(fmt.Sprintf("metric_%d", i), "bench gauge")
 		for j := 0; j < 10; j++ {
-			g.Set(telemetry.Labels{"shard": fmt.Sprintf("%d", j)}, float64(i*j))
+			g.Bind(telemetry.Labels{"shard": fmt.Sprintf("%d", j)}).Set(float64(i * j))
 		}
 	}
 	b.ResetTimer()

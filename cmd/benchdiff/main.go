@@ -243,14 +243,7 @@ func main() {
 	for name := range baseline {
 		benches = append(benches, name)
 	}
-	// Sorted output keeps the diff log stable across runs.
-	for i := 0; i < len(benches); i++ {
-		for j := i + 1; j < len(benches); j++ {
-			if benches[j] < benches[i] {
-				benches[i], benches[j] = benches[j], benches[i]
-			}
-		}
-	}
+	sort.Strings(benches) // keeps the diff log stable across runs
 
 	failed := false
 	compared := 0

@@ -37,49 +37,9 @@
 // parameters and the default. Commas split a sweep axis, so the colons inside
 // one spec survive: --routers least-loaded,affinity:load=0.6:cap=0.1.
 //
-// gen synthesizes an open-loop trace from an arrival process. capture records
-// arrivals from a live closed-loop fleet run (completion-driven submitters)
-// executed under any router × scheduler × admission policy triple — the
-// knobs matter because closed-loop arrivals are completion-coupled. import
-// converts an archived scheduler log — Parallel Workloads Archive SWF, or
-// Slurm `sacct --parsable2` accounting output — into the trace format.
-// replay runs one trace against one policy triple on a virtual clock and
-// prints the SLO report. sweep replays the trace against the whole
-// router × scheduler × admission matrix concurrently and writes a
-// machine-readable comparison — the same trace and seed always produce
-// byte-identical output. replay and sweep run with span tracing on by
-// default, which adds a per-class, per-stage latency breakdown (validate,
-// admission, route, queued, requeued, execute) to each SLO report cell;
-// --tracing=false turns it off (the schedule itself is identical either
-// way). --cache/--setup size the per-partition program cache and the
-// cold-setup cost a miss pays, the model the affinity router exploits.
-// --priority (replay) and --priorities (sweep axis) pick the dynamic-urgency
-// policy composing with the within-class order; the deadline-driven ones take
-// fallback-deadline parameters (slo-urgency:deadline=120s, edf:production=90s)
-// and read the per-job deadlines that `gen --deadlines` stamps from the
-// per-class contracts. The sweep priority axis defaults to the axis default
-// alone (not all) so existing sweeps keep their exact combination list; pass
-// --priorities all to expand it. `all` routers means the cache-independent
-// ones: the affinity router joins a sweep only by name.
-// replay and sweep take --cpuprofile / --memprofile to write pprof profiles
-// of the run (trace decode included) — `go tool pprof -top qcload cpu.prof`
-// then names the hotspot for that trace and policy tuple.
-// trace export replays a trace with the flight recorder attached and
-// writes the full span set as Chrome trace-event JSON — open it in Perfetto
-// (or chrome://tracing) to see partitions as busy/idle tracks and every
-// job's lifecycle as a waterfall.
-//
-// sweep also crosses the generalized axes when named: --fleets (fleet
-// sizes), --preemption (on,off), --rate-scales (arrival-rate multipliers —
-// in-memory time compression, no trace rewrite) and --shot-scales (device
-// speed multipliers). Cells run on a bounded worker pool (--workers, default
-// GOMAXPROCS); the worker count changes wall clock only, never report bytes.
-// saturate is the capacity-planning search: per policy tuple × fleet size it
-// binary-searches the arrival-rate multiplier to the knee where the
-// production objective (--objective p99-wait: p99 wait ≤ --target seconds;
-// deadline-hit: hit rate ≥ --target) blows past target, and writes the
-// deterministic capacity-frontier report — max sustainable rate per tuple
-// plus a cost-per-met-SLO ranking.
+// `qcload <subcommand> -h` describes every flag, its default and what it
+// means for the report; README.md ("qcload quickstart") walks through each
+// subcommand on an example.
 package main
 
 import (
@@ -268,16 +228,7 @@ func runImport(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("import: --in and --out are required")
 	}
-	var tr *loadgen.Trace
-	var err error
-	switch *format {
-	case "swf":
-		tr, err = loadgen.ImportSWFFile(*in, loadgen.SWFOptions{ServiceScale: *scale, MaxJobs: *maxJobs})
-	case "sacct":
-		tr, err = loadgen.ImportSacctFile(*in, loadgen.SacctOptions{ServiceScale: *scale, MaxJobs: *maxJobs})
-	default:
-		return fmt.Errorf("import: unknown format %q (swf, sacct)", *format)
-	}
+	tr, err := loadgen.ImportFile(*in, *format, loadgen.ImportOptions{ServiceScale: *scale, MaxJobs: *maxJobs})
 	if err != nil {
 		return err
 	}

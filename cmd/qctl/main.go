@@ -37,7 +37,8 @@ import (
 	"net/http"
 	"os"
 	"text/tabwriter"
-	"time"
+
+	"hpcqc/internal/trace"
 )
 
 func main() {
@@ -198,32 +199,9 @@ func jobs(endpoint, token string, out io.Writer) error {
 				detail = fmt.Sprintf("%s (retry after %.0fs)", detail, j.RetryAfterSeconds)
 			}
 		}
-		dev := j.Device
-		if dev == "" {
-			dev = "-"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", j.ID, j.User, j.Class, j.State, dev, detail)
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", j.ID, j.User, j.Class, j.State, orDash(j.Device), detail)
 	}
 	return tw.Flush()
-}
-
-// traceSpan mirrors the trace.Span JSON (start/end are nanosecond offsets).
-type traceSpan struct {
-	Stage  string        `json:"stage"`
-	Class  string        `json:"class"`
-	Device string        `json:"device"`
-	Start  time.Duration `json:"start"`
-	End    time.Duration `json:"end"`
-	Detail string        `json:"detail"`
-}
-
-// traceRecord mirrors the trace.JobTrace JSON.
-type traceRecord struct {
-	Job    string      `json:"job"`
-	Class  string      `json:"class"`
-	Device string      `json:"device"`
-	State  string      `json:"state"`
-	Spans  []traceSpan `json:"spans"`
 }
 
 // traceJob renders one job's trace from the flight recorder as a stage
@@ -239,7 +217,7 @@ func traceJob(endpoint, id string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var t traceRecord
+	var t trace.JobTrace
 	if err := json.Unmarshal(body, &t); err != nil {
 		return fmt.Errorf("parsing trace: %w", err)
 	}
@@ -269,9 +247,9 @@ func traceList(endpoint string, out io.Writer) error {
 		return err
 	}
 	var listing struct {
-		Live int           `json:"live"`
-		Done int           `json:"done"`
-		Jobs []traceRecord `json:"jobs"`
+		Live int              `json:"live"`
+		Done int              `json:"done"`
+		Jobs []trace.JobTrace `json:"jobs"`
 	}
 	if err := json.Unmarshal(body, &listing); err != nil {
 		return fmt.Errorf("parsing trace listing: %w", err)

@@ -225,15 +225,15 @@ func TestNewPolicyParameterizedSLOGuard(t *testing.T) {
 
 func TestNewPolicyParameterErrors(t *testing.T) {
 	for _, name := range []string{
-		"slo-guard:wait=0s",       // non-positive target
-		"slo-guard:wait=banana",   // unparseable duration
-		"slo-guard:warn=1.5",      // fraction out of range
-		"slo-guard:shed=0.5",      // below 1
-		"slo-guard:min=0",         // non-positive
-		"slo-guard:wait",          // not key=value
-		"slo-guard:p99=10s",       // unknown key
-		"token-bucket:rate=5",     // non-parameterizable policy
-		"accept-all:x=1",          // non-parameterizable policy
+		"slo-guard:wait=0s",     // non-positive target
+		"slo-guard:wait=banana", // unparseable duration
+		"slo-guard:warn=1.5",    // fraction out of range
+		"slo-guard:shed=0.5",    // below 1
+		"slo-guard:min=0",       // non-positive
+		"slo-guard:wait",        // not key=value
+		"slo-guard:p99=10s",     // unknown key
+		"token-bucket:rate=5",   // non-parameterizable policy
+		"accept-all:x=1",        // non-parameterizable policy
 	} {
 		if _, err := NewPolicy(name); err == nil {
 			t.Errorf("NewPolicy(%q) accepted", name)

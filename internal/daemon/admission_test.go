@@ -411,3 +411,31 @@ func TestRejectedJobResultIsTerminal(t *testing.T) {
 		}
 	}
 }
+
+// deferringPolicy answers every submission with an outcome the daemon has
+// never heard of.
+type deferringPolicy struct{}
+
+func (deferringPolicy) Name() string { return "deferring" }
+func (deferringPolicy) Admit(admission.Request, admission.View) admission.Decision {
+	return admission.Decision{Outcome: "deferred"}
+}
+
+// TestUnknownAdmissionOutcomeIsCounted: a policy returning an outcome
+// NewDaemon bound no handle for fails the submission, and the decision is
+// still counted — under a series bound on the spot.
+func TestUnknownAdmissionOutcomeIsCounted(t *testing.T) {
+	env, reg := newAdmissionEnv(t, 1, deferringPolicy{})
+	s, err := env.d.OpenSession("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 2), Class: sched.ClassTest})
+	if err == nil || !strings.Contains(err.Error(), `unknown outcome "deferred"`) {
+		t.Fatalf("submit error = %v, want unknown outcome", err)
+	}
+	got := reg.Get("daemon_admission_total").Value(telemetry.Labels{"class": "test", "outcome": "deferred"})
+	if got != 1 {
+		t.Fatalf(`daemon_admission_total{class="test",outcome="deferred"} = %g, want 1`, got)
+	}
+}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -191,14 +192,7 @@ func (c *Client) Acquire() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		found := false
-		for _, id := range ids {
-			if id == c.Partition {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(ids, c.Partition) {
 			return "", fmt.Errorf("daemon: unknown partition %q (have: %v)", c.Partition, ids)
 		}
 	}
@@ -399,7 +393,7 @@ func init() {
 	// daemon_endpoint, daemon_user, daemon_class (production|test|dev),
 	// workload_hint.
 	_ = qrmi.RegisterFactory("daemon", func(cfg map[string]string) (qrmi.Resource, error) {
-		class, err := parseClass(cfg["daemon_class"])
+		class, err := sched.ParseClass(cmp.Or(cfg["daemon_class"], "dev"))
 		if err != nil {
 			return nil, err
 		}

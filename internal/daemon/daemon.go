@@ -252,16 +252,13 @@ type Daemon struct {
 	// table, in finish order — the two retention rings (retention.go).
 	finished, rejected finishRing
 
-	mJobs, mQueueLen, mSessions          *telemetry.Metric
-	mWait                                *telemetry.Metric
-	mDevQueueLen, mDevUtil               *telemetry.Metric
-	mAdmission, mAdmissionRejected       *telemetry.Metric
-	mCacheHits, mCacheMisses, mCacheEvic *telemetry.Metric
-
-	// Pre-bound label series for the dispatch hot path, indexed by class.
-	// All nil when no registry is configured (BoundSeries methods are
-	// nil-safe), so the hot path pays neither label-key rendering nor map
-	// allocation per job.
+	// Registry series, bound once in NewDaemon and indexed by class where
+	// there is one per class. All nil when no registry is configured
+	// (BoundSeries methods are nil-safe), so no write renders a label key or
+	// allocates. mAdmission is the one family kept: an outcome admitStage
+	// has no handle for is bound from it on the spot.
+	mAdmission  *telemetry.Metric
+	bSessions   *telemetry.BoundSeries
 	bWait       [3]*telemetry.BoundSeries
 	bJobs       [3]map[JobState]*telemetry.BoundSeries
 	bQueueTotal [3]*telemetry.BoundSeries
@@ -349,46 +346,46 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		d.fleet = append(d.fleet, ds)
 		d.byDevice[ds.id] = ds
 	}
-	if cfg.Registry != nil {
-		d.mJobs = cfg.Registry.MustCounter("daemon_jobs_total", "Daemon jobs by class and final state.")
-		d.mQueueLen = cfg.Registry.MustGauge("daemon_queue_length", "Queued daemon jobs by class.")
-		d.mSessions = cfg.Registry.MustGauge("daemon_sessions_active", "Open user sessions.")
-		d.mWait = cfg.Registry.MustHistogram("daemon_job_wait_seconds", "Queue wait by class.",
+	if reg := cfg.Registry; reg != nil {
+		mJobs := reg.MustCounter("daemon_jobs_total", "Daemon jobs by class and final state.")
+		mQueueLen := reg.MustGauge("daemon_queue_length", "Queued daemon jobs by class.")
+		d.bSessions = reg.MustGauge("daemon_sessions_active", "Open user sessions.").Bind(nil)
+		mWait := reg.MustHistogram("daemon_job_wait_seconds", "Queue wait by class.",
 			[]float64{1, 5, 15, 60, 300, 1800, 7200})
-		d.mDevQueueLen = cfg.Registry.MustGauge("daemon_device_queue_length", "Queued daemon jobs by device and class.")
-		d.mDevUtil = cfg.Registry.MustGauge("daemon_device_utilization", "Per-device QPU utilization fraction.")
-		d.mAdmission = cfg.Registry.MustCounter("daemon_admission_total", "Admission decisions by class and outcome.")
-		d.mAdmissionRejected = cfg.Registry.MustCounter("daemon_admission_rejected_total", "Submissions shed at admission by class and policy.")
+		mDevQueueLen := reg.MustGauge("daemon_device_queue_length", "Queued daemon jobs by device and class.")
+		mDevUtil := reg.MustGauge("daemon_device_utilization", "Per-device QPU utilization fraction.")
+		d.mAdmission = reg.MustCounter("daemon_admission_total", "Admission decisions by class and outcome.")
+		mAdmissionRejected := reg.MustCounter("daemon_admission_rejected_total", "Submissions shed at admission by class and policy.")
 		for c := sched.ClassDev; c <= sched.ClassProduction; c++ {
 			name := c.String()
-			d.bWait[c] = d.mWait.Bind(telemetry.Labels{"class": name})
-			d.bQueueTotal[c] = d.mQueueLen.Bind(telemetry.Labels{"class": name})
+			d.bWait[c] = mWait.Bind(telemetry.Labels{"class": name})
+			d.bQueueTotal[c] = mQueueLen.Bind(telemetry.Labels{"class": name})
 			d.bJobs[c] = make(map[JobState]*telemetry.BoundSeries, 4)
 			for _, st := range []JobState{JobCompleted, JobFailed, JobCancelled, JobRejected} {
-				d.bJobs[c][st] = d.mJobs.Bind(telemetry.Labels{"class": name, "state": string(st)})
+				d.bJobs[c][st] = mJobs.Bind(telemetry.Labels{"class": name, "state": string(st)})
 			}
 			d.bAdmit[c] = make(map[admission.Outcome]*telemetry.BoundSeries, 3)
 			for _, out := range []admission.Outcome{admission.Accepted, admission.Downgraded, admission.Rejected} {
 				d.bAdmit[c][out] = d.mAdmission.Bind(telemetry.Labels{"class": name, "outcome": string(out)})
 			}
-			d.bAdmitRej[c] = d.mAdmissionRejected.Bind(telemetry.Labels{"class": name, "policy": admitter.Name()})
+			d.bAdmitRej[c] = mAdmissionRejected.Bind(telemetry.Labels{"class": name, "policy": admitter.Name()})
 		}
 		for _, ds := range d.fleet {
 			for c := sched.ClassDev; c <= sched.ClassProduction; c++ {
-				ds.gQueue[c] = d.mDevQueueLen.Bind(telemetry.Labels{"device": ds.id, "class": c.String()})
+				ds.gQueue[c] = mDevQueueLen.Bind(telemetry.Labels{"device": ds.id, "class": c.String()})
 			}
-			ds.gUtil = d.mDevUtil.Bind(telemetry.Labels{"device": ds.id})
+			ds.gUtil = mDevUtil.Bind(telemetry.Labels{"device": ds.id})
 		}
 		// Cache counters exist only when caching is on, so a cache-less
 		// daemon's metrics output is unchanged.
 		if cfg.ProgramCache > 0 {
-			d.mCacheHits = cfg.Registry.MustCounter("daemon_program_cache_hits_total", "Program-cache hits at dispatch, by device.")
-			d.mCacheMisses = cfg.Registry.MustCounter("daemon_program_cache_misses_total", "Program-cache misses at dispatch, by device.")
-			d.mCacheEvic = cfg.Registry.MustCounter("daemon_program_cache_evictions_total", "Program-cache LRU evictions, by device.")
+			mHits := reg.MustCounter("daemon_program_cache_hits_total", "Program-cache hits at dispatch, by device.")
+			mMisses := reg.MustCounter("daemon_program_cache_misses_total", "Program-cache misses at dispatch, by device.")
+			mEvictions := reg.MustCounter("daemon_program_cache_evictions_total", "Program-cache LRU evictions, by device.")
 			for _, ds := range d.fleet {
-				ds.gCacheHits = d.mCacheHits.Bind(telemetry.Labels{"device": ds.id})
-				ds.gCacheMisses = d.mCacheMisses.Bind(telemetry.Labels{"device": ds.id})
-				ds.gCacheEvictions = d.mCacheEvic.Bind(telemetry.Labels{"device": ds.id})
+				ds.gCacheHits = mHits.Bind(telemetry.Labels{"device": ds.id})
+				ds.gCacheMisses = mMisses.Bind(telemetry.Labels{"device": ds.id})
+				ds.gCacheEvictions = mEvictions.Bind(telemetry.Labels{"device": ds.id})
 			}
 		}
 	}
@@ -429,9 +426,7 @@ func (d *Daemon) OpenSession(user string) (*Session, error) {
 		CreatedAt: d.cfg.Clock.Now(),
 	}
 	d.sessions[s.Token] = s
-	if d.mSessions != nil {
-		d.mSessions.Set(nil, float64(len(d.sessions)))
-	}
+	d.bSessions.Set(float64(len(d.sessions)))
 	return s, nil
 }
 
@@ -451,9 +446,7 @@ func (d *Daemon) CloseSession(token string) error {
 			toCancel = append(toCancel, id)
 		}
 	}
-	if d.mSessions != nil {
-		d.mSessions.Set(nil, float64(len(d.sessions)))
-	}
+	d.bSessions.Set(float64(len(d.sessions)))
 	d.mu.Unlock()
 	for _, id := range toCancel {
 		_ = d.CancelJob(token, id, true)

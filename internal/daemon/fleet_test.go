@@ -435,7 +435,7 @@ func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
 	ghost := &Job{
 		ID: fmt.Sprintf("job-%d", env.d.nextJob), Session: s.Token, User: "alice",
 		Class: sched.ClassProduction, Device: ds.id, State: JobQueued,
-		SubmittedAt: env.clk.Now(), payload: payload(t, 10),
+		SubmittedAt: env.clk.Now(),
 	}
 	env.d.jobs[ghost.ID] = ghost
 	env.d.mu.Unlock()

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -114,7 +115,7 @@ func (d *Daemon) Handler() http.Handler {
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		class, err := parseClass(req.Class)
+		class, err := sched.ParseClass(cmp.Or(req.Class, "dev"))
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -498,19 +499,6 @@ type queryView struct {
 type pointView struct {
 	AtSeconds float64 `json:"at_seconds"`
 	Value     float64 `json:"value"`
-}
-
-func parseClass(s string) (sched.Class, error) {
-	switch s {
-	case "production":
-		return sched.ClassProduction, nil
-	case "test":
-		return sched.ClassTest, nil
-	case "dev", "":
-		return sched.ClassDev, nil
-	default:
-		return 0, fmt.Errorf("daemon: unknown class %q", s)
-	}
 }
 
 // maxBodyBytes caps a request body. Program payloads are pulse schedules of

@@ -475,7 +475,12 @@ func TestHTTPSubmitRequestParity(t *testing.T) {
 		if j.State != JobQueued {
 			t.Fatalf("%s: job is %s, want queued", intake, j.State)
 		}
-		got := SubmitRequest{Program: j.payload, Class: j.Class, Pattern: j.Pattern, Source: j.Source,
+		// The record keeps the program decoded; its encoding stands for it.
+		program, err := json.Marshal(j.prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := SubmitRequest{Program: program, Class: j.Class, Pattern: j.Pattern, Source: j.Source,
 			Device: j.Device, ExpectedQPUSeconds: j.ExpectedQPUSeconds, DeadlineSeconds: j.DeadlineSeconds}
 		exp := want
 		exp.Source = source

@@ -108,13 +108,12 @@ type Job struct {
 	Preemptions int           `json:"preemptions"`
 	Error       string        `json:"error,omitempty"`
 
-	// payload is the submitted program bytes and prog their decode, resolved
-	// once at submission through the process-wide decode memo and reused by
-	// every dispatch (including preemption requeues), so the dispatch loop
-	// never re-decodes JSON. Programs are immutable after decode. Both are
-	// dropped at the terminal transition: nothing dispatches a finished job.
-	payload []byte
-	prog    *qir.Program
+	// prog is the decode of the submitted program bytes, resolved once at
+	// submission through the process-wide decode memo and reused by every
+	// dispatch (including preemption requeues), so the dispatch loop never
+	// re-decodes JSON. Programs are immutable after decode. It is dropped at
+	// the terminal transition: nothing dispatches a finished job.
+	prog *qir.Program
 	// progHash is the canonical program fingerprint, memoized alongside prog
 	// in the decode cache — the partition program-cache key. Zero means no
 	// fingerprint (the job bypasses the cache).
@@ -228,7 +227,6 @@ func (d *Daemon) newJobLocked(sub *submission, device string) *Job {
 		State:              JobQueued,
 		DeadlineSeconds:    req.DeadlineSeconds,
 		SubmittedAt:        now,
-		payload:            req.Program,
 		prog:               sub.prog,
 		progHash:           sub.progHash,
 		enqueuedAt:         now,
@@ -273,8 +271,8 @@ func (d *Daemon) finishLocked(j *Job, state JobState, err error) bool {
 	if err != nil {
 		j.Error = err.Error()
 	}
-	j.payload, j.prog = nil, nil
-	if d.mJobs != nil {
+	j.prog = nil
+	if d.cfg.Registry != nil { // also what keeps a class outside bJobs from indexing it
 		d.bJobs[j.Class][state].Inc(1)
 	}
 	event, ring := JobEventFinished, &d.finished

@@ -224,17 +224,14 @@ func (d *Daemon) admitStage(req SubmitRequest, user string) admission.Decision {
 		Now:                d.cfg.Clock.Now(),
 	}, view)
 	if d.mAdmission != nil {
-		if b := d.bAdmit[req.Class][dec.Outcome]; b != nil {
-			b.Inc(1)
-		} else {
-			d.mAdmission.Inc(telemetry.Labels{
-				"class":   req.Class.String(),
-				"outcome": string(dec.Outcome),
-			}, 1)
+		b := d.bAdmit[req.Class][dec.Outcome]
+		if b == nil { // an outcome NewDaemon did not know: counted all the same
+			b = d.mAdmission.Bind(telemetry.Labels{"class": req.Class.String(), "outcome": string(dec.Outcome)})
 		}
-	}
-	if dec.Outcome == admission.Rejected && d.mAdmissionRejected != nil {
-		d.bAdmitRej[req.Class].Inc(1)
+		b.Inc(1)
+		if dec.Outcome == admission.Rejected {
+			d.bAdmitRej[req.Class].Inc(1)
+		}
 	}
 	return dec
 }

@@ -301,7 +301,7 @@ func (d *Daemon) lowLevelOp(op string, targets []*deviceState) (string, error) {
 // NewDaemon: it runs on every submit, dispatch and settle, and allocates
 // nothing.
 func (d *Daemon) emitQueueTelemetry() {
-	if d.mQueueLen == nil && d.cfg.TSDB == nil {
+	if d.cfg.Registry == nil && d.cfg.TSDB == nil {
 		return
 	}
 	now := d.cfg.Clock.Now()

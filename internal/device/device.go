@@ -123,11 +123,17 @@ type Device struct {
 	// listener is notified on task terminal transitions (see SetTaskListener).
 	listener func(deviceID, taskID string, state TaskState)
 
-	// telemetry handles (nil-safe)
-	mQueueLen, mRabi, mDetOff, mStatus *telemetry.Metric
-	mTasks, mShots                     *telemetry.Metric
-	// The same four gauges as TSDB series, bound once (nil without a TSDB).
+	// Telemetry handles, bound once in New; each is nil, and drops its
+	// updates, without the store it writes to. The four gauges carry
+	// {device=<id>} in the registry and in the TSDB alike; the two counters
+	// are fleet-wide aggregates.
+	gQueueLen, gRabi, gDetOff, gStatus     *telemetry.BoundSeries
 	tsQueueLen, tsRabi, tsDetOff, tsStatus *telemetry.TSDBSeries
+	cShots                                 *telemetry.BoundSeries
+	// qpu_tasks_total{state} binds on first use (in finish, under mu): binding
+	// creates the series, and a state no task has reached stays off the scrape.
+	mTasks *telemetry.Metric
+	cTasks map[TaskState]*telemetry.BoundSeries
 }
 
 // SetTaskListener installs a callback invoked whenever a task reaches a
@@ -180,15 +186,16 @@ func New(cfg Config) (*Device, error) {
 			LastCalibrated: cfg.Clock.Now(),
 		},
 	}
-	if cfg.Registry != nil {
-		d.mQueueLen = cfg.Registry.MustGauge("qpu_queue_length", "Tasks waiting on the device queue.")
-		d.mRabi = cfg.Registry.MustGauge("qpu_calib_rabi_factor", "Calibration Rabi factor (1.0 = nominal).")
-		d.mDetOff = cfg.Registry.MustGauge("qpu_calib_detuning_offset", "Calibration detuning offset (rad/us).")
-		d.mStatus = cfg.Registry.MustGauge("qpu_up", "1 when online, 0.5 degraded, 0 in maintenance.")
-		d.mTasks = cfg.Registry.MustCounter("qpu_tasks_total", "Tasks executed by final state.")
-		d.mShots = cfg.Registry.MustCounter("qpu_shots_total", "Shots executed.")
-	}
 	labels := telemetry.Labels{"device": d.id}
+	if reg := cfg.Registry; reg != nil {
+		d.gQueueLen = reg.MustGauge("qpu_queue_length", "Tasks waiting on the device queue.").Bind(labels)
+		d.gRabi = reg.MustGauge("qpu_calib_rabi_factor", "Calibration Rabi factor (1.0 = nominal).").Bind(labels)
+		d.gDetOff = reg.MustGauge("qpu_calib_detuning_offset", "Calibration detuning offset (rad/us).").Bind(labels)
+		d.gStatus = reg.MustGauge("qpu_up", "1 when online, 0.5 degraded, 0 in maintenance.").Bind(labels)
+		d.mTasks = reg.MustCounter("qpu_tasks_total", "Tasks executed by final state.")
+		d.cTasks = make(map[TaskState]*telemetry.BoundSeries, 2)
+		d.cShots = reg.MustCounter("qpu_shots_total", "Shots executed.").Bind(nil)
+	}
 	d.tsQueueLen = cfg.TSDB.Bind("qpu_queue_length", labels)
 	d.tsRabi = cfg.TSDB.Bind("qpu_calib_rabi_factor", labels)
 	d.tsDetOff = cfg.TSDB.Bind("qpu_calib_detuning_offset", labels)

@@ -16,9 +16,8 @@ import (
 // top.
 //
 // Registry metric families (qpu_up, qpu_shots_total, …) are shared across
-// partitions: counters aggregate naturally, gauges reflect the last emitter.
-// Per-partition series live in the TSDB (labelled by device ID) and in the
-// daemon's daemon_device_* gauges.
+// partitions: the counters aggregate over the fleet, and each gauge is one
+// series per partition, labelled {device=<id>} exactly as its TSDB twin is.
 type Fleet struct {
 	devices []*Device
 	byID    map[string]*Device

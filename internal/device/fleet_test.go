@@ -1,10 +1,13 @@
 package device
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"hpcqc/internal/qir"
 	"hpcqc/internal/simclock"
+	"hpcqc/internal/telemetry"
 )
 
 func TestNewFleetValidation(t *testing.T) {
@@ -116,5 +119,67 @@ func TestFleetTaskListenerCarriesDeviceID(t *testing.T) {
 		if !got[[2]string{dev.ID(), tasks[i]}] {
 			t.Fatalf("no completion recorded for task %s on %s (got %v)", tasks[i], dev.ID(), got)
 		}
+	}
+}
+
+// TestFleetGaugesKeepTheirDevice: the qpu_* gauges are one registry series
+// per partition, labelled as their TSDB twins are, so a partition in
+// maintenance reads 0 whichever partition wrote last.
+func TestFleetGaugesKeepTheirDevice(t *testing.T) {
+	clk := simclock.New()
+	reg := telemetry.NewRegistry()
+	db := telemetry.NewTSDB(0, 0)
+	f, err := NewFleet(4, Config{Clock: clk, Seed: 5, Registry: reg, TSDB: db, TimingOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Devices()[1].StartMaintenance()
+	f.Devices()[3].RunQACheck() // a later emitter, and healthy
+	up := reg.Get("qpu_up")
+	for i, id := range f.IDs() {
+		want := 1.0
+		if i == 1 {
+			want = 0
+		}
+		labels := telemetry.Labels{"device": id}
+		if got := up.Value(labels); got != want {
+			t.Errorf("registry qpu_up{device=%q} = %g, want %g", id, got, want)
+		}
+		if p, ok := db.Latest("qpu_up", labels); !ok || p.Value != want {
+			t.Errorf("tsdb qpu_up{device=%q} = %v (%v), want %g", id, p.Value, ok, want)
+		}
+	}
+	if n := strings.Count(reg.Expose(), "\nqpu_up{"); n != 4 {
+		t.Errorf("scrape has %d qpu_up series, want 4:\n%s", n, reg.Expose())
+	}
+}
+
+// TestSeriesAppearsWhenFirstWritten: binding creates a series, so the
+// per-state task counters bind on first use — qpu_tasks_total{state="failed"}
+// is off the scrape until a task fails.
+func TestSeriesAppearsWhenFirstWritten(t *testing.T) {
+	clk := simclock.New()
+	reg := telemetry.NewRegistry()
+	d, err := New(Config{Clock: clk, Seed: 3, Registry: reg, TimingOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const failed = `qpu_tasks_total{state="failed"}`
+	if _, err := d.Submit(testProgram(5)); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * time.Second)
+	if out := reg.Expose(); !strings.Contains(out, `qpu_tasks_total{state="completed"} 1`) || strings.Contains(out, failed) {
+		t.Fatalf("after one completed task:\n%s", out)
+	}
+	// Validated as analog, turned digital before it runs: execution refuses it.
+	bad := testProgram(5)
+	if _, err := d.Submit(bad); err != nil {
+		t.Fatal(err)
+	}
+	bad.Kind = qir.KindDigital
+	clk.Advance(10 * time.Second)
+	if out := reg.Expose(); !strings.Contains(out, failed+" 1") {
+		t.Fatalf("after one failed task:\n%s", out)
 	}
 }

@@ -118,13 +118,16 @@ func (d *Device) finish(t *task) {
 		t.state = TaskCompleted
 		t.result = res
 		d.shotsTotal += int64(t.program.Shots)
-		if d.mShots != nil {
-			d.mShots.Inc(nil, float64(t.program.Shots))
-		}
+		d.cShots.Inc(float64(t.program.Shots))
 	}
 	d.tasksTotal++
 	if d.mTasks != nil {
-		d.mTasks.Inc(telemetry.Labels{"state": string(t.state)}, 1)
+		c, ok := d.cTasks[t.state]
+		if !ok {
+			c = d.mTasks.Bind(telemetry.Labels{"state": string(t.state)})
+			d.cTasks[t.state] = c
+		}
+		c.Inc(1)
 	}
 	d.running = nil
 	listener := d.listener

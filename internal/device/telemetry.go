@@ -8,7 +8,7 @@ import (
 
 // emitTelemetry pushes the current state to the registry and TSDB.
 func (d *Device) emitTelemetry() {
-	if d.mQueueLen == nil && d.cfg.TSDB == nil {
+	if d.gQueueLen == nil && d.tsQueueLen == nil {
 		return
 	}
 	d.mu.Lock()
@@ -25,12 +25,10 @@ func (d *Device) emitTelemetry() {
 	now := d.cfg.Clock.Now()
 	d.mu.Unlock()
 
-	if d.mQueueLen != nil {
-		d.mQueueLen.Set(nil, queueLen)
-		d.mRabi.Set(nil, rabi)
-		d.mDetOff.Set(nil, det)
-		d.mStatus.Set(nil, up)
-	}
+	d.gQueueLen.Set(queueLen)
+	d.gRabi.Set(rabi)
+	d.gDetOff.Set(det)
+	d.gStatus.Set(up)
 	d.tsQueueLen.Append(now, queueLen)
 	d.tsRabi.Append(now, rabi)
 	d.tsDetOff.Append(now, det)

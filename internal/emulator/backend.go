@@ -140,9 +140,6 @@ func (b *MPSBackend) Name() string { return b.spec.Name }
 // Spec implements Backend.
 func (b *MPSBackend) Spec() qir.DeviceSpec { return b.spec }
 
-// BondDimension returns the configured χ.
-func (b *MPSBackend) BondDimension() int { return b.cfg.MaxBond }
-
 // Run implements Backend.
 func (b *MPSBackend) Run(p *qir.Program, seed int64) (*qir.Result, error) {
 	if err := p.Validate(&b.spec); err != nil {

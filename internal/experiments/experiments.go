@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -497,12 +496,6 @@ func RunSQD(seed int64) ([]SQDRow, *Table, error) {
 		})
 	}
 	return rows, table, nil
-}
-
-// sortRowsByFirst sorts string rows lexically by their first column; used by
-// drivers whose map iteration would otherwise make output order flap.
-func sortRowsByFirst(rows [][]string) {
-	sort.Slice(rows, func(a, b int) bool { return rows[a][0] < rows[b][0] })
 }
 
 // --- A7: malleable classical jobs ---

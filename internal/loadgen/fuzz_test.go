@@ -110,7 +110,7 @@ func FuzzImportSWF(f *testing.F) {
 	f.Add([]byte(`1 nan -1 120 -1 -1 -1 -1 240 -1 -1 7 -1 -1 1`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ImportSWF(bytes.NewReader(data), SWFOptions{})
+		tr, err := ImportSWF(bytes.NewReader(data), ImportOptions{})
 		if err != nil {
 			return
 		}
@@ -150,7 +150,7 @@ func FuzzImportSacct(f *testing.F) {
 `))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ImportSacct(bytes.NewReader(data), SacctOptions{})
+		tr, err := ImportSacct(bytes.NewReader(data), ImportOptions{})
 		if err != nil {
 			return
 		}

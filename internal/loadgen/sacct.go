@@ -1,50 +1,12 @@
 package loadgen
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
-
-// Slurm's accounting tool exports job history as pipe-separated records:
-//
-//	sacct --parsable2 --format=JobID,User,Partition,Submit,Elapsed,Timelimit,State
-//
-// ImportSacct converts such an export into the versioned JSONL trace format,
-// so a site's own Slurm accounting drives the replay and sweep machinery the
-// same way archived SWF logs do (the daemon's primary intake is Slurm, §3.3).
-//
-// Parsing is header-driven: the first non-empty line names the columns, and
-// any column order or superset of the required ones works. Required columns:
-//
-//	JobID      — sub-step rows ("123.batch", "123.0") are skipped; only the
-//	             parent allocation becomes a trace record
-//	Submit     — ISO-8601 local timestamp (2006-01-02T15:04:05); arrivals are
-//	             rebased so the earliest submit is t=0
-//	Elapsed    — [DD-]HH:MM:SS wall time → QPU service demand, falling back
-//	             to Timelimit when Elapsed is zero or "INVALID"
-//
-// Optional columns: User (submitter; "user-unknown" when absent), Partition
-// (priority class: names containing "prod" → production, "test"/"debug" →
-// test, anything else → dev — the same partition-name convention the SWF
-// queue mapping mirrors), Timelimit (Elapsed fallback). State is accepted
-// but ignored: cancelled jobs still occupied the queue, so they count as
-// offered load. The mapping is deterministic; importing the same file twice
-// yields byte-identical traces.
-type SacctOptions struct {
-	// ServiceScale multiplies elapsed seconds into QPU service seconds
-	// (default 1.0). Slurm batch jobs run hours; scaling them down lets a
-	// month of accounting exercise a QPU fleet at realistic relative load.
-	ServiceScale float64
-	// MaxJobs caps the imported record count (0 = no cap).
-	MaxJobs int
-}
 
 // sacctTime is the timestamp layout sacct emits (no zone; site-local).
 const sacctTime = "2006-01-02T15:04:05"
@@ -96,26 +58,38 @@ func sacctClass(partition string) string {
 	}
 }
 
-// ImportSacct parses `sacct --parsable2` output into a trace. Sub-step rows,
-// unparseable submit times and jobs with no positive elapsed/limit time are
-// skipped; arrivals are rebased to the earliest submit and sorted.
-func ImportSacct(r io.Reader, opts SacctOptions) (*Trace, error) {
-	if opts.ServiceScale <= 0 {
-		opts.ServiceScale = 1.0
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+// ImportSacct converts Slurm's accounting export — pipe-separated records,
+//
+//	sacct --parsable2 --format=JobID,User,Partition,Submit,Elapsed,Timelimit,State
+//
+// — into a trace, so a site's own Slurm accounting drives the replay and sweep
+// machinery the same way archived SWF logs do (the daemon's primary intake is
+// Slurm, §3.3).
+//
+// Parsing is header-driven: the first non-empty line names the columns, and
+// any column order or superset of the required ones works. Required columns:
+//
+//	JobID      — sub-step rows ("123.batch", "123.0") are skipped; only the
+//	             parent allocation becomes a trace record
+//	Submit     — ISO-8601 local timestamp (2006-01-02T15:04:05); arrivals are
+//	             rebased so the earliest submit is t=0; a row whose submit
+//	             does not parse is skipped
+//	Elapsed    — [DD-]HH:MM:SS wall time → QPU service demand, falling back
+//	             to Timelimit when Elapsed is zero or "INVALID"; a row with
+//	             neither is skipped
+//
+// Optional columns: User (submitter; "user-unknown" when absent), Partition
+// (priority class: names containing "prod" → production, "test"/"debug" →
+// test, anything else → dev — the same partition-name convention the SWF
+// queue mapping mirrors), Timelimit (Elapsed fallback). State is accepted
+// but ignored: cancelled jobs still occupied the queue, so they count as
+// offered load. The mapping is deterministic; importing the same file twice
+// yields byte-identical traces.
+func ImportSacct(r io.Reader, opts ImportOptions) (*Trace, error) {
+	im := newImporter(r, "sacct", opts)
 	col := map[string]int{}
-	var records []Record
-	submits := []time.Time{}
-	skipped := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
+	var submits []time.Time
+	for text, ok := im.next(); ok; text, ok = im.next() {
 		fields := strings.Split(text, "|")
 		if len(col) == 0 {
 			// Header row names the columns; everything after is data.
@@ -138,7 +112,7 @@ func ImportSacct(r io.Reader, opts SacctOptions) (*Trace, error) {
 		}
 		jobID := get("JobID")
 		if jobID == "" {
-			return nil, fmt.Errorf("loadgen: sacct line %d has no JobID", line)
+			return nil, fmt.Errorf("loadgen: sacct line %d has no JobID", im.line)
 		}
 		if strings.ContainsRune(jobID, '.') {
 			// Sub-step row (123.batch, 123.extern, 123.0): the parent
@@ -147,95 +121,43 @@ func ImportSacct(r io.Reader, opts SacctOptions) (*Trace, error) {
 		}
 		submit, err := time.Parse(sacctTime, get("Submit"))
 		if err != nil {
-			skipped++
+			im.skipped++
 			continue
 		}
 		elapsed, err := parseSacctElapsed(get("Elapsed"))
 		if err != nil {
-			return nil, fmt.Errorf("loadgen: sacct line %d Elapsed: %v", line, err)
+			return nil, fmt.Errorf("loadgen: sacct line %d Elapsed: %v", im.line, err)
 		}
 		if elapsed <= 0 {
-			limit, err := parseSacctElapsed(get("Timelimit"))
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: sacct line %d Timelimit: %v", line, err)
+			if elapsed, err = parseSacctElapsed(get("Timelimit")); err != nil {
+				return nil, fmt.Errorf("loadgen: sacct line %d Timelimit: %v", im.line, err)
 			}
-			elapsed = limit
 		}
 		if elapsed <= 0 {
-			skipped++
+			im.skipped++
 			continue
 		}
 		user := get("User")
 		if user == "" {
 			user = "user-unknown"
 		}
-		shots := int(math.Round(elapsed * opts.ServiceScale * canonicalShotRateHz))
-		if shots < 1 {
-			shots = 1
-		}
-		records = append(records, Record{
-			User:               user,
-			Class:              sacctClass(get("Partition")),
-			Qubits:             2,
-			Shots:              shots,
-			ExpectedQPUSeconds: float64(shots) / canonicalShotRateHz,
-		})
+		im.add(0, user, sacctClass(get("Partition")), elapsed)
 		submits = append(submits, submit)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("loadgen: reading sacct: %w", err)
-	}
-	if len(col) == 0 {
+	if len(col) == 0 && im.sc.Err() == nil {
 		return nil, fmt.Errorf("loadgen: sacct input has no header row")
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("loadgen: sacct input has no usable jobs (%d skipped)", skipped)
 	}
 	// Rebase arrivals so the earliest submit is t=0: replay clocks start at
 	// zero, and absolute wall-clock epochs would put the whole trace beyond
 	// any reasonable horizon.
-	earliest := submits[0]
-	for _, t := range submits {
-		if t.Before(earliest) {
+	var earliest time.Time
+	for i, t := range submits {
+		if i == 0 || t.Before(earliest) {
 			earliest = t
 		}
 	}
-	for i := range records {
-		records[i].AtUS = submits[i].Sub(earliest).Microseconds()
+	for i := range im.records {
+		im.records[i].AtUS = submits[i].Sub(earliest).Microseconds()
 	}
-	sort.SliceStable(records, func(a, b int) bool { return records[a].AtUS < records[b].AtUS })
-	// Cap after sorting so --max-jobs keeps the earliest N arrivals even
-	// when the accounting export is not perfectly submit-ordered.
-	if opts.MaxJobs > 0 && len(records) > opts.MaxJobs {
-		records = records[:opts.MaxJobs]
-	}
-	for i := range records {
-		records[i].Seq = i
-	}
-	horizon := records[len(records)-1].AtUS + time.Second.Microseconds()
-	tr := &Trace{
-		Header: TraceHeader{
-			Format:    TraceFormat,
-			Version:   TraceVersion,
-			Mode:      "imported",
-			Process:   "sacct",
-			HorizonUS: horizon,
-			Jobs:      len(records),
-		},
-		Records: records,
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// ImportSacctFile imports a `sacct --parsable2` export from a path.
-func ImportSacctFile(path string, opts SacctOptions) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: opening sacct: %w", err)
-	}
-	defer f.Close()
-	return ImportSacct(f, opts)
+	return im.finish()
 }

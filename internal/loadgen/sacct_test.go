@@ -21,7 +21,7 @@ const sacctFixture = `JobID|User|Partition|Submit|Elapsed|Timelimit|State
 `
 
 func TestImportSacctRoundTrip(t *testing.T) {
-	tr, err := ImportSacct(strings.NewReader(sacctFixture), SacctOptions{})
+	tr, err := ImportSacct(strings.NewReader(sacctFixture), ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestImportSacctRoundTrip(t *testing.T) {
 
 	// The imported trace replays like any generated one (scaled down so the
 	// day-long job does not dominate the drain).
-	scaled, err := ImportSacct(strings.NewReader(sacctFixture), SacctOptions{ServiceScale: 0.001})
+	scaled, err := ImportSacct(strings.NewReader(sacctFixture), ImportOptions{ServiceScale: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestImportSacctRoundTrip(t *testing.T) {
 }
 
 func TestImportSacctOptions(t *testing.T) {
-	tr, err := ImportSacct(strings.NewReader(sacctFixture), SacctOptions{ServiceScale: 0.1, MaxJobs: 3})
+	tr, err := ImportSacct(strings.NewReader(sacctFixture), ImportOptions{ServiceScale: 0.1, MaxJobs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,22 +105,29 @@ func TestImportSacctOptions(t *testing.T) {
 	}
 }
 
+// TestImportSacctErrors pins every error the sacct importer can return, text
+// included (recorded before the importers were given one tail).
 func TestImportSacctErrors(t *testing.T) {
-	if _, err := ImportSacct(strings.NewReader(""), SacctOptions{}); err == nil {
-		t.Fatal("empty input accepted")
+	for _, c := range []struct{ what, in, want string }{
+		{"empty input", "", "loadgen: sacct input has no header row"},
+		{"header missing Submit/Elapsed", "JobID|User|State\n1|a|COMPLETED\n",
+			`loadgen: sacct header missing column Submit (have "JobID|User|State")`},
+		// Malformed durations are hard errors, not skips.
+		{"malformed elapsed", "JobID|Submit|Elapsed\n1|2025-03-01T08:00:00|n:o:t\n",
+			`loadgen: sacct line 2 Elapsed: bad duration component "n"`},
+		{"malformed timelimit", "JobID|Submit|Elapsed|Timelimit\n1|2025-03-01T08:00:00|00:00:00|x-1:00\n",
+			`loadgen: sacct line 2 Timelimit: bad day count "x"`},
+		{"row without JobID", "JobID|Submit|Elapsed\n|2025-03-01T08:00:00|00:01:00\n", "loadgen: sacct line 2 has no JobID"},
+		// An export whose only jobs are unusable is an error, not an empty trace.
+		{"export with zero usable jobs", "JobID|Submit|Elapsed\n1|Unknown|00:01:00\n2|2025-03-01T08:00:00|00:00:00\n",
+			"loadgen: sacct input has no usable jobs (2 skipped)"},
+	} {
+		if _, err := ImportSacct(strings.NewReader(c.in), ImportOptions{}); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.what, err, c.want)
+		}
 	}
-	// Header without the required columns.
-	if _, err := ImportSacct(strings.NewReader("JobID|User|State\n1|a|COMPLETED\n"), SacctOptions{}); err == nil {
-		t.Fatal("header missing Submit/Elapsed accepted")
-	}
-	// Malformed duration is a hard error, not a skip.
-	bad := "JobID|Submit|Elapsed\n1|2025-03-01T08:00:00|n:o:t\n"
-	if _, err := ImportSacct(strings.NewReader(bad), SacctOptions{}); err == nil {
-		t.Fatal("malformed elapsed accepted")
-	}
-	// An export whose only jobs are unusable is an error, not an empty trace.
-	none := "JobID|Submit|Elapsed\n1|Unknown|00:01:00\n2|2025-03-01T08:00:00|00:00:00\n"
-	if _, err := ImportSacct(strings.NewReader(none), SacctOptions{}); err == nil {
-		t.Fatal("export with zero usable jobs accepted")
+	_, err := ImportFile("testdata/no-such.sacct", "sacct", ImportOptions{})
+	if want := "loadgen: opening sacct: open testdata/no-such.sacct: no such file or directory"; err == nil || err.Error() != want {
+		t.Errorf("missing file: error %v, want %q", err, want)
 	}
 }

@@ -1,23 +1,17 @@
 package loadgen
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// The Parallel Workloads Archive's Standard Workload Format (SWF) is the
-// de-facto interchange format for production HPC scheduler logs: one job per
-// line, 18 whitespace-separated numeric fields, with ';' header comments.
-// ImportSWF converts such a log into the versioned JSONL trace format so
-// decades of archived supercomputer traffic can drive the replay and sweep
-// machinery directly.
+// ImportSWF converts a log in the Parallel Workloads Archive's Standard
+// Workload Format (SWF) — the de-facto interchange format for production HPC
+// scheduler logs: one job per line, 18 whitespace-separated numeric fields,
+// ';' header comments — into a trace, so decades of archived supercomputer
+// traffic can drive the replay and sweep machinery directly.
 //
 // Field mapping (SWF fields are 1-based):
 //
@@ -29,74 +23,35 @@ import (
 //	                           anything else (including missing) → dev
 //
 // Everything else (processor counts, memory, think times) has no analog on
-// a shot-based QPU and is ignored; the canonical replay program encodes the
-// whole service demand in its shot count. The mapping is deterministic, so
-// importing the same file twice yields byte-identical traces.
-type SWFOptions struct {
-	// ServiceScale multiplies SWF runtimes into QPU service seconds
-	// (default 1.0). HPC batch jobs run hours; scaling them down lets a
-	// month-long log exercise a QPU fleet at realistic relative load.
-	ServiceScale float64
-	// MaxJobs caps the imported record count (0 = no cap).
-	MaxJobs int
-}
-
-// ImportSWF parses an SWF stream into a trace. Records with a negative
-// submit time or no positive run/requested time are skipped (the archive
-// marks unknown fields with -1); arrivals are sorted by submit time, which
-// some archived logs only almost guarantee.
-func ImportSWF(r io.Reader, opts SWFOptions) (*Trace, error) {
-	if opts.ServiceScale <= 0 {
-		opts.ServiceScale = 1.0
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var records []Record
-	skipped := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, ";") {
+// a shot-based QPU and is ignored. Records with a negative submit time or no
+// positive run/requested time are skipped (the archive marks unknown fields
+// with -1). The mapping is deterministic, so importing the same file twice
+// yields byte-identical traces.
+func ImportSWF(r io.Reader, opts ImportOptions) (*Trace, error) {
+	im := newImporter(r, "swf", opts)
+	for text, ok := im.next(); ok; text, ok = im.next() {
+		if strings.HasPrefix(text, ";") {
 			continue
 		}
 		fields := strings.Fields(text)
 		if len(fields) < 15 {
-			return nil, fmt.Errorf("loadgen: swf line %d has %d fields, want ≥ 15", line, len(fields))
+			return nil, fmt.Errorf("loadgen: swf line %d has %d fields, want ≥ 15", im.line, len(fields))
 		}
-		get := func(i int) (float64, error) {
-			v, err := strconv.ParseFloat(fields[i-1], 64)
-			if err != nil {
-				return 0, fmt.Errorf("loadgen: swf line %d field %d: %w", line, i, err)
+		var submit, service, requested, userID, queue float64
+		for _, f := range []struct {
+			n int
+			v *float64
+		}{{2, &submit}, {4, &service}, {9, &requested}, {12, &userID}, {15, &queue}} {
+			var err error
+			if *f.v, err = strconv.ParseFloat(fields[f.n-1], 64); err != nil {
+				return nil, fmt.Errorf("loadgen: swf line %d field %d: %w", im.line, f.n, err)
 			}
-			return v, nil
 		}
-		submit, err := get(2)
-		if err != nil {
-			return nil, err
-		}
-		runTime, err := get(4)
-		if err != nil {
-			return nil, err
-		}
-		reqTime, err := get(9)
-		if err != nil {
-			return nil, err
-		}
-		userID, err := get(12)
-		if err != nil {
-			return nil, err
-		}
-		queue, err := get(15)
-		if err != nil {
-			return nil, err
-		}
-		service := runTime
 		if service <= 0 {
-			service = reqTime
+			service = requested
 		}
 		if submit < 0 || service <= 0 {
-			skipped++
+			im.skipped++
 			continue
 		}
 		class := "dev"
@@ -110,58 +65,7 @@ func ImportSWF(r io.Reader, opts SWFOptions) (*Trace, error) {
 		if userID >= 0 {
 			user = fmt.Sprintf("user-%d", int(userID))
 		}
-		shots := int(math.Round(service * opts.ServiceScale * canonicalShotRateHz))
-		if shots < 1 {
-			shots = 1
-		}
-		records = append(records, Record{
-			AtUS:               int64(submit * 1e6),
-			User:               user,
-			Class:              class,
-			Qubits:             2,
-			Shots:              shots,
-			ExpectedQPUSeconds: float64(shots) / canonicalShotRateHz,
-		})
+		im.add(int64(submit*1e6), user, class, service)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("loadgen: reading swf: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("loadgen: swf input has no usable jobs (%d skipped)", skipped)
-	}
-	sort.SliceStable(records, func(a, b int) bool { return records[a].AtUS < records[b].AtUS })
-	// Cap after sorting so --max-jobs keeps the earliest N arrivals even
-	// when the log is not perfectly submit-ordered.
-	if opts.MaxJobs > 0 && len(records) > opts.MaxJobs {
-		records = records[:opts.MaxJobs]
-	}
-	for i := range records {
-		records[i].Seq = i
-	}
-	horizon := records[len(records)-1].AtUS + time.Second.Microseconds()
-	tr := &Trace{
-		Header: TraceHeader{
-			Format:    TraceFormat,
-			Version:   TraceVersion,
-			Mode:      "imported",
-			Process:   "swf",
-			HorizonUS: horizon,
-			Jobs:      len(records),
-		},
-		Records: records,
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// ImportSWFFile imports an SWF log from a path.
-func ImportSWFFile(path string, opts SWFOptions) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: opening swf: %w", err)
-	}
-	defer f.Close()
-	return ImportSWF(f, opts)
+	return im.finish()
 }

@@ -20,7 +20,7 @@ const swfFixture = `; SWF fixture for the importer round-trip test
 `
 
 func TestImportSWFRoundTrip(t *testing.T) {
-	tr, err := ImportSWF(strings.NewReader(swfFixture), SWFOptions{})
+	tr, err := ImportSWF(strings.NewReader(swfFixture), ImportOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestImportSWFRoundTrip(t *testing.T) {
 }
 
 func TestImportSWFOptions(t *testing.T) {
-	tr, err := ImportSWF(strings.NewReader(swfFixture), SWFOptions{ServiceScale: 0.1, MaxJobs: 3})
+	tr, err := ImportSWF(strings.NewReader(swfFixture), ImportOptions{ServiceScale: 0.1, MaxJobs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,18 +92,24 @@ func TestImportSWFOptions(t *testing.T) {
 	}
 }
 
+// TestImportSWFErrors pins every error the SWF importer can return, text
+// included (recorded before the importers were given one tail).
 func TestImportSWFErrors(t *testing.T) {
-	if _, err := ImportSWF(strings.NewReader("; only comments\n"), SWFOptions{}); err == nil {
-		t.Fatal("empty log accepted")
+	for _, c := range []struct{ what, in, want string }{
+		{"empty log", "; only comments\n", "loadgen: swf input has no usable jobs (0 skipped)"},
+		{"truncated line", "1 2 3\n", "loadgen: swf line 1 has 3 fields, want ≥ 15"},
+		{"non-numeric line", strings.Repeat("x ", 18) + "\n",
+			`loadgen: swf line 1 field 2: strconv.ParseFloat: parsing "x": invalid syntax`},
+		// A log whose only jobs are unusable is an error, not an empty trace.
+		{"log with zero usable jobs", "1 -1 0 30 1 -1 -1 1 30 -1 1 7 1 1 1 1 -1 -1\n",
+			"loadgen: swf input has no usable jobs (1 skipped)"},
+	} {
+		if _, err := ImportSWF(strings.NewReader(c.in), ImportOptions{}); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.what, err, c.want)
+		}
 	}
-	if _, err := ImportSWF(strings.NewReader("1 2 3\n"), SWFOptions{}); err == nil {
-		t.Fatal("truncated line accepted")
-	}
-	if _, err := ImportSWF(strings.NewReader(strings.Repeat("x ", 18)+"\n"), SWFOptions{}); err == nil {
-		t.Fatal("non-numeric line accepted")
-	}
-	// A log whose only jobs are unusable is an error, not an empty trace.
-	if _, err := ImportSWF(strings.NewReader("1 -1 0 30 1 -1 -1 1 30 -1 1 7 1 1 1 1 -1 -1\n"), SWFOptions{}); err == nil {
-		t.Fatal("log with zero usable jobs accepted")
+	_, err := ImportFile("testdata/no-such.swf", "swf", ImportOptions{})
+	if want := "loadgen: opening swf: open testdata/no-such.swf: no such file or directory"; err == nil || err.Error() != want {
+		t.Errorf("missing file: error %v, want %q", err, want)
 	}
 }

@@ -69,18 +69,14 @@ type Record struct {
 // At returns the arrival instant as a clock offset.
 func (r Record) At() time.Duration { return time.Duration(r.AtUS) * time.Microsecond }
 
-// ParsedClass maps the record's class name onto the scheduler taxonomy.
+// ParsedClass is sched.ParseClass of the record's class name, the error
+// naming the record.
 func (r Record) ParsedClass() (sched.Class, error) {
-	switch r.Class {
-	case "production":
-		return sched.ClassProduction, nil
-	case "test":
-		return sched.ClassTest, nil
-	case "dev":
-		return sched.ClassDev, nil
-	default:
+	class, err := sched.ParseClass(r.Class)
+	if err != nil {
 		return 0, fmt.Errorf("loadgen: record %d has unknown class %q", r.Seq, r.Class)
 	}
+	return class, nil
 }
 
 // Trace is a parsed trace: header plus records in arrival order.

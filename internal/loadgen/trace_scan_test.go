@@ -245,8 +245,8 @@ func TestScannerKnowsEveryRecordField(t *testing.T) {
 func TestCanonicalTracesNeverFallBack(t *testing.T) {
 	files := make(map[string][]byte)
 	golden, err := filepath.Glob(filepath.Join("testdata", "golden", "*.jsonl"))
-	if err != nil || len(golden) != 3 {
-		t.Fatalf("found %d golden traces (%v), want 3", len(golden), err)
+	if err != nil || len(golden) != 5 { // three replay corpora, two importer goldens
+		t.Fatalf("found %d golden traces (%v), want 5", len(golden), err)
 	}
 	for _, path := range golden {
 		if files[path], err = os.ReadFile(path); err != nil {

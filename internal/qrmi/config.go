@@ -2,7 +2,6 @@ package qrmi
 
 import (
 	"fmt"
-	"os"
 	"strings"
 )
 
@@ -38,11 +37,6 @@ func ConfigFromEnviron(environ []string) map[string]string {
 		cfg[strings.ToLower(strings.TrimPrefix(key, EnvPrefix))] = val
 	}
 	return cfg
-}
-
-// ConfigFromOSEnv reads the process environment.
-func ConfigFromOSEnv() map[string]string {
-	return ConfigFromEnviron(os.Environ())
 }
 
 // MergeConfig overlays maps left to right (later wins), returning a new map.

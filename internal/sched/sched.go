@@ -32,6 +32,20 @@ func (c Class) String() string {
 	}
 }
 
+// ParseClass maps a class name onto the taxonomy.
+func ParseClass(s string) (Class, error) {
+	switch s {
+	case "production":
+		return ClassProduction, nil
+	case "test":
+		return ClassTest, nil
+	case "dev":
+		return ClassDev, nil
+	default:
+		return 0, fmt.Errorf("sched: unknown class %q", s)
+	}
+}
+
 // ClassFromSlurmPriority maps a Slurm partition priority (as propagated by
 // the plugin environment) onto a queue class: the daemon "retrieves the
 // job's priority from Slurm" (§3.3).

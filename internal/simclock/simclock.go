@@ -94,9 +94,6 @@ func (c *Clock) Now() time.Duration {
 	return time.Duration(c.nowAtomic.Load())
 }
 
-// NowSeconds returns the current simulation time in seconds.
-func (c *Clock) NowSeconds() float64 { return c.Now().Seconds() }
-
 // Schedule registers fn to run after delay. A negative delay is treated as
 // zero (runs at the current instant, after already-queued events for that
 // instant). It returns a handle usable with Cancel.

@@ -63,10 +63,10 @@ func (l Labels) key() string {
 	return sb.String()
 }
 
-// series is one labelled time series inside a metric family.
+// series is one labelled time series inside a metric family, stored under
+// its labels' canonical rendering.
 type series struct {
-	labels Labels
-	value  float64
+	value float64
 	// histogram state
 	buckets []float64 // cumulative counts per bound
 	sum     float64
@@ -88,11 +88,7 @@ func (m *Metric) getSeries(l Labels) *series {
 	k := l.key()
 	s, ok := m.series[k]
 	if !ok {
-		copied := make(Labels, len(l))
-		for kk, vv := range l {
-			copied[kk] = vv
-		}
-		s = &series{labels: copied}
+		s = &series{}
 		if m.Type == TypeHistogram {
 			s.buckets = make([]float64, len(m.bounds))
 		}
@@ -101,60 +97,11 @@ func (m *Metric) getSeries(l Labels) *series {
 	return s
 }
 
-// Inc adds delta to a counter series. Negative deltas are ignored: counters
-// are monotone by definition.
-func (m *Metric) Inc(l Labels, delta float64) {
-	if m.Type != TypeCounter || delta < 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.getSeries(l).value += delta
-}
-
-// Set assigns a gauge series.
-func (m *Metric) Set(l Labels, v float64) {
-	if m.Type != TypeGauge {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.getSeries(l).value = v
-}
-
-// Add adds to a gauge series.
-func (m *Metric) Add(l Labels, delta float64) {
-	if m.Type != TypeGauge {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.getSeries(l).value += delta
-}
-
-// Observe records a histogram observation.
-func (m *Metric) Observe(l Labels, v float64) {
-	if m.Type != TypeHistogram {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.getSeries(l)
-	s.sum += v
-	s.count++
-	for i, bound := range m.bounds {
-		if v <= bound {
-			s.buckets[i]++
-		}
-	}
-}
-
-// BoundSeries is a pre-resolved (metric family, label set) pair. Hot paths
-// that update the same labelled series once per job — dispatch loops, replay
-// analyzers — pay the canonical label-key rendering (sort + quote + map
-// lookup) once at Bind time instead of on every update. A nil BoundSeries is
-// valid and drops all updates, so call sites can bind unconditionally even
-// when telemetry is disabled.
+// BoundSeries is a pre-resolved (metric family, label set) pair, and the only
+// way to write a series: a producer pays the canonical label-key rendering
+// (sort + quote + map lookup) once at Bind time, not on every update. A nil
+// BoundSeries is valid and drops all updates, so call sites can bind
+// unconditionally even when telemetry is disabled.
 type BoundSeries struct {
 	m *Metric
 	s *series
@@ -172,7 +119,8 @@ func (m *Metric) Bind(l Labels) *BoundSeries {
 	return &BoundSeries{m: m, s: s}
 }
 
-// Inc adds delta to a bound counter series (negative deltas are ignored).
+// Inc adds delta to a bound counter series. Negative deltas are ignored:
+// counters are monotone by definition.
 func (b *BoundSeries) Inc(delta float64) {
 	if b == nil || b.m.Type != TypeCounter || delta < 0 {
 		return

@@ -10,9 +10,9 @@ import (
 func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.MustCounter("jobs_total", "Total jobs.")
-	c.Inc(Labels{"queue": "prod"}, 1)
-	c.Inc(Labels{"queue": "prod"}, 2)
-	c.Inc(Labels{"queue": "dev"}, 5)
+	c.Bind(Labels{"queue": "prod"}).Inc(1)
+	c.Bind(Labels{"queue": "prod"}).Inc(2)
+	c.Bind(Labels{"queue": "dev"}).Inc(5)
 	if got := c.Value(Labels{"queue": "prod"}); got != 3 {
 		t.Fatalf("prod = %g", got)
 	}
@@ -20,7 +20,7 @@ func TestCounterBasics(t *testing.T) {
 		t.Fatalf("dev = %g", got)
 	}
 	// Counters reject negative increments.
-	c.Inc(Labels{"queue": "prod"}, -10)
+	c.Bind(Labels{"queue": "prod"}).Inc(-10)
 	if got := c.Value(Labels{"queue": "prod"}); got != 3 {
 		t.Fatalf("negative inc applied: %g", got)
 	}
@@ -29,17 +29,17 @@ func TestCounterBasics(t *testing.T) {
 func TestGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	g := r.MustGauge("qpu_up", "QPU availability.")
-	g.Set(nil, 1)
+	g.Bind(nil).Set(1)
 	if got := g.Value(nil); got != 1 {
 		t.Fatalf("got %g", got)
 	}
-	g.Add(nil, -0.5)
+	g.Bind(nil).Add(-0.5)
 	if got := g.Value(nil); got != 0.5 {
 		t.Fatalf("got %g", got)
 	}
 	// Type mismatch operations are no-ops.
-	g.Inc(nil, 5)
-	g.Observe(nil, 5)
+	g.Bind(nil).Inc(5)
+	g.Bind(nil).Observe(5)
 	if got := g.Value(nil); got != 0.5 {
 		t.Fatalf("wrong-type op applied: %g", got)
 	}
@@ -49,7 +49,7 @@ func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.MustHistogram("latency_seconds", "Latency.", []float64{0.1, 0.5, 1, 5})
 	for i := 0; i < 100; i++ {
-		h.Observe(nil, 0.3) // all in (0.1, 0.5]
+		h.Bind(nil).Observe(0.3) // all in (0.1, 0.5]
 	}
 	if got := h.HistogramCount(nil); got != 100 {
 		t.Fatalf("count = %d", got)
@@ -67,7 +67,7 @@ func TestHistogramQuantileSpread(t *testing.T) {
 	r := NewRegistry()
 	h := r.MustHistogram("d", "", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	for i := 1; i <= 1000; i++ {
-		h.Observe(nil, float64(i%10)+0.5)
+		h.Bind(nil).Observe(float64(i%10) + 0.5)
 	}
 	p90 := h.HistogramQuantile(nil, 0.9)
 	if p90 < 8 || p90 > 10 {
@@ -118,12 +118,12 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 func TestExposeFormat(t *testing.T) {
 	r := NewRegistry()
 	c := r.MustCounter("qpu_jobs_total", "Jobs executed.")
-	c.Inc(Labels{"queue": "prod", "user": "alice"}, 7)
+	c.Bind(Labels{"queue": "prod", "user": "alice"}).Inc(7)
 	g := r.MustGauge("qpu_rabi_freq", "Calibrated Rabi frequency.")
-	g.Set(nil, 12.57)
+	g.Bind(nil).Set(12.57)
 	h := r.MustHistogram("qpu_wait_seconds", "Queue wait.", []float64{1, 10})
-	h.Observe(nil, 0.5)
-	h.Observe(nil, 20)
+	h.Bind(nil).Observe(0.5)
+	h.Bind(nil).Observe(20)
 
 	out := r.Expose()
 	for _, want := range []string{
@@ -148,7 +148,7 @@ func TestExposeFormat(t *testing.T) {
 func TestExposeLabelsSorted(t *testing.T) {
 	r := NewRegistry()
 	c := r.MustCounter("m", "")
-	c.Inc(Labels{"z": "1", "a": "2"}, 1)
+	c.Bind(Labels{"z": "1", "a": "2"}).Inc(1)
 	out := r.Expose()
 	if !strings.Contains(out, `m{a="2",z="1"} 1`) {
 		t.Fatalf("labels not sorted:\n%s", out)
@@ -164,7 +164,7 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Inc(Labels{"w": "x"}, 1)
+				c.Bind(Labels{"w": "x"}).Inc(1)
 			}
 		}()
 	}
@@ -190,7 +190,7 @@ func TestHistogramSum(t *testing.T) {
 	h := reg.MustHistogram("sum_test", "sum accessor", []float64{1, 10})
 	labels := Labels{"class": "dev"}
 	for _, v := range []float64{0.5, 2, 7.5} {
-		h.Observe(labels, v)
+		h.Bind(labels).Observe(v)
 	}
 	if got := h.HistogramSum(labels); got != 10 {
 		t.Fatalf("HistogramSum = %g, want 10", got)

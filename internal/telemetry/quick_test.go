@@ -98,7 +98,7 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 		r := NewRegistry()
 		h := r.MustHistogram("h", "", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 		for _, s := range samples {
-			h.Observe(nil, float64(s))
+			h.Bind(nil).Observe(float64(s))
 		}
 		prev := -1.0
 		for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
