@@ -66,12 +66,13 @@ bench-json:
 # every line would show (≈ 2 300 against ≈ 300 ns/record). What the served
 # path can be held to on any box is its request count: BenchmarkServedSubmit
 # must report http_requests_per_job (-require name:metric), and benchdiff
-# fails it above 1.5.
+# fails it above 1.5. The replay path's count is its heap allocations:
+# BenchmarkLoadgenReplayLong must report allocs_per_job, capped at 10.
 bench-diff:
 	$(GO) test -bench='$(BENCH_PATTERN)' \
 		-benchmem -run='^$$' -json $(BENCH_PKGS) > $(BENCH_FRESH)
 	$(GO) run ./cmd/benchdiff \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong:allocs_per_job,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
 		BENCH_fleet.json $(BENCH_FRESH)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a
@@ -97,8 +98,9 @@ profile-serve:
 
 # profile-replay is profile-serve's twin for the trace file → replay → report
 # path, on the replay-steady shape (four weeks of Poisson arrivals, ≈100 k
-# jobs, 4 partitions, ≈0.6 s): CPU and allocation profiles of one `qcload
-# replay` into .bench_build/, then the cumulative top of each.
+# jobs, 4 partitions, ≈0.5 s): CPU and allocation profiles of one `qcload
+# replay` into .bench_build/, then the cumulative top of each — allocations
+# both by objects and by bytes, since bytes are what set the GC's pace.
 profile-replay:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) build -o $(PROFILE_DIR)/qcload ./cmd/qcload
@@ -107,6 +109,7 @@ profile-replay:
 		--cpuprofile $(PROFILE_DIR)/replay_cpu.out --memprofile $(PROFILE_DIR)/replay_mem.out > /dev/null
 	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/qcload $(PROFILE_DIR)/replay_cpu.out
 	$(GO) tool pprof -sample_index alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/qcload $(PROFILE_DIR)/replay_mem.out
+	$(GO) tool pprof -sample_index alloc_space -top -cum -nodecount 40 $(PROFILE_DIR)/qcload $(PROFILE_DIR)/replay_mem.out
 
 # fuzz-smoke runs each trace-ingestion fuzz target for a fixed iteration
 # count — a deterministic-duration CI pass over the JSONL reader and the

@@ -855,6 +855,9 @@ func BenchmarkLoadgenReplayBacklog(b *testing.B) {
 // in flight — not every record the run has seen (DESIGN §5 INV-R1) — and
 // jobs_per_wall_s shows the collector no longer marking that history. The
 // peak includes the trace this process generated, on both sides of a diff.
+// allocs_per_job is a count, the same on any box, and benchdiff caps it: the
+// replay hot path owns or reuses its clock events, routing snapshot and
+// timing-only results (EXPERIMENTS.md h-replay-allocs).
 func BenchmarkLoadgenReplayLong(b *testing.B) {
 	tr, err := loadgen.Generate(loadgen.Config{
 		Seed: 1, Horizon: 672 * time.Hour,
@@ -868,6 +871,8 @@ func BenchmarkLoadgenReplayLong(b *testing.B) {
 	}
 	heapPeak := trackHeapPeak()
 	b.ReportAllocs()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	var rep *loadgen.Report
 	for i := 0; i < b.N; i++ {
@@ -877,7 +882,9 @@ func BenchmarkLoadgenReplayLong(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
 	b.ReportMetric(float64(len(tr.Records))*float64(b.N)/b.Elapsed().Seconds(), "jobs_per_wall_s")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(len(tr.Records)*b.N), "allocs_per_job")
 	b.ReportMetric(heapPeak(), "peak_heap_mb")
 	b.ReportMetric(float64(rep.Completed), "jobs_completed")
 }

@@ -82,8 +82,10 @@ var lowerMetrics = map[string]bool{"peak_heap_mb": true}
 const traceOverhead, priorityOverhead = 0.10, 0.10
 
 // capped are the fresh run's readings held under a fixed limit: the two ratios
-// above, in percent, and a served job's requests on the wire — a count, so the
-// same on any box (a poll shared by a burst of 8 reads ≈ 1.2, one per job ≥ 2).
+// above, in percent, and two counts, the same on any box — a served job's
+// requests on the wire (a poll shared by a burst of 8 reads ≈ 1.2, one per job
+// ≥ 2) and a replayed job's heap allocations (≈ 9 with owned clock events and a
+// reused routing snapshot, ≈ 20 without).
 var capped = []struct {
 	bench, metric, format string
 	limit                 float64
@@ -94,6 +96,8 @@ var capped = []struct {
 		"priority overhead: %.1f%% slo-urgency-vs-constant replay cost (limit %.0f%%)", priorityOverhead * 100},
 	{"BenchmarkServedSubmit", "http_requests_per_job",
 		"served path: %.2f HTTP requests per job (limit %.1f)", 1.5},
+	{"BenchmarkLoadgenReplayLong", "allocs_per_job",
+		"replay path: %.1f heap allocations per job (limit %.0f)", 10},
 }
 
 // parseFile reconstructs the benchmark result lines from a test2json stream

@@ -225,8 +225,11 @@ type Daemon struct {
 	byDevice map[string]*deviceState
 
 	// routeMu serializes route()'s snapshot+Pick+reserve so concurrent
-	// submissions cannot all act on the same load view.
-	routeMu sync.Mutex
+	// submissions cannot all act on the same load view. It also guards the
+	// fleet snapshot and scratch job every pick reuses.
+	routeMu    sync.Mutex
+	routeInfos []DeviceInfo
+	routeJob   Job
 
 	// mu guards sessions, jobs and their fields, and the accounting maps.
 	mu       sync.Mutex
@@ -346,6 +349,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		d.fleet = append(d.fleet, ds)
 		d.byDevice[ds.id] = ds
 	}
+	d.routeInfos = make([]DeviceInfo, len(d.fleet))
 	if reg := cfg.Registry; reg != nil {
 		mJobs := reg.MustCounter("daemon_jobs_total", "Daemon jobs by class and final state.")
 		mQueueLen := reg.MustGauge("daemon_queue_length", "Queued daemon jobs by class.")

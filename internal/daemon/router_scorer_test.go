@@ -260,6 +260,31 @@ func TestCacheHotPathAllocs(t *testing.T) {
 	}
 }
 
+// TestDaemonPickAllocs: the daemon's routing step fills one reused fleet
+// snapshot and lends the router one reused scratch job, so a least-loaded
+// pick on four partitions allocates nothing — and the scratch job lets go of
+// the program once the router has answered.
+func TestDaemonPickAllocs(t *testing.T) {
+	env := newFleetEnv(t, 4, NewLeastLoadedRouter())
+	prog, hash, err := cachedProgram(payload(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := func() {
+		ds, err := env.d.pick(sched.ClassDev, "", "", prog, hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.d.routeDone(ds)
+	}
+	if n := testing.AllocsPerRun(100, pick); n != 0 {
+		t.Fatalf("a least-loaded pick allocates %.1f/op", n)
+	}
+	if env.d.routeJob.prog != nil {
+		t.Fatal("the scratch job still holds the last program")
+	}
+}
+
 // cacheEnv boots a single-partition daemon with the program cache enabled
 // and a registry attached, for counter and stats assertions.
 func cacheEnv(t *testing.T, cacheSize int, setup float64) (*fleetEnv, *telemetry.Registry) {

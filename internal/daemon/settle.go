@@ -131,7 +131,6 @@ func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 	}
 	d.routeMu.Lock()
 	defer d.routeMu.Unlock()
-	origSpec := orig.dev.Spec().Name
 	infos := d.fleetInfosLocked()
 	// idleTarget reports whether partition i can absorb the victim now: not
 	// the original, online, zero load, and the same spec the job's program
@@ -139,7 +138,7 @@ func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 	idleTarget := func(i int) bool {
 		ds := d.fleet[i]
 		return ds != orig && infos[i].Status == device.StatusOnline &&
-			infos[i].load() == 0 && ds.dev.Spec().Name == origSpec
+			infos[i].load() == 0 && ds.spec.Name == orig.spec.Name
 	}
 	idleElsewhere := false
 	for i := range infos {
@@ -151,7 +150,7 @@ func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 	if !idleElsewhere {
 		return orig
 	}
-	idx := d.router.Pick(&Job{Class: j.Class, Pattern: j.Pattern, prog: j.prog, progHash: j.progHash}, infos)
+	idx := d.routerPickLocked(infos, j.Class, j.Pattern, j.prog, j.progHash)
 	if idx < 0 || idx >= len(d.fleet) || !idleTarget(idx) {
 		return orig
 	}

@@ -270,7 +270,7 @@ func (d *Daemon) route(sub *submission) (*deviceState, error) {
 // caller must release via routeDone once the job is enqueued or abandoned).
 // An explicit pin wins; otherwise the router chooses from a point-in-time
 // fleet snapshot whose load view includes other submissions still in flight.
-// The chosen class, pattern and program identity travel on a throwaway job
+// The chosen class, pattern and program identity travel on a scratch job
 // record so routers can specialize — the affinity scorer probes partition
 // caches by fingerprint, the capability scorer validates the decoded program
 // — without the daemon pre-creating the real one.
@@ -288,7 +288,7 @@ func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pin string, prog
 	case len(d.fleet) == 1:
 		picked = d.fleet[0]
 	default:
-		idx := d.router.Pick(&Job{Class: class, Pattern: pattern, prog: prog, progHash: progHash}, d.fleetInfosLocked())
+		idx := d.routerPickLocked(d.fleetInfosLocked(), class, pattern, prog, progHash)
 		if idx < 0 || idx >= len(d.fleet) {
 			return nil, fmt.Errorf("daemon: router %q picked invalid device index %d", d.router.Name(), idx)
 		}
@@ -300,11 +300,23 @@ func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pin string, prog
 	return picked, nil
 }
 
-// fleetInfosLocked builds the router's point-in-time fleet load view — the
+// routerPickLocked asks the router for a partition on the snapshot infos,
+// lending it the reused scratch job; Pick retains neither (see Router). Caller
+// must hold routeMu.
+func (d *Daemon) routerPickLocked(infos []DeviceInfo, class sched.Class, pattern sched.Pattern, prog *qir.Program, progHash uint64) int {
+	j := &d.routeJob
+	j.Class, j.Pattern, j.prog, j.progHash = class, pattern, prog, progHash
+	idx := d.router.Pick(j, infos)
+	j.prog = nil // the scratch job must not keep the program alive
+	return idx
+}
+
+// fleetInfosLocked fills the router's point-in-time fleet load view — the
 // single definition shared by routing and requeue, so the two can never
-// disagree about what counts as load. Caller must hold routeMu.
+// disagree about what counts as load — into the one slice every pick reuses.
+// Caller must hold routeMu.
 func (d *Daemon) fleetInfosLocked() []DeviceInfo {
-	infos := make([]DeviceInfo, len(d.fleet))
+	infos := d.routeInfos
 	for i, ds := range d.fleet {
 		info := DeviceInfo{
 			ID:     ds.id,

@@ -48,27 +48,24 @@ func (d *Device) Recalibrate() {
 	d.emitTelemetry()
 }
 
-// scheduleDrift random-walks calibration on every DriftInterval tick.
-func (d *Device) scheduleDrift() {
-	d.cfg.Clock.Schedule(d.cfg.DriftInterval, "qpu-drift", func() {
-		d.mu.Lock()
-		d.calib.RabiFactor += d.rng.NormFloat64() * d.cfg.DriftSigma
-		d.calib.DetuningOffset += d.rng.NormFloat64() * d.cfg.DriftSigma * 10
-		// Physical guardrails.
-		d.calib.RabiFactor = math.Max(0.5, math.Min(1.5, d.calib.RabiFactor))
-		d.mu.Unlock()
-		d.emitTelemetry()
-		d.scheduleDrift()
-	})
+// driftTick random-walks calibration, then re-arms its own slot for the next
+// DriftInterval tick.
+func (d *Device) driftTick() {
+	d.mu.Lock()
+	d.calib.RabiFactor += d.rng.NormFloat64() * d.cfg.DriftSigma
+	d.calib.DetuningOffset += d.rng.NormFloat64() * d.cfg.DriftSigma * 10
+	// Physical guardrails.
+	d.calib.RabiFactor = math.Max(0.5, math.Min(1.5, d.calib.RabiFactor))
+	d.mu.Unlock()
+	d.emitTelemetry()
+	d.cfg.Clock.Arm(&d.drift, d.cfg.DriftInterval)
 }
 
-// scheduleQA runs the periodic internal QA check (paper §3.4: quality
-// assurance jobs scheduled by the QPU itself).
-func (d *Device) scheduleQA() {
-	d.cfg.Clock.Schedule(d.cfg.QAInterval, "qpu-qa", func() {
-		d.RunQACheck()
-		d.scheduleQA()
-	})
+// qaTick runs the periodic internal QA check (paper §3.4: quality assurance
+// jobs scheduled by the QPU itself), then re-arms its own slot.
+func (d *Device) qaTick() {
+	d.RunQACheck()
+	d.cfg.Clock.Arm(&d.qa, d.cfg.QAInterval)
 }
 
 // RunQACheck evaluates calibration bounds and flips the device between

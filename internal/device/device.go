@@ -123,6 +123,11 @@ type Device struct {
 	// listener is notified on task terminal transitions (see SetTaskListener).
 	listener func(deviceID, taskID string, state TaskState)
 
+	// drift and qa are the clock slots the periodic processes re-arm.
+	drift, qa simclock.Event
+	// timingMeta is the read-only Metadata timing-only results share.
+	timingMeta [2]map[string]string // online, degraded
+
 	// Telemetry handles, bound once in New; each is nil, and drops its
 	// updates, without the store it writes to. The four gauges carry
 	// {device=<id>} in the registry and in the TSDB alike; the two counters
@@ -185,6 +190,10 @@ func New(cfg Config) (*Device, error) {
 			AtomLossProb:   0.005,
 			LastCalibrated: cfg.Clock.Now(),
 		},
+		timingMeta: [2]map[string]string{
+			{"backend": cfg.Spec.Name, "method": "timing-only"},
+			{"backend": cfg.Spec.Name, "method": "timing-only", "degraded": "true"},
+		},
 	}
 	labels := telemetry.Labels{"device": d.id}
 	if reg := cfg.Registry; reg != nil {
@@ -201,8 +210,10 @@ func New(cfg Config) (*Device, error) {
 	d.tsDetOff = cfg.TSDB.Bind("qpu_calib_detuning_offset", labels)
 	d.tsStatus = cfg.TSDB.Bind("qpu_up", labels)
 	d.emitTelemetry()
-	d.scheduleDrift()
-	d.scheduleQA()
+	d.drift = simclock.Event{Name: "qpu-drift", Fn: d.driftTick}
+	d.qa = simclock.Event{Name: "qpu-qa", Fn: d.qaTick}
+	cfg.Clock.Arm(&d.drift, cfg.DriftInterval)
+	cfg.Clock.Arm(&d.qa, cfg.QAInterval)
 	return d, nil
 }
 

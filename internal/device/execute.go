@@ -8,6 +8,9 @@ import (
 	"hpcqc/internal/qir"
 )
 
+// noCounts is the empty, read-only Counts timing-only results share.
+var noCounts = qir.Counts{}
+
 // execute runs the program through the emulator substrate with the current
 // calibration distortions applied — the "hardware truth" of the model.
 func (d *Device) execute(p *qir.Program, calib Calibration, seed int64) (*qir.Result, error) {
@@ -18,16 +21,14 @@ func (d *Device) execute(p *qir.Program, calib Calibration, seed int64) (*qir.Re
 		// Timing-only results carry no measured counts and no calibration
 		// snapshot (nothing was executed against the calibration state), so
 		// none of the per-task float formatting is paid either. QPUSeconds —
-		// the only field scheduling analytics consume — is still set.
-		res := &qir.Result{
-			Counts:   qir.Counts{},
-			Metadata: map[string]string{"backend": d.spec.Name, "method": "timing-only"},
-		}
+		// the only field scheduling analytics consume — is still set. Counts
+		// and Metadata are shared by every such result and read-only (see
+		// TaskResult), so a result is one allocation.
+		meta := d.timingMeta[0]
 		if d.Status() == StatusDegraded {
-			res.Metadata["degraded"] = "true"
+			meta = d.timingMeta[1]
 		}
-		res.QPUSeconds = p.EstimatedQPUSeconds(&d.spec)
-		return res, nil
+		return &qir.Result{Counts: noCounts, Metadata: meta, QPUSeconds: p.EstimatedQPUSeconds(&d.spec)}, nil
 	}
 	distorted := p
 	if p.Kind == qir.KindAnalog && (calib.RabiFactor != 1 || calib.DetuningOffset != 0) {

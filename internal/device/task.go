@@ -21,7 +21,7 @@ type task struct {
 	queuedAt time.Duration
 	startAt  time.Duration
 	endAt    time.Duration
-	event    *simclock.Event
+	exec     simclock.Event // armed by pump when the task starts
 	// setup is extra cold-start occupancy charged before the shots — the
 	// daemon's program-cache miss cost. Zero for warm (or cache-less)
 	// submissions, leaving timing untouched.
@@ -78,7 +78,12 @@ func (d *Device) pump() {
 		return
 	}
 	t := d.queue[0]
-	d.queue = d.queue[1:]
+	d.queue[0] = nil
+	if len(d.queue) == 1 {
+		d.queue = d.queue[:0] // keep the backing array for the next task
+	} else {
+		d.queue = d.queue[1:]
+	}
 	t.state = TaskRunning
 	t.startAt = d.cfg.Clock.Now()
 	d.running = t
@@ -90,7 +95,8 @@ func (d *Device) pump() {
 	// Cold-setup occupancy precedes the shots; zero for warm submissions, so
 	// setup-free tasks keep their exact historical timing.
 	dur += t.setup
-	t.event = d.cfg.Clock.Schedule(dur, "qpu-exec", func() { d.finish(t) })
+	t.exec.Name, t.exec.Fn = "qpu-exec", func() { d.finish(t) }
+	d.cfg.Clock.Arm(&t.exec, dur)
 	d.mu.Unlock()
 }
 
@@ -151,7 +157,9 @@ func (d *Device) TaskStatus(id string) (TaskState, error) {
 	return t.state, nil
 }
 
-// TaskResult returns the result of a completed task.
+// TaskResult returns the result of a completed task. On a TimingOnly device
+// the result's Counts and Metadata maps are shared with every other
+// timing-only result and must not be written; copy them to annotate.
 func (d *Device) TaskResult(id string) (*qir.Result, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -205,7 +213,7 @@ func (d *Device) Cancel(id string) error {
 			listener(d.id, t.id, TaskCancelled)
 		}
 	case TaskRunning:
-		d.cfg.Clock.Cancel(t.event)
+		d.cfg.Clock.Cancel(&t.exec)
 		t.state = TaskCancelled
 		t.endAt = d.cfg.Clock.Now()
 		d.totalBusy += t.endAt - t.startAt

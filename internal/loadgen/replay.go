@@ -344,9 +344,11 @@ func (r *replayRun) submit(i int) {
 		ExpectedQPUSeconds: rec.ExpectedQPUSeconds,
 		DeadlineSeconds:    rec.DeadlineSeconds,
 	})
-	var rej *daemon.RejectedError
-	if err != nil && !errors.As(err, &rej) {
-		r.submitErrs++
+	if err != nil { // rej escapes through errors.As: declare it only when needed
+		var rej *daemon.RejectedError
+		if !errors.As(err, &rej) {
+			r.submitErrs++
+		}
 	}
 }
 

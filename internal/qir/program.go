@@ -154,7 +154,10 @@ func (c Counts) Probability(bitstring string) float64 {
 
 // Result is what execution backends return: measured counts plus per-job
 // metadata (device name, calibration snapshot, timing) that the paper's
-// observability section argues users need to interpret noisy results.
+// observability section argues users need to interpret noisy results. A
+// result may share its maps with others (a timing-only device's do), so a
+// holder writes only maps it made or decoded itself — as device.annotateResult
+// (an emulator's fresh map) and core.Runtime.Execute (one decoded from bytes) do.
 type Result struct {
 	Counts   Counts            `json:"counts"`
 	Metadata map[string]string `json:"metadata,omitempty"`

@@ -98,15 +98,26 @@ func (c *Clock) Now() time.Duration {
 // zero (runs at the current instant, after already-queued events for that
 // instant). It returns a handle usable with Cancel.
 func (c *Clock) Schedule(delay time.Duration, name string, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
+	e := &Event{Name: name, Fn: fn}
+	c.Arm(e, delay)
+	return e
+}
+
+// Arm queues a caller-owned event to fire e.Fn after delay, exactly where
+// Schedule(delay, e.Name, e.Fn) would have queued a fresh one: same clamp, same
+// tie-break sequence. The caller keeps ownership and may re-arm the event once
+// it has fired or been cancelled — from inside its own Fn, say — which is how a
+// periodic process runs on one slot instead of one allocation per tick. Arming
+// an event that is still pending panics: the clock holds each event once.
+func (c *Clock) Arm(e *Event, delay time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := &Event{At: c.now + delay, Name: name, Fn: fn, seq: c.nextSeq}
+	if e.index >= 0 && e.index < len(c.events) && c.events[e.index] == e {
+		panic("simclock: Arm of a pending event " + e.Name)
+	}
+	e.At, e.seq, e.dead = c.now+max(delay, 0), c.nextSeq, false
 	c.nextSeq++
 	heap.Push(&c.events, e)
-	return e
 }
 
 // ScheduleAt registers fn at an absolute simulation time. Times in the past
