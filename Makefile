@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick profile-serve profile-replay fuzz-smoke vet vet-trace check loc
+.PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick e2e-ab profile-serve profile-replay fuzz-smoke vet vet-trace check loc
 
 # Where bench-diff writes its fresh recording; override for parallel runs.
 BENCH_FRESH ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/hpcqc_bench_fresh.json
@@ -30,9 +30,9 @@ bench:
 # dispatch hot paths in the root package plus the program-cache/router
 # primitives in internal/daemon, plus the wide-matrix sweep and saturation
 # search that gate the capacity-planning engine, plus the served write path
-# (in-process HTTP, the profiling entry point), the TSDB append it leans on and
-# the job reply it ends with.
-BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkTSDBAppend$$|BenchmarkJobWireEncode
+# (in-process HTTP, the profiling entry point) alone and beside an operator's
+# reads, the TSDB append it leans on and the job reply it ends with.
+BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkServedMixed|BenchmarkTSDBAppend$$|BenchmarkJobWireEncode
 BENCH_PKGS = . ./internal/daemon
 
 # bench-json records the fleet-scaling and load-generation benchmark
@@ -67,12 +67,15 @@ bench-json:
 # path can be held to on any box is its request count: BenchmarkServedSubmit
 # must report http_requests_per_job (-require name:metric), and benchdiff
 # fails it above 1.5. The replay path's count is its heap allocations:
-# BenchmarkLoadgenReplayLong must report allocs_per_job, capped at 10.
+# BenchmarkLoadgenReplayLong must report allocs_per_job, capped at 10. So is
+# the served path's beside an operator: BenchmarkServedMixed must report
+# allocs_per_job, capped at 340 (≈ 320; ≈ 400 when every submit decodes its
+# program again or every scrape renders the exposition twice).
 bench-diff:
 	$(GO) test -bench='$(BENCH_PATTERN)' \
 		-benchmem -run='^$$' -json $(BENCH_PKGS) > $(BENCH_FRESH)
 	$(GO) run ./cmd/benchdiff \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong:allocs_per_job,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong:allocs_per_job,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkServedMixed:allocs_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
 		BENCH_fleet.json $(BENCH_FRESH)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a
@@ -83,10 +86,23 @@ bench-e2e-quick:
 	$(GO) test -C benchmark -short ./...
 	$(GO) run -C benchmark hpcqc/benchmark --seed 1 --quick
 
+# e2e-ab is the end-to-end half of the pair gate: the benchmark/ harness
+# built once at BASE (a git worktree under .bench_build/) and once from the
+# working tree, PAIRS alternating pairs of `--workload WORKLOAD --trace 0` on
+# seeds SEED, SEED+1, …, each BENCHMARK.json end-to-end metric judged by
+# experiments.RunDominance as better, worse or unresolved (cmd/benchdiff/e2e.go).
+# A pair takes two full runs: ≈ 50 s at run_seconds 22.
+PAIRS ?= 10
+SEED ?= 1
+e2e-ab:
+	$(GO) run ./cmd/benchdiff e2e -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
+
 # profile-serve is the standing way to look inside the served path: CPU and
-# allocation profiles of BenchmarkServedSubmit (30 000 jobs, ~5 s) into
-# .bench_build/, then the cumulative top of each. Dig further with
-# `go tool pprof -list <func> .bench_build/serve.test .bench_build/serve_cpu.out`.
+# allocation profiles of BenchmarkServedSubmit (30 000 jobs, ~5 s), then of
+# BenchmarkServedMixed (20 000 jobs beside an operator's scrapes, ~5 s), into
+# .bench_build/, and the cumulative top of each. Dig further with
+# `go tool pprof -list <func> .bench_build/serve.test .bench_build/serve_cpu.out`
+# (serve_mixed_cpu.out for the second).
 PROFILE_DIR = .bench_build
 profile-serve:
 	mkdir -p $(PROFILE_DIR)
@@ -95,6 +111,11 @@ profile-serve:
 		-o $(PROFILE_DIR)/serve.test .
 	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/serve.test $(PROFILE_DIR)/serve_cpu.out
 	$(GO) tool pprof -sample_index alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/serve.test $(PROFILE_DIR)/serve_mem.out
+	$(GO) test -run '^$$' -bench 'BenchmarkServedMixed$$' -benchtime 20000x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/serve_mixed_cpu.out -memprofile $(PROFILE_DIR)/serve_mixed_mem.out \
+		-o $(PROFILE_DIR)/serve.test .
+	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/serve.test $(PROFILE_DIR)/serve_mixed_cpu.out
+	$(GO) tool pprof -sample_index alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/serve.test $(PROFILE_DIR)/serve_mixed_mem.out
 
 # profile-replay is profile-serve's twin for the trace file → replay → report
 # path, on the replay-steady shape (four weeks of Poisson arrivals, ≈100 k

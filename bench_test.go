@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -492,16 +493,44 @@ func BenchmarkFleetDispatch(b *testing.B) {
 // fails it above 1.5.
 // It mirrors the `serve-submit` workload of the benchmark/ module, which is
 // the number of record; this one is for looking inside.
-func BenchmarkServedSubmit(b *testing.B) { benchServed(b, 8) }
+func BenchmarkServedSubmit(b *testing.B) {
+	benchServed(b, servedShape{clients: 2, programs: 48, burst: 8})
+}
 
 // BenchmarkServedSubmitSerial is the same path with one task outstanding per
 // client — qrmi.RunProgram's shape, and the traffic the batched poll has
 // nothing to offer: every job costs its POST and its own polls (≥ 2 requests).
 // It is here so that what the burst gains is not taken from this caller.
-func BenchmarkServedSubmitSerial(b *testing.B) { benchServed(b, 1) }
+func BenchmarkServedSubmitSerial(b *testing.B) {
+	benchServed(b, servedShape{clients: 2, programs: 48, burst: 1})
+}
 
-func benchServed(b *testing.B, burst int) {
-	const clients, devices, programs, warmup = 2, 4, 48, 256
+// BenchmarkServedMixed is the `serve-mixed` workload's shape, for looking
+// inside it: one client cycling 1 024 distinct programs in bursts of 8 while
+// an operator makes 12 GETs per burst over /metrics, /admin/v1/status and
+// /api/v1/devices. The menu is larger than any per-entry bound a decode memo
+// might have, and the scrapes run beside the submits: what an operator's
+// reads cost the submitter shows here, in allocs_per_job above all (a count,
+// the same on any box, which cmd/benchdiff caps).
+func BenchmarkServedMixed(b *testing.B) {
+	benchServed(b, servedShape{clients: 1, programs: 1024, burst: 8, operator: true})
+}
+
+// servedShape is one traffic mix over the served path: closed-loop clients
+// cycling through a menu of distinct programs, burst TaskStarts at a time.
+type servedShape struct {
+	clients, programs, burst int
+	// operator adds a connection that walks the three read endpoints four
+	// times while each burst of the (single) client is in flight.
+	operator bool
+}
+
+func benchServed(b *testing.B, shape servedShape) {
+	const devices, adminToken = 4, "bench"
+	clients, programs, burst := shape.clients, shape.programs, shape.burst
+	// The warm-up submits every program at least once: connections open, heap grown,
+	// decode memo holding what it can.
+	warmup := max(256, programs)
 	clk := simclock.New()
 	reg := telemetry.NewRegistry()
 	tsdb := telemetry.NewTSDB(24*time.Hour, 0)
@@ -514,7 +543,7 @@ func benchServed(b *testing.B, burst int) {
 	// needs no second wake-up.
 	wake, stop, pumped := make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
 	d, err := daemon.NewDaemon(daemon.Config{
-		Devices: fleet.Devices(), Clock: clk, AdminToken: "bench", EnablePreemption: true, ProgramCache: 64,
+		Devices: fleet.Devices(), Clock: clk, AdminToken: adminToken, EnablePreemption: true, ProgramCache: 64,
 		Registry: reg, TSDB: tsdb, Flight: trace.NewFlightRecorder(trace.DefaultFlightCapacity), Seed: 1,
 		// Runs under daemon locks: count and signal, nothing else.
 		JobListener: func(ev daemon.JobEvent) {
@@ -568,21 +597,69 @@ func benchServed(b *testing.B, burst int) {
 			b.Fatal(err)
 		}
 	}
+	oneConn := func() *http.Client {
+		return &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+	}
 	subs := make([]*daemon.Client, clients)
 	for i := range subs {
 		class := sched.ClassTest
 		if i%2 == 1 {
 			class = sched.ClassDev
 		}
-		hc := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
-		if subs[i], err = daemon.NewClient(srv.URL, fmt.Sprintf("user%d", i), class, hc); err != nil {
+		if subs[i], err = daemon.NewClient(srv.URL, fmt.Sprintf("user%d", i), class, oneConn()); err != nil {
 			b.Fatal(err)
+		}
+	}
+	// scrape starts the operator's reads for one burst and returns where
+	// their outcome will arrive; nil without an operator.
+	scrape := func() <-chan error { return nil }
+	if shape.operator {
+		hc := oneConn()
+		op, err := daemon.NewClient(srv.URL, "operator", sched.ClassDev, hc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		targets := [3][2]string{{"/metrics", ""}, {"/admin/v1/status", adminToken}, {"/api/v1/devices", op.SessionToken()}}
+		get := func(path, token string) error {
+			req, err := http.NewRequest(http.MethodGet, srv.URL+path, nil)
+			if err != nil {
+				return err
+			}
+			if token != "" {
+				req.Header.Set("Authorization", "Bearer "+token)
+			}
+			resp, err := hc.Do(req)
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				return err
+			}
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
+			}
+			return nil
+		}
+		scrape = func() <-chan error {
+			out := make(chan error, 1)
+			go func() {
+				for i := 0; i < 4*len(targets); i++ {
+					if err := get(targets[i%len(targets)][0], targets[i%len(targets)][1]); err != nil {
+						out <- err
+						return
+					}
+				}
+				out <- nil
+			}()
+			return out
 		}
 	}
 	// serve runs n jobs through client c, starting at its own place in the menu.
 	serve := func(c *daemon.Client, next, n int) (err error) {
 		ids := make([]string, burst)
 		for done := 0; done < n; done += burst {
+			scraped := scrape()
 			k := min(burst, n-done)
 			for i := 0; i < k; i++ {
 				if ids[i], err = c.TaskStart(menu[next%programs]); err != nil {
@@ -601,6 +678,11 @@ func benchServed(b *testing.B, burst int) {
 				}
 				if res, err := c.TaskResult(id); err != nil || !json.Valid(res) {
 					return fmt.Errorf("job %s: result %q, %v", id, res, err)
+				}
+			}
+			if scraped != nil {
+				if err := <-scraped; err != nil {
+					return err
 				}
 			}
 		}
@@ -626,11 +708,15 @@ func benchServed(b *testing.B, burst int) {
 	drive(warmup)
 	b.ReportAllocs()
 	requests.Store(0)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	drive(b.N)
 	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "served_jobs_per_wall_s")
 	b.ReportMetric(float64(requests.Load())/float64(b.N), "http_requests_per_job")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N), "allocs_per_job")
 }
 
 // --- L1: trace-driven load generation ---

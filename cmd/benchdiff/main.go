@@ -8,6 +8,9 @@
 // Usage:
 //
 //	benchdiff [-require b1,b2] baseline.json fresh.json
+//	benchdiff e2e -base REV -workload W [-pairs 10] [-seed 1]
+//
+// The second form judges alternating end-to-end pairs instead (e2e.go).
 //
 // Only explicitly guarded metrics are compared; ns/op and sim-time metrics
 // vary with benchtime and fleet width in ways that are not regressions. The
@@ -82,10 +85,12 @@ var lowerMetrics = map[string]bool{"peak_heap_mb": true}
 const traceOverhead, priorityOverhead = 0.10, 0.10
 
 // capped are the fresh run's readings held under a fixed limit: the two ratios
-// above, in percent, and two counts, the same on any box — a served job's
+// above, in percent, and three counts, the same on any box — a served job's
 // requests on the wire (a poll shared by a burst of 8 reads ≈ 1.2, one per job
-// ≥ 2) and a replayed job's heap allocations (≈ 9 with owned clock events and a
-// reused routing snapshot, ≈ 20 without).
+// ≥ 2), a replayed job's heap allocations (≈ 9 with owned clock events and a
+// reused routing snapshot, ≈ 20 without) and a served job's beside an
+// operator's scrapes (≈ 320 with a decode memo that holds the menu and one
+// rendering of the exposition per scrape, ≈ 470 without).
 var capped = []struct {
 	bench, metric, format string
 	limit                 float64
@@ -98,6 +103,8 @@ var capped = []struct {
 		"served path: %.2f HTTP requests per job (limit %.1f)", 1.5},
 	{"BenchmarkLoadgenReplayLong", "allocs_per_job",
 		"replay path: %.1f heap allocations per job (limit %.0f)", 10},
+	{"BenchmarkServedMixed", "allocs_per_job",
+		"served path beside an operator: %.0f heap allocations per job (limit %.0f)", 340},
 }
 
 // parseFile reconstructs the benchmark result lines from a test2json stream
@@ -207,6 +214,13 @@ func mustNotAllocate(name string) bool {
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "e2e" {
+		if err := e2e(os.Args[2:]); err != nil {
+			fmt.Fprintln(os.Stderr, "benchdiff e2e:", err)
+			os.Exit(2)
+		}
+		return
+	}
 	require := flag.String("require", "", "comma-separated benchmarks that must be present in both files")
 	flag.Parse()
 	if flag.NArg() != 2 {

@@ -65,7 +65,7 @@ func (env *fleetEnv) drain(t *testing.T, bound time.Duration) {
 		}
 		env.clk.Advance(5 * time.Second)
 	}
-	t.Fatalf("jobs not drained within %s: %+v", bound, env.d.QueueLengthsByDevice())
+	t.Fatalf("jobs not drained within %s: %+v", bound, env.d.AdminStatus().QueuedByName)
 }
 
 // TestFleetSpreadsJobsAcrossDevices checks that the round-robin router lands

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -59,8 +58,12 @@ func (d *Daemon) Handler() http.Handler {
 			http.Error(w, "telemetry disabled", http.StatusNotFound)
 			return
 		}
+		buf := bodies.Get().(*bytes.Buffer)
+		defer bodies.Put(buf)
+		buf.Reset()
+		d.cfg.Registry.WriteText(buf)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_, _ = io.WriteString(w, d.cfg.Registry.Expose())
+		_, _ = w.Write(buf.Bytes())
 	})
 
 	mux.HandleFunc("POST /api/v1/sessions", func(w http.ResponseWriter, r *http.Request) {
@@ -94,19 +97,17 @@ func (d *Daemon) Handler() http.Handler {
 		})
 	}))
 	mux.HandleFunc("GET /api/v1/devices", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		queues := d.QueueLengthsByDevice()
-		caches := d.CacheStatsByDevice()
-		out := devicesView{Devices: make([]deviceView, 0, len(d.fleet)), Router: d.RouterName()}
-		for _, dev := range d.Devices() {
-			out.Devices = append(out.Devices, deviceView{
-				Cache:       caches[dev.ID()],
-				Calibration: dev.CalibrationSnapshot(),
-				ID:          dev.ID(),
-				Queued:      queues[dev.ID()],
-				Spec:        dev.Spec(),
-				Status:      dev.Status(),
-				Utilization: dev.Utilization(),
-			})
+		out := devicesView{Devices: make([]deviceView, len(d.fleet)), Router: d.RouterName()}
+		for i, ds := range d.fleet {
+			out.Devices[i] = deviceView{
+				Cache:       ds.cache.stats(),
+				Calibration: ds.dev.CalibrationSnapshot(),
+				ID:          ds.id,
+				Queued:      queueLens(ds.queue),
+				Spec:        ds.dev.Spec(),
+				Status:      ds.dev.Status(),
+				Utilization: ds.dev.Utilization(),
+			}
 		}
 		writeJSON(w, http.StatusOK, out)
 	}))

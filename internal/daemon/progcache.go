@@ -232,12 +232,17 @@ type progEntry struct {
 var (
 	progMu    sync.Mutex
 	progCache = make(map[string]progEntry)
+	progBytes int // payload bytes progCache holds as keys
 )
 
-// progCacheLimit bounds the decode cache. Replay workloads cycle through a
-// small canonical program set; an adversarial stream of unique payloads
-// simply resets the cache rather than growing process memory.
-const progCacheLimit = 256
+// progCacheBytes bounds the decode cache by the payload bytes it holds, not
+// by how many programs: a working set of any count under the budget is never
+// dropped, and a stream of unique payloads resets the cache wholesale instead
+// of growing process memory (a served payload is at most maxBodyBytes, a
+// quarter of the budget). A decoded program is about 2.3× its payload (a
+// loadgen program: 341 B of JSON, ≈ 776 B decoded), so the cache holds at
+// most ≈ 13 MiB live — ≈ 12 000 programs of that shape.
+const progCacheBytes = 4 << 20
 
 // cachedProgram decodes a payload through the process-wide cache, returning
 // the shared immutable program and its canonical fingerprint.
@@ -252,12 +257,19 @@ func cachedProgram(payload []byte) (*qir.Program, uint64, error) {
 	if err := prog.UnmarshalJSON(payload); err != nil {
 		return nil, 0, fmt.Errorf("daemon: decoding program: %w", err)
 	}
-	hash := fingerprint(payload)
+	e = progEntry{prog: prog, hash: fingerprint(payload)}
 	progMu.Lock()
-	if len(progCache) >= progCacheLimit {
-		progCache = make(map[string]progEntry, progCacheLimit)
+	defer progMu.Unlock()
+	// Another submit of the same payload may have decoded it meanwhile: keep
+	// the first, so the byte count stays exact and every caller shares one
+	// program.
+	if held, ok := progCache[string(payload)]; ok {
+		return held.prog, held.hash, nil
 	}
-	progCache[string(payload)] = progEntry{prog: prog, hash: hash}
-	progMu.Unlock()
-	return prog, hash, nil
+	if progBytes+len(payload) > progCacheBytes {
+		progCache, progBytes = make(map[string]progEntry), 0
+	}
+	progCache[string(payload)] = e
+	progBytes += len(payload)
+	return e.prog, e.hash, nil
 }

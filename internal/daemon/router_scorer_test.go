@@ -308,8 +308,9 @@ func cacheEnv(t *testing.T, cacheSize int, setup float64) (*fleetEnv, *telemetry
 }
 
 // TestCacheCountersAndStats: hits, misses and evictions must agree across
-// the three reporting surfaces — job annotations, CacheStatsByDevice and the
-// registry counters — and the cache-disabled daemon must expose none of them.
+// the three reporting surfaces — job annotations, the partition's stats (the
+// devices listing's cache block) and the registry counters — and the
+// cache-disabled daemon must expose none of them.
 func TestCacheCountersAndStats(t *testing.T) {
 	env, reg := cacheEnv(t, 1, 2)
 	s, err := env.d.OpenSession("alice")
@@ -336,12 +337,8 @@ func TestCacheCountersAndStats(t *testing.T) {
 		}
 	}
 
-	stats := env.d.CacheStatsByDevice()
-	if len(stats) != 1 {
-		t.Fatalf("CacheStatsByDevice() has %d entries, want 1", len(stats))
-	}
 	id := env.fleet.IDs()[0]
-	st := stats[id]
+	st := env.d.fleet[0].cache.stats()
 	if st == nil || st.Hits != 1 || st.Misses != 2 || st.Evictions != 1 || st.Size != 1 {
 		t.Fatalf("device cache stats = %+v", st)
 	}
@@ -380,8 +377,8 @@ func TestCacheCountersAndStats(t *testing.T) {
 			t.Fatalf("cache-less daemon annotated job: %q", j.Cache)
 		}
 	}
-	if stats := off.d.CacheStatsByDevice(); stats != nil {
-		t.Fatalf("cache-less CacheStatsByDevice() = %+v, want nil", stats)
+	if st := off.d.fleet[0].cache.stats(); st != nil {
+		t.Fatalf("cache-less partition reports cache stats %+v, want nil", st)
 	}
 	if strings.Contains(offReg.Expose(), "daemon_program_cache") {
 		t.Fatal("cache-less daemon exposes program-cache metrics")

@@ -334,28 +334,6 @@ func (d *Daemon) QueueLengths() map[string]int {
 	return out
 }
 
-// CacheStatsByDevice snapshots each partition's program-cache counters, or
-// nil when program caching is disabled.
-func (d *Daemon) CacheStatsByDevice() map[string]*CacheStats {
-	if d.cfg.ProgramCache <= 0 {
-		return nil
-	}
-	out := make(map[string]*CacheStats, len(d.fleet))
-	for _, ds := range d.fleet {
-		out[ds.id] = ds.cache.stats()
-	}
-	return out
-}
-
-// QueueLengthsByDevice reports per-partition queue depth by class.
-func (d *Daemon) QueueLengthsByDevice() map[string]map[string]int {
-	out := make(map[string]map[string]int, len(d.fleet))
-	for _, ds := range d.fleet {
-		out[ds.id] = queueLens(ds.queue)
-	}
-	return out
-}
-
 // queueLens snapshots a partition queue's depth by class name.
 func queueLens(q *sched.ClassQueue) map[string]int {
 	return map[string]int{

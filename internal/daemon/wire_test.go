@@ -234,6 +234,10 @@ func TestReadWireGolden(t *testing.T) {
 		"/api/v1/metrics/query?name=daemon_queue_length&class=dev&window=10s&agg=max", "")
 	e.record("query, no such series", http.MethodGet, "/api/v1/metrics/query?name=daemon_queue_length&class=none", "")
 	e.record("query, missing name", http.MethodGet, "/api/v1/metrics/query", "")
+	// Appended, and recorded before the devices listing stopped building the
+	// per-device maps it shares queue depths with; every body above was left
+	// as it was.
+	e.record("admin status, drained", http.MethodGet, "/admin/v1/status", "")
 	checkGolden(t, "read_wire.golden", bare.out.String()+e.out.String())
 }
 

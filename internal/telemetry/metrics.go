@@ -7,8 +7,10 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,8 +66,9 @@ func (l Labels) key() string {
 }
 
 // series is one labelled time series inside a metric family, stored under
-// its labels' canonical rendering.
+// key, its labels' canonical rendering.
 type series struct {
+	key   string
 	value float64
 	// histogram state
 	buckets []float64 // cumulative counts per bound
@@ -80,19 +83,27 @@ type Metric struct {
 	Help   string
 	bounds []float64 // histogram bucket upper bounds, ascending
 
+	// What a scrape writes the same way every time, rendered at register:
+	// the # HELP and # TYPE lines, and each bucket bound as its le label.
+	header string
+	les    []string
+
 	mu     sync.Mutex
 	series map[string]*series
+	sorted []*series // by key; a series is never deleted, so a scrape sorts nothing
 }
 
 func (m *Metric) getSeries(l Labels) *series {
 	k := l.key()
 	s, ok := m.series[k]
 	if !ok {
-		s = &series{}
+		s = &series{key: k}
 		if m.Type == TypeHistogram {
 			s.buckets = make([]float64, len(m.bounds))
 		}
 		m.series[k] = s
+		i := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].key > k })
+		m.sorted = slices.Insert(m.sorted, i, s)
 	}
 	return s
 }
@@ -229,7 +240,9 @@ func (m *Metric) HistogramQuantile(l Labels, q float64) float64 {
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*Metric
-	order   []string
+	// families is in registration order and only ever appended to, so a
+	// scrape may range over the slice it read under mu after letting go.
+	families []*Metric
 }
 
 // NewRegistry returns an empty registry.
@@ -249,9 +262,13 @@ func (r *Registry) register(name, help string, t MetricType, bounds []float64) (
 		}
 		return existing, nil
 	}
-	m := &Metric{Name: name, Type: t, Help: help, bounds: bounds, series: make(map[string]*series)}
+	m := &Metric{Name: name, Type: t, Help: help, bounds: bounds, series: make(map[string]*series),
+		header: "# HELP " + name + " " + help + "\n# TYPE " + name + " " + t.String() + "\n"}
+	for _, b := range bounds {
+		m.les = append(m.les, string(appendFloat(nil, b)))
+	}
 	r.metrics[name] = m
-	r.order = append(r.order, name)
+	r.families = append(r.families, m)
 	return m, nil
 }
 
@@ -314,78 +331,75 @@ func (r *Registry) Get(name string) *Metric {
 	return r.metrics[name]
 }
 
-// Expose renders every family in Prometheus text exposition format 0.0.4. A
-// series is stored under its canonical label rendering, so the scrape writes
-// that key back out instead of rendering the label set again.
+// Expose renders every family in Prometheus text exposition format 0.0.4, as
+// WriteText does.
 func (r *Registry) Expose() string {
-	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	r.mu.Unlock()
+	var buf bytes.Buffer
+	r.WriteText(&buf)
+	return buf.String()
+}
 
-	var sb strings.Builder
-	for _, name := range names {
-		m := r.Get(name)
-		if m == nil {
-			continue
-		}
-		fmt.Fprintf(&sb, "# HELP %s %s\n", m.Name, m.Help)
-		fmt.Fprintf(&sb, "# TYPE %s %s\n", m.Name, m.Type)
+// WriteText appends every family to buf in Prometheus text exposition format
+// 0.0.4. Headers, bucket bounds and the series order were rendered when the
+// family or series was made, so into a buffer already grown by an earlier
+// scrape this allocates nothing per series.
+func (r *Registry) WriteText(buf *bytes.Buffer) {
+	r.mu.Lock()
+	families := r.families
+	r.mu.Unlock()
+	for _, m := range families {
+		buf.WriteString(m.header)
 		m.mu.Lock()
-		keys := make([]string, 0, len(m.series))
-		for k := range m.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := m.series[k]
-			switch m.Type {
-			case TypeHistogram:
-				count := strconv.FormatUint(s.count, 10)
-				for i, bound := range m.bounds {
-					writeSample(&sb, m.Name, "_bucket", k, formatFloat(bound), formatFloat(s.buckets[i]))
-				}
-				writeSample(&sb, m.Name, "_bucket", k, "+Inf", count)
-				writeSample(&sb, m.Name, "_sum", k, "", formatFloat(s.sum))
-				writeSample(&sb, m.Name, "_count", k, "", count)
-			default:
-				writeSample(&sb, m.Name, "", k, "", formatFloat(s.value))
+		for _, s := range m.sorted {
+			var v, n [32]byte // a rendered value, on the stack
+			if m.Type != TypeHistogram {
+				writeSample(buf, m.Name, "", s.key, "", appendFloat(v[:0], s.value))
+				continue
 			}
+			count := strconv.AppendUint(n[:0], s.count, 10)
+			for i, le := range m.les {
+				writeSample(buf, m.Name, "_bucket", s.key, le, appendFloat(v[:0], s.buckets[i]))
+			}
+			writeSample(buf, m.Name, "_bucket", s.key, "+Inf", count)
+			writeSample(buf, m.Name, "_sum", s.key, "", appendFloat(v[:0], s.sum))
+			writeSample(buf, m.Name, "_count", s.key, "", count)
 		}
 		m.mu.Unlock()
 	}
-	return sb.String()
 }
 
 // writeSample renders one sample line. key is the series' canonical label
 // rendering (the string it is stored under); le, when non-empty, is a
-// histogram bucket bound appended as the last label. Bounds are formatFloat
+// histogram bucket bound appended as the last label. Bounds are appendFloat
 // output or "+Inf", which quoting leaves as they are.
-func writeSample(sb *strings.Builder, name, suffix, key, le, value string) {
-	sb.WriteString(name)
-	sb.WriteString(suffix)
+func writeSample(buf *bytes.Buffer, name, suffix, key, le string, value []byte) {
+	buf.WriteString(name)
+	buf.WriteString(suffix)
 	if key != "" || le != "" {
-		sb.WriteByte('{')
-		sb.WriteString(key)
+		buf.WriteByte('{')
+		buf.WriteString(key)
 		if le != "" {
 			if key != "" {
-				sb.WriteByte(',')
+				buf.WriteByte(',')
 			}
-			sb.WriteString(`le="`)
-			sb.WriteString(le)
-			sb.WriteByte('"')
+			buf.WriteString(`le="`)
+			buf.WriteString(le)
+			buf.WriteByte('"')
 		}
-		sb.WriteByte('}')
+		buf.WriteByte('}')
 	}
-	sb.WriteByte(' ')
-	sb.WriteString(value)
-	sb.WriteByte('\n')
+	buf.WriteByte(' ')
+	buf.Write(value)
+	buf.WriteByte('\n')
 }
 
-func formatFloat(v float64) string {
+// appendFloat renders a sample value: integral values below 1e15 as
+// integers, the rest in the shortest 'g' form that reads back exactly.
+func appendFloat(b []byte, v float64) []byte {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(b, int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 func validMetricName(name string) bool {

@@ -1,7 +1,10 @@
 package telemetry
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -152,6 +155,87 @@ func TestExposeLabelsSorted(t *testing.T) {
 	out := r.Expose()
 	if !strings.Contains(out, `m{a="2",z="1"} 1`) {
 		t.Fatalf("labels not sorted:\n%s", out)
+	}
+}
+
+// TestExposeAllocs: a scrape rendered into a warm buffer costs a small, fixed
+// number of allocations — the same with 10 series beside the golden fixture
+// as with 1 000 — so how often an operator scrapes does not set the GC's pace.
+func TestExposeAllocs(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{10, 1000} {
+		reg := exposeFixture()
+		g := reg.MustGauge("fx_sized", "A family of n/2 series.")
+		h := reg.MustHistogram("fx_sized_seconds", "A histogram of n/2 series.", []float64{0.5, 1, 10})
+		for i := 0; i < n/2; i++ {
+			l := Labels{"device": "analog-qpu-p" + strconv.Itoa(i)}
+			g.Bind(l).Set(float64(i) + 0.5)
+			h.Bind(l).Observe(float64(i))
+		}
+		var buf bytes.Buffer
+		reg.WriteText(&buf)
+		if buf.String() != reg.Expose() {
+			t.Fatal("WriteText and Expose render different text")
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, func() {
+			buf.Reset()
+			reg.WriteText(&buf)
+		}))
+	}
+	if allocs[0] > 2 || allocs[1] != allocs[0] {
+		t.Fatalf("a warm scrape allocates %.0f times at 10 series and %.0f at 1 000, want the same ≤ 2", allocs[0], allocs[1])
+	}
+}
+
+// TestScrapeBesideRegistration: a scrape reads the family list it took under
+// the registry lock while other goroutines register families and create
+// series; under -race nothing it reads is written, and the final scrape has
+// every family once, in registration order per writer, its series sorted.
+func TestScrapeBesideRegistration(t *testing.T) {
+	const writers, families = 4, 50
+	reg := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < families; i++ {
+				g := reg.MustGauge(fmt.Sprintf("w%d_f%03d", w, i), "")
+				for k := 3; k > 0; k-- {
+					g.Bind(Labels{"k": strconv.Itoa(k)}).Set(float64(k))
+				}
+			}
+		}(w)
+	}
+	stop, readerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		var buf bytes.Buffer
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			buf.Reset()
+			reg.WriteText(&buf)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-readerDone
+
+	out := reg.Expose()
+	for w := 0; w < writers; w++ {
+		last := -1
+		for i := 0; i < families; i++ {
+			name := fmt.Sprintf("w%d_f%03d", w, i)
+			at := strings.Index(out, "# TYPE "+name+" gauge\n"+name+`{k="1"} 1`+"\n"+name+`{k="2"} 2`+"\n"+name+`{k="3"} 3`+"\n")
+			if at <= last || strings.Count(out, "# TYPE "+name+" ") != 1 {
+				t.Fatalf("family %s missing, repeated, out of order or unsorted:\n%s", name, out)
+			}
+			last = at
+		}
 	}
 }
 
