@@ -1,7 +1,7 @@
 # Tier-1 entry points. `make test` is the fast gate (short mode, seconds);
 # `make test-full` runs everything including the ~40s experiment
 # reproductions; `make test-race` puts the race detector on the concurrent
-# fleet/scheduler/hybrid-orchestrator/device/emulator/telemetry paths.
+# fleet/scheduler/malleable-pool/device/emulator/telemetry paths.
 
 GO ?= go
 

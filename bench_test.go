@@ -28,7 +28,6 @@ import (
 	"hpcqc/internal/device"
 	"hpcqc/internal/emulator"
 	"hpcqc/internal/experiments"
-	"hpcqc/internal/hybrid"
 	"hpcqc/internal/loadgen"
 	"hpcqc/internal/qir"
 	"hpcqc/internal/qrmi"
@@ -46,7 +45,10 @@ import (
 func BenchmarkTable1PatternTaxonomy(b *testing.B) {
 	var rows []experiments.Table1Row
 	for i := 0; i < b.N; i++ {
-		rows, _ = experiments.RunTable1(42)
+		var err error
+		if rows, _, err = experiments.RunTable1(42); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, r := range rows {
 		if r.Mix == "mixed A+B+C" {
@@ -127,10 +129,13 @@ func BenchmarkMPSBondDimension(b *testing.B) {
 func BenchmarkShotRateSweep(b *testing.B) {
 	var rows []experiments.ShotRateRow
 	for i := 0; i < b.N; i++ {
-		rows, _ = experiments.RunShotRateSweep(5)
+		var err error
+		if rows, _, err = experiments.RunShotRateSweep(5); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, r := range rows {
-		if r.Policy == hybrid.PolicyInterleave {
+		if r.Policy == experiments.PolicyInterleave {
 			b.ReportMetric(r.QPUUtil, fmt.Sprintf("util_interleave_%gHz", r.ShotRateHz))
 		}
 	}
@@ -178,7 +183,10 @@ func BenchmarkDriftDetection(b *testing.B) {
 func BenchmarkPreemption(b *testing.B) {
 	var rows []experiments.PreemptionRow
 	for i := 0; i < b.N; i++ {
-		rows, _ = experiments.RunPreemption(9)
+		var err error
+		if rows, _, err = experiments.RunPreemption(9); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.MaxProdWait.Seconds(), "max_prod_wait_s_"+r.Policy)
@@ -1194,32 +1202,6 @@ func BenchmarkSaturateSearch(b *testing.B) {
 	}
 	b.ReportMetric(float64(knees)/b.Elapsed().Seconds(), "knees_per_wall_s")
 	b.ReportMetric(float64(probes)/float64(knees), "probes_per_knee")
-}
-
-// BenchmarkOrchestratorThroughput measures the hybrid-job scheduler on a
-// large synthetic batch.
-func BenchmarkOrchestratorThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		gen := hybrid.NewGenerator(int64(i))
-		jobs, err := gen.Batch(workload.Mix{QCHeavy: 20, CCHeavy: 20, Balanced: 20}, sched.ClassTest)
-		if err != nil {
-			b.Fatal(err)
-		}
-		clk := simclock.New()
-		o, err := hybrid.NewOrchestrator(clk, hybrid.PolicyInterleave)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, j := range jobs {
-			if err := o.Submit(j); err != nil {
-				b.Fatal(err)
-			}
-		}
-		clk.Run(0)
-		if !o.Done() {
-			b.Fatal("batch incomplete")
-		}
-	}
 }
 
 // BenchmarkRuntimeExecute measures the full runtime path (resolve done once,

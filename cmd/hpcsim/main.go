@@ -34,8 +34,8 @@ func run(exp string, seed int64) error {
 	}
 	drivers := []driver{
 		{"table1", func(s int64) (fmt.Stringer, error) {
-			_, t := experiments.RunTable1(s)
-			return t, nil
+			_, t, err := experiments.RunTable1(s)
+			return t, err
 		}, "Table 1: workload taxonomy × scheduling policy"},
 		{"figure1", func(s int64) (fmt.Stringer, error) {
 			_, t, err := experiments.RunFigure1(s)
@@ -50,8 +50,8 @@ func run(exp string, seed int64) error {
 			return t, err
 		}, "A1: MPS bond-dimension ablation"},
 		{"shotrate", func(s int64) (fmt.Stringer, error) {
-			_, t := experiments.RunShotRateSweep(s)
-			return t, nil
+			_, t, err := experiments.RunShotRateSweep(s)
+			return t, err
 		}, "A2: shot-rate sweep"},
 		{"gres", func(s int64) (fmt.Stringer, error) {
 			_, t, err := experiments.RunGRESTimeshare(s)
@@ -62,8 +62,8 @@ func run(exp string, seed int64) error {
 			return t, err
 		}, "A4: drift detection"},
 		{"preempt", func(s int64) (fmt.Stringer, error) {
-			_, t := experiments.RunPreemption(s)
-			return t, nil
+			_, t, err := experiments.RunPreemption(s)
+			return t, err
 		}, "A5: preemption"},
 		{"sqd", func(s int64) (fmt.Stringer, error) {
 			_, t, err := experiments.RunSQD(s)

@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"time"
 
@@ -69,7 +70,7 @@ func fmtPct(f float64) string       { return fmt.Sprintf("%.1f%%", f*100) }
 // Table1Row is one (mix, policy) measurement.
 type Table1Row struct {
 	Mix        string
-	Policy     hybrid.Policy
+	Policy     Policy
 	Makespan   time.Duration
 	QPUUtil    float64
 	QPUIdle    time.Duration
@@ -78,11 +79,11 @@ type Table1Row struct {
 }
 
 // RunTable1 executes the Table 1 reproduction: for each workload mix, run
-// the hint-blind exclusive baseline and the hint-aware interleave policy and
-// compare QPU utilization, held-idle time and makespan. The paper's claim
-// under test: interleaving "kills QPU idle time" for CC-heavy mixes while
-// QC-heavy work degenerates to the sequential QPU queue.
-func RunTable1(seed int64) ([]Table1Row, *Table) {
+// the hint-blind exclusive baseline and the hint-aware interleave policy on
+// the daemon and compare QPU utilization, held-idle time and makespan. The
+// paper's claim under test: interleaving "kills QPU idle time" for CC-heavy
+// mixes while QC-heavy work degenerates to the sequential QPU queue.
+func RunTable1(seed int64) ([]Table1Row, *Table, error) {
 	mixes := []struct {
 		name string
 		mix  workload.Mix
@@ -92,36 +93,23 @@ func RunTable1(seed int64) ([]Table1Row, *Table) {
 		{"C: balanced only", workload.Mix{Balanced: 6}},
 		{"mixed A+B+C", workload.Mix{QCHeavy: 2, CCHeavy: 2, Balanced: 2}},
 	}
-	policies := []hybrid.Policy{hybrid.PolicyExclusiveFIFO, hybrid.PolicyInterleave}
 	var rows []Table1Row
 	for _, m := range mixes {
-		for _, pol := range policies {
-			gen := hybrid.NewGenerator(seed) // same jobs per policy
-			jobs, err := gen.Batch(m.mix, sched.ClassTest)
+		for _, pol := range []Policy{PolicyExclusiveFIFO, PolicyInterleave} {
+			jobs := table1Batch(seed, m.mix) // same jobs per policy
+			run, err := runQPU(pol.config(1, seed), jobs)
 			if err != nil {
-				panic(err)
+				return nil, nil, fmt.Errorf("%s, %s: %w", m.name, pol, err)
 			}
-			clk := simclock.New()
-			o, err := hybrid.NewOrchestrator(clk, pol)
-			if err != nil {
-				panic(err)
-			}
-			for _, j := range jobs {
-				if err := o.Submit(j); err != nil {
-					panic(err)
-				}
-			}
-			clk.Run(0)
-			met := o.Metrics()
 			var wait time.Duration
-			if w, ok := met.WaitByClass[sched.ClassTest]; ok {
-				wait = w
+			for _, j := range jobs {
+				wait += j.start - j.submit
 			}
 			rows = append(rows, Table1Row{
 				Mix: m.name, Policy: pol,
-				Makespan: met.Makespan, QPUUtil: met.QPUUtilization,
-				QPUIdle: met.QPUHeldIdle, Preempts: met.Preemptions,
-				MeanWaitAl: wait,
+				Makespan: run.makespan, QPUUtil: run.utilization(),
+				QPUIdle: run.held - run.busy, Preempts: run.preempts,
+				MeanWaitAl: wait / time.Duration(len(jobs)),
 			})
 		}
 	}
@@ -134,7 +122,35 @@ func RunTable1(seed int64) ([]Table1Row, *Table) {
 			r.Mix, r.Policy.String(), fmtDur(r.Makespan), fmtPct(r.QPUUtil), fmtDur(r.QPUIdle), fmtDur(r.MeanWaitAl),
 		})
 	}
-	return rows, table
+	return rows, table, nil
+}
+
+// table1Batch builds a mix's test-class jobs, all arriving at once: each
+// pattern's quantum/classical segment pairs jittered by ±20 % (floored at
+// 1 s), QC-heavy then CC-heavy then balanced jobs, then shuffled — the draw
+// order E1 has always used, so a seed builds the same jobs.
+func table1Batch(seed int64, m workload.Mix) []*qpuJob {
+	rng := rand.New(rand.NewSource(seed))
+	jitter := func(d time.Duration) time.Duration {
+		return max(time.Duration(float64(d)*(1+(rng.Float64()*2-1)*0.2)), time.Second)
+	}
+	specs := workload.DefaultPatternSpecs()
+	var jobs []*qpuJob
+	for _, pn := range []struct {
+		p sched.Pattern
+		n int
+	}{{sched.PatternQCHeavy, m.QCHeavy}, {sched.PatternCCHeavy, m.CCHeavy}, {sched.PatternBalanced, m.Balanced}} {
+		spec := specs[pn.p]
+		for i := 0; i < pn.n; i++ {
+			j := &qpuJob{class: sched.ClassTest}
+			for s := 0; s < spec.QuantumSegments; s++ {
+				j.segs = append(j.segs, segment{true, jitter(spec.QuantumSeg)}, segment{false, jitter(spec.ClassicalSeg)})
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	rng.Shuffle(len(jobs), func(a, b int) { jobs[a], jobs[b] = jobs[b], jobs[a] })
+	return jobs
 }
 
 // --- E2: Figure 1 — portability across environments ---
@@ -317,7 +333,7 @@ func runBondSweep(seed int64, sizes, chis []int) ([]BondSweepRow, *Table, error)
 // ShotRateRow is one shot-rate measurement.
 type ShotRateRow struct {
 	ShotRateHz float64
-	Policy     hybrid.Policy
+	Policy     Policy
 	Makespan   time.Duration
 	QPUUtil    float64
 }
@@ -329,36 +345,25 @@ type ShotRateRow struct {
 // timescales (1 Hz: policies within ~10% of each other), and faster QPUs
 // make second-level interleaving more valuable, not less (100 Hz: the
 // exclusive baseline's utilization collapses to ~9%).
-func RunShotRateSweep(seed int64) ([]ShotRateRow, *Table) {
+func RunShotRateSweep(seed int64) ([]ShotRateRow, *Table, error) {
 	var rows []ShotRateRow
 	for _, rate := range []float64{1, 10, 100} {
-		for _, pol := range []hybrid.Policy{hybrid.PolicyExclusiveFIFO, hybrid.PolicyInterleave} {
+		for _, pol := range []Policy{PolicyExclusiveFIFO, PolicyInterleave} {
 			// A balanced job at shot rate r: the quantum segment is
-			// shots/rate; classical post-processing stays constant.
-			quantumSeg := simclock.Seconds(600 / rate)
-			clk := simclock.New()
-			o, _ := hybrid.NewOrchestrator(clk, pol)
+			// 600 shots; classical post-processing stays constant.
+			q := segment{true, simclock.Seconds(600 / rate)}
+			c := segment{false, 60 * time.Second}
+			var jobs []*qpuJob
 			for i := 0; i < 6; i++ {
-				j := &hybrid.HybridJob{
-					ID:      fmt.Sprintf("j%d", i),
-					Class:   sched.ClassTest,
-					Pattern: sched.PatternBalanced,
-					Segments: []hybrid.Segment{
-						{Quantum: true, Duration: quantumSeg},
-						{Quantum: false, Duration: 60 * time.Second},
-						{Quantum: true, Duration: quantumSeg},
-						{Quantum: false, Duration: 60 * time.Second},
-					},
-				}
-				if err := o.Submit(j); err != nil {
-					panic(err)
-				}
+				jobs = append(jobs, &qpuJob{class: sched.ClassTest, segs: []segment{q, c, q, c}})
 			}
-			clk.Run(0)
-			m := o.Metrics()
+			run, err := runQPU(pol.config(rate, seed), jobs)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%g Hz, %s: %w", rate, pol, err)
+			}
 			rows = append(rows, ShotRateRow{
 				ShotRateHz: rate, Policy: pol,
-				Makespan: m.Makespan, QPUUtil: m.QPUUtilization,
+				Makespan: run.makespan, QPUUtil: run.utilization(),
 			})
 		}
 	}
@@ -372,7 +377,7 @@ func RunShotRateSweep(seed int64) ([]ShotRateRow, *Table) {
 			fmtDur(r.Makespan), fmtPct(r.QPUUtil),
 		})
 	}
-	return rows, table
+	return rows, table, nil
 }
 
 // --- A5: preemption ---
@@ -391,50 +396,38 @@ type PreemptionRow struct {
 // RunPreemption executes ablation A5: flood the QPU with long dev jobs, then
 // inject production arrivals. Under the paper's policy production jobs never
 // wait behind dev work; without preemption they queue for the full dev job.
-func RunPreemption(seed int64) ([]PreemptionRow, *Table) {
-	build := func(pol hybrid.Policy) PreemptionRow {
-		clk := simclock.New()
-		o, _ := hybrid.NewOrchestrator(clk, pol)
-		// Dev flood: 5 long quantum jobs.
+func RunPreemption(seed int64) ([]PreemptionRow, *Table, error) {
+	var rows []PreemptionRow
+	for _, pol := range []Policy{PolicyExclusiveFIFO, PolicyPriorityExclusive, PolicyInterleave} {
+		// Dev flood: 5 long quantum jobs; production arrivals at t = 100s,
+		// 400s, 900s.
+		var jobs []*qpuJob
 		for i := 0; i < 5; i++ {
-			o.Submit(&hybrid.HybridJob{
-				ID: fmt.Sprintf("dev%d", i), Class: sched.ClassDev,
-				Segments: []hybrid.Segment{{Quantum: true, Duration: 600 * time.Second}},
-			})
+			jobs = append(jobs, &qpuJob{class: sched.ClassDev, segs: []segment{{true, 600 * time.Second}}})
 		}
-		// Production arrivals at t = 100s, 400s, 900s.
-		for i, at := range []time.Duration{100 * time.Second, 400 * time.Second, 900 * time.Second} {
-			i := i
-			clk.Schedule(at, "prod-arrival", func() {
-				o.Submit(&hybrid.HybridJob{
-					ID: fmt.Sprintf("prod%d", i), Class: sched.ClassProduction,
-					Segments: []hybrid.Segment{{Quantum: true, Duration: 60 * time.Second}},
-				})
-			})
+		for _, at := range []time.Duration{100 * time.Second, 400 * time.Second, 900 * time.Second} {
+			jobs = append(jobs, &qpuJob{class: sched.ClassProduction, at: at, segs: []segment{{true, 60 * time.Second}}})
 		}
-		clk.Run(0)
-		m := o.Metrics()
-		rep := o.Report()
-		var devTurn time.Duration
-		for _, r := range rep {
-			if r.Class == sched.ClassDev && r.Turnaround > devTurn {
-				devTurn = r.Turnaround
+		run, err := runQPU(pol.config(1, seed), jobs)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", pol, err)
+		}
+		row := PreemptionRow{Policy: pol.String(), Preemptions: run.preempts, TotalProduction: 3}
+		var prodWait time.Duration
+		for _, j := range jobs {
+			if j.done {
+				row.JobsCompleted++
+			}
+			switch j.class {
+			case sched.ClassDev:
+				row.DevTurnaround = max(row.DevTurnaround, j.end-j.submit)
+			case sched.ClassProduction:
+				row.MaxProdWait = max(row.MaxProdWait, j.start-j.submit)
+				prodWait += j.start - j.submit
 			}
 		}
-		return PreemptionRow{
-			Policy:          pol.String(),
-			MaxProdWait:     m.MaxWaitProduction,
-			MeanProdWait:    m.WaitByClass[sched.ClassProduction],
-			DevTurnaround:   devTurn,
-			Preemptions:     m.Preemptions,
-			JobsCompleted:   m.JobsCompleted,
-			TotalProduction: 3,
-		}
-	}
-	rows := []PreemptionRow{
-		build(hybrid.PolicyExclusiveFIFO),
-		build(hybrid.PolicyPriorityExclusive),
-		build(hybrid.PolicyInterleave),
+		row.MeanProdWait = prodWait / time.Duration(row.TotalProduction)
+		rows = append(rows, row)
 	}
 	table := &Table{
 		Title:   "A5: production wait under dev flood (preemption ablation)",
@@ -446,7 +439,7 @@ func RunPreemption(seed int64) ([]PreemptionRow, *Table) {
 			fmtDur(r.DevTurnaround), fmt.Sprintf("%d", r.Preemptions),
 		})
 	}
-	return rows, table
+	return rows, table, nil
 }
 
 // --- A6: SQD post-processing ---

@@ -5,15 +5,16 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"hpcqc/internal/hybrid"
 )
 
 // TestTable1Shape asserts the paper's Table 1 claims hold in the measured
 // data: interleaving beats the exclusive baseline on CC-heavy and mixed
 // workloads, and degenerates to the sequential queue for pure QC-heavy work.
 func TestTable1Shape(t *testing.T) {
-	rows, table := RunTable1(42)
+	rows, table, err := RunTable1(42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -201,18 +202,21 @@ func TestBondSweepShortSlice(t *testing.T) {
 // exclusive baseline's QPU utilization collapses, and the interleave win
 // grows — faster QPUs make the second scheduling level MORE valuable.
 func TestShotRateShape(t *testing.T) {
-	rows, _ := RunShotRateSweep(5)
+	rows, _, err := RunShotRateSweep(5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gain := map[float64]float64{}
-	byRate := map[float64]map[hybrid.Policy]ShotRateRow{}
+	byRate := map[float64]map[Policy]ShotRateRow{}
 	for _, r := range rows {
 		if byRate[r.ShotRateHz] == nil {
-			byRate[r.ShotRateHz] = map[hybrid.Policy]ShotRateRow{}
+			byRate[r.ShotRateHz] = map[Policy]ShotRateRow{}
 		}
 		byRate[r.ShotRateHz][r.Policy] = r
 	}
 	for rate, m := range byRate {
-		excl := m[hybrid.PolicyExclusiveFIFO]
-		inter := m[hybrid.PolicyInterleave]
+		excl := m[PolicyExclusiveFIFO]
+		inter := m[PolicyInterleave]
 		gain[rate] = float64(excl.Makespan-inter.Makespan) / float64(excl.Makespan)
 	}
 	if gain[100] <= gain[1] {
@@ -223,13 +227,13 @@ func TestShotRateShape(t *testing.T) {
 	}
 	// The exclusive baseline's utilization collapses as the QPU speeds up;
 	// interleaving retains a large multiple of it.
-	exclDrop := byRate[1][hybrid.PolicyExclusiveFIFO].QPUUtil - byRate[100][hybrid.PolicyExclusiveFIFO].QPUUtil
+	exclDrop := byRate[1][PolicyExclusiveFIFO].QPUUtil - byRate[100][PolicyExclusiveFIFO].QPUUtil
 	if exclDrop < 0.5 {
 		t.Fatalf("exclusive utilization drop = %.2f, expected collapse", exclDrop)
 	}
-	if byRate[100][hybrid.PolicyInterleave].QPUUtil < 3*byRate[100][hybrid.PolicyExclusiveFIFO].QPUUtil {
+	if byRate[100][PolicyInterleave].QPUUtil < 3*byRate[100][PolicyExclusiveFIFO].QPUUtil {
 		t.Fatalf("interleave util %.2f not ≫ exclusive %.2f at 100 Hz",
-			byRate[100][hybrid.PolicyInterleave].QPUUtil, byRate[100][hybrid.PolicyExclusiveFIFO].QPUUtil)
+			byRate[100][PolicyInterleave].QPUUtil, byRate[100][PolicyExclusiveFIFO].QPUUtil)
 	}
 }
 
@@ -237,7 +241,10 @@ func TestShotRateShape(t *testing.T) {
 // production wait collapses to ~0; without it production queues behind the
 // dev flood.
 func TestPreemptionShape(t *testing.T) {
-	rows, _ := RunPreemption(9)
+	rows, _, err := RunPreemption(9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	byPolicy := map[string]PreemptionRow{}
 	for _, r := range rows {
 		byPolicy[r.Policy] = r

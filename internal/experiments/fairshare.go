@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"hpcqc/internal/daemon"
-	"hpcqc/internal/device"
 	"hpcqc/internal/sched"
-	"hpcqc/internal/simclock"
 )
 
 // FairShareRow compares one within-class ordering on the two-user scenario.
@@ -35,87 +32,37 @@ func RunFairShare(seed int64) ([]FairShareRow, *Table, error) {
 	)
 
 	run := func(setup, scheduler string) (*FairShareRow, error) {
-		clk := simclock.New()
-		dev, err := device.New(device.Config{Clock: clk, Seed: seed, DriftInterval: time.Hour})
-		if err != nil {
-			return nil, err
-		}
-		order, err := daemon.NewOrder(scheduler)
-		if err != nil {
-			return nil, err
-		}
-		dmn, err := daemon.NewDaemon(daemon.Config{
-			Devices: []*device.Device{dev}, Clock: clk, AdminToken: "admin",
-			EnablePreemption: true, Order: order, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		hog, err := dmn.OpenSession("hog")
-		if err != nil {
-			return nil, err
-		}
-		casual, err := dmn.OpenSession("casual")
-		if err != nil {
-			return nil, err
-		}
-
-		submit := func(sess string, shots int, ids *[]string) func() {
-			return func() {
-				raw, err := figure2Program(shots).MarshalJSON()
-				if err != nil {
-					return
-				}
-				j, err := dmn.Submit(sess, daemon.SubmitRequest{Program: raw, Class: sched.ClassDev})
-				if err == nil {
-					*ids = append(*ids, j.ID)
-				}
-			}
-		}
-		var hogIDs, casualIDs []string
+		// At the default 1 Hz a job of n shots holds the QPU for n seconds.
+		var jobs []*qpuJob
 		// The flood lands first…
 		for i := 0; i < hogJobs; i++ {
-			clk.Schedule(time.Duration(i)*time.Second, "hog", submit(hog.Token, hogShots, &hogIDs))
+			jobs = append(jobs, &qpuJob{user: "hog", class: sched.ClassDev, at: time.Duration(i) * time.Second,
+				segs: []segment{{true, hogShots * time.Second}}})
 		}
 		// …the casual user arrives moments later.
 		for i := 0; i < casualJobs; i++ {
-			clk.Schedule(time.Duration(20+i)*time.Second, "casual", submit(casual.Token, casShots, &casualIDs))
+			jobs = append(jobs, &qpuJob{user: "casual", class: sched.ClassDev, at: time.Duration(20+i) * time.Second,
+				segs: []segment{{true, casShots * time.Second}}})
 		}
-		clk.RunUntil(6 * time.Hour)
-
-		mean := func(token string, ids []string) (time.Duration, time.Duration, error) {
-			var sum, last time.Duration
-			for _, id := range ids {
-				j, err := dmn.JobStatus(token, id)
-				if err != nil {
-					return 0, 0, err
-				}
-				if j.State != daemon.JobCompleted {
-					return 0, 0, fmt.Errorf("experiments: job %s ended %s", id, j.State)
-				}
-				sum += j.StartedAt - j.SubmittedAt
-				if j.FinishedAt > last {
-					last = j.FinishedAt
-				}
+		res, err := runQPU(qpuConfig{scheduler: scheduler, preempt: true, seed: seed}, jobs)
+		if err != nil {
+			return nil, err
+		}
+		mean := func(jobs []*qpuJob) time.Duration {
+			var sum time.Duration
+			for _, j := range jobs {
+				sum += j.last - j.submit
 			}
-			return sum / time.Duration(len(ids)), last, nil
-		}
-		hogWait, hogEnd, err := mean(hog.Token, hogIDs)
-		if err != nil {
-			return nil, err
-		}
-		casWait, casEnd, err := mean(casual.Token, casualIDs)
-		if err != nil {
-			return nil, err
+			return sum / time.Duration(len(jobs))
 		}
 		row := &FairShareRow{
 			Setup:          setup,
-			HogMeanWait:    hogWait,
-			CasualMeanWait: casWait,
-			Makespan:       maxDur(hogEnd, casEnd),
+			HogMeanWait:    mean(jobs[:hogJobs]),
+			CasualMeanWait: mean(jobs[hogJobs:]),
+			Makespan:       res.makespan,
 		}
-		if hogWait > 0 {
-			row.WaitRatio = float64(casWait) / float64(hogWait)
+		if row.HogMeanWait > 0 {
+			row.WaitRatio = float64(row.CasualMeanWait) / float64(row.HogMeanWait)
 		}
 		return row, nil
 	}
@@ -140,11 +87,4 @@ func RunFairShare(seed int64) ([]FairShareRow, *Table, error) {
 		})
 	}
 	return rows, table, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -18,22 +18,19 @@ var updateGolden = flag.Bool("update", false, "regenerate internal/experiments/t
 func TestSchedulingTablesGolden(t *testing.T) {
 	const seed = 42
 	var sb strings.Builder
-	_, e1 := RunTable1(seed)
-	sb.WriteString(e1.String())
-	_, a2 := RunShotRateSweep(seed)
-	sb.WriteString(a2.String())
-	_, a5 := RunPreemption(seed)
-	sb.WriteString(a5.String())
-	_, a8, err := RunDurationHints(seed)
-	if err != nil {
-		t.Fatal(err)
+	for _, run := range []func(int64) (*Table, error){
+		func(s int64) (*Table, error) { _, t, err := RunTable1(s); return t, err },
+		func(s int64) (*Table, error) { _, t, err := RunShotRateSweep(s); return t, err },
+		func(s int64) (*Table, error) { _, t, err := RunPreemption(s); return t, err },
+		func(s int64) (*Table, error) { _, t, err := RunDurationHints(s); return t, err },
+		func(s int64) (*Table, error) { _, t, err := RunFairShare(s); return t, err },
+	} {
+		table, err := run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.WriteString(table.String())
 	}
-	sb.WriteString(a8.String())
-	_, a9, err := RunFairShare(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.WriteString(a9.String())
 
 	path := filepath.Join("testdata", "scheduling.golden")
 	got := sb.String()

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"hpcqc/internal/daemon"
-	"hpcqc/internal/device"
 	"hpcqc/internal/sched"
-	"hpcqc/internal/simclock"
 )
 
 // HintsRow compares one within-class ordering policy on the same backlog.
@@ -29,103 +26,40 @@ type HintsRow struct {
 // every dev job regardless of its duration hint.
 func RunDurationHints(seed int64) ([]HintsRow, *Table, error) {
 	// A descending backlog is FIFO's worst case: everyone queues behind
-	// the big jobs that happened to arrive first.
-	devShots := []int{10, 300, 150, 80, 40, 20, 10, 5}
+	// the big jobs that happened to arrive first. At the default 1 Hz a job
+	// of n shots holds the QPU for n seconds.
+	devShots := []time.Duration{10, 300, 150, 80, 40, 20, 10, 5}
 	const prodShots = 30
 	prodArrival := 100 * time.Second
 
 	run := func(setup, scheduler string) (*HintsRow, error) {
-		clk := simclock.New()
-		dev, err := device.New(device.Config{Clock: clk, Seed: seed, DriftInterval: time.Hour})
-		if err != nil {
-			return nil, err
-		}
-		order, err := daemon.NewOrder(scheduler)
-		if err != nil {
-			return nil, err
-		}
-		dmn, err := daemon.NewDaemon(daemon.Config{
-			Devices: []*device.Device{dev}, Clock: clk, AdminToken: "admin",
-			EnablePreemption: true, Order: order, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sess, err := dmn.OpenSession("dev-user")
-		if err != nil {
-			return nil, err
-		}
-		var devIDs []string
+		// Submissions land in order with 1 s spacing so FIFO's arrival
+		// order is well defined.
+		var devs []*qpuJob
 		for i, shots := range devShots {
-			raw, err := figure2Program(shots).MarshalJSON()
-			if err != nil {
-				return nil, err
-			}
-			// Submissions land in order with 1 s spacing so FIFO's
-			// arrival order is well defined.
-			at := time.Duration(i) * time.Second
-			clk.Schedule(at, "submit-dev", func() {
-				j, err := dmn.Submit(sess.Token, daemon.SubmitRequest{
-					Program: raw, Class: sched.ClassDev,
-				})
-				if err == nil {
-					devIDs = append(devIDs, j.ID)
-				}
-			})
+			devs = append(devs, &qpuJob{user: "dev-user", class: sched.ClassDev, at: time.Duration(i) * time.Second,
+				segs: []segment{{true, shots * time.Second}}})
 		}
-		var prodID string
-		clk.Schedule(prodArrival, "submit-prod", func() {
-			raw, err := figure2Program(prodShots).MarshalJSON()
-			if err != nil {
-				return
-			}
-			j, err := dmn.Submit(sess.Token, daemon.SubmitRequest{
-				Program: raw, Class: sched.ClassProduction,
-			})
-			if err == nil {
-				prodID = j.ID
-			}
-		})
-		clk.RunUntil(6 * time.Hour)
-
-		row := &HintsRow{Setup: setup}
-		var lastEnd time.Duration
-		prevStart := time.Duration(-1)
-		for _, id := range devIDs {
-			j, err := dmn.JobStatus(sess.Token, id)
-			if err != nil {
-				return nil, err
-			}
-			if j.State != daemon.JobCompleted {
-				return nil, fmt.Errorf("experiments: dev job %s ended %s", id, j.State)
-			}
-			w := j.StartedAt - j.SubmittedAt
+		prod := &qpuJob{user: "dev-user", class: sched.ClassProduction, at: prodArrival,
+			segs: []segment{{true, prodShots * time.Second}}}
+		res, err := runQPU(qpuConfig{scheduler: scheduler, preempt: true, seed: seed}, append(devs, prod))
+		if err != nil {
+			return nil, err
+		}
+		// Waits run to the start of the run that completed, as the job's
+		// status reports it.
+		row := &HintsRow{Setup: setup, ProdWait: prod.last - prod.submit, Makespan: res.makespan}
+		for i, j := range devs {
+			w := j.last - j.submit
 			row.DevMeanWait += w
-			if w > row.DevMaxWait {
-				row.DevMaxWait = w
-			}
-			if j.FinishedAt > lastEnd {
-				lastEnd = j.FinishedAt
-			}
+			row.DevMaxWait = max(row.DevMaxWait, w)
 			// Count inversions of arrival order — zero under FIFO,
 			// positive when duration hints reorder the backlog.
-			if prevStart >= 0 && j.StartedAt < prevStart {
+			if i > 0 && j.last < devs[i-1].last {
 				row.OrderInverts++
 			}
-			prevStart = j.StartedAt
 		}
-		row.DevMeanWait /= time.Duration(len(devIDs))
-		if prodID != "" {
-			j, err := dmn.JobStatus(sess.Token, prodID)
-			if err != nil {
-				return nil, err
-			}
-			row.ProdWait = j.StartedAt - j.SubmittedAt
-			if j.FinishedAt > lastEnd {
-				lastEnd = j.FinishedAt
-			}
-		}
-		row.Makespan = lastEnd
+		row.DevMeanWait /= time.Duration(len(devs))
 		return row, nil
 	}
 

@@ -1,3 +1,6 @@
+// Package hybrid is the classical side of a hybrid job: MalleablePool, the
+// worker pool of the §2.4 malleability ablation (internal/experiments A7).
+// The quantum side — Table 1's segment chains — runs on the daemon itself.
 package hybrid
 
 import (

@@ -2,8 +2,8 @@
 // paper's middleware daemon adds below the HPC batch scheduler (§3.3, §3.5):
 // the priority classes with production preemption, the Table 1 workload-hint
 // taxonomy, and ClassQueue, the per-partition queue internal/daemon orders and
-// pops. It imports nothing outside the standard library; the hybrid-job
-// simulator that reproduces Table 1 lives in internal/hybrid.
+// pops. It imports nothing outside the standard library; Table 1's hybrid
+// jobs run through this queue too, driven by internal/experiments.
 package sched
 
 import "fmt"
