@@ -7,9 +7,6 @@ GO ?= go
 
 .PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick e2e-ab profile-serve profile-replay fuzz-smoke vet vet-trace check loc
 
-# Where bench-diff writes its fresh recording; override for parallel runs.
-BENCH_FRESH ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/hpcqc_bench_fresh.json
-
 build:
 	$(GO) build ./...
 
@@ -35,48 +32,20 @@ bench:
 BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkServedMixed|BenchmarkTSDBAppend$$|BenchmarkJobWireEncode
 BENCH_PKGS = . ./internal/daemon
 
-# bench-json records the fleet-scaling and load-generation benchmark
-# trajectory as machine-readable test2json events in BENCH_fleet.json, so
-# regressions in the dispatch and replay hot paths are diffable across
-# commits.
+# bench-json writes one run of the suite to BENCH_fleet.json as test2json
+# events: a record of that run on that machine, which no gate reads.
 bench-json:
 	$(GO) test -bench='$(BENCH_PATTERN)' \
 		-benchmem -run='^$$' -json $(BENCH_PKGS) > BENCH_fleet.json
 
-# bench-diff re-runs the bench-json suite into a scratch file and fails if
-# any jobs/wall-second or cells/wall-second throughput metric regressed >20%
-# against the committed BENCH_fleet.json — the CI gate that keeps the replay
-# and sweep hot paths from sliding back — or if the sweep's peak_heap_mb rose
-# >20% (benchdiff's lower-is-better rule: the bounded-memory contract). The
-# untraced, affinity and priority replay benchmarks plus the wide-matrix
-# sweep and saturation search are -required: renaming or dropping any of
-# them must fail the gate, not skip it. The priority benchmark's interleaved
-# slo-urgency/constant cost ratio is additionally capped at 10% by
-# benchdiff's priorityOverhead rule. The deep-backlog replay and the queue
-# pop layer benchmark are -required too; the latter is held to 0 allocs/op and
-# to ns/op at backlog depth 1e5 within 4x of depth 1e3 (benchdiff popFlatness).
-# The long unsaturated replay (1e5 jobs) is -required as well: its peak_heap_mb
-# falls under the same lower-is-better rule, which is what holds replay memory
-# at O(in-flight) rather than O(jobs seen). The served-submit benchmark, the
-# TSDB append pair and the job-reply encode are -required for presence (served
-# throughput over loopback HTTP is too noisy for the 20% rule; benchmark/
-# measures it in pairs), and BenchmarkTSDBAppend/bound is held to 0 allocs/op
-# beside the queue pop. The trace-decode layer benchmark is -required for
-# presence: it is where a record scanner that fell back to encoding/json on
-# every line would show (≈ 2 300 against ≈ 300 ns/record). What the served
-# path can be held to on any box is its request count: BenchmarkServedSubmit
-# must report http_requests_per_job (-require name:metric), and benchdiff
-# fails it above 1.5. The replay path's count is its heap allocations:
-# BenchmarkLoadgenReplayLong must report allocs_per_job, capped at 10. So is
-# the served path's beside an operator: BenchmarkServedMixed must report
-# allocs_per_job, capped at 340 (≈ 320; ≈ 400 when every submit decodes its
-# program again or every scrape renders the exposition twice).
+# bench-diff is the perf gate: the suite built at BASE and from the working
+# tree, run in PAIRS alternating pairs and judged by the rules in
+# cmd/benchdiff's package comment; -require names the benchmarks and metrics
+# the gate cannot do without. Ten pairs take ≈ 23 min on two cores.
 bench-diff:
-	$(GO) test -bench='$(BENCH_PATTERN)' \
-		-benchmem -run='^$$' -json $(BENCH_PKGS) > $(BENCH_FRESH)
-	$(GO) run ./cmd/benchdiff \
+	$(GO) run ./cmd/benchdiff -base $(BASE) -pairs $(PAIRS) \
 		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong:allocs_per_job,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkServedMixed:allocs_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
-		BENCH_fleet.json $(BENCH_FRESH)
+		'$(BENCH_PATTERN)' $(BENCH_PKGS)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a
 # module of its own, so `go test ./...` here does not reach it) compiling
@@ -86,16 +55,15 @@ bench-e2e-quick:
 	$(GO) test -C benchmark -short ./...
 	$(GO) run -C benchmark hpcqc/benchmark --seed 1 --quick
 
-# e2e-ab is the end-to-end half of the pair gate: the benchmark/ harness
-# built once at BASE (a git worktree under .bench_build/) and once from the
-# working tree, PAIRS alternating pairs of `--workload WORKLOAD --trace 0` on
-# seeds SEED, SEED+1, …, each BENCHMARK.json end-to-end metric judged by
-# experiments.RunDominance as better, worse or unresolved (cmd/benchdiff/e2e.go).
-# A pair takes two full runs: ≈ 50 s at run_seconds 22.
+# e2e-ab is the end-to-end half of the gate: the benchmark/ harness at BASE
+# and from the working tree, PAIRS alternating pairs of one untraced run of
+# WORKLOAD (default: of each workload in turn) on seeds SEED, SEED+1, …, each
+# BENCHMARK.json end-to-end metric judged by the same rules. A pair of one
+# workload takes two full runs: ≈ 50 s at run_seconds 22.
 PAIRS ?= 10
 SEED ?= 1
 e2e-ab:
-	$(GO) run ./cmd/benchdiff e2e -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
+	$(GO) run ./cmd/benchdiff e2e -base $(BASE) $(if $(WORKLOAD),-workload $(WORKLOAD)) -pairs $(PAIRS) -seed $(SEED)
 
 # profile-serve is the standing way to look inside the served path: CPU and
 # allocation profiles of BenchmarkServedSubmit (30 000 jobs, ~5 s), then of

@@ -1,150 +1,93 @@
-// Command benchdiff compares two test2json benchmark recordings (the
-// BENCH_fleet.json format written by `make bench-json`) and fails when a
-// throughput metric regresses past a threshold. It is the CI gate behind
-// `make bench-diff`: the committed baseline is the contract, a fresh run is
-// the candidate, and a >20 % drop in any jobs/wall-second metric is a build
-// failure rather than a silent slide.
+// Command benchdiff is the perf gate: it judges the working tree against a
+// base revision in alternating pairs of runs on one machine. From the
+// repository root:
 //
-// Usage:
+//	benchdiff -base REV [-pairs 10] [-require b1,b2:metric] PATTERN PKG...
+//	benchdiff e2e -base REV [-workload W] [-pairs 10] [-seed 1]
 //
-//	benchdiff [-require b1,b2] baseline.json fresh.json
-//	benchdiff e2e -base REV -workload W [-pairs 10] [-seed 1]
+// The first form runs the go test benchmarks matching PATTERN in each PKG,
+// the second the benchmark/ harness on one BENCHMARK.json workload or on each
+// in turn; alternate builds and runs both sides.
 //
-// The second form judges alternating end-to-end pairs instead (e2e.go).
+// One rule judges every relative metric: better (worse) when the change wins
+// (loses) at least 9 pairs in 10, ties counting for neither, and the medians
+// lie further apart than the base's interquartile range; otherwise, and
+// always below ten pairs, unresolved. e2e judges each BENCHMARK.json
+// end-to-end metric; the suite judges those in judged and fails on any worse.
 //
-// Only explicitly guarded metrics are compared; ns/op and sim-time metrics
-// vary with benchtime and fleet width in ways that are not regressions. The
-// higherMetrics set is higher-is-better (a drop past threshold fails); the
-// lowerMetrics set is lower-is-better (a rise fails) and guards the sweep
-// engine's peak-heap bound. The gate's numbers are constants below, not flags:
-// nothing ever set them. Benchmarks present in one file but not the other are
-// reported but never fail the diff, so adding or renaming a benchmark does
-// not require regenerating the baseline in the same commit — except the
-// benchmarks named by -require, which must appear in both files (by name, or
-// as the parent of sub-benchmarks; "name:metric" also requires that metric of
-// it): those are the gate's load-bearing
-// members, and silently dropping one (a renamed benchmark, a stale baseline)
-// would otherwise turn the gate into a no-op. Names are compared without the
-// -GOMAXPROCS suffix, so a baseline recorded on one core gates a run on four.
-//
-// Two intra-run rules ride along, both built on the same interleaved-ratio
-// construction: a benchmark runs its instrumented and baseline variants back
-// to back inside the same iterations and reports their cost ratio, which
-// makes the rule immune both to machine-speed noise across files and to the
-// heap-growth drift between benchmarks minutes apart in one run. The traced
-// replay benchmark reports trace_overhead_pct, capped by traceOverhead —
-// span emission is sold as allocation-lean observation, and this is where
-// that claim is enforced. The priority replay benchmark reports
-// priority_overhead_pct — the cost of slo-urgency's per-dispatch backlog
-// re-scoring over the constant policy's legacy pop — capped by
-// priorityOverhead: the deadline axis must stay a scheduling knob, not a
-// replay throughput tax. A count is capped beside them (see capped).
-//
-// A third intra-run rule holds the queue's indexed extraction to its
-// complexity claim: for every BenchmarkClassQueuePop/<path>, ns/op at backlog
-// depth 10⁵ may be at most popFlatness times ns/op at depth 10³, and no depth
-// may allocate. The no-allocation half also covers BenchmarkTSDBAppend/bound,
-// a sample through a bound TSDB handle (see mustNotAllocate).
+// The suite's exact rules hold on any box and read the change side's median
+// over its runs: capped, 0 allocs/op for popBench and boundAppendBench, and
+// popFlatness. Each -required benchmark (or parent of sub-benchmarks;
+// "name:metric" also requires the metric) must run on the change side, so
+// that renaming or dropping one fails the gate; one absent at the base
+// prints NEW. Names are compared without the -GOMAXPROCS suffix.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// event is the subset of a test2json line benchdiff needs.
-type event struct {
-	Action string `json:"Action"`
-	Output string `json:"Output"`
-}
+// results maps benchmark → metric unit → value.
+type results = map[string]map[string]float64
 
-// threshold is the maximum allowed fractional move, in the bad direction, of
-// a guarded metric against the baseline.
-const threshold = 0.20
+// judged are the suite's relative metrics, mapped to whether lower is better;
+// ns/op and sim-time metrics move with benchtime and fleet width, not code.
+var judged = map[string]bool{"jobs_per_wall_s": false, "replayed_jobs_per_wall_s": false,
+	"cells_per_wall_s": false, "peak_heap_mb": true}
 
-// higherMetrics are the guarded wall-clock throughput metrics: a drop past
-// the threshold fails.
-var higherMetrics = map[string]bool{"jobs_per_wall_s": true, "replayed_jobs_per_wall_s": true, "cells_per_wall_s": true}
-
-// lowerMetrics are the guarded lower-is-better metrics: a rise past the
-// threshold fails. peak_heap_mb is the sweep engine's bounded-memory contract
-// — the worker pool exists so a thousand-cell matrix holds a few cells of
-// scratch, not a goroutine per cell — and this is where that bound is
-// enforced.
-var lowerMetrics = map[string]bool{"peak_heap_mb": true}
-
-// traceOverhead and priorityOverhead cap the two interleaved cost ratios: the
-// traced replay over the untraced one, and the slo-urgency priority axis over
-// the constant default, each measured within one run.
-const traceOverhead, priorityOverhead = 0.10, 0.10
-
-// capped are the fresh run's readings held under a fixed limit: the two ratios
-// above, in percent, and three counts, the same on any box — a served job's
-// requests on the wire (a poll shared by a burst of 8 reads ≈ 1.2, one per job
-// ≥ 2), a replayed job's heap allocations (≈ 9 with owned clock events and a
-// reused routing snapshot, ≈ 20 without) and a served job's beside an
-// operator's scrapes (≈ 320 with a decode memo that holds the menu and one
-// rendering of the exposition per scrape, ≈ 470 without).
+// capped are readings held under a fixed limit. Two are cost ratios in
+// percent, both variants run back to back in the same iterations: traced over
+// untraced replay, and the slo-urgency priority axis over the constant one.
+// Three are counts: a served job's requests on the wire (≈ 1.2 with a poll
+// shared by a burst of 8, ≥ 2 with one per job), a replayed job's heap
+// allocations (≈ 9; ≈ 20 when clock events are not re-armed) and a served
+// job's beside an operator's scrapes (≈ 320; ≈ 470 without the decode memo
+// and the one rendering per scrape).
 var capped = []struct {
-	bench, metric, format string
-	limit                 float64
+	bench, metric string
+	limit         float64
 }{
-	{"BenchmarkLoadgenReplayTraced", "trace_overhead_pct",
-		"tracing overhead: %.1f%% traced-vs-untraced replay cost (limit %.0f%%)", traceOverhead * 100},
-	{"BenchmarkLoadgenReplayPriority", "priority_overhead_pct",
-		"priority overhead: %.1f%% slo-urgency-vs-constant replay cost (limit %.0f%%)", priorityOverhead * 100},
-	{"BenchmarkServedSubmit", "http_requests_per_job",
-		"served path: %.2f HTTP requests per job (limit %.1f)", 1.5},
-	{"BenchmarkLoadgenReplayLong", "allocs_per_job",
-		"replay path: %.1f heap allocations per job (limit %.0f)", 10},
-	{"BenchmarkServedMixed", "allocs_per_job",
-		"served path beside an operator: %.0f heap allocations per job (limit %.0f)", 340},
+	{"BenchmarkLoadgenReplayTraced", "trace_overhead_pct", 10},
+	{"BenchmarkLoadgenReplayPriority", "priority_overhead_pct", 10},
+	{"BenchmarkServedSubmit", "http_requests_per_job", 1.5},
+	{"BenchmarkLoadgenReplayLong", "allocs_per_job", 10},
+	{"BenchmarkServedMixed", "allocs_per_job", 340},
 }
 
-// parseFile reconstructs the benchmark result lines from a test2json stream
-// and returns metric values per benchmark: bench → metric unit → value.
+// parse reconstructs the benchmark result lines from a test2json stream.
 // test2json splits one logical result line across output events (the padded
 // name ends one event, the numbers arrive in the next), so the stream's
 // output text is reassembled before line parsing.
-func parseFile(path string) (map[string]map[string]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
+func parse(r io.Reader) (results, error) {
 	var text strings.Builder
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ev event
+		var ev struct{ Action, Output string }
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("%s: not a test2json stream: %w", path, err)
+			return nil, fmt.Errorf("not a test2json stream: %w", err)
 		}
 		if ev.Action == "output" {
 			text.WriteString(ev.Output)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	results := make(map[string]map[string]float64)
+	res := make(results)
 	for _, line := range strings.Split(text.String(), "\n") {
-		name, metrics, ok := parseResultLine(line)
-		if !ok {
-			continue
+		if name, metrics, ok := parseResultLine(line); ok {
+			res[name] = metrics
 		}
-		results[name] = metrics
 	}
-	return results, nil
+	return res, sc.Err()
 }
 
 // parseResultLine parses one `BenchmarkName  N  v1 unit1  v2 unit2 ...`
@@ -165,9 +108,6 @@ func parseResultLine(line string) (string, map[string]float64, bool) {
 		}
 		metrics[fields[i+1]] = v
 	}
-	if len(metrics) == 0 {
-		return "", nil, false
-	}
 	return stripProcs(fields[0]), metrics, true
 }
 
@@ -182,11 +122,11 @@ func stripProcs(name string) string {
 	return name
 }
 
-// has reports whether results hold the named benchmark or sub-benchmarks of
+// has reports whether res holds the named benchmark or sub-benchmarks of
 // it — reporting the metric, when the name is given as "Benchmark:metric".
-func has(results map[string]map[string]float64, name string) bool {
+func has(res results, name string) bool {
 	name, metric, _ := strings.Cut(name, ":")
-	for n, m := range results {
+	for n, m := range res {
 		if n != name && !strings.HasPrefix(n, name+"/") {
 			continue
 		}
@@ -204,13 +144,104 @@ func has(results map[string]map[string]float64, name string) bool {
 // 100×.
 const popFlatness = 4.0
 
-const popBench, boundAppendBench = "BenchmarkClassQueuePop/", "BenchmarkTSDBAppend/bound"
-
-// mustNotAllocate names the benchmarks held to 0 allocs/op: the per-dispatch
+// popBench and boundAppendBench are held to 0 allocs/op: the per-dispatch
 // queue pop and the per-sample bound TSDB append run once or many times per
 // job on the served path, where an allocation each is a GC cycle sooner.
-func mustNotAllocate(name string) bool {
-	return strings.HasPrefix(name, popBench) || name == boundAppendBench
+const popBench, boundAppendBench = "BenchmarkClassQueuePop/", "BenchmarkTSDBAppend/bound"
+
+// readings gathers each benchmark's metrics over runs, in run order.
+func readings(runs []results) map[string]map[string][]float64 {
+	out := make(map[string]map[string][]float64)
+	for _, res := range runs {
+		for name, metrics := range res {
+			if out[name] == nil {
+				out[name] = make(map[string][]float64)
+			}
+			for metric, v := range metrics {
+				out[name][metric] = append(out[name][metric], v)
+			}
+		}
+	}
+	return out
+}
+
+// judgeSuite writes the suite's verdicts to w and reports whether the gate
+// failed. runs[0] are the base's runs and runs[1] the change's, in pair order.
+func judgeSuite(w io.Writer, runs [2][]results, require []string) bool {
+	base, change := readings(runs[0]), readings(runs[1])
+	failed, med, tw := false, make(results), table(w)
+	for _, name := range sorted(change) {
+		med[name] = make(map[string]float64)
+		for _, metric := range sorted(change[name]) {
+			b, c := base[name][metric], change[name][metric]
+			_, med[name][metric], _ = quartiles(c)
+			if lower, ok := judged[metric]; ok && len(b) == len(c) && judge(tw, name+" "+metric, lower, b, c) == "worse" {
+				failed = true
+			}
+		}
+		if base[name] == nil {
+			fmt.Fprintf(tw, "%s\tNEW: absent at base\n", name)
+		}
+	}
+	tw.Flush()
+	for _, name := range require {
+		if name = strings.TrimSpace(name); name != "" && !has(med, name) {
+			fmt.Fprintf(w, "FAIL required benchmark %s absent from the change side\n", name)
+			failed = true
+		}
+	}
+	return exact(w, med) || failed
+}
+
+// exact writes a line per exact rule read on med and reports whether any
+// failed.
+func exact(w io.Writer, med results) bool {
+	failed := false
+	status := func(bad bool) string {
+		if bad {
+			failed = true
+			return "FAIL"
+		}
+		return "ok  "
+	}
+	for _, c := range capped {
+		if v, ok := med[c.bench][c.metric]; ok {
+			fmt.Fprintf(w, "%s %s %s: %.3g (limit %g)\n", status(v > c.limit), c.bench, c.metric, v, c.limit)
+		}
+	}
+	const deep, shallow = "/depth=100000", "/depth=1000"
+	for _, name := range sorted(med) {
+		if !strings.HasPrefix(name, popBench) && name != boundAppendBench {
+			continue
+		}
+		m := med[name]
+		if allocs := m["allocs/op"]; allocs > 0 {
+			fmt.Fprintf(w, "%s %s: %g allocs/op, want 0\n", status(true), name, allocs)
+		}
+		path, isDeep := strings.CutSuffix(name, deep)
+		if !isDeep {
+			continue
+		}
+		base, ok := med[path+shallow]
+		if !ok || base["ns/op"] <= 0 {
+			fmt.Fprintf(w, "%s %s: no %s sibling to compare against\n", status(true), name, shallow)
+			continue
+		}
+		ratio := m["ns/op"] / base["ns/op"]
+		fmt.Fprintf(w, "%s pop flatness %s: %.0f ns/op at depth 1e5 vs %.0f at 1e3 (%.1fx, limit %.0fx)\n",
+			status(ratio > popFlatness), strings.TrimPrefix(path, popBench), m["ns/op"], base["ns/op"], ratio, popFlatness)
+	}
+	return failed
+}
+
+// sorted returns m's keys in order, which keeps the output stable.
+func sorted[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func main() {
@@ -221,145 +252,50 @@ func main() {
 		}
 		return
 	}
-	require := flag.String("require", "", "comma-separated benchmarks that must be present in both files")
+	base := flag.String("base", "", "git revision the working tree is compared against")
+	n := flag.Int("pairs", 10, "alternating base/change pairs of runs")
+	require := flag.String("require", "", "comma-separated benchmarks (or benchmark:metric) the change side must report")
 	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-require b1,b2] baseline.json fresh.json")
+	if *base == "" || *n < 1 || flag.NArg() < 2 {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff -base REV [-pairs N] [-require b1,b2:metric] PATTERN PKG...")
 		os.Exit(2)
 	}
-	baseline, err := parseFile(flag.Arg(0))
+	pattern, pkgs := flag.Arg(0), flag.Args()[1:]
+	bin := func(dir string, side, pkg int) string {
+		return filepath.Join(dir, fmt.Sprintf("side%d-pkg%d.test", side, pkg))
+	}
+	var runs [2][]results
+	err := alternate(*base, "suite", *n, func(side int, tree, dir string) error {
+		for i, pkg := range pkgs {
+			if err := command(tree, os.Stderr, "go", "test", "-c", "-o", bin(dir, side, i), pkg); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, func(p, side int, tree, dir string) error {
+		var out bytes.Buffer
+		// A test binary runs in its package's directory, as under go test.
+		for i, pkg := range pkgs {
+			if err := command(filepath.Join(tree, pkg), &out, "go", "tool", "test2json", "-p", pkg, bin(dir, side, i),
+				"-test.v=test2json", "-test.run=^$", "-test.bench="+pattern, "-test.benchmem", "-test.timeout=1h"); err != nil {
+				return err
+			}
+		}
+		res, err := parse(&out)
+		runs[side] = append(runs[side], res)
+		return err
+	})
+	if err == nil && len(runs[1][0]) == 0 {
+		err = fmt.Errorf("no benchmark matched %q on the change side", pattern)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	fresh, err := parseFile(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-	// Required benchmarks must exist on both sides before any comparison:
-	// a missing one means the gate would silently stop guarding it.
-	for _, name := range strings.Split(*require, ",") {
-		if name = strings.TrimSpace(name); name == "" {
-			continue
-		}
-		missing := false
-		if !has(baseline, name) {
-			fmt.Fprintf(os.Stderr, "benchdiff: required benchmark %s absent from baseline %s\n", name, flag.Arg(0))
-			missing = true
-		}
-		if !has(fresh, name) {
-			fmt.Fprintf(os.Stderr, "benchdiff: required benchmark %s absent from fresh run %s\n", name, flag.Arg(1))
-			missing = true
-		}
-		if missing {
-			os.Exit(1)
-		}
-	}
-
-	benches := make([]string, 0, len(baseline))
-	for name := range baseline {
-		benches = append(benches, name)
-	}
-	sort.Strings(benches) // keeps the diff log stable across runs
-
-	failed := false
-	compared := 0
-	for _, name := range benches {
-		fm, ok := fresh[name]
-		if !ok {
-			fmt.Printf("SKIP %s: absent from fresh run\n", name)
-			continue
-		}
-		for metric, base := range baseline[name] {
-			if (!higherMetrics[metric] && !lowerMetrics[metric]) || base <= 0 {
-				continue
-			}
-			cur, ok := fm[metric]
-			if !ok {
-				fmt.Printf("SKIP %s %s: absent from fresh run\n", name, metric)
-				continue
-			}
-			compared++
-			change := (cur - base) / base
-			status := "ok  "
-			// Higher-is-better fails on a drop; lower-is-better on a rise.
-			if lowerMetrics[metric] {
-				if change > threshold {
-					status = "FAIL"
-					failed = true
-				}
-			} else if change < -threshold {
-				status = "FAIL"
-				failed = true
-			}
-			fmt.Printf("%s %s %s: baseline %.0f, fresh %.0f (%+.1f%%)\n",
-				status, name, metric, base, cur, change*100)
-		}
-	}
-	for name := range fresh {
-		if _, ok := baseline[name]; !ok {
-			fmt.Printf("NEW  %s: absent from baseline\n", name)
-		}
-	}
-	// Capped readings of the fresh run alone (see capped).
-	for _, c := range capped {
-		v, ok := fresh[c.bench][c.metric]
-		if !ok {
-			continue
-		}
-		compared++
-		status := "ok  "
-		if v > c.limit {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Printf(status+" "+c.format+"\n", v, c.limit)
-	}
-	// Zero-allocation and pop-flatness rules: the queue's extraction cost
-	// across backlog depths, measured within the fresh run.
-	const deep, shallow = "/depth=100000", "/depth=1000"
-	var held []string
-	for name := range fresh {
-		if mustNotAllocate(name) {
-			held = append(held, name)
-		}
-	}
-	sort.Strings(held)
-	for _, name := range held {
-		m := fresh[name]
-		if allocs := m["allocs/op"]; allocs > 0 {
-			failed = true
-			fmt.Printf("FAIL %s: %.0f allocs/op, want 0\n", name, allocs)
-		}
-		path, isDeep := strings.CutSuffix(name, deep)
-		if !isDeep {
-			continue
-		}
-		base, ok := fresh[path+shallow]
-		if !ok || base["ns/op"] <= 0 {
-			failed = true
-			fmt.Printf("FAIL %s: no %s sibling to compare against\n", name, shallow)
-			continue
-		}
-		compared++
-		ratio := m["ns/op"] / base["ns/op"]
-		status := "ok  "
-		if ratio > popFlatness {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%s pop flatness %s: %.0f ns/op at depth 1e5 vs %.0f at 1e3 (%.1fx, limit %.0fx)\n",
-			status, strings.TrimPrefix(path, popBench), m["ns/op"], base["ns/op"], ratio, popFlatness)
-	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: no guarded metrics in common — wrong files?")
-		os.Exit(2)
-	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchdiff: benchmark gate failed (threshold %.0f%% vs %s, tracing overhead limit %.0f%%, priority overhead limit %.0f%%)\n",
-			threshold*100, flag.Arg(0), traceOverhead*100, priorityOverhead*100)
+	fmt.Printf("benchdiff: base %s vs working tree, %d pairs, %s in %s\n", *base, *n, pattern, strings.Join(pkgs, " "))
+	if judgeSuite(os.Stdout, runs, strings.Split(*require, ",")) {
+		fmt.Fprintln(os.Stderr, "benchdiff: benchmark gate failed")
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: %d guarded metrics within %.0f%% of baseline\n", compared, threshold*100)
+	fmt.Println("benchdiff: no judged metric worse, every exact rule holds")
 }
