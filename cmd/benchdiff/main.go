@@ -267,7 +267,7 @@ func main() {
 	var runs [2][]results
 	err := alternate(*base, "suite", *n, func(side int, tree, dir string) error {
 		for i, pkg := range pkgs {
-			if err := command(tree, os.Stderr, "go", "test", "-c", "-o", bin(dir, side, i), pkg); err != nil {
+			if err := goBuild(side, tree, bin(dir, side, i), pkg, "test", "-c"); err != nil {
 				return err
 			}
 		}

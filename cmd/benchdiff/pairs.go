@@ -1,6 +1,7 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -140,7 +141,7 @@ func e2e(args []string) error {
 	var bins [2]string
 	err = alternate(*base, "e2e", *n, func(side int, tree, dir string) error {
 		bins[side] = filepath.Join(dir, fmt.Sprintf("side%d.bench", side))
-		return command(tree, os.Stderr, "go", "build", "-C", "benchmark", "-o", bins[side], "hpcqc/benchmark")
+		return goBuild(side, tree, bins[side], "hpcqc/benchmark", "build", "-C", "benchmark")
 	}, func(p, side int, tree, dir string) error {
 		s, res := *seed+int64(p), make(results)
 		for i, w := range workloads {
@@ -187,6 +188,20 @@ func command(dir string, stdout io.Writer, name string, args ...string) error {
 		return fmt.Errorf("%s %v: %w", name, args, err)
 	}
 	return nil
+}
+
+// goBuild runs `go <verb> -trimpath -buildvcs=false -o out pkg` in tree, so
+// both sides' binaries differ only where their sources do — a worktree's VCS
+// stamp would be the enclosing checkout's — and prints out's SHA-256.
+func goBuild(side int, tree, out, pkg string, verb ...string) error {
+	if err := command(tree, os.Stderr, "go", append(verb, "-trimpath", "-buildvcs=false", "-o", out, pkg)...); err != nil {
+		return err
+	}
+	data, err := os.ReadFile(out)
+	if err == nil {
+		fmt.Printf("benchdiff: %s %s sha256 %x\n", []string{"base", "change"}[side], filepath.Base(out), sha256.Sum256(data))
+	}
+	return err
 }
 
 func readJSON(path string, v any) error {

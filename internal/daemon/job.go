@@ -301,17 +301,7 @@ func (d *Daemon) finishLocked(j *Job, state JobState, err error) bool {
 func (d *Daemon) emitTerminalSpans(j *Job, prior JobState) {
 	cls := j.Class.String()
 	if j.State != JobRejected {
-		// Deadline-carrying jobs annotate their terminal span with the
-		// verdict; jobs without a deadline keep the bare detail, so traces
-		// from deadline-less runs are unchanged.
-		detail := string(j.State)
-		if j.DeadlineSeconds > 0 {
-			if j.State == JobCompleted && j.FinishedAt <= j.SubmittedAt+simclock.Seconds(j.DeadlineSeconds) {
-				detail += " deadline=hit"
-			} else {
-				detail += " deadline=miss"
-			}
-		}
+		detail := terminalDetail(j)
 		stage, start := trace.StageExecute, j.StartedAt
 		if prior == JobQueued {
 			// Cancelled while waiting — or an orphaned completion whose
@@ -325,4 +315,21 @@ func (d *Daemon) emitTerminalSpans(j *Job, prior JobState) {
 		d.emitSpan(trace.Span{Job: j.ID, Stage: terminalMark(j.State), Class: cls, Device: j.Device,
 			Start: j.FinishedAt, End: j.FinishedAt})
 	}
+}
+
+// terminalDetail annotates a completed, failed or cancelled job's terminal
+// span: its state, plus the verdict when it carries a deadline — a constant
+// either way, so the traced path builds no string.
+func terminalDetail(j *Job) string {
+	switch {
+	case j.DeadlineSeconds <= 0:
+		return string(j.State)
+	case j.State == JobCompleted && j.FinishedAt <= j.SubmittedAt+simclock.Seconds(j.DeadlineSeconds):
+		return "completed deadline=hit"
+	case j.State == JobCompleted:
+		return "completed deadline=miss"
+	case j.State == JobFailed:
+		return "failed deadline=miss"
+	}
+	return "cancelled deadline=miss"
 }

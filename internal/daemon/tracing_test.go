@@ -437,3 +437,28 @@ func TestTraceSpanJSONShape(t *testing.T) {
 		t.Fatalf("round-trip span = %+v", round)
 	}
 }
+
+// TestTerminalDetailIsConstant pins every terminal span detail to the state
+// plus, on a deadline-carrying job, its verdict — spelled as the state and
+// " deadline=hit|miss" — and checks none of them is built per call.
+func TestTerminalDetailIsConstant(t *testing.T) {
+	for _, state := range []JobState{JobCompleted, JobFailed, JobCancelled} {
+		for _, tc := range []struct {
+			deadline, took float64
+			verdict        string
+		}{{0, 5, ""}, {10, 5, " deadline=hit"}, {10, 10, " deadline=hit"}, {10, 11, " deadline=miss"}} {
+			j := &Job{State: state, DeadlineSeconds: tc.deadline, SubmittedAt: time.Minute,
+				FinishedAt: time.Minute + simclock.Seconds(tc.took)}
+			want := string(state) + tc.verdict
+			if state != JobCompleted && tc.verdict != "" {
+				want = string(state) + " deadline=miss"
+			}
+			if got := terminalDetail(j); got != want {
+				t.Errorf("%s deadline=%g took=%g: detail %q, want %q", state, tc.deadline, tc.took, got, want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { _ = terminalDetail(j) }); allocs != 0 {
+				t.Errorf("%s deadline=%g: %v allocations", state, tc.deadline, allocs)
+			}
+		}
+	}
+}

@@ -122,13 +122,16 @@ func (cfg *ReplayConfig) label() string {
 }
 
 // preparedTrace is a trace decoded once for many replays: per-record classes
-// and program payloads resolved up front, plus the distinct submitters in
+// and program indices resolved up front, plus the distinct submitters in
 // first-appearance order. Every field is immutable after prepareTrace
 // returns, so one preparedTrace is shared read-only across all workers of a
 // sweep or saturation search.
 type preparedTrace struct {
-	tr       *Trace
-	classes  []sched.Class
+	tr      *Trace
+	classes []sched.Class
+	// programs indexes each record's payload in payloads, the trace's
+	// distinct serialized programs: four bytes a record, not a slice header.
+	programs []uint32
 	payloads [][]byte
 	users    []string
 }
@@ -144,9 +147,10 @@ func prepareTrace(tr *Trace) (*preparedTrace, error) {
 	p := &preparedTrace{
 		tr:       tr,
 		classes:  make([]sched.Class, len(tr.Records)),
-		payloads: make([][]byte, len(tr.Records)),
+		programs: make([]uint32, len(tr.Records)),
 	}
 	seen := make(map[string]bool)
+	index := make(map[[2]int]uint32)
 	for i := range tr.Records {
 		rec := &tr.Records[i]
 		class, err := rec.ParsedClass()
@@ -154,11 +158,16 @@ func prepareTrace(tr *Trace) (*preparedTrace, error) {
 			return nil, err
 		}
 		p.classes[i] = class
-		payload, err := sharedPrograms.payload(rec.Qubits, rec.Shots)
-		if err != nil {
-			return nil, err
+		key := [2]int{rec.Qubits, rec.Shots}
+		if _, ok := index[key]; !ok {
+			payload, err := sharedPrograms.payload(rec.Qubits, rec.Shots)
+			if err != nil {
+				return nil, err
+			}
+			index[key] = uint32(len(p.payloads))
+			p.payloads = append(p.payloads, payload)
 		}
-		p.payloads[i] = payload
+		p.programs[i] = index[key]
 		if !seen[rec.User] {
 			seen[rec.User] = true
 			p.users = append(p.users, rec.User)
@@ -337,7 +346,7 @@ func (r *replayRun) run() (*Report, error) {
 func (r *replayRun) submit(i int) {
 	rec := &r.prep.tr.Records[i]
 	_, err := r.d.Submit(r.sessions[rec.User].Token, daemon.SubmitRequest{
-		Program:            r.prep.payloads[i],
+		Program:            r.prep.payloads[r.prep.programs[i]],
 		Class:              r.prep.classes[i],
 		Pattern:            sched.Pattern(rec.Pattern),
 		Source:             "loadgen",

@@ -1,10 +1,12 @@
 package loadgen
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"hpcqc/internal/daemon"
+	"hpcqc/internal/sched"
 	"hpcqc/internal/telemetry"
 	"hpcqc/internal/trace"
 )
@@ -27,28 +29,24 @@ type Quantiles struct {
 // round(1.0) = 1) while p95/p99 take the upper; at N=100 the p50/p95/p99 are
 // the 50th/95th/99th order statistics.
 func quantiles(samples []float64) Quantiles {
-	if len(samples) == 0 {
-		return Quantiles{}
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return quantilesSorted(s)
+	return quantilesInPlace(append([]float64(nil), samples...))
 }
 
-// quantilesSorted is quantiles for an already-sorted slice the caller owns.
-func quantilesSorted(s []float64) Quantiles {
-	if len(s) == 0 {
+// quantilesInPlace is quantiles of a scratch slice the caller owns, which it
+// sorts.
+func quantilesInPlace(s []float64) Quantiles {
+	sort.Float64s(s)
+	return pickQuantiles(len(s), func(i int) float64 { return s[i] })
+}
+
+// pickQuantiles applies the nearest-rank convention to n sorted samples, of
+// which at reads the i-th (0-based); only the three picked ranks are read.
+func pickQuantiles(n int, at func(i int) float64) Quantiles {
+	if n == 0 {
 		return Quantiles{}
 	}
 	pick := func(p float64) float64 {
-		i := int(p*float64(len(s))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
+		return at(min(max(int(p*float64(n)+0.5)-1, 0), n-1))
 	}
 	return Quantiles{P50: pick(0.50), P95: pick(0.95), P99: pick(0.99)}
 }
@@ -178,29 +176,48 @@ type Report struct {
 	PerDevice map[string]*DeviceSLO `json:"per_device"`
 }
 
-// jobTrack is the analyzer's per-job lifecycle accumulator.
+// jobTrack is the analyzer's per-job lifecycle accumulator, what the peak heap
+// holds per job seen: pointer-free, so the GC never scans the slab behind it.
 type jobTrack struct {
-	class string
-	// requested is the submitted class when admission down-classed or shed
-	// the job; empty when it equals class.
-	requested  string
-	device     string
-	submitted  time.Duration
-	firstStart time.Duration
-	started    bool
-	finished   time.Duration
-	state      daemon.JobState
-	terminal   bool
-	rejected   bool
-	preempts   int
-	expected   float64
+	submitted, firstStart, finished time.Duration
+	expected                        float64
 	// deadline is the job's relative completion deadline in seconds (0 =
 	// none) — the deadline-hit accounting key.
 	deadline float64
-	// cacheHits/cacheMisses count this job's per-dispatch program-cache
-	// outcomes (several when preemption re-dispatches it).
-	cacheHits   int
-	cacheMisses int
+	device   uint32 // index into Analyzer.devices
+	// preempts and per-dispatch program-cache outcomes (preemption re-dispatches)
+	preempts, cacheHits, cacheMisses int32
+	// class and requested are sched.Class values; requested differs only
+	// when admission down-classed the job.
+	class, requested  uint8
+	state             trackState // once terminal
+	started, terminal bool
+}
+
+// trackState is a terminal track's state; trackOther counts nowhere.
+type trackState uint8
+
+const (
+	trackOther trackState = iota
+	trackCompleted
+	trackFailed
+	trackCancelled
+	trackRejected
+)
+
+// finishedStates maps the states a job finishes in onto track states.
+var finishedStates = map[daemon.JobState]trackState{
+	daemon.JobCompleted: trackCompleted, daemon.JobFailed: trackFailed, daemon.JobCancelled: trackCancelled}
+
+// spanStages are the pipeline stages the attribution keeps, in table order.
+var spanStages = [...]trace.Stage{trace.StageValidate, trace.StageAdmission, trace.StageRoute,
+	trace.StageQueued, trace.StageRequeued, trace.StageExecute}
+
+// stageCell is one class's spans of one stage: zero-length ones (a replay's
+// validate, admission and route spans) counted, others kept in emission order.
+type stageCell struct {
+	zeros int
+	durs  []time.Duration
 }
 
 // Analyzer folds daemon job lifecycle events into SLO distributions. Attach
@@ -217,34 +234,26 @@ type Analyzer struct {
 	// the backlog, not the trace. The tracks themselves stay in the slab, in
 	// submission order, for Report.
 	jobs          map[string]*jobTrack
-	preemptByDev  map[string]int
 	preempts      int
 	requeues      int
 	crossRequeues int
 	terminal      int
 	lastTerminal  time.Duration
 
-	mWait, mSlowdown *telemetry.Metric
+	// devices is the run's device table, which tracks index into.
+	devices      []string
+	preemptByDev map[string]int
+
 	// Pre-bound per-class series: one job finishing observes at most two
 	// histograms, and binding at construction keeps label-map allocation and
-	// key rendering out of that per-job path. Nil maps (no registry) and nil
-	// entries both no-op.
-	bWait, bSlowdown map[string]*telemetry.BoundSeries
+	// key rendering out of that per-job path. Nil entries (no registry) no-op.
+	bWait, bSlowdown [sched.ClassProduction + 1]*telemetry.BoundSeries
 
-	// stages accumulates per-class per-stage duration samples from pipeline
-	// spans (class → stage → seconds), populated when ObserveSpan is wired as
-	// the daemon's span listener. Samples arrive in emission order — the
-	// deterministic single-goroutine replay order — so the report's stage
-	// quantiles are byte-stable.
-	// Samples stay in the emission unit (time.Duration) — the float64
-	// seconds conversion happens once per sample at Report time, not on the
-	// per-span hot path.
-	stages map[string]map[trace.Stage][]time.Duration
-	// lastClass/lastStages memoize the most recent class lookup: spans for
-	// one job arrive back-to-back, so consecutive samples usually share a
-	// class and skip the outer map hash.
-	lastClass  string
-	lastStages map[trace.Stage][]time.Duration
+	// stages is the stage-latency attribution, populated when ObserveSpan is
+	// wired as the daemon's span listener: one cell per class and stage.
+	// Durations stay in the emission unit — the float64 seconds conversion
+	// happens at Report time, not on the per-span hot path.
+	stages [sched.ClassProduction + 1][len(spanStages)]stageCell
 
 	// chunks is the slab allocator behind jobTrack records: fixed-size blocks
 	// handed out sequentially, retained across Reset so a pooled analyzer
@@ -269,6 +278,16 @@ func (a *Analyzer) newTrack() *jobTrack {
 	return t
 }
 
+// device returns the device-table index of id, adding it on first sight. The
+// scan costs what a routing pick's walk over the same fleet already costs.
+func (a *Analyzer) device(id string) uint32 {
+	i := slices.Index(a.devices, id)
+	if i < 0 {
+		i, a.devices = len(a.devices), append(a.devices, id)
+	}
+	return uint32(i)
+}
+
 // Reset clears the analyzer for a fresh replay while retaining every
 // allocation it has made — maps, stage sample slices and the track slab. This
 // is the state-pooling hook behind the sweep engine: a thousand-cell sweep
@@ -278,13 +297,13 @@ func (a *Analyzer) newTrack() *jobTrack {
 func (a *Analyzer) Reset() {
 	clear(a.jobs)
 	clear(a.preemptByDev)
+	a.devices = a.devices[:0]
 	a.preempts, a.requeues, a.crossRequeues, a.terminal = 0, 0, 0, 0
 	a.lastTerminal = 0
 	a.used = 0
-	a.lastClass, a.lastStages = "", nil
-	for _, byStage := range a.stages {
-		for stage, samples := range byStage {
-			byStage[stage] = samples[:0]
+	for c := range a.stages {
+		for i, cell := range a.stages[c] {
+			a.stages[c][i] = stageCell{durs: cell.durs[:0]}
 		}
 	}
 }
@@ -296,15 +315,13 @@ func NewAnalyzer(reg *telemetry.Registry) *Analyzer {
 		preemptByDev: make(map[string]int),
 	}
 	if reg != nil {
-		a.mWait = reg.MustHistogram("loadgen_wait_seconds", "Job queue wait by class under generated load.",
+		mWait := reg.MustHistogram("loadgen_wait_seconds", "Job queue wait by class under generated load.",
 			[]float64{1, 5, 15, 60, 300, 1800, 7200})
-		a.mSlowdown = reg.MustHistogram("loadgen_slowdown", "Job slowdown (turnaround / expected service) by class.",
+		mSlowdown := reg.MustHistogram("loadgen_slowdown", "Job slowdown (turnaround / expected service) by class.",
 			[]float64{1, 1.5, 2, 3, 5, 8, 16, 64})
-		a.bWait = make(map[string]*telemetry.BoundSeries, 3)
-		a.bSlowdown = make(map[string]*telemetry.BoundSeries, 3)
-		for _, class := range []string{"production", "test", "dev"} {
-			a.bWait[class] = a.mWait.Bind(telemetry.Labels{"class": class})
-			a.bSlowdown[class] = a.mSlowdown.Bind(telemetry.Labels{"class": class})
+		for c := sched.ClassProduction; c >= sched.ClassDev; c-- {
+			a.bWait[c] = mWait.Bind(telemetry.Labels{"class": c.String()})
+			a.bSlowdown[c] = mSlowdown.Bind(telemetry.Labels{"class": c.String()})
 		}
 	}
 	return a
@@ -318,26 +335,21 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 	switch ev.Type {
 	case daemon.JobEventSubmitted:
 		t := a.newTrack()
-		t.class = ev.Job.Class.String()
-		t.device = ev.Job.Device
+		t.class, t.requested = uint8(ev.Job.Class), uint8(ev.Job.RequestedClass)
+		t.device = a.device(ev.Job.Device)
 		t.submitted = ev.Job.SubmittedAt
 		t.expected = ev.Job.ExpectedQPUSeconds
 		t.deadline = ev.Job.DeadlineSeconds
-		if ev.Job.RequestedClass != ev.Job.Class {
-			t.requested = ev.Job.RequestedClass.String()
-		}
 		a.jobs[ev.Job.ID] = t
 	case daemon.JobEventRejected:
 		// Shed submissions are terminal from birth: they count as offered
 		// load (for shed rates) but never enter the wait distributions — or
 		// the in-flight index.
 		t := a.newTrack()
-		t.class = ev.Job.Class.String()
+		t.class = uint8(ev.Job.Class)
 		t.submitted = ev.Job.SubmittedAt
 		t.expected = ev.Job.ExpectedQPUSeconds
-		t.state = daemon.JobRejected
-		t.terminal = true
-		t.rejected = true
+		t.state, t.terminal = trackRejected, true
 		t.finished = ev.At
 		a.terminal++
 		if ev.At > a.lastTerminal {
@@ -370,10 +382,11 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 	case daemon.JobEventRequeued:
 		a.requeues++
 		if t := a.jobs[ev.Job.ID]; t != nil {
-			if ev.Job.Device != t.device {
+			dev := a.device(ev.Job.Device)
+			if dev != t.device {
 				a.crossRequeues++
 			}
-			t.device = ev.Job.Device
+			t.device = dev
 		}
 	case daemon.JobEventFinished:
 		t := a.jobs[ev.Job.ID]
@@ -381,10 +394,9 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 			return
 		}
 		delete(a.jobs, ev.Job.ID)
-		t.terminal = true
-		t.state = ev.Job.State
+		t.state, t.terminal = finishedStates[ev.Job.State], true
 		t.finished = ev.At
-		t.device = ev.Job.Device
+		t.device = a.device(ev.Job.Device)
 		a.terminal++
 		if ev.At > a.lastTerminal {
 			a.lastTerminal = ev.At
@@ -392,7 +404,7 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 		if t.started {
 			a.bWait[t.class].Observe((t.firstStart - t.submitted).Seconds())
 		}
-		if ev.Job.State == daemon.JobCompleted && t.expected > 0 {
+		if t.state == trackCompleted && t.expected > 0 {
 			a.bSlowdown[t.class].Observe((t.finished - t.submitted).Seconds() / t.expected)
 		}
 	}
@@ -400,33 +412,21 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 
 // ObserveSpan consumes one pipeline span — wire it as (or inside) the
 // daemon's Config.SpanListener to get stage-latency attribution in the
-// report. Occupancy spans and instant lifecycle marks are skipped; what
-// accumulates is where each job's seconds went, per class and stage. Like
-// Observe, not safe for concurrent use with itself.
+// report. Occupancy spans, instant lifecycle marks and spans of no known
+// class are skipped; what accumulates is where each job's seconds went, per
+// class and stage. Like Observe, not safe for concurrent use with itself.
 func (a *Analyzer) ObserveSpan(s trace.Span) {
-	switch s.Stage {
-	case trace.StageValidate, trace.StageAdmission, trace.StageRoute,
-		trace.StageQueued, trace.StageRequeued, trace.StageExecute:
-	default:
+	stage := slices.Index(spanStages[:], s.Stage)
+	class, err := sched.ParseClass(s.Class)
+	if stage < 0 || err != nil {
 		return
 	}
-	byStage := a.lastStages
-	if byStage == nil || a.lastClass != s.Class {
-		if a.stages == nil {
-			a.stages = make(map[string]map[trace.Stage][]time.Duration, 3)
-		}
-		byStage = a.stages[s.Class]
-		if byStage == nil {
-			byStage = make(map[trace.Stage][]time.Duration, 6)
-			a.stages[s.Class] = byStage
-		}
-		a.lastClass, a.lastStages = s.Class, byStage
+	cell := &a.stages[class][stage]
+	if d := s.End - s.Start; d != 0 {
+		cell.durs = append(cell.durs, d)
+	} else {
+		cell.zeros++
 	}
-	samples := byStage[s.Stage]
-	if cap(samples) == 0 {
-		samples = make([]time.Duration, 0, 128)
-	}
-	byStage[s.Stage] = append(samples, s.End-s.Start)
 }
 
 // Counts reports (accepted, terminal) job totals — the replay driver's drain
@@ -435,7 +435,7 @@ func (a *Analyzer) Counts() (submitted, terminal int) {
 	return a.used, a.terminal
 }
 
-// Report aggregates the distributions observed so far.
+// Report aggregates the distributions observed so far; it sorts only scratch.
 func (a *Analyzer) Report() *Report {
 	rep := &Report{
 		Preemptions:     a.preempts,
@@ -445,27 +445,33 @@ func (a *Analyzer) Report() *Report {
 		PerClass:        make(map[string]*ClassSLO),
 		PerDevice:       make(map[string]*DeviceSLO),
 	}
-	waits := make(map[string][]float64)
-	slowdowns := make(map[string][]float64)
-	lateness := make(map[string][]float64)
+	var waits, slowdowns, lateness [sched.ClassProduction + 1][]float64
 	// offered counts submissions by the class they were *submitted* at —
 	// the shed-rate denominator (a down-classed test job was offered at
 	// test even though it ran at dev).
-	offered := make(map[string]int)
-	classSLO := func(name string) *ClassSLO {
-		c := rep.PerClass[name]
-		if c == nil {
-			c = &ClassSLO{}
-			rep.PerClass[name] = c
+	var offered [sched.ClassProduction + 1]int
+	var classes [sched.ClassProduction + 1]*ClassSLO
+	classSLO := func(class uint8) *ClassSLO {
+		if classes[class] == nil {
+			classes[class] = &ClassSLO{}
+			rep.PerClass[sched.Class(class).String()] = classes[class]
 		}
-		return c
+		return classes[class]
+	}
+	deviceSLO := func(id string) *DeviceSLO {
+		dv := rep.PerDevice[id]
+		if dv == nil {
+			dv = &DeviceSLO{}
+			rep.PerDevice[id] = dv
+		}
+		return dv
 	}
 	for i := 0; i < a.used; i++ {
 		t := &a.chunks[i/trackChunkSize][i%trackChunkSize]
 		rep.Jobs++
 		c := classSLO(t.class)
 		c.Jobs++
-		if t.rejected {
+		if t.state == trackRejected {
 			// Shed at the door: offered-load accounting only; no device,
 			// wait or slowdown samples.
 			rep.Rejected++
@@ -473,24 +479,18 @@ func (a *Analyzer) Report() *Report {
 			offered[t.class]++
 			continue
 		}
-		if t.requested != "" {
+		if t.requested != t.class {
 			rep.Downgraded++
 			classSLO(t.requested).Downgraded++
-			offered[t.requested]++
-		} else {
-			offered[t.class]++
 		}
-		c.Preemptions += t.preempts
-		dv := rep.PerDevice[t.device]
-		if dv == nil {
-			dv = &DeviceSLO{}
-			rep.PerDevice[t.device] = dv
-		}
+		offered[t.requested]++
+		c.Preemptions += int(t.preempts)
+		dv := deviceSLO(a.devices[t.device])
 		dv.Jobs++
-		c.CacheHits += t.cacheHits
-		c.CacheMisses += t.cacheMisses
-		rep.ProgramCacheHits += t.cacheHits
-		rep.ProgramCacheMisses += t.cacheMisses
+		c.CacheHits += int(t.cacheHits)
+		c.CacheMisses += int(t.cacheMisses)
+		rep.ProgramCacheHits += int(t.cacheHits)
+		rep.ProgramCacheMisses += int(t.cacheMisses)
 		if t.started {
 			waits[t.class] = append(waits[t.class], (t.firstStart - t.submitted).Seconds())
 		}
@@ -498,29 +498,29 @@ func (a *Analyzer) Report() *Report {
 			continue
 		}
 		switch t.state {
-		case daemon.JobCompleted:
+		case trackCompleted:
 			rep.Completed++
 			c.Completed++
 			dv.Completed++
 			if t.expected > 0 {
 				slowdowns[t.class] = append(slowdowns[t.class], (t.finished-t.submitted).Seconds()/t.expected)
 			}
-		case daemon.JobFailed:
+		case trackFailed:
 			rep.Failed++
 			c.Failed++
-		case daemon.JobCancelled:
+		case trackCancelled:
 			rep.Cancelled++
 			c.Cancelled++
 		}
 		if t.deadline > 0 {
 			c.DeadlineJobs++
 			late := (t.finished - t.submitted).Seconds() - t.deadline
-			if t.state == daemon.JobCompleted {
+			if t.state == trackCompleted {
 				// Lateness is only meaningful for work that finished; hits
 				// use the same ≤-deadline convention as the span annotation.
 				lateness[t.class] = append(lateness[t.class], late)
 			}
-			if t.state == daemon.JobCompleted && late <= 0 {
+			if t.state == trackCompleted && late <= 0 {
 				c.DeadlineHits++
 			} else {
 				c.DeadlineMisses++
@@ -528,23 +528,22 @@ func (a *Analyzer) Report() *Report {
 		}
 	}
 	for dev, n := range a.preemptByDev {
-		dv := rep.PerDevice[dev]
-		if dv == nil {
-			dv = &DeviceSLO{}
-			rep.PerDevice[dev] = dv
-		}
-		dv.Preemptions = n
+		deviceSLO(dev).Preemptions = n
 	}
-	for class, c := range rep.PerClass {
+	for class, c := range classes {
+		if c == nil {
+			continue
+		}
+		// The mean sums in observation order, before the sort.
 		w := waits[class]
-		c.WaitSeconds = quantiles(w)
 		for _, v := range w {
 			c.MeanWaitSeconds += v
 		}
 		if len(w) > 0 {
 			c.MeanWaitSeconds /= float64(len(w))
 		}
-		c.Slowdown = quantiles(slowdowns[class])
+		c.WaitSeconds = quantilesInPlace(w)
+		c.Slowdown = quantilesInPlace(slowdowns[class])
 		if n := offered[class]; n > 0 {
 			c.ShedRate = float64(c.Rejected) / float64(n)
 		}
@@ -558,42 +557,52 @@ func (a *Analyzer) Report() *Report {
 			c.DeadlineHitRate = float64(c.DeadlineHits) / float64(c.DeadlineJobs)
 		}
 		if l := lateness[class]; len(l) > 0 {
-			q := quantiles(l)
+			q := quantilesInPlace(l)
 			c.LatenessSeconds = &q
 		}
 	}
 	if total := rep.ProgramCacheHits + rep.ProgramCacheMisses; total > 0 {
 		rep.ProgramCacheHitRate = float64(rep.ProgramCacheHits) / float64(total)
 	}
-	for class, byStage := range a.stages {
+	var scratch []time.Duration
+	for class := range a.stages {
 		var stages map[string]*StageSLO
-		for stage, samples := range byStage {
-			// A pooled analyzer retains truncated sample slices (and whole
-			// class maps) from earlier cells; only stages observed in *this*
-			// run may appear in the report, or pooling would change bytes.
-			if len(samples) == 0 {
+		for i := range a.stages[class] {
+			cell := &a.stages[class][i]
+			n := cell.zeros + len(cell.durs)
+			// A pooled analyzer retains truncated cells from earlier runs;
+			// only stages observed in *this* run may appear in the report.
+			if n == 0 {
 				continue
 			}
-			secs := make([]float64, len(samples))
-			for i, v := range samples {
-				secs[i] = v.Seconds()
+			// Adding a zero span's +0.0 moves no bit, so the total sums the
+			// non-zero spans alone, in observation order.
+			st := &StageSLO{Spans: n}
+			for _, d := range cell.durs {
+				st.TotalSeconds += d.Seconds()
 			}
-			st := &StageSLO{Spans: len(secs)}
-			for _, v := range secs {
-				st.TotalSeconds += v
-			}
-			// secs is a scratch copy already — sort it in place rather than
-			// paying quantiles' defensive copy.
-			sort.Float64s(secs)
-			st.Seconds = quantilesSorted(secs)
-			st.MeanSeconds = st.TotalSeconds / float64(len(secs))
+			st.MeanSeconds = st.TotalSeconds / float64(n)
+			// Seconds is monotone, so ranks over the sorted durations pick
+			// the same samples as ranks over sorted seconds. The zero run
+			// sorts after the negatives (if any ever occur).
+			scratch = append(scratch[:0], cell.durs...)
+			slices.Sort(scratch)
+			neg := sort.Search(len(scratch), func(i int) bool { return scratch[i] > 0 })
+			st.Seconds = pickQuantiles(n, func(i int) float64 {
+				if i >= neg+cell.zeros {
+					i -= cell.zeros
+				} else if i >= neg {
+					return 0
+				}
+				return scratch[i].Seconds()
+			})
 			if stages == nil {
-				stages = make(map[string]*StageSLO, len(byStage))
+				stages = make(map[string]*StageSLO, len(spanStages))
 			}
-			stages[string(stage)] = st
+			stages[string(spanStages[i])] = st
 		}
 		if stages != nil {
-			classSLO(class).Stages = stages
+			classSLO(uint8(class)).Stages = stages
 		}
 	}
 	return rep
