@@ -13,13 +13,15 @@ import (
 	"hpcqc/internal/daemon"
 )
 
-// testNode boots a node from the flag defaults with the six options the tests
-// vary overridden.
-func testNode(adminToken string, seed int64, timescale float64, devices int, router, admissionPolicy string) (*node, error) {
+// testNode boots a node the way main does: from command-line arguments,
+// every flag not named keeping its default.
+func testNode(args ...string) (*node, error) {
 	var o options
-	o.bind(flag.NewFlagSet("qcsd", flag.ContinueOnError))
-	o.adminToken, o.seed, o.timescale, o.devices = adminToken, seed, timescale, devices
-	o.router, o.admission = router, admissionPolicy
+	fs := flag.NewFlagSet("qcsd", flag.ContinueOnError)
+	o.bind(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 	return newNode(o)
 }
 
@@ -42,22 +44,22 @@ func TestHelpNamesEveryRegisteredPolicy(t *testing.T) {
 }
 
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := testNode("", 1, 10, 1, "least-loaded", "accept-all"); err == nil {
+	if _, err := testNode(); err == nil {
 		t.Fatal("missing admin token accepted")
 	}
-	if _, err := testNode("tok", 1, 0, 1, "least-loaded", "accept-all"); err == nil {
+	if _, err := testNode("-admin-token", "tok", "-timescale", "0"); err == nil {
 		t.Fatal("zero timescale accepted")
 	}
-	if _, err := testNode("tok", 1, -3, 1, "least-loaded", "accept-all"); err == nil {
+	if _, err := testNode("-admin-token", "tok", "-timescale", "-3"); err == nil {
 		t.Fatal("negative timescale accepted")
 	}
-	if _, err := testNode("tok", 1, 10, 0, "least-loaded", "accept-all"); err == nil {
+	if _, err := testNode("-admin-token", "tok", "-devices", "0"); err == nil {
 		t.Fatal("zero devices accepted")
 	}
-	if _, err := testNode("tok", 1, 10, 1, "coin-flip", "accept-all"); err == nil {
+	if _, err := testNode("-admin-token", "tok", "-router", "coin-flip"); err == nil {
 		t.Fatal("unknown router policy accepted")
 	}
-	if _, err := testNode("tok", 1, 10, 1, "least-loaded", "bouncer"); err == nil {
+	if _, err := testNode("-admin-token", "tok", "-admission", "bouncer"); err == nil {
 		t.Fatal("unknown admission policy accepted")
 	}
 }
@@ -65,7 +67,7 @@ func TestNewNodeValidation(t *testing.T) {
 // TestNodeFleetComposition boots a multi-partition node and checks the
 // partitions surface through the fleet listing endpoint.
 func TestNodeFleetComposition(t *testing.T) {
-	n, err := testNode("secret", 7, 10, 3, "round-robin", "accept-all")
+	n, err := testNode("-admin-token", "secret", "-seed", "7", "-devices", "3", "-router", "round-robin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestNodeFleetComposition(t *testing.T) {
 // walks the public surface: health, session, device characteristics, metrics
 // and the admin plane behind the token.
 func TestNodeServesEndToEnd(t *testing.T) {
-	n, err := testNode("secret", 7, 10, 1, "least-loaded", "slo-guard")
+	n, err := testNode("-admin-token", "secret", "-seed", "7", "-admission", "slo-guard")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestNodeServesEndToEnd(t *testing.T) {
 // TestPumpAdvancesSimTime verifies the timescale pump: simulated time moves
 // forward by ~timescale× wall time while it runs, and stops when told.
 func TestPumpAdvancesSimTime(t *testing.T) {
-	n, err := testNode("secret", 1, 500, 1, "least-loaded", "accept-all")
+	n, err := testNode("-admin-token", "secret", "-timescale", "500")
 	if err != nil {
 		t.Fatal(err)
 	}
