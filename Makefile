@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-race bench bench-json bench-diff bench-e2e-quick e2e-ab profile-serve profile-replay fuzz-smoke vet vet-trace check loc
+.PHONY: build test test-full test-race examples bench bench-json bench-diff bench-e2e-quick e2e-ab profile-serve profile-replay fuzz-smoke vet vet-trace check loc
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,17 @@ test-full:
 test-race:
 	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/hybrid/... ./internal/device/... ./internal/emulator/... ./internal/telemetry/...
 	$(GO) test -race -short ./internal/loadgen/...
+
+# examples builds each program under examples/ and runs it from a fresh
+# temporary directory (trace_perfetto writes fleet_trace.json into its working
+# directory), failing on the first that exits non-zero.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && for dir in examples/*/; do \
+		name=$$(basename $$dir); \
+		$(GO) build -o "$$tmp/$$name" ./$$dir && (cd "$$tmp" && ./$$name > /dev/null) \
+			|| { echo "examples: $$name failed"; exit 1; }; \
+		echo "ok   examples/$$name"; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -127,7 +138,7 @@ vet-trace:
 # against this module's exported constructors and config fields, and its
 # byte-equality gate (harness-traced report == loadgen.Replay's) is the proof
 # that a refactor here left that surface and the reports intact.
-check: vet vet-trace build test test-race bench-e2e-quick
+check: vet vet-trace build test test-race examples bench-e2e-quick
 
 # loc prints the figure every PR quotes in CHANGES.md, produced the same way
 # each time: net non-test Go lines per package since BASE by `git diff

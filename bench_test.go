@@ -441,18 +441,17 @@ func BenchmarkFleetDispatch(b *testing.B) {
 			var makespan time.Duration
 			for i := 0; i < b.N; i++ {
 				clk := simclock.New()
-				fleet, err := device.NewFleet(devices, device.Config{Clock: clk, Seed: 1, DriftInterval: time.Hour})
-				if err != nil {
-					b.Fatal(err)
-				}
 				terminal := 0
-				d, err := daemon.NewDaemon(daemon.Config{
-					Devices: fleet.Devices(), Clock: clk,
-					AdminToken: "x", EnablePreemption: true,
-					JobListener: func(ev daemon.JobEvent) {
-						if ev.Type == daemon.JobEventFinished || ev.Type == daemon.JobEventRejected {
-							terminal++
-						}
+				d, err := daemon.NewNode(daemon.NodeSpec{
+					Partitions: devices,
+					Device:     device.Config{DriftInterval: time.Hour},
+					Daemon: daemon.Config{
+						Clock: clk, Seed: 1, AdminToken: "x", EnablePreemption: true,
+						JobListener: func(ev daemon.JobEvent) {
+							if ev.Type == daemon.JobEventFinished || ev.Type == daemon.JobEventRejected {
+								terminal++
+							}
+						},
 					},
 				})
 				if err != nil {
@@ -540,31 +539,30 @@ func benchServed(b *testing.B, shape servedShape) {
 	// decode memo holding what it can.
 	warmup := max(256, programs)
 	clk := simclock.New()
-	reg := telemetry.NewRegistry()
-	tsdb := telemetry.NewTSDB(24*time.Hour, 0)
-	fleet, err := device.NewFleet(devices, device.Config{Clock: clk, Seed: 1, Registry: reg, TSDB: tsdb, TimingOnly: true})
-	if err != nil {
-		b.Fatal(err)
-	}
 	var outstanding atomic.Int64
 	// wake holds one pending signal: a second submit while one is pending
 	// needs no second wake-up.
 	wake, stop, pumped := make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
-	d, err := daemon.NewDaemon(daemon.Config{
-		Devices: fleet.Devices(), Clock: clk, AdminToken: adminToken, EnablePreemption: true, ProgramCache: 64,
-		Registry: reg, TSDB: tsdb, Flight: trace.NewFlightRecorder(trace.DefaultFlightCapacity), Seed: 1,
-		// Runs under daemon locks: count and signal, nothing else.
-		JobListener: func(ev daemon.JobEvent) {
-			switch ev.Type {
-			case daemon.JobEventSubmitted:
-				outstanding.Add(1)
-				select {
-				case wake <- struct{}{}:
-				default:
+	d, err := daemon.NewNode(daemon.NodeSpec{
+		Partitions: devices,
+		Device:     device.Config{TimingOnly: true},
+		Daemon: daemon.Config{
+			Clock: clk, AdminToken: adminToken, EnablePreemption: true, ProgramCache: 64,
+			Registry: telemetry.NewRegistry(), TSDB: telemetry.NewTSDB(24*time.Hour, 0),
+			Flight: trace.NewFlightRecorder(trace.DefaultFlightCapacity), Seed: 1,
+			// Runs under daemon locks: count and signal, nothing else.
+			JobListener: func(ev daemon.JobEvent) {
+				switch ev.Type {
+				case daemon.JobEventSubmitted:
+					outstanding.Add(1)
+					select {
+					case wake <- struct{}{}:
+					default:
+					}
+				case daemon.JobEventFinished:
+					outstanding.Add(-1)
 				}
-			case daemon.JobEventFinished:
-				outstanding.Add(-1)
-			}
+			},
 		},
 	})
 	if err != nil {

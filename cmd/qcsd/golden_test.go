@@ -23,7 +23,6 @@ var updateGolden = flag.Bool("update", false, "regenerate cmd/qcsd/testdata/node
 // transcript.
 type goldenRun struct {
 	t     *testing.T
-	n     *node
 	h     http.Handler
 	token string
 	out   strings.Builder
@@ -83,7 +82,7 @@ func TestNodeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &goldenRun{t: t, n: n, h: n.d.Handler()}
+	g := &goldenRun{t: t, h: n.d.Handler()}
 	var sess struct {
 		Token string `json:"token"`
 	}

@@ -47,98 +47,71 @@ import (
 
 	"hpcqc/internal/admission"
 	"hpcqc/internal/daemon"
-	"hpcqc/internal/device"
 	"hpcqc/internal/simclock"
 	"hpcqc/internal/telemetry"
 	"hpcqc/internal/trace"
 )
 
-// node is the assembled quantum access node: the simulated device fleet, the
-// middleware daemon in front of it, and the shared clock that a background
-// pump advances against wall time.
+// node is the assembled quantum access node: the middleware daemon in front
+// of its simulated partitions, and the shared clock that a background pump
+// advances against wall time.
 type node struct {
-	clk   *simclock.Clock
-	fleet *device.Fleet
-	dev   *device.Device // first partition, for log lines
-	d     *daemon.Daemon
+	clk *simclock.Clock
+	d   *daemon.Daemon
 }
 
 // options is everything the command line configures; the flag defaults are
-// what a bare `qcsd -admin-token T` serves with.
+// what a bare `qcsd -admin-token T` serves with. Every flag that shapes the
+// node itself binds straight into spec.
 type options struct {
 	listen, debugListen string
-	adminToken          string
-	seed                int64
 	timescale           float64
-	devices             int
-	// router, admission and priority are policy specs (see internal/policy).
-	router, admission, priority string
-	programCache                int
-	setupSeconds                float64
-	traceBuffer                 int
+	traceBuffer         int
+	spec                daemon.NodeSpec
 }
 
 // bind registers every flag on fs. The policy flags' help lists come from the
 // registries, so a newly registered policy shows up in -h by itself.
 func (o *options) bind(fs *flag.FlagSet) {
+	s := &o.spec
 	fs.StringVar(&o.listen, "listen", ":8080", "address to serve the REST API on")
-	fs.StringVar(&o.adminToken, "admin-token", "", "admin API token (required)")
-	fs.Int64Var(&o.seed, "seed", 1, "device model seed")
+	fs.StringVar(&s.Daemon.AdminToken, "admin-token", "", "admin API token (required)")
+	fs.Int64Var(&s.Daemon.Seed, "seed", 1, "device model seed")
 	fs.Float64Var(&o.timescale, "timescale", 10, "simulated seconds per wall second")
-	fs.IntVar(&o.devices, "devices", 1, "number of managed QPU partitions")
-	fs.StringVar(&o.router, "router", daemon.Routers.Default(), "fleet routing policy ("+daemon.Routers.Usage()+")")
+	fs.IntVar(&s.Partitions, "devices", 1, "number of managed QPU partitions")
+	fs.StringVar(&s.Router, "router", daemon.Routers.Default(), "fleet routing policy ("+daemon.Routers.Usage()+")")
 	// 64 entries: large enough that an interactive session's re-runs stay
 	// calibration-warm, small enough that a partition never pins more than a
 	// screenful of programs.
-	fs.IntVar(&o.programCache, "program-cache", 64, "per-partition calibration-warm program cache entries (0 disables)")
-	fs.Float64Var(&o.setupSeconds, "setup", 0, "cold-setup QPU seconds charged on a program-cache miss (requires -program-cache > 0)")
-	fs.StringVar(&o.admission, "admission", admission.Policies.Default(), "admission policy ("+admission.Policies.Usage()+")")
-	fs.StringVar(&o.priority, "priority", daemon.Priorities.Default(), "dynamic-urgency scheduling axis ("+daemon.Priorities.Usage()+")")
+	fs.IntVar(&s.Daemon.ProgramCache, "program-cache", 64, "per-partition calibration-warm program cache entries (0 disables)")
+	fs.Float64Var(&s.Daemon.SetupSeconds, "setup", 0, "cold-setup QPU seconds charged on a program-cache miss (requires -program-cache > 0)")
+	fs.StringVar(&s.Admission, "admission", admission.Policies.Default(), "admission policy ("+admission.Policies.Usage()+")")
+	fs.StringVar(&s.Priority, "priority", daemon.Priorities.Default(), "dynamic-urgency scheduling axis ("+daemon.Priorities.Usage()+")")
 	fs.IntVar(&o.traceBuffer, "trace-buffer", trace.DefaultFlightCapacity, "flight recorder size: retained terminal job traces (0 disables tracing)")
 	fs.StringVar(&o.debugListen, "debug-listen", "", "serve net/http/pprof on this address (empty = off)")
 }
 
-// newNode wires the fleet, daemon and observability stack exactly as the
-// serving binary runs them. Split from main so tests can boot the same
-// composition without sockets.
+// newNode completes the flags' spec with what qcsd always runs (preemption, a
+// registry, a 24 h TSDB, the flight recorder) and builds the node. Split from
+// main so tests can boot the same composition without sockets.
 func newNode(o options) (*node, error) {
-	if o.adminToken == "" {
+	c := &o.spec.Daemon
+	if c.AdminToken == "" {
 		return nil, fmt.Errorf("qcsd: -admin-token is required")
 	}
 	if o.timescale <= 0 {
 		return nil, fmt.Errorf("qcsd: -timescale must be positive, got %g", o.timescale)
 	}
-	var flight *trace.FlightRecorder
+	c.Clock, c.EnablePreemption = simclock.New(), true
+	c.Registry, c.TSDB = telemetry.NewRegistry(), telemetry.NewTSDB(24*time.Hour, 0)
 	if o.traceBuffer > 0 {
-		flight = trace.NewFlightRecorder(o.traceBuffer)
+		c.Flight = trace.NewFlightRecorder(o.traceBuffer)
 	}
-	clk := simclock.New()
-	reg := telemetry.NewRegistry()
-	tsdb := telemetry.NewTSDB(24*time.Hour, 0)
-	fleet, err := device.NewFleet(o.devices, device.Config{
-		Clock: clk, Seed: o.seed, Registry: reg, TSDB: tsdb,
-	})
+	d, err := daemon.NewNode(o.spec)
 	if err != nil {
-		return nil, fmt.Errorf("qcsd: device: %w", err)
-	}
-	cfg := daemon.Config{
-		Devices: fleet.Devices(), Clock: clk,
-		AdminToken:       o.adminToken,
-		EnablePreemption: true,
-		ProgramCache:     o.programCache,
-		SetupSeconds:     o.setupSeconds,
-		Registry:         reg, TSDB: tsdb,
-		Flight: flight,
-		Seed:   o.seed,
-	}
-	if err := cfg.UsePolicies(o.router, "", o.admission, o.priority); err != nil {
 		return nil, fmt.Errorf("qcsd: %w", err)
 	}
-	d, err := daemon.NewDaemon(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("qcsd: daemon: %w", err)
-	}
-	return &node{clk: clk, fleet: fleet, dev: fleet.Devices()[0], d: d}, nil
+	return &node{clk: c.Clock, d: d}, nil
 }
 
 // pump advances simulated time by timescale seconds per wall second until
@@ -190,7 +163,7 @@ func main() {
 	}
 
 	log.Printf("qcsd: serving %s ×%d (%s routing, %s admission, %s priority) on %s (timescale %gx)",
-		n.dev.Spec().Name, n.fleet.Size(), n.d.RouterName(), n.d.AdmissionName(), n.d.PriorityName(), o.listen, o.timescale)
+		n.d.Devices()[0].Spec().Name, len(n.d.Devices()), n.d.RouterName(), n.d.AdmissionName(), n.d.PriorityName(), o.listen, o.timescale)
 	if err := http.ListenAndServe(o.listen, n.d.Handler()); err != nil {
 		log.Fatalf("qcsd: %v", err)
 	}

@@ -71,8 +71,8 @@ func TestNodeFleetComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.fleet.Size() != 3 {
-		t.Fatalf("fleet size = %d", n.fleet.Size())
+	if got := len(n.d.Devices()); got != 3 {
+		t.Fatalf("fleet size = %d", got)
 	}
 	srv := httptest.NewServer(n.d.Handler())
 	defer srv.Close()

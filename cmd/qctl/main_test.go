@@ -60,13 +60,9 @@ func TestQctlSubcommands(t *testing.T) {
 // status, utilization and queue depths — the per-partition view the CLI is
 // expected to surface.
 func TestQctlDevicesListing(t *testing.T) {
-	clk := simclock.New()
-	fleet, err := device.NewFleet(3, device.Config{Clock: clk, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := daemon.NewDaemon(daemon.Config{
-		Devices: fleet.Devices(), Clock: clk, AdminToken: "tok",
+	d, err := daemon.NewNode(daemon.NodeSpec{
+		Partitions: 3,
+		Daemon:     daemon.Config{Clock: simclock.New(), Seed: 1, AdminToken: "tok"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +75,7 @@ func TestQctlDevicesListing(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range append(fleet.IDs(), "3 partition(s)", "least-loaded", "STATUS", "UTIL", "QUEUED", "online") {
+	for _, want := range []string{"analog-qpu-p0", "analog-qpu-p1", "analog-qpu-p2", "3 partition(s)", "least-loaded", "STATUS", "UTIL", "QUEUED", "online"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("devices output missing %q:\n%s", want, got)
 		}

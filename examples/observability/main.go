@@ -21,21 +21,19 @@ func main() {
 	clk := simclock.New()
 	reg := telemetry.NewRegistry()
 	tsdb := telemetry.NewTSDB(24*time.Hour, 0)
-	dev, err := device.New(device.Config{
-		Clock: clk, Seed: 4, Registry: reg, TSDB: tsdb,
-		DriftInterval: 30 * time.Second, DriftSigma: 0.0005,
+	dmn, err := daemon.NewNode(daemon.NodeSpec{
+		Partitions: 1,
+		Device:     device.Config{DriftInterval: 30 * time.Second, DriftSigma: 0.0005},
+		Daemon: daemon.Config{
+			Clock: clk, Seed: 4, AdminToken: "admin",
+			AllowedLowLevelOps: []string{"recalibrate", "qa_check"},
+			Registry:           reg, TSDB: tsdb,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dmn, err := daemon.NewDaemon(daemon.Config{
-		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "admin",
-		AllowedLowLevelOps: []string{"recalibrate", "qa_check"},
-		Registry:           reg, TSDB: tsdb,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	dev := dmn.Devices()[0]
 
 	// The ops team's alert rule: sustained Rabi-factor drift.
 	detector := telemetry.NewDriftDetector()

@@ -120,9 +120,9 @@ type Config struct {
 	Seed int64
 }
 
-// UsePolicies fills each policy stage that is still nil from its spec (see
+// usePolicies fills each policy stage that is still nil from its spec (see
 // internal/policy for the grammar); an empty spec selects that axis's default.
-func (c *Config) UsePolicies(router, scheduler, admit, priority string) (err error) {
+func (c *Config) usePolicies(router, scheduler, admit, priority string) (err error) {
 	if c.Router == nil {
 		c.Router, err = Routers.New(router)
 	}
@@ -302,7 +302,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		cfg.History = 16384
 	}
 	// A stage left nil runs its axis default.
-	if err := cfg.UsePolicies("", "", "", ""); err != nil {
+	if err := cfg.usePolicies("", "", "", ""); err != nil {
 		return nil, err
 	}
 	router, order, admitter, priority := cfg.Router, cfg.Order, cfg.Admission, cfg.Priority

@@ -83,9 +83,6 @@ func (f *Fleet) add(dev *Device) error {
 	return nil
 }
 
-// Size returns the number of partitions.
-func (f *Fleet) Size() int { return len(f.devices) }
-
 // Devices returns the partitions in construction order. The slice is shared;
 // callers must not mutate it.
 func (f *Fleet) Devices() []*Device { return f.devices }

@@ -39,7 +39,7 @@ func TestNewFleetPartitionIDsAndSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := f.IDs()
-	if len(ids) != 3 || f.Size() != 3 {
+	if len(ids) != 3 || len(f.Devices()) != 3 {
 		t.Fatalf("ids = %v", ids)
 	}
 	want := map[string]bool{"analog-qpu-p0": true, "analog-qpu-p1": true, "analog-qpu-p2": true}
@@ -78,7 +78,7 @@ func TestFleetOfRejectsDuplicates(t *testing.T) {
 		t.Fatal("nil device accepted")
 	}
 	f, err := FleetOf(a)
-	if err != nil || f.Size() != 1 {
+	if err != nil || len(f.Devices()) != 1 {
 		t.Fatalf("FleetOf(a) = %v, %v", f, err)
 	}
 }

@@ -165,18 +165,16 @@ func runFigure2Baseline(arrivals []figure2Arrival, seed int64) (*Figure2Row, err
 // class queues and production preemption between Slurm and the device.
 func runFigure2Daemon(arrivals []figure2Arrival, seed int64) (*Figure2Row, error) {
 	clk := simclock.New()
-	reg := telemetry.NewRegistry()
-	dev, err := device.New(device.Config{Clock: clk, Seed: seed, DriftInterval: time.Hour, Registry: reg})
-	if err != nil {
-		return nil, err
-	}
-	dmn, err := daemon.NewDaemon(daemon.Config{
-		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "admin",
-		EnablePreemption: true, Registry: reg, Seed: seed,
+	dmn, err := daemon.NewNode(daemon.NodeSpec{
+		Partitions: 1,
+		Device:     device.Config{DriftInterval: time.Hour},
+		Daemon: daemon.Config{Clock: clk, AdminToken: "admin", EnablePreemption: true,
+			Registry: telemetry.NewRegistry(), Seed: seed},
 	})
 	if err != nil {
 		return nil, err
 	}
+	dev := dmn.Devices()[0]
 	cluster, err := slurm.NewCluster(slurm.ClusterConfig{
 		Clock: clk, Nodes: 32,
 		Partitions: []slurm.Partition{

@@ -132,19 +132,16 @@ func runQPU(cfg qpuConfig, jobs []*qpuJob) (*qpuRun, error) {
 	// A lifetime-long task at 10 Hz and up runs past the one-submission
 	// shot limit (2 × (60 + 60) s × 10 Hz = 2 400 shots).
 	spec.MaxShotsPerTask = math.MaxInt32
-	dev, err := device.New(device.Config{Spec: spec, Clock: clk, Seed: cfg.seed, DriftInterval: time.Hour, TimingOnly: true})
-	if err != nil {
-		return nil, err
-	}
 	r := &qpuRun{cfg: cfg, clk: clk, spec: spec, tokens: map[string]string{}, owner: map[string]*qpuJob{}, open: len(jobs)}
-	dcfg := daemon.Config{
-		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "admin",
-		EnablePreemption: cfg.preempt, Seed: cfg.seed, JobListener: r.observe,
-	}
-	if err := dcfg.UsePolicies("", cfg.scheduler, "", ""); err != nil {
-		return nil, err
-	}
-	if r.d, err = daemon.NewDaemon(dcfg); err != nil {
+	var err error
+	r.d, err = daemon.NewNode(daemon.NodeSpec{
+		Partitions: 1,
+		Device:     device.Config{Spec: spec, DriftInterval: time.Hour, TimingOnly: true},
+		Daemon: daemon.Config{Clock: clk, AdminToken: "admin",
+			EnablePreemption: cfg.preempt, Seed: cfg.seed, JobListener: r.observe},
+		Scheduler: cfg.scheduler,
+	})
+	if err != nil {
 		return nil, err
 	}
 	for _, j := range jobs {

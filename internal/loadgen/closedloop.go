@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hpcqc/internal/daemon"
-	"hpcqc/internal/device"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
 	"hpcqc/internal/workload"
@@ -80,10 +79,6 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 	}.withDefaults()
 
 	clk := simclock.New()
-	fleet, err := device.NewFleet(cfg.Devices, device.Config{Clock: clk, Seed: cfg.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: closed-loop fleet: %w", err)
-	}
 	rec := NewRecorder(canonicalShotRateHz)
 	if cfg.StreamTo != nil {
 		if err := rec.Stream(cfg.StreamTo, cfg.Seed, "closed-loop", cfg.Horizon.Microseconds()); err != nil {
@@ -103,34 +98,29 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 	specs := workload.DefaultPatternSpecs()
 	cache := sharedPrograms
 
-	dcfg := daemon.Config{
-		Devices:          fleet.Devices(),
-		Clock:            clk,
-		AdminToken:       "loadgen",
-		EnablePreemption: true,
-		Seed:             cfg.Seed,
-		JobListener: func(ev daemon.JobEvent) {
-			rec.Observe(ev)
-			if ev.Type != daemon.JobEventFinished {
-				return
-			}
-			u, ok := owner[ev.Job.ID]
-			if !ok {
-				return
-			}
-			delete(owner, ev.Job.ID)
-			// The listener runs under daemon locks; hand the next submission
-			// to the clock instead of re-entering the daemon here.
-			think := simclock.Seconds(rng.ExpFloat64() * cfg.ThinkMean.Seconds())
-			clk.Schedule(think, fmt.Sprintf("think-user-%02d", u), func() { submitUser(u) })
+	d, err := daemon.NewNode(daemon.NodeSpec{
+		Partitions: cfg.Devices,
+		Daemon: daemon.Config{Clock: clk, AdminToken: "loadgen", EnablePreemption: true, Seed: cfg.Seed,
+			JobListener: func(ev daemon.JobEvent) {
+				rec.Observe(ev)
+				if ev.Type != daemon.JobEventFinished {
+					return
+				}
+				u, ok := owner[ev.Job.ID]
+				if !ok {
+					return
+				}
+				delete(owner, ev.Job.ID)
+				// The listener runs under daemon locks; hand the next submission
+				// to the clock instead of re-entering the daemon here.
+				think := simclock.Seconds(rng.ExpFloat64() * cfg.ThinkMean.Seconds())
+				clk.Schedule(think, fmt.Sprintf("think-user-%02d", u), func() { submitUser(u) })
+			},
 		},
-	}
-	if err := dcfg.UsePolicies(cfg.Router, cfg.Scheduler, cfg.Admission, ""); err != nil {
-		return nil, err
-	}
-	d, err := daemon.NewDaemon(dcfg)
+		Router: cfg.Router, Scheduler: cfg.Scheduler, Admission: cfg.Admission,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: closed-loop daemon: %w", err)
+		return nil, err
 	}
 
 	tokens := make([]string, cfg.Users)

@@ -80,8 +80,8 @@ type ReplayConfig struct {
 // stamp writes the replay's coordinates on every axis into rep: the policy
 // triple always, and each later axis only off its default — so a report from
 // before an axis existed keeps its bytes when that axis is left alone. It is
-// the single statement of that rule: drain stamps reports with it, FindCell
-// and the frontier points derive what to look for from it.
+// the single statement of that rule: drain stamps reports with it, the
+// frontier points (and the tests' FindCell) derive what to look for from it.
 func (cfg *ReplayConfig) stamp(rep *Report) {
 	rep.Router, rep.Scheduler, rep.Admission = cfg.Router, cfg.Scheduler, cfg.Admission
 	if cfg.Priority != daemon.Priorities.Default() {
@@ -260,21 +260,6 @@ func newReplayRun(prep *preparedTrace, cfg ReplayConfig) (*replayRun, error) {
 		cfg.RateScale = 1
 	}
 
-	clk := simclock.New()
-	// Replay reports are built from job lifecycle timing alone — no analytics
-	// path reads measured counts — so the fleet runs in timing-only mode:
-	// identical schedule decisions and report bytes, none of the emulator
-	// cost that otherwise dominates the replay wall clock.
-	devCfg := device.Config{Clock: clk, Seed: cfg.Seed, TimingOnly: true}
-	if cfg.ShotScale != 0 && cfg.ShotScale != 1 {
-		spec := qir.DefaultAnalogSpec()
-		spec.ShotRateHz *= cfg.ShotScale
-		devCfg.Spec = spec
-	}
-	fleet, err := device.NewFleet(cfg.Devices, devCfg)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: replay fleet: %w", err)
-	}
 	// Registry-less analyzers come from the shared pool: their maps, sample
 	// buffers and track slabs are recycled across the cells of a sweep, so a
 	// thousand-cell run's live heap stays proportional to its worker count.
@@ -285,30 +270,33 @@ func newReplayRun(prep *preparedTrace, cfg ReplayConfig) (*replayRun, error) {
 	} else {
 		an = NewAnalyzer(cfg.Registry)
 	}
-	dcfg := daemon.Config{
-		Devices:          fleet.Devices(),
-		Clock:            clk,
-		AdminToken:       "loadgen",
-		EnablePreemption: !cfg.DisablePreemption,
-		Seed:             cfg.Seed,
-		ProgramCache:     cfg.ProgramCache,
-		SetupSeconds:     cfg.SetupSeconds,
-		JobListener:      an.Observe,
-		Registry:         cfg.Registry,
+	clk := simclock.New()
+	spec := daemon.NodeSpec{
+		Partitions: cfg.Devices,
+		// Replay reports are built from job lifecycle timing alone — no
+		// analytics path reads measured counts — so the fleet runs in
+		// timing-only mode: identical schedule decisions and report bytes,
+		// none of the emulator cost that otherwise dominates the replay.
+		Device: device.Config{TimingOnly: true},
+		Daemon: daemon.Config{Clock: clk, AdminToken: "loadgen", EnablePreemption: !cfg.DisablePreemption,
+			Seed: cfg.Seed, ProgramCache: cfg.ProgramCache, SetupSeconds: cfg.SetupSeconds,
+			JobListener: an.Observe, Registry: cfg.Registry},
+		Router: cfg.Router, Scheduler: cfg.Scheduler, Admission: cfg.Admission, Priority: cfg.Priority,
 	}
-	if err := dcfg.UsePolicies(cfg.Router, cfg.Scheduler, cfg.Admission, cfg.Priority); err != nil {
-		return nil, err
+	if cfg.ShotScale != 0 && cfg.ShotScale != 1 {
+		spec.Device.Spec = qir.DefaultAnalogSpec()
+		spec.Device.Spec.ShotRateHz *= cfg.ShotScale
 	}
 	if cfg.Tracing || cfg.SpanListener != nil {
-		dcfg.SpanListener = trace.Tee(an.ObserveSpan, cfg.SpanListener)
+		spec.Daemon.SpanListener = trace.Tee(an.ObserveSpan, cfg.SpanListener)
 		// With only the analyzer listening, marks and occupancy spans would
 		// be built and discarded — have the daemon skip them. Any external
 		// listener (flight recorder, exporter) gets the full stream.
-		dcfg.PipelineSpansOnly = cfg.SpanListener == nil
+		spec.Daemon.PipelineSpansOnly = cfg.SpanListener == nil
 	}
-	d, err := daemon.NewDaemon(dcfg)
+	d, err := daemon.NewNode(spec)
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: replay daemon: %w", err)
+		return nil, err
 	}
 
 	// One session per distinct submitter, opened in first-appearance order so
