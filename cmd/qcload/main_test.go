@@ -123,7 +123,8 @@ func TestQcloadSweepSaturateSmoke(t *testing.T) {
 	}
 	found := false
 	for _, r := range sr.Results {
-		found = found || r.FleetSize == 2 && r.Preemption == "off" && r.RateScale == 2 && r.ShotScale == 2
+		found = found || r.Router == "least-loaded" && r.Scheduler == "fifo" && r.Admission == "accept-all" &&
+			r.Priority == "" && r.FleetSize == 2 && r.Preemption == "off" && r.RateScale == 2 && r.ShotScale == 2
 	}
 	if !found {
 		t.Fatal("generalized cell missing from CLI sweep report")

@@ -120,7 +120,7 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 		Router: cfg.Router, Scheduler: cfg.Scheduler, Admission: cfg.Admission,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("loadgen: closed-loop node: %w", err)
 	}
 
 	tokens := make([]string, cfg.Users)

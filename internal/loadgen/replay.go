@@ -296,7 +296,7 @@ func newReplayRun(prep *preparedTrace, cfg ReplayConfig) (*replayRun, error) {
 	}
 	d, err := daemon.NewNode(spec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("loadgen: replay node: %w", err)
 	}
 
 	// One session per distinct submitter, opened in first-appearance order so
