@@ -143,8 +143,8 @@ check: vet vet-trace build test test-race examples bench-e2e-quick
 # loc prints the figure every PR quotes in CHANGES.md, produced the same way
 # each time: net non-test Go lines per package since BASE by `git diff
 # --numstat` (run it after `git add -A`, or new files are not counted; a pure
-# move nets to zero within a package), then any non-test .go file over 800
-# lines.
+# move nets to zero within a package), then any non-test .go file outside
+# benchmark/ over 600 lines — ROADMAP item 2's bar, reported, not enforced.
 BASE ?= HEAD~1
 loc:
 	@git diff --numstat --no-renames $(BASE) -- '*.go' | awk '$$3 !~ /_test\.go$$/ { \
@@ -152,4 +152,4 @@ loc:
 		add[pkg] += $$1; del[pkg] += $$2; A += $$1; D += $$2 } \
 		END { for (k in add) printf "%-32s %+6d  (+%d -%d)\n", k, add[k] - del[k], add[k], del[k] | "sort"; close("sort"); \
 		printf "%-32s %+6d  (+%d -%d)\n", "net non-test Go", A - D, A, D }'
-	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" && $$1 > 800 { printf "over 800 lines: %s (%d)\n", $$2, $$1 }'
+	@git ls-files -- '*.go' ':!benchmark/' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" && $$1 > 600 { printf "over 600 lines: %s (%d)\n", $$2, $$1 }'

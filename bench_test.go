@@ -1180,11 +1180,9 @@ func BenchmarkSaturateSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := loadgen.SaturateConfig{
-		Seed:       11,
-		Admissions: []string{"accept-all"},
-		FleetSizes: []int{2},
-		MaxScale:   16,
-		Tolerance:  0.2,
+		SweepConfig: loadgen.SweepConfig{Seed: 11, Admissions: []string{"accept-all"}, FleetSizes: []int{2}},
+		MaxScale:    16,
+		Tolerance:   0.2,
 	}
 	b.ResetTimer()
 	knees, probes := 0, 0

@@ -98,34 +98,39 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// parseTriple parses "a:b:c" weight strings like 1:2:7.
-func parseTriple(s, what string) ([3]int, error) {
-	var out [3]int
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return out, fmt.Errorf("%s must be three ints a:b:c, got %q", what, s)
-	}
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 {
-			return out, fmt.Errorf("%s element %q invalid", what, p)
+// parseMixes parses the --class-mix and --pattern-mix weights, each three
+// non-negative ints a:b:c like 1:2:7.
+func parseMixes(classMix, patternMix string) (loadgen.ClassMix, workload.Mix, error) {
+	var w [2][3]int
+	for k, mix := range [2][2]string{{classMix, "--class-mix"}, {patternMix, "--pattern-mix"}} {
+		parts := strings.Split(mix[0], ":")
+		if len(parts) != 3 {
+			return loadgen.ClassMix{}, workload.Mix{}, fmt.Errorf("%s must be three ints a:b:c, got %q", mix[1], mix[0])
 		}
-		out[i] = n
+		for i, p := range parts {
+			n, err := strconv.Atoi(p)
+			if err != nil || n < 0 {
+				return loadgen.ClassMix{}, workload.Mix{}, fmt.Errorf("%s element %q invalid", mix[1], p)
+			}
+			w[k][i] = n
+		}
 	}
-	return out, nil
+	return loadgen.ClassMix{Production: w[0][0], Test: w[0][1], Dev: w[0][2]},
+		workload.Mix{QCHeavy: w[1][0], CCHeavy: w[1][1], Balanced: w[1][2]}, nil
 }
 
 func runGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
+	var cfg loadgen.Config
 	out := fs.String("out", "", "trace file to write (required)")
 	process := fs.String("process", "poisson", "open-loop arrival process: poisson, bursty, diurnal (closed-loop traces: qcload capture)")
 	rate := fs.Float64("rate", 150, "mean arrival rate in jobs/hour")
-	duration := fs.Duration("duration", 24*time.Hour, "trace horizon in simulation time")
-	seed := fs.Int64("seed", 1, "generation seed")
-	users := fs.Int("users", 8, "submitter pool size")
+	fs.DurationVar(&cfg.Horizon, "duration", 24*time.Hour, "trace horizon in simulation time")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "generation seed")
+	fs.IntVar(&cfg.Users, "users", 8, "submitter pool size")
 	classMix := fs.String("class-mix", "1:2:7", "production:test:dev weights")
 	patternMix := fs.String("pattern-mix", "1:1:2", "qc-heavy:cc-heavy:balanced weights")
-	programs := fs.Int("programs", 0, "fixed per-pattern program variants (repeated-program workload; 0 = continuous jitter)")
+	fs.IntVar(&cfg.Programs, "programs", 0, "fixed per-pattern program variants (repeated-program workload; 0 = continuous jitter)")
 	deadlines := fs.Bool("deadlines", false, "stamp per-job completion deadlines from the per-class default contracts")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -133,31 +138,19 @@ func runGen(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("gen: --out is required")
 	}
-	cm, err := parseTriple(*classMix, "--class-mix")
-	if err != nil {
+	var err error
+	if cfg.Classes, cfg.Patterns, err = parseMixes(*classMix, *patternMix); err != nil {
 		return err
 	}
-	pm, err := parseTriple(*patternMix, "--pattern-mix")
-	if err != nil {
+	if cfg.Process, err = loadgen.NewProcess(*process, *rate); err != nil {
 		return err
-	}
-	proc, err := loadgen.NewProcess(*process, *rate)
-	if err != nil {
-		return err
-	}
-	genCfg := loadgen.Config{
-		Seed: *seed, Horizon: *duration, Process: proc,
-		Classes:  loadgen.ClassMix{Production: cm[0], Test: cm[1], Dev: cm[2]},
-		Patterns: workload.Mix{QCHeavy: pm[0], CCHeavy: pm[1], Balanced: pm[2]},
-		Users:    *users,
-		Programs: *programs,
 	}
 	if *deadlines {
 		// Deadline stamping is a pure function of already-drawn fields, so
 		// the arrivals match the unstamped trace record for record.
-		genCfg.Deadlines = workload.DefaultDeadlines()
+		cfg.Deadlines = workload.DefaultDeadlines()
 	}
-	tr, err := loadgen.Generate(genCfg)
+	tr, err := loadgen.Generate(cfg)
 	if err != nil {
 		return err
 	}
@@ -173,13 +166,14 @@ func runGen(args []string) error {
 // chosen policy triple and record the arrivals.
 func runCapture(args []string) error {
 	fs := flag.NewFlagSet("capture", flag.ContinueOnError)
+	var cfg loadgen.ClosedLoopConfig
 	out := fs.String("out", "", "trace file to write (required)")
-	pol := policyFlags(fs, 3) // the capture run has no priority axis
-	duration := fs.Duration("duration", 24*time.Hour, "capture horizon in simulation time")
-	seed := fs.Int64("seed", 1, "capture seed")
-	users := fs.Int("users", 16, "concurrent closed-loop users")
-	think := fs.Duration("think", 5*time.Minute, "mean think time between jobs")
-	devices := fs.Int("devices", 4, "fleet size driven during capture")
+	policyFlags(fs, &cfg.Router, &cfg.Scheduler, &cfg.Admission) // the capture run has no priority axis
+	fs.DurationVar(&cfg.Horizon, "duration", 24*time.Hour, "capture horizon in simulation time")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "capture seed")
+	fs.IntVar(&cfg.Users, "users", 16, "concurrent closed-loop users")
+	fs.DurationVar(&cfg.ThinkMean, "think", 5*time.Minute, "mean think time between jobs")
+	fs.IntVar(&cfg.Devices, "devices", 4, "fleet size driven during capture")
 	classMix := fs.String("class-mix", "1:2:7", "production:test:dev weights")
 	patternMix := fs.String("pattern-mix", "1:1:2", "qc-heavy:cc-heavy:balanced weights")
 	if err := fs.Parse(args); err != nil {
@@ -188,21 +182,11 @@ func runCapture(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("capture: --out is required")
 	}
-	cm, err := parseTriple(*classMix, "--class-mix")
-	if err != nil {
+	var err error
+	if cfg.Classes, cfg.Patterns, err = parseMixes(*classMix, *patternMix); err != nil {
 		return err
 	}
-	pm, err := parseTriple(*patternMix, "--pattern-mix")
-	if err != nil {
-		return err
-	}
-	tr, err := loadgen.GenerateClosedLoop(loadgen.ClosedLoopConfig{
-		Seed: *seed, Horizon: *duration, Users: *users, ThinkMean: *think,
-		Devices: *devices,
-		Router:  pol.router, Scheduler: pol.scheduler, Admission: pol.admission,
-		Classes:  loadgen.ClassMix{Production: cm[0], Test: cm[1], Dev: cm[2]},
-		Patterns: workload.Mix{QCHeavy: pm[0], CCHeavy: pm[1], Balanced: pm[2]},
-	})
+	tr, err := loadgen.GenerateClosedLoop(cfg)
 	if err != nil {
 		return err
 	}
@@ -210,7 +194,7 @@ func runCapture(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "qcload: captured %d arrivals over %s to %s (%s/%s/%s)\n",
-		tr.Header.Jobs, tr.Header.Horizon(), *out, pol.router, pol.scheduler, pol.admission)
+		tr.Header.Jobs, tr.Header.Horizon(), *out, cfg.Router, cfg.Scheduler, cfg.Admission)
 	return nil
 }
 
@@ -220,15 +204,16 @@ func runImport(args []string) error {
 	in := fs.String("in", "", "input workload file (required)")
 	out := fs.String("out", "", "trace file to write (required)")
 	format := fs.String("format", "swf", "input format (swf: Parallel Workloads Archive standard workload format; sacct: Slurm sacct --parsable2 output)")
-	scale := fs.Float64("scale", 1.0, "service-time scale from log seconds to QPU seconds")
-	maxJobs := fs.Int("max-jobs", 0, "cap on imported jobs (0 = all)")
+	var opts loadgen.ImportOptions
+	fs.Float64Var(&opts.ServiceScale, "scale", 1.0, "service-time scale from log seconds to QPU seconds")
+	fs.IntVar(&opts.MaxJobs, "max-jobs", 0, "cap on imported jobs (0 = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *in == "" || *out == "" {
 		return fmt.Errorf("import: --in and --out are required")
 	}
-	tr, err := loadgen.ImportFile(*in, *format, loadgen.ImportOptions{ServiceScale: *scale, MaxJobs: *maxJobs})
+	tr, err := loadgen.ImportFile(*in, *format, opts)
 	if err != nil {
 		return err
 	}
@@ -285,25 +270,74 @@ var policyAxes = [4]struct {
 	{"admission", "admissions", admission.Policies}, {"priority", "priorities", daemon.Priorities},
 }
 
-// policySpecs is where the policy flags land: one spec per axis for a single
-// run, or one comma-separated spec list per axis for a sweep.
-type policySpecs struct{ router, scheduler, admission, priority string }
-
-// policyFlags registers the flags of the first n policy axes: the single-run
-// ones (--router …), each defaulting to its registry's default, or — given
-// sweepDefaults — the sweep-axis ones (--routers …).
-func policyFlags(fs *flag.FlagSet, n int, sweepDefaults ...string) *policySpecs {
-	p := new(policySpecs)
-	for i, dst := range []*string{&p.router, &p.scheduler, &p.admission, &p.priority}[:n] {
+// policyFlags binds the single-run flags (--router …) of the first
+// len(dsts) policy axes into dsts, each defaulting to its registry's default.
+func policyFlags(fs *flag.FlagSet, dsts ...*string) {
+	for i, dst := range dsts {
 		ax := policyAxes[i]
-		if sweepDefaults == nil {
-			fs.StringVar(dst, ax.one, ax.reg.Default(), ax.one+" policy: "+ax.reg.Usage())
-		} else {
-			fs.StringVar(dst, ax.many, sweepDefaults[i], "comma-separated "+ax.one+" axis, or all: "+ax.reg.Usage())
-		}
+		fs.StringVar(dst, ax.one, ax.reg.Default(), ax.one+" policy: "+ax.reg.Usage())
 	}
-	return p
 }
+
+// replayFlags binds the flags replay and trace export share into cfg: the
+// policy tuple, --devices and --seed.
+func replayFlags(fs *flag.FlagSet, cfg *loadgen.ReplayConfig) {
+	policyFlags(fs, &cfg.Router, &cfg.Scheduler, &cfg.Admission, &cfg.Priority)
+	fs.IntVar(&cfg.Devices, "devices", 4, "fleet size")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "replay seed")
+}
+
+// matrixFlags binds the flags sweep and saturate share into cfg: the four
+// policy axes (--routers …, each defaulting to its entry of defaults),
+// --devices, --fleets, --workers, --seed, --cache and --setup.
+func matrixFlags(fs *flag.FlagSet, cfg *loadgen.SweepConfig, defaults [4]string) {
+	for i, dst := range []*[]string{&cfg.Routers, &cfg.Schedulers, &cfg.Admissions, &cfg.Priorities} {
+		ax := policyAxes[i]
+		*dst = []string{defaults[i]}
+		fs.Var(listFlag[string]{dst, text}, ax.many, "comma-separated "+ax.one+" axis, or all: "+ax.reg.Usage())
+	}
+	fs.IntVar(&cfg.Devices, "devices", 4, "fleet size per combination (when --fleets is unset)")
+	fs.Var(listFlag[int]{&cfg.FleetSizes, strconv.Atoi}, "fleets", "comma-separated fleet-size axis (overrides --devices when set)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "bounded worker pool size (0 = GOMAXPROCS); never affects report bytes")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "replay seed shared by every combination")
+	fs.IntVar(&cfg.ProgramCache, "cache", 0, "per-partition program-cache entries shared by every combination (0 = caching off)")
+	fs.Float64Var(&cfg.SetupSeconds, "setup", 0, "cold-setup QPU seconds a program-cache miss pays (requires --cache)")
+}
+
+// listFlag binds a comma-separated flag into *dst, each element through
+// parse. Set replaces the list, so a flag given twice keeps its last value.
+type listFlag[T any] struct {
+	dst   *[]T
+	parse func(string) (T, error)
+}
+
+func (l listFlag[T]) String() string {
+	if l.dst == nil {
+		return ""
+	}
+	parts := make([]string, len(*l.dst))
+	for i, v := range *l.dst {
+		parts[i] = fmt.Sprint(v)
+	}
+	return strings.Join(parts, ",")
+}
+
+func (l listFlag[T]) Set(s string) error {
+	*l.dst = nil
+	for _, p := range splitAxis(s) {
+		v, err := l.parse(p)
+		if err != nil {
+			return err
+		}
+		*l.dst = append(*l.dst, v)
+	}
+	return nil
+}
+
+// text and number parse one element of a list flag: a policy spec or
+// preemption setting, and a scale like --rate-scales takes.
+func text(s string) (string, error)    { return s, nil }
+func number(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // profileFlags registers --cpuprofile and --memprofile on a subcommand. The
 // returned start begins CPU profiling; the stop it returns ends it and
@@ -345,13 +379,12 @@ func profileFlags(fs *flag.FlagSet) (start func() (stop func() error, err error)
 
 func runReplay(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	var cfg loadgen.ReplayConfig
 	trace := fs.String("trace", "", "trace file (required)")
-	pol := policyFlags(fs, 4)
-	devices := fs.Int("devices", 4, "fleet size")
-	seed := fs.Int64("seed", 1, "replay seed")
-	tracing := fs.Bool("tracing", true, "attach span tracing and report per-stage latency breakdown")
-	cacheSize := fs.Int("cache", 0, "per-partition program-cache entries (0 = caching off)")
-	setup := fs.Float64("setup", 0, "cold-setup QPU seconds a program-cache miss pays (requires --cache)")
+	replayFlags(fs, &cfg)
+	fs.BoolVar(&cfg.Tracing, "tracing", true, "attach span tracing and report per-stage latency breakdown")
+	fs.IntVar(&cfg.ProgramCache, "cache", 0, "per-partition program-cache entries (0 = caching off)")
+	fs.Float64Var(&cfg.SetupSeconds, "setup", 0, "cold-setup QPU seconds a program-cache miss pays (requires --cache)")
 	startProfiles := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -368,10 +401,7 @@ func runReplay(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	rep, err := loadgen.Replay(tr, loadgen.ReplayConfig{
-		Devices: *devices, Router: pol.router, Scheduler: pol.scheduler, Admission: pol.admission, Priority: pol.priority, Seed: *seed,
-		Tracing: *tracing, ProgramCache: *cacheSize, SetupSeconds: *setup,
-	})
+	rep, err := loadgen.Replay(tr, cfg)
 	if err != nil {
 		return err
 	}
@@ -380,39 +410,22 @@ func runReplay(args []string, out io.Writer) (err error) {
 
 func runSweep(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	var cfg loadgen.SweepConfig
 	trace := fs.String("trace", "", "trace file (required)")
 	// The priority axis defaults to its identity policy alone, not all, so
 	// sweeps that never name it keep their exact combination list.
-	pol := policyFlags(fs, 4, "all", "all", "all", daemon.Priorities.Default())
-	devices := fs.Int("devices", 4, "fleet size per combination (when --fleets is unset)")
-	fleets := fs.String("fleets", "", "comma-separated fleet-size axis (overrides --devices when set)")
-	preemption := fs.String("preemption", "", "comma-separated preemption axis: on, off (default on only)")
-	rateScales := fs.String("rate-scales", "", "comma-separated arrival-rate multiplier axis (default 1)")
-	shotScales := fs.String("shot-scales", "", "comma-separated device shot-rate multiplier axis (default 1)")
-	workers := fs.Int("workers", 0, "bounded worker pool size (0 = GOMAXPROCS); never affects report bytes")
-	seed := fs.Int64("seed", 1, "replay seed shared by every combination")
+	matrixFlags(fs, &cfg, [4]string{"all", "all", "all", daemon.Priorities.Default()})
+	fs.Var(listFlag[string]{&cfg.Preemptions, text}, "preemption", "comma-separated preemption axis: on, off (default on only)")
+	fs.Var(listFlag[float64]{&cfg.RateScales, number}, "rate-scales", "comma-separated arrival-rate multiplier axis (default 1)")
+	fs.Var(listFlag[float64]{&cfg.ShotScales, number}, "shot-scales", "comma-separated device shot-rate multiplier axis (default 1)")
 	outPath := fs.String("out", "", "report file (default stdout)")
-	tracing := fs.Bool("tracing", true, "attach span tracing and report per-stage latency breakdown per cell")
-	cacheSize := fs.Int("cache", 0, "per-partition program-cache entries shared by every combination (0 = caching off)")
-	setup := fs.Float64("setup", 0, "cold-setup QPU seconds a program-cache miss pays (requires --cache)")
+	fs.BoolVar(&cfg.Tracing, "tracing", true, "attach span tracing and report per-stage latency breakdown per cell")
 	startProfiles := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *trace == "" {
 		return fmt.Errorf("sweep: --trace is required")
-	}
-	fleetAxis, err := splitNumbers(*fleets, "--fleets", "an integer", strconv.Atoi)
-	if err != nil {
-		return err
-	}
-	rateAxis, err := splitNumbers(*rateScales, "--rate-scales", "a number", parseFloat)
-	if err != nil {
-		return err
-	}
-	shotAxis, err := splitNumbers(*shotScales, "--shot-scales", "a number", parseFloat)
-	if err != nil {
-		return err
 	}
 	stopProfiles, err := startProfiles()
 	if err != nil {
@@ -424,22 +437,7 @@ func runSweep(args []string, out io.Writer) (err error) {
 		return err
 	}
 	start := time.Now()
-	rep, err := loadgen.Sweep(tr, loadgen.SweepConfig{
-		Devices:      *devices,
-		Seed:         *seed,
-		Routers:      splitAxis(pol.router),
-		Schedulers:   splitAxis(pol.scheduler),
-		Admissions:   splitAxis(pol.admission),
-		Priorities:   splitAxis(pol.priority),
-		FleetSizes:   fleetAxis,
-		Preemptions:  splitAxis(*preemption),
-		RateScales:   rateAxis,
-		ShotScales:   shotAxis,
-		Workers:      *workers,
-		Tracing:      *tracing,
-		ProgramCache: *cacheSize,
-		SetupSeconds: *setup,
-	})
+	rep, err := loadgen.Sweep(tr, cfg)
 	if err != nil {
 		return err
 	}
@@ -456,52 +454,25 @@ func runSweep(args []string, out io.Writer) (err error) {
 // what "sustainable" means — cross it explicitly when that is the question).
 func runSaturate(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("saturate", flag.ContinueOnError)
+	var cfg loadgen.SaturateConfig
 	trace := fs.String("trace", "", "trace file (required)")
-	pol := policyFlags(fs, 4, "all", "all", admission.Policies.Default(), daemon.Priorities.Default())
-	devices := fs.Int("devices", 4, "fleet size per tuple (when --fleets is unset)")
-	fleets := fs.String("fleets", "", "comma-separated fleet-size axis (overrides --devices when set)")
-	objective := fs.String("objective", loadgen.ObjectiveP99Wait, "knee objective: p99-wait (production p99 wait ≤ target seconds) or deadline-hit (hit rate ≥ target)")
-	target := fs.Float64("target", 0, "objective target: seconds for p99-wait (default 120), a rate in (0,1] for deadline-hit (default 0.95)")
-	maxScale := fs.Float64("max-scale", 0, "search cap on the rate multiplier (default 64)")
-	tolerance := fs.Float64("tolerance", 0, "relative knee precision: bisection stops at hi/lo ≤ 1+tolerance (default 0.05)")
-	cost := fs.Float64("cost-per-device-hour", 0, "price of one partition-hour for the cost ranking (default 1)")
-	workers := fs.Int("workers", 0, "bounded tuple worker pool size (0 = GOMAXPROCS); never affects report bytes")
-	seed := fs.Int64("seed", 1, "replay seed shared by every probe")
+	matrixFlags(fs, &cfg.SweepConfig, [4]string{"all", "all", admission.Policies.Default(), daemon.Priorities.Default()})
+	fs.StringVar(&cfg.Objective, "objective", loadgen.ObjectiveP99Wait, "knee objective: p99-wait (production p99 wait ≤ target seconds) or deadline-hit (hit rate ≥ target)")
+	fs.Float64Var(&cfg.TargetSeconds, "target", 0, "objective target: seconds for p99-wait (default 120), a rate in (0,1] for deadline-hit (default 0.95)")
+	fs.Float64Var(&cfg.MaxScale, "max-scale", 0, "search cap on the rate multiplier (default 64)")
+	fs.Float64Var(&cfg.Tolerance, "tolerance", 0, "relative knee precision: bisection stops at hi/lo ≤ 1+tolerance (default 0.05)")
+	fs.Float64Var(&cfg.CostPerDeviceHour, "cost-per-device-hour", 0, "price of one partition-hour for the cost ranking (default 1)")
 	outPath := fs.String("out", "", "frontier report file (default stdout)")
-	cacheSize := fs.Int("cache", 0, "per-partition program-cache entries for every probe (0 = caching off)")
-	setup := fs.Float64("setup", 0, "cold-setup QPU seconds a program-cache miss pays (requires --cache)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *trace == "" {
 		return fmt.Errorf("saturate: --trace is required")
 	}
-	fleetAxis, err := splitNumbers(*fleets, "--fleets", "an integer", strconv.Atoi)
-	if err != nil {
-		return err
-	}
-	cfg := loadgen.SaturateConfig{
-		Devices:           *devices,
-		FleetSizes:        fleetAxis,
-		Seed:              *seed,
-		Routers:           splitAxis(pol.router),
-		Schedulers:        splitAxis(pol.scheduler),
-		Admissions:        splitAxis(pol.admission),
-		Priorities:        splitAxis(pol.priority),
-		Objective:         *objective,
-		MaxScale:          *maxScale,
-		Tolerance:         *tolerance,
-		Workers:           *workers,
-		CostPerDeviceHour: *cost,
-		ProgramCache:      *cacheSize,
-		SetupSeconds:      *setup,
-	}
-	if *target != 0 {
-		if *objective == loadgen.ObjectiveDeadlineHit {
-			cfg.TargetHitRate = *target
-		} else {
-			cfg.TargetSeconds = *target
-		}
+	if cfg.Objective == loadgen.ObjectiveDeadlineHit {
+		// --target is bound to the p99-wait field; under deadline-hit it is
+		// the hit-rate floor instead.
+		cfg.TargetHitRate, cfg.TargetSeconds = cfg.TargetSeconds, 0
 	}
 	tr, err := loadgen.ReadTraceFile(*trace)
 	if err != nil {
@@ -526,10 +497,9 @@ func runSaturate(args []string, out io.Writer) error {
 // per job (lifecycle waterfall) — as Chrome trace-event JSON for Perfetto.
 func runTraceExport(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("trace export", flag.ContinueOnError)
+	var cfg loadgen.ReplayConfig
 	tracePath := fs.String("trace", "", "trace file (required)")
-	pol := policyFlags(fs, 4)
-	devices := fs.Int("devices", 4, "fleet size")
-	seed := fs.Int64("seed", 1, "replay seed")
+	replayFlags(fs, &cfg)
 	outPath := fs.String("out", "", "trace-event JSON file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -544,10 +514,8 @@ func runTraceExport(args []string, out io.Writer) error {
 	// Size the recorder to hold every job's trace: a replay-wide export is a
 	// full recording, not a flight-recorder tail.
 	rec := trace.NewFlightRecorder(max(1, len(tr.Records)))
-	if _, err := loadgen.Replay(tr, loadgen.ReplayConfig{
-		Devices: *devices, Router: pol.router, Scheduler: pol.scheduler, Admission: pol.admission, Priority: pol.priority, Seed: *seed,
-		SpanListener: rec.Observe,
-	}); err != nil {
+	cfg.SpanListener = rec.Observe
+	if _, err := loadgen.Replay(tr, cfg); err != nil {
 		return err
 	}
 	if err := writeTo(out, *outPath, func(w io.Writer) error {
@@ -557,7 +525,7 @@ func runTraceExport(args []string, out io.Writer) error {
 	}
 	live, done := rec.Len()
 	fmt.Fprintf(os.Stderr, "qcload: exported %d job traces across %d partitions (%s/%s/%s)\n",
-		live+done, *devices, pol.router, pol.scheduler, pol.admission)
+		live+done, cfg.Devices, cfg.Router, cfg.Scheduler, cfg.Admission)
 	return nil
 }
 
@@ -570,22 +538,6 @@ func splitAxis(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-
-// splitNumbers parses a comma-separated numeric axis like --fleets 2,4,8;
-// kind ("an integer") words the error for an element parse rejects.
-func splitNumbers[T any](s, what, kind string, parse func(string) (T, error)) ([]T, error) {
-	var out []T
-	for _, p := range splitAxis(s) {
-		v, err := parse(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s element %q is not %s", what, p, kind)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // writeTo runs write on the file at path, or on out when path is empty. The

@@ -17,6 +17,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -292,8 +293,8 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.ProgramCache < 0 {
 		return nil, fmt.Errorf("daemon: negative program cache capacity %d", cfg.ProgramCache)
 	}
-	if cfg.SetupSeconds < 0 {
-		return nil, fmt.Errorf("daemon: negative setup seconds %g", cfg.SetupSeconds)
+	if !(cfg.SetupSeconds >= 0) || math.IsInf(cfg.SetupSeconds, 1) {
+		return nil, fmt.Errorf("daemon: setup seconds %g (want a finite duration ≥ 0)", cfg.SetupSeconds)
 	}
 	if cfg.SetupSeconds > 0 && cfg.ProgramCache == 0 {
 		return nil, errors.New("daemon: SetupSeconds requires ProgramCache > 0 (without a cache every dispatch would pay setup)")

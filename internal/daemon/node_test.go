@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -132,6 +133,8 @@ func TestNewNodeErrors(t *testing.T) {
 		{"no partitions", "at least 1 partition", func(s *NodeSpec) { s.Partitions = 0 }},
 		{"unknown router", `router "coin-flip"`, func(s *NodeSpec) { s.Router = "coin-flip" }},
 		{"setup without a cache", "SetupSeconds requires ProgramCache", func(s *NodeSpec) { s.Daemon.SetupSeconds = 3 }},
+		{"NaN setup", "setup seconds NaN", func(s *NodeSpec) { s.Daemon.ProgramCache, s.Daemon.SetupSeconds = 4, math.NaN() }},
+		{"infinite setup", "setup seconds +Inf", func(s *NodeSpec) { s.Daemon.ProgramCache, s.Daemon.SetupSeconds = 4, math.Inf(1) }},
 	} {
 		s := base()
 		tc.edit(&s)

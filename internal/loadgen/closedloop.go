@@ -3,7 +3,6 @@ package loadgen
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -45,12 +44,6 @@ type ClosedLoopConfig struct {
 	Patterns     workload.Mix
 	ServiceScale float64
 	Jitter       float64
-	// StreamTo optionally receives the trace as JSONL while the capture
-	// runs: every arrival is encoded as it is observed, so a capture that
-	// errors (or a process that dies) mid-run leaves the records it saw on
-	// the sink instead of losing them with the in-memory buffer. Stream
-	// failures fail the capture rather than silently truncating the trace.
-	StreamTo io.Writer
 }
 
 // GenerateClosedLoop runs a live fleet on a virtual clock under closed-loop
@@ -80,15 +73,6 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 
 	clk := simclock.New()
 	rec := NewRecorder(canonicalShotRateHz)
-	if cfg.StreamTo != nil {
-		if err := rec.Stream(cfg.StreamTo, cfg.Seed, "closed-loop", cfg.Horizon.Microseconds()); err != nil {
-			return nil, err
-		}
-	}
-	// Close on every exit path: flush buffered stream bytes (so an erroring
-	// capture still lands the records it observed) and surface — never
-	// swallow — any record the sink failed to take.
-	defer rec.Close()
 	// owner maps an in-flight job to the user index waiting on it. Accessed
 	// only from clock callbacks and the daemon's synchronous listener, which
 	// all run on this goroutine.
@@ -176,12 +160,6 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 		clk.Schedule(stagger, fmt.Sprintf("start-user-%02d", u), func() { submitUser(u) })
 	}
 	clk.RunUntil(cfg.Horizon)
-	if err := rec.Close(); err != nil {
-		if submitErr != nil {
-			return nil, fmt.Errorf("%w (and %d trace records failed to stream: %v)", submitErr, rec.Dropped(), err)
-		}
-		return nil, fmt.Errorf("loadgen: closed-loop capture dropped %d trace records: %w", rec.Dropped(), err)
-	}
 	if submitErr != nil {
 		return nil, submitErr
 	}

@@ -43,7 +43,8 @@ func FuzzReadTrace(f *testing.F) {
 {"seq":0,"at_us":100,"user":"user-00","class":"production","pattern":"qc-heavy","qubits":2,"shots":60,"expected_qpu_seconds":60}
 {"seq":1,"at_us":200,"user":"user-01","class":"dev","qubits":2,"shots":12,"expected_qpu_seconds":12,"deadline_seconds":120}
 `))
-	// Streamed capture: jobs=-1 resolves to the lines present.
+	// A negative job count: refused by Validate like any count the lines
+	// do not match.
 	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"mode":"recorded","jobs":-1}
 {"seq":0,"at_us":5,"user":"u","class":"test","qubits":2,"shots":1,"expected_qpu_seconds":1}
 `))

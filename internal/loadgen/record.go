@@ -1,43 +1,26 @@
 package loadgen
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"math"
 	"sync"
 
 	"hpcqc/internal/daemon"
 )
 
-// errRecorderClosed is the sticky error Observe raises when events arrive
-// after Close — a daemon still draining while the capture has shut down.
-var errRecorderClosed = errors.New("loadgen: recorder closed with events still arriving")
-
 // Recorder captures arrivals from a live daemon run into a trace. Attach its
 // Observe method as (or inside) the daemon's Config.JobListener; every
 // accepted submission becomes one trace record, stamped with the simulation
 // time the daemon saw it. Replaying the result reproduces the run's offered
 // load — including completion-coupled arrival patterns a closed-loop
-// generator produced — as an open-loop schedule.
-//
-// A recorder optionally streams records to a JSONL sink as they are observed
-// (see Stream), so a capture that dies mid-run leaves every record it saw on
-// disk instead of only in memory. Failures are never silent: the first sink
-// error sticks, every record it prevented from landing is counted in
-// Dropped, and Flush/Close/Err all surface the error to the caller.
+// generator produced — as an open-loop schedule. The records stay in memory
+// until Trace packages them; Trace.Write puts them on disk.
 type Recorder struct {
 	shotRate float64
 
+	// mu guards records: a live daemon calls its listeners from several
+	// goroutines.
 	mu      sync.Mutex
 	records []Record
-	sink    *bufio.Writer
-	enc     *json.Encoder
-	sinkErr error
-	dropped int
-	closed  bool
 }
 
 // NewRecorder returns a recorder. shotRateHz converts the daemon's expected-
@@ -48,40 +31,6 @@ func NewRecorder(shotRateHz float64) *Recorder {
 		shotRateHz = canonicalShotRateHz
 	}
 	return &Recorder{shotRate: shotRateHz}
-}
-
-// Stream attaches a JSONL sink and writes the trace header immediately. The
-// header carries Jobs: -1 — the count is unknown until the capture ends — a
-// sentinel ReadTrace resolves to the number of record lines present, which
-// is exactly what makes a crash-truncated stream recoverable. Each
-// subsequent Observe encodes its record straight to the sink; call Flush or
-// Close to push buffered bytes to the underlying writer.
-func (r *Recorder) Stream(w io.Writer, seed int64, process string, horizonUS int64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sink != nil {
-		return errors.New("loadgen: recorder already streaming")
-	}
-	if r.closed {
-		return errors.New("loadgen: recorder closed")
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	hdr := TraceHeader{
-		Format:    TraceFormat,
-		Version:   TraceVersion,
-		Mode:      "recorded",
-		Process:   process,
-		Seed:      seed,
-		HorizonUS: horizonUS,
-		Jobs:      -1,
-	}
-	if err := enc.Encode(hdr); err != nil {
-		return fmt.Errorf("loadgen: writing stream header: %w", err)
-	}
-	r.sink = bw
-	r.enc = enc
-	return nil
 }
 
 // Observe consumes a daemon job event; only arrivals are recorded — accepted
@@ -103,16 +52,7 @@ func (r *Recorder) Observe(ev daemon.JobEvent) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		// The capture has been closed but the daemon is still emitting:
-		// count the loss and leave a sticky error for Err/Close callers.
-		r.dropped++
-		if r.sinkErr == nil {
-			r.sinkErr = errRecorderClosed
-		}
-		return
-	}
-	rec := Record{
+	r.records = append(r.records, Record{
 		Seq:                len(r.records),
 		AtUS:               ev.At.Microseconds(),
 		User:               ev.Job.User,
@@ -121,71 +61,7 @@ func (r *Recorder) Observe(ev daemon.JobEvent) {
 		Qubits:             2,
 		Shots:              shots,
 		ExpectedQPUSeconds: ev.Job.ExpectedQPUSeconds,
-	}
-	r.records = append(r.records, rec)
-	if r.enc != nil {
-		if r.sinkErr != nil {
-			r.dropped++
-			return
-		}
-		if err := r.enc.Encode(rec); err != nil {
-			r.sinkErr = fmt.Errorf("loadgen: streaming trace record %d: %w", rec.Seq, err)
-			r.dropped++
-		}
-	}
-}
-
-// Flush pushes buffered stream bytes to the underlying writer and reports
-// the first error the sink has seen. Without an attached sink it is a no-op.
-func (r *Recorder) Flush() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.flushLocked()
-}
-
-func (r *Recorder) flushLocked() error {
-	if r.sink != nil {
-		if err := r.sink.Flush(); err != nil && r.sinkErr == nil {
-			r.sinkErr = fmt.Errorf("loadgen: flushing trace stream: %w", err)
-		}
-	}
-	return r.sinkErr
-}
-
-// Close flushes the stream and marks the recorder closed: later events are
-// counted in Dropped and surface errRecorderClosed rather than vanishing.
-// It returns the first error the sink has seen, so a capture cannot end
-// with silently missing records. Close is idempotent; the in-memory records
-// remain readable through Trace.
-func (r *Recorder) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	err := r.flushLocked()
-	r.closed = true
-	return err
-}
-
-// Err returns the sticky stream error, if any.
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sinkErr
-}
-
-// Dropped returns how many observed records failed to reach the stream sink
-// (or arrived after Close). They are still present in the in-memory trace
-// unless the recorder was closed when they arrived.
-func (r *Recorder) Dropped() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Len returns the number of captured arrivals.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.records)
+	})
 }
 
 // Trace packages the captured arrivals under a "recorded" header. The seed

@@ -1,16 +1,15 @@
 package loadgen
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"testing"
 	"time"
 
 	"hpcqc/internal/daemon"
 	"hpcqc/internal/sched"
 )
 
+// arrivalEvent is a test-class submission of seq at atUS, as a daemon's job
+// listener sees it.
 func arrivalEvent(seq int, atUS int64) daemon.JobEvent {
 	return daemon.JobEvent{
 		Type: daemon.JobEventSubmitted,
@@ -22,146 +21,5 @@ func arrivalEvent(seq int, atUS int64) daemon.JobEvent {
 			RequestedClass:     sched.ClassTest,
 			ExpectedQPUSeconds: 30,
 		},
-	}
-}
-
-func TestRecorderStreamRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	rec := NewRecorder(0)
-	if err := rec.Stream(&buf, 7, "unit", int64(time.Hour/time.Microsecond)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		rec.Observe(arrivalEvent(i, int64(i)*1_000_000))
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if rec.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", rec.Dropped())
-	}
-	got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("reading streamed trace: %v", err)
-	}
-	// The streamed header carries Jobs: -1; ReadTrace must resolve it to the
-	// record lines present.
-	if got.Header.Jobs != 3 || len(got.Records) != 3 {
-		t.Fatalf("streamed trace has header jobs %d, %d records; want 3/3", got.Header.Jobs, len(got.Records))
-	}
-	want := rec.Trace(7, "unit", int64(time.Hour/time.Microsecond))
-	for i := range want.Records {
-		if got.Records[i] != want.Records[i] {
-			t.Fatalf("record %d: streamed %+v != in-memory %+v", i, got.Records[i], want.Records[i])
-		}
-	}
-}
-
-func TestRecorderStreamTruncationRecoverable(t *testing.T) {
-	// A capture that dies mid-run leaves a header and a prefix of records.
-	// Whatever made it to the sink must read back as a valid trace.
-	var buf bytes.Buffer
-	rec := NewRecorder(0)
-	if err := rec.Stream(&buf, 1, "unit", 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		rec.Observe(arrivalEvent(i, int64(i)))
-	}
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the crash: drop the last partial line if any, keep the rest.
-	data := buf.Bytes()
-	got, err := ReadTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("reading truncated stream: %v", err)
-	}
-	if len(got.Records) != 5 {
-		t.Fatalf("recovered %d records, want 5", len(got.Records))
-	}
-}
-
-// failAfterWriter errors once more than limit bytes have been written.
-type failAfterWriter struct {
-	n, limit int
-}
-
-func (w *failAfterWriter) Write(p []byte) (int, error) {
-	if w.n+len(p) > w.limit {
-		return 0, errors.New("disk full")
-	}
-	w.n += len(p)
-	return len(p), nil
-}
-
-func TestRecorderSinkErrorSurfaces(t *testing.T) {
-	// Enough room for the header and roughly one record, then the sink dies.
-	// bufio absorbs writes until its buffer fills or Flush is called, so the
-	// error may surface at Observe or at Close — either way it must surface,
-	// with the losses counted.
-	rec := NewRecorder(0)
-	if err := rec.Stream(&failAfterWriter{limit: 256}, 1, "unit", 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		rec.Observe(arrivalEvent(i, int64(i)))
-	}
-	if err := rec.Close(); err == nil {
-		t.Fatal("close after sink failure returned nil error")
-	}
-	if rec.Err() == nil {
-		t.Fatal("Err() is nil after sink failure")
-	}
-	if rec.Dropped() == 0 {
-		t.Fatal("Dropped() is 0 after sink failure")
-	}
-	// The in-memory buffer still holds everything observed before failure.
-	if rec.Len() != 5000 {
-		t.Fatalf("in-memory records = %d, want 5000", rec.Len())
-	}
-}
-
-func TestRecorderObserveAfterClose(t *testing.T) {
-	rec := NewRecorder(0)
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec.Observe(arrivalEvent(0, 0))
-	if rec.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", rec.Dropped())
-	}
-	if !errors.Is(rec.Err(), errRecorderClosed) {
-		t.Fatalf("err = %v, want errRecorderClosed", rec.Err())
-	}
-	if err := rec.Close(); err == nil {
-		t.Fatal("second close must surface the post-close drop")
-	}
-}
-
-func TestClosedLoopStreamMatchesReturnedTrace(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := ClosedLoopConfig{
-		Seed:     11,
-		Horizon:  2 * time.Hour,
-		Users:    4,
-		Devices:  2,
-		StreamTo: &buf,
-	}
-	tr, err := GenerateClosedLoop(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("reading streamed capture: %v", err)
-	}
-	if len(streamed.Records) != len(tr.Records) {
-		t.Fatalf("streamed %d records, returned trace has %d", len(streamed.Records), len(tr.Records))
-	}
-	for i := range tr.Records {
-		if streamed.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d differs: streamed %+v returned %+v", i, streamed.Records[i], tr.Records[i])
-		}
 	}
 }

@@ -20,23 +20,14 @@ const (
 // × fleet size, binary-search the rate multiplier to the knee where the
 // production objective blows past target.
 type SaturateConfig struct {
-	// Devices is the fleet size when FleetSizes is empty (default 4).
-	Devices int
-	// FleetSizes crosses the search with fleet sizes — the frontier's
-	// capacity axis. Every entry must be ≥ 1: a zero-capacity fleet has no
-	// knee to find and is rejected up front (the replay driver would
-	// silently substitute its default fleet otherwise).
-	FleetSizes []int
-	// Seed drives every probe's replay randomness.
-	Seed int64
-	// Routers, Schedulers, Admissions and Priorities are the policy axes,
-	// with sweep semantics: "all"/empty expands router, scheduler and
-	// admission to their full axes; priorities default to the constant
-	// singleton.
-	Routers    []string
-	Schedulers []string
-	Admissions []string
-	Priorities []string
+	// SweepConfig is the tuple matrix, with sweep semantics: Devices,
+	// FleetSizes, Seed, the four policy axes, Workers, ProgramCache and
+	// SetupSeconds mean what they mean to Sweep. The fields a frontier point
+	// cannot name or the search does not read — RateScales (the search owns
+	// the rate), Preemptions, ShotScales and Tracing — must be left unset.
+	// Probes within one tuple are inherently serial (each bisection step
+	// depends on the last), so Workers parallelizes across tuples.
+	SweepConfig
 	// Objective selects the SLO the knee is measured against: p99-wait
 	// (default) or deadline-hit.
 	Objective string
@@ -50,17 +41,9 @@ type SaturateConfig struct {
 	// Tolerance is the relative knee precision: bisection stops when the
 	// bracket's hi/lo ratio drops under 1+Tolerance (default 0.05).
 	Tolerance float64
-	// Workers bounds the tuple worker pool (default GOMAXPROCS). Probes
-	// within one tuple are inherently serial (each bisection step depends
-	// on the last), so parallelism comes from running tuples concurrently.
-	Workers int
 	// CostPerDeviceHour prices one partition-hour for the frontier ranking
 	// (default 1 — a relative ranking).
 	CostPerDeviceHour float64
-	// ProgramCache and SetupSeconds configure the per-partition program
-	// cache for every probe (see ReplayConfig).
-	ProgramCache int
-	SetupSeconds float64
 
 	// probe overrides the replay engine in tests (edge-case injection:
 	// non-monotone objectives, synthetic knees). Nil runs real replays.
@@ -291,46 +274,42 @@ func Saturate(tr *Trace, cfg SaturateConfig) (*FrontierReport, error) {
 	if cfg.Objective != ObjectiveP99Wait && cfg.Objective != ObjectiveDeadlineHit {
 		return nil, fmt.Errorf("loadgen: unknown saturation objective %q (%s, %s)", cfg.Objective, ObjectiveP99Wait, ObjectiveDeadlineHit)
 	}
-	if cfg.TargetSeconds <= 0 {
+	if len(cfg.RateScales) > 0 || len(cfg.Preemptions) > 0 || len(cfg.ShotScales) > 0 || cfg.Tracing {
+		return nil, fmt.Errorf("loadgen: saturate takes no rate scales, preemptions, shot scales or tracing (the search owns the rate; a frontier point names none of the others)")
+	}
+	// Zero means "default"; NaN fails every comparison below, so each check
+	// is written as what a valid value must satisfy.
+	if cfg.TargetSeconds == 0 {
 		cfg.TargetSeconds = 120
 	}
-	if cfg.TargetHitRate <= 0 {
+	if !(cfg.TargetSeconds > 0) || math.IsInf(cfg.TargetSeconds, 0) {
+		return nil, fmt.Errorf("loadgen: p99-wait target %g (want finite seconds > 0)", cfg.TargetSeconds)
+	}
+	if cfg.TargetHitRate == 0 {
 		cfg.TargetHitRate = 0.95
 	}
-	if cfg.TargetHitRate > 1 {
+	if !(cfg.TargetHitRate > 0 && cfg.TargetHitRate <= 1) {
 		return nil, fmt.Errorf("loadgen: deadline-hit target %g is not a rate in (0, 1]", cfg.TargetHitRate)
 	}
 	if cfg.MaxScale == 0 {
 		cfg.MaxScale = 64
 	}
-	if cfg.MaxScale <= 1 || math.IsInf(cfg.MaxScale, 0) || math.IsNaN(cfg.MaxScale) {
+	if !(cfg.MaxScale > 1) || math.IsInf(cfg.MaxScale, 0) {
 		return nil, fmt.Errorf("loadgen: saturation max scale %g (want a finite multiplier > 1)", cfg.MaxScale)
 	}
 	if cfg.Tolerance == 0 {
 		cfg.Tolerance = 0.05
 	}
-	if cfg.Tolerance <= 0 || cfg.Tolerance >= 1 {
+	if !(cfg.Tolerance > 0 && cfg.Tolerance < 1) {
 		return nil, fmt.Errorf("loadgen: saturation tolerance %g (want a relative width in (0, 1))", cfg.Tolerance)
 	}
 	if cfg.CostPerDeviceHour == 0 {
 		cfg.CostPerDeviceHour = 1
 	}
-	if cfg.CostPerDeviceHour < 0 {
-		return nil, fmt.Errorf("loadgen: negative cost per device-hour %g", cfg.CostPerDeviceHour)
+	if !(cfg.CostPerDeviceHour > 0) || math.IsInf(cfg.CostPerDeviceHour, 0) {
+		return nil, fmt.Errorf("loadgen: cost per device-hour %g (want a finite price > 0)", cfg.CostPerDeviceHour)
 	}
-	// Tuple enumeration and validation ride on the sweep's combo machinery;
-	// the rate axis belongs to the search itself.
-	combos, err := sweepCombos(&SweepConfig{
-		Devices:      cfg.Devices,
-		Seed:         cfg.Seed,
-		Routers:      cfg.Routers,
-		Schedulers:   cfg.Schedulers,
-		Admissions:   cfg.Admissions,
-		Priorities:   cfg.Priorities,
-		FleetSizes:   cfg.FleetSizes,
-		ProgramCache: cfg.ProgramCache,
-		SetupSeconds: cfg.SetupSeconds,
-	})
+	combos, err := sweepCombos(&cfg.SweepConfig)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +23,13 @@ func saturateTrace(t *testing.T, seed int64) *Trace {
 	return tr
 }
 
+// leastLoadedFIFO is the one-tuple matrix most saturate tests search:
+// least-loaded × fifo × accept-all on each of fleets.
+func leastLoadedFIFO(seed int64, fleets ...int) SweepConfig {
+	return SweepConfig{Seed: seed, Routers: []string{"least-loaded"}, Schedulers: []string{"fifo"},
+		Admissions: []string{"accept-all"}, FleetSizes: fleets}
+}
+
 // TestSaturateByteIdentical is the frontier report's determinism contract:
 // identical configs produce byte-identical reports, whatever the worker
 // count — the same guarantee the sweep gives, extended to an adaptive probe
@@ -29,13 +37,9 @@ func saturateTrace(t *testing.T, seed int64) *Trace {
 func TestSaturateByteIdentical(t *testing.T) {
 	tr := saturateTrace(t, 11)
 	cfg := SaturateConfig{
-		Seed:       11,
-		Routers:    []string{"least-loaded"},
-		Schedulers: []string{"fifo"},
-		Admissions: []string{"accept-all"},
-		FleetSizes: []int{1, 2},
-		MaxScale:   16,
-		Tolerance:  0.2,
+		SweepConfig: leastLoadedFIFO(11, 1, 2),
+		MaxScale:    16,
+		Tolerance:   0.2,
 	}
 	r1, err := Saturate(tr, cfg)
 	if err != nil {
@@ -78,13 +82,9 @@ func TestSaturateByteIdentical(t *testing.T) {
 func TestSaturateFleetMonotonic(t *testing.T) {
 	tr := saturateTrace(t, 11)
 	rep, err := Saturate(tr, SaturateConfig{
-		Seed:       11,
-		Routers:    []string{"least-loaded"},
-		Schedulers: []string{"fifo"},
-		Admissions: []string{"accept-all"},
-		FleetSizes: []int{1, 4},
-		MaxScale:   32,
-		Tolerance:  0.1,
+		SweepConfig: leastLoadedFIFO(11, 1, 4),
+		MaxScale:    32,
+		Tolerance:   0.1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,12 +134,9 @@ func syntheticProbe(wait func(scale float64, devices int) float64) func(*prepare
 func TestSaturateNonMonotoneGuard(t *testing.T) {
 	tr := saturateTrace(t, 11)
 	cfg := SaturateConfig{
-		Seed:       11,
-		Routers:    []string{"least-loaded"},
-		Schedulers: []string{"fifo"},
-		Admissions: []string{"accept-all"},
-		MaxScale:   8,
-		Tolerance:  0.25,
+		SweepConfig: leastLoadedFIFO(11),
+		MaxScale:    8,
+		Tolerance:   0.25,
 		// Violates at ≥6 (the real knee the search brackets) and in the
 		// (2.5, 3.5) valley the interior guard probes must trip over.
 		probe: syntheticProbe(func(scale float64, _ int) float64 {
@@ -155,16 +152,57 @@ func TestSaturateNonMonotoneGuard(t *testing.T) {
 	}
 }
 
+// TestSaturateRejectsBadParameters: zero means "default" for every float
+// parameter, and anything else a search cannot mean — a negative or NaN
+// target, a NaN tolerance or scale cap, a NaN, infinite or negative price,
+// or a sweep axis a frontier point cannot name — fails before any probe
+// runs, instead of being read as unset or surfacing only in the report
+// encoder.
+func TestSaturateRejectsBadParameters(t *testing.T) {
+	tr := saturateTrace(t, 11)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*SaturateConfig)
+		want string
+	}{
+		{"negative target", func(c *SaturateConfig) { c.TargetSeconds = -5 }, "p99-wait target -5"},
+		{"NaN target", func(c *SaturateConfig) { c.TargetSeconds = nan }, "p99-wait target NaN"},
+		{"infinite target", func(c *SaturateConfig) { c.TargetSeconds = inf }, "p99-wait target +Inf"},
+		{"negative hit rate", func(c *SaturateConfig) { c.TargetHitRate = -0.5 }, "deadline-hit target -0.5"},
+		{"NaN hit rate", func(c *SaturateConfig) { c.TargetHitRate = nan }, "deadline-hit target NaN"},
+		{"NaN tolerance", func(c *SaturateConfig) { c.Tolerance = nan }, "tolerance NaN"},
+		{"NaN max scale", func(c *SaturateConfig) { c.MaxScale = nan }, "max scale NaN"},
+		{"NaN cost", func(c *SaturateConfig) { c.CostPerDeviceHour = nan }, "cost per device-hour NaN"},
+		{"infinite cost", func(c *SaturateConfig) { c.CostPerDeviceHour = inf }, "cost per device-hour +Inf"},
+		{"negative cost", func(c *SaturateConfig) { c.CostPerDeviceHour = -1 }, "cost per device-hour -1"},
+		{"rate scales", func(c *SaturateConfig) { c.RateScales = []float64{2} }, "takes no rate scales"},
+		{"preemptions", func(c *SaturateConfig) { c.Preemptions = []string{"off"} }, "takes no rate scales"},
+		{"shot scales", func(c *SaturateConfig) { c.ShotScales = []float64{2} }, "takes no rate scales"},
+		{"tracing", func(c *SaturateConfig) { c.Tracing = true }, "takes no rate scales"},
+	} {
+		probes := 0
+		cfg := SaturateConfig{SweepConfig: leastLoadedFIFO(11),
+			probe: func(*preparedTrace, ReplayConfig) (*Report, error) { probes++; return &Report{}, nil }}
+		cfg.Workers = 1 // probes is counted unguarded
+		tc.edit(&cfg)
+		_, err := Saturate(tr, cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if probes != 0 {
+			t.Errorf("%s: %d probes ran before the rejection", tc.name, probes)
+		}
+	}
+}
+
 // TestSaturateZeroCapacityFleet: a zero-partition fleet has no knee to find;
 // the search must reject it up front rather than let the replay driver
 // silently substitute its default fleet.
 func TestSaturateZeroCapacityFleet(t *testing.T) {
 	tr := saturateTrace(t, 11)
 	_, err := Saturate(tr, SaturateConfig{
-		Routers:    []string{"least-loaded"},
-		Schedulers: []string{"fifo"},
-		Admissions: []string{"accept-all"},
-		FleetSizes: []int{0},
+		SweepConfig: leastLoadedFIFO(0, 0),
 	})
 	if err == nil || !strings.Contains(err.Error(), "fleet size 0") {
 		t.Fatalf("zero-capacity fleet accepted: err=%v", err)
@@ -177,13 +215,9 @@ func TestSaturateZeroCapacityFleet(t *testing.T) {
 func TestSaturateViolatedAtBase(t *testing.T) {
 	tr := saturateTrace(t, 11)
 	rep, err := Saturate(tr, SaturateConfig{
-		Seed:       11,
-		Routers:    []string{"least-loaded"},
-		Schedulers: []string{"fifo"},
-		Admissions: []string{"accept-all"},
-		FleetSizes: []int{1, 2},
-		MaxScale:   8,
-		Tolerance:  0.25,
+		SweepConfig: leastLoadedFIFO(11, 1, 2),
+		MaxScale:    8,
+		Tolerance:   0.25,
 		// Fleet 1 is hopeless at any scale; fleet 2 sustains up to 4×.
 		probe: syntheticProbe(func(scale float64, devices int) float64 {
 			if devices < 2 || scale > 4 {
@@ -225,11 +259,7 @@ func TestSaturateTargetViolatedAtBaseReal(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Saturate(tr, SaturateConfig{
-		Seed:          11,
-		Devices:       1,
-		Routers:       []string{"least-loaded"},
-		Schedulers:    []string{"fifo"},
-		Admissions:    []string{"accept-all"},
+		SweepConfig:   leastLoadedFIFO(11, 1),
 		TargetSeconds: 1,
 		MaxScale:      8,
 	})
@@ -248,10 +278,8 @@ func TestSaturateTargetViolatedAtBaseReal(t *testing.T) {
 func TestSaturateDeadlineObjectiveNeedsDeadlines(t *testing.T) {
 	tr := saturateTrace(t, 11)
 	_, err := Saturate(tr, SaturateConfig{
-		Routers:    []string{"least-loaded"},
-		Schedulers: []string{"fifo"},
-		Admissions: []string{"accept-all"},
-		Objective:  ObjectiveDeadlineHit,
+		SweepConfig: leastLoadedFIFO(0),
+		Objective:   ObjectiveDeadlineHit,
 	})
 	if err == nil || !strings.Contains(err.Error(), "production deadlines") {
 		t.Fatalf("deadline-hit on a deadline-less trace accepted: err=%v", err)
@@ -271,13 +299,10 @@ func TestSaturateDeadlineObjective(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Saturate(tr, SaturateConfig{
-		Seed:       11,
-		Routers:    []string{"least-loaded"},
-		Schedulers: []string{"fifo"},
-		Admissions: []string{"accept-all"},
-		Objective:  ObjectiveDeadlineHit,
-		MaxScale:   16,
-		Tolerance:  0.2,
+		SweepConfig: leastLoadedFIFO(11),
+		Objective:   ObjectiveDeadlineHit,
+		MaxScale:    16,
+		Tolerance:   0.2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,13 +337,9 @@ func TestSaturateFrontierDominance(t *testing.T) {
 			// lone device knees well under the cap on every seed, while the
 			// larger fleet's knee (capped or not) sits far above it.
 			rep, err := Saturate(saturateTrace(t, seed), SaturateConfig{
-				Seed:       seed,
-				Routers:    []string{"least-loaded"},
-				Schedulers: []string{"fifo"},
-				Admissions: []string{"accept-all"},
-				FleetSizes: []int{1, 4},
-				MaxScale:   64,
-				Tolerance:  0.1,
+				SweepConfig: leastLoadedFIFO(seed, 1, 4),
+				MaxScale:    64,
+				Tolerance:   0.1,
 			})
 			if err != nil {
 				return 0, 0, err

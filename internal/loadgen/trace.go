@@ -94,9 +94,6 @@ func (t *Trace) Validate() error {
 	if t.Header.Version != TraceVersion {
 		return fmt.Errorf("loadgen: unsupported trace version %d (supported: %d)", t.Header.Version, TraceVersion)
 	}
-	if t.Header.Jobs < 0 {
-		return fmt.Errorf("loadgen: streamed trace header has unresolved job count %d (read it through ReadTrace)", t.Header.Jobs)
-	}
 	if t.Header.Jobs != len(t.Records) {
 		return fmt.Errorf("loadgen: header says %d jobs, file has %d", t.Header.Jobs, len(t.Records))
 	}
@@ -156,7 +153,7 @@ func (t *Trace) WriteFile(path string) error {
 const maxPresizeRecords = 1 << 17
 
 // ReadTrace parses and validates a JSONL trace. Record lines in the form
-// Trace.Write and Recorder emit are decoded by scanRecord; every other line
+// Trace.Write emits are decoded by scanRecord; every other line
 // goes to encoding/json, which alone defines what is accepted and every error.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
@@ -194,13 +191,6 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("loadgen: reading trace: %w", err)
-	}
-	if t.Header.Jobs < 0 {
-		// Streamed capture (Recorder.Stream): the header was written before
-		// the record count was known. Resolve it to the lines present — for a
-		// crash-truncated stream that recovers exactly the records that made
-		// it to the sink.
-		t.Header.Jobs = len(t.Records)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

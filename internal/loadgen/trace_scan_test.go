@@ -51,9 +51,6 @@ func readTraceReference(data []byte) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("loadgen: reading trace: %w", err)
 	}
-	if t.Header.Jobs < 0 {
-		t.Header.Jobs = len(t.Records)
-	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -241,7 +238,8 @@ func TestScannerKnowsEveryRecordField(t *testing.T) {
 }
 
 // TestCanonicalTracesNeverFallBack holds the property the scanner's speed
-// rests on: every record line Trace.Write and Recorder emit is canonical.
+// rests on: every record line Trace.Write emits is canonical — for generated
+// traces and for captures alike.
 func TestCanonicalTracesNeverFallBack(t *testing.T) {
 	files := make(map[string][]byte)
 	golden, err := filepath.Glob(filepath.Join("testdata", "golden", "*.jsonl"))
@@ -263,26 +261,27 @@ func TestCanonicalTracesNeverFallBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	files["gen --deadlines"] = gen.Bytes()
-	var captured bytes.Buffer
-	if _, err := GenerateClosedLoop(ClosedLoopConfig{Seed: 11, Horizon: 2 * time.Hour, Users: 4, Devices: 2, StreamTo: &captured}); err != nil {
+	captured, err := GenerateClosedLoop(ClosedLoopConfig{Seed: 11, Horizon: 2 * time.Hour, Users: 4, Devices: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	files["closed-loop capture"] = captured.Bytes()
 	// A recorder at a shot rate that makes the duration hint fractional.
-	var streamed bytes.Buffer
 	rec := NewRecorder(3)
-	if err := rec.Stream(&streamed, 1, "unit", int64(time.Hour/time.Microsecond)); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 5; i++ {
 		ev := arrivalEvent(i, int64(i)*1_000_000)
 		ev.Job.ExpectedQPUSeconds = float64(i+1) / 3
 		rec.Observe(ev)
 	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
+	for name, tr := range map[string]*Trace{
+		"closed-loop capture":        captured,
+		"recorder, fractional hints": rec.Trace(1, "unit", int64(time.Hour/time.Microsecond)),
+	} {
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		files[name] = buf.Bytes()
 	}
-	files["recorder, fractional hints"] = streamed.Bytes()
 
 	for name, data := range files {
 		lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
