@@ -529,7 +529,7 @@ func runTraceExport(args []string, out io.Writer) error {
 	return nil
 }
 
-// splitAxis turns a comma-separated flag value into a policy axis.
+// splitAxis splits a comma-separated list flag, dropping blank elements.
 func splitAxis(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {

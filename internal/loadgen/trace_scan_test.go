@@ -251,16 +251,11 @@ func TestCanonicalTracesNeverFallBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr, err := Generate(Config{Seed: 3, Horizon: 2 * time.Hour, Process: &Poisson{RatePerHour: 600},
+	generated, err := Generate(Config{Seed: 3, Horizon: 2 * time.Hour, Process: &Poisson{RatePerHour: 600},
 		Deadlines: workload.DefaultDeadlines()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gen bytes.Buffer
-	if err := tr.Write(&gen); err != nil {
-		t.Fatal(err)
-	}
-	files["gen --deadlines"] = gen.Bytes()
 	captured, err := GenerateClosedLoop(ClosedLoopConfig{Seed: 11, Horizon: 2 * time.Hour, Users: 4, Devices: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -273,6 +268,7 @@ func TestCanonicalTracesNeverFallBack(t *testing.T) {
 		rec.Observe(ev)
 	}
 	for name, tr := range map[string]*Trace{
+		"gen --deadlines":            generated,
 		"closed-loop capture":        captured,
 		"recorder, fractional hints": rec.Trace(1, "unit", int64(time.Hour/time.Microsecond)),
 	} {
