@@ -55,7 +55,7 @@ bench-json:
 # the gate cannot do without. Ten pairs take ≈ 23 min on two cores.
 bench-diff:
 	$(GO) run ./cmd/benchdiff -base $(BASE) -pairs $(PAIRS) \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong:allocs_per_job,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkServedMixed:allocs_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong:allocs_per_job,BenchmarkLoadgenReplayStream:peak_heap_mb,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkServedMixed:allocs_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
 		'$(BENCH_PATTERN)' $(BENCH_PKGS)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a
@@ -112,12 +112,13 @@ profile-replay:
 	$(GO) tool pprof -sample_index alloc_space -top -cum -nodecount 40 $(PROFILE_DIR)/qcload $(PROFILE_DIR)/replay_mem.out
 
 # fuzz-smoke runs each trace-ingestion fuzz target for a fixed iteration
-# count — a deterministic-duration CI pass over the JSONL reader and the
-# SWF/sacct importers (Go fuzzing accepts exactly one -fuzz target per
-# invocation, hence three commands). Crashers land in
+# count — a deterministic-duration CI pass over the JSONL reader, the
+# streamed replay and the SWF/sacct importers (Go fuzzing accepts exactly one
+# -fuzz target per invocation, hence four commands). Crashers land in
 # internal/loadgen/testdata/fuzz/ for `go test` to replay forever after.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTrace$$' -fuzztime=2000x ./internal/loadgen
+	$(GO) test -run='^$$' -fuzz='^FuzzReplayReader$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSWF$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSacct$$' -fuzztime=2000x ./internal/loadgen
 

@@ -234,25 +234,40 @@ func runInfo(args []string, out io.Writer) error {
 	if *trace == "" {
 		return fmt.Errorf("info: --trace is required")
 	}
-	tr, err := loadgen.ReadTraceFile(*trace)
+	f, err := openTrace(*trace)
 	if err != nil {
 		return err
 	}
+	defer f.Close()
 	classes := map[string]int{}
 	users := map[string]bool{}
 	totalQPU := 0.0
-	for _, r := range tr.Records {
+	header, err := loadgen.ScanTrace(f, func(r *loadgen.Record) error {
 		classes[r.Class]++
 		users[r.User] = true
 		totalQPU += r.ExpectedQPUSeconds
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	return json.NewEncoder(out).Encode(map[string]any{
-		"header":               tr.Header,
+		"header":               header,
 		"jobs_by_class":        classes,
 		"distinct_users":       len(users),
 		"offered_qpu_seconds":  totalQPU,
-		"mean_service_seconds": totalQPU / float64(max(1, len(tr.Records))),
+		"mean_service_seconds": totalQPU / float64(max(1, header.Jobs)),
 	})
+}
+
+// openTrace opens a trace file for the subcommands that read it as they go,
+// failing as loadgen.ReadTraceFile does.
+func openTrace(path string) (*os.File, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: opening trace: %w", err)
+	}
+	return f, nil
 }
 
 // policyAxes is the four policy axes in pipeline order: the flag that picks
@@ -397,11 +412,12 @@ func runReplay(args []string, out io.Writer) (err error) {
 		return err
 	}
 	defer func() { err = errors.Join(err, stopProfiles()) }()
-	tr, err := loadgen.ReadTraceFile(*trace)
+	f, err := openTrace(*trace)
 	if err != nil {
 		return err
 	}
-	rep, err := loadgen.Replay(tr, cfg)
+	defer f.Close()
+	rep, err := loadgen.ReplayReader(f, cfg)
 	if err != nil {
 		return err
 	}

@@ -340,6 +340,10 @@ func TestQcloadImportSWF(t *testing.T) {
 }
 
 func TestQcloadErrors(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := run([]string{"gen", "--out", trace, "--duration", "30m"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{},
 		{"bogus"},
@@ -360,6 +364,12 @@ func TestQcloadErrors(t *testing.T) {
 		{"sweep", "--trace", "/does/not/exist.jsonl", "--rate-scales", "fast"},
 		{"saturate"},
 		{"saturate", "--trace", "/does/not/exist.jsonl"},
+		// Only --devices 0 means the default fleet.
+		{"replay", "--trace", trace, "--devices", "-3"},
+		{"sweep", "--trace", trace, "--devices", "-2"},
+		{"saturate", "--trace", trace, "--devices", "-2"},
+		{"trace", "export", "--trace", trace, "--devices", "-1"},
+		{"capture", "--out", filepath.Join(t.TempDir(), "c.jsonl"), "--duration", "1h", "--devices", "-1"},
 	} {
 		if err := run(args, os.Stdout); err == nil {
 			t.Fatalf("args %v accepted", args)

@@ -26,7 +26,7 @@ type ClosedLoopConfig struct {
 	// ThinkMean is the mean exponential think time between a completion and
 	// the user's next submission (default 5m).
 	ThinkMean time.Duration
-	// Devices sizes the fleet driven during capture (default 4).
+	// Devices sizes the fleet driven during capture (0 = the default, 4).
 	Devices int
 	// Router, Scheduler and Admission are the specs of the policies the
 	// capture run executes under ("" = each axis's default). Closed-loop
@@ -60,7 +60,7 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 	if cfg.ThinkMean <= 0 {
 		cfg.ThinkMean = 5 * time.Minute
 	}
-	if cfg.Devices <= 0 {
+	if cfg.Devices == 0 {
 		cfg.Devices = 4
 	}
 	shared := Config{

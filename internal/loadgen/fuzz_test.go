@@ -37,46 +37,58 @@ func checkTraceInvariants(t *testing.T, tr *Trace) {
 	}
 }
 
-func FuzzReadTrace(f *testing.F) {
+// traceSeeds is the seed corpus of the trace-file fuzz targets, FuzzReadTrace
+// and FuzzReplayReader.
+var traceSeeds = []string{
 	// A well-formed two-record trace, exactly as Write produces it.
-	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"mode":"generated","seed":1,"horizon_us":3600000000,"jobs":2}
+	`{"format":"hpcqc-loadgen-trace","version":1,"mode":"generated","seed":1,"horizon_us":3600000000,"jobs":2}
 {"seq":0,"at_us":100,"user":"user-00","class":"production","pattern":"qc-heavy","qubits":2,"shots":60,"expected_qpu_seconds":60}
 {"seq":1,"at_us":200,"user":"user-01","class":"dev","qubits":2,"shots":12,"expected_qpu_seconds":12,"deadline_seconds":120}
-`))
+`,
 	// A negative job count: refused by Validate like any count the lines
 	// do not match.
-	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"mode":"recorded","jobs":-1}
+	`{"format":"hpcqc-loadgen-trace","version":1,"mode":"recorded","jobs":-1}
 {"seq":0,"at_us":5,"user":"u","class":"test","qubits":2,"shots":1,"expected_qpu_seconds":1}
-`))
+`,
 	// Malformed headers: wrong format tag, unsupported version, bare junk.
-	f.Add([]byte(`{"format":"not-a-trace","version":1,"jobs":0}`))
-	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":99,"jobs":0}`))
-	f.Add([]byte(`{"format":`))
-	f.Add([]byte(``))
+	`{"format":"not-a-trace","version":1,"jobs":0}`,
+	`{"format":"hpcqc-loadgen-trace","version":99,"jobs":0}`,
+	`{"format":`,
+	``,
 	// Truncated record line.
-	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1}
-{"seq":0,"at_us":5,"user":"u","cla`))
+	`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1}
+{"seq":0,"at_us":5,"user":"u","cla`,
 	// Deadline out of range, and non-monotone arrivals.
-	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1}
+	`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1}
 {"seq":0,"at_us":5,"user":"u","class":"dev","qubits":2,"shots":1,"expected_qpu_seconds":1,"deadline_seconds":-3}
-`))
-	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"jobs":2}
+`,
+	`{"format":"hpcqc-loadgen-trace","version":1,"jobs":2}
 {"seq":0,"at_us":50,"user":"u","class":"dev","qubits":2,"shots":1,"expected_qpu_seconds":1}
 {"seq":1,"at_us":10,"user":"u","class":"dev","qubits":2,"shots":1,"expected_qpu_seconds":1}
-`))
+`,
+	// A duration hint below zero: refused like the deadline (-0 below is not).
+	`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1}
+{"seq":0,"at_us":5,"user":"u","class":"dev","qubits":2,"shots":1,"expected_qpu_seconds":-5}
+`,
 	// A header whose job count no file could back (once a makeslice panic),
 	// and an arrival before the epoch (−1 alone once passed Validate).
-	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1000000000000000}`))
-	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1}
+	`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1000000000000000}`,
+	`{"format":"hpcqc-loadgen-trace","version":1,"jobs":1}
 {"seq":0,"at_us":-1,"user":"u","class":"dev","qubits":2,"shots":1,"expected_qpu_seconds":1}
-`))
+`,
 	// Lines around the record scanner's edges: valid JSON it must decline,
 	// near-JSON it must not accept.
-	f.Add([]byte(`{"format":"hpcqc-loadgen-trace","version":1,"jobs":3}
+	`{"format":"hpcqc-loadgen-trace","version":1,"jobs":3}
 {"Seq":0, "at_us":1e1,"user":"caf\u00e9","class":"dev","qubits":2,"shots":1,"expected_qpu_seconds":0.5,"x":null}
 {"seq":01,"at_us":20,"user":"u","class":"dev","qubits":2,"shots":1.0,"expected_qpu_seconds":1.,}
 {"shots":1,"shots":2,"seq":2,"at_us":999999999999999999,"user":"u","class":"dev","qubits":2,"expected_qpu_seconds":-0}
-`))
+`,
+}
+
+func FuzzReadTrace(f *testing.F) {
+	for _, seed := range traceSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Differential against encoding/json, line by line and as a file:
 		// whatever the scanner accepts decodes as json.Unmarshal would, and

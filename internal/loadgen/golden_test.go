@@ -134,7 +134,10 @@ func (g *goldenCorpus) run(t *testing.T) {
 // scan, so they are the cross-commit gate for the indexed queue (DESIGN §5,
 // INV-Q1). Regenerate only with `go test ./internal/loadgen -run
 // TestGoldenBacklogDigests -update`, and name the reason in CHANGES.md.
-func TestGoldenBacklogDigests(t *testing.T) {
+func TestGoldenBacklogDigests(t *testing.T) { backlogCorpus().run(t) }
+
+// backlogCorpus is TestGoldenBacklogDigests's corpus.
+func backlogCorpus() *goldenCorpus {
 	g := &goldenCorpus{
 		name: "backlog600",
 		gen: Config{
@@ -161,7 +164,7 @@ func TestGoldenBacklogDigests(t *testing.T) {
 				ReplayConfig{Devices: 1, Scheduler: scheduler, Priority: priority, Seed: 1}})
 		}
 	}
-	g.run(t)
+	return g
 }
 
 // TestGoldenSteadyDigests is the unsaturated twin of the backlog corpus: a
@@ -172,8 +175,11 @@ func TestGoldenBacklogDigests(t *testing.T) {
 // the path the arrival cursor and mid-run reclamation changed, which the
 // 1-device saturated corpus does not reach. Recorded from the commit before
 // those landed. Regenerate only with `-run TestGoldenSteadyDigests -update`.
-func TestGoldenSteadyDigests(t *testing.T) {
-	g := &goldenCorpus{
+func TestGoldenSteadyDigests(t *testing.T) { steadyCorpus().run(t) }
+
+// steadyCorpus is TestGoldenSteadyDigests's corpus.
+func steadyCorpus() *goldenCorpus {
+	return &goldenCorpus{
 		name: "steady150",
 		gen: Config{
 			Seed:      15,
@@ -200,7 +206,6 @@ func TestGoldenSteadyDigests(t *testing.T) {
 		},
 		minDistinct: 4,
 	}
-	g.run(t)
 }
 
 // TestGoldenBurstyAdmissionDigests pins the admission door and the
@@ -212,7 +217,10 @@ func TestGoldenSteadyDigests(t *testing.T) {
 // the report bytes here, which neither other corpus exercises. Recorded from
 // the commit before the policy constructors moved onto internal/policy.
 // Regenerate only with `-run TestGoldenBurstyAdmissionDigests -update`.
-func TestGoldenBurstyAdmissionDigests(t *testing.T) {
+func TestGoldenBurstyAdmissionDigests(t *testing.T) { burstyCorpus().run(t) }
+
+// burstyCorpus is TestGoldenBurstyAdmissionDigests's corpus.
+func burstyCorpus() *goldenCorpus {
 	const tunedGuard, spelledAffinity = "slo-guard:wait=45s:warn=0.7", "affinity:load=0.6:affinity=0.3:cap=0.1"
 	g := &goldenCorpus{
 		name: "bursty300",
@@ -269,5 +277,39 @@ func TestGoldenBurstyAdmissionDigests(t *testing.T) {
 			g.cells = append(g.cells, goldenCell{name, ReplayConfig{Devices: 2, Admission: adm, Priority: priority, Seed: 1}})
 		}
 	}
-	g.run(t)
+	return g
+}
+
+// TestReplayReaderMatchesGolden: every cell of the three golden corpora,
+// replayed by ReplayReader straight from the committed trace file, hashes to
+// the committed digest — the streamed replay is the in-memory one, byte for
+// byte, on traces recorded long before it existed.
+func TestReplayReaderMatchesGolden(t *testing.T) {
+	for _, g := range []*goldenCorpus{backlogCorpus(), steadyCorpus(), burstyCorpus()} {
+		raw, err := os.ReadFile(g.path(".sha256.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[string]string)
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != len(g.cells) {
+			t.Fatalf("%s: golden file has %d cells, the corpus %d", g.name, len(want), len(g.cells))
+		}
+		for _, cell := range g.cells {
+			f, err := os.Open(g.path(".jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := ReplayReader(f, cell.cfg)
+			f.Close()
+			if err != nil {
+				t.Fatalf("%s %s: %v", g.name, cell.name, err)
+			}
+			if sum := sha256.Sum256(marshalReport(t, rep)); hex.EncodeToString(sum[:]) != want[cell.name] {
+				t.Errorf("%s %s: streamed report sha256 %x, golden %s", g.name, cell.name, sum, want[cell.name])
+			}
+		}
+	}
 }

@@ -223,6 +223,20 @@ func TestTraceValidation(t *testing.T) {
 	if tr.Validate() == nil {
 		t.Fatal("zero-shot record accepted")
 	}
+	// The daemon refuses a duration hint below zero, so the trace does too;
+	// -0 is zero.
+	for _, hint := range []float64{-5, math.NaN(), math.Inf(1)} {
+		tr = base()
+		tr.Records[0].ExpectedQPUSeconds = hint
+		if tr.Validate() == nil {
+			t.Fatalf("duration hint %g accepted", hint)
+		}
+	}
+	tr = base()
+	tr.Records[0].ExpectedQPUSeconds = math.Copysign(0, -1)
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("duration hint -0 refused: %v", err)
+	}
 	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty file accepted")
 	}

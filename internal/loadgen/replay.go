@@ -3,6 +3,7 @@ package loadgen
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -19,7 +20,8 @@ import (
 
 // ReplayConfig parameterizes one deterministic trace replay.
 type ReplayConfig struct {
-	// Devices sizes the fleet (default 4).
+	// Devices sizes the fleet; 0 means the default, 4, and a negative size
+	// is an error.
 	Devices int
 	// Router, Scheduler, Admission and Priority are the policy tuple, each a
 	// spec on its axis's registry (daemon.Routers, daemon.Orders,
@@ -121,61 +123,6 @@ func (cfg *ReplayConfig) label() string {
 	return b.String()
 }
 
-// preparedTrace is a trace decoded once for many replays: per-record classes
-// and program indices resolved up front, plus the distinct submitters in
-// first-appearance order. Every field is immutable after prepareTrace
-// returns, so one preparedTrace is shared read-only across all workers of a
-// sweep or saturation search.
-type preparedTrace struct {
-	tr      *Trace
-	classes []sched.Class
-	// programs indexes each record's payload in payloads, the trace's
-	// distinct serialized programs: four bytes a record, not a slice header.
-	programs []uint32
-	payloads [][]byte
-	users    []string
-}
-
-// prepareTrace validates the trace and resolves its per-record decode work —
-// class parsing, program payload construction, submitter discovery — exactly
-// once. Sweep and Saturate call it up front so a thousand cells replay the
-// same decoded records instead of paying the warm-up per cell.
-func prepareTrace(tr *Trace) (*preparedTrace, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	p := &preparedTrace{
-		tr:       tr,
-		classes:  make([]sched.Class, len(tr.Records)),
-		programs: make([]uint32, len(tr.Records)),
-	}
-	seen := make(map[string]bool)
-	index := make(map[[2]int]uint32)
-	for i := range tr.Records {
-		rec := &tr.Records[i]
-		class, err := rec.ParsedClass()
-		if err != nil {
-			return nil, err
-		}
-		p.classes[i] = class
-		key := [2]int{rec.Qubits, rec.Shots}
-		if _, ok := index[key]; !ok {
-			payload, err := sharedPrograms.payload(rec.Qubits, rec.Shots)
-			if err != nil {
-				return nil, err
-			}
-			index[key] = uint32(len(p.payloads))
-			p.payloads = append(p.payloads, payload)
-		}
-		p.programs[i] = index[key]
-		if !seen[rec.User] {
-			seen[rec.User] = true
-			p.users = append(p.users, rec.User)
-		}
-	}
-	return p, nil
-}
-
 // analyzerPool recycles SLO analyzers (their maps, stage sample buffers and
 // jobTrack slabs) across replay cells. Only registry-less analyzers — the
 // sweep/saturate case — are pooled.
@@ -183,8 +130,8 @@ var analyzerPool = sync.Pool{New: func() any { return NewAnalyzer(nil) }}
 
 // reclaimEvery is how many arrivals pass between the replay cursor's
 // Daemon.Release calls: small enough that the terminal records held between
-// two calls are noise beside the trace, large enough that the call's fixed
-// cost (a lock, a slice reset) vanishes per job.
+// two calls are noise beside the analyzer's per-job samples, large enough
+// that the call's fixed cost (a lock, a slice reset) vanishes per job.
 const reclaimEvery = 1024
 
 // Replay submits every trace record at its recorded arrival instant against
@@ -193,18 +140,41 @@ const reclaimEvery = 1024
 // event order — and therefore every schedule decision — is a pure function
 // of (trace, config).
 func Replay(tr *Trace, cfg ReplayConfig) (*Report, error) {
-	prep, err := prepareTrace(tr)
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	return replayValidated(tr, cfg)
+}
+
+// replayValidated is Replay of a trace already validated: the sweep and
+// saturation engines validate once and share the trace read-only across
+// every cell and probe.
+func replayValidated(tr *Trace, cfg ReplayConfig) (*Report, error) {
+	r, err := newReplayRun(tr.Header, tr.record, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return replayPrepared(prep, cfg)
+	return r.run()
 }
 
-// replayPrepared is Replay against an already-decoded trace — the sweep and
-// saturation engines call it directly so the decode cost is paid once, not
-// per cell or per probe.
-func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
-	r, err := newReplayRun(prep, cfg)
+// record is a validated trace as a replay's arrival source.
+func (t *Trace) record(i int, rec *Record) error {
+	*rec = t.Records[i]
+	return nil
+}
+
+// ReplayReader is Replay of a trace read while the replay runs: each record
+// is decoded and checked when the clock asks for its arrival, submitted, and
+// dropped, so the replay holds the jobs in flight, not the trace. The report
+// is byte-identical to Replay's of the same file, and it refuses exactly the
+// files ReadTrace refuses — a defect anywhere, the count at the end included,
+// ends the replay with an error and no report.
+func ReplayReader(rd io.Reader, cfg ReplayConfig) (*Report, error) {
+	s, err := newTraceStream(rd)
+	if err != nil {
+		return nil, err
+	}
+	r, err := newReplayRun(s.rd.header, s.record, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -212,15 +182,30 @@ func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
 }
 
 // replayRun is one replay assembled and ready to run: a fresh clock, fleet,
-// daemon and analyzer, with one session open per submitter.
+// daemon and analyzer, and the source its arrivals are drawn from.
 type replayRun struct {
-	prep *preparedTrace
-	cfg  ReplayConfig // defaults resolved; RateScale 0 normalized to 1
-	clk  *simclock.Clock
-	d    *daemon.Daemon
-	an   *Analyzer
-	// sessions maps each submitter to their session.
+	header TraceHeader
+	// source fills rec with record i. The cursor calls it once per record,
+	// in index order, when the record's arrival is about to be queued.
+	source func(i int, rec *Record) error
+	cfg    ReplayConfig // defaults resolved; RateScale 0 normalized to 1
+	clk    *simclock.Clock
+	d      *daemon.Daemon
+	an     *Analyzer
+	// ring holds the records the cursor has drawn and not yet submitted:
+	// the clock asks for record i+1 before record i's arrival runs, so two.
+	ring [2]Record
+	// fired counts the arrivals run; last is the latest drawn record's
+	// instant on the replay clock.
+	fired int
+	last  time.Duration
+	// err is the first error of the source or of an arrival; it parks the
+	// cursor and ends the run.
+	err error
+	// sessions maps each submitter to their session, opened at their first
+	// arrival; programs memoizes each (qubits, shots) payload.
 	sessions map[string]*daemon.Session
+	programs map[[2]int][]byte
 	// submitErrs counts arrivals that failed for any reason but an admission
 	// shed (those are first-class outcomes the analyzer counts).
 	submitErrs int
@@ -243,8 +228,8 @@ func (r *replayRun) at(us int64) time.Duration {
 func validScale(v float64) bool { return v >= 0 && !math.IsInf(v, 0) }
 
 // newReplayRun resolves the configuration and builds the run's fixtures.
-func newReplayRun(prep *preparedTrace, cfg ReplayConfig) (*replayRun, error) {
-	if cfg.Devices <= 0 {
+func newReplayRun(header TraceHeader, source func(int, *Record) error, cfg ReplayConfig) (*replayRun, error) {
+	if cfg.Devices == 0 {
 		cfg.Devices = 4
 	}
 	if cfg.DrainGrace <= 0 {
@@ -299,16 +284,12 @@ func newReplayRun(prep *preparedTrace, cfg ReplayConfig) (*replayRun, error) {
 		return nil, fmt.Errorf("loadgen: replay node: %w", err)
 	}
 
-	// One session per distinct submitter, opened in first-appearance order so
-	// token generation consumes the daemon's RNG identically across runs.
-	sessions := make(map[string]*daemon.Session, len(prep.users))
-	for _, user := range prep.users {
-		if sessions[user], err = d.OpenSession(user); err != nil {
-			return nil, err
-		}
-	}
-	return &replayRun{prep: prep, cfg: cfg, clk: clk, d: d, an: an, sessions: sessions}, nil
+	return &replayRun{header: header, source: source, cfg: cfg, clk: clk, d: d, an: an,
+		sessions: make(map[string]*daemon.Session), programs: make(map[[2]int][]byte)}, nil
 }
+
+// parked is where a failed draw leaves the cursor: past any horizon.
+const parked = time.Duration(math.MaxInt64)
 
 // run replays the trace to quiescence and returns the report.
 func (r *replayRun) run() (*Report, error) {
@@ -318,24 +299,75 @@ func (r *replayRun) run() (*Report, error) {
 	// trace. The cursor also paces reclamation — every reclaimEvery arrivals
 	// the daemon pools the records that turned terminal since — which keeps
 	// the live job state at in-flight + cadence instead of everything seen.
-	records := r.prep.tr.Records
-	r.clk.ScheduleSeries(len(records), "loadgen-arrival", func(i int) time.Duration {
-		return r.at(records[i].AtUS)
-	}, func(i int) {
+	n := r.header.Jobs
+	r.clk.ScheduleSeries(n, "loadgen-arrival", r.draw, func(i int) {
+		r.fired = i + 1
 		if i%reclaimEvery == reclaimEvery-1 {
 			r.d.Release()
 		}
-		r.submit(i)
+		if r.err == nil {
+			r.submit(&r.ring[i%2])
+		}
 	})
-	return r.drain()
+	// The drain starts at the later of the header's horizon and just past the
+	// last arrival, which a read trace knows only once it is drawn: run to the
+	// header's horizon and on while arrivals remain — every event fired on
+	// the way lies before that last arrival — then to the horizon both fix.
+	horizon := r.at(r.header.HorizonUS)
+	for r.err == nil {
+		next, ok := r.clk.NextEventAt()
+		if !ok || (next > horizon && r.fired >= n) {
+			break
+		}
+		r.clk.Step()
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if n > 0 && r.last >= horizon {
+		horizon = r.last + time.Microsecond
+	}
+	r.clk.RunUntil(horizon)
+	return r.drain(horizon)
 }
 
-// submit offers trace record i to the daemon, now.
-func (r *replayRun) submit(i int) {
-	rec := &r.prep.tr.Records[i]
-	_, err := r.d.Submit(r.sessions[rec.User].Token, daemon.SubmitRequest{
-		Program:            r.prep.payloads[r.prep.programs[i]],
-		Class:              r.prep.classes[i],
+// draw is the cursor's at: it takes record i from the source into the ring
+// and returns its arrival instant, or parks the cursor on an error.
+func (r *replayRun) draw(i int) time.Duration {
+	if r.err == nil {
+		rec := &r.ring[i%2]
+		if r.err = r.source(i, rec); r.err == nil {
+			r.last = r.at(rec.AtUS)
+			return r.last
+		}
+	}
+	return parked
+}
+
+// submit offers a record to the daemon, now, resolving its class, program and
+// session as it goes.
+func (r *replayRun) submit(rec *Record) {
+	class, _ := rec.ParsedClass() // every source hands over checked records
+	key := [2]int{rec.Qubits, rec.Shots}
+	program, ok := r.programs[key]
+	if !ok {
+		if program, r.err = sharedPrograms.payload(rec.Qubits, rec.Shots); r.err != nil {
+			return
+		}
+		r.programs[key] = program
+	}
+	// Sessions open in first-appearance order, as the daemon's RNG is drawn
+	// in OpenSession alone: the same tokens whatever the run opens them at.
+	sess := r.sessions[rec.User]
+	if sess == nil {
+		if sess, r.err = r.d.OpenSession(rec.User); r.err != nil {
+			return
+		}
+		r.sessions[rec.User] = sess
+	}
+	_, err := r.d.Submit(sess.Token, daemon.SubmitRequest{
+		Program:            program,
+		Class:              class,
 		Pattern:            sched.Pattern(rec.Pattern),
 		Source:             "loadgen",
 		ExpectedQPUSeconds: rec.ExpectedQPUSeconds,
@@ -349,21 +381,14 @@ func (r *replayRun) submit(i int) {
 	}
 }
 
-// drain runs the clock — arrivals already scheduled — to the horizon and on
+// drain runs the clock — every arrival fired, the clock at the horizon — on
 // until every job is terminal, then builds the report and hands the run's
 // scratch back to the shared pools.
-func (r *replayRun) drain() (*Report, error) {
-	tr, cfg, clk, d, an := r.prep.tr, r.cfg, r.clk, r.d, r.an
+func (r *replayRun) drain(horizon time.Duration) (*Report, error) {
+	cfg, clk, d, an := r.cfg, r.clk, r.d, r.an
 	// The report and the error labels carry the tuple as the policies name
 	// themselves: "" resolved to the axis default.
 	cfg.Router, cfg.Scheduler, cfg.Admission, cfg.Priority = d.RouterName(), d.OrderName(), d.AdmissionName(), d.PriorityName()
-	horizon := r.at(tr.Header.HorizonUS)
-	if n := len(tr.Records); n > 0 {
-		if last := r.at(tr.Records[n-1].AtUS); last >= horizon {
-			horizon = last + time.Microsecond
-		}
-	}
-	clk.RunUntil(horizon)
 	// Drain the backlog by jumping straight to each next scheduled event:
 	// the device drift/QA processes keep the event queue non-empty forever,
 	// so quiescence is detected by job accounting, not an empty queue. The

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,6 +140,18 @@ func TestSweepRejectsBadPolicy(t *testing.T) {
 	}
 	if _, err := Replay(tr, ReplayConfig{Router: "warp"}); err == nil {
 		t.Fatal("unknown router accepted")
+	}
+	// Only 0 means the default fleet; a negative one is refused before any
+	// replay, not quietly run on four partitions.
+	const noFleet = "device: fleet needs at least 1 partition, got -3"
+	if _, err := Replay(tr, ReplayConfig{Devices: -3}); err == nil || !strings.HasSuffix(err.Error(), noFleet) {
+		t.Fatalf("fleet of -3: %v", err)
+	}
+	if _, err := Sweep(tr, SweepConfig{Devices: -2}); err == nil || !strings.Contains(err.Error(), "fleet size -2") {
+		t.Fatalf("sweep fleet of -2: %v", err)
+	}
+	if _, err := GenerateClosedLoop(ClosedLoopConfig{Devices: -3, Horizon: time.Hour}); err == nil || !strings.HasSuffix(err.Error(), noFleet) {
+		t.Fatalf("closed-loop fleet of -3: %v", err)
 	}
 }
 

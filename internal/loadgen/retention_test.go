@@ -25,11 +25,10 @@ type liveState struct {
 // the same set, i.e. no queued or running job was ever released.
 func watchLiveState(t *testing.T, tr *Trace, cfg ReplayConfig, period time.Duration) (liveState, *Report) {
 	t.Helper()
-	prep, err := prepareTrace(tr)
-	if err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := newReplayRun(prep, cfg)
+	r, err := newReplayRun(tr.Header, tr.record, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

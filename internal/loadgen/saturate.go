@@ -47,7 +47,7 @@ type SaturateConfig struct {
 
 	// probe overrides the replay engine in tests (edge-case injection:
 	// non-monotone objectives, synthetic knees). Nil runs real replays.
-	probe func(prep *preparedTrace, cfg ReplayConfig) (*Report, error)
+	probe func(tr *Trace, cfg ReplayConfig) (*Report, error)
 }
 
 // FrontierPoint is one tuple's knee: the capacity frontier's value at
@@ -155,19 +155,19 @@ func saturateObjective(rep *Report, objective string, cfg *SaturateConfig) (valu
 // guard — if a scale *below* the knee violates the target, the objective is
 // not monotone in load and a bracketing search cannot be trusted, so the
 // search fails loudly instead of reporting a fabricated knee.
-func searchKnee(prep *preparedTrace, cfg *SaturateConfig, base ReplayConfig) (*FrontierPoint, error) {
+func searchKnee(tr *Trace, cfg *SaturateConfig, base ReplayConfig) (*FrontierPoint, error) {
 	var at Report
 	base.stamp(&at)
 	pt := &FrontierPoint{Router: at.Router, Scheduler: at.Scheduler, Admission: at.Admission,
 		Priority: at.Priority, FleetSize: base.Devices}
 	probeFn := cfg.probe
 	if probeFn == nil {
-		probeFn = replayPrepared
+		probeFn = replayValidated
 	}
 	probe := func(scale float64) (float64, bool, error) {
 		c := base
 		c.RateScale = scale
-		rep, err := probeFn(prep, c)
+		rep, err := probeFn(tr, c)
 		if err != nil {
 			return 0, false, fmt.Errorf("probe at %gx: %w", scale, err)
 		}
@@ -265,7 +265,7 @@ func searchKnee(prep *preparedTrace, cfg *SaturateConfig, base ReplayConfig) (*F
 // all probes. Tuples run on a bounded worker pool; the report is in
 // canonical axis order and byte-identical across reruns and worker counts.
 func Saturate(tr *Trace, cfg SaturateConfig) (*FrontierReport, error) {
-	if cfg.Devices <= 0 {
+	if cfg.Devices == 0 {
 		cfg.Devices = 4
 	}
 	if cfg.Objective == "" {
@@ -313,8 +313,7 @@ func Saturate(tr *Trace, cfg SaturateConfig) (*FrontierReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	prep, err := prepareTrace(tr)
-	if err != nil {
+	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Objective == ObjectiveDeadlineHit {
@@ -332,7 +331,7 @@ func Saturate(tr *Trace, cfg SaturateConfig) (*FrontierReport, error) {
 
 	points := make([]*FrontierPoint, len(combos))
 	err = runCombos("saturate", cfg.Workers, combos, func(i int) (err error) {
-		points[i], err = searchKnee(prep, &cfg, combos[i])
+		points[i], err = searchKnee(tr, &cfg, combos[i])
 		return err
 	})
 	if err != nil {

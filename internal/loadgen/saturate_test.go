@@ -113,8 +113,8 @@ func TestSaturateFleetMonotonic(t *testing.T) {
 // syntheticProbe fabricates a probe report whose production p99 wait is a
 // pure function of the rate scale — the injection seam for search edge cases
 // the real replay engine cannot produce on demand.
-func syntheticProbe(wait func(scale float64, devices int) float64) func(*preparedTrace, ReplayConfig) (*Report, error) {
-	return func(_ *preparedTrace, cfg ReplayConfig) (*Report, error) {
+func syntheticProbe(wait func(scale float64, devices int) float64) func(*Trace, ReplayConfig) (*Report, error) {
+	return func(_ *Trace, cfg ReplayConfig) (*Report, error) {
 		scale := cfg.RateScale
 		if scale == 0 {
 			scale = 1
@@ -183,7 +183,7 @@ func TestSaturateRejectsBadParameters(t *testing.T) {
 	} {
 		probes := 0
 		cfg := SaturateConfig{SweepConfig: leastLoadedFIFO(11),
-			probe: func(*preparedTrace, ReplayConfig) (*Report, error) { probes++; return &Report{}, nil }}
+			probe: func(*Trace, ReplayConfig) (*Report, error) { probes++; return &Report{}, nil }}
 		cfg.Workers = 1 // probes is counted unguarded
 		tc.edit(&cfg)
 		_, err := Saturate(tr, cfg)

@@ -14,7 +14,7 @@ import (
 // SweepConfig parameterizes a policy what-if sweep.
 type SweepConfig struct {
 	// Devices and Seed are shared by every combination. Devices is the
-	// fleet size when FleetSizes is empty.
+	// fleet size when FleetSizes is empty (0 = 4).
 	Devices int
 	Seed    int64
 	// Routers, Schedulers and Admissions are the policy axes, each entry a
@@ -215,27 +215,26 @@ func runCombos(what string, workers int, combos []ReplayConfig, fn func(i int) e
 // per-cell SLO reports. Cells run on a bounded worker pool (SweepConfig.
 // Workers, see runCombos): each worker replays one cell at a time on
 // its own virtual clock with its own policy instances — controller state
-// never bleeds across combinations — while the decoded trace, program
-// payloads and session roster are shared read-only via one preparedTrace.
+// never bleeds across combinations — while the trace, validated once, is
+// shared read-only.
 // The output is always in canonical axis order and byte-identical whatever
 // the worker count. Per-cell scratch (daemon job
 // records, analyzer state) returns to shared pools between cells, keeping a
 // thousand-cell sweep's live heap O(workers), not O(cells).
 func Sweep(tr *Trace, cfg SweepConfig) (*SweepReport, error) {
-	if cfg.Devices <= 0 {
+	if cfg.Devices == 0 {
 		cfg.Devices = 4
 	}
 	combos, err := sweepCombos(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	prep, err := prepareTrace(tr)
-	if err != nil {
+	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
 	results := make([]*Report, len(combos))
 	err = runCombos("sweep", cfg.Workers, combos, func(i int) (err error) {
-		if results[i], err = replayPrepared(prep, combos[i]); err == nil && len(cfg.FleetSizes) > 0 {
+		if results[i], err = replayValidated(tr, combos[i]); err == nil && len(cfg.FleetSizes) > 0 {
 			results[i].FleetSize = combos[i].Devices
 		}
 		return err

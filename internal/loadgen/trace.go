@@ -88,36 +88,65 @@ type Trace struct {
 // Validate checks internal consistency: header identity, record count,
 // monotone arrival times and sane job parameters.
 func (t *Trace) Validate() error {
-	if t.Header.Format != TraceFormat {
-		return fmt.Errorf("loadgen: not a trace file (format %q)", t.Header.Format)
-	}
-	if t.Header.Version != TraceVersion {
-		return fmt.Errorf("loadgen: unsupported trace version %d (supported: %d)", t.Header.Version, TraceVersion)
+	if err := t.Header.check(); err != nil {
+		return err
 	}
 	if t.Header.Jobs != len(t.Records) {
-		return fmt.Errorf("loadgen: header says %d jobs, file has %d", t.Header.Jobs, len(t.Records))
+		return countError(t.Header.Jobs, len(t.Records))
 	}
 	prev := int64(0)
-	for i, r := range t.Records {
-		if r.AtUS < prev {
-			return fmt.Errorf("loadgen: record %d arrives at %dus, before its predecessor %dus", i, r.AtUS, prev)
-		}
-		prev = r.AtUS
-		if r.Shots <= 0 || r.Qubits < 1 {
-			return fmt.Errorf("loadgen: record %d has invalid shots=%d qubits=%d", i, r.Shots, r.Qubits)
-		}
-		if r.DeadlineSeconds < 0 || math.IsNaN(r.DeadlineSeconds) || math.IsInf(r.DeadlineSeconds, 0) {
-			return fmt.Errorf("loadgen: record %d has out-of-range deadline %g", i, r.DeadlineSeconds)
-		}
-		if _, err := r.ParsedClass(); err != nil {
+	for i := range t.Records {
+		if err := t.Records[i].check(i, prev); err != nil {
 			return err
 		}
-		if _, err := sched.ParsePattern(r.Pattern); err != nil {
-			return err
-		}
+		prev = t.Records[i].AtUS
 	}
 	return nil
 }
+
+// check is the header's identity: the trace format at the version this
+// reader speaks.
+func (h TraceHeader) check() error {
+	if h.Format != TraceFormat {
+		return fmt.Errorf("loadgen: not a trace file (format %q)", h.Format)
+	}
+	if h.Version != TraceVersion {
+		return fmt.Errorf("loadgen: unsupported trace version %d (supported: %d)", h.Version, TraceVersion)
+	}
+	return nil
+}
+
+// countError is the refusal of a file whose record count is not its header's.
+func countError(jobs, records int) error {
+	return fmt.Errorf("loadgen: header says %d jobs, file has %d", jobs, records)
+}
+
+// check is the per-record rule Validate and a streamed replay share: record i
+// (its index in the file) arrives no earlier than prev, its predecessor's
+// arrival (0 for the first), and carries sane job parameters.
+func (r *Record) check(i int, prev int64) error {
+	if r.AtUS < prev {
+		return fmt.Errorf("loadgen: record %d arrives at %dus, before its predecessor %dus", i, r.AtUS, prev)
+	}
+	if r.Shots <= 0 || r.Qubits < 1 {
+		return fmt.Errorf("loadgen: record %d has invalid shots=%d qubits=%d", i, r.Shots, r.Qubits)
+	}
+	if !validSeconds(r.DeadlineSeconds) {
+		return fmt.Errorf("loadgen: record %d has out-of-range deadline %g", i, r.DeadlineSeconds)
+	}
+	if !validSeconds(r.ExpectedQPUSeconds) {
+		return fmt.Errorf("loadgen: record %d has out-of-range duration hint %g", i, r.ExpectedQPUSeconds)
+	}
+	if _, err := r.ParsedClass(); err != nil {
+		return err
+	}
+	_, err := sched.ParsePattern(r.Pattern)
+	return err
+}
+
+// validSeconds reports whether a per-job duration is usable: finite and not
+// negative (-0 included).
+func validSeconds(s float64) bool { return s >= 0 && !math.IsInf(s, 0) }
 
 // Write serializes the trace as JSONL.
 func (t *Trace) Write(w io.Writer) error {
@@ -152,10 +181,52 @@ func (t *Trace) WriteFile(path string) error {
 // its count costs a Validate error instead of the allocation it names.
 const maxPresizeRecords = 1 << 17
 
-// ReadTrace parses and validates a JSONL trace. Record lines in the form
-// Trace.Write emits are decoded by scanRecord; every other line
-// goes to encoding/json, which alone defines what is accepted and every error.
+// ReadTrace parses and validates a JSONL trace. Every line is decoded first
+// and the whole trace validated after, so a file with several defects is
+// refused for the first Validate names.
 func ReadTrace(r io.Reader) (*Trace, error) {
+	rd, err := newTraceReader(r)
+	if err != nil {
+		return nil, err
+	}
+	t := &Trace{Header: rd.header}
+	if t.Header.Jobs > 0 {
+		t.Records = make([]Record, 0, min(t.Header.Jobs, maxPresizeRecords))
+	}
+	var rec Record
+	for {
+		ok, err := rd.next(&rec)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		t.Records = append(t.Records, rec)
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// traceReader is the one line decoder under ReadTrace, ScanTrace and
+// ReplayReader: the header line, then one record per non-empty line. Record
+// lines in the form Trace.Write emits are decoded by scanRecord; every other
+// line goes to encoding/json, which alone defines what is accepted and every
+// error. It checks nothing; its callers do.
+type traceReader struct {
+	header TraceHeader
+	sc     *bufio.Scanner
+	// intern gives the records of one read one string per distinct user,
+	// class and pattern.
+	intern map[string]string
+	// read counts the record lines decoded so far.
+	read int
+}
+
+// newTraceReader reads and parses the header line.
+func newTraceReader(r io.Reader) (*traceReader, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	if !sc.Scan() {
@@ -164,38 +235,133 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 		return nil, fmt.Errorf("loadgen: empty trace file")
 	}
-	t := &Trace{}
-	if err := json.Unmarshal(sc.Bytes(), &t.Header); err != nil {
+	rd := &traceReader{sc: sc, intern: make(map[string]string)}
+	if err := json.Unmarshal(sc.Bytes(), &rd.header); err != nil {
 		return nil, fmt.Errorf("loadgen: parsing trace header: %w", err)
 	}
-	if t.Header.Jobs > 0 {
-		t.Records = make([]Record, 0, min(t.Header.Jobs, maxPresizeRecords))
+	return rd, nil
+}
+
+// next decodes the next record line into rec, overwriting all of it; false
+// at the end of the file.
+func (rd *traceReader) next(rec *Record) (bool, error) {
+	if !rd.skipBlank() {
+		return false, rd.err()
 	}
-	// user, class and pattern repeat: the records of one read share one
-	// string per distinct value.
-	intern := make(map[string]string)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		t.Records = append(t.Records, Record{})
-		rec := &t.Records[len(t.Records)-1]
-		if scanRecord(line, rec, intern) {
-			continue
-		}
-		*rec = Record{}
-		if err := json.Unmarshal(line, rec); err != nil {
-			return nil, fmt.Errorf("loadgen: parsing trace record %d: %w", len(t.Records)-1, err)
+	line := rd.sc.Bytes()
+	rd.read++
+	*rec = Record{}
+	if scanRecord(line, rec, rd.intern) {
+		return true, nil
+	}
+	*rec = Record{}
+	if err := json.Unmarshal(line, rec); err != nil {
+		return false, fmt.Errorf("loadgen: parsing trace record %d: %w", rd.read-1, err)
+	}
+	return true, nil
+}
+
+// skipBlank advances to the next non-empty line; false at the end of the
+// file.
+func (rd *traceReader) skipBlank() bool {
+	for rd.sc.Scan() {
+		if len(rd.sc.Bytes()) > 0 {
+			return true
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("loadgen: reading trace: %w", err)
+	return false
+}
+
+// err is the reason the scan stopped, nil at a clean end of file.
+func (rd *traceReader) err() error {
+	if err := rd.sc.Err(); err != nil {
+		return fmt.Errorf("loadgen: reading trace: %w", err)
 	}
-	if err := t.Validate(); err != nil {
+	return nil
+}
+
+// end counts the record lines left, without decoding them, and checks the
+// file's total against the header.
+func (rd *traceReader) end() error {
+	for rd.skipBlank() {
+		rd.read++
+	}
+	if err := rd.err(); err != nil {
+		return err
+	}
+	if rd.read != rd.header.Jobs {
+		return countError(rd.header.Jobs, rd.read)
+	}
+	return nil
+}
+
+// traceStream is a trace read while it is used: the header checked up front,
+// each record checked as it is decoded, the count at the end. It refuses
+// exactly the files ReadTrace refuses, naming the first defect in file order.
+type traceStream struct {
+	rd   *traceReader
+	prev int64 // the last record's arrival
+}
+
+// newTraceStream reads and checks the header; a header that promises no
+// records is held to that at once.
+func newTraceStream(r io.Reader) (*traceStream, error) {
+	rd, err := newTraceReader(r)
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	if err := rd.header.check(); err != nil {
+		return nil, err
+	}
+	if rd.header.Jobs <= 0 {
+		if err := rd.end(); err != nil {
+			return nil, err
+		}
+	}
+	return &traceStream{rd: rd}, nil
+}
+
+// record decodes and checks record i into rec. Records come in file order,
+// i counting from 0 up to the header's count; after the last one the rest of
+// the file is counted.
+func (s *traceStream) record(i int, rec *Record) error {
+	ok, err := s.rd.next(rec)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return countError(s.rd.header.Jobs, i)
+	}
+	if err := rec.check(i, s.prev); err != nil {
+		return err
+	}
+	s.prev = rec.AtUS
+	if i == s.rd.header.Jobs-1 {
+		return s.rd.end()
+	}
+	return nil
+}
+
+// ScanTrace reads a trace and hands fn each record, checked, as it is
+// decoded; the record is fn's only for the call. It refuses every file
+// ReadTrace refuses, naming the first defect in file order, and holds one
+// record at a time, however long the trace. An error from fn ends the scan
+// and is returned as is.
+func ScanTrace(r io.Reader, fn func(*Record) error) (TraceHeader, error) {
+	s, err := newTraceStream(r)
+	if err != nil {
+		return TraceHeader{}, err
+	}
+	var rec Record
+	for i := 0; i < s.rd.header.Jobs; i++ {
+		if err := s.record(i, &rec); err != nil {
+			return TraceHeader{}, err
+		}
+		if err := fn(&rec); err != nil {
+			return TraceHeader{}, err
+		}
+	}
+	return s.rd.header, nil
 }
 
 // scanRecord decodes a canonical record line into rec without reflection and

@@ -149,3 +149,21 @@ func TestScheduleSeriesEdges(t *testing.T) {
 		t.Fatalf("decreasing series fired in order %v", order)
 	}
 }
+
+// TestScheduleSeriesCallsAtInOrder pins what lets at be a stream cursor: at
+// is called once per element, in index order — at(0) at registration, at(i)
+// when element i-1 fires and before fn(i-1) runs — so two elements are the
+// most a cursor ever holds.
+func TestScheduleSeriesCallsAtInOrder(t *testing.T) {
+	c := New()
+	var log []string
+	c.ScheduleSeries(3, "cursor", func(i int) time.Duration {
+		log = append(log, fmt.Sprintf("at%d", i))
+		return time.Duration(i) * time.Second
+	}, func(i int) { log = append(log, fmt.Sprintf("fn%d", i)) })
+	log = append(log, "registered")
+	c.Run(0)
+	if got, want := fmt.Sprint(log), "[at0 registered at1 fn0 at2 fn1 fn2]"; got != want {
+		t.Fatalf("call order %s, want %s", got, want)
+	}
+}

@@ -143,8 +143,11 @@ func (c *Clock) ScheduleAt(at time.Duration, name string, fn func()) *Event {
 // queued before, one scheduled from inside a callback, an exact timestamp tie
 // — element i fires where the i-th of those calls would have. NextEventAt and
 // Pending read the same too. An at(i) below at(i-1) breaks the precondition
-// and fires in index order, right after its predecessor. at must be a pure
-// function of i; it is called once per element, outside the clock's lock.
+// and fires in index order, right after its predecessor. at is called once
+// per element, in index order, outside the clock's lock: at(0) here, at(i)
+// when element i-1 fires, just before fn(i-1) runs. So at may be a cursor —
+// read element i from a stream when asked, and hold at most two elements,
+// i-1 awaiting fn and i — rather than a pure function of i.
 func (c *Clock) ScheduleSeries(n int, name string, at func(i int) time.Duration, fn func(i int)) {
 	if n <= 0 {
 		return
