@@ -242,11 +242,10 @@ func runInfo(args []string, out io.Writer) error {
 	classes := map[string]int{}
 	users := map[string]bool{}
 	totalQPU := 0.0
-	header, err := loadgen.ScanTrace(f, func(r *loadgen.Record) error {
+	header, err := loadgen.ScanTrace(f, func(r *loadgen.Record) {
 		classes[r.Class]++
 		users[r.User] = true
 		totalQPU += r.ExpectedQPUSeconds
-		return nil
 	})
 	if err != nil {
 		return err

@@ -146,9 +146,8 @@ func Replay(tr *Trace, cfg ReplayConfig) (*Report, error) {
 	return replayValidated(tr, cfg)
 }
 
-// replayValidated is Replay of a trace already validated: the sweep and
-// saturation engines validate once and share the trace read-only across
-// every cell and probe.
+// replayValidated is Replay of a validated trace: sweeps and saturation
+// searches validate once and share the trace read-only.
 func replayValidated(tr *Trace, cfg ReplayConfig) (*Report, error) {
 	r, err := newReplayRun(tr.Header, tr.record, cfg)
 	if err != nil {
@@ -163,18 +162,16 @@ func (t *Trace) record(i int, rec *Record) error {
 	return nil
 }
 
-// ReplayReader is Replay of a trace read while the replay runs: each record
-// is decoded and checked when the clock asks for its arrival, submitted, and
-// dropped, so the replay holds the jobs in flight, not the trace. The report
-// is byte-identical to Replay's of the same file, and it refuses exactly the
-// files ReadTrace refuses — a defect anywhere, the count at the end included,
-// ends the replay with an error and no report.
+// ReplayReader is Replay of a trace read as the replay runs: each record is
+// decoded and checked when the clock asks for its arrival, so the run holds
+// the jobs in flight, not the trace. Its report is Replay's of the same file,
+// byte for byte; a file ReadTrace refuses ends it with an error and no report.
 func ReplayReader(rd io.Reader, cfg ReplayConfig) (*Report, error) {
-	s, err := newTraceStream(rd)
+	s, err := streamTrace(rd)
 	if err != nil {
 		return nil, err
 	}
-	r, err := newReplayRun(s.rd.header, s.record, cfg)
+	r, err := newReplayRun(s.header, s.record, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -185,24 +182,20 @@ func ReplayReader(rd io.Reader, cfg ReplayConfig) (*Report, error) {
 // daemon and analyzer, and the source its arrivals are drawn from.
 type replayRun struct {
 	header TraceHeader
-	// source fills rec with record i. The cursor calls it once per record,
-	// in index order, when the record's arrival is about to be queued.
+	// source fills rec with record i, called once per record in index order.
 	source func(i int, rec *Record) error
 	cfg    ReplayConfig // defaults resolved; RateScale 0 normalized to 1
 	clk    *simclock.Clock
 	d      *daemon.Daemon
 	an     *Analyzer
-	// ring holds the records the cursor has drawn and not yet submitted:
-	// the clock asks for record i+1 before record i's arrival runs, so two.
-	ring [2]Record
-	// fired counts the arrivals run; last is the latest drawn record's
-	// instant on the replay clock.
+	// ring holds the drawn records not yet submitted: the clock draws record
+	// i+1 before record i's arrival runs. fired counts the arrivals run, last
+	// is the latest drawn arrival instant, err the first failure.
+	ring  [2]Record
 	fired int
 	last  time.Duration
-	// err is the first error of the source or of an arrival; it parks the
-	// cursor and ends the run.
-	err error
-	// sessions maps each submitter to their session, opened at their first
+	err   error
+	// sessions maps each submitter to the session opened at their first
 	// arrival; programs memoizes each (qubits, shots) payload.
 	sessions map[string]*daemon.Session
 	programs map[[2]int][]byte
@@ -288,9 +281,6 @@ func newReplayRun(header TraceHeader, source func(int, *Record) error, cfg Repla
 		sessions: make(map[string]*daemon.Session), programs: make(map[[2]int][]byte)}, nil
 }
 
-// parked is where a failed draw leaves the cursor: past any horizon.
-const parked = time.Duration(math.MaxInt64)
-
 // run replays the trace to quiescence and returns the report.
 func (r *replayRun) run() (*Report, error) {
 	// One arrival cursor walks the trace: a single re-arming clock slot, fired
@@ -309,10 +299,10 @@ func (r *replayRun) run() (*Report, error) {
 			r.submit(&r.ring[i%2])
 		}
 	})
-	// The drain starts at the later of the header's horizon and just past the
-	// last arrival, which a read trace knows only once it is drawn: run to the
-	// header's horizon and on while arrivals remain — every event fired on
-	// the way lies before that last arrival — then to the horizon both fix.
+	// The drain starts at the header's horizon or just past the last arrival,
+	// whichever is later, and a stream knows the last only once it is drawn:
+	// run to the header's horizon and on while arrivals remain (each event
+	// fired lies before the last arrival), then to the horizon both fix.
 	horizon := r.at(r.header.HorizonUS)
 	for r.err == nil {
 		next, ok := r.clk.NextEventAt()
@@ -331,8 +321,8 @@ func (r *replayRun) run() (*Report, error) {
 	return r.drain(horizon)
 }
 
-// draw is the cursor's at: it takes record i from the source into the ring
-// and returns its arrival instant, or parks the cursor on an error.
+// draw is the cursor's at: record i from the source into the ring, and its
+// arrival instant — past any horizon once the run has failed.
 func (r *replayRun) draw(i int) time.Duration {
 	if r.err == nil {
 		rec := &r.ring[i%2]
@@ -341,11 +331,10 @@ func (r *replayRun) draw(i int) time.Duration {
 			return r.last
 		}
 	}
-	return parked
+	return math.MaxInt64
 }
 
-// submit offers a record to the daemon, now, resolving its class, program and
-// session as it goes.
+// submit offers a record to the daemon, now.
 func (r *replayRun) submit(rec *Record) {
 	class, _ := rec.ParsedClass() // every source hands over checked records
 	key := [2]int{rec.Qubits, rec.Shots}

@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// streamTrace is a small canonical trace file, split into its header and
+// streamFixture is a small canonical trace file, split into its header and
 // record lines, for the stream tests to damage one line at a time.
-func streamTrace(t *testing.T) (tr *Trace, header string, records []string) {
+func streamFixture(t *testing.T) (tr *Trace, header string, records []string) {
 	t.Helper()
 	tr, err := Generate(Config{Seed: 4, Horizon: 20 * time.Minute, Process: &Poisson{RatePerHour: 90}})
 	if err != nil {
@@ -55,10 +55,9 @@ func checkStreamAgainstReadTrace(t *testing.T, data []byte, sameText bool) error
 	tr, readErr := ReadTrace(bytes.NewReader(data))
 	var scanned []Record
 	replayable := true
-	header, scanErr := ScanTrace(bytes.NewReader(data), func(r *Record) error {
+	header, scanErr := ScanTrace(bytes.NewReader(data), func(r *Record) {
 		scanned = append(scanned, *r)
 		replayable = replayable && r.AtUS <= 24*3600e6 && r.Qubits <= 8 && r.Shots <= 1e4
-		return nil
 	})
 	if (scanErr == nil) != (readErr == nil) || (sameText && scanErr != nil && scanErr.Error() != readErr.Error()) {
 		t.Fatalf("ScanTrace error %v, ReadTrace %v, on:\n%s", scanErr, readErr, data)
@@ -100,7 +99,7 @@ func checkStreamAgainstReadTrace(t *testing.T, data []byte, sameText bool) error
 // own error and no report, and a file ReadTrace accepts replays to Replay's
 // report.
 func TestReplayReaderErrors(t *testing.T) {
-	tr, header, records := streamTrace(t)
+	tr, header, records := streamFixture(t)
 	n := len(records)
 	withJobs := func(jobs string) string {
 		return strings.Replace(header, `"jobs":`+strconv.Itoa(n), `"jobs":`+jobs, 1)

@@ -104,8 +104,7 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// check is the header's identity: the trace format at the version this
-// reader speaks.
+// check is the header's identity: this reader's format and version.
 func (h TraceHeader) check() error {
 	if h.Format != TraceFormat {
 		return fmt.Errorf("loadgen: not a trace file (format %q)", h.Format)
@@ -121,9 +120,9 @@ func countError(jobs, records int) error {
 	return fmt.Errorf("loadgen: header says %d jobs, file has %d", jobs, records)
 }
 
-// check is the per-record rule Validate and a streamed replay share: record i
-// (its index in the file) arrives no earlier than prev, its predecessor's
-// arrival (0 for the first), and carries sane job parameters.
+// check is Validate's rule for record i, which streamed reads apply too: it
+// arrives no earlier than prev, its predecessor's arrival (0 for the first),
+// and carries sane job parameters.
 func (r *Record) check(i int, prev int64) error {
 	if r.AtUS < prev {
 		return fmt.Errorf("loadgen: record %d arrives at %dus, before its predecessor %dus", i, r.AtUS, prev)
@@ -144,8 +143,7 @@ func (r *Record) check(i int, prev int64) error {
 	return err
 }
 
-// validSeconds reports whether a per-job duration is usable: finite and not
-// negative (-0 included).
+// validSeconds reports whether a per-job duration is finite and not negative.
 func validSeconds(s float64) bool { return s >= 0 && !math.IsInf(s, 0) }
 
 // Write serializes the trace as JSONL.
@@ -181,9 +179,8 @@ func (t *Trace) WriteFile(path string) error {
 // its count costs a Validate error instead of the allocation it names.
 const maxPresizeRecords = 1 << 17
 
-// ReadTrace parses and validates a JSONL trace. Every line is decoded first
-// and the whole trace validated after, so a file with several defects is
-// refused for the first Validate names.
+// ReadTrace parses and validates a JSONL trace: every line decoded first,
+// the whole trace validated after.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	rd, err := newTraceReader(r)
 	if err != nil {
@@ -194,15 +191,11 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		t.Records = make([]Record, 0, min(t.Header.Jobs, maxPresizeRecords))
 	}
 	var rec Record
-	for {
-		ok, err := rd.next(&rec)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	for rd.next(&rec) {
 		t.Records = append(t.Records, rec)
+	}
+	if rd.err != nil {
+		return nil, rd.err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -210,19 +203,17 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// traceReader is the one line decoder under ReadTrace, ScanTrace and
-// ReplayReader: the header line, then one record per non-empty line. Record
-// lines in the form Trace.Write emits are decoded by scanRecord; every other
-// line goes to encoding/json, which alone defines what is accepted and every
-// error. It checks nothing; its callers do.
+// traceReader is the one line decoder under every trace read: the header
+// line, then a record per non-empty line. Lines in the form Trace.Write emits
+// go to scanRecord, every other to encoding/json, which alone defines what is
+// accepted and every error.
 type traceReader struct {
 	header TraceHeader
 	sc     *bufio.Scanner
-	// intern gives the records of one read one string per distinct user,
-	// class and pattern.
-	intern map[string]string
-	// read counts the record lines decoded so far.
-	read int
+	intern map[string]string // one string per distinct user, class, pattern
+	read   int               // record lines decoded
+	prev   int64             // the last checked record's arrival
+	err    error             // why next stopped short of the end of the file
 }
 
 // newTraceReader reads and parses the header line.
@@ -242,126 +233,91 @@ func newTraceReader(r io.Reader) (*traceReader, error) {
 	return rd, nil
 }
 
-// next decodes the next record line into rec, overwriting all of it; false
-// at the end of the file.
-func (rd *traceReader) next(rec *Record) (bool, error) {
-	if !rd.skipBlank() {
-		return false, rd.err()
-	}
-	line := rd.sc.Bytes()
-	rd.read++
-	*rec = Record{}
-	if scanRecord(line, rec, rd.intern) {
-		return true, nil
-	}
-	*rec = Record{}
-	if err := json.Unmarshal(line, rec); err != nil {
-		return false, fmt.Errorf("loadgen: parsing trace record %d: %w", rd.read-1, err)
-	}
-	return true, nil
-}
-
-// skipBlank advances to the next non-empty line; false at the end of the
-// file.
-func (rd *traceReader) skipBlank() bool {
+// next decodes the next record line into rec, all of it, and reports whether
+// it did: false at the end of the file or on an error, left in err.
+func (rd *traceReader) next(rec *Record) bool {
 	for rd.sc.Scan() {
-		if len(rd.sc.Bytes()) > 0 {
+		line := rd.sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		rd.read++
+		if *rec = (Record{}); scanRecord(line, rec, rd.intern) {
 			return true
 		}
+		*rec = Record{}
+		if err := json.Unmarshal(line, rec); err != nil {
+			rd.err = fmt.Errorf("loadgen: parsing trace record %d: %w", rd.read-1, err)
+			return false
+		}
+		return true
+	}
+	if err := rd.sc.Err(); err != nil {
+		rd.err = fmt.Errorf("loadgen: reading trace: %w", err)
 	}
 	return false
 }
 
-// err is the reason the scan stopped, nil at a clean end of file.
-func (rd *traceReader) err() error {
-	if err := rd.sc.Err(); err != nil {
-		return fmt.Errorf("loadgen: reading trace: %w", err)
-	}
-	return nil
-}
-
-// end counts the record lines left, without decoding them, and checks the
-// file's total against the header.
+// end reads the rest of the file and holds its record count to the header's.
 func (rd *traceReader) end() error {
-	for rd.skipBlank() {
-		rd.read++
+	var rec Record
+	for rd.next(&rec) {
 	}
-	if err := rd.err(); err != nil {
-		return err
+	if rd.err == nil && rd.read != rd.header.Jobs {
+		rd.err = countError(rd.header.Jobs, rd.read)
 	}
-	if rd.read != rd.header.Jobs {
-		return countError(rd.header.Jobs, rd.read)
-	}
-	return nil
+	return rd.err
 }
 
-// traceStream is a trace read while it is used: the header checked up front,
-// each record checked as it is decoded, the count at the end. It refuses
-// exactly the files ReadTrace refuses, naming the first defect in file order.
-type traceStream struct {
-	rd   *traceReader
-	prev int64 // the last record's arrival
-}
-
-// newTraceStream reads and checks the header; a header that promises no
-// records is held to that at once.
-func newTraceStream(r io.Reader) (*traceStream, error) {
+// streamTrace opens a trace to be checked as it is read: the header now (and
+// a header that promises no record against the file at once), each record in
+// record, the count after the last. It refuses exactly what ReadTrace
+// refuses, naming the first defect in file order.
+func streamTrace(r io.Reader) (*traceReader, error) {
 	rd, err := newTraceReader(r)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = rd.header.check()
 	}
-	if err := rd.header.check(); err != nil {
-		return nil, err
+	if err == nil && rd.header.Jobs <= 0 {
+		err = rd.end()
 	}
-	if rd.header.Jobs <= 0 {
-		if err := rd.end(); err != nil {
-			return nil, err
-		}
-	}
-	return &traceStream{rd: rd}, nil
+	return rd, err
 }
 
-// record decodes and checks record i into rec. Records come in file order,
-// i counting from 0 up to the header's count; after the last one the rest of
-// the file is counted.
-func (s *traceStream) record(i int, rec *Record) error {
-	ok, err := s.rd.next(rec)
-	if err != nil {
+// record decodes and checks record i, the next in the file, into rec.
+func (rd *traceReader) record(i int, rec *Record) error {
+	if !rd.next(rec) {
+		if rd.err == nil {
+			return countError(rd.header.Jobs, i)
+		}
+		return rd.err
+	}
+	if err := rec.check(i, rd.prev); err != nil {
 		return err
 	}
-	if !ok {
-		return countError(s.rd.header.Jobs, i)
-	}
-	if err := rec.check(i, s.prev); err != nil {
-		return err
-	}
-	s.prev = rec.AtUS
-	if i == s.rd.header.Jobs-1 {
-		return s.rd.end()
+	rd.prev = rec.AtUS
+	if i == rd.header.Jobs-1 {
+		return rd.end()
 	}
 	return nil
 }
 
-// ScanTrace reads a trace and hands fn each record, checked, as it is
-// decoded; the record is fn's only for the call. It refuses every file
-// ReadTrace refuses, naming the first defect in file order, and holds one
-// record at a time, however long the trace. An error from fn ends the scan
-// and is returned as is.
-func ScanTrace(r io.Reader, fn func(*Record) error) (TraceHeader, error) {
-	s, err := newTraceStream(r)
+// ScanTrace reads a trace and hands fn each record, checked, as it is decoded,
+// holding one at a time; the record is fn's for the call only. It refuses
+// exactly what ReadTrace refuses.
+func ScanTrace(r io.Reader, fn func(*Record)) (TraceHeader, error) {
+	rd, err := streamTrace(r)
 	if err != nil {
 		return TraceHeader{}, err
 	}
 	var rec Record
-	for i := 0; i < s.rd.header.Jobs; i++ {
-		if err := s.record(i, &rec); err != nil {
+	for i := 0; i < rd.header.Jobs; i++ {
+		if err := rd.record(i, &rec); err != nil {
 			return TraceHeader{}, err
 		}
-		if err := fn(&rec); err != nil {
-			return TraceHeader{}, err
-		}
+		fn(&rec)
 	}
-	return s.rd.header, nil
+	return rd.header, nil
 }
 
 // scanRecord decodes a canonical record line into rec without reflection and
