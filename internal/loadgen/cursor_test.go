@@ -49,9 +49,10 @@ func replayPerRecord(t *testing.T, tr *Trace, cfg ReplayConfig) *Report {
 // TestReplayCursorMatchesPerRecordArrivals: the arrival cursor with its
 // mid-run reclamation — over the in-memory trace and streamed from its file —
 // is byte-for-byte the per-record driver, across every order × priority,
-// compressed and uncompressed arrivals, preemption on and off. The trace is long enough for several reclaims (2.5 k jobs, cadence
-// 1 024) and overloaded on two partitions, so terminal records are pooled and
-// reused while a backlog, preemptions and cross-partition requeues are live.
+// compressed and uncompressed arrivals, preemption on and off. The trace is
+// long enough for several reclaims (2.5 k jobs, cadence 1 024) and
+// overloaded on two partitions, so terminal records are pooled and reused
+// while a backlog, preemptions and cross-partition requeues are live.
 func TestReplayCursorMatchesPerRecordArrivals(t *testing.T) {
 	tr, err := Generate(Config{
 		Seed:      23,

@@ -166,16 +166,16 @@ func (t *Trace) record(i int, rec *Record) error {
 // decoded and checked when the clock asks for its arrival, so the run holds
 // the jobs in flight, not the trace. Its report is Replay's of the same file,
 // byte for byte; a file ReadTrace refuses ends it with an error and no report.
-func ReplayReader(rd io.Reader, cfg ReplayConfig) (*Report, error) {
-	s, err := streamTrace(rd)
+func ReplayReader(r io.Reader, cfg ReplayConfig) (*Report, error) {
+	rd, err := streamTrace(r)
 	if err != nil {
 		return nil, err
 	}
-	r, err := newReplayRun(s.header, s.record, cfg)
+	run, err := newReplayRun(rd.header, rd.record, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return r.run()
+	return run.run()
 }
 
 // replayRun is one replay assembled and ready to run: a fresh clock, fleet,
