@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-race examples bench bench-json bench-diff bench-e2e-quick e2e-ab profile-serve profile-replay fuzz-smoke vet vet-trace check loc
+.PHONY: build test test-full test-race examples bench bench-json bench-diff bench-e2e-quick e2e-ab profile-serve profile-replay fuzz-smoke vet vet-trace check loc surface
 
 build:
 	$(GO) build ./...
@@ -121,6 +121,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayReader$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSWF$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSacct$$' -fuzztime=2000x ./internal/loadgen
+
+# surface runs the exported-surface gate verbosely: every exported name under
+# internal/ that no non-test file reaches, printed with its reason from
+# testdata/surface.allow. `make test` runs the same test.
+surface:
+	$(GO) test -count=1 -run '^TestExportedSurface$$' -v .
 
 # vet also fails when gofmt would rewrite a file, listing it.
 vet:

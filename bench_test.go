@@ -306,7 +306,7 @@ func BenchmarkComplexSVD(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := emulator.SVD(m.Clone())
+				res := emulator.SVD(&emulator.Matrix{Rows: size, Cols: size, Data: append([]complex128(nil), m.Data...)})
 				if len(res.S) == 0 {
 					b.Fatal("empty SVD")
 				}

@@ -27,60 +27,22 @@ func main() {
 }
 
 func run(exp string, seed int64) error {
-	type driver struct {
-		id  string
-		fn  func(int64) (fmt.Stringer, error)
-		why string
-	}
-	drivers := []driver{
-		{"table1", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunTable1(s)
-			return t, err
-		}, "Table 1: workload taxonomy × scheduling policy"},
-		{"figure1", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunFigure1(s)
-			return t, err
-		}, "Figure 1: dev→HPC→QPU portability"},
-		{"figure2", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunFigure2(s)
-			return t, err
-		}, "Figure 2: architecture end-to-end"},
-		{"bond", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunBondSweep(s)
-			return t, err
-		}, "A1: MPS bond-dimension ablation"},
-		{"shotrate", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunShotRateSweep(s)
-			return t, err
-		}, "A2: shot-rate sweep"},
-		{"gres", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunGRESTimeshare(s)
-			return t, err
-		}, "A3: GRES timeshares"},
-		{"drift", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunDriftDetection(s)
-			return t, err
-		}, "A4: drift detection"},
-		{"preempt", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunPreemption(s)
-			return t, err
-		}, "A5: preemption"},
-		{"sqd", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunSQD(s)
-			return t, err
-		}, "A6: SQD post-processing"},
-		{"malleable", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunMalleable(s)
-			return t, err
-		}, "A7: malleable classical jobs"},
-		{"hints", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunDurationHints(s)
-			return t, err
-		}, "A8: expected-QPU-duration hints"},
-		{"fairshare", func(s int64) (fmt.Stringer, error) {
-			_, t, err := experiments.RunFairShare(s)
-			return t, err
-		}, "A9: fair share across users"},
+	drivers := []struct {
+		id string
+		fn func(int64) (*experiments.Table, error)
+	}{
+		{"table1", table(experiments.RunTable1)},
+		{"figure1", table(experiments.RunFigure1)},
+		{"figure2", table(experiments.RunFigure2)},
+		{"bond", table(experiments.RunBondSweep)},
+		{"shotrate", table(experiments.RunShotRateSweep)},
+		{"gres", table(experiments.RunGRESTimeshare)},
+		{"drift", table(experiments.RunDriftDetection)},
+		{"preempt", table(experiments.RunPreemption)},
+		{"sqd", table(experiments.RunSQD)},
+		{"malleable", table(experiments.RunMalleable)},
+		{"hints", table(experiments.RunDurationHints)},
+		{"fairshare", table(experiments.RunFairShare)},
 	}
 
 	ran := false
@@ -89,14 +51,23 @@ func run(exp string, seed int64) error {
 			continue
 		}
 		ran = true
-		table, err := d.fn(seed)
+		t, err := d.fn(seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", d.id, err)
 		}
-		fmt.Println(table.String())
+		fmt.Println(t.String())
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil
+}
+
+// table adapts an experiment's Run function to the driver table: hpcsim
+// prints the rendered table and drops the typed rows.
+func table[R any](run func(int64) (R, *experiments.Table, error)) func(int64) (*experiments.Table, error) {
+	return func(seed int64) (*experiments.Table, error) {
+		_, t, err := run(seed)
+		return t, err
+	}
 }

@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -99,7 +100,8 @@ func newNode(o options) (*node, error) {
 	if c.AdminToken == "" {
 		return nil, fmt.Errorf("qcsd: -admin-token is required")
 	}
-	if o.timescale <= 0 {
+	// The pump's per-tick step must be a time.Duration; NaN fails both tests.
+	if !(o.timescale > 0 && float64(pumpTick)*o.timescale < math.MaxInt64) {
 		return nil, fmt.Errorf("qcsd: -timescale must be positive, got %g", o.timescale)
 	}
 	c.Clock, c.EnablePreemption = simclock.New(), true
@@ -113,6 +115,9 @@ func newNode(o options) (*node, error) {
 	}
 	return &node{clk: c.Clock, d: d}, nil
 }
+
+// pumpTick is the wall-clock interval at which qcsd's pump advances the clock.
+const pumpTick = 100 * time.Millisecond
 
 // pump advances simulated time by timescale seconds per wall second until
 // stop is closed. tick controls the pump granularity.
@@ -143,7 +148,7 @@ func main() {
 
 	stop := make(chan struct{})
 	defer close(stop)
-	go n.pump(o.timescale, 100*time.Millisecond, stop)
+	go n.pump(o.timescale, pumpTick, stop)
 
 	if o.debugListen != "" {
 		// The profiler rides a separate mux on a separate listener, so

@@ -53,6 +53,13 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := testNode("-admin-token", "tok", "-timescale", "-3"); err == nil {
 		t.Fatal("negative timescale accepted")
 	}
+	// Each of these makes the pump's per-tick step overflow a time.Duration,
+	// so simulated time would never advance.
+	for _, ts := range []string{"NaN", "+Inf", "-Inf", "1e12"} {
+		if _, err := testNode("-admin-token", "tok", "-timescale", ts); err == nil {
+			t.Errorf("timescale %s accepted", ts)
+		}
+	}
 	if _, err := testNode("-admin-token", "tok", "-devices", "0"); err == nil {
 		t.Fatal("zero devices accepted")
 	}

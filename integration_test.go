@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -128,8 +129,8 @@ func TestFullStackSlurmToQPU(t *testing.T) {
 		t.Fatalf("hint lost: %q", jobs[0].Pattern)
 	}
 	// Telemetry flowed end to end.
-	if reg.Get("qpu_shots_total").Value(nil) != 20 {
-		t.Fatalf("shots metric = %g", reg.Get("qpu_shots_total").Value(nil))
+	if got := exposed(t, reg, "qpu_shots_total"); got != 20 {
+		t.Fatalf("shots metric = %g", got)
 	}
 	if _, ok := tsdb.Latest("daemon_queue_length", telemetry.Labels{"class": "production"}); !ok {
 		t.Fatal("daemon queue telemetry missing")
@@ -215,23 +216,29 @@ func TestDaemonSurvivesMaintenanceMidQueue(t *testing.T) {
 	if _, err := dmn.LowLevelOp("maintenance_on"); err != nil {
 		t.Fatal(err)
 	}
+	// state reads a job through the admin listing.
+	state := func(id string) daemon.JobState {
+		for _, j := range dmn.ListJobs() {
+			if j.ID == id {
+				return j.State
+			}
+		}
+		return ""
+	}
 	// Running job (j1) completes; queued job (j2) must not start.
 	clk.Advance(5 * time.Minute)
-	s1, _ := dmn.JobStatus(sess.Token, j1.ID)
-	s2, _ := dmn.JobStatus(sess.Token, j2.ID)
-	if s1.State != daemon.JobCompleted {
-		t.Fatalf("j1 = %s", s1.State)
+	if s1 := state(j1.ID); s1 != daemon.JobCompleted {
+		t.Fatalf("j1 = %s", s1)
 	}
-	if s2.State != daemon.JobQueued {
-		t.Fatalf("j2 during maintenance = %s", s2.State)
+	if s2 := state(j2.ID); s2 != daemon.JobQueued {
+		t.Fatalf("j2 during maintenance = %s", s2)
 	}
 	if _, err := dmn.LowLevelOp("maintenance_off"); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Minute)
-	s2, _ = dmn.JobStatus(sess.Token, j2.ID)
-	if s2.State != daemon.JobCompleted {
-		t.Fatalf("j2 after maintenance = %s", s2.State)
+	if s2 := state(j2.ID); s2 != daemon.JobCompleted {
+		t.Fatalf("j2 after maintenance = %s", s2)
 	}
 }
 
@@ -435,4 +442,21 @@ func TestREADMENamesEveryInternalPackage(t *testing.T) {
 	for name := range named {
 		t.Errorf("README.md names internal/%s, which does not exist", name)
 	}
+}
+
+// exposed reads one sample line of reg's exposition text, such as
+// `qpu_tasks_total{state="completed"}`, and fails the test when it is absent.
+func exposed(t *testing.T, reg *telemetry.Registry, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(reg.Expose(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s is not exposed", series)
+	return 0
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strconv"
 
 	"hpcqc/internal/qir"
 	"hpcqc/internal/qrmi"
@@ -190,9 +189,6 @@ func NewRuntimeFor(qpuFlag, profilesPath string, environ []string) (*Runtime, er
 // Target returns the bound resource's identity.
 func (r *Runtime) Target() string { return r.resource.Target() }
 
-// Resource exposes the underlying QRMI resource.
-func (r *Runtime) Resource() qrmi.Resource { return r.resource }
-
 // Spec returns the device characteristics fetched at bind time.
 func (r *Runtime) Spec() qir.DeviceSpec { return *r.spec }
 
@@ -241,23 +237,4 @@ func (r *Runtime) Execute(p *qir.Program) (*qir.Result, error) {
 	}
 	res.Metadata["resource"] = r.cfg["resource"]
 	return res, nil
-}
-
-// ExecuteMany runs a batch of programs sequentially, failing fast.
-func (r *Runtime) ExecuteMany(ps []*qir.Program) ([]*qir.Result, error) {
-	out := make([]*qir.Result, len(ps))
-	for i, p := range ps {
-		res, err := r.Execute(p)
-		if err != nil {
-			return nil, fmt.Errorf("core: program %d: %w", i, err)
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// Seed returns the configured deterministic seed, 0 when unset.
-func (r *Runtime) Seed() int64 {
-	s, _ := strconv.ParseInt(r.cfg["seed"], 10, 64)
-	return s
 }

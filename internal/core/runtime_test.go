@@ -110,9 +110,6 @@ func TestRuntimeExecuteLocalSV(t *testing.T) {
 	if rt.Target() != "emu-sv" {
 		t.Fatalf("target = %s", rt.Target())
 	}
-	if rt.Seed() != 7 {
-		t.Fatalf("seed = %d", rt.Seed())
-	}
 	res, err := rt.Execute(piPulse(100))
 	if err != nil {
 		t.Fatal(err)
@@ -181,18 +178,6 @@ func TestMockQPUAcceptsHugeRegisters(t *testing.T) {
 	}
 	if res.Counts.TotalShots() != 5 {
 		t.Fatalf("shots = %d", res.Counts.TotalShots())
-	}
-}
-
-func TestExecuteMany(t *testing.T) {
-	rt, _ := NewRuntimeFor("local-sv", "", nil)
-	progs := []*qir.Program{piPulse(10), piPulse(20)}
-	results, err := rt.ExecuteMany(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[1].Counts.TotalShots() != 20 {
-		t.Fatalf("results = %v", results)
 	}
 }
 

@@ -434,8 +434,7 @@ func TestUnknownAdmissionOutcomeIsCounted(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown outcome "deferred"`) {
 		t.Fatalf("submit error = %v, want unknown outcome", err)
 	}
-	got := reg.Get("daemon_admission_total").Value(telemetry.Labels{"class": "test", "outcome": "deferred"})
-	if got != 1 {
+	if got := exposed(t, reg, `daemon_admission_total{class="test",outcome="deferred"}`); got != 1 {
 		t.Fatalf(`daemon_admission_total{class="test",outcome="deferred"} = %g, want 1`, got)
 	}
 }

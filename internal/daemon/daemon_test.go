@@ -402,15 +402,14 @@ func TestDaemonTelemetry(t *testing.T) {
 	s, _ := env.d.OpenSession("alice")
 	env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 10), Class: sched.ClassProduction})
 	env.clk.Advance(15 * time.Second)
-	v := env.reg.Get("daemon_jobs_total").Value(telemetry.Labels{"class": "production", "state": "completed"})
-	if v != 1 {
+	if v := exposed(t, env.reg, `daemon_jobs_total{class="production",state="completed"}`); v != 1 {
 		t.Fatalf("jobs_total = %g", v)
 	}
-	if env.reg.Get("daemon_sessions_active").Value(nil) != 1 {
+	if exposed(t, env.reg, "daemon_sessions_active") != 1 {
 		t.Fatal("sessions gauge")
 	}
-	if got := env.reg.Get("daemon_job_wait_seconds").HistogramCount(telemetry.Labels{"class": "production"}); got != 1 {
-		t.Fatalf("wait histogram count = %d", got)
+	if got := exposed(t, env.reg, `daemon_job_wait_seconds_count{class="production"}`); got != 1 {
+		t.Fatalf("wait histogram count = %g", got)
 	}
 	out := env.reg.Expose()
 	if !strings.Contains(out, "daemon_jobs_total") || !strings.Contains(out, "qpu_up") {
@@ -486,4 +485,21 @@ func TestFIFOWithoutFairShare(t *testing.T) {
 	if a.State != JobRunning || b.State != JobQueued {
 		t.Fatalf("FIFO order violated: alice=%s bob=%s", a.State, b.State)
 	}
+}
+
+// exposed reads one sample line of reg's exposition text, such as
+// `qpu_tasks_total{state="completed"}`, and fails the test when it is absent.
+func exposed(t *testing.T, reg *telemetry.Registry, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(reg.Expose(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s is not exposed", series)
+	return 0
 }

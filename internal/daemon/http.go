@@ -327,19 +327,28 @@ func (d *Daemon) handleMetricsQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseSimTime accepts a Go duration string ("90m") or plain seconds ("5400")
-// as a simulation-time offset.
+// as a simulation-time offset: finite, not negative, and within a
+// time.Duration.
 func parseSimTime(s string, def time.Duration) (time.Duration, error) {
 	if s == "" {
 		return def, nil
 	}
-	if d, err := time.ParseDuration(s); err == nil {
-		return d, nil
-	}
-	secs, err := strconv.ParseFloat(s, 64)
+	d, err := time.ParseDuration(s)
 	if err != nil {
-		return 0, fmt.Errorf("%q is neither a duration nor seconds", s)
+		secs, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return 0, fmt.Errorf("%q is neither a duration nor seconds", s)
+		}
+		// NaN fails both comparisons.
+		if !(secs >= 0 && secs*float64(time.Second) < math.MaxInt64) {
+			return 0, fmt.Errorf("%q is not a time from 0 to %s", s, time.Duration(math.MaxInt64))
+		}
+		d = time.Duration(secs * float64(time.Second))
 	}
-	return time.Duration(secs * float64(time.Second)), nil
+	if d < 0 {
+		return 0, fmt.Errorf("%q is negative", s)
+	}
+	return d, nil
 }
 
 func parseAgg(s string) (telemetry.AggregateKind, error) {

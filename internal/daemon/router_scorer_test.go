@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -346,17 +347,12 @@ func TestCacheCountersAndStats(t *testing.T) {
 		t.Fatalf("hit rate = %g, want 1/3", st.HitRate)
 	}
 
-	labels := telemetry.Labels{"device": id}
 	for name, want := range map[string]float64{
 		"daemon_program_cache_hits_total":      1,
 		"daemon_program_cache_misses_total":    2,
 		"daemon_program_cache_evictions_total": 1,
 	} {
-		m := reg.Get(name)
-		if m == nil {
-			t.Fatalf("metric %s not registered", name)
-		}
-		if got := m.Value(labels); got != want {
+		if got := exposed(t, reg, fmt.Sprintf("%s{device=%q}", name, id)); got != want {
 			t.Fatalf("%s = %g, want %g", name, got, want)
 		}
 	}

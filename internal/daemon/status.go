@@ -54,18 +54,6 @@ func (d *Daemon) ownedJobLocked(token, jobID string) (*Job, error) {
 	return j, nil
 }
 
-// JobStatus returns a session's view of a job.
-func (d *Daemon) JobStatus(token, jobID string) (*Job, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j, err := d.ownedJobLocked(token, jobID)
-	if err != nil {
-		return nil, err
-	}
-	cp := *j
-	return &cp, nil
-}
-
 // renderedResult returns a completed job's result as JSON, rendering it on
 // first use: replays, where no one fetches results, never pay for the marshal.
 // Caller holds d.mu.
@@ -79,11 +67,12 @@ func (j *Job) renderedResult() ([]byte, error) {
 	return j.result, nil
 }
 
-// jobStatusResults is JobStatus and, for a completed job, JobResult — of jobID,
-// then of each also ID the session can see, in that order — in one hold of
-// d.mu: a completed job's status reply carries its result, and between two
-// holds retention could evict the record. A result that fails to render is
-// left out of its copy; JobResult is where the caller then reads why.
+// jobStatusResults is a session's view of a job and, for a completed job, its
+// JobResult — of jobID, then of each also ID the session can see, in that
+// order — in one hold of d.mu: a completed job's status reply carries its
+// result, and between two holds retention could evict the record. A result
+// that fails to render is left out of its copy; JobResult is where the caller
+// then reads why.
 func (d *Daemon) jobStatusResults(token, jobID string, also []string) ([]Job, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -321,17 +310,6 @@ func (d *Daemon) emitQueueTelemetry() {
 		d.bQueueTotal[c].Set(total)
 		d.tsQueueTotal[c].Append(now, total)
 	}
-}
-
-// QueueLengths reports current queue depth by class, summed over the fleet.
-func (d *Daemon) QueueLengths() map[string]int {
-	out := map[string]int{"production": 0, "test": 0, "dev": 0}
-	for _, ds := range d.fleet {
-		for name, n := range queueLens(ds.queue) {
-			out[name] += n
-		}
-	}
-	return out
 }
 
 // queueLens snapshots a partition queue's depth by class name.

@@ -39,10 +39,6 @@ func (d *Daemon) emitSpan(s trace.Span) {
 // to skip clock reads and span assembly entirely when tracing is off.
 func (d *Daemon) traced() bool { return d.span != nil }
 
-// Flight returns the attached flight recorder (nil when tracing without one,
-// or when tracing is off) — the store behind GET /api/v1/trace.
-func (d *Daemon) Flight() *trace.FlightRecorder { return d.flight }
-
 // waitStage distinguishes a job's first wait from post-preemption waits, so
 // the stage-latency report can attribute preemption-induced queueing.
 func waitStage(j *Job) trace.Stage {

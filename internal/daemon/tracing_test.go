@@ -345,9 +345,9 @@ func TestHTTPMetricsQuery(t *testing.T) {
 	}
 	ts := httptest.NewServer(d.Handler())
 	t.Cleanup(ts.Close)
-	labels := telemetry.Labels{"device": "qpu-0"}
+	series := tsdb.Bind("test_metric", telemetry.Labels{"device": "qpu-0"})
 	for i := 0; i < 10; i++ {
-		tsdb.Append("test_metric", labels, time.Duration(i)*time.Minute, float64(i))
+		series.Append(time.Duration(i)*time.Minute, float64(i))
 	}
 	clk.Advance(10 * time.Minute)
 
@@ -402,8 +402,26 @@ func TestHTTPMetricsQuery(t *testing.T) {
 	if code, _ = get("name=test_metric&window=5m&agg=median"); code != http.StatusBadRequest {
 		t.Fatalf("unknown agg: HTTP %d, want 400", code)
 	}
-	if code, _ = get("name=test_metric&from=bogus"); code != http.StatusBadRequest {
-		t.Fatalf("bad from: HTTP %d, want 400", code)
+	// A 1 ns window costs one step per point, not one per empty window:
+	// each of the ten samples lands in a window of its own.
+	code, body = get("name=test_metric&device=qpu-0&window=1ns&agg=last")
+	resp.Points = nil
+	json.Unmarshal(body, &resp)
+	if code != http.StatusOK || len(resp.Points) != 10 || resp.Points[9].AtSeconds != 540 {
+		t.Fatalf("1ns-window query: HTTP %d, points %+v", code, resp.Points)
+	}
+	// Times that are not finite, are negative or overflow a time.Duration
+	// are refused; the largest plain-seconds value that fits is served.
+	for _, query := range []string{
+		"from=bogus", "from=NaN", "from=Inf", "from=-Inf", "from=-5", "from=-1m",
+		"to=NaN", "to=1e12", "window=NaN", "window=+Inf", "window=-10s", "window=1e10",
+	} {
+		if code, body = get("name=test_metric&device=qpu-0&" + query); code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400: %s", query, code, body)
+		}
+	}
+	if code, body = get("name=test_metric&device=qpu-0&to=9e9"); code != http.StatusOK {
+		t.Fatalf("to=9e9: HTTP %d: %s", code, body)
 	}
 
 	// A TSDB-less daemon 404s the whole endpoint.

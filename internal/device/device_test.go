@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,10 +315,10 @@ func TestTelemetryEmission(t *testing.T) {
 	}
 	d.Submit(testProgram(5))
 	clk.Advance(10 * time.Second)
-	if got := reg.Get("qpu_shots_total").Value(nil); got != 5 {
+	if got := exposed(t, reg, "qpu_shots_total"); got != 5 {
 		t.Fatalf("shots counter = %g", got)
 	}
-	if got := reg.Get("qpu_tasks_total").Value(telemetry.Labels{"state": "completed"}); got != 1 {
+	if got := exposed(t, reg, `qpu_tasks_total{state="completed"}`); got != 1 {
 		t.Fatalf("tasks counter = %g", got)
 	}
 	pts := db.Query("qpu_calib_rabi_factor", telemetry.Labels{"device": "analog-qpu"}, 0, time.Hour)
@@ -518,4 +520,21 @@ func TestFullFidelityResultReproducible(t *testing.T) {
 	if !bytes.Equal(runs[0], runs[1]) {
 		t.Fatalf("same program, seed and history, different results:\n %s\n %s", runs[0], runs[1])
 	}
+}
+
+// exposed reads one sample line of reg's exposition text, such as
+// `qpu_tasks_total{state="completed"}`, and fails the test when it is absent.
+func exposed(t *testing.T, reg *telemetry.Registry, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(reg.Expose(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s is not exposed", series)
+	return 0
 }

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -135,14 +136,13 @@ func TestFleetGaugesKeepTheirDevice(t *testing.T) {
 	}
 	f.Devices()[1].StartMaintenance()
 	f.Devices()[3].RunQACheck() // a later emitter, and healthy
-	up := reg.Get("qpu_up")
 	for i, id := range f.IDs() {
 		want := 1.0
 		if i == 1 {
 			want = 0
 		}
 		labels := telemetry.Labels{"device": id}
-		if got := up.Value(labels); got != want {
+		if got := exposed(t, reg, fmt.Sprintf("qpu_up{device=%q}", id)); got != want {
 			t.Errorf("registry qpu_up{device=%q} = %g, want %g", id, got, want)
 		}
 		if p, ok := db.Latest("qpu_up", labels); !ok || p.Value != want {

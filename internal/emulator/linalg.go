@@ -29,13 +29,6 @@ func (m *Matrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Mul returns m × b.
 func (m *Matrix) Mul(b *Matrix) *Matrix {
 	if m.Cols != b.Rows {
@@ -76,15 +69,6 @@ func Identity(n int) *Matrix {
 		m.Set(i, i, 1)
 	}
 	return m
-}
-
-// FrobeniusNorm returns sqrt(Σ|a_ij|²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var sum float64
-	for _, v := range m.Data {
-		sum += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(sum)
 }
 
 // hermitianEigen diagonalizes a Hermitian matrix in place using the cyclic

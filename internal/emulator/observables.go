@@ -9,61 +9,8 @@ import (
 
 // Observables computed from measured counts. These are the classical
 // post-processing primitives hybrid workflows run between quantum calls:
-// magnetizations, two-point correlators, Rydberg densities and structure
-// factors. They operate on qir.Counts so they work identically on every
-// backend's output — emulator or QPU.
-
-// MeanZ returns ⟨Z_q⟩ estimated from counts, with Z|0⟩=+|0⟩, Z|1⟩=−|1⟩.
-func MeanZ(counts qir.Counts, q int) (float64, error) {
-	total := counts.TotalShots()
-	if total == 0 {
-		return 0, fmt.Errorf("emulator: no shots")
-	}
-	acc := 0
-	for bits, n := range counts {
-		if q < 0 || q >= len(bits) {
-			return 0, fmt.Errorf("emulator: qubit %d outside %d-bit outcomes", q, len(bits))
-		}
-		if bits[q] == '0' {
-			acc += n
-		} else {
-			acc -= n
-		}
-	}
-	return float64(acc) / float64(total), nil
-}
-
-// CorrelationZZ returns ⟨Z_a Z_b⟩ − ⟨Z_a⟩⟨Z_b⟩, the connected two-point
-// correlator.
-func CorrelationZZ(counts qir.Counts, a, b int) (float64, error) {
-	total := counts.TotalShots()
-	if total == 0 {
-		return 0, fmt.Errorf("emulator: no shots")
-	}
-	zz := 0
-	for bits, n := range counts {
-		if a < 0 || a >= len(bits) || b < 0 || b >= len(bits) {
-			return 0, fmt.Errorf("emulator: qubits (%d,%d) outside %d-bit outcomes", a, b, len(bits))
-		}
-		za, zb := 1, 1
-		if bits[a] == '1' {
-			za = -1
-		}
-		if bits[b] == '1' {
-			zb = -1
-		}
-		zz += za * zb * n
-	}
-	ma, err := MeanZ(counts, a)
-	if err != nil {
-		return 0, err
-	}
-	mb, err := MeanZ(counts, b)
-	if err != nil {
-		return 0, err
-	}
-	return float64(zz)/float64(total) - ma*mb, nil
-}
+// Rydberg densities and the Néel order parameter. They operate on qir.Counts
+// so they work identically on every backend's output — emulator or QPU.
 
 // RydbergDensity returns the mean excitation fraction ⟨n⟩ = (1 − ⟨Z⟩)/2
 // averaged over all qubits.
@@ -108,63 +55,6 @@ func StaggeredMagnetization(counts qir.Counts) (float64, error) {
 			m += z
 		}
 		acc += math.Abs(float64(m)) / float64(len(bits)) * float64(n)
-	}
-	return acc / float64(total), nil
-}
-
-// StructureFactor returns the spin structure factor
-//
-//	S(k) = (1/N) ⟨|Σ_a e^{ika} σ_a|²⟩,  σ_a = 2n_a − 1 ∈ {−1, +1},
-//
-// the momentum-space picture of ordering on a chain: S(π) peaks in the Z2
-// (antiferromagnetic) phase while S(0) peaks for uniform states.
-func StructureFactor(counts qir.Counts, k float64) (float64, error) {
-	total := counts.TotalShots()
-	if total == 0 {
-		return 0, fmt.Errorf("emulator: no shots")
-	}
-	var n int
-	var acc float64
-	for bits, c := range counts {
-		n = len(bits)
-		var re, im float64
-		for a := 0; a < n; a++ {
-			sigma := -1.0
-			if bits[a] == '1' {
-				sigma = 1.0
-			}
-			re += sigma * math.Cos(k*float64(a))
-			im += sigma * math.Sin(k*float64(a))
-		}
-		acc += (re*re + im*im) * float64(c)
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("emulator: empty outcomes")
-	}
-	return acc / float64(total) / float64(n), nil
-}
-
-// DomainWallDensity returns the mean number of nearest-neighbour aligned
-// pairs ("defects" relative to perfect Z2 order) per bond.
-func DomainWallDensity(counts qir.Counts) (float64, error) {
-	total := counts.TotalShots()
-	if total == 0 {
-		return 0, fmt.Errorf("emulator: no shots")
-	}
-	var acc float64
-	var bonds int
-	for bits, c := range counts {
-		bonds = len(bits) - 1
-		if bonds <= 0 {
-			return 0, fmt.Errorf("emulator: need at least 2 qubits")
-		}
-		walls := 0
-		for i := 0; i < bonds; i++ {
-			if bits[i] == bits[i+1] {
-				walls++
-			}
-		}
-		acc += float64(walls) / float64(bonds) * float64(c)
 	}
 	return acc / float64(total), nil
 }

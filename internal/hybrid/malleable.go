@@ -227,16 +227,6 @@ func (p *MalleablePool) Done() bool {
 	return p.doneN == len(p.all)
 }
 
-// Workers returns the task's current allocation (0 when not running).
-func (p *MalleablePool) Workers(id string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if t, ok := p.all[id]; ok {
-		return t.workers
-	}
-	return 0
-}
-
 // PoolMetrics summarizes a malleable-pool run.
 type PoolMetrics struct {
 	Makespan       time.Duration

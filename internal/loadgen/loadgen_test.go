@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,20 +290,16 @@ func TestAnalyzerTelemetryExport(t *testing.T) {
 	if rep.Completed == 0 {
 		t.Fatal("replay completed no jobs")
 	}
-	mWait := reg.Get("loadgen_wait_seconds")
-	if mWait == nil {
-		t.Fatal("wait histogram not registered")
-	}
-	labels := telemetry.Labels{"class": "dev"}
-	if mWait.HistogramCount(labels) == 0 {
+	count := exposed(t, reg, `loadgen_wait_seconds_count{class="dev"}`)
+	if count == 0 {
 		t.Fatal("wait histogram empty for dev class")
 	}
-	mean := mWait.HistogramSum(labels) / float64(mWait.HistogramCount(labels))
+	mean := exposed(t, reg, `loadgen_wait_seconds_sum{class="dev"}`) / count
 	if want := rep.PerClass["dev"].MeanWaitSeconds; math.Abs(mean-want) > 1e-6 {
 		t.Fatalf("telemetry mean wait %g != report mean %g", mean, want)
 	}
-	if q := mWait.HistogramQuantile(labels, 0.5); math.IsNaN(q) {
-		t.Fatal("wait histogram p50 is NaN")
+	if inf := exposed(t, reg, `loadgen_wait_seconds_bucket{class="dev",le="+Inf"}`); inf != count {
+		t.Fatalf("wait histogram +Inf bucket %g != count %g", inf, count)
 	}
 }
 
@@ -316,4 +314,21 @@ func TestQuantiles(t *testing.T) {
 	if z := quantiles(nil); z.P50 != 0 || z.P99 != 0 {
 		t.Fatalf("empty quantiles = %+v", z)
 	}
+}
+
+// exposed reads one sample line of reg's exposition text, such as
+// `qpu_tasks_total{state="completed"}`, and fails the test when it is absent.
+func exposed(t *testing.T, reg *telemetry.Registry, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(reg.Expose(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s is not exposed", series)
+	return 0
 }

@@ -18,7 +18,15 @@ type Quantiles struct {
 	P99 float64 `json:"p99"`
 }
 
-// quantiles computes nearest-rank quantiles of an unsorted sample set.
+// quantilesInPlace is the nearest-rank quantiles of a scratch slice the
+// caller owns, which it sorts.
+func quantilesInPlace(s []float64) Quantiles {
+	sort.Float64s(s)
+	return pickQuantiles(len(s), func(i int) float64 { return s[i] })
+}
+
+// pickQuantiles applies the nearest-rank convention to n sorted samples, of
+// which at reads the i-th (0-based); only the three picked ranks are read.
 //
 // The convention, locked in by table tests (N=0,1,2,100) because sweep
 // reports must stay byte-identical across refactors: the percentile p maps to
@@ -28,19 +36,6 @@ type Quantiles struct {
 // sample is every percentile; at N=2 the p50 is the *lower* sample (rank
 // round(1.0) = 1) while p95/p99 take the upper; at N=100 the p50/p95/p99 are
 // the 50th/95th/99th order statistics.
-func quantiles(samples []float64) Quantiles {
-	return quantilesInPlace(append([]float64(nil), samples...))
-}
-
-// quantilesInPlace is quantiles of a scratch slice the caller owns, which it
-// sorts.
-func quantilesInPlace(s []float64) Quantiles {
-	sort.Float64s(s)
-	return pickQuantiles(len(s), func(i int) float64 { return s[i] })
-}
-
-// pickQuantiles applies the nearest-rank convention to n sorted samples, of
-// which at reads the i-th (0-based); only the three picked ranks are read.
 func pickQuantiles(n int, at func(i int) float64) Quantiles {
 	if n == 0 {
 		return Quantiles{}
@@ -299,8 +294,7 @@ func (a *Analyzer) Reset() {
 	clear(a.preemptByDev)
 	a.devices = a.devices[:0]
 	a.preempts, a.requeues, a.crossRequeues, a.terminal = 0, 0, 0, 0
-	a.lastTerminal = 0
-	a.used = 0
+	a.lastTerminal, a.used = 0, 0
 	for c := range a.stages {
 		for i, cell := range a.stages[c] {
 			a.stages[c][i] = stageCell{durs: cell.durs[:0]}
@@ -352,9 +346,7 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 		t.state, t.terminal = trackRejected, true
 		t.finished = ev.At
 		a.terminal++
-		if ev.At > a.lastTerminal {
-			a.lastTerminal = ev.At
-		}
+		a.lastTerminal = max(a.lastTerminal, ev.At)
 	case daemon.JobEventStarted:
 		t := a.jobs[ev.Job.ID]
 		if t == nil {
@@ -398,9 +390,7 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 		t.finished = ev.At
 		t.device = a.device(ev.Job.Device)
 		a.terminal++
-		if ev.At > a.lastTerminal {
-			a.lastTerminal = ev.At
-		}
+		a.lastTerminal = max(a.lastTerminal, ev.At)
 		if t.started {
 			a.bWait[t.class].Observe((t.firstStart - t.submitted).Seconds())
 		}

@@ -16,8 +16,14 @@ import (
 	"hpcqc/internal/trace"
 )
 
+// quantiles computes nearest-rank quantiles of an unsorted sample set,
+// leaving it unsorted.
+func quantiles(samples []float64) Quantiles {
+	return quantilesInPlace(append([]float64(nil), samples...))
+}
+
 // TestQuantilesTable locks in the nearest-rank convention documented on
-// quantiles(): percentile p → 1-based rank round(p·N) half away from zero,
+// pickQuantiles: percentile p → 1-based rank round(p·N) half away from zero,
 // clamped into [1, N], no interpolation. Sweep reports must stay
 // byte-identical across refactors, so these expectations are the contract —
 // a change that shifts any rank is a report-format change, not a cleanup.

@@ -45,11 +45,6 @@ func (g GateName) Arity() int {
 	}
 }
 
-// Parametric reports whether the gate takes an angle parameter.
-func (g GateName) Parametric() bool {
-	return g == GateRX || g == GateRY || g == GateRZ
-}
-
 // Circuit is a gate-model program on NumQubits qubits. All qubits are
 // measured in the computational basis at the end.
 type Circuit struct {

@@ -95,9 +95,6 @@ func TestGateArity(t *testing.T) {
 	if GateH.Arity() != 1 || GateCX.Arity() != 2 || GateName("bogus").Arity() != 0 {
 		t.Fatal("arity table broken")
 	}
-	if !GateRX.Parametric() || GateH.Parametric() {
-		t.Fatal("parametric table broken")
-	}
 }
 
 func TestProgramValidate(t *testing.T) {

@@ -88,46 +88,3 @@ func LinearRegister(name string, n int, spacing float64) *Register {
 	}
 	return &Register{Name: name, Atoms: atoms}
 }
-
-// SquareRegister returns an side×side square lattice with the given spacing.
-func SquareRegister(name string, side int, spacing float64) *Register {
-	atoms := make([]Position, 0, side*side)
-	for y := 0; y < side; y++ {
-		for x := 0; x < side; x++ {
-			atoms = append(atoms, Position{X: float64(x) * spacing, Y: float64(y) * spacing})
-		}
-	}
-	return &Register{Name: name, Atoms: atoms}
-}
-
-// TriangularRegister returns n atoms filling a triangular lattice row by row.
-func TriangularRegister(name string, n int, spacing float64) *Register {
-	atoms := make([]Position, 0, n)
-	rowLen := int(math.Ceil(math.Sqrt(float64(n))))
-	h := spacing * math.Sqrt(3) / 2
-	for i := 0; len(atoms) < n; i++ {
-		row := i / rowLen
-		col := i % rowLen
-		x := float64(col) * spacing
-		if row%2 == 1 {
-			x += spacing / 2
-		}
-		atoms = append(atoms, Position{X: x, Y: float64(row) * h})
-	}
-	return &Register{Name: name, Atoms: atoms}
-}
-
-// RingRegister returns n atoms evenly spaced on a circle whose radius is
-// chosen so that neighbouring atoms sit `spacing` apart.
-func RingRegister(name string, n int, spacing float64) *Register {
-	if n == 1 {
-		return &Register{Name: name, Atoms: []Position{{}}}
-	}
-	radius := spacing / (2 * math.Sin(math.Pi/float64(n)))
-	atoms := make([]Position, n)
-	for i := range atoms {
-		theta := 2 * math.Pi * float64(i) / float64(n)
-		atoms[i] = Position{X: radius * math.Cos(theta), Y: radius * math.Sin(theta)}
-	}
-	return &Register{Name: name, Atoms: atoms}
-}

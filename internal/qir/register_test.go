@@ -19,57 +19,6 @@ func TestLinearRegister(t *testing.T) {
 	}
 }
 
-func TestSquareRegister(t *testing.T) {
-	r := SquareRegister("sq", 3, 5)
-	if got := r.NumQubits(); got != 9 {
-		t.Fatalf("NumQubits = %d, want 9", got)
-	}
-	if got := r.MinSpacing(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("MinSpacing = %g, want 5", got)
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
-func TestTriangularRegister(t *testing.T) {
-	r := TriangularRegister("tri", 7, 5)
-	if got := r.NumQubits(); got != 7 {
-		t.Fatalf("NumQubits = %d, want 7", got)
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	// Triangular lattice: nearest neighbours are exactly `spacing` apart.
-	if got := r.MinSpacing(); got < 4.99 {
-		t.Fatalf("MinSpacing = %g, want >= 5", got)
-	}
-}
-
-func TestRingRegisterSpacing(t *testing.T) {
-	for _, n := range []int{2, 3, 6, 10} {
-		r := RingRegister("ring", n, 5)
-		if got := r.NumQubits(); got != n {
-			t.Fatalf("n=%d: NumQubits = %d", n, got)
-		}
-		// Adjacent atoms on the ring must be `spacing` apart.
-		d := r.Atoms[0].Distance(r.Atoms[1])
-		if math.Abs(d-5) > 1e-9 {
-			t.Fatalf("n=%d: neighbour distance = %g, want 5", n, d)
-		}
-	}
-}
-
-func TestRingRegisterSingleAtom(t *testing.T) {
-	r := RingRegister("one", 1, 5)
-	if got := r.NumQubits(); got != 1 {
-		t.Fatalf("NumQubits = %d, want 1", got)
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
 func TestRegisterValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string

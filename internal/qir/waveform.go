@@ -164,26 +164,6 @@ func MaxSlope(w Waveform, samples int) float64 {
 	return max
 }
 
-// Integral returns the area under the waveform in rad (value rad/µs × ns
-// converted to µs), used e.g. to compute total pulse area for π-pulses.
-func Integral(w Waveform, samples int) float64 {
-	if samples < 2 {
-		samples = 2
-	}
-	d := w.Duration()
-	if d == 0 {
-		return 0
-	}
-	dt := d / float64(samples-1)
-	sum := 0.0
-	for i := 0; i < samples-1; i++ {
-		a := w.Value(dt * float64(i))
-		b := w.Value(dt * float64(i+1))
-		sum += (a + b) / 2 * dt
-	}
-	return sum / 1000 // ns → µs
-}
-
 // waveformEnvelope is the serialization wrapper for the Waveform interface.
 type waveformEnvelope struct {
 	Kind     string            `json:"kind"`

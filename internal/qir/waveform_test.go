@@ -134,24 +134,6 @@ func TestMaxSlopeRamp(t *testing.T) {
 	}
 }
 
-func TestIntegralConstant(t *testing.T) {
-	// 1000 ns at 2 rad/µs = 2 rad.
-	got := Integral(ConstantWaveform{Dur: 1000, Val: 2}, 1000)
-	if math.Abs(got-2) > 1e-6 {
-		t.Fatalf("Integral = %g, want 2", got)
-	}
-}
-
-func TestIntegralBlackmanArea(t *testing.T) {
-	// Blackman window mean is 0.42 of peak: area = 0.42 * peak * dur.
-	w := BlackmanWaveform{Dur: 1000, Peak: 5}
-	got := Integral(w, 4096)
-	want := 0.42 * 5 * 1.0 // µs
-	if math.Abs(got-want) > 1e-3 {
-		t.Fatalf("Integral = %g, want %g", got, want)
-	}
-}
-
 func TestWaveformRoundTrip(t *testing.T) {
 	waveforms := []Waveform{
 		ConstantWaveform{Dur: 10, Val: 1.5},

@@ -39,12 +39,6 @@ func NewDeviceResource(dev *device.Device, clock *simclock.Clock) *DeviceResourc
 	return &DeviceResource{dev: dev, clock: clock, tokens: make(map[string]bool)}
 }
 
-// Device exposes the underlying device for admin tooling.
-func (r *DeviceResource) Device() *device.Device { return r.dev }
-
-// Clock exposes the simulation clock driving the device.
-func (r *DeviceResource) Clock() *simclock.Clock { return r.clock }
-
 // Target implements Resource. For fleet partitions this is the partition ID
 // (e.g. "analog-qpu-p2"); it coincides with the spec name on single devices.
 func (r *DeviceResource) Target() string { return r.dev.ID() }

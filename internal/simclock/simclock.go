@@ -74,9 +74,8 @@ type Clock struct {
 	now     time.Duration
 	events  eventHeap
 	nextSeq uint64
-	running bool
 	// deferred counts the elements of live series that are not in the heap
-	// yet: Pending reports them, as if each had its own slot.
+	// yet: String reports them as pending, as if each had its own slot.
 	deferred int
 	// nowAtomic mirrors now (written only under mu) so Now() is a lock-free
 	// load — it sits on every hot path (device status, span emission) and a
@@ -189,13 +188,6 @@ func (c *Clock) NextEventAt() (time.Duration, bool) {
 		return 0, false
 	}
 	return c.events[0].At, true
-}
-
-// Pending returns the number of queued events.
-func (c *Clock) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events) + c.deferred
 }
 
 // Step fires the earliest pending event, advancing the clock to its

@@ -30,8 +30,6 @@ const (
 	StateRunning JobState = "RUNNING"
 	// StateCompleted finished normally.
 	StateCompleted JobState = "COMPLETED"
-	// StateCancelled was cancelled by user or admin.
-	StateCancelled JobState = "CANCELLED"
 	// StatePreempted was preempted by a higher-priority partition job and
 	// requeued.
 	StatePreempted JobState = "PREEMPTED"
@@ -98,7 +96,7 @@ type JobSpec struct {
 	OnFinish func(jobID int, state JobState)
 }
 
-// Job is the internal record; fields are read via JobInfo.
+// Job is the cluster's record of one submitted job.
 type Job struct {
 	ID        int
 	Spec      JobSpec
@@ -109,24 +107,6 @@ type Job struct {
 	Requeues  int
 	endEvent  *simclock.Event
 	partition *Partition
-}
-
-// JobInfo is the externally visible job view.
-type JobInfo struct {
-	ID        int           `json:"id"`
-	Name      string        `json:"name"`
-	User      string        `json:"user"`
-	Partition string        `json:"partition"`
-	State     JobState      `json:"state"`
-	Nodes     int           `json:"nodes"`
-	QPUUnits  int           `json:"qpu_units"`
-	Hint      string        `json:"hint"`
-	Priority  float64       `json:"priority"`
-	SubmitAt  time.Duration `json:"submit_at"`
-	StartAt   time.Duration `json:"start_at"`
-	EndAt     time.Duration `json:"end_at"`
-	WaitTime  time.Duration `json:"wait_time"`
-	Requeues  int           `json:"requeues"`
 }
 
 // Cluster is the simulated resource manager.
@@ -476,68 +456,6 @@ func (c *Cluster) preempt(j *Job) {
 	}
 }
 
-// Cancel removes a pending job or stops a running one.
-func (c *Cluster) Cancel(id int) error {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("slurm: unknown job %d", id)
-	}
-	switch j.State {
-	case StatePending:
-		for i, p := range c.pending {
-			if p == j {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				break
-			}
-		}
-		j.State = StateCancelled
-		j.EndAt = c.cfg.Clock.Now()
-		c.mu.Unlock()
-		if j.Spec.OnFinish != nil {
-			j.Spec.OnFinish(j.ID, StateCancelled)
-		}
-		return nil
-	case StateRunning:
-		c.mu.Unlock()
-		c.complete(j, StateCancelled)
-		return nil
-	default:
-		c.mu.Unlock()
-		return fmt.Errorf("slurm: job %d already %s", id, j.State)
-	}
-}
-
-// JobInfo returns the externally visible state of a job.
-func (c *Cluster) JobInfo(id int) (JobInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return JobInfo{}, fmt.Errorf("slurm: unknown job %d", id)
-	}
-	info := JobInfo{
-		ID:        j.ID,
-		Name:      j.Spec.Name,
-		User:      j.Spec.User,
-		Partition: j.Spec.Partition,
-		State:     j.State,
-		Nodes:     j.Spec.Nodes,
-		QPUUnits:  j.Spec.QPUUnits,
-		Hint:      j.Spec.Hint,
-		Priority:  c.priority(j),
-		SubmitAt:  j.SubmitAt,
-		StartAt:   j.StartAt,
-		EndAt:     j.EndAt,
-		Requeues:  j.Requeues,
-	}
-	if j.State == StateRunning || j.State == StateCompleted || j.State == StateCancelled {
-		info.WaitTime = j.StartAt - j.SubmitAt
-	}
-	return info, nil
-}
-
 // Stats summarizes cluster usage.
 type Stats struct {
 	Nodes           int           `json:"nodes"`
@@ -580,18 +498,4 @@ func (c *Cluster) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// PendingIDs lists pending job IDs in current priority order.
-func (c *Cluster) PendingIDs() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sort.SliceStable(c.pending, func(a, b int) bool {
-		return c.priority(c.pending[a]) > c.priority(c.pending[b])
-	})
-	ids := make([]int, len(c.pending))
-	for i, j := range c.pending {
-		ids[i] = j.ID
-	}
-	return ids
 }

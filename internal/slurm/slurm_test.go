@@ -160,9 +160,13 @@ func TestPriorityOrdering(t *testing.T) {
 	c.Submit(JobSpec{Partition: "production", Nodes: 2, Walltime: 30 * time.Minute})
 	devID, _ := c.Submit(JobSpec{Partition: "dev", Nodes: 2, Walltime: time.Hour})
 	prodID, _ := c.Submit(JobSpec{Partition: "production", Nodes: 2, Walltime: time.Hour})
-	order := c.PendingIDs()
-	if len(order) != 2 || order[0] != prodID || order[1] != devID {
-		t.Fatalf("pending order = %v, want [prod dev]", order)
+	// When the first job ends, the later production job starts ahead of the
+	// earlier dev job.
+	clk.Advance(30 * time.Minute)
+	prod, _ := c.JobInfo(prodID)
+	dev, _ := c.JobInfo(devID)
+	if prod.State != StateRunning || dev.State != StatePending {
+		t.Fatalf("after the first job: prod %s, dev %s, want prod running", prod.State, dev.State)
 	}
 }
 
@@ -320,9 +324,12 @@ func TestAgePriorityPromotesOldJobs(t *testing.T) {
 	oldID, _ := c.Submit(JobSpec{Partition: "p", Nodes: 1, Walltime: time.Hour})
 	clk.Advance(30 * time.Minute)
 	newID, _ := c.Submit(JobSpec{Partition: "p", Nodes: 1, Walltime: time.Hour})
-	order := c.PendingIDs()
-	if order[0] != oldID || order[1] != newID {
-		t.Fatalf("age priority violated: %v", order)
+	// When the first job ends, the older of the two waiting jobs starts.
+	clk.Advance(10*time.Hour - 30*time.Minute)
+	old, _ := c.JobInfo(oldID)
+	young, _ := c.JobInfo(newID)
+	if old.State != StateRunning || young.State != StatePending {
+		t.Fatalf("age priority violated: old %s, new %s", old.State, young.State)
 	}
 }
 

@@ -121,13 +121,6 @@ func (d *DriftDetector) stateLocked() DriftState {
 	}
 }
 
-// Baseline returns the slow baseline estimate.
-func (d *DriftDetector) Baseline() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.baseline
-}
-
 // AlertSeverity grades alert rules.
 type AlertSeverity int
 
@@ -175,7 +168,6 @@ type AlertManager struct {
 	// pendingSince tracks when each rule's predicate first became true.
 	pendingSince map[string]time.Duration
 	firing       map[string]bool
-	history      []Alert
 }
 
 // NewAlertManager returns a manager bound to the database.
@@ -226,15 +218,13 @@ func (am *AlertManager) Evaluate(now time.Duration) []Alert {
 		}
 		if now-since >= r.For && !am.firing[r.Name] {
 			am.firing[r.Name] = true
-			a := Alert{
+			fired = append(fired, Alert{
 				Rule:     r.Name,
 				Severity: r.Severity.String(),
 				At:       now,
 				Value:    p.Value,
 				Message:  fmt.Sprintf("%s: %s=%g", r.Name, r.Series, p.Value),
-			}
-			am.history = append(am.history, a)
-			fired = append(fired, a)
+			})
 		}
 	}
 	return fired
@@ -251,11 +241,4 @@ func (am *AlertManager) Firing() []string {
 		}
 	}
 	return out
-}
-
-// History returns all alerts fired since creation.
-func (am *AlertManager) History() []Alert {
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	return append([]Alert(nil), am.history...)
 }

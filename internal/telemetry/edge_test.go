@@ -55,7 +55,6 @@ func TestBoundSeriesNilSafety(t *testing.T) {
 	// None of these may panic.
 	b.Inc(1)
 	b.Set(2)
-	b.Add(3)
 	b.Observe(4)
 
 	// A registry with no metric registered yields nil via Get — the same

@@ -23,8 +23,7 @@ func exposeFixture() *Registry {
 	c := reg.MustCounter("fx_total", "A counter family.")
 	h := reg.MustHistogram("fx_seconds", "A histogram family.", []float64{0.5, 1, 10})
 	for i, l := range labelSets {
-		g.Bind(l).Set(-values[i])
-		g.Bind(l).Add(0.25)
+		g.Bind(l).Set(-values[i] + 0.25)
 		c.Bind(l).Inc(values[i])
 		b := h.Bind(l)
 		for k := 0; k < i; k++ {

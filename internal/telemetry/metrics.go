@@ -151,16 +151,6 @@ func (b *BoundSeries) Set(v float64) {
 	b.m.mu.Unlock()
 }
 
-// Add adds to a bound gauge series.
-func (b *BoundSeries) Add(delta float64) {
-	if b == nil || b.m.Type != TypeGauge {
-		return
-	}
-	b.m.mu.Lock()
-	b.s.value += delta
-	b.m.mu.Unlock()
-}
-
 // Observe records a histogram observation on a bound series.
 func (b *BoundSeries) Observe(v float64) {
 	if b == nil || b.m.Type != TypeHistogram {
@@ -175,65 +165,6 @@ func (b *BoundSeries) Observe(v float64) {
 		}
 	}
 	b.m.mu.Unlock()
-}
-
-// Value returns the current value of a counter/gauge series (0 if absent).
-func (m *Metric) Value(l Labels) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.series[l.key()]; ok {
-		return s.value
-	}
-	return 0
-}
-
-// HistogramCount returns the observation count of a histogram series.
-func (m *Metric) HistogramCount(l Labels) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.series[l.key()]; ok {
-		return s.count
-	}
-	return 0
-}
-
-// HistogramSum returns the running sum of a histogram series' observations,
-// so consumers can derive means (sum/count) without re-aggregating samples.
-func (m *Metric) HistogramSum(l Labels) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.series[l.key()]; ok {
-		return s.sum
-	}
-	return 0
-}
-
-// HistogramQuantile estimates quantile q ∈ [0,1] by linear interpolation
-// within the owning bucket, Prometheus-style. Returns NaN with no data.
-func (m *Metric) HistogramQuantile(l Labels, q float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.series[l.key()]
-	if !ok || s.count == 0 {
-		return math.NaN()
-	}
-	target := q * float64(s.count)
-	prevBound, prevCount := 0.0, 0.0
-	for i, bound := range m.bounds {
-		if s.buckets[i] >= target {
-			width := bound - prevBound
-			inBucket := s.buckets[i] - prevCount
-			if inBucket == 0 {
-				return bound
-			}
-			return prevBound + width*(target-prevCount)/inBucket
-		}
-		prevBound, prevCount = bound, s.buckets[i]
-	}
-	if len(m.bounds) > 0 {
-		return m.bounds[len(m.bounds)-1]
-	}
-	return math.NaN()
 }
 
 // Registry holds metric families and renders them in Prometheus text format.
@@ -322,13 +253,6 @@ func (r *Registry) MustHistogram(name, help string, bounds []float64) *Metric {
 		panic(err)
 	}
 	return m
-}
-
-// Get returns a registered metric family, or nil.
-func (r *Registry) Get(name string) *Metric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.metrics[name]
 }
 
 // Expose renders every family in Prometheus text exposition format 0.0.4, as

@@ -36,7 +36,7 @@ func TestGaugeBasics(t *testing.T) {
 	if got := g.Value(nil); got != 1 {
 		t.Fatalf("got %g", got)
 	}
-	g.Bind(nil).Add(-0.5)
+	g.Bind(nil).Set(0.5)
 	if got := g.Value(nil); got != 0.5 {
 		t.Fatalf("got %g", got)
 	}

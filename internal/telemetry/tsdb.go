@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -269,49 +268,16 @@ func (db *TSDB) Downsample(name string, labels Labels, from, to, window time.Dur
 		bucket = bucket[:0]
 	}
 	for _, p := range raw {
-		for p.At >= wStart+window {
+		// Jump straight to the window holding p: stepping through the empty
+		// windows between two points would cost span/window, not points.
+		if p.At-wStart >= window {
 			flush()
-			wStart += window
+			wStart += (p.At - wStart) / window * window
 		}
 		bucket = append(bucket, p.Value)
 	}
 	flush()
 	return out
-}
-
-// Stats summarizes a range: count, mean, min, max, stddev.
-type Stats struct {
-	Count  int
-	Mean   float64
-	Min    float64
-	Max    float64
-	StdDev float64
-}
-
-// RangeStats computes summary statistics over [from, to].
-func (db *TSDB) RangeStats(name string, labels Labels, from, to time.Duration) Stats {
-	pts := db.Query(name, labels, from, to)
-	if len(pts) == 0 {
-		return Stats{}
-	}
-	st := Stats{Count: len(pts), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum, sumSq float64
-	for _, p := range pts {
-		sum += p.Value
-		sumSq += p.Value * p.Value
-		if p.Value < st.Min {
-			st.Min = p.Value
-		}
-		if p.Value > st.Max {
-			st.Max = p.Value
-		}
-	}
-	st.Mean = sum / float64(st.Count)
-	variance := sumSq/float64(st.Count) - st.Mean*st.Mean
-	if variance > 0 {
-		st.StdDev = math.Sqrt(variance)
-	}
-	return st
 }
 
 // String describes the database for debugging.

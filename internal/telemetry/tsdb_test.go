@@ -121,6 +121,32 @@ func TestDownsampleKinds(t *testing.T) {
 	}
 }
 
+// TestDownsampleCostFollowsPoints: a 1 ns window over points an hour apart
+// answers one point per sample, stamped at the window holding it, without
+// stepping through the 3.6e12 empty windows between two samples.
+func TestDownsampleCostFollowsPoints(t *testing.T) {
+	db := NewTSDB(0, 0)
+	for i := 0; i < 4; i++ {
+		db.Append("x", nil, time.Duration(i)*time.Hour+time.Duration(i), float64(i))
+	}
+	out := db.Downsample("x", nil, 3, 4*time.Hour, time.Nanosecond, AggLast)
+	if len(out) != 3 {
+		t.Fatalf("got %d windows, want 3: %v", len(out), out)
+	}
+	for k, p := range out {
+		i := k + 1
+		if want := time.Duration(i)*time.Hour + time.Duration(i); p.At != want || p.Value != float64(i) {
+			t.Fatalf("window %d = %v, want {%s %d}", k, p, want, i)
+		}
+	}
+	// Hour windows from 2 ns: the sample at 1h+1 ns falls in the first,
+	// 2h+2 ns opens the second, 3h+3 ns lies inside the third.
+	out = db.Downsample("x", nil, 2, 4*time.Hour, time.Hour, AggCount)
+	if len(out) != 3 || out[0].At != 2 || out[1].At != 2*time.Hour+2 || out[2].At != 3*time.Hour+2 {
+		t.Fatalf("hour windows from 2 ns = %v", out)
+	}
+}
+
 func TestDownsampleZeroWindowPassthrough(t *testing.T) {
 	db := NewTSDB(0, 0)
 	db.Append("x", nil, time.Second, 1)

@@ -63,11 +63,6 @@ func (s PatternSpec) TotalQuantum() time.Duration {
 	return time.Duration(s.QuantumSegments) * s.QuantumSeg
 }
 
-// TotalClassical returns the pattern's summed nominal classical time.
-func (s PatternSpec) TotalClassical() time.Duration {
-	return time.Duration(s.QuantumSegments) * s.ClassicalSeg
-}
-
 // DeadlineSpec is a per-class completion contract: a job of the class is
 // expected to finish within Base plus ServiceFactor times its own expected
 // QPU service, measured from submission. The service-coupled term keeps the
