@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-race examples bench bench-json bench-diff bench-e2e-quick e2e-ab profile-serve profile-replay fuzz-smoke vet vet-trace check loc surface
+.PHONY: build test test-full test-race examples bench bench-diff bench-e2e-quick e2e-ab profile-serve profile-replay fuzz-smoke vet vet-trace check loc surface
 
 build:
 	$(GO) build ./...
@@ -34,7 +34,7 @@ examples:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# The benchmark selection behind bench-json and bench-diff: the replay and
+# The benchmark selection behind bench-diff: the replay and
 # dispatch hot paths in the root package plus the program-cache/router
 # primitives in internal/daemon, plus the wide-matrix sweep and saturation
 # search that gate the capacity-planning engine, plus the served write path
@@ -42,12 +42,6 @@ bench:
 # reads, the TSDB append it leans on and the job reply it ends with.
 BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkServedMixed|BenchmarkTSDBAppend$$|BenchmarkJobWireEncode
 BENCH_PKGS = . ./internal/daemon
-
-# bench-json writes one run of the suite to BENCH_fleet.json as test2json
-# events: a record of that run on that machine, which no gate reads.
-bench-json:
-	$(GO) test -bench='$(BENCH_PATTERN)' \
-		-benchmem -run='^$$' -json $(BENCH_PKGS) > BENCH_fleet.json
 
 # bench-diff is the perf gate: the suite built at BASE and from the working
 # tree, run in PAIRS alternating pairs and judged by the rules in

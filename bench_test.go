@@ -1083,8 +1083,8 @@ func BenchmarkLoadgenReadTrace(b *testing.B) {
 // BenchmarkLoadgenReplayRecorded additionally attaches a flight recorder
 // sized to retain every job trace — the `qcload trace export` configuration,
 // the most expensive consumer (every span is stored, not just aggregated).
-// Recorded in BENCH_fleet.json for trajectory; not CI-gated, since exports
-// are one-shot flows rather than the sweep hot path.
+// Not CI-gated, since exports are one-shot flows rather than the sweep hot
+// path.
 func BenchmarkLoadgenReplayRecorded(b *testing.B) {
 	tr, err := loadgen.Generate(loadgen.Config{
 		Seed: 1, Horizon: 2 * time.Hour,

@@ -173,8 +173,8 @@ func TestNodeServesEndToEnd(t *testing.T) {
 	if sess.Token == "" {
 		t.Fatal("no session token returned")
 	}
-	if resp, body := get("/api/v1/device", map[string]string{"Authorization": "Bearer " + sess.Token}); resp.StatusCode != http.StatusOK || !strings.Contains(body, "max_qubits") {
-		t.Fatalf("device = %d: %s", resp.StatusCode, body)
+	if resp, body := get("/api/v1/devices", map[string]string{"Authorization": "Bearer " + sess.Token}); resp.StatusCode != http.StatusOK || !strings.Contains(body, "max_qubits") {
+		t.Fatalf("devices = %d: %s", resp.StatusCode, body)
 	}
 
 	// Metrics exposition is public; the admin plane is gated.
@@ -186,6 +186,24 @@ func TestNodeServesEndToEnd(t *testing.T) {
 	}
 	if resp, body := get("/admin/v1/status", map[string]string{"Authorization": "Bearer secret"}); resp.StatusCode != http.StatusOK || !strings.Contains(body, "device") {
 		t.Fatalf("admin status = %d: %s", resp.StatusCode, body)
+	}
+
+	// qcsd keeps the daemon's default allowlist: the ops qctl offers run,
+	// the maintenance ops answer 403.
+	for _, tc := range []struct {
+		op   string
+		want int
+	}{{"recalibrate", http.StatusOK}, {"qa_check", http.StatusOK}, {"maintenance_on", http.StatusForbidden}} {
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/admin/v1/lowlevel/"+tc.op, nil)
+		req.Header.Set("Authorization", "Bearer secret")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("op %s = %d, want %d", tc.op, resp.StatusCode, tc.want)
+		}
 	}
 }
 

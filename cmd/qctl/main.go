@@ -1,6 +1,6 @@
 // Command qctl is the hosting-site administration CLI for the middleware
-// daemon: device status, fleet listing, job listing, maintenance windows,
-// recalibration and the gated low-level control operations (paper §2.5,
+// daemon: device status, fleet listing, job listing and the gated low-level
+// control operations qcsd allows, recalibration and QA checks (paper §2.5,
 // §3.6).
 //
 // Usage:
@@ -8,7 +8,7 @@
 //	qctl -endpoint http://node:8080 -token ADMIN_TOKEN status
 //	qctl ... devices
 //	qctl ... jobs
-//	qctl ... op recalibrate|qa_check|maintenance_on|maintenance_off
+//	qctl ... op recalibrate|qa_check
 //	qctl ... metrics
 //	qctl ... trace <job-id>
 //	qctl ... trace

@@ -49,8 +49,12 @@ func TestRunProgramFile(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("ghost-resource", "", "bell", 10, 1, nil); err == nil {
-		t.Fatal("unknown resource accepted")
+	// The catalogue is a map; the error lists it in sorted order, the same
+	// text on every run.
+	err := run("ghost", "", "bell", 10, 1, nil)
+	want := `core: unknown resource "ghost" (profiles: hpc-mps, hpc-mps-large, local-sv, mock-qpu, qpu-digital, qpu-onprem)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("unknown resource: err = %v, want %s", err, want)
 	}
 	if err := run("local-sv", "", "", 10, 1, nil); err == nil {
 		t.Fatal("missing program accepted")

@@ -66,8 +66,7 @@
 // concurrent fleet paths. The benchmarks in bench_test.go regenerate every
 // table and figure of the paper; BenchmarkFleetDispatch measures job
 // throughput scaling from 1 to 4 partitions and BenchmarkLoadgenSweep the
-// policy-matrix replay hot path (`make bench-json` records both to
-// BENCH_fleet.json). Run with:
+// policy-matrix replay hot path. Run with:
 //
 //	go test -bench='BenchmarkFleetDispatch|BenchmarkLoadgen' -run='^$' .
 //

@@ -62,7 +62,7 @@ func TestFullStackSlurmToQPU(t *testing.T) {
 	cluster, err := slurm.NewCluster(slurm.ClusterConfig{
 		Clock: clk, Nodes: 4, QPUGres: 10,
 		Partitions: []slurm.Partition{
-			{Name: "production", Priority: 100, PreemptLower: true},
+			{Name: "production", Priority: 100},
 			{Name: "dev", Priority: 10},
 		},
 	})

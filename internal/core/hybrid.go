@@ -35,9 +35,6 @@ type HybridOptions struct {
 	Perturbation float64
 	// Seed drives the SPSA perturbation directions.
 	Seed int64
-	// RefreshSpecEvery re-fetches device characteristics every N
-	// iterations (0 disables) so drift is caught mid-run.
-	RefreshSpecEvery int
 	// OnIteration observes progress (iteration, cost) when non-nil.
 	OnIteration func(iter int, cost float64)
 }
@@ -95,11 +92,6 @@ func (r *Runtime) RunHybrid(initial []float64, build BuildFunc, cost CostFunc, o
 	plus := make([]float64, len(params))
 	minus := make([]float64, len(params))
 	for iter := 0; iter < opts.Iterations; iter++ {
-		if opts.RefreshSpecEvery > 0 && iter > 0 && iter%opts.RefreshSpecEvery == 0 {
-			if err := r.RefreshSpec(); err != nil {
-				return nil, fmt.Errorf("core: refreshing device characteristics: %w", err)
-			}
-		}
 		// Rademacher perturbation direction.
 		for i := range delta {
 			if rng.Intn(2) == 0 {

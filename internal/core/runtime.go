@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 
 	"hpcqc/internal/qir"
 	"hpcqc/internal/qrmi"
@@ -122,17 +124,18 @@ func (p *Profiles) Resolve(qpuFlag string, environ []string) (map[string]string,
 	return cfg, nil
 }
 
-// Names lists catalogue entries.
+// Names lists catalogue entries in sorted order.
 func (p *Profiles) Names() string {
-	out := ""
+	names := make([]string, 0, len(p.ByName))
 	for name := range p.ByName {
-		if out != "" {
-			out += ", "
-		}
-		out += name
+		names = append(names, name)
 	}
-	return out
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }
+
+// maxPolls bounds the QRMI poll loop per execution.
+const maxPolls = 1 << 20
 
 // Runtime binds one execution target and runs programs against it.
 type Runtime struct {
@@ -140,8 +143,6 @@ type Runtime struct {
 	spec     *qir.DeviceSpec
 	metadata map[string]string
 	cfg      map[string]string
-	// MaxPolls bounds the QRMI poll loop per execution (default 1<<20).
-	MaxPolls int
 }
 
 // NewRuntime resolves a configuration map into a bound runtime: it builds
@@ -169,7 +170,7 @@ func NewRuntimeWithResource(res qrmi.Resource, cfg map[string]string) (*Runtime,
 	if cfg == nil {
 		cfg = map[string]string{}
 	}
-	return &Runtime{resource: res, spec: spec, metadata: md, cfg: cfg, MaxPolls: 1 << 20}, nil
+	return &Runtime{resource: res, spec: spec, metadata: md, cfg: cfg}, nil
 }
 
 // NewRuntimeFor is the one-call path CLIs use: profile catalogue + --qpu
@@ -201,22 +202,6 @@ func (r *Runtime) Metadata() map[string]string {
 	return out
 }
 
-// RefreshSpec re-fetches device characteristics; long-running hybrid loops
-// call this to track calibration drift between iterations.
-func (r *Runtime) RefreshSpec() error {
-	md, err := r.resource.Metadata()
-	if err != nil {
-		return err
-	}
-	spec, err := qrmi.SpecFromMetadata(md)
-	if err != nil {
-		return err
-	}
-	r.spec = spec
-	r.metadata = md
-	return nil
-}
-
 // Validate checks a program against the bound target without running it —
 // "ensuring program validity at the point of execution" (§2.1).
 func (r *Runtime) Validate(p *qir.Program) error {
@@ -228,7 +213,7 @@ func (r *Runtime) Execute(p *qir.Program) (*qir.Result, error) {
 	if err := r.Validate(p); err != nil {
 		return nil, fmt.Errorf("core: program invalid for %s: %w", r.Target(), err)
 	}
-	res, err := qrmi.RunProgram(r.resource, p, r.MaxPolls)
+	res, err := qrmi.RunProgram(r.resource, p, maxPolls)
 	if err != nil {
 		return nil, fmt.Errorf("core: executing on %s: %w", r.Target(), err)
 	}

@@ -181,20 +181,6 @@ func TestMockQPUAcceptsHugeRegisters(t *testing.T) {
 	}
 }
 
-func TestRefreshSpec(t *testing.T) {
-	rt, _ := NewRuntimeFor("local-sv", "", nil)
-	if err := rt.RefreshSpec(); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Spec().Name != "emu-sv" {
-		t.Fatalf("spec lost after refresh")
-	}
-	md := rt.Metadata()
-	if md["kind"] != "emulator" {
-		t.Fatalf("metadata = %v", md)
-	}
-}
-
 func TestRunHybridConvergesOnSimpleLandscape(t *testing.T) {
 	// Minimize P(atom stays in ground state) over pulse duration scale:
 	// optimum is the pi pulse. One parameter, smooth landscape.

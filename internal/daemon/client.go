@@ -154,27 +154,24 @@ func (c *Client) Target() string { return "daemon" }
 // SessionToken returns the bound session token.
 func (c *Client) SessionToken() string { return c.token }
 
-// Metadata implements qrmi.Resource via GET /api/v1/device.
+// Metadata implements qrmi.Resource from the GET /api/v1/devices entry of
+// the partition the client is pinned to, or of the first one when unpinned.
 func (c *Client) Metadata() (map[string]string, error) {
-	code, data, err := c.do(http.MethodGet, "/api/v1/device", "", nil)
+	devs, err := c.devices()
 	if err != nil {
 		return nil, err
 	}
-	if code != http.StatusOK {
-		return nil, clientErr(data, code)
+	i := 0
+	if c.Partition != "" {
+		i = slices.IndexFunc(devs, func(dev listedDevice) bool { return dev.ID == c.Partition })
 	}
-	var payload struct {
-		Spec        json.RawMessage `json:"spec"`
-		Calibration json.RawMessage `json:"calibration"`
-		Status      string          `json:"status"`
-	}
-	if err := json.Unmarshal(data, &payload); err != nil {
-		return nil, err
+	if i < 0 || i >= len(devs) {
+		return nil, fmt.Errorf("daemon: no partition %q in the fleet listing", c.Partition)
 	}
 	return map[string]string{
-		"spec":        string(payload.Spec),
-		"calibration": string(payload.Calibration),
-		"status":      payload.Status,
+		"spec":        string(devs[i].Spec),
+		"calibration": string(devs[i].Calibration),
+		"status":      devs[i].Status,
 		"kind":        "daemon",
 	}, nil
 }
@@ -201,6 +198,27 @@ func (c *Client) Acquire() (string, error) {
 
 // Partitions lists the daemon's fleet partition IDs.
 func (c *Client) Partitions() ([]string, error) {
+	devs, err := c.devices()
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]string, len(devs))
+	for i, dev := range devs {
+		ids[i] = dev.ID
+	}
+	return ids, nil
+}
+
+// listedDevice is what the client reads of one GET /api/v1/devices entry.
+type listedDevice struct {
+	ID          string          `json:"id"`
+	Spec        json.RawMessage `json:"spec"`
+	Calibration json.RawMessage `json:"calibration"`
+	Status      string          `json:"status"`
+}
+
+// devices fetches the fleet listing, one entry per partition.
+func (c *Client) devices() ([]listedDevice, error) {
 	code, data, err := c.do(http.MethodGet, "/api/v1/devices", "", nil)
 	if err != nil {
 		return nil, err
@@ -209,18 +227,12 @@ func (c *Client) Partitions() ([]string, error) {
 		return nil, clientErr(data, code)
 	}
 	var payload struct {
-		Devices []struct {
-			ID string `json:"id"`
-		} `json:"devices"`
+		Devices []listedDevice `json:"devices"`
 	}
 	if err := json.Unmarshal(data, &payload); err != nil {
 		return nil, err
 	}
-	ids := make([]string, len(payload.Devices))
-	for i, dev := range payload.Devices {
-		ids[i] = dev.ID
-	}
-	return ids, nil
+	return payload.Devices, nil
 }
 
 // Release implements qrmi.Resource as a no-op; the session persists until

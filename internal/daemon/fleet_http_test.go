@@ -158,3 +158,40 @@ func TestLiveSettleForgetsDeviceTasks(t *testing.T) {
 		t.Fatalf("GET /admin/v1/jobs: status %d, %d records, err %v", code, len(viaHTTP), err)
 	}
 }
+
+// TestClientMetadataFollowsPartition: a client pinned to a partition reads
+// that partition's spec and calibration, not the first partition's; an
+// unpinned client reads the first.
+func TestClientMetadataFollowsPartition(t *testing.T) {
+	d, err := NewNode(NodeSpec{Partitions: 2, Daemon: Config{Clock: simclock.New(), AdminToken: "adm"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs := d.Devices()
+	devs[1].InjectCalibrationError(0.2, 0)
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	rabi := func(partition string) float64 {
+		t.Helper()
+		c, err := NewClient(ts.URL, "alice", sched.ClassDev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Partition = partition
+		md, err := c.Metadata()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calib device.Calibration
+		if err := json.Unmarshal([]byte(md["calibration"]), &calib); err != nil {
+			t.Fatal(err)
+		}
+		return calib.RabiFactor
+	}
+	if got, want := rabi(devs[1].ID()), devs[1].CalibrationSnapshot().RabiFactor; got != want || want == devs[0].CalibrationSnapshot().RabiFactor {
+		t.Fatalf("client pinned to %s reads rabi factor %g, want %g", devs[1].ID(), got, want)
+	}
+	if got, want := rabi(""), devs[0].CalibrationSnapshot().RabiFactor; got != want {
+		t.Fatalf("unpinned client reads rabi factor %g, want the first partition's %g", got, want)
+	}
+}

@@ -24,7 +24,6 @@ import (
 //
 //	POST   /api/v1/sessions                 open session {user}
 //	DELETE /api/v1/sessions                 close session (token auth)
-//	GET    /api/v1/device                   first-partition metadata (token auth)
 //	GET    /api/v1/devices                  fleet partition listing (token auth)
 //	POST   /api/v1/jobs                     submit {program, class, pattern, device}
 //	GET    /api/v1/jobs/{id}                job status; a completed job's reply
@@ -86,15 +85,6 @@ func (d *Daemon) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "closed"})
-	}))
-	mux.HandleFunc("GET /api/v1/device", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		dev := d.fleet[0].dev
-		writeJSON(w, http.StatusOK, map[string]any{
-			"id":          dev.ID(),
-			"spec":        dev.Spec(),
-			"calibration": dev.CalibrationSnapshot(),
-			"status":      dev.Status(),
-		})
 	}))
 	mux.HandleFunc("GET /api/v1/devices", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
 		out := devicesView{Devices: make([]deviceView, len(d.fleet)), Router: d.RouterName()}

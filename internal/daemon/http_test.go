@@ -118,7 +118,7 @@ func TestHTTPFullJobFlow(t *testing.T) {
 	json.Unmarshal(data, &sess)
 
 	// Device metadata.
-	code, data = httpDo(t, "GET", env.ts.URL+"/api/v1/device", sess.Token, nil)
+	code, data = httpDo(t, "GET", env.ts.URL+"/api/v1/devices", sess.Token, nil)
 	if code != http.StatusOK || !strings.Contains(string(data), "analog-qpu") {
 		t.Fatalf("device: %d %s", code, data)
 	}
@@ -178,11 +178,11 @@ func TestHTTPFullJobFlow(t *testing.T) {
 
 func TestHTTPAuthRequired(t *testing.T) {
 	env := newHTTPEnv(t)
-	code, _ := httpDo(t, "GET", env.ts.URL+"/api/v1/device", "", nil)
+	code, _ := httpDo(t, "GET", env.ts.URL+"/api/v1/devices", "", nil)
 	if code != http.StatusUnauthorized {
 		t.Fatalf("no token: %d", code)
 	}
-	code, _ = httpDo(t, "GET", env.ts.URL+"/api/v1/device", "fake-token", nil)
+	code, _ = httpDo(t, "GET", env.ts.URL+"/api/v1/devices", "fake-token", nil)
 	if code != http.StatusUnauthorized {
 		t.Fatalf("bad token: %d", code)
 	}

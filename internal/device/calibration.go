@@ -65,7 +65,7 @@ func (d *Device) driftTick() {
 // jobs scheduled by the QPU itself), then re-arms its own slot.
 func (d *Device) qaTick() {
 	d.RunQACheck()
-	d.cfg.Clock.Arm(&d.qa, d.cfg.QAInterval)
+	d.cfg.Clock.Arm(&d.qa, qaInterval)
 }
 
 // RunQACheck evaluates calibration bounds and flips the device between

@@ -35,6 +35,9 @@ const (
 	StatusDegraded Status = "degraded"
 )
 
+// qaInterval is how often the internal QA check runs.
+const qaInterval = time.Hour
+
 // TaskState tracks a submitted task through its lifecycle.
 type TaskState string
 
@@ -81,8 +84,6 @@ type Config struct {
 	DriftInterval time.Duration
 	// DriftSigma is the per-step relative drift magnitude (default 0.002).
 	DriftSigma float64
-	// QAInterval is how often the internal QA check runs (default 1h).
-	QAInterval time.Duration
 	// TimingOnly skips the emulator substrate entirely: tasks still occupy
 	// the QPU for their estimated shot time on the simulation clock, drift
 	// and QA still run, but results carry no measured counts. Replay and
@@ -170,9 +171,6 @@ func New(cfg Config) (*Device, error) {
 	if cfg.DriftSigma <= 0 {
 		cfg.DriftSigma = 0.002
 	}
-	if cfg.QAInterval <= 0 {
-		cfg.QAInterval = time.Hour
-	}
 	if cfg.ID == "" {
 		cfg.ID = cfg.Spec.Name
 	}
@@ -213,7 +211,7 @@ func New(cfg Config) (*Device, error) {
 	d.drift = simclock.Event{Name: "qpu-drift", Fn: d.driftTick}
 	d.qa = simclock.Event{Name: "qpu-qa", Fn: d.qaTick}
 	cfg.Clock.Arm(&d.drift, cfg.DriftInterval)
-	cfg.Clock.Arm(&d.qa, cfg.QAInterval)
+	cfg.Clock.Arm(&d.qa, qaInterval)
 	return d, nil
 }
 

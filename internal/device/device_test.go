@@ -236,7 +236,7 @@ func TestRecalibrateResets(t *testing.T) {
 
 func TestQADegradesAndRecovers(t *testing.T) {
 	clk := simclock.New()
-	d, _ := New(Config{Clock: clk, Seed: 1, DriftInterval: time.Hour, QAInterval: time.Hour})
+	d, _ := New(Config{Clock: clk, Seed: 1, DriftInterval: time.Hour})
 	// Force a bad calibration directly, then run QA.
 	d.mu.Lock()
 	d.calib.RabiFactor = 1.2

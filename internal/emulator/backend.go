@@ -93,12 +93,13 @@ func (b *SVBackend) Run(p *qir.Program, seed int64) (*qir.Result, error) {
 	}, nil
 }
 
+// mpsCutoff is the MPS backend's relative squared singular-value cutoff.
+const mpsCutoff = 1e-10
+
 // MPSConfig configures the tensor-network backend.
 type MPSConfig struct {
 	// MaxBond is the bond-dimension cap χ; 1 gives the product-state mock.
 	MaxBond int
-	// Cutoff is the relative squared singular-value cutoff (default 1e-10).
-	Cutoff float64
 	// MaxQubits caps accepted programs (default 128).
 	MaxQubits int
 	// DTNs is the Trotter step for analog evolution in ns (default 2).
@@ -119,9 +120,6 @@ type MPSBackend struct {
 func NewMPSBackend(cfg MPSConfig) *MPSBackend {
 	if cfg.MaxBond < 1 {
 		cfg.MaxBond = 16
-	}
-	if cfg.Cutoff <= 0 {
-		cfg.Cutoff = 1e-10
 	}
 	if cfg.MaxQubits <= 0 {
 		cfg.MaxQubits = 128
@@ -149,7 +147,7 @@ func (b *MPSBackend) Run(p *qir.Program, seed int64) (*qir.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mps.Cutoff = b.cfg.Cutoff
+	mps.Cutoff = mpsCutoff
 	switch p.Kind {
 	case qir.KindAnalog:
 		if err := mps.EvolveAnalogTEBD(p.Analog, b.spec.C6, b.cfg.DTNs); err != nil {

@@ -154,8 +154,6 @@ type Diurnal struct {
 	PeakRatePerHour float64
 	// Peak is the time-of-day of maximum rate (e.g. 14h).
 	Peak time.Duration
-	// Period defaults to 24h.
-	Period time.Duration
 }
 
 // Name implements ArrivalProcess.
@@ -175,11 +173,7 @@ func (d *Diurnal) Validate() error {
 // Rate returns the instantaneous arrival rate (events/hour) at simulation
 // time t.
 func (d *Diurnal) Rate(t time.Duration) float64 {
-	period := d.Period
-	if period <= 0 {
-		period = 24 * time.Hour
-	}
-	phase := 2 * math.Pi * float64(t-d.Peak) / float64(period)
+	phase := 2 * math.Pi * float64(t-d.Peak) / float64(24*time.Hour)
 	return d.BaseRatePerHour + (d.PeakRatePerHour-d.BaseRatePerHour)*(1+math.Cos(phase))/2
 }
 

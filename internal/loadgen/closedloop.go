@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hpcqc/internal/daemon"
+	"hpcqc/internal/device"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
 	"hpcqc/internal/workload"
@@ -38,12 +39,10 @@ type ClosedLoopConfig struct {
 	Router    string
 	Scheduler string
 	Admission string
-	// Classes, Patterns, ServiceScale and Jitter shape each submission
-	// exactly as in the open-loop Config.
-	Classes      ClassMix
-	Patterns     workload.Mix
-	ServiceScale float64
-	Jitter       float64
+	// Classes and Patterns shape each submission exactly as in the
+	// open-loop Config.
+	Classes  ClassMix
+	Patterns workload.Mix
 }
 
 // GenerateClosedLoop runs a live fleet on a virtual clock under closed-loop
@@ -63,13 +62,7 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 	if cfg.Devices == 0 {
 		cfg.Devices = 4
 	}
-	shared := Config{
-		Classes:      cfg.Classes,
-		Patterns:     cfg.Patterns,
-		ServiceScale: cfg.ServiceScale,
-		Jitter:       cfg.Jitter,
-		Users:        cfg.Users,
-	}.withDefaults()
+	shared := Config{Classes: cfg.Classes, Patterns: cfg.Patterns, Users: cfg.Users}.withDefaults()
 
 	clk := simclock.New()
 	rec := NewRecorder(canonicalShotRateHz)
@@ -84,6 +77,9 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 
 	d, err := daemon.NewNode(daemon.NodeSpec{
 		Partitions: cfg.Devices,
+		// The recorder reads only submit and reject events, so no task
+		// needs emulated counts.
+		Device: device.Config{TimingOnly: true},
 		Daemon: daemon.Config{Clock: clk, AdminToken: "loadgen", EnablePreemption: true, Seed: cfg.Seed,
 			JobListener: func(ev daemon.JobEvent) {
 				rec.Observe(ev)

@@ -17,6 +17,19 @@ import (
 // count IS its QPU service time in simulation seconds.
 const canonicalShotRateHz = 1.0
 
+const (
+	// serviceScale converts a pattern's nominal quantum footprint
+	// (workload.PatternSpec.TotalQuantum) into the job's shot count at the
+	// canonical 1 Hz shot rate: a QC-heavy job holds the QPU ~60 simulated
+	// seconds.
+	serviceScale = 0.2
+	// jitter randomizes per-job shot counts by ±20 %.
+	jitter = 0.2
+	// maxJobs caps a generated trace's record count, a safety net against
+	// runaway rates.
+	maxJobs = 1_000_000
+)
+
 // ClassMix weights the paper's priority classes in generated traffic. A
 // production site's intake is mostly dev churn with a thin production stream,
 // so the default is 1:2:7.
@@ -64,25 +77,13 @@ type Config struct {
 	Patterns workload.Mix
 	// Users is the synthetic submitter pool size (default 8).
 	Users int
-	// ServiceScale converts a pattern's nominal quantum footprint
-	// (workload.PatternSpec.TotalQuantum) into the job's shot count at the
-	// canonical 1 Hz shot rate (default 0.2 — a QC-heavy job holds the QPU
-	// ~60 simulated seconds).
-	ServiceScale float64
-	// Jitter randomizes per-job shot counts by ±Jitter. The zero value
-	// selects the default of 0.2; pass a negative value to disable jitter
-	// entirely (constant service time per pattern).
-	Jitter float64
 	// Programs, when positive, quantizes each pattern's shot counts to a
-	// fixed menu of Programs variants spread evenly across the ±Jitter band
+	// fixed menu of Programs variants spread evenly across the ±jitter band
 	// instead of drawing a continuous value — the repeated-program workload
 	// shape (parameter sweeps, VQE iterations, shot batches) where program-
 	// cache affinity matters: the whole trace reuses patterns × Programs
 	// distinct payloads. Zero keeps the continuous draw.
 	Programs int
-	// MaxJobs caps the record count as a safety net against runaway rates
-	// (default 1_000_000).
-	MaxJobs int
 	// Deadlines, when non-nil, stamps every record with a per-job completion
 	// deadline from its class's contract: DeadlineSeconds =
 	// spec.Offset(expected service). The stamp is a pure function of fields
@@ -110,17 +111,6 @@ func (c Config) withDefaults() Config {
 	if c.Users <= 0 {
 		c.Users = 8
 	}
-	if c.ServiceScale <= 0 {
-		c.ServiceScale = 0.2
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	} else if c.Jitter == 0 {
-		c.Jitter = 0.2
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1_000_000
-	}
 	return c
 }
 
@@ -139,7 +129,7 @@ func sampleJob(rng *rand.Rand, cfg Config, specs map[sched.Pattern]workload.Patt
 	if !ok {
 		return Record{}, fmt.Errorf("loadgen: no pattern spec for %q", pattern)
 	}
-	base := spec.TotalQuantum().Seconds() * cfg.ServiceScale
+	base := spec.TotalQuantum().Seconds() * serviceScale
 	var f float64
 	if cfg.Programs > 0 {
 		// Repeated-program mode: pick one of a fixed menu of per-pattern
@@ -149,10 +139,10 @@ func sampleJob(rng *rand.Rand, cfg Config, specs map[sched.Pattern]workload.Patt
 		f = 1.0
 		if cfg.Programs > 1 {
 			v := rng.Intn(cfg.Programs)
-			f = 1 + (2*float64(v)/float64(cfg.Programs-1)-1)*cfg.Jitter
+			f = 1 + (2*float64(v)/float64(cfg.Programs-1)-1)*jitter
 		}
 	} else {
-		f = 1 + (rng.Float64()*2-1)*cfg.Jitter
+		f = 1 + (rng.Float64()*2-1)*jitter
 	}
 	shots := int(math.Round(base * f))
 	if shots < 1 {
@@ -207,8 +197,8 @@ func Generate(cfg Config) (*Trace, error) {
 		rec.Seq = len(tr.Records)
 		rec.AtUS = t.Microseconds()
 		tr.Records = append(tr.Records, rec)
-		if len(tr.Records) > cfg.MaxJobs {
-			return nil, fmt.Errorf("loadgen: trace exceeds %d jobs; lower the rate or horizon", cfg.MaxJobs)
+		if len(tr.Records) > maxJobs {
+			return nil, fmt.Errorf("loadgen: trace exceeds %d jobs; lower the rate or horizon", maxJobs)
 		}
 	}
 	tr.Header.Jobs = len(tr.Records)

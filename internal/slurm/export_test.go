@@ -23,7 +23,6 @@ type JobInfo struct {
 	StartAt   time.Duration `json:"start_at"`
 	EndAt     time.Duration `json:"end_at"`
 	WaitTime  time.Duration `json:"wait_time"`
-	Requeues  int           `json:"requeues"`
 }
 
 // Cancel removes a pending job or stops a running one.
@@ -80,7 +79,6 @@ func (c *Cluster) JobInfo(id int) (JobInfo, error) {
 		SubmitAt:  j.SubmitAt,
 		StartAt:   j.StartAt,
 		EndAt:     j.EndAt,
-		Requeues:  j.Requeues,
 	}
 	if j.State == StateRunning || j.State == StateCompleted || j.State == StateCancelled {
 		info.WaitTime = j.StartAt - j.SubmitAt

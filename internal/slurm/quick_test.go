@@ -102,7 +102,7 @@ func TestAllJobsReachTerminalProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if info.State != StateCompleted && info.State != StateCancelled && info.State != StatePreempted {
+			if info.State != StateCompleted && info.State != StateCancelled {
 				return false
 			}
 		}

@@ -1,9 +1,10 @@
 // Package slurm is a discrete-event simulator of the subset of a batch
 // resource manager that the paper's middleware interacts with: partitions
 // with distinct priorities, node allocation, GRES/license counters for
-// fractional QPU shares, EASY backfill, partition-based preemption, and a
-// Spank-style plugin hook that resolves `--qpu=<resource>` into environment
-// configuration for the runtime (paper §3.2, §3.4, §3.5).
+// fractional QPU shares, EASY backfill, and a Spank-style plugin hook that
+// resolves `--qpu=<resource>` into environment configuration for the runtime
+// (paper §3.2, §3.4, §3.5). Preemption is not Slurm's job here: it lives in
+// the middleware daemon's second scheduling layer (paper §3.3).
 //
 // The daemon consumes only this interface surface — job priority, partition,
 // GRES — which is exactly why the simulator substitutes faithfully for a real
@@ -30,9 +31,15 @@ const (
 	StateRunning JobState = "RUNNING"
 	// StateCompleted finished normally.
 	StateCompleted JobState = "COMPLETED"
-	// StatePreempted was preempted by a higher-priority partition job and
-	// requeued.
-	StatePreempted JobState = "PREEMPTED"
+)
+
+const (
+	// backfillDepth bounds how many pending jobs each scheduling pass
+	// considers for backfill.
+	backfillDepth = 50
+	// agePriorityPerMinute adds to job priority per pending minute,
+	// implementing Slurm's age factor.
+	agePriorityPerMinute = 1.0
 )
 
 // Partition is a scheduling domain with a relative priority, mirroring the
@@ -42,11 +49,6 @@ type Partition struct {
 	Name string
 	// Priority orders pending jobs across partitions; higher wins.
 	Priority int
-	// PreemptLower lets jobs in this partition preempt running jobs from
-	// lower-priority partitions when resources are short.
-	PreemptLower bool
-	// MaxWalltime bounds job duration requests; 0 means unlimited.
-	MaxWalltime time.Duration
 }
 
 // ClusterConfig sizes the simulated machine.
@@ -60,12 +62,6 @@ type ClusterConfig struct {
 	QPUGres int
 	// Partitions define the scheduling domains. Required, at least one.
 	Partitions []Partition
-	// BackfillDepth bounds how many pending jobs each scheduling pass
-	// considers for backfill (default 50).
-	BackfillDepth int
-	// AgePriorityPerMinute adds to job priority per pending minute,
-	// implementing Slurm's age factor (default 1).
-	AgePriorityPerMinute float64
 }
 
 // JobSpec describes a submission.
@@ -92,7 +88,7 @@ type JobSpec struct {
 	// OnStart runs when the job starts (simulation callback). The env map
 	// carries the plugin-resolved runtime configuration.
 	OnStart func(jobID int, env map[string]string)
-	// OnFinish runs when the job completes or is preempted/cancelled.
+	// OnFinish runs when the job completes or is cancelled.
 	OnFinish func(jobID int, state JobState)
 }
 
@@ -104,7 +100,6 @@ type Job struct {
 	SubmitAt  time.Duration
 	StartAt   time.Duration
 	EndAt     time.Duration
-	Requeues  int
 	endEvent  *simclock.Event
 	partition *Partition
 }
@@ -139,12 +134,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if len(cfg.Partitions) == 0 {
 		return nil, errors.New("slurm: need at least one partition")
-	}
-	if cfg.BackfillDepth <= 0 {
-		cfg.BackfillDepth = 50
-	}
-	if cfg.AgePriorityPerMinute == 0 {
-		cfg.AgePriorityPerMinute = 1
 	}
 	c := &Cluster{
 		cfg:        cfg,
@@ -192,10 +181,6 @@ func (c *Cluster) Submit(spec JobSpec) (int, error) {
 		c.mu.Unlock()
 		return 0, errors.New("slurm: job needs a positive walltime")
 	}
-	if p.MaxWalltime > 0 && spec.Walltime > p.MaxWalltime {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("slurm: walltime %s exceeds partition %s limit %s", spec.Walltime, p.Name, p.MaxWalltime)
-	}
 	if spec.ActualRuntime <= 0 || spec.ActualRuntime > spec.Walltime {
 		spec.ActualRuntime = spec.Walltime
 	}
@@ -217,18 +202,17 @@ func (c *Cluster) Submit(spec JobSpec) (int, error) {
 // priority computes a job's current scheduling priority.
 func (c *Cluster) priority(j *Job) float64 {
 	age := (c.cfg.Clock.Now() - j.SubmitAt).Minutes()
-	return float64(j.partition.Priority)*1000 + age*c.cfg.AgePriorityPerMinute
+	return float64(j.partition.Priority)*1000 + age*agePriorityPerMinute
 }
 
-// Schedule runs one scheduling pass: priority order with EASY backfill and
-// optional preemption. It is idempotent and safe to call at any time.
+// Schedule runs one scheduling pass: priority order with EASY backfill. It
+// is idempotent and safe to call at any time.
 func (c *Cluster) Schedule() {
 	type startable struct {
 		job *Job
 		env map[string]string
 	}
 	var toStart []startable
-	var toPreempt []*Job
 
 	c.mu.Lock()
 	if len(c.pending) == 0 {
@@ -240,64 +224,30 @@ func (c *Cluster) Schedule() {
 		return c.priority(c.pending[a]) > c.priority(c.pending[b])
 	})
 
+	now := c.cfg.Clock.Now()
 	freeNodes, freeGres := c.freeNodes, c.freeGres
 	var stillPending []*Job
 	headBlocked := false
 	var shadowTime time.Duration // earliest start of the blocked head job
-	var headNodes, headGres int
-
-	depth := 0
-	for _, j := range c.pending {
-		depth++
+	for i, j := range c.pending {
 		fits := j.Spec.Nodes <= freeNodes && j.Spec.QPUUnits <= freeGres
-		if fits && !headBlocked {
+		// Behind a blocked head job, EASY backfill starts a job only if it
+		// is among the first backfillDepth and finishes by the shadow time.
+		if fits && (!headBlocked || (i < backfillDepth && now+j.Spec.Walltime <= shadowTime)) {
 			freeNodes -= j.Spec.Nodes
 			freeGres -= j.Spec.QPUUnits
 			toStart = append(toStart, startable{j, c.resolvePluginLocked(j)})
 			continue
 		}
 		if !headBlocked {
-			// First blocked job: try preemption, else set up backfill window.
-			if j.partition.PreemptLower {
-				victims := c.preemptionPlanLocked(j, freeNodes, freeGres)
-				if victims != nil {
-					toPreempt = append(toPreempt, victims...)
-					for _, v := range victims {
-						freeNodes += v.Spec.Nodes
-						freeGres += v.Spec.QPUUnits
-					}
-					freeNodes -= j.Spec.Nodes
-					freeGres -= j.Spec.QPUUnits
-					toStart = append(toStart, startable{j, c.resolvePluginLocked(j)})
-					continue
-				}
-			}
 			headBlocked = true
-			headNodes, headGres = j.Spec.Nodes, j.Spec.QPUUnits
-			shadowTime = c.shadowTimeLocked(headNodes, headGres, freeNodes, freeGres)
-			stillPending = append(stillPending, j)
-			continue
-		}
-		// Backfill: start only if it fits now AND finishes before the
-		// shadow time, or it doesn't touch the head job's resources.
-		if depth > c.cfg.BackfillDepth {
-			stillPending = append(stillPending, j)
-			continue
-		}
-		if fits && c.cfg.Clock.Now()+j.Spec.Walltime <= shadowTime {
-			freeNodes -= j.Spec.Nodes
-			freeGres -= j.Spec.QPUUnits
-			toStart = append(toStart, startable{j, c.resolvePluginLocked(j)})
-			continue
+			shadowTime = c.shadowTimeLocked(j.Spec.Nodes, j.Spec.QPUUnits, freeNodes, freeGres)
 		}
 		stillPending = append(stillPending, j)
 	}
 	c.pending = stillPending
 	c.mu.Unlock()
 
-	for _, v := range toPreempt {
-		c.preempt(v)
-	}
 	for _, s := range toStart {
 		c.start(s.job, s.env)
 	}
@@ -326,41 +276,6 @@ func (c *Cluster) shadowTimeLocked(needNodes, needGres, freeNodes, freeGres int)
 	}
 	// Unsatisfiable from running jobs alone; effectively no backfill window.
 	return c.cfg.Clock.Now()
-}
-
-// preemptionPlanLocked picks lower-priority running victims that free enough
-// resources for j, preferring the lowest-priority, most recently started.
-// Returns nil if preemption cannot satisfy the request.
-func (c *Cluster) preemptionPlanLocked(j *Job, freeNodes, freeGres int) []*Job {
-	candidates := make([]*Job, 0, len(c.running))
-	for _, r := range c.running {
-		if r.partition.Priority < j.partition.Priority {
-			candidates = append(candidates, r)
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	sort.Slice(candidates, func(a, b int) bool {
-		if candidates[a].partition.Priority != candidates[b].partition.Priority {
-			return candidates[a].partition.Priority < candidates[b].partition.Priority
-		}
-		return candidates[a].StartAt > candidates[b].StartAt
-	})
-	var victims []*Job
-	nodes, gres := freeNodes, freeGres
-	for _, v := range candidates {
-		if nodes >= j.Spec.Nodes && gres >= j.Spec.QPUUnits {
-			break
-		}
-		victims = append(victims, v)
-		nodes += v.Spec.Nodes
-		gres += v.Spec.QPUUnits
-	}
-	if nodes >= j.Spec.Nodes && gres >= j.Spec.QPUUnits {
-		return victims
-	}
-	return nil
 }
 
 // resolvePluginLocked implements the Spank-style plugin: the `--qpu` option
@@ -430,30 +345,6 @@ func (c *Cluster) complete(j *Job, state JobState) {
 		j.Spec.OnFinish(j.ID, state)
 	}
 	c.Schedule()
-}
-
-// preempt requeues a running job (Slurm's preempt/requeue mode).
-func (c *Cluster) preempt(j *Job) {
-	c.mu.Lock()
-	if j.State != StateRunning {
-		c.mu.Unlock()
-		return
-	}
-	c.cfg.Clock.Cancel(j.endEvent)
-	elapsed := (c.cfg.Clock.Now() - j.StartAt).Seconds()
-	c.nodeSecondsUsed += elapsed * float64(j.Spec.Nodes)
-	c.gresSecondsUsed += elapsed * float64(j.Spec.QPUUnits)
-	c.freeNodes += j.Spec.Nodes
-	c.freeGres += j.Spec.QPUUnits
-	delete(c.running, j.ID)
-	j.State = StatePending
-	j.Requeues++
-	j.SubmitAt = c.cfg.Clock.Now() // age resets on requeue
-	c.pending = append(c.pending, j)
-	c.mu.Unlock()
-	if j.Spec.OnFinish != nil {
-		j.Spec.OnFinish(j.ID, StatePreempted)
-	}
 }
 
 // Stats summarizes cluster usage.

@@ -9,9 +9,9 @@ import (
 
 func stdPartitions() []Partition {
 	return []Partition{
-		{Name: "production", Priority: 100, PreemptLower: true},
+		{Name: "production", Priority: 100},
 		{Name: "test", Priority: 50},
-		{Name: "dev", Priority: 10, MaxWalltime: 2 * time.Hour},
+		{Name: "dev", Priority: 10},
 	}
 }
 
@@ -55,7 +55,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Partition: "dev", Nodes: 100, Walltime: time.Hour},
 		{Partition: "dev", Nodes: 1, Walltime: 0},
 		{Partition: "dev", Nodes: 1, Walltime: time.Hour, QPUUnits: 50},
-		{Partition: "dev", Nodes: 1, Walltime: 10 * time.Hour}, // over MaxWalltime
 	}
 	for i, spec := range cases {
 		if _, err := c.Submit(spec); err == nil {
@@ -155,8 +154,8 @@ func TestQPUShareEnv(t *testing.T) {
 func TestPriorityOrdering(t *testing.T) {
 	clk := simclock.New()
 	c := newTestCluster(t, clk, 2, 0)
-	// Fill the cluster with a production job (equal-priority peers cannot
-	// preempt it), then queue a dev and another production job.
+	// Fill the cluster with a production job, then queue a dev and another
+	// production job.
 	c.Submit(JobSpec{Partition: "production", Nodes: 2, Walltime: 30 * time.Minute})
 	devID, _ := c.Submit(JobSpec{Partition: "dev", Nodes: 2, Walltime: time.Hour})
 	prodID, _ := c.Submit(JobSpec{Partition: "production", Nodes: 2, Walltime: time.Hour})
@@ -167,47 +166,6 @@ func TestPriorityOrdering(t *testing.T) {
 	dev, _ := c.JobInfo(devID)
 	if prod.State != StateRunning || dev.State != StatePending {
 		t.Fatalf("after the first job: prod %s, dev %s, want prod running", prod.State, dev.State)
-	}
-}
-
-func TestPreemptionByProduction(t *testing.T) {
-	clk := simclock.New()
-	c := newTestCluster(t, clk, 2, 0)
-	devID, _ := c.Submit(JobSpec{Partition: "dev", Nodes: 2, Walltime: 2 * time.Hour})
-	var devState JobState
-	dev, _ := c.JobInfo(devID)
-	if dev.State != StateRunning {
-		t.Fatalf("dev state: %s", dev.State)
-	}
-	// Production arrives: it must preempt the dev job immediately.
-	prodID, _ := c.Submit(JobSpec{
-		Partition: "production", Nodes: 2, Walltime: time.Hour,
-	})
-	_ = devState
-	prod, _ := c.JobInfo(prodID)
-	if prod.State != StateRunning {
-		t.Fatalf("production did not start: %s", prod.State)
-	}
-	dev, _ = c.JobInfo(devID)
-	if dev.State != StatePending || dev.Requeues != 1 {
-		t.Fatalf("dev not requeued: %s requeues=%d", dev.State, dev.Requeues)
-	}
-	// After production completes, the dev job restarts.
-	clk.Advance(time.Hour + time.Second)
-	dev, _ = c.JobInfo(devID)
-	if dev.State != StateRunning {
-		t.Fatalf("dev not restarted: %s", dev.State)
-	}
-}
-
-func TestNoPreemptionAmongEqualPriority(t *testing.T) {
-	clk := simclock.New()
-	c := newTestCluster(t, clk, 2, 0)
-	c.Submit(JobSpec{Partition: "production", Nodes: 2, Walltime: time.Hour})
-	second, _ := c.Submit(JobSpec{Partition: "production", Nodes: 2, Walltime: time.Hour})
-	info, _ := c.JobInfo(second)
-	if info.State != StatePending {
-		t.Fatalf("equal-priority job preempted a peer: %s", info.State)
 	}
 }
 
@@ -314,18 +272,18 @@ func TestAgePriorityPromotesOldJobs(t *testing.T) {
 	clk := simclock.New()
 	c, err := NewCluster(ClusterConfig{
 		Clock: clk, Nodes: 1,
-		Partitions:           []Partition{{Name: "p", Priority: 1}},
-		AgePriorityPerMinute: 10,
+		Partitions: []Partition{{Name: "hi", Priority: 2}, {Name: "lo", Priority: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Submit(JobSpec{Partition: "p", Nodes: 1, Walltime: 10 * time.Hour})
-	oldID, _ := c.Submit(JobSpec{Partition: "p", Nodes: 1, Walltime: time.Hour})
-	clk.Advance(30 * time.Minute)
-	newID, _ := c.Submit(JobSpec{Partition: "p", Nodes: 1, Walltime: time.Hour})
-	// When the first job ends, the older of the two waiting jobs starts.
-	clk.Advance(10*time.Hour - 30*time.Minute)
+	c.Submit(JobSpec{Partition: "hi", Nodes: 1, Walltime: 20 * time.Hour})
+	oldID, _ := c.Submit(JobSpec{Partition: "lo", Nodes: 1, Walltime: time.Hour})
+	clk.Advance(19 * time.Hour)
+	newID, _ := c.Submit(JobSpec{Partition: "hi", Nodes: 1, Walltime: time.Hour})
+	// A partition priority step is worth 1000 pending minutes: after 20h the
+	// lower partition's job has aged past the hour-old higher one.
+	clk.Advance(time.Hour)
 	old, _ := c.JobInfo(oldID)
 	young, _ := c.JobInfo(newID)
 	if old.State != StateRunning || young.State != StatePending {

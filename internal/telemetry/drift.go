@@ -39,31 +39,21 @@ func (s DriftState) String() string {
 // step for QPU observability. It is deliberately simple, dependency-free and
 // cheap enough to run per-parameter per-sample.
 type DriftDetector struct {
-	// BaselineAlpha is the slow EWMA coefficient (default 0.01).
-	BaselineAlpha float64
-	// TrackerAlpha is the fast EWMA coefficient (default 0.3).
-	TrackerAlpha float64
-	// WarnThreshold is the relative deviation that triggers a warning
-	// (default 0.05 = 5%).
-	WarnThreshold float64
-	// CriticalThreshold triggers critical state (default 0.15).
-	CriticalThreshold float64
-
 	mu       sync.Mutex
 	baseline float64
 	tracker  float64
 	n        int
 }
 
-// NewDriftDetector returns a detector with production defaults.
-func NewDriftDetector() *DriftDetector {
-	return &DriftDetector{
-		BaselineAlpha:     0.01,
-		TrackerAlpha:      0.3,
-		WarnThreshold:     0.05,
-		CriticalThreshold: 0.15,
-	}
-}
+const (
+	baselineAlpha     = 0.01 // slow EWMA coefficient
+	trackerAlpha      = 0.3  // fast EWMA coefficient
+	warnThreshold     = 0.05 // relative deviation that warns
+	criticalThreshold = 0.15 // relative deviation that is critical
+)
+
+// NewDriftDetector returns a detector that has seen no sample yet.
+func NewDriftDetector() *DriftDetector { return &DriftDetector{} }
 
 // Observe folds in a sample and returns the resulting state.
 func (d *DriftDetector) Observe(v float64) DriftState {
@@ -76,11 +66,11 @@ func (d *DriftDetector) Observe(v float64) DriftState {
 		return DriftOK
 	}
 	d.n++
-	d.tracker = d.TrackerAlpha*v + (1-d.TrackerAlpha)*d.tracker
+	d.tracker = trackerAlpha*v + (1-trackerAlpha)*d.tracker
 	// The baseline only absorbs samples while the system is healthy, so a
 	// real drift does not silently become the new normal.
 	if d.stateLocked() == DriftOK {
-		d.baseline = d.BaselineAlpha*v + (1-d.BaselineAlpha)*d.baseline
+		d.baseline = baselineAlpha*v + (1-baselineAlpha)*d.baseline
 	}
 	return d.stateLocked()
 }
@@ -112,9 +102,9 @@ func (d *DriftDetector) State() DriftState {
 func (d *DriftDetector) stateLocked() DriftState {
 	dev := d.deviationLocked()
 	switch {
-	case dev >= d.CriticalThreshold:
+	case dev >= criticalThreshold:
 		return DriftCritical
-	case dev >= d.WarnThreshold:
+	case dev >= warnThreshold:
 		return DriftWarning
 	default:
 		return DriftOK

@@ -94,7 +94,7 @@ func TestDriftZeroBaseline(t *testing.T) {
 		t.Fatalf("zero/zero deviation = %g", d.Deviation())
 	}
 	d.Observe(1)
-	if !math.IsInf(d.Deviation(), 1) && d.Deviation() < d.CriticalThreshold {
+	if !math.IsInf(d.Deviation(), 1) && d.Deviation() < criticalThreshold {
 		t.Fatalf("deviation from zero baseline = %g", d.Deviation())
 	}
 }
