@@ -49,7 +49,7 @@ BENCH_PKGS = . ./internal/daemon
 # the gate cannot do without. Ten pairs take ≈ 23 min on two cores.
 bench-diff:
 	$(GO) run ./cmd/benchdiff -base $(BASE) -pairs $(PAIRS) \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong:allocs_per_job,BenchmarkLoadgenReplayStream:peak_heap_mb,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkServedMixed:allocs_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong:allocs_per_job,BenchmarkLoadgenReplayStream:peak_heap_mb,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix:allocs_per_job,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkServedMixed:allocs_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
 		'$(BENCH_PATTERN)' $(BENCH_PKGS)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a

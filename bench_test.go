@@ -950,8 +950,9 @@ func BenchmarkLoadgenReplayBacklog(b *testing.B) {
 // jobs_per_wall_s shows the collector no longer marking that history. The
 // peak includes the trace this process generated, on both sides of a diff.
 // allocs_per_job is a count, the same on any box, and benchdiff caps it: the
-// replay hot path owns or reuses its clock events, routing snapshot and
-// timing-only results (EXPERIMENTS.md h-replay-allocs).
+// replay hot path owns or reuses its clock events, routing snapshot, device
+// task records and timing-only result maps, and Submit returns by value
+// (EXPERIMENTS.md h-replay-allocs, h-sweep-allocs).
 func BenchmarkLoadgenReplayLong(b *testing.B) {
 	tr, err := loadgen.Generate(loadgen.Config{
 		Seed: 1, Horizon: 672 * time.Hour,
@@ -1181,6 +1182,9 @@ func trackHeapPeak() (stop func() float64) {
 // guarded metrics are cells_per_wall_s — throughput of the worker pool over
 // the shared prepared trace — and peak_heap_mb, the live-heap high water
 // mark that the per-cell pooling keeps O(workers) instead of O(cells).
+// allocs_per_job is heap allocations over the jobs the cells replayed, a
+// count benchdiff caps: a replayed job allocates only what outlives it
+// (EXPERIMENTS.md h-sweep-allocs).
 func BenchmarkSweepWideMatrix(b *testing.B) {
 	tr, err := loadgen.Generate(loadgen.Config{
 		Seed: 7, Horizon: 30 * time.Minute,
@@ -1199,18 +1203,25 @@ func BenchmarkSweepWideMatrix(b *testing.B) {
 		ShotScales:  []float64{1, 2},
 	}
 	heapPeak := trackHeapPeak()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
-	cells := 0
+	cells, jobs := 0, 0
 	for i := 0; i < b.N; i++ {
 		rep, err := loadgen.Sweep(tr, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cells += len(rep.Results)
+		for _, cell := range rep.Results {
+			jobs += cell.Jobs
+		}
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells_per_wall_s")
 	b.ReportMetric(heapPeak(), "peak_heap_mb")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(jobs), "allocs_per_job")
 }
 
 // BenchmarkSaturateSearch measures the capacity-frontier search: nine policy

@@ -26,8 +26,7 @@ func main() {
 		Device:     device.Config{DriftInterval: 30 * time.Second, DriftSigma: 0.0005},
 		Daemon: daemon.Config{
 			Clock: clk, Seed: 4, AdminToken: "admin",
-			AllowedLowLevelOps: []string{"recalibrate", "qa_check"},
-			Registry:           reg, TSDB: tsdb,
+			Registry: reg, TSDB: tsdb,
 		},
 	})
 	if err != nil {

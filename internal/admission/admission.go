@@ -74,7 +74,7 @@ type ClassLoad struct {
 }
 
 // View is the fleet-wide load snapshot a decision may consult. It is
-// assembled by the daemon under its routing lock, so concurrent submissions
+// assembled by the daemon under its admission lock, so concurrent submissions
 // see consistent (serialized) views.
 type View struct {
 	// Devices is the fleet partition count; depth caps scale with it.
@@ -102,7 +102,9 @@ func Accept(c sched.Class) Decision { return Decision{Outcome: Accepted, Class: 
 // internal state (token levels, signal windows); the daemon serializes Admit
 // calls, so implementations need no locking for correctness of the decision
 // sequence — but stateful policies should still lock if they also implement
-// Observer, whose feed arrives from dispatch-side code paths.
+// Observer, whose feed arrives from dispatch-side code paths. The view is
+// lent for the call only: the daemon refills the same ByClass map for its
+// next decision, so a Policy must not retain it (copy what it needs to keep).
 type Policy interface {
 	// Name identifies the policy in flags, reports and telemetry.
 	Name() string

@@ -60,6 +60,8 @@ type SLOGuard struct {
 	mu    sync.Mutex
 	waits []signalPoint
 	slows []signalPoint
+	// scratch is p99's sort buffer, reused by every decision.
+	scratch []float64
 }
 
 type signalPoint struct {
@@ -134,15 +136,17 @@ func prune(points []signalPoint, cutoff time.Duration) []signalPoint {
 	return points[i:]
 }
 
-// p99 is the nearest-rank 99th percentile of the window samples.
-func p99(points []signalPoint) float64 {
+// p99 is the nearest-rank 99th percentile of the window samples, sorted in
+// p.scratch; caller holds p.mu.
+func (p *SLOGuard) p99(points []signalPoint) float64 {
 	if len(points) == 0 {
 		return 0
 	}
-	vs := make([]float64, len(points))
-	for i, pt := range points {
-		vs[i] = pt.v
+	vs := p.scratch[:0]
+	for _, pt := range points {
+		vs = append(vs, pt.v)
 	}
+	p.scratch = vs
 	sort.Float64s(vs)
 	i := int(0.99*float64(len(vs))+0.5) - 1
 	if i < 0 {
@@ -164,12 +168,12 @@ func (p *SLOGuard) Pressure(now time.Duration, view View) float64 {
 	p.slows = prune(p.slows, cutoff)
 	pressure := 0.0
 	if len(p.waits) >= p.MinSamples && p.WaitTarget > 0 {
-		if f := p99(p.waits) / p.WaitTarget.Seconds(); f > pressure {
+		if f := p.p99(p.waits) / p.WaitTarget.Seconds(); f > pressure {
 			pressure = f
 		}
 	}
 	if len(p.slows) >= p.MinSamples && p.SlowdownTarget > 0 {
-		if f := p99(p.slows) / p.SlowdownTarget; f > pressure {
+		if f := p.p99(p.slows) / p.SlowdownTarget; f > pressure {
 			pressure = f
 		}
 	}

@@ -213,6 +213,8 @@ type Daemon struct {
 	// buckets, SLO windows) see submissions in a single, reproducible order.
 	admitMu  sync.Mutex
 	admitter admission.Policy
+	// admitView is the one load view every decision refills (admissionView).
+	admitView admission.View
 	// admitObserver is the admitter's Observer side, when it has one —
 	// the stage-4 → stage-1 SLO feedback sink.
 	admitObserver admission.Observer
@@ -321,6 +323,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		waitCount:    make(map[sched.Class]int),
 		usageByUser:  make(map[string]float64),
 		jobsBySource: make(map[string]int),
+		admitView:    admission.View{ByClass: make(map[sched.Class]admission.ClassLoad, 3)},
 	}
 	d.ranker, d.tieOrder = composeRanker(order, priority)
 	d.admitObserver, _ = admitter.(admission.Observer)

@@ -222,7 +222,7 @@ func TestFleetMaintenanceFailover(t *testing.T) {
 	dev0, _ := env.fleet.Get(ids[0])
 	dev0.StartMaintenance()
 	// New work must route around the dark partition and still complete.
-	var routed []*Job
+	var routed []Job
 	for i := 0; i < 4; i++ {
 		j, err := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 10), Class: sched.ClassTest})
 		if err != nil {

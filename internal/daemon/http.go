@@ -130,7 +130,7 @@ func (d *Daemon) Handler() http.Handler {
 				// the policy rationale and query the job later. The standard
 				// Retry-After header carries the queue-drain backoff hint
 				// (integer seconds, rounded up per RFC 9110).
-				out := newJobView(rej.Job)
+				out := newJobView(&rej.Job)
 				out.Error = &rej.Reason
 				if rej.Job.RetryAfterSeconds > 0 {
 					w.Header().Set("Retry-After",
@@ -142,7 +142,7 @@ func (d *Daemon) Handler() http.Handler {
 			writeErr(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, newJobView(j))
+		writeJSON(w, http.StatusAccepted, newJobView(&j))
 	}))
 	mux.HandleFunc("GET /api/v1/jobs/{id}", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
 		also := r.URL.Query()["also"]

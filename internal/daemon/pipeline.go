@@ -160,7 +160,7 @@ func NewOrder(spec string) (OrderPolicy, error) { return Orders.New(spec) }
 // queryable by its session like any other job); Reason is the policy
 // rationale. The HTTP layer renders it as 429 Too Many Requests.
 type RejectedError struct {
-	Job    *Job
+	Job    Job
 	Reason string
 }
 
@@ -168,17 +168,19 @@ func (e *RejectedError) Error() string {
 	return fmt.Sprintf("daemon: job %s rejected by admission: %s", e.Job.ID, e.Reason)
 }
 
-// admissionView assembles the fleet-wide load snapshot an admission decision
-// consults — O(total backlog), one queue-lock acquisition per partition.
-// Called under admitMu, so decisions see serialized views; jobs admitted
-// concurrently but not yet queued (the routing in-flight window) are not
-// visible, which can overshoot depth caps by at most the number of in-flight
-// submissions — exact in single-goroutine replays.
+// admissionView refills the fleet-wide load snapshot an admission decision
+// consults — O(total backlog), one queue-lock acquisition per partition — into
+// the one view the daemon owns: its ByClass map is cleared and reused, so a
+// decision allocates nothing, and nothing may read the view once admitMu is
+// released (Admit does not retain it). Caller must hold admitMu, so decisions
+// see serialized views; jobs admitted concurrently but not yet queued (the
+// routing in-flight window) are not visible, which can overshoot depth caps by
+// at most the number of in-flight submissions — exact in single-goroutine
+// replays.
 func (d *Daemon) admissionView() admission.View {
-	view := admission.View{
-		Devices: len(d.fleet),
-		ByClass: make(map[sched.Class]admission.ClassLoad, 3),
-	}
+	view := &d.admitView
+	clear(view.ByClass)
+	view.Devices, view.Running = len(d.fleet), 0
 	now := d.cfg.Clock.Now()
 	for _, ds := range d.fleet {
 		counts, oldest, has, qpu := ds.queue.ClassLoads()
@@ -199,7 +201,7 @@ func (d *Daemon) admissionView() admission.View {
 		}
 		ds.mu.Unlock()
 	}
-	return view
+	return *view
 }
 
 // admitStage runs stage 1 for one submission: build the view (skipped for
@@ -245,11 +247,11 @@ func (d *Daemon) admitStage(req SubmitRequest, user string) admission.Decision {
 func (d *Daemon) retryAfterHint(class sched.Class) float64 {
 	d.admitMu.Lock()
 	view := d.admissionView()
-	d.admitMu.Unlock()
 	var backlog float64
 	for c := class; c <= sched.ClassProduction; c++ {
 		backlog += view.ByClass[c].QueuedQPUSeconds
 	}
+	d.admitMu.Unlock()
 	devs := view.Devices
 	if devs < 1 {
 		devs = 1

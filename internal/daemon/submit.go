@@ -85,33 +85,34 @@ func (d *Daemon) stageDone(sub *submission, stage trace.Stage, device, detail st
 // validation checks that some partition could run it, admission decides
 // whether — and at what class — the job enters, routing picks its partition,
 // queueing inserts it under the within-class order, and dispatch runs the
-// partition's loop. A shed submission returns a *RejectedError carrying a
-// copy of the terminal rejected job record.
-func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
+// partition's loop. It returns a copy of the accepted record, by value so a
+// caller that discards it pays nothing for it; a shed submission returns a
+// *RejectedError carrying a copy of the terminal rejected record.
+func (d *Daemon) Submit(token string, req SubmitRequest) (Job, error) {
 	s, err := d.session(token)
 	if err != nil {
-		return nil, err
+		return Job{}, err
 	}
 	sub := submission{req: req, sess: s}
 	if d.traced() {
 		sub.traced, sub.mark = true, d.cfg.Clock.Now()
 	}
 	if err := d.validate(&sub); err != nil {
-		return nil, err
+		return Job{}, err
 	}
 	if err := d.admit(&sub); err != nil {
-		return nil, err
+		return Job{}, err
 	}
 	if sub.dec.Outcome == admission.Rejected {
-		return nil, d.shed(&sub)
+		return Job{}, d.shed(&sub)
 	}
 	ds, err := d.route(&sub)
 	if err != nil {
-		return nil, err
+		return Job{}, err
 	}
 	j, err := d.enqueue(&sub, ds)
 	if err != nil {
-		return nil, err
+		return Job{}, err
 	}
 	d.emitQueueTelemetry()
 	d.dispatchDevice(ds)
@@ -120,7 +121,7 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 	d.mu.Lock()
 	cp := *j
 	d.mu.Unlock()
-	return &cp, nil
+	return cp, nil
 }
 
 // validate is the stage before the door: request sanity, decode, and a
@@ -215,13 +216,14 @@ func (d *Daemon) admit(sub *submission) error {
 // rejection, its reason and the retry-after backoff hint.
 func (d *Daemon) shed(sub *submission) error {
 	hint := d.retryAfterHint(sub.req.Class)
+	rej := &RejectedError{Reason: sub.dec.Reason}
 	d.mu.Lock()
 	j := d.newJobLocked(sub, "")
 	j.RetryAfterSeconds = hint
 	d.finishLocked(j, JobRejected, nil)
-	cp := *j
+	rej.Job = *j
 	d.mu.Unlock()
-	return &RejectedError{Job: &cp, Reason: sub.dec.Reason}
+	return rej
 }
 
 // route is stage 2: pick the partition, reserving an in-flight slot on it

@@ -111,6 +111,8 @@ type Device struct {
 	running *task
 	tasks   map[string]*task
 	nextID  int
+	// free holds forgotten task records for reuse (see Forget).
+	free []*task
 
 	// Utilization accounting, all in simulation seconds.
 	busySince    time.Duration

@@ -55,19 +55,31 @@ func (d *Device) SubmitWithSetup(p *qir.Program, setupSeconds float64) (string, 
 		return "", errors.New("device: in maintenance, not accepting tasks")
 	}
 	d.nextID++
-	t := &task{
-		id:       "qpu-task-" + strconv.Itoa(d.nextID),
-		program:  p,
-		state:    TaskQueued,
-		queuedAt: d.cfg.Clock.Now(),
-		setup:    simclock.Seconds(setupSeconds),
-	}
+	t := d.newTaskLocked()
+	var id [32]byte // built on the stack: the ID string is the one allocation
+	t.id = string(strconv.AppendInt(append(id[:0], "qpu-task-"...), int64(d.nextID), 10))
+	t.program, t.state = p, TaskQueued
+	t.queuedAt, t.setup = d.cfg.Clock.Now(), simclock.Seconds(setupSeconds)
 	d.tasks[t.id] = t
 	d.queue = append(d.queue, t)
 	d.mu.Unlock()
 	d.pump()
 	d.emitTelemetry()
 	return t.id, nil
+}
+
+// newTaskLocked takes a record off the free list Forget fills, or makes one
+// whose exec event is bound to it for life. Caller holds d.mu.
+func (d *Device) newTaskLocked() *task {
+	if n := len(d.free); n > 0 {
+		t := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		return t
+	}
+	t := &task{}
+	t.exec.Name, t.exec.Fn = "qpu-exec", func() { d.finish(t) }
+	return t
 }
 
 // pump starts the next queued task if the device is idle.
@@ -95,7 +107,6 @@ func (d *Device) pump() {
 	// Cold-setup occupancy precedes the shots; zero for warm submissions, so
 	// setup-free tasks keep their exact historical timing.
 	dur += t.setup
-	t.exec.Name, t.exec.Fn = "qpu-exec", func() { d.finish(t) }
 	d.cfg.Clock.Arm(&t.exec, dur)
 	d.mu.Unlock()
 }
@@ -182,10 +193,21 @@ func (d *Device) TaskResult(id string) (*qir.Result, error) {
 // reads as an unknown task. A queued or running task is left alone, and an
 // unknown ID is a no-op. The device never forgets by itself: whoever consumes
 // a task's outcome owns its record (the daemon forgets as it settles).
+//
+// A task that ran to its end (completed or failed) is recycled: its exec
+// event has fired, so nothing calls back into the record, and the next
+// Submit reuses it. The Result it handed out is not the record's to reuse —
+// the record lets go of it. A cancelled task is only dropped: its exec event
+// may have left the clock just before the cancel, and that callback must
+// find the cancelled record, not a reused one.
 func (d *Device) Forget(id string) {
 	d.mu.Lock()
 	if t, ok := d.tasks[id]; ok && t.state != TaskQueued && t.state != TaskRunning {
 		delete(d.tasks, id)
+		if t.state != TaskCancelled {
+			*t = task{exec: t.exec}
+			d.free = append(d.free, t)
+		}
 	}
 	d.mu.Unlock()
 }

@@ -1,72 +1,76 @@
 package qir
 
 import (
-	"strings"
+	"slices"
 	"sync"
 )
 
-// specKey captures every DeviceSpec field in a comparable form. Two specs
-// with equal keys are indistinguishable to Validate — including the error
-// strings, which embed the spec name — so a verdict memoized under one key is
-// exact for any spec that produces the same key. New DeviceSpec fields must
-// be added here or the memo goes stale.
-type specKey struct {
-	name                string
-	maxQubits           int
-	minAtomSpacing      float64
-	maxRabi             float64
-	maxDetuning         float64
-	maxSequenceDuration float64
-	maxSlope            float64
-	c6                  float64
-	localDetuning       bool
-	digital             bool
-	nativeGates         string
-	shotRateHz          float64
-	maxShotsPerTask     int
-}
+// specIdent is the memo's name for one spec's contents: interned, so equal
+// specs share it, and owned by no device, so a memo key holding it pins
+// nothing but a copy of the spec.
+type specIdent struct{ spec DeviceSpec }
 
-func keyOf(s *DeviceSpec) specKey {
-	k := specKey{
-		name:                s.Name,
-		maxQubits:           s.MaxQubits,
-		minAtomSpacing:      s.MinAtomSpacing,
-		maxRabi:             s.MaxRabi,
-		maxDetuning:         s.MaxDetuning,
-		maxSequenceDuration: s.MaxSequenceDuration,
-		maxSlope:            s.MaxSlope,
-		c6:                  s.C6,
-		localDetuning:       s.SupportsLocalDetuning,
-		digital:             s.Digital,
-		shotRateHz:          s.ShotRateHz,
-		maxShotsPerTask:     s.MaxShotsPerTask,
-	}
-	if len(s.NativeGates) > 0 {
-		k.nativeGates = strings.Join(s.NativeGates, "\x00")
-	}
-	return k
+// describes reports whether s has the contents id names. Two specs it calls
+// equal are indistinguishable to Validate — including the error strings,
+// which embed the spec name — so a verdict memoized under one is exact for
+// the other. New DeviceSpec fields must be compared here or the memo goes
+// stale.
+func (id *specIdent) describes(s *DeviceSpec) bool {
+	a := &id.spec
+	return a.Name == s.Name && a.MaxQubits == s.MaxQubits && a.MinAtomSpacing == s.MinAtomSpacing &&
+		a.MaxRabi == s.MaxRabi && a.MaxDetuning == s.MaxDetuning && a.MaxSequenceDuration == s.MaxSequenceDuration &&
+		a.MaxSlope == s.MaxSlope && a.C6 == s.C6 && a.SupportsLocalDetuning == s.SupportsLocalDetuning &&
+		a.Digital == s.Digital && a.ShotRateHz == s.ShotRateHz && a.MaxShotsPerTask == s.MaxShotsPerTask &&
+		slices.Equal(a.NativeGates, s.NativeGates)
 }
 
 type validKey struct {
 	prog *Program
-	spec specKey
+	spec *specIdent
 }
 
 var (
 	validMu   sync.Mutex
 	validMemo = make(map[validKey]error)
+	idents    []*specIdent
 )
 
-// validMemoLimit bounds the verdict memo. A stream of unique programs or
-// specs resets the map instead of growing it; replay and dispatch workloads
-// cycle through a few dozen (program, spec) pairs, far under the bound.
-const validMemoLimit = 4096
+// validMemoLimit bounds the verdict memo and identLimit the interned specs. A
+// stream of unique programs or specs resets the memo or the table instead of
+// growing it; replay and dispatch workloads cycle through a few dozen
+// (program, spec) pairs over a handful of specs, far under the bounds.
+const (
+	validMemoLimit = 4096
+	identLimit     = 64
+)
+
+// identLocked interns the contents of s; caller holds validMu.
+func identLocked(s *DeviceSpec) *specIdent {
+	for _, id := range idents {
+		if id.describes(s) {
+			return id
+		}
+	}
+	if len(idents) >= identLimit {
+		idents = nil
+	}
+	id := &specIdent{spec: *s}
+	id.spec.NativeGates = slices.Clone(s.NativeGates)
+	idents = append(idents, id)
+	return id
+}
 
 // ValidateCached is Validate with a process-wide verdict memo keyed by the
-// program's identity and the spec's full contents. Validate walks every
-// waveform sample in the program; on hot dispatch paths the same decoded
-// program is checked against the same device specs thousands of times, and
-// the memo collapses each distinct (program, spec) pair to one walk.
+// program's identity and the spec's contents. Validate walks every waveform
+// sample in the program; on hot dispatch paths the same decoded program is
+// checked against the same device specs thousands of times, and the memo
+// collapses each distinct (program, spec) pair to one walk.
+//
+// The memo names a spec's contents by an interned copy, found by comparing
+// the spec against the handful a process uses, so a lookup compares a few
+// fields and hashes two pointers instead of hashing the whole spec. The key
+// is never the caller's *DeviceSpec: that points into a device or a daemon,
+// and the memo would pin every sweep cell's fleet until its next reset.
 //
 // Callers must treat a program as immutable once passed here: the memo
 // trusts pointer identity, so mutating a validated program would leave stale
@@ -76,9 +80,9 @@ func ValidateCached(p *Program, spec *DeviceSpec) error {
 	if p == nil || spec == nil {
 		return p.Validate(spec)
 	}
-	k := validKey{prog: p, spec: keyOf(spec)}
 	validMu.Lock()
-	err, ok := validMemo[k]
+	vk := validKey{prog: p, spec: identLocked(spec)}
+	err, ok := validMemo[vk]
 	validMu.Unlock()
 	if ok {
 		return err
@@ -88,7 +92,7 @@ func ValidateCached(p *Program, spec *DeviceSpec) error {
 	if len(validMemo) >= validMemoLimit {
 		validMemo = make(map[validKey]error, 64)
 	}
-	validMemo[k] = err
+	validMemo[vk] = err
 	validMu.Unlock()
 	return err
 }
