@@ -1,7 +1,9 @@
 # Tier-1 entry points. `make test` is the fast gate (short mode, seconds);
 # `make test-full` runs everything including the ~40s experiment
 # reproductions; `make test-race` puts the race detector on the concurrent
-# fleet/scheduler/malleable-pool/device/emulator/telemetry paths.
+# fleet/scheduler/malleable-pool/device/emulator/telemetry paths, then runs
+# the daemon's concurrent-intake tests twenty times over, so the admission
+# door and the dispatch hand-off are stressed on every run.
 
 GO ?= go
 
@@ -19,6 +21,7 @@ test-full:
 test-race:
 	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/hybrid/... ./internal/device/... ./internal/emulator/... ./internal/telemetry/...
 	$(GO) test -race -short ./internal/loadgen/...
+	$(GO) test -race -count=20 -run 'Concurrent' ./internal/daemon/
 
 # examples builds each program under examples/ and runs it from a fresh
 # temporary directory (trace_perfetto writes fleet_trace.json into its working

@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -436,5 +437,61 @@ func TestUnknownAdmissionOutcomeIsCounted(t *testing.T) {
 	}
 	if got := exposed(t, reg, `daemon_admission_total{class="test",outcome="deferred"}`); got != 1 {
 		t.Fatalf(`daemon_admission_total{class="test",outcome="deferred"} = %g, want 1`, got)
+	}
+}
+
+// TestConcurrentSubmitsHoldDepthCap: every admission decision is taken behind
+// the door, after the queue push of every job admitted before it, so a depth
+// cap holds exactly however many sessions submit at once. With the clock held
+// nothing finishes: each partition runs one dev job and the rest queue, and
+// the queued dev jobs must never exceed the cap. Run under -race by make
+// test-race.
+func TestConcurrentSubmitsHoldDepthCap(t *testing.T) {
+	const (
+		partitions, perDevice = 2, 4
+		submitters, each      = 8, 4
+		limit                 = partitions * perDevice
+	)
+	env, _ := newAdmissionEnv(t, partitions, &admission.QueueDepth{PerDeviceDepth: perDevice})
+	prog := payload(t, 400)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	accepted := 0
+	for u := 0; u < submitters; u++ {
+		s, err := env.d.OpenSession(fmt.Sprintf("user-%d", u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < each; i++ {
+				_, err := env.d.Submit(s.Token, SubmitRequest{Program: prog, Class: sched.ClassDev})
+				var rej *RejectedError
+				switch {
+				case err == nil:
+					mu.Lock()
+					accepted++
+					mu.Unlock()
+				case !errors.As(err, &rej):
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	queued := 0
+	for _, ds := range env.d.fleet {
+		queued += ds.queue.LenClass(sched.ClassDev)
+	}
+	if queued > limit {
+		t.Fatalf("%d dev jobs queued (%d accepted of %d), over the depth cap of %d", queued, accepted, submitters*each, limit)
+	}
+	if accepted == submitters*each {
+		t.Fatalf("all %d submits accepted: the cap never bit", accepted)
 	}
 }

@@ -140,9 +140,9 @@ func (c *Config) usePolicies(router, scheduler, admit, priority string) (err err
 }
 
 // deviceState is one partition's scheduling state. Its mutex guards the
-// running slot, the task→job index, the orphan buffer and the dispatch-loop
-// flags; the queue carries its own lock. Lock order: ds.mu may be taken
-// first and d.mu acquired under it, never the reverse.
+// running slot, the task→job index and the dispatch-loop flags; the queue
+// carries its own lock. Lock order: the door, then ds.mu, then d.mu — each
+// may be taken under the ones before it, never the reverse.
 type deviceState struct {
 	id    string
 	dev   *device.Device
@@ -168,21 +168,6 @@ type deviceState struct {
 	gUtil   *telemetry.BoundSeries
 	tsQueue [3]*telemetry.TSDBSeries
 
-	// inflight counts jobs routed here but not yet visible in the queue
-	// (between route's pick and Submit's queue.Push). route() includes it
-	// in the router's load view — and serializes snapshot+pick+reserve
-	// under routeMu — so a burst of concurrent submissions cannot all act
-	// on the same pre-enqueue snapshot and herd onto one partition.
-	inflight int
-	// orphans buffers terminal task notifications that arrive before the
-	// dispatcher registers the task in byTask — possible when another
-	// goroutine advances the clock between device.Submit returning and the
-	// bookkeeping that follows it. Buffering happens only while submitting
-	// is set (dispatch is serial per device, so at most one submission is
-	// in flight), and startJob drains the whole buffer, so notifications
-	// for tasks the daemon never started cannot accumulate.
-	submitting bool
-	orphans    map[string]device.TaskState
 	// dispatching marks an active dispatch loop; wakeups counts dispatch
 	// requests so a loop that is about to exit notices work that arrived
 	// after its last queue check.
@@ -209,10 +194,17 @@ type Daemon struct {
 	ranker   *sched.Ranker
 	tieOrder *sched.Ranker
 
-	// admitMu serializes admission decisions so stateful policies (token
-	// buckets, SLO windows) see submissions in a single, reproducible order.
-	admitMu  sync.Mutex
+	// door is held from each admission decision through its job's queue
+	// push (intake), and over a preempted job's re-route and push, so
+	// stateful policies see submissions in one order and every decision sees
+	// the jobs admitted before it queued. It guards the view and the routing
+	// scratch below. dispatchDevice and Device.Cancel (whose settle path
+	// re-routes) run outside it and outside ds.mu; neither is reentrant.
+	door     sync.Mutex
 	admitter admission.Policy
+	// viewless marks an admitter that declares itself admission.Viewless:
+	// its decisions are made without a view.
+	viewless bool
 	// admitView is the one load view every decision refills (admissionView).
 	admitView admission.View
 	// admitObserver is the admitter's Observer side, when it has one —
@@ -227,10 +219,8 @@ type Daemon struct {
 	fleet    []*deviceState
 	byDevice map[string]*deviceState
 
-	// routeMu serializes route()'s snapshot+Pick+reserve so concurrent
-	// submissions cannot all act on the same load view. It also guards the
-	// fleet snapshot and scratch job every pick reuses.
-	routeMu    sync.Mutex
+	// routeInfos and routeJob are the fleet snapshot and scratch job every
+	// pick reuses, under the door.
 	routeInfos []DeviceInfo
 	routeJob   Job
 
@@ -327,6 +317,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	d.ranker, d.tieOrder = composeRanker(order, priority)
 	d.admitObserver, _ = admitter.(admission.Observer)
+	_, d.viewless = admitter.(admission.Viewless)
 	d.internAdmissionDetails()
 	d.flight = cfg.Flight
 	if d.flight != nil {
@@ -342,13 +333,12 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	for _, dev := range fleet.Devices() {
 		ds := &deviceState{
-			id:      dev.ID(),
-			dev:     dev,
-			queue:   sched.NewClassQueue(),
-			spec:    dev.Spec(),
-			cache:   newProgLRU(cfg.ProgramCache),
-			byTask:  make(map[string]*Job),
-			orphans: make(map[string]device.TaskState),
+			id:     dev.ID(),
+			dev:    dev,
+			queue:  sched.NewClassQueue(),
+			spec:   dev.Spec(),
+			cache:  newProgLRU(cfg.ProgramCache),
+			byTask: make(map[string]*Job),
 		}
 		d.fleet = append(d.fleet, ds)
 		d.byDevice[ds.id] = ds

@@ -4,6 +4,8 @@ package daemon
 // what order, whom to preempt.
 
 import (
+	"time"
+
 	"hpcqc/internal/admission"
 	"hpcqc/internal/device"
 	"hpcqc/internal/sched"
@@ -104,14 +106,23 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 		return false
 	}
 
+	// The partition is idle. One ds.mu hold covers the pop, the device
+	// submission and the task's registration: a routing snapshot sees the job
+	// queued or running, never neither, and the task's terminal notification
+	// (onDeviceTask takes ds.mu) cannot overtake its registration, even when
+	// another goroutine advances the clock. The device never calls its
+	// listener from inside SubmitWithSetup; Cancel does, so it runs after.
+	ds.mu.Lock()
 	item := d.popNext(ds)
 	if item == nil {
+		ds.mu.Unlock()
 		return false
 	}
 	j := item.Payload.(*Job)
 	d.mu.Lock()
 	if j.State != JobQueued {
 		d.mu.Unlock()
+		ds.mu.Unlock()
 		return true // stale item (cancelled while queued); try the next one
 	}
 	prog := j.prog
@@ -142,19 +153,19 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 	// The program was decoded and validated against this partition's spec at
 	// submission (and requeue only ever targets same-spec partitions), so
 	// dispatch reuses that decode.
-	ds.mu.Lock()
-	ds.submitting = true
-	ds.mu.Unlock()
+	now := d.cfg.Clock.Now()
 	taskID, err := ds.dev.SubmitWithSetup(prog, setup)
 	if err != nil {
-		ds.mu.Lock()
-		ds.submitting = false
 		ds.mu.Unlock()
 		// Submission failed (validation drift, maintenance window, ...).
 		d.finishJob(j, JobFailed, err)
 		return true
 	}
-	d.startJob(ds, j, taskID)
+	cancelled := d.startJob(ds, j, taskID, now)
+	ds.mu.Unlock()
+	if cancelled {
+		_ = ds.dev.Cancel(taskID)
+	}
 	d.emitQueueTelemetry()
 	return true
 }
@@ -231,65 +242,44 @@ func (d *Daemon) usageSnapshot() map[string]float64 {
 	return usage
 }
 
-// startJob records a successful device submission. If the task's terminal
-// notification already raced ahead (another goroutine advanced the clock),
-// the buffered orphan state is settled immediately; if the job was cancelled
-// between dispatchOnce's queued-state check and the device submission, the
-// device task is withdrawn instead of resurrecting the job.
-func (d *Daemon) startJob(ds *deviceState, j *Job, taskID string) {
-	now := d.cfg.Clock.Now()
-	ds.mu.Lock()
-	ds.submitting = false
-	st, orphaned := ds.orphans[taskID]
-	// Drain the buffer wholesale: with serial per-device dispatch, any
-	// other entry is a stray from a task the daemon never started.
-	clear(ds.orphans)
-	if !orphaned {
-		// Register even a cancelled job's task so the device's
-		// cancellation callback flows through the normal settleTask path
-		// (which sees the terminal job state and leaves it alone).
-		ds.running = j
-		ds.byTask[taskID] = j
-	}
+// startJob records a successful device submission made at now, under ds.mu.
+// It registers even a cancelled job's task, so the cancellation callback
+// flows through settleTask, which leaves the terminal job alone. It reports
+// whether the job was cancelled since dispatchOnce's queued-state check: the
+// caller then withdraws the task once ds.mu is released.
+func (d *Daemon) startJob(ds *deviceState, j *Job, taskID string, now time.Duration) (cancelled bool) {
+	ds.running = j
+	ds.byTask[taskID] = j
 	d.mu.Lock()
-	cancelled := j.State != JobQueued
-	if !cancelled && !orphaned {
-		// Orphaned tasks already finished, so `now` is post-completion —
-		// marking them running or recording a queue wait here would
-		// inflate the wait metrics by the execution time; settleTask
-		// finalizes them directly from queued.
-		j.State = JobRunning
-		j.StartedAt = now
-		j.DeviceTask = taskID
-		wait := now - j.SubmittedAt
-		d.waitSum[j.Class] += wait
-		d.waitCount[j.Class]++
-		d.bWait[j.Class].Observe(wait.Seconds())
-		d.feed(admission.Signal{Class: j.Class, At: now, WaitSeconds: wait.Seconds()})
-		d.notify(JobEventStarted, *j)
-		if d.traced() {
-			cls := j.Class.String()
-			if d.spanMarks {
-				// Close the partition's idle occupancy span (ds.mu is held).
-				if now > ds.occSince {
-					d.emitSpan(trace.Span{Stage: trace.StageIdle, Device: ds.id, Start: ds.occSince, End: now})
-				}
-				ds.occSince = now
-			}
-			d.emitSpan(trace.Span{Job: j.ID, Stage: waitStage(j), Class: cls, Device: ds.id,
-				Start: j.enqueuedAt, End: now, Detail: cacheDetail(j.Cache)})
-			if d.spanMarks {
-				d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageDispatch, Class: cls, Device: ds.id,
-					Start: now, End: now, Detail: taskID})
-			}
+	defer d.mu.Unlock()
+	if j.State != JobQueued {
+		return true
+	}
+	j.State = JobRunning
+	j.StartedAt = now
+	j.DeviceTask = taskID
+	wait := now - j.SubmittedAt
+	d.waitSum[j.Class] += wait
+	d.waitCount[j.Class]++
+	d.bWait[j.Class].Observe(wait.Seconds())
+	d.feed(admission.Signal{Class: j.Class, At: now, WaitSeconds: wait.Seconds()})
+	d.notify(JobEventStarted, *j)
+	if !d.traced() {
+		return false
+	}
+	cls := j.Class.String()
+	if d.spanMarks {
+		// Close the partition's idle occupancy span (ds.mu is held).
+		if now > ds.occSince {
+			d.emitSpan(trace.Span{Stage: trace.StageIdle, Device: ds.id, Start: ds.occSince, End: now})
 		}
+		ds.occSince = now
 	}
-	d.mu.Unlock()
-	ds.mu.Unlock()
-	switch {
-	case orphaned:
-		d.settleTask(ds, j, taskID, st)
-	case cancelled:
-		_ = ds.dev.Cancel(taskID)
+	d.emitSpan(trace.Span{Job: j.ID, Stage: waitStage(j), Class: cls, Device: ds.id,
+		Start: j.enqueuedAt, End: now, Detail: cacheDetail(j.Cache)})
+	if d.spanMarks {
+		d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageDispatch, Class: cls, Device: ds.id,
+			Start: now, End: now, Detail: taskID})
 	}
+	return false
 }

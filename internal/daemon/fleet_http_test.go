@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,8 +16,10 @@ import (
 	"hpcqc/internal/simclock"
 )
 
-// newFleetHTTPEnv hosts a 3-partition daemon on an httptest server with a
-// background clock pump, mirroring newHTTPEnv.
+// newFleetHTTPEnv hosts a 3-partition daemon on an httptest server behind a
+// middleware that moves the clock, as roundTripEnv's does: each job status
+// poll advances simulated time by 5 s before it is answered, so a job
+// finishes after a fixed number of polls, however fast they come.
 func newFleetHTTPEnv(t *testing.T) (*Daemon, *device.Fleet, *httptest.Server) {
 	t.Helper()
 	clk := simclock.New()
@@ -31,20 +34,18 @@ func newFleetHTTPEnv(t *testing.T) (*Daemon, *device.Fleet, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(d.Handler())
-	t.Cleanup(ts.Close)
-	stop := make(chan struct{})
-	t.Cleanup(func() { close(stop) })
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Millisecond):
-				clk.Advance(5 * time.Second)
-			}
+	h := d.Handler()
+	var clkMu sync.Mutex // serializes the clock's drivers
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id, isJob := strings.CutPrefix(r.URL.Path, "/api/v1/jobs/")
+		if isJob && r.Method == http.MethodGet && !strings.HasSuffix(id, "/result") {
+			clkMu.Lock()
+			clk.Advance(5 * time.Second)
+			clkMu.Unlock()
 		}
-	}()
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
 	return d, fleet, ts
 }
 

@@ -101,9 +101,11 @@ func TestFleetSpreadsJobsAcrossDevices(t *testing.T) {
 }
 
 // TestFleetConcurrentSubmit hammers the daemon from many sessions while a
-// separate goroutine advances the shared clock — the race the per-device
-// orphan buffer exists for. Run under -race (make test-race); every job must
-// reach a terminal state and none may be lost. The fair-share run adds the
+// separate goroutine advances the shared clock, so a task may end while its
+// dispatcher is still inside the device hand-off. Run under -race (make
+// test-race); every job must reach a terminal state, none may be lost, and
+// every completed record must have started — no earlier than it was
+// submitted, no later than it finished. The fair-share run adds the
 // dispatch path that reads the live per-user usage map (under d.mu, inside
 // the queue's rank index) while completions on other partitions update it.
 func TestFleetConcurrentSubmit(t *testing.T) {
@@ -167,6 +169,10 @@ func fleetConcurrentSubmit(t *testing.T, order, priority string) {
 	for _, j := range jobs {
 		if j.State != JobCompleted {
 			t.Fatalf("job %s on %s ended %s (%s)", j.ID, j.Device, j.State, j.Error)
+		}
+		if !(j.SubmittedAt <= j.StartedAt && j.StartedAt <= j.FinishedAt) {
+			t.Fatalf("job %s on %s: submitted %v, started %v, finished %v — out of order",
+				j.ID, j.Device, j.SubmittedAt, j.StartedAt, j.FinishedAt)
 		}
 	}
 }
@@ -385,11 +391,19 @@ func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
 		terminal[taskID] = state
 		env.d.onDeviceTask(deviceID, taskID, state)
 	})
+	ds.mu.Lock()
+	now := env.clk.Now()
 	taskID, err := ds.dev.Submit(prog)
 	if err != nil {
+		ds.mu.Unlock()
 		t.Fatal(err)
 	}
-	env.d.startJob(ds, item.Payload.(*Job), taskID)
+	cancelled := env.d.startJob(ds, item.Payload.(*Job), taskID, now)
+	ds.mu.Unlock()
+	if !cancelled {
+		t.Fatal("startJob did not report the cancel that landed before the hand-off")
+	}
+	_ = ds.dev.Cancel(taskID) // as dispatchOnce withdraws it, outside ds.mu
 
 	got, _ := env.d.JobStatus(s.Token, j.ID)
 	if got.State != JobCancelled {
@@ -411,10 +425,10 @@ func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
 	}
 	ds.mu.Lock()
 	busy := ds.running != nil
-	leak := len(ds.byTask) + len(ds.orphans)
+	leak := len(ds.byTask)
 	ds.mu.Unlock()
 	if busy || leak != 0 {
-		t.Fatalf("device state leaked: running=%v byTask+orphans=%d", busy, leak)
+		t.Fatalf("device state leaked: running=%v byTask=%d", busy, leak)
 	}
 }
 
@@ -460,35 +474,45 @@ func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
 	}
 }
 
-// TestRouteReservesInflightSlot checks the anti-herding reservation: two
-// routes taken before either job reaches a queue (the window concurrent
-// submissions race through) must land on different partitions, because the
-// first pick's in-flight slot already counts as load for the second.
-func TestRouteReservesInflightSlot(t *testing.T) {
-	env := newFleetEnv(t, 2, NewLeastLoadedRouter())
-	a, err := env.d.pick(sched.ClassTest, "", "", nil, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestConcurrentSubmitsLandOnePerPartition is the anti-herding check: N
+// submissions racing into an idle N-partition least-loaded fleet must land
+// one per partition, because each route is taken behind the door, after the
+// jobs before it are queued — and a job the partition has popped is running
+// by the time the next snapshot reads it. Run under -race by make test-race.
+func TestConcurrentSubmitsLandOnePerPartition(t *testing.T) {
+	const n = 4
+	env := newFleetEnv(t, n, NewLeastLoadedRouter())
+	prog := payload(t, 400)
+	start := make(chan struct{})
+	devices := make(chan string, n)
+	var wg sync.WaitGroup
+	for u := 0; u < n; u++ {
+		s, err := env.d.OpenSession(fmt.Sprintf("user-%d", u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			j, err := env.d.Submit(s.Token, SubmitRequest{Program: prog, Class: sched.ClassTest})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			devices <- j.Device
+		}()
 	}
-	b, err := env.d.pick(sched.ClassTest, "", "", nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	close(start)
+	wg.Wait()
+	close(devices)
+	seen := make(map[string]int)
+	for id := range devices {
+		seen[id]++
 	}
-	if a == b {
-		t.Fatalf("both pre-enqueue routes picked %s — in-flight load invisible to the router", a.id)
+	if len(seen) != n {
+		t.Fatalf("%d concurrent submits landed on %v — want one per partition", n, seen)
 	}
-	env.d.routeDone(a)
-	env.d.routeDone(b)
-	// Released reservations stop counting: the next pick ties back to the
-	// first partition.
-	c, err := env.d.pick(sched.ClassTest, "", "", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != env.d.fleet[0] {
-		t.Fatalf("after release, route picked %s, want first partition", c.id)
-	}
-	env.d.routeDone(c)
 }
 
 // TestFleetRejectsUnknownPin checks explicit device pins are validated.

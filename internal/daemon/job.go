@@ -304,8 +304,8 @@ func (d *Daemon) emitTerminalSpans(j *Job, prior JobState) {
 		detail := terminalDetail(j)
 		stage, start := trace.StageExecute, j.StartedAt
 		if prior == JobQueued {
-			// Cancelled while waiting — or an orphaned completion whose
-			// terminal device notification raced ahead of start bookkeeping.
+			// Cancelled while waiting, or failed before it started (a push
+			// the queue refused, a device submission that failed).
 			stage, start = waitStage(j), j.enqueuedAt
 		}
 		d.emitSpan(trace.Span{Job: j.ID, Stage: stage, Class: cls, Device: j.Device,

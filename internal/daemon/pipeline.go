@@ -171,12 +171,10 @@ func (e *RejectedError) Error() string {
 // admissionView refills the fleet-wide load snapshot an admission decision
 // consults — O(total backlog), one queue-lock acquisition per partition — into
 // the one view the daemon owns: its ByClass map is cleared and reused, so a
-// decision allocates nothing, and nothing may read the view once admitMu is
-// released (Admit does not retain it). Caller must hold admitMu, so decisions
-// see serialized views; jobs admitted concurrently but not yet queued (the
-// routing in-flight window) are not visible, which can overshoot depth caps by
-// at most the number of in-flight submissions — exact in single-goroutine
-// replays.
+// decision allocates nothing, and nothing may read the view once the door is
+// released (Admit does not retain it). Caller holds the door, which every
+// earlier admitted job passed through only after its queue push, so the view
+// counts all of them and depth caps hold exactly under concurrent intake.
 func (d *Daemon) admissionView() admission.View {
 	view := &d.admitView
 	clear(view.ByClass)
@@ -206,13 +204,11 @@ func (d *Daemon) admissionView() admission.View {
 
 // admitStage runs stage 1 for one submission: build the view (skipped for
 // policies that declare themselves Viewless), ask the policy, and count the
-// verdict. Decisions are serialized under admitMu so stateful policies
-// (token buckets, SLO windows) see submissions in order.
+// verdict. Caller holds the door, which serializes decisions so stateful
+// policies (token buckets, SLO windows) see submissions in order.
 func (d *Daemon) admitStage(req SubmitRequest, user string) admission.Decision {
-	d.admitMu.Lock()
-	defer d.admitMu.Unlock()
 	var view admission.View
-	if _, skip := d.admitter.(admission.Viewless); !skip {
+	if !d.viewless {
 		view = d.admissionView()
 	}
 	dec := d.admitter.Admit(admission.Request{
@@ -243,15 +239,18 @@ func (d *Daemon) admitStage(req SubmitRequest, user string) admission.Decision {
 // across the fleet's partitions — roughly how long until the work ahead of a
 // resubmission drains, assuming no new arrivals. It is a hint for
 // well-behaved retrying clients (the frontier report models them), not a
-// guarantee: clamped to [1s, 24h] so it is always a usable backoff.
+// guarantee: clamped to [1s, 24h] so it is always a usable backoff. Caller
+// holds the door since the decision, whose view it reads (built here for a
+// Viewless policy, which decided without one).
 func (d *Daemon) retryAfterHint(class sched.Class) float64 {
-	d.admitMu.Lock()
-	view := d.admissionView()
+	if d.viewless {
+		d.admissionView()
+	}
+	view := &d.admitView
 	var backlog float64
 	for c := class; c <= sched.ClassProduction; c++ {
 		backlog += view.ByClass[c].QueuedQPUSeconds
 	}
-	d.admitMu.Unlock()
 	devs := view.Devices
 	if devs < 1 {
 		devs = 1

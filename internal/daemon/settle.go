@@ -13,7 +13,9 @@ import (
 
 // onDeviceTask is the fleet-wide device listener: terminal device tasks are
 // routed to their partition by device ID, then finish or requeue their
-// daemon job and trigger that partition's next dispatch.
+// daemon job and trigger that partition's next dispatch. A task is registered
+// in the ds.mu hold that submitted it, so one missing from byTask is not ours
+// (e.g. a pre-existing task on a FleetOf-wrapped device).
 func (d *Daemon) onDeviceTask(deviceID, taskID string, state device.TaskState) {
 	ds, ok := d.byDevice[deviceID]
 	if !ok {
@@ -22,13 +24,6 @@ func (d *Daemon) onDeviceTask(deviceID, taskID string, state device.TaskState) {
 	ds.mu.Lock()
 	j, ok := ds.byTask[taskID]
 	if !ok {
-		// While a submission is in flight, this may be its terminal state
-		// racing ahead of registration — buffer it for startJob to
-		// consume. Otherwise the task is not ours (e.g. a pre-existing
-		// task on a FleetOf-wrapped device); ignore it.
-		if ds.submitting {
-			ds.orphans[taskID] = state
-		}
 		ds.mu.Unlock()
 		return
 	}
@@ -87,7 +82,12 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 			// victim, re-route it through the router rather than pinning it
 			// behind the production job that evicted it. Seniority (original
 			// submit time) is preserved inside its class by FIFO on re-push.
-			target := d.requeuePartition(j, ds)
+			rerouted := len(d.fleet) > 1 && !j.Pinned
+			target := ds
+			if rerouted {
+				d.door.Lock()
+				target = d.requeuePartition(j, ds)
+			}
 			d.mu.Lock()
 			if target != ds {
 				j.Device = target.id
@@ -99,8 +99,10 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 			}
 			d.mu.Unlock()
 			_ = d.push(target, j) // a refused push has failed the job
+			if rerouted {
+				d.door.Unlock()
+			}
 			if target != ds {
-				d.routeDone(target)
 				d.dispatchDevice(target)
 			}
 		} else if !wasCancelled {
@@ -115,22 +117,17 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 	d.dispatchDevice(ds)
 }
 
-// requeuePartition picks where a preempted job waits next. The job stays on
-// its original partition unless it is unpinned, the fleet has more than one
-// partition, AND some other same-spec partition is completely idle — then the
-// router re-picks from a fresh fleet snapshot (the first ROADMAP follow-up:
-// work lost to preemption flows to idle capacity instead of queueing behind
-// its preemptor). The router's pick is honored only when it lands on such an
-// idle partition: a load-blind pick (round-robin pointing at a backlogged
-// partition) must not strand the victim somewhere worse than where it was.
-// When a move happens the returned partition carries an in-flight reservation
-// the caller must release with routeDone after the queue push.
+// requeuePartition picks where a preempted job that may move — unpinned, on
+// a fleet of more than one partition — waits next. It stays on its original
+// partition unless some other same-spec partition is completely idle — then
+// the router re-picks from a fresh fleet snapshot (the first ROADMAP
+// follow-up: work lost to preemption flows to idle capacity instead of
+// queueing behind its preemptor). The router's pick is honored only when it
+// lands on such an idle partition: a load-blind pick (round-robin pointing at
+// a backlogged partition) must not strand the victim somewhere worse than
+// where it was. Caller holds the door, as for a submission, through the push
+// onto the returned partition.
 func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
-	if len(d.fleet) == 1 || j.Pinned {
-		return orig
-	}
-	d.routeMu.Lock()
-	defer d.routeMu.Unlock()
 	infos := d.fleetInfosLocked()
 	// idleTarget reports whether partition i can absorb the victim now: not
 	// the original, online, zero load, and the same spec the job's program
@@ -154,11 +151,7 @@ func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 	if idx < 0 || idx >= len(d.fleet) || !idleTarget(idx) {
 		return orig
 	}
-	target := d.fleet[idx]
-	target.mu.Lock()
-	target.inflight++
-	target.mu.Unlock()
-	return target
+	return d.fleet[idx]
 }
 
 // CancelJob cancels a queued or running job. Sessions may cancel their own

@@ -100,17 +100,7 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (Job, error) {
 	if err := d.validate(&sub); err != nil {
 		return Job{}, err
 	}
-	if err := d.admit(&sub); err != nil {
-		return Job{}, err
-	}
-	if sub.dec.Outcome == admission.Rejected {
-		return Job{}, d.shed(&sub)
-	}
-	ds, err := d.route(&sub)
-	if err != nil {
-		return Job{}, err
-	}
-	j, err := d.enqueue(&sub, ds)
+	j, ds, err := d.intake(&sub)
 	if err != nil {
 		return Job{}, err
 	}
@@ -122,6 +112,26 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (Job, error) {
 	cp := *j
 	d.mu.Unlock()
 	return cp, nil
+}
+
+// intake runs stages 1–3 behind the door: admit, then shed or route, then
+// enqueue. The view a decision reads and the snapshot a route reads so count
+// every job admitted before it, however many sessions submit at once.
+func (d *Daemon) intake(sub *submission) (*Job, *deviceState, error) {
+	d.door.Lock()
+	defer d.door.Unlock()
+	if err := d.admit(sub); err != nil {
+		return nil, nil, err
+	}
+	if sub.dec.Outcome == admission.Rejected {
+		return nil, nil, d.shed(sub)
+	}
+	ds, err := d.route(sub)
+	if err != nil {
+		return nil, nil, err
+	}
+	j, err := d.enqueue(sub, ds)
+	return j, ds, err
 }
 
 // validate is the stage before the door: request sanity, decode, and a
@@ -213,7 +223,8 @@ func (d *Daemon) admit(sub *submission) error {
 // shed ends a submission the door refused. It still gets a record — minted
 // and turned terminal in one lock hold — owned by its session like any
 // accepted job, so status queries and the admin listing surface the
-// rejection, its reason and the retry-after backoff hint.
+// rejection, its reason and the retry-after backoff hint. Caller holds the
+// door.
 func (d *Daemon) shed(sub *submission) error {
 	hint := d.retryAfterHint(sub.req.Class)
 	rej := &RejectedError{Reason: sub.dec.Reason}
@@ -226,8 +237,8 @@ func (d *Daemon) shed(sub *submission) error {
 	return rej
 }
 
-// route is stage 2: pick the partition, reserving an in-flight slot on it
-// that enqueue releases, and settle what depends on the pick.
+// route is stage 2: pick the partition and settle what depends on the pick.
+// Caller holds the door.
 func (d *Daemon) route(sub *submission) (*deviceState, error) {
 	req := &sub.req
 	ds, err := d.pick(sub.dec.Class, req.Pattern, req.Device, sub.prog, sub.progHash)
@@ -241,7 +252,6 @@ func (d *Daemon) route(sub *submission) (*deviceState, error) {
 	// run the job (a submitter-declared hint is never touched).
 	if ds.spec.Name != sub.spec.Name {
 		if err := qir.ValidateCached(sub.prog, &ds.spec); err != nil {
-			d.routeDone(ds)
 			return nil, fmt.Errorf("daemon: program rejected: %w", err)
 		}
 		if sub.estimated {
@@ -268,43 +278,29 @@ func (d *Daemon) route(sub *submission) (*deviceState, error) {
 	return ds, nil
 }
 
-// pick chooses the target partition and reserves an in-flight slot on it (the
-// caller must release via routeDone once the job is enqueued or abandoned).
-// An explicit pin wins; otherwise the router chooses from a point-in-time
-// fleet snapshot whose load view includes other submissions still in flight.
-// The chosen class, pattern and program identity travel on a scratch job
-// record so routers can specialize — the affinity scorer probes partition
-// caches by fingerprint, the capability scorer validates the decoded program
-// — without the daemon pre-creating the real one.
+// pick chooses the target partition. An explicit pin wins; otherwise the
+// router chooses from a point-in-time fleet snapshot. The chosen class,
+// pattern and program identity travel on a scratch job record so routers can
+// specialize — the affinity scorer probes partition caches by fingerprint,
+// the capability scorer validates the decoded program — without the daemon
+// pre-creating the real one. Caller holds the door.
 func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pin string, prog *qir.Program, progHash uint64) (*deviceState, error) {
-	d.routeMu.Lock()
-	defer d.routeMu.Unlock()
-	var picked *deviceState
 	switch {
 	case pin != "":
-		ds, err := d.lookupDevice(pin)
-		if err != nil {
-			return nil, err
-		}
-		picked = ds
+		return d.lookupDevice(pin)
 	case len(d.fleet) == 1:
-		picked = d.fleet[0]
-	default:
-		idx := d.routerPickLocked(d.fleetInfosLocked(), class, pattern, prog, progHash)
-		if idx < 0 || idx >= len(d.fleet) {
-			return nil, fmt.Errorf("daemon: router %q picked invalid device index %d", d.router.Name(), idx)
-		}
-		picked = d.fleet[idx]
+		return d.fleet[0], nil
 	}
-	picked.mu.Lock()
-	picked.inflight++
-	picked.mu.Unlock()
-	return picked, nil
+	idx := d.routerPickLocked(d.fleetInfosLocked(), class, pattern, prog, progHash)
+	if idx < 0 || idx >= len(d.fleet) {
+		return nil, fmt.Errorf("daemon: router %q picked invalid device index %d", d.router.Name(), idx)
+	}
+	return d.fleet[idx], nil
 }
 
 // routerPickLocked asks the router for a partition on the snapshot infos,
 // lending it the reused scratch job; Pick retains neither (see Router). Caller
-// must hold routeMu.
+// holds the door.
 func (d *Daemon) routerPickLocked(infos []DeviceInfo, class sched.Class, pattern sched.Pattern, prog *qir.Program, progHash uint64) int {
 	j := &d.routeJob
 	j.Class, j.Pattern, j.prog, j.progHash = class, pattern, prog, progHash
@@ -316,7 +312,7 @@ func (d *Daemon) routerPickLocked(infos []DeviceInfo, class sched.Class, pattern
 // fleetInfosLocked fills the router's point-in-time fleet load view — the
 // single definition shared by routing and requeue, so the two can never
 // disagree about what counts as load — into the one slice every pick reuses.
-// Caller must hold routeMu.
+// Caller holds the door.
 func (d *Daemon) fleetInfosLocked() []DeviceInfo {
 	infos := d.routeInfos
 	for i, ds := range d.fleet {
@@ -328,7 +324,7 @@ func (d *Daemon) fleetInfosLocked() []DeviceInfo {
 			spec:   &ds.spec,
 		}
 		ds.mu.Lock()
-		info.Queued = ds.queue.Len() + ds.inflight
+		info.Queued = ds.queue.Len()
 		if ds.running != nil {
 			info.Busy = true
 			info.RunningClass = ds.running.Class
@@ -339,17 +335,10 @@ func (d *Daemon) fleetInfosLocked() []DeviceInfo {
 	return infos
 }
 
-// routeDone releases a route reservation once the job is in the partition's
-// queue (visible to the next routing snapshot) or the submission failed.
-func (d *Daemon) routeDone(ds *deviceState) {
-	ds.mu.Lock()
-	ds.inflight--
-	ds.mu.Unlock()
-}
-
 // enqueue is stage 3: mint the record on its partition and put it on that
 // partition's ClassQueue, which holds it under class priority until the
-// configured order and priority pick it at pop time.
+// configured order and priority pick it at pop time. Caller holds the door,
+// so the next decision and route see the job in the queue.
 func (d *Daemon) enqueue(sub *submission, ds *deviceState) (*Job, error) {
 	d.mu.Lock()
 	j := d.newJobLocked(sub, ds.id)
@@ -358,12 +347,7 @@ func (d *Daemon) enqueue(sub *submission, ds *deviceState) (*Job, error) {
 	// listener order.
 	d.notify(JobEventSubmitted, *j)
 	d.mu.Unlock()
-	err := d.push(ds, j)
-	// The reservation ends as soon as the job is visible to the next routing
-	// snapshot (or has failed), so the synchronous dispatch that follows
-	// does not double-count it in the router's load view.
-	d.routeDone(ds)
-	return j, err
+	return j, d.push(ds, j)
 }
 
 // push puts the job on the partition's queue. A push the queue refuses

@@ -50,11 +50,12 @@ func waitStage(j *Job) trace.Stage {
 
 // admissionDetail renders the admission span's policy annotation:
 // "<policy> <outcome>", with the rationale appended for non-plain verdicts.
-// The common reason-less outcomes are interned once per daemon (the policy
-// name is fixed at construction) so the accept path emits without building
-// a string.
+// The reason-less outcomes are interned once per daemon (the policy name is
+// fixed at construction) so the accept path emits without building a string,
+// and a PipelineSpansOnly stream — an aggregating listener, which reads no
+// detail — always carries the interned form.
 func (d *Daemon) admissionDetail(dec admission.Decision) string {
-	if dec.Reason == "" {
+	if dec.Reason == "" || d.cfg.PipelineSpansOnly {
 		if det, ok := d.admitDetails[dec.Outcome]; ok {
 			return det
 		}

@@ -170,6 +170,31 @@ func TestTraceRejectedSpans(t *testing.T) {
 	if rec, ok := env.flight.Job(id); !ok || rec.State != trace.MarkRejected {
 		t.Fatalf("flight recorder rejected trace: ok=%v rec=%+v", ok, rec)
 	}
+
+	// An aggregating listener (PipelineSpansOnly) reads no detail: the shed
+	// carries the interned reason-less annotation, not a built string.
+	clk := simclock.New()
+	dev, err := device.New(device.Config{Clock: clk, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []trace.Span
+	d, err := NewDaemon(Config{Devices: []*device.Device{dev}, Clock: clk, Admission: shedAll{},
+		SpanListener: func(s trace.Span) { spans = append(spans, s) }, PipelineSpansOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ = d.OpenSession("bob")
+	if _, err := d.Submit(s.Token, SubmitRequest{Program: payload(t, 10), Class: sched.ClassDev}); err == nil {
+		t.Fatal("shed-all accepted a submission")
+	}
+	want = []trace.Stage{trace.StageValidate, trace.StageAdmission}
+	if got := jobStages(spans, d.ListJobs()[0].ID); !stagesEqual(got, want) {
+		t.Fatalf("pipeline-only rejected stage sequence = %v, want %v", got, want)
+	}
+	if det := spans[1].Detail; det != "shed-all rejected" {
+		t.Errorf("pipeline-only admission detail = %q, want %q", det, "shed-all rejected")
+	}
 }
 
 // TestTracePreemptionSpans pins the preemption path: the victim's first
