@@ -173,8 +173,8 @@ func (e *RejectedError) Error() string {
 // the one view the daemon owns: its ByClass map is cleared and reused, so a
 // decision allocates nothing, and nothing may read the view once the door is
 // released (Admit does not retain it). Caller holds the door, which every
-// earlier admitted job passed through only after its queue push, so the view
-// counts all of them and depth caps hold exactly under concurrent intake.
+// earlier admitted job left only after its queue push, so the view counts
+// all of them and depth caps hold exactly under concurrent intake.
 func (d *Daemon) admissionView() admission.View {
 	view := &d.admitView
 	clear(view.ByClass)
