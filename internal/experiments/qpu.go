@@ -121,6 +121,12 @@ type qpuRun struct {
 	preempts             int
 }
 
+// runHook, when set, is called once per runQPU with the run's configuration,
+// which it may amend, for a listener that also receives the run's job events
+// — how the tests take a schedule log of every run behind the scheduling
+// tables, and swap a mutant order in under them.
+var runHook func(*qpuConfig) func(daemon.JobEvent)
+
 // runQPU runs jobs on a fresh daemon until every one has ended, and returns
 // the first submit error, daemon rejection or failed task instead.
 func runQPU(cfg qpuConfig, jobs []*qpuJob) (*qpuRun, error) {
@@ -133,13 +139,18 @@ func runQPU(cfg qpuConfig, jobs []*qpuJob) (*qpuRun, error) {
 	// shot limit (2 × (60 + 60) s × 10 Hz = 2 400 shots).
 	spec.MaxShotsPerTask = math.MaxInt32
 	r := &qpuRun{cfg: cfg, clk: clk, spec: spec, tokens: map[string]string{}, owner: map[string]*qpuJob{}, open: len(jobs)}
+	listener := r.observe
+	if runHook != nil {
+		extra := runHook(&r.cfg)
+		listener = func(e daemon.JobEvent) { r.observe(e); extra(e) }
+	}
 	var err error
 	r.d, err = daemon.NewNode(daemon.NodeSpec{
 		Partitions: 1,
 		Device:     device.Config{Spec: spec, DriftInterval: time.Hour, TimingOnly: true},
 		Daemon: daemon.Config{Clock: clk, AdminToken: "admin",
-			EnablePreemption: cfg.preempt, Seed: cfg.seed, JobListener: r.observe},
-		Scheduler: cfg.scheduler,
+			EnablePreemption: cfg.preempt, Seed: cfg.seed, JobListener: listener},
+		Scheduler: r.cfg.scheduler,
 	})
 	if err != nil {
 		return nil, err

@@ -66,16 +66,19 @@ func (g *goldenCorpus) run(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[string]string)
+	got, gotSchedule := make(map[string]string), make(map[string]string)
 	distinct := make(map[string]bool)
 	for _, cell := range g.cells {
-		rep, err := Replay(tr, cell.cfg)
+		cfg, log := cell.cfg, newScheduleLog()
+		cfg.JobListener = log.observe
+		rep, err := Replay(tr, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cell.name, err)
 		}
 		g.check(t, cell, tr, rep)
 		sum := sha256.Sum256(marshalReport(t, rep))
 		got[cell.name] = hex.EncodeToString(sum[:])
+		gotSchedule[cell.name] = log.digest()
 		distinct[got[cell.name]] = true
 		if cell.name != g.reportCell {
 			continue
@@ -98,17 +101,33 @@ func (g *goldenCorpus) run(t *testing.T) {
 	if len(distinct) < g.minDistinct {
 		t.Fatalf("only %d distinct reports over %d cells: the golden trace does not discriminate them", len(distinct), len(g.cells))
 	}
-	if *updateGolden {
-		b, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
+	for _, digests := range []struct {
+		path, what string
+		got        map[string]string
+	}{{digestPath, "report", got}, {g.path(".schedule.sha256.json"), "schedule", gotSchedule}} {
+		if *updateGolden {
+			b, err := json.MarshalIndent(digests.got, "", " ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(digests.path, append(b, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		if err := os.WriteFile(digestPath, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
+		want := readDigests(t, digests.path, len(digests.got))
+		for cell, sum := range digests.got {
+			if want[cell] != sum {
+				t.Errorf("%s: %s sha256 %s, golden %s", cell, digests.what, sum, want[cell])
+			}
 		}
-		return
 	}
-	raw, err := os.ReadFile(digestPath)
+}
+
+// readDigests reads a cell → SHA-256 golden file holding n cells.
+func readDigests(t *testing.T, path string, n int) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +135,10 @@ func (g *goldenCorpus) run(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(got) {
-		t.Fatalf("golden file has %d cells, this build replays %d", len(want), len(got))
+	if len(want) != n {
+		t.Fatalf("%s has %d cells, the corpus %d", path, len(want), n)
 	}
-	for cell, sum := range got {
-		if want[cell] != sum {
-			t.Errorf("%s: report sha256 %s, golden %s", cell, sum, want[cell])
-		}
-	}
+	return want
 }
 
 // TestGoldenBacklogDigests pins the schedule across commits, not just across
@@ -282,33 +297,30 @@ func burstyCorpus() *goldenCorpus {
 
 // TestReplayReaderMatchesGolden: every cell of the three golden corpora,
 // replayed by ReplayReader straight from the committed trace file, hashes to
-// the committed digest — the streamed replay is the in-memory one, byte for
-// byte, on traces recorded long before it existed.
+// the committed report digest and schedule digest — the streamed replay is
+// the in-memory one, byte for byte and decision for decision, on traces
+// recorded long before it existed.
 func TestReplayReaderMatchesGolden(t *testing.T) {
 	for _, g := range []*goldenCorpus{backlogCorpus(), steadyCorpus(), burstyCorpus()} {
-		raw, err := os.ReadFile(g.path(".sha256.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make(map[string]string)
-		if err := json.Unmarshal(raw, &want); err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(g.cells) {
-			t.Fatalf("%s: golden file has %d cells, the corpus %d", g.name, len(want), len(g.cells))
-		}
+		want := readDigests(t, g.path(".sha256.json"), len(g.cells))
+		wantSchedule := readDigests(t, g.path(".schedule.sha256.json"), len(g.cells))
 		for _, cell := range g.cells {
 			f, err := os.Open(g.path(".jsonl"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := ReplayReader(f, cell.cfg)
+			cfg, log := cell.cfg, newScheduleLog()
+			cfg.JobListener = log.observe
+			rep, err := ReplayReader(f, cfg)
 			f.Close()
 			if err != nil {
 				t.Fatalf("%s %s: %v", g.name, cell.name, err)
 			}
 			if sum := sha256.Sum256(marshalReport(t, rep)); hex.EncodeToString(sum[:]) != want[cell.name] {
 				t.Errorf("%s %s: streamed report sha256 %x, golden %s", g.name, cell.name, sum, want[cell.name])
+			}
+			if got := log.digest(); got != wantSchedule[cell.name] {
+				t.Errorf("%s %s: streamed schedule sha256 %s, golden %s", g.name, cell.name, got, wantSchedule[cell.name])
 			}
 		}
 	}

@@ -77,6 +77,9 @@ type ReplayConfig struct {
 	// (implies Tracing) — the hook `qcload trace export` uses to capture a
 	// replay into a flight recorder for Chrome trace-event export.
 	SpanListener trace.Listener
+	// JobListener, when non-nil, additionally receives every job lifecycle
+	// event, after the analyzer: the hook a schedule log attaches to.
+	JobListener func(daemon.JobEvent)
 }
 
 // stamp writes the replay's coordinates on every axis into rep: the policy
@@ -249,6 +252,10 @@ func newReplayRun(header TraceHeader, source func(int, *Record) error, cfg Repla
 		an = NewAnalyzer(cfg.Registry)
 	}
 	clk := simclock.New()
+	listener := an.Observe
+	if extra := cfg.JobListener; extra != nil {
+		listener = func(ev daemon.JobEvent) { an.Observe(ev); extra(ev) }
+	}
 	spec := daemon.NodeSpec{
 		Partitions: cfg.Devices,
 		// Replay reports are built from job lifecycle timing alone — no
@@ -258,7 +265,7 @@ func newReplayRun(header TraceHeader, source func(int, *Record) error, cfg Repla
 		Device: device.Config{TimingOnly: true},
 		Daemon: daemon.Config{Clock: clk, AdminToken: "loadgen", EnablePreemption: !cfg.DisablePreemption,
 			Seed: cfg.Seed, ProgramCache: cfg.ProgramCache, SetupSeconds: cfg.SetupSeconds,
-			JobListener: an.Observe, Registry: cfg.Registry},
+			JobListener: listener, Registry: cfg.Registry},
 		Router: cfg.Router, Scheduler: cfg.Scheduler, Admission: cfg.Admission, Priority: cfg.Priority,
 	}
 	if cfg.ShotScale != 0 && cfg.ShotScale != 1 {
