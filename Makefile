@@ -41,9 +41,10 @@ bench:
 # dispatch hot paths in the root package plus the program-cache/router
 # primitives in internal/daemon, plus the wide-matrix sweep and saturation
 # search that gate the capacity-planning engine, plus the served write path
-# (in-process HTTP, the profiling entry point) alone and beside an operator's
-# reads, the TSDB append it leans on and the job reply it ends with.
-BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkServedMixed|BenchmarkTSDBAppend$$|BenchmarkJobWireEncode
+# (in-process HTTP, the profiling entry point) alone, beside an operator's
+# reads and on the 1/2/8/32-client ladder, the TSDB append it leans on and the
+# job reply it ends with.
+BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkServedMixed|BenchmarkServedLadder|BenchmarkTSDBAppend$$|BenchmarkJobWireEncode
 BENCH_PKGS = . ./internal/daemon
 
 # bench-diff is the perf gate: the suite built at BASE and from the working
