@@ -1,9 +1,10 @@
 # Tier-1 entry points. `make test` is the fast gate (short mode, seconds);
 # `make test-full` runs everything including the ~40s experiment
 # reproductions; `make test-race` puts the race detector on the concurrent
-# fleet/scheduler/malleable-pool/device/emulator/telemetry paths, then runs
-# the daemon's concurrent-intake tests twenty times over, so the admission
-# door and the dispatch hand-off are stressed on every run.
+# fleet/scheduler/malleable-pool/device/emulator/telemetry paths and on the
+# clock and the edges that enter its world (qrmi, slurm), then runs the
+# daemon's concurrent-intake tests and the served-edge stress twenty times
+# over, so every entry into the world is stressed on every run.
 
 GO ?= go
 
@@ -19,9 +20,9 @@ test-full:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/hybrid/... ./internal/device/... ./internal/emulator/... ./internal/telemetry/...
+	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/hybrid/... ./internal/device/... ./internal/emulator/... ./internal/telemetry/... ./internal/simclock/... ./internal/qrmi/... ./internal/slurm/...
 	$(GO) test -race -short ./internal/loadgen/...
-	$(GO) test -race -count=20 -run 'Concurrent' ./internal/daemon/
+	$(GO) test -race -count=20 -run 'Concurrent|TestServedEdgeStress' ./internal/daemon/
 
 # examples builds each program under examples/ and runs it from a fresh
 # temporary directory (trace_perfetto writes fleet_trace.json into its working

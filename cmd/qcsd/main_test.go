@@ -216,19 +216,25 @@ func TestPumpAdvancesSimTime(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	go n.pump(500, time.Millisecond, stop)
+	// The pump drives the clock: the test reads it from inside the world.
+	now := func() time.Duration {
+		n.clk.Lock()
+		defer n.clk.Unlock()
+		return n.clk.Now()
+	}
 	deadline := time.After(2 * time.Second)
-	for n.clk.Now() < 100*time.Millisecond*500 {
+	for now() < 100*time.Millisecond*500 {
 		select {
 		case <-deadline:
-			t.Fatalf("pump advanced only %s in 2s wall", n.clk.Now())
+			t.Fatalf("pump advanced only %s in 2s wall", now())
 		default:
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	close(stop)
-	frozen := n.clk.Now()
+	frozen := now()
 	time.Sleep(20 * time.Millisecond)
-	if drift := n.clk.Now() - frozen; drift > 500*10*time.Millisecond {
+	if drift := now() - frozen; drift > 500*10*time.Millisecond {
 		t.Fatalf("clock advanced %s after stop", drift)
 	}
 }

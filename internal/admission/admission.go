@@ -73,9 +73,9 @@ type ClassLoad struct {
 	QueuedQPUSeconds float64
 }
 
-// View is the fleet-wide load snapshot a decision may consult. It is
-// assembled by the daemon under its admission lock, so concurrent submissions
-// see consistent (serialized) views.
+// View is the fleet-wide load snapshot a decision may consult. The daemon
+// assembles it inside its simulated world, where submissions are serialized,
+// so every view counts the jobs admitted before it.
 type View struct {
 	// Devices is the fleet partition count; depth caps scale with it.
 	Devices int
@@ -99,10 +99,9 @@ type Decision struct {
 func Accept(c sched.Class) Decision { return Decision{Outcome: Accepted, Class: c} }
 
 // Policy decides admission for one submission. Implementations may keep
-// internal state (token levels, signal windows); the daemon serializes Admit
-// calls, so implementations need no locking for correctness of the decision
-// sequence — but stateful policies should still lock if they also implement
-// Observer, whose feed arrives from dispatch-side code paths. The view is
+// internal state (token levels, signal windows) and need no lock: the daemon
+// calls Admit and Observe from inside its simulated world, one call at a
+// time. The view is
 // lent for the call only: the daemon refills the same ByClass map for its
 // next decision, so a Policy must not retain it (copy what it needs to keep).
 type Policy interface {
@@ -131,8 +130,8 @@ type Signal struct {
 }
 
 // Observer is implemented by policies that consume SLO feedback (SLOGuard).
-// Observe may be called while daemon locks are held: it must return quickly
-// and must not call back into the daemon.
+// Observe runs inside the daemon's world: it must return quickly and must not
+// call back into the daemon.
 type Observer interface {
 	Observe(Signal)
 }

@@ -3,7 +3,6 @@ package admission
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"hpcqc/internal/policy"
@@ -57,7 +56,6 @@ type SLOGuard struct {
 	// apart.
 	label string
 
-	mu    sync.Mutex
 	waits []signalPoint
 	slows []signalPoint
 	// scratch is p99's sort buffer, reused by every decision.
@@ -116,7 +114,6 @@ func (p *SLOGuard) Observe(sig Signal) {
 	if sig.Class != sched.ClassProduction {
 		return
 	}
-	p.mu.Lock()
 	cutoff := sig.At - p.Window
 	if sig.WaitSeconds >= 0 {
 		p.waits = append(prune(p.waits, cutoff), signalPoint{at: sig.At, v: sig.WaitSeconds})
@@ -124,10 +121,9 @@ func (p *SLOGuard) Observe(sig Signal) {
 	if sig.Slowdown > 0 {
 		p.slows = append(prune(p.slows, cutoff), signalPoint{at: sig.At, v: sig.Slowdown})
 	}
-	p.mu.Unlock()
 }
 
-// prune drops window-expired samples; caller holds p.mu.
+// prune drops window-expired samples.
 func prune(points []signalPoint, cutoff time.Duration) []signalPoint {
 	i := 0
 	for i < len(points) && points[i].at < cutoff {
@@ -137,7 +133,7 @@ func prune(points []signalPoint, cutoff time.Duration) []signalPoint {
 }
 
 // p99 is the nearest-rank 99th percentile of the window samples, sorted in
-// p.scratch; caller holds p.mu.
+// p.scratch.
 func (p *SLOGuard) p99(points []signalPoint) float64 {
 	if len(points) == 0 {
 		return 0
@@ -161,8 +157,6 @@ func (p *SLOGuard) p99(points []signalPoint) float64 {
 // Pressure reports the current controller pressure (1.0 = production p99 at
 // target) given the fleet view at `now`. Exposed for tests and telemetry.
 func (p *SLOGuard) Pressure(now time.Duration, view View) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	cutoff := now - p.Window
 	p.waits = prune(p.waits, cutoff)
 	p.slows = prune(p.slows, cutoff)

@@ -2,7 +2,6 @@ package admission
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"hpcqc/internal/sched"
@@ -21,7 +20,6 @@ type Quota struct {
 // bucket — it is never shed. Refill is driven entirely by Request.Now, so
 // replays are deterministic.
 type TokenBucket struct {
-	mu     sync.Mutex
 	quotas map[sched.Class]Quota
 	level  map[sched.Class]float64
 	last   map[sched.Class]time.Duration
@@ -65,8 +63,6 @@ func (p *TokenBucket) Admit(req Request, _ View) Decision {
 	if !limited || quota.RatePerHour <= 0 {
 		return Accept(req.Class)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if !p.primed[req.Class] {
 		// First sighting of the class: start from a full bucket.
 		p.primed[req.Class] = true

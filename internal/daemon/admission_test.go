@@ -192,6 +192,8 @@ func TestCancelRacingRejected(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			env.clk.Lock()
+			defer env.clk.Unlock()
 			if err := env.d.CancelJob(s.Token, rej.Job.ID, false); err == nil {
 				t.Error("cancel of rejected job succeeded")
 			}
@@ -440,8 +442,8 @@ func TestUnknownAdmissionOutcomeIsCounted(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmitsHoldDepthCap: every admission decision is taken behind
-// the door, after the queue push of every job admitted before it, so a depth
+// TestConcurrentSubmitsHoldDepthCap: every submission enters the world
+// whole, after the queue push of every job admitted before it, so a depth
 // cap holds exactly however many sessions submit at once. With the clock held
 // nothing finishes: each partition runs one dev job and the rest queue, and
 // the queued dev jobs must never exceed the cap. Run under -race by make
@@ -468,7 +470,9 @@ func TestConcurrentSubmitsHoldDepthCap(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < each; i++ {
+				env.clk.Lock()
 				_, err := env.d.Submit(s.Token, SubmitRequest{Program: prog, Class: sched.ClassDev})
+				env.clk.Unlock()
 				var rej *RejectedError
 				switch {
 				case err == nil:

@@ -122,8 +122,6 @@ func (r *viewRecorder) Admit(req admission.Request, view admission.View) admissi
 // them; a job's queue age runs from its submission.
 func (r *viewRecorder) snapshot(now time.Duration) admission.View {
 	d := r.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	v := admission.View{Devices: len(d.fleet), ByClass: make(map[sched.Class]admission.ClassLoad)}
 	qpu := make(map[string]*[sched.ClassProduction + 1]time.Duration)
 	for _, ds := range d.fleet {

@@ -8,10 +8,16 @@
 // The daemon manages a fleet of QPU partitions rather than a single device.
 // Two composable policy axes govern placement: a Router picks the target
 // partition at submission time ("which instance"), and each partition's
-// sched.ClassQueue orders the work routed to it ("what order"). Dispatch is
-// concurrent across partitions — each partition has its own queue, running
-// slot and dispatch loop, guarded by per-device state — so one partition's
-// backlog never serializes the rest of the fleet.
+// sched.ClassQueue orders the work routed to it ("what order"); each
+// partition has its own queue, running slot and dispatch loop.
+//
+// The daemon, its fleet, queues and policies and the clock they run on form
+// one simulated world with one lock, the clock's (see simclock): nothing in
+// this package takes another. Clock callbacks and listeners run inside it.
+// Every exported method assumes its caller is inside too — in a callback,
+// between Clock.Lock and Clock.Unlock, or as the only goroutine, as replay
+// and sweep are — except Handler, whose handlers enter the world once per
+// request and decode and encode JSON outside it.
 package daemon
 
 import (
@@ -20,7 +26,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"hpcqc/internal/admission"
@@ -72,15 +77,15 @@ type Config struct {
 	// operations exposed to integrators (§2.5). Others are rejected.
 	AllowedLowLevelOps []string
 	// JobListener receives job lifecycle events when non-nil — the hook the
-	// loadgen SLO analyzer and trace recorder attach to. The listener may be
-	// invoked while daemon locks are held: it must return quickly and must
-	// not call back into the daemon (schedule follow-up work on the clock
-	// instead).
+	// loadgen SLO analyzer and trace recorder attach to. The listener runs
+	// inside the world: it must return quickly, must not call back into the
+	// daemon and must not drive the clock (schedule follow-up work on the
+	// clock instead).
 	JobListener func(JobEvent)
 	// SpanListener receives simulation-time pipeline and occupancy spans when
 	// non-nil — the tracing analogue of JobListener, with the same contract:
-	// it may be invoked under daemon locks, must return quickly, and must not
-	// call back into the daemon. Spans are pure functions of the simulation
+	// it runs inside the world, must return quickly, and must not call back
+	// into the daemon or drive the clock. Spans are pure functions of the simulation
 	// clock and the scheduling decisions, so attaching a deterministic
 	// listener preserves replay determinism.
 	SpanListener trace.Listener
@@ -139,10 +144,7 @@ func (c *Config) usePolicies(router, scheduler, admit, priority string) (err err
 	return err
 }
 
-// deviceState is one partition's scheduling state. Its mutex guards the
-// running slot, the task→job index and the dispatch-loop flags; the queue
-// carries its own lock. Lock order: the door, then ds.mu, then d.mu — each
-// may be taken under the ones before it, never the reverse.
+// deviceState is one partition's scheduling state.
 type deviceState struct {
 	id    string
 	dev   *device.Device
@@ -151,13 +153,11 @@ type deviceState struct {
 	// (specs are immutable) so routing does not copy it per pick.
 	spec qir.DeviceSpec
 	// cache is the partition's calibration-warm program cache, nil when
-	// Config.ProgramCache is zero. It carries its own mutex (a leaf lock:
-	// nothing is acquired under it).
+	// Config.ProgramCache is zero.
 	cache *progLRU
 	// Pre-bound cache counter series (nil without a registry or cache).
 	gCacheHits, gCacheMisses, gCacheEvictions *telemetry.BoundSeries
 
-	mu      sync.Mutex
 	running *Job
 	byTask  map[string]*Job
 	// gQueue and gUtil are pre-bound per-device telemetry series (nil when
@@ -168,11 +168,6 @@ type deviceState struct {
 	gUtil   *telemetry.BoundSeries
 	tsQueue [3]*telemetry.TSDBSeries
 
-	// dispatching marks an active dispatch loop; wakeups counts dispatch
-	// requests so a loop that is about to exit notices work that arrived
-	// after its last queue check.
-	dispatching bool
-	wakeups     uint64
 	// occSince is when the partition last flipped between busy and idle —
 	// the open edge of its current occupancy span (tracing only).
 	occSince time.Duration
@@ -194,13 +189,6 @@ type Daemon struct {
 	ranker   *sched.Ranker
 	tieOrder *sched.Ranker
 
-	// door is held from each admission decision through its job's queue
-	// push (intake), and over a preempted job's re-route and push, so
-	// stateful policies see submissions in one order and every decision sees
-	// the jobs admitted before it queued. It guards the view and the routing
-	// scratch below. dispatchDevice and Device.Cancel (whose settle path
-	// re-routes) run outside it and outside ds.mu; neither is reentrant.
-	door     sync.Mutex
 	admitter admission.Policy
 	// viewless marks an admitter that declares itself admission.Viewless:
 	// its decisions are made without a view.
@@ -220,12 +208,10 @@ type Daemon struct {
 	byDevice map[string]*deviceState
 
 	// routeInfos and routeJob are the fleet snapshot and scratch job every
-	// pick reuses, under the door.
+	// pick reuses.
 	routeInfos []DeviceInfo
 	routeJob   Job
 
-	// mu guards sessions, jobs and their fields, and the accounting maps.
-	mu       sync.Mutex
 	rng      *rand.Rand
 	sessions map[string]*Session
 	jobs     map[string]*Job
@@ -415,8 +401,6 @@ func (d *Daemon) OpenSession(user string) (*Session, error) {
 	if user == "" {
 		return nil, errors.New("daemon: session requires a user name")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.nextSess++
 	s := &Session{
 		Token:     fmt.Sprintf("sess-%d-%08x", d.nextSess, d.rng.Uint32()),
@@ -431,10 +415,8 @@ func (d *Daemon) OpenSession(user string) (*Session, error) {
 // CloseSession ends a session; its queued jobs are cancelled, running jobs
 // are left to finish (accounting continuity for the hosting site).
 func (d *Daemon) CloseSession(token string) error {
-	d.mu.Lock()
 	s, ok := d.sessions[token]
 	if !ok {
-		d.mu.Unlock()
 		return fmt.Errorf("daemon: unknown session")
 	}
 	delete(d.sessions, token)
@@ -445,7 +427,6 @@ func (d *Daemon) CloseSession(token string) error {
 		}
 	}
 	d.bSessions.Set(float64(len(d.sessions)))
-	d.mu.Unlock()
 	for _, id := range toCancel {
 		_ = d.CancelJob(token, id, true)
 	}
@@ -454,8 +435,6 @@ func (d *Daemon) CloseSession(token string) error {
 
 // session validates a token.
 func (d *Daemon) session(token string) (*Session, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	s, ok := d.sessions[token]
 	if !ok {
 		return nil, errors.New("daemon: invalid session token")

@@ -267,10 +267,8 @@ func TestRefusedPushFailsJob(t *testing.T) {
 	if !ds.queue.Remove(queued.ID) {
 		t.Fatal("second job was not queued")
 	}
-	d.mu.Lock()
 	j := d.jobs[queued.ID]
 	j.Class = sched.Class(9)
-	d.mu.Unlock()
 	if err := d.push(ds, j); err == nil {
 		t.Fatal("queue accepted an invalid class")
 	}

@@ -4,8 +4,6 @@ package daemon
 // what order, whom to preempt.
 
 import (
-	"time"
-
 	"hpcqc/internal/admission"
 	"hpcqc/internal/device"
 	"hpcqc/internal/sched"
@@ -32,31 +30,12 @@ func (d *Daemon) queueItem(j *Job) *sched.Item {
 	return it
 }
 
-// dispatchDevice runs the partition's dispatch loop, or — when a loop is
-// already active on another goroutine — records a wakeup so that loop
-// re-checks the queue before exiting. This keeps dispatch serial per device
-// while different partitions dispatch fully concurrently.
+// dispatchDevice runs the partition's dispatch loop until an attempt makes
+// no progress. A dispatch that preempts re-enters it through the victim's
+// settlement, which runs the production job's start at once; the outer loop
+// then finds the partition busy and stops.
 func (d *Daemon) dispatchDevice(ds *deviceState) {
-	ds.mu.Lock()
-	ds.wakeups++
-	if ds.dispatching {
-		ds.mu.Unlock()
-		return
-	}
-	ds.dispatching = true
-	ds.mu.Unlock()
-	for {
-		ds.mu.Lock()
-		seen := ds.wakeups
-		ds.mu.Unlock()
-		progress := d.dispatchOnce(ds)
-		ds.mu.Lock()
-		if !progress && ds.wakeups == seen {
-			ds.dispatching = false
-			ds.mu.Unlock()
-			return
-		}
-		ds.mu.Unlock()
+	for d.dispatchOnce(ds) {
 	}
 }
 
@@ -74,65 +53,41 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 	if next == nil {
 		return false
 	}
-	// Judge the head under the d.mu hold CancelJob flips states under: a
-	// cancel marks the record before it removes the queue entry, so a head
+	// A cancel marks the record before it removes the queue entry, so a head
 	// that is no longer queued is a leftover — drop it rather than let a dead
 	// production job get a victim preempted on its behalf.
-	head := next.Payload.(*Job)
-	ds.mu.Lock()
-	d.mu.Lock()
-	run := ds.running
-	stale := head.State != JobQueued
-	preempt := !stale && run != nil && d.cfg.EnablePreemption && sched.ShouldPreempt(next.Class, run.Class)
-	var victimTask string
-	if preempt {
-		victimTask = run.DeviceTask
+	head, run := next.Payload.(*Job), ds.running
+	switch {
+	case head.State != JobQueued:
+		ds.queue.Remove(head.ID)
+		return true
+	case run != nil && d.cfg.EnablePreemption && sched.ShouldPreempt(next.Class, run.Class):
 		run.Preemptions++
 		d.preemptTotal++
 		d.notify(JobEventPreempted, *run)
-	}
-	d.mu.Unlock()
-	ds.mu.Unlock()
-	switch {
-	case stale:
-		ds.queue.Remove(head.ID)
-		return true
-	case preempt:
 		// Cancelling the device task triggers onDeviceTask, which requeues
-		// the victim and wakes the loop.
-		_ = ds.dev.Cancel(victimTask)
+		// the victim and dispatches the partition again.
+		_ = ds.dev.Cancel(run.DeviceTask)
 		return true
 	case run != nil:
 		return false
 	}
 
-	// The partition is idle. One ds.mu hold covers the pop, the device
-	// submission and the task's registration: a routing snapshot sees the job
-	// queued or running, never neither, and the task's terminal notification
-	// (onDeviceTask takes ds.mu) cannot overtake its registration, even when
-	// another goroutine advances the clock. The device never calls its
-	// listener from inside SubmitWithSetup; Cancel does, so it runs after.
-	ds.mu.Lock()
+	// The partition is idle.
 	item := d.popNext(ds)
 	if item == nil {
-		ds.mu.Unlock()
 		return false
 	}
 	j := item.Payload.(*Job)
-	d.mu.Lock()
 	if j.State != JobQueued {
-		d.mu.Unlock()
-		ds.mu.Unlock()
 		return true // stale item (cancelled while queued); try the next one
 	}
-	prog := j.prog
 	// Consult the partition's program cache at the moment of dispatch: a warm
 	// entry means this partition ran the program recently and skips the cold
 	// setup cost; a miss warms the cache (possibly evicting the LRU entry)
 	// and pays Config.SetupSeconds of extra device occupancy. The outcome is
 	// recorded on the job before the Started event fires, so listeners (the
-	// loadgen SLO analyzer) see it on every start. The cache mutex is a leaf
-	// lock, safe to take under d.mu.
+	// loadgen SLO analyzer) see it on every start.
 	var setup float64
 	if ds.cache != nil && j.progHash != 0 {
 		hit, evicted := ds.cache.touch(j.progHash)
@@ -148,24 +103,17 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 			}
 		}
 	}
-	d.mu.Unlock()
 
 	// The program was decoded and validated against this partition's spec at
 	// submission (and requeue only ever targets same-spec partitions), so
 	// dispatch reuses that decode.
-	now := d.cfg.Clock.Now()
-	taskID, err := ds.dev.SubmitWithSetup(prog, setup)
+	taskID, err := ds.dev.SubmitWithSetup(j.prog, setup)
 	if err != nil {
-		ds.mu.Unlock()
 		// Submission failed (validation drift, maintenance window, ...).
-		d.finishJob(j, JobFailed, err)
+		d.finish(j, JobFailed, err)
 		return true
 	}
-	cancelled := d.startJob(ds, j, taskID, now)
-	ds.mu.Unlock()
-	if cancelled {
-		_ = ds.dev.Cancel(taskID)
-	}
+	d.startJob(ds, j, taskID)
 	d.emitQueueTelemetry()
 	return true
 }
@@ -203,25 +151,15 @@ func composeRanker(order OrderPolicy, priority PriorityPolicy) (ranker, tie *sch
 // custom order under the constant priority pops for itself.
 func (d *Daemon) popNext(ds *deviceState) *sched.Item {
 	if r := d.ranker; r != nil {
-		if r.Lane == nil {
-			return ds.queue.PopRanked(r, nil)
-		}
-		// Lane weights are the live per-user usage: read in place under
-		// d.mu (the queue's own mutex is a leaf lock), not copied per pop.
-		d.mu.Lock()
-		defer d.mu.Unlock()
+		// Lane weights are the live per-user usage, read in place.
 		return ds.queue.PopRanked(r, d.usageByUser)
 	}
 	if _, constant := d.priority.(constantPriority); constant {
-		return d.order.Pop(ds.queue, d.usageSnapshot)
+		return d.order.Pop(ds.queue, d.usage)
 	}
 	var tie func(a, b *sched.Item) bool
 	if r := d.tieOrder; r != nil {
-		var usage map[string]float64
-		if r.Lane != nil {
-			usage = d.usageSnapshot()
-		}
-		tie = scoreTie(r, usage)
+		tie = scoreTie(r, d.usageByUser)
 	}
 	now := d.cfg.Clock.Now()
 	return ds.queue.PopByScore(func(it *sched.Item) float64 {
@@ -229,32 +167,15 @@ func (d *Daemon) popNext(ds *deviceState) *sched.Item {
 	}, tie)
 }
 
-// usageSnapshot copies the per-user accumulated QPU-seconds map — the
-// fair-share order's key — outside the queue lock, so the pop comparator
-// never nests d.mu inside the queue's own mutex.
-func (d *Daemon) usageSnapshot() map[string]float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	usage := make(map[string]float64, len(d.usageByUser))
-	for u, v := range d.usageByUser {
-		usage[u] = v
-	}
-	return usage
-}
+// usage is the per-user accumulated QPU-seconds map — the fair-share order's
+// key — as OrderPolicy.Pop asks for it: the live map, read in place.
+func (d *Daemon) usage() map[string]float64 { return d.usageByUser }
 
-// startJob records a successful device submission made at now, under ds.mu.
-// It registers even a cancelled job's task, so the cancellation callback
-// flows through settleTask, which leaves the terminal job alone. It reports
-// whether the job was cancelled since dispatchOnce's queued-state check: the
-// caller then withdraws the task once ds.mu is released.
-func (d *Daemon) startJob(ds *deviceState, j *Job, taskID string, now time.Duration) (cancelled bool) {
+// startJob records a successful device submission.
+func (d *Daemon) startJob(ds *deviceState, j *Job, taskID string) {
+	now := d.cfg.Clock.Now()
 	ds.running = j
 	ds.byTask[taskID] = j
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if j.State != JobQueued {
-		return true
-	}
 	j.State = JobRunning
 	j.StartedAt = now
 	j.DeviceTask = taskID
@@ -265,11 +186,11 @@ func (d *Daemon) startJob(ds *deviceState, j *Job, taskID string, now time.Durat
 	d.feed(admission.Signal{Class: j.Class, At: now, WaitSeconds: wait.Seconds()})
 	d.notify(JobEventStarted, *j)
 	if !d.traced() {
-		return false
+		return
 	}
 	cls := j.Class.String()
 	if d.spanMarks {
-		// Close the partition's idle occupancy span (ds.mu is held).
+		// Close the partition's idle occupancy span.
 		if now > ds.occSince {
 			d.emitSpan(trace.Span{Stage: trace.StageIdle, Device: ds.id, Start: ds.occSince, End: now})
 		}
@@ -281,5 +202,4 @@ func (d *Daemon) startJob(ds *deviceState, j *Job, taskID string, now time.Durat
 		d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageDispatch, Class: cls, Device: ds.id,
 			Start: now, End: now, Detail: taskID})
 	}
-	return false
 }

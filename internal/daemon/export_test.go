@@ -4,9 +4,7 @@ import "hpcqc/internal/trace"
 
 // JobStatus returns a session's view of a job.
 func (d *Daemon) JobStatus(token, jobID string) (*Job, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j, err := d.ownedJobLocked(token, jobID)
+	j, err := d.ownedJob(token, jobID)
 	if err != nil {
 		return nil, err
 	}

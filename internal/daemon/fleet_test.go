@@ -100,13 +100,13 @@ func TestFleetSpreadsJobsAcrossDevices(t *testing.T) {
 	env.drain(t, 5*time.Minute)
 }
 
-// TestFleetConcurrentSubmit hammers the daemon from many sessions while a
-// separate goroutine advances the shared clock, so a task may end while its
-// dispatcher is still inside the device hand-off. Run under -race (make
-// test-race); every job must reach a terminal state, none may be lost, and
-// every completed record must have started — no earlier than it was
-// submitted, no later than it finished. The fair-share run adds the
-// dispatch path that reads the live per-user usage map (under d.mu, inside
+// TestFleetConcurrentSubmit hammers the daemon from many sessions, each
+// entering the world through the clock's lock, while a separate goroutine
+// advances the shared clock, so completions interleave with submissions.
+// Run under -race (make test-race); every job must reach a terminal state,
+// none may be lost, and every completed record must have started — no
+// earlier than it was submitted, no later than it finished. The fair-share
+// run adds the dispatch path that reads the live per-user usage map (inside
 // the queue's rank index) while completions on other partitions update it.
 func TestFleetConcurrentSubmit(t *testing.T) {
 	t.Run("fifo", func(t *testing.T) { fleetConcurrentSubmit(t, "fifo", "constant") })
@@ -140,14 +140,19 @@ func fleetConcurrentSubmit(t *testing.T, order, priority string) {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
+			env.clk.Lock()
 			s, err := env.d.OpenSession(fmt.Sprintf("user-%d", u))
+			env.clk.Unlock()
 			if err != nil {
 				errs <- err
 				return
 			}
 			for i := 0; i < perSess; i++ {
 				class := sched.Class(i % 3)
-				if _, err := env.d.Submit(s.Token, SubmitRequest{Program: prog, Class: class}); err != nil {
+				env.clk.Lock()
+				_, err := env.d.Submit(s.Token, SubmitRequest{Program: prog, Class: class})
+				env.clk.Unlock()
+				if err != nil {
 					errs <- err
 					return
 				}
@@ -358,10 +363,11 @@ func TestRouterPolicies(t *testing.T) {
 	}
 }
 
-// TestCancelRacesDispatchDoesNotResurrect replays the check-then-act window
-// between dispatchOnce's queued-state check and startJob: a job cancelled in
-// that window must stay cancelled — not flip back to running and later
-// complete — and its device task must be withdrawn.
+// TestCancelRacesDispatchDoesNotResurrect: a job cancelled while it waits
+// for the partition stays cancelled when the partition frees up — dispatch
+// never starts it, later or at all — and leaves no device task and no
+// partition state behind. (Cancel and dispatch are steps of one world, so a
+// cancel lands wholly before the dispatch that would have popped the job.)
 func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
 	env := newFleetEnv(t, 1, nil)
 	ds := env.d.fleet[0]
@@ -369,66 +375,30 @@ func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
 	// Occupy the device so the second job stays queued.
 	blocker, _ := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 100), Class: sched.ClassDev})
 	j, _ := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 10), Class: sched.ClassDev})
-
-	// Simulate the racing dispatcher: pop the item (passing the queued
-	// check), then let the cancel land before the device submission.
-	item := ds.queue.Pop()
-	if item == nil || item.Payload.(*Job).ID != j.ID {
-		t.Fatalf("popped %+v, want %s", item, j.ID)
-	}
-	prog := item.Payload.(*Job).prog // read with the check, as dispatchOnce does
 	if err := env.d.CancelJob(s.Token, j.ID, false); err != nil {
 		t.Fatal(err)
 	}
-	// Free the device and finish the dispatcher's submission. The daemon
-	// forgets a task as it settles it, so the withdrawal is observed where
-	// the device reports it: on the task listener, ahead of the daemon.
+	// Free the device: its settlement dispatches the partition.
+	started := 0
+	ds.dev.SetTaskListener(func(deviceID, taskID string, state device.TaskState) {
+		env.d.onDeviceTask(deviceID, taskID, state)
+		if ds.running != nil {
+			started++
+		}
+	})
 	if err := env.d.CancelJob(s.Token, blocker.ID, false); err != nil {
 		t.Fatal(err)
 	}
-	terminal := make(map[string]device.TaskState)
-	ds.dev.SetTaskListener(func(deviceID, taskID string, state device.TaskState) {
-		terminal[taskID] = state
-		env.d.onDeviceTask(deviceID, taskID, state)
-	})
-	ds.mu.Lock()
-	now := env.clk.Now()
-	taskID, err := ds.dev.Submit(prog)
-	if err != nil {
-		ds.mu.Unlock()
-		t.Fatal(err)
-	}
-	cancelled := env.d.startJob(ds, item.Payload.(*Job), taskID, now)
-	ds.mu.Unlock()
-	if !cancelled {
-		t.Fatal("startJob did not report the cancel that landed before the hand-off")
-	}
-	_ = ds.dev.Cancel(taskID) // as dispatchOnce withdraws it, outside ds.mu
-
+	env.clk.Advance(time.Hour)
 	got, _ := env.d.JobStatus(s.Token, j.ID)
-	if got.State != JobCancelled {
-		t.Fatalf("cancelled job resurrected: %s", got.State)
-	}
-	if st := terminal[taskID]; st != device.TaskCancelled {
-		t.Fatalf("device task reported %q, want cancelled", st)
+	if got.State != JobCancelled || got.StartedAt != 0 || started != 0 {
+		t.Fatalf("cancelled job resurrected: %s, started at %v, %d starts", got.State, got.StartedAt, started)
 	}
 	if snap := ds.dev.AdminSnapshot(); snap.Running != "" || snap.QueueLength != 0 {
-		t.Fatalf("withdrawn task still on the device: running=%q queued=%d", snap.Running, snap.QueueLength)
+		t.Fatalf("task left on the device: running=%q queued=%d", snap.Running, snap.QueueLength)
 	}
-	if _, err := ds.dev.TaskStatus(taskID); err == nil {
-		t.Fatal("settled task was not forgotten by the device")
-	}
-	env.clk.Advance(time.Hour)
-	got, _ = env.d.JobStatus(s.Token, j.ID)
-	if got.State != JobCancelled {
-		t.Fatalf("cancelled job completed later: %s", got.State)
-	}
-	ds.mu.Lock()
-	busy := ds.running != nil
-	leak := len(ds.byTask)
-	ds.mu.Unlock()
-	if busy || leak != 0 {
-		t.Fatalf("device state leaked: running=%v byTask=%d", busy, leak)
+	if ds.running != nil || len(ds.byTask) != 0 || ds.queue.Len() != 0 {
+		t.Fatalf("partition state leaked: running=%v byTask=%d queued=%d", ds.running != nil, len(ds.byTask), ds.queue.Len())
 	}
 }
 
@@ -444,7 +414,6 @@ func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
 
 	// A production job whose cancellation has updated the state but not yet
 	// removed the queue entry.
-	env.d.mu.Lock()
 	env.d.nextJob++
 	ghost := &Job{
 		ID: fmt.Sprintf("job-%d", env.d.nextJob), Session: s.Token, User: "alice",
@@ -452,13 +421,10 @@ func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
 		SubmittedAt: env.clk.Now(),
 	}
 	env.d.jobs[ghost.ID] = ghost
-	env.d.mu.Unlock()
 	if err := ds.queue.Push(env.d.queueItem(ghost)); err != nil {
 		t.Fatal(err)
 	}
-	env.d.mu.Lock()
 	ghost.State = JobCancelled
-	env.d.mu.Unlock()
 
 	env.d.dispatchDevice(ds)
 
@@ -476,9 +442,9 @@ func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
 
 // TestConcurrentSubmitsLandOnePerPartition is the anti-herding check: N
 // submissions racing into an idle N-partition least-loaded fleet must land
-// one per partition, because each route is taken behind the door, after the
-// jobs before it are queued — and a job the partition has popped is running
-// by the time the next snapshot reads it. Run under -race by make test-race.
+// one per partition, because each submission is one entry into the world,
+// whole before the next — and a job the partition has popped is running by
+// the time the next snapshot reads it. Run under -race by make test-race.
 func TestConcurrentSubmitsLandOnePerPartition(t *testing.T) {
 	const n = 4
 	env := newFleetEnv(t, n, NewLeastLoadedRouter())
@@ -495,7 +461,9 @@ func TestConcurrentSubmitsLandOnePerPartition(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
+			env.clk.Lock()
 			j, err := env.d.Submit(s.Token, SubmitRequest{Program: prog, Class: sched.ClassTest})
+			env.clk.Unlock()
 			if err != nil {
 				t.Error(err)
 				return

@@ -69,18 +69,30 @@ func (d *Daemon) Handler() http.Handler {
 		var req struct {
 			User string `json:"user"`
 		}
-		if !decodeBody(w, r, &req) {
+		if err := readBody(w, r, &req); err != nil {
+			writeErr(w, bodyErrCode(err), err)
 			return
 		}
-		s, err := d.OpenSession(req.User)
+		var s Session
+		var err error
+		d.inWorld(func() {
+			var sess *Session
+			if sess, err = d.OpenSession(req.User); err == nil {
+				s = *sess
+			}
+		})
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, s)
+		writeJSON(w, http.StatusCreated, &s)
 	})
 	mux.HandleFunc("DELETE /api/v1/sessions", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		if err := d.CloseSession(token); err != nil {
+		var err error
+		if !d.inSession(w, token, func() { err = d.CloseSession(token) }) {
+			return
+		}
+		if err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
@@ -88,69 +100,75 @@ func (d *Daemon) Handler() http.Handler {
 	}))
 	mux.HandleFunc("GET /api/v1/devices", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
 		out := devicesView{Devices: make([]deviceView, len(d.fleet)), Router: d.RouterName()}
-		for i, ds := range d.fleet {
-			out.Devices[i] = deviceView{
-				Cache:       ds.cache.stats(),
-				Calibration: ds.dev.CalibrationSnapshot(),
-				ID:          ds.id,
-				Queued:      queueLens(ds.queue),
-				Spec:        ds.dev.Spec(),
-				Status:      ds.dev.Status(),
-				Utilization: ds.dev.Utilization(),
+		if !d.inSession(w, token, func() {
+			for i, ds := range d.fleet {
+				out.Devices[i] = deviceView{
+					Cache:       ds.cache.stats(),
+					Calibration: ds.dev.CalibrationSnapshot(),
+					ID:          ds.id,
+					Queued:      queueLens(ds.queue),
+					Spec:        ds.dev.Spec(),
+					Status:      ds.dev.Status(),
+					Utilization: ds.dev.Utilization(),
+				}
 			}
+		}) {
+			return
 		}
 		writeJSON(w, http.StatusOK, out)
 	}))
 	mux.HandleFunc("POST /api/v1/jobs", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		var req submitBody
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		class, err := sched.ParseClass(cmp.Or(req.Class, "dev"))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		pattern, err := sched.ParsePattern(req.Pattern)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		j, err := d.Submit(token, SubmitRequest{
-			Program: req.Program, Class: class, Pattern: pattern,
-			Source: req.Source, Device: req.Device,
-			ExpectedQPUSeconds: req.ExpectedQPUSeconds,
-			DeadlineSeconds:    req.DeadlineSeconds,
-		})
-		if err != nil {
-			var rej *RejectedError
-			if errors.As(err, &rej) {
-				// The admission stage shed the job: 429 Too Many Requests,
-				// with the terminal rejected record so the caller can see
-				// the policy rationale and query the job later. The standard
-				// Retry-After header carries the queue-drain backoff hint
-				// (integer seconds, rounded up per RFC 9110).
-				out := newJobView(&rej.Job)
-				out.Error = &rej.Reason
-				if rej.Job.RetryAfterSeconds > 0 {
-					w.Header().Set("Retry-After",
-						strconv.FormatInt(int64(math.Ceil(rej.Job.RetryAfterSeconds)), 10))
-				}
-				writeJSON(w, http.StatusTooManyRequests, out)
-				return
+		// The request is read before the world is entered, and a bad one is
+		// answered only once the session checks out: an unknown session's
+		// 401 comes first.
+		req, code, bad := readSubmit(w, r)
+		var j Job
+		var err error
+		if !d.inSession(w, token, func() {
+			if bad == nil {
+				j, err = d.Submit(token, req)
 			}
-			writeErr(w, http.StatusUnprocessableEntity, err)
+		}) {
 			return
 		}
-		writeJSON(w, http.StatusAccepted, newJobView(&j))
+		var rej *RejectedError
+		switch {
+		case bad != nil:
+			writeErr(w, code, bad)
+		case errors.As(err, &rej):
+			// The admission stage shed the job: 429 Too Many Requests, with
+			// the terminal rejected record so the caller can see the policy
+			// rationale and query the job later. The standard Retry-After
+			// header carries the queue-drain backoff hint (integer seconds,
+			// rounded up per RFC 9110).
+			out := newJobView(&rej.Job)
+			out.Error = &rej.Reason
+			if rej.Job.RetryAfterSeconds > 0 {
+				w.Header().Set("Retry-After",
+					strconv.FormatInt(int64(math.Ceil(rej.Job.RetryAfterSeconds)), 10))
+			}
+			writeJSON(w, http.StatusTooManyRequests, out)
+		case err != nil:
+			writeErr(w, http.StatusUnprocessableEntity, err)
+		default:
+			writeJSON(w, http.StatusAccepted, newJobView(&j))
+		}
 	}))
 	mux.HandleFunc("GET /api/v1/jobs/{id}", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
 		also := r.URL.Query()["also"]
+		var jobs []Job
+		var err error
+		if !d.inSession(w, token, func() {
+			if len(also) <= maxAlso {
+				jobs, err = d.jobStatusResults(token, r.PathValue("id"), also)
+			}
+		}) {
+			return
+		}
 		if len(also) > maxAlso {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("daemon: at most %d also parameters", maxAlso))
 			return
 		}
-		jobs, err := d.jobStatusResults(token, r.PathValue("id"), also)
 		if err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
@@ -164,7 +182,11 @@ func (d *Daemon) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, &views[0])
 	}))
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		res, err := d.JobResult(token, r.PathValue("id"))
+		var res []byte
+		var err error
+		if !d.inSession(w, token, func() { res, err = d.JobResult(token, r.PathValue("id")) }) {
+			return
+		}
 		switch {
 		case err == nil:
 			w.Header().Set("Content-Type", "application/json")
@@ -178,7 +200,11 @@ func (d *Daemon) Handler() http.Handler {
 		}
 	}))
 	mux.HandleFunc("DELETE /api/v1/jobs/{id}", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		if err := d.CancelJob(token, r.PathValue("id"), false); err != nil {
+		var err error
+		if !d.inSession(w, token, func() { err = d.CancelJob(token, r.PathValue("id"), false) }) {
+			return
+		}
+		if err != nil {
 			code := http.StatusConflict // already terminal
 			if errors.Is(err, ErrUnknownJob) {
 				code = http.StatusNotFound
@@ -189,7 +215,12 @@ func (d *Daemon) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "cancelled"})
 	}))
 
+	// The flight recorder has a lock of its own: the world is entered only
+	// to check the session.
 	mux.HandleFunc("GET /api/v1/trace", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
+		if !d.inSession(w, token, func() {}) {
+			return
+		}
 		if d.flight == nil {
 			writeErr(w, http.StatusNotFound, errors.New("flight recorder disabled"))
 			return
@@ -203,6 +234,9 @@ func (d *Daemon) Handler() http.Handler {
 		})
 	}))
 	mux.HandleFunc("GET /api/v1/trace/{id}", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
+		if !d.inSession(w, token, func() {}) {
+			return
+		}
 		if d.flight == nil {
 			writeErr(w, http.StatusNotFound, errors.New("flight recorder disabled"))
 			return
@@ -217,10 +251,13 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/metrics/query", d.handleMetricsQuery)
 
 	mux.HandleFunc("GET /admin/v1/status", d.withAdmin(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, d.AdminStatus())
+		var rep StatusReport
+		d.inWorld(func() { rep = d.AdminStatus() })
+		writeJSON(w, http.StatusOK, rep)
 	}))
 	mux.HandleFunc("GET /admin/v1/jobs", d.withAdmin(func(w http.ResponseWriter, r *http.Request) {
-		jobs := d.ListJobs()
+		var jobs []*Job
+		d.inWorld(func() { jobs = d.ListJobs() })
 		out := make([]jobView, len(jobs))
 		for i, j := range jobs {
 			out[i] = newJobView(j)
@@ -230,11 +267,13 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("POST /admin/v1/lowlevel/{op}", d.withAdmin(func(w http.ResponseWriter, r *http.Request) {
 		var msg string
 		var err error
-		if dev := r.URL.Query().Get("device"); dev != "" {
-			msg, err = d.LowLevelOpDevice(r.PathValue("op"), dev)
-		} else {
-			msg, err = d.LowLevelOp(r.PathValue("op"))
-		}
+		d.inWorld(func() {
+			if dev := r.URL.Query().Get("device"); dev != "" {
+				msg, err = d.LowLevelOpDevice(r.PathValue("op"), dev)
+			} else {
+				msg, err = d.LowLevelOp(r.PathValue("op"))
+			}
+		})
 		if err != nil {
 			writeErr(w, http.StatusForbidden, err)
 			return
@@ -242,6 +281,31 @@ func (d *Daemon) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": msg})
 	}))
 	return mux
+}
+
+// inWorld runs fn inside the simulated world: under the clock's lock, taken
+// once for fn and released even if fn panics.
+func (d *Daemon) inWorld(fn func()) {
+	d.cfg.Clock.Lock()
+	defer d.cfg.Clock.Unlock()
+	fn()
+}
+
+// inSession runs fn inside the world in the same hold that checks the
+// session token; a token that names no session answers 401 and fn does not
+// run. It reports whether fn ran.
+func (d *Daemon) inSession(w http.ResponseWriter, token string, fn func()) bool {
+	var err error
+	d.inWorld(func() {
+		if _, err = d.session(token); err == nil {
+			fn()
+		}
+	})
+	if err != nil {
+		writeErr(w, http.StatusUnauthorized, err)
+		return false
+	}
+	return true
 }
 
 // handleMetricsQuery is the TSDB range-query endpoint — the first external
@@ -275,7 +339,11 @@ func (d *Daemon) handleMetricsQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad from: %w", err))
 		return
 	}
-	to, err := parseSimTime(q.Get("to"), d.cfg.Clock.Now())
+	var now time.Duration
+	if q.Get("to") == "" {
+		d.inWorld(func() { now = d.cfg.Clock.Now() })
+	}
+	to, err := parseSimTime(q.Get("to"), now)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad to: %w", err))
 		return
@@ -358,16 +426,13 @@ func parseAgg(s string) (telemetry.AggregateKind, error) {
 	}
 }
 
-// withSession authenticates the bearer session token.
+// withSession hands next the bearer session token; next checks it inside
+// the world (inSession), in the hold that serves the request.
 func (d *Daemon) withSession(next func(token string, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 		if !ok {
 			writeErr(w, http.StatusUnauthorized, errors.New("missing bearer token"))
-			return
-		}
-		if _, err := d.session(token); err != nil {
-			writeErr(w, http.StatusUnauthorized, err)
 			return
 		}
 		next(token, w, r)
@@ -506,21 +571,42 @@ type pointView struct {
 // oversized posts can turn into memory pressure.
 const maxBodyBytes = 1 << 20
 
-// decodeBody decodes a JSON request body of at most maxBodyBytes into v,
-// answering 413 for a larger one and 400 for a malformed one. It reports
-// whether the handler should go on.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	if err == nil {
-		return true
-	}
-	code := http.StatusBadRequest
+// readBody decodes a JSON request body of at most maxBodyBytes into v.
+func readBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+}
+
+// bodyErrCode is the status that answers readBody's error: 413 for a body
+// over the cap, 400 for a malformed one.
+func bodyErrCode(err error) int {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		code = http.StatusRequestEntityTooLarge
+		return http.StatusRequestEntityTooLarge
 	}
-	writeErr(w, code, err)
-	return false
+	return http.StatusBadRequest
+}
+
+// readSubmit reads a POST /api/v1/jobs request; on failure it returns why and
+// the status that answers it.
+func readSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, int, error) {
+	var req submitBody
+	if err := readBody(w, r, &req); err != nil {
+		return SubmitRequest{}, bodyErrCode(err), err
+	}
+	class, err := sched.ParseClass(cmp.Or(req.Class, "dev"))
+	if err != nil {
+		return SubmitRequest{}, http.StatusBadRequest, err
+	}
+	pattern, err := sched.ParsePattern(req.Pattern)
+	if err != nil {
+		return SubmitRequest{}, http.StatusBadRequest, err
+	}
+	return SubmitRequest{
+		Program: req.Program, Class: class, Pattern: pattern,
+		Source: req.Source, Device: req.Device,
+		ExpectedQPUSeconds: req.ExpectedQPUSeconds,
+		DeadlineSeconds:    req.DeadlineSeconds,
+	}, 0, nil
 }
 
 // bodies recycles the buffers writeJSON encodes into.

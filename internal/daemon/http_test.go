@@ -469,9 +469,9 @@ func TestHTTPSubmitRequestParity(t *testing.T) {
 	submitAt := clk.Now()
 	check := func(intake, id string, source string) {
 		t.Helper()
-		d.mu.Lock()
+		clk.Lock()
 		j := *d.jobs[id]
-		d.mu.Unlock()
+		clk.Unlock()
 		if j.State != JobQueued {
 			t.Fatalf("%s: job is %s, want queued", intake, j.State)
 		}

@@ -1,8 +1,8 @@
 package daemon
 
 // The job record and its lifecycle. A record has one way in and one way to
-// its end: newJobLocked mints every record, accepted or shed, and finishLocked
-// is the only transition into a terminal state. How a terminal record then
+// its end: newJob mints every record, accepted or shed, and finish is the
+// only transition into a terminal state. How a terminal record then
 // leaves the table is retention.go's one rule.
 
 import (
@@ -126,7 +126,7 @@ type Job struct {
 	result []byte
 	// enqueuedAt is when the job last entered a queue (submission, then each
 	// preemption requeue) — the start of its current queued/requeued trace
-	// span. Guarded by d.mu like the exported timing fields.
+	// span.
 	enqueuedAt time.Duration
 	// seq is the number ID was minted from — the listing's sort key, since
 	// "job-10" sorts before "job-9" as text.
@@ -172,11 +172,8 @@ type JobEvent struct {
 	Job Job
 }
 
-// notify delivers a lifecycle event snapshot to the configured listener. j is
-// a value copy the caller must have taken while holding d.mu (or before the
-// job became reachable by other goroutines), so the snapshot cannot tear
-// against a concurrent state change. Callers may hold d.mu or a deviceState
-// mutex, so listeners must not call back into the daemon (see
+// notify delivers a lifecycle event snapshot to the configured listener,
+// which runs inside the world and must not call back into the daemon (see
 // Config.JobListener).
 func (d *Daemon) notify(t JobEventType, j Job) {
 	if d.cfg.JobListener == nil {
@@ -200,14 +197,14 @@ func defaultSource(s string) string {
 	return s
 }
 
-// newJobLocked is the record constructor — the one place a job is minted,
+// newJob is the record constructor — the one place a job is minted,
 // numbered, entered in the job table and its session's list, and counted by
 // source. The record is born queued at the admitted class on partition
 // device; a shed submission's record (device "") is turned terminal by
-// finishLocked straight away, like any other job's end. Minting gives the
+// finish straight away, like any other job's end. Minting gives the
 // submission the ID its stage spans were waiting for, so they are emitted
-// here; the stage it was in ends now. Caller holds d.mu.
-func (d *Daemon) newJobLocked(sub *submission, device string) *Job {
+// here; the stage it was in ends now.
+func (d *Daemon) newJob(sub *submission, device string) *Job {
 	req, dec := &sub.req, &sub.dec
 	now := d.cfg.Clock.Now()
 	d.nextJob++
@@ -249,19 +246,12 @@ func (d *Daemon) newJobLocked(sub *submission, device string) *Job {
 	return j
 }
 
-// finishJob is finishLocked for callers that do not hold d.mu.
-func (d *Daemon) finishJob(j *Job, state JobState, err error) {
-	d.mu.Lock()
-	d.finishLocked(j, state, err)
-	d.mu.Unlock()
-}
-
-// finishLocked is the terminal transition — the single place a job turns
+// finish is the terminal transition — the single place a job turns
 // completed, failed, cancelled or rejected, and so the single place that
 // counts it, reports it, closes its trace and hands it to retention. It
 // reports whether the transition happened (false when the job was already
-// terminal). Caller holds d.mu.
-func (d *Daemon) finishLocked(j *Job, state JobState, err error) bool {
+// terminal).
+func (d *Daemon) finish(j *Job, state JobState, err error) bool {
 	if j.State != JobQueued && j.State != JobRunning {
 		return false
 	}
@@ -291,7 +281,7 @@ func (d *Daemon) finishLocked(j *Job, state JobState, err error) bool {
 		d.emitTerminalSpans(j, prior)
 	}
 	ring.push(j)
-	d.evictLocked(ring, d.cfg.History, false)
+	d.evict(ring, d.cfg.History, false)
 	return true
 }
 

@@ -61,9 +61,8 @@ import (
 type OrderPolicy interface {
 	// Name identifies the order for status reports and sweep axes.
 	Name() string
-	// Pop removes the next item. usage lazily supplies the per-user
-	// accumulated QPU-seconds snapshot; orders that do not need it must not
-	// call it (it takes the daemon's accounting lock).
+	// Pop removes the next item. usage supplies the per-user accumulated
+	// QPU-seconds, the daemon's live map: read it, never write or keep it.
 	Pop(q *sched.ClassQueue, usage func() map[string]float64) *sched.Item
 }
 
@@ -169,12 +168,12 @@ func (e *RejectedError) Error() string {
 }
 
 // admissionView refills the fleet-wide load snapshot an admission decision
-// consults — O(total backlog), one queue-lock acquisition per partition — into
-// the one view the daemon owns: its ByClass map is cleared and reused, so a
-// decision allocates nothing, and nothing may read the view once the door is
-// released (Admit does not retain it). Caller holds the door, which every
-// earlier admitted job left only after its queue push, so the view counts
-// all of them and depth caps hold exactly under concurrent intake.
+// consults — one ClassLoads call per partition — into the one view the
+// daemon owns: its ByClass map is cleared and reused, so a decision
+// allocates nothing, and the view is good until the next decision (Admit
+// does not retain it). Every earlier admitted job was pushed before this
+// submission entered the world, so the view counts all of them and depth
+// caps hold exactly under concurrent intake.
 func (d *Daemon) admissionView() admission.View {
 	view := &d.admitView
 	clear(view.ByClass)
@@ -193,19 +192,16 @@ func (d *Daemon) admissionView() admission.View {
 			}
 			view.ByClass[c] = load
 		}
-		ds.mu.Lock()
 		if ds.running != nil {
 			view.Running++
 		}
-		ds.mu.Unlock()
 	}
 	return *view
 }
 
 // admitStage runs stage 1 for one submission: build the view (skipped for
 // policies that declare themselves Viewless), ask the policy, and count the
-// verdict. Caller holds the door, which serializes decisions so stateful
-// policies (token buckets, SLO windows) see submissions in order.
+// verdict.
 func (d *Daemon) admitStage(req SubmitRequest, user string) admission.Decision {
 	var view admission.View
 	if !d.viewless {
@@ -239,9 +235,9 @@ func (d *Daemon) admitStage(req SubmitRequest, user string) admission.Decision {
 // across the fleet's partitions — roughly how long until the work ahead of a
 // resubmission drains, assuming no new arrivals. It is a hint for
 // well-behaved retrying clients (the frontier report models them), not a
-// guarantee: clamped to [1s, 24h] so it is always a usable backoff. Caller
-// holds the door since the decision, whose view it reads (built here for a
-// Viewless policy, which decided without one).
+// guarantee: clamped to [1s, 24h] so it is always a usable backoff. It reads
+// the decision's own view (built here for a Viewless policy, which decided
+// without one).
 func (d *Daemon) retryAfterHint(class sched.Class) float64 {
 	if d.viewless {
 		d.admissionView()
@@ -267,8 +263,7 @@ func (d *Daemon) retryAfterHint(class sched.Class) float64 {
 
 // feed sends one SLO signal back into the admission policy (stage 4 → stage
 // 1): a started job's queue wait, or a completed job's slowdown with
-// WaitSeconds −1. Caller may hold daemon locks; observers are leaf code that
-// must not call back in.
+// WaitSeconds −1. Observers run inside the world and must not call back in.
 func (d *Daemon) feed(sig admission.Signal) {
 	if d.admitObserver != nil {
 		d.admitObserver.Observe(sig)

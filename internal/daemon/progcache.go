@@ -73,10 +73,9 @@ type lruNode struct {
 	prev, next int32
 }
 
-// progLRU is one partition's bounded program cache. All methods are
-// goroutine-safe; the daemon probes from routing and mutates from dispatch.
+// progLRU is one partition's bounded program cache: the daemon probes it
+// from routing and mutates it from dispatch, both inside its world.
 type progLRU struct {
-	mu     sync.Mutex
 	byHash map[uint64]int32
 	nodes  []lruNode
 	head   int32 // most recently used
@@ -105,7 +104,7 @@ func newProgLRU(capacity int) *progLRU {
 	return c
 }
 
-// unlink removes node i from the recency list. Caller holds mu.
+// unlink removes node i from the recency list.
 func (c *progLRU) unlink(i int32) {
 	n := &c.nodes[i]
 	if n.prev >= 0 {
@@ -120,7 +119,7 @@ func (c *progLRU) unlink(i int32) {
 	}
 }
 
-// pushFront makes node i the most recently used. Caller holds mu.
+// pushFront makes node i the most recently used.
 func (c *progLRU) pushFront(i int32) {
 	n := &c.nodes[i]
 	n.prev = -1
@@ -141,9 +140,7 @@ func (c *progLRU) contains(hash uint64) bool {
 	if c == nil || hash == 0 {
 		return false
 	}
-	c.mu.Lock()
 	_, ok := c.byHash[hash]
-	c.mu.Unlock()
 	return ok
 }
 
@@ -155,8 +152,6 @@ func (c *progLRU) touch(hash uint64) (hit, evicted bool) {
 	if c == nil || hash == 0 {
 		return false, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if i, ok := c.byHash[hash]; ok {
 		c.hits++
 		if c.head != i {
@@ -199,8 +194,6 @@ func (c *progLRU) stats() *CacheStats {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := &CacheStats{
 		Hits:      c.hits,
 		Misses:    c.misses,

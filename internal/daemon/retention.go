@@ -1,10 +1,10 @@
 package daemon
 
 // Retention: how a terminal record leaves the job table. There is one rule.
-// finishLocked appends every record it turns terminal to a finish-ordered
-// ring; evictLocked walks a ring from its oldest end down to a length to
-// keep, and is the only code that deletes from d.jobs. A serving daemon runs
-// it at every terminal transition with keep = Config.History, so the table
+// finish appends every record it turns terminal to a finish-ordered ring;
+// evict walks a ring from its oldest end down to a length to keep, and is
+// the only code that deletes from d.jobs. A serving daemon runs it at every
+// terminal transition with keep = Config.History, so the table
 // holds the jobs in flight plus a bounded recent history; a replay driver's
 // Release is the same walk with keep = 0. Queued and running records are on
 // no ring, so neither path can evict one.
@@ -41,7 +41,7 @@ func (r *finishRing) pop() *Job {
 	return j
 }
 
-// evictLocked drops the oldest records of a ring until keep remain: out of
+// evict drops the oldest records of a ring until keep remain: out of
 // the job table, and out of the owning session's Jobs list — by amortized
 // compaction, a list being rebuilt only once more than half of it is evicted,
 // so a list is at most twice its live records and the whole walk is
@@ -49,8 +49,7 @@ func (r *finishRing) pop() *Job {
 // counters and lifecycle events have already seen it. pool additionally
 // recycles the records, which is safe only under Release's contract: the
 // dispatch path may still hold a pointer to a record it has just finished.
-// Caller holds d.mu.
-func (d *Daemon) evictLocked(r *finishRing, keep int, pool bool) {
+func (d *Daemon) evict(r *finishRing, keep int, pool bool) {
 	for r.len() > keep {
 		j := r.pop()
 		delete(d.jobs, j.ID)
@@ -84,8 +83,6 @@ func (d *Daemon) evictLocked(r *finishRing, keep int, pool bool) {
 // has that guarantee. A serving daemon never calls this; Config.History is
 // its bound.
 func (d *Daemon) Release() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.evictLocked(&d.finished, 0, true)
-	d.evictLocked(&d.rejected, 0, true)
+	d.evict(&d.finished, 0, true)
+	d.evict(&d.rejected, 0, true)
 }

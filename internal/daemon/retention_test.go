@@ -206,8 +206,6 @@ func (e *liveEnv) check() {
 	if done := len(jobs) - inFlight - shed; done > e.history || shed > e.history || len(jobs) > inFlight+2*e.history {
 		e.t.Fatalf("table holds %d records: %d in flight + %d finished + %d rejected, History %d", len(jobs), inFlight, done, shed, e.history)
 	}
-	e.d.mu.Lock()
-	defer e.d.mu.Unlock()
 	for _, s := range e.d.sessions {
 		live := 0
 		for _, id := range s.Jobs {
@@ -382,7 +380,10 @@ func TestJobResultRacesEviction(t *testing.T) {
 			defer fetchers.Done()
 			for id := range ids {
 				for i := 0; i < 20; i++ {
-					if res, err := d.JobResult(s.Token, id); err == nil && !json.Valid(res) {
+					clk.Lock()
+					res, err := d.JobResult(s.Token, id)
+					clk.Unlock()
+					if err == nil && !json.Valid(res) {
 						t.Errorf("result of %s is not JSON: %q", id, res)
 					}
 				}
@@ -391,7 +392,9 @@ func TestJobResultRacesEviction(t *testing.T) {
 	}
 	prog := payload(t, 1)
 	for i := 0; i < jobs; i++ {
+		clk.Lock()
 		j, err := d.Submit(s.Token, SubmitRequest{Program: prog, Class: sched.ClassDev})
+		clk.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,7 +431,9 @@ func TestJobStatusResultRacesEviction(t *testing.T) {
 			defer pollers.Done()
 			for id := range ids {
 				for i := 0; i < 20; i++ {
+					clk.Lock()
 					got, err := d.jobStatusResults(s.Token, id, nil)
+					clk.Unlock()
 					if err != nil {
 						continue
 					}
@@ -442,7 +447,9 @@ func TestJobStatusResultRacesEviction(t *testing.T) {
 	}
 	prog := payload(t, 1)
 	for i := 0; i < jobs; i++ {
+		clk.Lock()
 		j, err := d.Submit(s.Token, SubmitRequest{Program: prog, Class: sched.ClassDev})
+		clk.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"sync"
 
 	"hpcqc/internal/device"
 	"hpcqc/internal/policy"
@@ -261,13 +260,12 @@ func classHomePick(j *Job, infos []DeviceInfo, el []int) int {
 // scorer, combines the grades with the normalized weights, and returns the
 // argmax — ties to the lowest fleet index, so the pick sequence is a pure
 // function of the (job, fleet-view) sequence. The scratch buffers are reused
-// across picks under the mutex, keeping the hot path allocation-free.
+// across picks, keeping the hot path allocation-free.
 type weightedRouter struct {
 	label   string
 	scorers []scorer
 	weights []float64 // same length as scorers, normalized to sum 1
 
-	mu  sync.Mutex
 	el  []int
 	buf []float64
 	acc []float64
@@ -293,8 +291,6 @@ func newWeightedRouter(label string, scorers []scorer, weights []float64) (*weig
 func (r *weightedRouter) Name() string { return r.label }
 
 func (r *weightedRouter) Pick(j *Job, infos []DeviceInfo) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.el = eligibleInto(r.el, infos)
 	el := r.el
 	if cap(r.acc) < len(el) {

@@ -2,7 +2,7 @@ package daemon
 
 // How a dispatched job comes back: device task notifications settle into a
 // finish or a requeue, and cancellation cuts a job short. Every ending goes
-// through finishLocked (job.go).
+// through finish (job.go).
 
 import (
 	"fmt"
@@ -14,100 +14,48 @@ import (
 // onDeviceTask is the fleet-wide device listener: terminal device tasks are
 // routed to their partition by device ID, then finish or requeue their
 // daemon job and trigger that partition's next dispatch. A task is registered
-// in the ds.mu hold that submitted it, so one missing from byTask is not ours
-// (e.g. a pre-existing task on a FleetOf-wrapped device).
+// as soon as it is submitted, so one missing from byTask is not ours (e.g. a
+// pre-existing task on a FleetOf-wrapped device).
 func (d *Daemon) onDeviceTask(deviceID, taskID string, state device.TaskState) {
 	ds, ok := d.byDevice[deviceID]
 	if !ok {
 		return
 	}
-	ds.mu.Lock()
 	j, ok := ds.byTask[taskID]
 	if !ok {
-		ds.mu.Unlock()
 		return
 	}
 	delete(ds.byTask, taskID)
 	if ds.running == j {
 		ds.running = nil
 		if d.spanMarks {
-			// Close the partition's busy occupancy span (ds.mu is held).
+			// Close the partition's busy occupancy span.
 			now := d.cfg.Clock.Now()
 			d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageBusy, Class: j.Class.String(),
 				Device: ds.id, Start: ds.occSince, End: now})
 			ds.occSince = now
 		}
 	}
-	ds.mu.Unlock()
 	d.settleTask(ds, j, taskID, state)
 }
 
 // settleTask finalizes or requeues a job whose device task reached a
 // terminal state, then re-dispatches the partition.
 func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device.TaskState) {
-	switch state {
-	case device.TaskCompleted, device.TaskFailed:
+	switch {
+	case state == device.TaskCompleted || state == device.TaskFailed:
 		res, err := ds.dev.TaskResult(taskID)
-		d.mu.Lock()
 		if state == device.TaskCompleted && err == nil {
 			d.usageByUser[j.User] += res.QPUSeconds
 			j.res = res
-			d.finishLocked(j, JobCompleted, nil)
+			d.finish(j, JobCompleted, nil)
 		} else {
-			d.finishLocked(j, JobFailed, err)
+			d.finish(j, JobFailed, err)
 		}
-		d.mu.Unlock()
-	case device.TaskCancelled:
-		d.mu.Lock()
-		preempted := j.Preemptions > 0 && j.State == JobRunning
-		wasCancelled := j.State == JobCancelled
-		if preempted {
-			j.State = JobQueued
-			j.DeviceTask = ""
-			now := d.cfg.Clock.Now()
-			j.enqueuedAt = now
-			if d.traced() {
-				cls := j.Class.String()
-				d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageExecute, Class: cls, Device: ds.id,
-					Start: j.StartedAt, End: now, Detail: "preempted"})
-				if d.spanMarks {
-					d.emitSpan(trace.Span{Job: j.ID, Stage: trace.MarkPreempted, Class: cls, Device: ds.id,
-						Start: now, End: now})
-				}
-			}
-		}
-		d.mu.Unlock()
-		if preempted {
-			// Cross-partition requeue: if another idle partition can take the
-			// victim, re-route it through the router rather than pinning it
-			// behind the production job that evicted it. Seniority (original
-			// submit time) is preserved inside its class by FIFO on re-push.
-			rerouted := len(d.fleet) > 1 && !j.Pinned
-			target := ds
-			if rerouted {
-				d.door.Lock()
-				target = d.requeuePartition(j, ds)
-			}
-			d.mu.Lock()
-			if target != ds {
-				j.Device = target.id
-			}
-			d.notify(JobEventRequeued, *j)
-			if d.spanMarks {
-				d.emitSpan(trace.Span{Job: j.ID, Stage: trace.MarkRequeued, Class: j.Class.String(),
-					Device: target.id, Start: j.enqueuedAt, End: j.enqueuedAt})
-			}
-			d.mu.Unlock()
-			_ = d.push(target, j) // a refused push has failed the job
-			if rerouted {
-				d.door.Unlock()
-			}
-			if target != ds {
-				d.dispatchDevice(target)
-			}
-		} else if !wasCancelled {
-			d.finishJob(j, JobCancelled, nil)
-		}
+	case j.Preemptions > 0 && j.State == JobRunning:
+		d.requeue(ds, j)
+	default:
+		d.finish(j, JobCancelled, nil) // a no-op when CancelJob got there first
 	}
 	// The job now carries everything the task had to say (result, error,
 	// timing): the daemon forgets a device task when it settles it, or every
@@ -115,6 +63,41 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 	ds.dev.Forget(taskID)
 	d.emitQueueTelemetry()
 	d.dispatchDevice(ds)
+}
+
+// requeue puts a preempted job back in a queue. Cross-partition requeue: if
+// another idle partition can take the victim, it is re-routed through the
+// router rather than pinned behind the production job that evicted it.
+// Seniority (original submit time) is preserved inside its class by FIFO on
+// re-push.
+func (d *Daemon) requeue(ds *deviceState, j *Job) {
+	j.State = JobQueued
+	j.DeviceTask = ""
+	now := d.cfg.Clock.Now()
+	j.enqueuedAt = now
+	if d.traced() {
+		cls := j.Class.String()
+		d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageExecute, Class: cls, Device: ds.id,
+			Start: j.StartedAt, End: now, Detail: "preempted"})
+		if d.spanMarks {
+			d.emitSpan(trace.Span{Job: j.ID, Stage: trace.MarkPreempted, Class: cls, Device: ds.id,
+				Start: now, End: now})
+		}
+	}
+	target := ds
+	if len(d.fleet) > 1 && !j.Pinned {
+		target = d.requeuePartition(j, ds)
+	}
+	j.Device = target.id
+	d.notify(JobEventRequeued, *j)
+	if d.spanMarks {
+		d.emitSpan(trace.Span{Job: j.ID, Stage: trace.MarkRequeued, Class: j.Class.String(),
+			Device: target.id, Start: now, End: now})
+	}
+	_ = d.push(target, j) // a refused push has failed the job
+	if target != ds {
+		d.dispatchDevice(target)
+	}
 }
 
 // requeuePartition picks where a preempted job that may move — unpinned, on
@@ -125,10 +108,9 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 // queueing behind its preemptor). The router's pick is honored only when it
 // lands on such an idle partition: a load-blind pick (round-robin pointing at
 // a backlogged partition) must not strand the victim somewhere worse than
-// where it was. Caller holds the door, as for a submission, through the push
-// onto the returned partition.
+// where it was.
 func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
-	infos := d.fleetInfosLocked()
+	infos := d.fleetInfos()
 	// idleTarget reports whether partition i can absorb the victim now: not
 	// the original, online, zero load, and the same spec the job's program
 	// was validated against (heterogeneous fleets may mix specs).
@@ -147,7 +129,7 @@ func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 	if !idleElsewhere {
 		return orig
 	}
-	idx := d.routerPickLocked(infos, j.Class, j.Pattern, j.prog, j.progHash)
+	idx := d.routerPick(infos, j.Class, j.Pattern, j.prog, j.progHash)
 	if idx < 0 || idx >= len(d.fleet) || !idleTarget(idx) {
 		return orig
 	}
@@ -158,30 +140,24 @@ func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 // jobs — any other ID is ErrUnknownJob to them; admin-initiated cancellations
 // pass force=true and reach every job.
 func (d *Daemon) CancelJob(token, jobID string, force bool) error {
-	d.mu.Lock()
 	var j *Job
 	var err error
 	if !force {
-		j, err = d.ownedJobLocked(token, jobID)
+		j, err = d.ownedJob(token, jobID)
 	} else if j = d.jobs[jobID]; j == nil {
 		err = fmt.Errorf("%w %q", ErrUnknownJob, jobID)
 	}
 	if err != nil {
-		d.mu.Unlock()
 		return err
 	}
-	// Flip to cancelled under the same lock hold as the state check, before
-	// touching the partition: a concurrent dispatcher popping the item sees
-	// the terminal state and skips it, and settleTask does not requeue a
-	// device task withdrawn for a job already marked.
+	// Turn the record terminal before touching the partition: settleTask
+	// then does not requeue the device task withdrawn below.
 	state, taskID, ds := j.State, j.DeviceTask, d.byDevice[j.Device]
-	cancelled := d.finishLocked(j, JobCancelled, nil)
-	d.mu.Unlock()
 	switch {
-	case !cancelled:
+	case !d.finish(j, JobCancelled, nil):
 		return fmt.Errorf("daemon: job %s already %s", jobID, state)
 	case state == JobQueued:
-		ds.queue.Remove(jobID) // best-effort; dispatch drops a stale head
+		ds.queue.Remove(jobID)
 	default:
 		_ = ds.dev.Cancel(taskID)
 	}

@@ -40,10 +40,10 @@ func (d *Daemon) priorityStatusName() string {
 // ErrUnknownJob is the answer for a job ID the asking session cannot see.
 var ErrUnknownJob = errors.New("daemon: unknown job")
 
-// ownedJobLocked resolves a job ID for the session asking. Another session's
-// job, an evicted one and one that never existed all read the same:
-// ErrUnknownJob. Caller holds d.mu.
-func (d *Daemon) ownedJobLocked(token, jobID string) (*Job, error) {
+// ownedJob resolves a job ID for the session asking. Another session's job,
+// an evicted one and one that never existed all read the same:
+// ErrUnknownJob.
+func (d *Daemon) ownedJob(token, jobID string) (*Job, error) {
 	if _, ok := d.sessions[token]; !ok {
 		return nil, errors.New("daemon: invalid session token")
 	}
@@ -56,7 +56,6 @@ func (d *Daemon) ownedJobLocked(token, jobID string) (*Job, error) {
 
 // renderedResult returns a completed job's result as JSON, rendering it on
 // first use: replays, where no one fetches results, never pay for the marshal.
-// Caller holds d.mu.
 func (j *Job) renderedResult() ([]byte, error) {
 	if j.result == nil && j.res != nil {
 		var err error
@@ -69,16 +68,14 @@ func (j *Job) renderedResult() ([]byte, error) {
 
 // jobStatusResults is a session's view of a job and, for a completed job, its
 // JobResult — of jobID, then of each also ID the session can see, in that
-// order — in one hold of d.mu: a completed job's status reply carries its
-// result, and between two holds retention could evict the record. A result
-// that fails to render is left out of its copy; JobResult is where the caller
-// then reads why.
+// order. The copies carry the rendered result, so a reply built from them
+// outside the world needs no second look, which retention could answer with
+// an evicted record. A result that fails to render is left out of its copy;
+// JobResult is where the caller then reads why.
 func (d *Daemon) jobStatusResults(token, jobID string, also []string) ([]Job, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	jobs := make([]Job, 0, 1+len(also))
 	for i, id := range append([]string{jobID}, also...) {
-		j, err := d.ownedJobLocked(token, id)
+		j, err := d.ownedJob(token, id)
 		if err != nil {
 			if i == 0 {
 				return nil, err
@@ -96,12 +93,9 @@ func (d *Daemon) jobStatusResults(token, jobID string, also []string) ([]Job, er
 // JobResult returns the serialized result of a completed job. Every other
 // terminal state answers with an error that says why there is none, and only
 // a job still queued or running with qrmi.ErrResultNotReady, so a caller
-// polling until "ready" always terminates. State and result are read under
-// one lock hold: between two, retention could evict the record.
+// polling until "ready" always terminates.
 func (d *Daemon) JobResult(token, jobID string) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j, err := d.ownedJobLocked(token, jobID)
+	j, err := d.ownedJob(token, jobID)
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +174,9 @@ func (d *Daemon) AdminStatus() StatusReport {
 			Device:       ds.dev.AdminSnapshot(),
 			QueuedByName: queueLens(ds.queue),
 		}
-		ds.mu.Lock()
 		if ds.running != nil {
 			dr.Running = ds.running.ID
 		}
-		ds.mu.Unlock()
 		for name, n := range dr.QueuedByName {
 			rep.QueuedByName[name] += n
 		}
@@ -194,8 +186,6 @@ func (d *Daemon) AdminStatus() StatusReport {
 		rep.Devices = append(rep.Devices, dr)
 	}
 	rep.Device = rep.Devices[0].Device
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	rep.Sessions = len(d.sessions)
 	rep.Preemptions = d.preemptTotal
 	rep.Rejected = d.rejectedTotal
@@ -213,8 +203,6 @@ func (d *Daemon) AdminStatus() StatusReport {
 // order is submit order (the clock never runs backwards), so it alone is the
 // key: a total order even among jobs submitted at one instant.
 func (d *Daemon) ListJobs() []*Job {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]*Job, 0, len(d.jobs))
 	for _, j := range d.jobs {
 		cp := *j

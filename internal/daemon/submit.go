@@ -59,8 +59,8 @@ type submission struct {
 
 	// Stage spans carry the job ID, which exists only once the record is
 	// minted — after admission for a shed job, after routing for an accepted
-	// one. Each stage files its span here as it ends (stageDone) and
-	// newJobLocked emits them. In pure replay the stages collapse to instants
+	// one. Each stage files its span here as it ends (stageDone) and newJob
+	// emits them. In pure replay the stages collapse to instants
 	// (the clock does not advance inside Submit); under the live wall-clock
 	// pump they carry real deliberation time. mark is when the current stage
 	// began.
@@ -100,7 +100,17 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (Job, error) {
 	if err := d.validate(&sub); err != nil {
 		return Job{}, err
 	}
-	j, ds, err := d.intake(&sub)
+	if err := d.admit(&sub); err != nil {
+		return Job{}, err
+	}
+	if sub.dec.Outcome == admission.Rejected {
+		return Job{}, d.shed(&sub)
+	}
+	ds, err := d.route(&sub)
+	if err != nil {
+		return Job{}, err
+	}
+	j, err := d.enqueue(&sub, ds)
 	if err != nil {
 		return Job{}, err
 	}
@@ -108,33 +118,10 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (Job, error) {
 	d.dispatchDevice(ds)
 	// Copy through the pointer, not the table: on a daemon with a short
 	// History a fast job may already have finished and been evicted.
-	d.mu.Lock()
-	cp := *j
-	d.mu.Unlock()
-	return cp, nil
+	return *j, nil
 }
 
-// intake runs stages 1–3 behind the door: admit, then shed or route, then
-// enqueue. The view a decision reads and the snapshot a route reads so count
-// every job admitted before it, however many sessions submit at once.
-func (d *Daemon) intake(sub *submission) (*Job, *deviceState, error) {
-	d.door.Lock()
-	defer d.door.Unlock()
-	if err := d.admit(sub); err != nil {
-		return nil, nil, err
-	}
-	if sub.dec.Outcome == admission.Rejected {
-		return nil, nil, d.shed(sub)
-	}
-	ds, err := d.route(sub)
-	if err != nil {
-		return nil, nil, err
-	}
-	j, err := d.enqueue(sub, ds)
-	return j, ds, err
-}
-
-// validate is the stage before the door: request sanity, decode, and a
+// validate is the stage before admission: request sanity, decode, and a
 // check that some partition could run the program. It precedes admission so a
 // submission no partition could run (bad pin, undecodable or invalid program)
 // cannot drain a stateful policy's quota: tokens are spent only on
@@ -221,24 +208,18 @@ func (d *Daemon) admit(sub *submission) error {
 }
 
 // shed ends a submission the door refused. It still gets a record — minted
-// and turned terminal in one lock hold — owned by its session like any
-// accepted job, so status queries and the admin listing surface the
-// rejection, its reason and the retry-after backoff hint. Caller holds the
-// door.
+// and turned terminal at once — owned by its session like any accepted job,
+// so status queries and the admin listing surface the rejection, its reason
+// and the retry-after backoff hint.
 func (d *Daemon) shed(sub *submission) error {
 	hint := d.retryAfterHint(sub.req.Class)
-	rej := &RejectedError{Reason: sub.dec.Reason}
-	d.mu.Lock()
-	j := d.newJobLocked(sub, "")
+	j := d.newJob(sub, "")
 	j.RetryAfterSeconds = hint
-	d.finishLocked(j, JobRejected, nil)
-	rej.Job = *j
-	d.mu.Unlock()
-	return rej
+	d.finish(j, JobRejected, nil)
+	return &RejectedError{Job: *j, Reason: sub.dec.Reason}
 }
 
 // route is stage 2: pick the partition and settle what depends on the pick.
-// Caller holds the door.
 func (d *Daemon) route(sub *submission) (*deviceState, error) {
 	req := &sub.req
 	ds, err := d.pick(sub.dec.Class, req.Pattern, req.Device, sub.prog, sub.progHash)
@@ -283,7 +264,7 @@ func (d *Daemon) route(sub *submission) (*deviceState, error) {
 // pattern and program identity travel on a scratch job record so routers can
 // specialize — the affinity scorer probes partition caches by fingerprint,
 // the capability scorer validates the decoded program — without the daemon
-// pre-creating the real one. Caller holds the door.
+// pre-creating the real one.
 func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pin string, prog *qir.Program, progHash uint64) (*deviceState, error) {
 	switch {
 	case pin != "":
@@ -291,17 +272,16 @@ func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pin string, prog
 	case len(d.fleet) == 1:
 		return d.fleet[0], nil
 	}
-	idx := d.routerPickLocked(d.fleetInfosLocked(), class, pattern, prog, progHash)
+	idx := d.routerPick(d.fleetInfos(), class, pattern, prog, progHash)
 	if idx < 0 || idx >= len(d.fleet) {
 		return nil, fmt.Errorf("daemon: router %q picked invalid device index %d", d.router.Name(), idx)
 	}
 	return d.fleet[idx], nil
 }
 
-// routerPickLocked asks the router for a partition on the snapshot infos,
-// lending it the reused scratch job; Pick retains neither (see Router). Caller
-// holds the door.
-func (d *Daemon) routerPickLocked(infos []DeviceInfo, class sched.Class, pattern sched.Pattern, prog *qir.Program, progHash uint64) int {
+// routerPick asks the router for a partition on the snapshot infos, lending
+// it the reused scratch job; Pick retains neither (see Router).
+func (d *Daemon) routerPick(infos []DeviceInfo, class sched.Class, pattern sched.Pattern, prog *qir.Program, progHash uint64) int {
 	j := &d.routeJob
 	j.Class, j.Pattern, j.prog, j.progHash = class, pattern, prog, progHash
 	idx := d.router.Pick(j, infos)
@@ -309,27 +289,24 @@ func (d *Daemon) routerPickLocked(infos []DeviceInfo, class sched.Class, pattern
 	return idx
 }
 
-// fleetInfosLocked fills the router's point-in-time fleet load view — the
-// single definition shared by routing and requeue, so the two can never
-// disagree about what counts as load — into the one slice every pick reuses.
-// Caller holds the door.
-func (d *Daemon) fleetInfosLocked() []DeviceInfo {
+// fleetInfos fills the router's point-in-time fleet load view — the single
+// definition shared by routing and requeue, so the two can never disagree
+// about what counts as load — into the one slice every pick reuses.
+func (d *Daemon) fleetInfos() []DeviceInfo {
 	infos := d.routeInfos
 	for i, ds := range d.fleet {
 		info := DeviceInfo{
 			ID:     ds.id,
 			Index:  i,
 			Status: ds.dev.Status(),
+			Queued: ds.queue.Len(),
 			cache:  ds.cache,
 			spec:   &ds.spec,
 		}
-		ds.mu.Lock()
-		info.Queued = ds.queue.Len()
 		if ds.running != nil {
 			info.Busy = true
 			info.RunningClass = ds.running.Class
 		}
-		ds.mu.Unlock()
 		infos[i] = info
 	}
 	return infos
@@ -337,16 +314,11 @@ func (d *Daemon) fleetInfosLocked() []DeviceInfo {
 
 // enqueue is stage 3: mint the record on its partition and put it on that
 // partition's ClassQueue, which holds it under class priority until the
-// configured order and priority pick it at pop time. Caller holds the door,
-// so the next decision and route see the job in the queue.
+// configured order and priority pick it at pop time. "submitted" is emitted
+// before the push, so it always precedes "started" in listener order.
 func (d *Daemon) enqueue(sub *submission, ds *deviceState) (*Job, error) {
-	d.mu.Lock()
-	j := d.newJobLocked(sub, ds.id)
-	// Emit under d.mu, before the queue push: the snapshot cannot race a
-	// concurrent cancel and "submitted" always precedes "started" in
-	// listener order.
+	j := d.newJob(sub, ds.id)
 	d.notify(JobEventSubmitted, *j)
-	d.mu.Unlock()
 	return j, d.push(ds, j)
 }
 
@@ -356,7 +328,7 @@ func (d *Daemon) enqueue(sub *submission, ds *deviceState) (*Job, error) {
 func (d *Daemon) push(ds *deviceState, j *Job) error {
 	err := ds.queue.Push(d.queueItem(j))
 	if err != nil {
-		d.finishJob(j, JobFailed, err)
+		d.finish(j, JobFailed, err)
 	}
 	return err
 }

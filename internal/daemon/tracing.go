@@ -2,9 +2,9 @@ package daemon
 
 // Span emission for the submit pipeline. The daemon reports simulation-time
 // trace.Span values through Config.SpanListener (and into Config.Flight) the
-// same way it reports JobEvents through Config.JobListener: by value, under
-// whatever locks the transition holds, nil-guarded so the tracing-off hot
-// path pays a single pointer check per emission site.
+// same way it reports JobEvents through Config.JobListener: by value, inside
+// the world, nil-guarded so the tracing-off hot path pays a single pointer
+// check per emission site.
 //
 // Span timeline per job:
 //
@@ -27,8 +27,8 @@ import (
 )
 
 // emitSpan forwards one span to the wired listener tee (Config.SpanListener
-// and Config.Flight). Callers may hold d.mu or a deviceState mutex — the
-// trace.Listener contract forbids calling back into the daemon.
+// and Config.Flight), inside the world — the trace.Listener contract forbids
+// calling back into the daemon.
 func (d *Daemon) emitSpan(s trace.Span) {
 	if d.span != nil {
 		d.span(s)

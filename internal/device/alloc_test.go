@@ -119,9 +119,7 @@ func TestForgetRecyclesOnlyFinishedTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.mu.Lock()
 	late := d.tasks[cancelled].exec.Fn
-	d.mu.Unlock()
 	if err := d.Cancel(cancelled); err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,14 @@
 // the device's current calibration state, and every state change is emitted
 // to the telemetry stack exactly as the paper's observability section
 // requires.
+//
+// A device has no lock of its own: it lives inside the simulated world of
+// its clock (see simclock), so every method assumes the caller is inside it.
 package device
 
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"time"
 
 	"hpcqc/internal/qir"
@@ -103,7 +105,6 @@ type Device struct {
 	id   string
 	spec qir.DeviceSpec
 
-	mu      sync.Mutex
 	rng     *rand.Rand
 	calib   Calibration
 	status  Status
@@ -138,7 +139,7 @@ type Device struct {
 	gQueueLen, gRabi, gDetOff, gStatus     *telemetry.BoundSeries
 	tsQueueLen, tsRabi, tsDetOff, tsStatus *telemetry.TSDBSeries
 	cShots                                 *telemetry.BoundSeries
-	// qpu_tasks_total{state} binds on first use (in finish, under mu): binding
+	// qpu_tasks_total{state} binds on first use (in finish): binding
 	// creates the series, and a state no task has reached stays off the scrape.
 	mTasks *telemetry.Metric
 	cTasks map[TaskState]*telemetry.BoundSeries
@@ -150,9 +151,7 @@ type Device struct {
 // partitions. The middleware daemon uses it to drive its second-level
 // dispatch without polling.
 func (d *Device) SetTaskListener(fn func(deviceID, taskID string, state TaskState)) {
-	d.mu.Lock()
 	d.listener = fn
-	d.mu.Unlock()
 }
 
 // New constructs a device and starts its drift and QA processes on the
@@ -226,30 +225,22 @@ func (d *Device) Spec() qir.DeviceSpec { return d.spec }
 
 // CalibrationSnapshot returns the current calibration.
 func (d *Device) CalibrationSnapshot() Calibration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.calib
 }
 
 // Status returns the availability state.
 func (d *Device) Status() Status {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.status
 }
 
 // QueueLength returns the number of queued (not running) tasks.
 func (d *Device) QueueLength() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return len(d.queue)
 }
 
 // Utilization returns the fraction of elapsed simulation time the QPU spent
 // executing shots since creation.
 func (d *Device) Utilization() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	elapsed := d.cfg.Clock.Now() - d.createdAt
 	if elapsed <= 0 {
 		return 0

@@ -238,9 +238,7 @@ func TestQADegradesAndRecovers(t *testing.T) {
 	clk := simclock.New()
 	d, _ := New(Config{Clock: clk, Seed: 1, DriftInterval: time.Hour})
 	// Force a bad calibration directly, then run QA.
-	d.mu.Lock()
 	d.calib.RabiFactor = 1.2
-	d.mu.Unlock()
 	if d.RunQACheck() {
 		t.Fatal("QA passed with 20% rabi error")
 	}
@@ -273,10 +271,8 @@ func TestMiscalibratedDeviceDistortsResults(t *testing.T) {
 	run := func(rabiFactor float64) float64 {
 		clk := simclock.New()
 		d, _ := New(Config{Clock: clk, Seed: 7, DriftInterval: 100 * time.Hour})
-		d.mu.Lock()
 		d.calib.RabiFactor = rabiFactor
 		d.calib.AtomLossProb = 0
-		d.mu.Unlock()
 		seq := qir.NewAnalogSequence(qir.LinearRegister("one", 1, 10))
 		omega := 2 * math.Pi
 		tPi := math.Pi / omega * 1000

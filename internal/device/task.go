@@ -49,28 +49,25 @@ func (d *Device) SubmitWithSetup(p *qir.Program, setupSeconds float64) (string, 
 	if err := qir.ValidateCached(p, &d.spec); err != nil {
 		return "", err
 	}
-	d.mu.Lock()
 	if d.status == StatusMaintenance {
-		d.mu.Unlock()
 		return "", errors.New("device: in maintenance, not accepting tasks")
 	}
 	d.nextID++
-	t := d.newTaskLocked()
+	t := d.newTask()
 	var id [32]byte // built on the stack: the ID string is the one allocation
 	t.id = string(strconv.AppendInt(append(id[:0], "qpu-task-"...), int64(d.nextID), 10))
 	t.program, t.state = p, TaskQueued
 	t.queuedAt, t.setup = d.cfg.Clock.Now(), simclock.Seconds(setupSeconds)
 	d.tasks[t.id] = t
 	d.queue = append(d.queue, t)
-	d.mu.Unlock()
 	d.pump()
 	d.emitTelemetry()
 	return t.id, nil
 }
 
-// newTaskLocked takes a record off the free list Forget fills, or makes one
-// whose exec event is bound to it for life. Caller holds d.mu.
-func (d *Device) newTaskLocked() *task {
+// newTask takes a record off the free list Forget fills, or makes one whose
+// exec event is bound to it for life.
+func (d *Device) newTask() *task {
 	if n := len(d.free); n > 0 {
 		t := d.free[n-1]
 		d.free[n-1] = nil
@@ -84,9 +81,7 @@ func (d *Device) newTaskLocked() *task {
 
 // pump starts the next queued task if the device is idle.
 func (d *Device) pump() {
-	d.mu.Lock()
 	if d.running != nil || len(d.queue) == 0 || d.status == StatusMaintenance {
-		d.mu.Unlock()
 		return
 	}
 	t := d.queue[0]
@@ -108,23 +103,14 @@ func (d *Device) pump() {
 	// setup-free tasks keep their exact historical timing.
 	dur += t.setup
 	d.cfg.Clock.Arm(&t.exec, dur)
-	d.mu.Unlock()
 }
 
 // finish computes the task result and starts the next task.
 func (d *Device) finish(t *task) {
-	d.mu.Lock()
 	if t.state != TaskRunning {
-		d.mu.Unlock()
 		return
 	}
-	calib := d.calib
-	seed := d.rng.Int63()
-	d.mu.Unlock()
-
-	res, err := d.execute(t.program, calib, seed)
-
-	d.mu.Lock()
+	res, err := d.execute(t.program, d.calib, d.rng.Int63())
 	t.endAt = d.cfg.Clock.Now()
 	d.totalBusy += t.endAt - t.startAt
 	if err != nil {
@@ -147,11 +133,8 @@ func (d *Device) finish(t *task) {
 		c.Inc(1)
 	}
 	d.running = nil
-	listener := d.listener
-	state := t.state
-	d.mu.Unlock()
-	if listener != nil {
-		listener(d.id, t.id, state)
+	if d.listener != nil {
+		d.listener(d.id, t.id, t.state)
 	}
 	d.pump()
 	d.emitTelemetry()
@@ -159,8 +142,6 @@ func (d *Device) finish(t *task) {
 
 // TaskStatus returns the lifecycle state of a task.
 func (d *Device) TaskStatus(id string) (TaskState, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	t, ok := d.tasks[id]
 	if !ok {
 		return "", fmt.Errorf("device: unknown task %q", id)
@@ -172,8 +153,6 @@ func (d *Device) TaskStatus(id string) (TaskState, error) {
 // the result's Counts and Metadata maps are shared with every other
 // timing-only result and must not be written; copy them to annotate.
 func (d *Device) TaskResult(id string) (*qir.Result, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	t, ok := d.tasks[id]
 	if !ok {
 		return nil, fmt.Errorf("device: unknown task %q", id)
@@ -197,11 +176,9 @@ func (d *Device) TaskResult(id string) (*qir.Result, error) {
 // A task that ran to its end (completed or failed) is recycled: its exec
 // event has fired, so nothing calls back into the record, and the next
 // Submit reuses it. The Result it handed out is not the record's to reuse —
-// the record lets go of it. A cancelled task is only dropped: its exec event
-// may have left the clock just before the cancel, and that callback must
-// find the cancelled record, not a reused one.
+// the record lets go of it. A cancelled task is only dropped, as a cancel is
+// rare enough that recycling it would buy nothing.
 func (d *Device) Forget(id string) {
-	d.mu.Lock()
 	if t, ok := d.tasks[id]; ok && t.state != TaskQueued && t.state != TaskRunning {
 		delete(d.tasks, id)
 		if t.state != TaskCancelled {
@@ -209,18 +186,14 @@ func (d *Device) Forget(id string) {
 			d.free = append(d.free, t)
 		}
 	}
-	d.mu.Unlock()
 }
 
 // Cancel aborts a queued or running task.
 func (d *Device) Cancel(id string) error {
-	d.mu.Lock()
 	t, ok := d.tasks[id]
 	if !ok {
-		d.mu.Unlock()
 		return fmt.Errorf("device: unknown task %q", id)
 	}
-	listener := d.listener
 	switch t.state {
 	case TaskQueued:
 		for i, q := range d.queue {
@@ -230,9 +203,8 @@ func (d *Device) Cancel(id string) error {
 			}
 		}
 		t.state = TaskCancelled
-		d.mu.Unlock()
-		if listener != nil {
-			listener(d.id, t.id, TaskCancelled)
+		if d.listener != nil {
+			d.listener(d.id, t.id, TaskCancelled)
 		}
 	case TaskRunning:
 		d.cfg.Clock.Cancel(&t.exec)
@@ -240,13 +212,11 @@ func (d *Device) Cancel(id string) error {
 		t.endAt = d.cfg.Clock.Now()
 		d.totalBusy += t.endAt - t.startAt
 		d.running = nil
-		d.mu.Unlock()
-		if listener != nil {
-			listener(d.id, t.id, TaskCancelled)
+		if d.listener != nil {
+			d.listener(d.id, t.id, TaskCancelled)
 		}
 		d.pump()
 	default:
-		d.mu.Unlock()
 		return fmt.Errorf("device: task %s already %s", id, t.state)
 	}
 	d.emitTelemetry()
@@ -256,8 +226,6 @@ func (d *Device) Cancel(id string) error {
 // WaitTime returns how long a task waited in queue before starting; zero for
 // tasks that have not started.
 func (d *Device) WaitTime(id string) (time.Duration, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	t, ok := d.tasks[id]
 	if !ok {
 		return 0, fmt.Errorf("device: unknown task %q", id)

@@ -11,7 +11,6 @@ func (d *Device) emitTelemetry() {
 	if d.gQueueLen == nil && d.tsQueueLen == nil {
 		return
 	}
-	d.mu.Lock()
 	queueLen := float64(len(d.queue))
 	rabi := d.calib.RabiFactor
 	det := d.calib.DetuningOffset
@@ -23,7 +22,6 @@ func (d *Device) emitTelemetry() {
 		up = 0.5
 	}
 	now := d.cfg.Clock.Now()
-	d.mu.Unlock()
 
 	d.gQueueLen.Set(queueLen)
 	d.gRabi.Set(rabi)
@@ -54,8 +52,6 @@ type Snapshot struct {
 // AdminSnapshot returns the current summary.
 func (d *Device) AdminSnapshot() Snapshot {
 	util := d.Utilization()
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	s := Snapshot{
 		ID:           d.id,
 		Name:         d.spec.Name,
@@ -77,8 +73,6 @@ func (d *Device) AdminSnapshot() Snapshot {
 
 // TaskIDs lists all known task IDs sorted by submission order.
 func (d *Device) TaskIDs() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	ids := make([]string, 0, len(d.tasks))
 	for id := range d.tasks {
 		ids = append(ids, id)

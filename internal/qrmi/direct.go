@@ -19,7 +19,10 @@ import (
 // The device executes on a simulation clock. When AutoAdvance is set, status
 // polls advance that clock, so a plain poll loop drives the simulation the
 // way wall-clock time drives a real device; when unset, the surrounding
-// harness owns the clock (the experiment drivers do this).
+// harness owns the clock (the experiment drivers do this). The device lives
+// inside its clock's world (see simclock): every call reaching it enters the
+// world through the clock's lock, so the resource is safe for concurrent use
+// beside whatever else drives that clock.
 type DeviceResource struct {
 	dev   *device.Device
 	clock *simclock.Clock
@@ -51,7 +54,9 @@ func (r *DeviceResource) Metadata() (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	calib := r.dev.CalibrationSnapshot()
+	r.clock.Lock()
+	calib, status, queued := r.dev.CalibrationSnapshot(), r.dev.Status(), r.dev.QueueLength()
+	r.clock.Unlock()
 	rawCalib, err := json.Marshal(calib)
 	if err != nil {
 		return nil, err
@@ -59,9 +64,9 @@ func (r *DeviceResource) Metadata() (map[string]string, error) {
 	md := map[string]string{
 		"spec":         string(rawSpec),
 		"kind":         "qpu",
-		"status":       string(r.dev.Status()),
+		"status":       string(status),
 		"calibration":  string(rawCalib),
-		"queue_length": strconv.Itoa(r.dev.QueueLength()),
+		"queue_length": strconv.Itoa(queued),
 		"partition":    r.dev.ID(),
 	}
 	if r.fleet != nil {
@@ -73,7 +78,10 @@ func (r *DeviceResource) Metadata() (map[string]string, error) {
 // Acquire implements Resource. The device queue serializes execution, so
 // multiple holders are safe.
 func (r *DeviceResource) Acquire() (string, error) {
-	if r.dev.Status() == device.StatusMaintenance {
+	r.clock.Lock()
+	status := r.dev.Status()
+	r.clock.Unlock()
+	if status == device.StatusMaintenance {
 		return "", fmt.Errorf("qrmi: device %s is in maintenance", r.Target())
 	}
 	r.mu.Lock()
@@ -107,11 +115,15 @@ func (r *DeviceResource) TaskStart(payload []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	r.clock.Lock()
+	defer r.clock.Unlock()
 	return r.dev.Submit(prog)
 }
 
 // TaskStop implements Resource.
 func (r *DeviceResource) TaskStop(taskID string) error {
+	r.clock.Lock()
+	defer r.clock.Unlock()
 	return r.dev.Cancel(taskID)
 }
 
@@ -120,7 +132,9 @@ func (r *DeviceResource) TaskStatus(taskID string) (TaskState, error) {
 	if r.AutoAdvance > 0 {
 		r.clock.Advance(r.AutoAdvance)
 	}
+	r.clock.Lock()
 	st, err := r.dev.TaskStatus(taskID)
+	r.clock.Unlock()
 	if err != nil {
 		return "", err
 	}
@@ -129,20 +143,18 @@ func (r *DeviceResource) TaskStatus(taskID string) (TaskState, error) {
 
 // TaskResult implements Resource.
 func (r *DeviceResource) TaskResult(taskID string) ([]byte, error) {
+	r.clock.Lock()
 	st, err := r.dev.TaskStatus(taskID)
-	if err != nil {
-		return nil, err
+	var res *qir.Result
+	if err == nil && (st == device.TaskCompleted || st == device.TaskFailed) {
+		res, err = r.dev.TaskResult(taskID)
 	}
-	switch mapDeviceState(st) {
-	case StateCompleted:
-		res, err := r.dev.TaskResult(taskID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	case StateFailed:
-		_, err := r.dev.TaskResult(taskID)
+	r.clock.Unlock()
+	switch {
+	case err != nil:
 		return nil, err
+	case st == device.TaskCompleted:
+		return json.Marshal(res)
 	default:
 		return nil, ErrResultNotReady
 	}

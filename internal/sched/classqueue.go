@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -78,8 +77,7 @@ func ShortestExpectedKey(it *Item) [2]int64 {
 // no fields set is plain push order. A nil field contributes nothing.
 //
 // Each function is called once per item (at Push on a queue that has adopted
-// the ranker, or when PopRanked adopts it), under the queue lock: it must be
-// fast, must not call back into the queue, and must depend only on fields
+// the ranker, or when PopRanked adopts it): it must be fast, must not call back into the queue, and must depend only on fields
 // that do not change while the item is queued. Anything that does change —
 // fair-share's per-user served QPU-seconds — belongs in the lane weight,
 // which PopRanked reads afresh at every pop. A queue tells rankers apart by
@@ -206,9 +204,10 @@ type classQ struct {
 // ClassQueue is a three-class priority queue: class priority between
 // classes, and within a class whichever order the caller pops by — push
 // order (Pop), an indexed Ranker (PopRanked), or a linear scan under an
-// arbitrary comparator or score (PopBy, PopByScore).
+// arbitrary comparator or score (PopBy, PopByScore). It has no lock: its
+// owner serializes every call (the daemon's queues live inside the simulated
+// world of its clock).
 type ClassQueue struct {
-	mu      sync.Mutex
 	classes [ClassProduction + 1]classQ
 	// ranker is the Ranker the lanes are built for: adopted by the first
 	// PopRanked that names it, kept current by Push from then on.
@@ -227,8 +226,6 @@ func (q *ClassQueue) Push(it *Item) error {
 	if it.Class < ClassDev || it.Class > ClassProduction {
 		return fmt.Errorf("sched: invalid class %d", it.Class)
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if it.seq != 0 {
 		return fmt.Errorf("sched: item %s was queued before (push a fresh Item per requeue)", it.ID)
 	}
@@ -378,8 +375,6 @@ func (q *ClassQueue) top() *classQ {
 // Pop removes and returns the highest-priority item in push order, or nil
 // when empty.
 func (q *ClassQueue) Pop() *Item {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	c := q.top()
 	if c == nil {
 		return nil
@@ -406,8 +401,6 @@ func (q *ClassQueue) PopRanked(r *Ranker, weight map[string]float64) *Item {
 	if r == nil || (r.Pri == nil && r.Lane == nil && r.Ord == nil) {
 		return q.Pop()
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.ranker != r {
 		q.ranker = r
 		for c := range q.classes {
@@ -448,8 +441,6 @@ func (q *ClassQueue) PopRanked(r *Ranker, weight map[string]float64) *Item {
 // indexed paths it closes the list over the extracted item at once — one
 // memmove — and the list it walks stays dense, with no flags to test.
 func (q *ClassQueue) popScan(score func(it *Item) float64, less func(a, b *Item) bool) *Item {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	c := q.top()
 	if c == nil {
 		return nil
@@ -497,8 +488,8 @@ func (q *ClassQueue) PopBy(less func(a, b *Item) bool) *Item {
 // non-empty class: score orders items within a class, ties fall to tie
 // (nil, or equal again: the earlier-queued item wins, so equal-score pops
 // degrade to exactly the order Pop would give). Score is called once per
-// queued item of the winning class under the queue lock, so it must be fast
-// and must not call back into the queue. It is the O(backlog) path for
+// queued item of the winning class, so it must be fast and must not call
+// back into the queue. It is the O(backlog) path for
 // priority policies that can only score; see PopRanked.
 func (q *ClassQueue) PopByScore(score func(it *Item) float64, tie func(a, b *Item) bool) *Item {
 	if score == nil {
@@ -509,8 +500,6 @@ func (q *ClassQueue) PopByScore(score func(it *Item) float64, tie func(a, b *Ite
 
 // Peek returns the item Pop would remove, without removing it.
 func (q *ClassQueue) Peek() *Item {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if c := q.top(); c != nil {
 		return c.front()
 	}
@@ -519,8 +508,6 @@ func (q *ClassQueue) Peek() *Item {
 
 // Remove deletes an item by ID, reporting whether it was present.
 func (q *ClassQueue) Remove(id string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for c := range q.classes {
 		for _, it := range q.classes[c].items[q.classes[c].head:] {
 			if it.ID == id && !it.removed {
@@ -534,8 +521,6 @@ func (q *ClassQueue) Remove(id string) bool {
 
 // Len returns the total queued count.
 func (q *ClassQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	n := 0
 	for c := range q.classes {
 		n += q.classes[c].live
@@ -544,15 +529,12 @@ func (q *ClassQueue) Len() int {
 }
 
 // ClassLoads snapshots every class's queued count, earliest Enqueued time
-// and summed queued ExpectedQPU under a single lock acquisition — the bulk
-// read behind the admission stage's fleet load view. has[c] reports whether
+// and summed queued ExpectedQPU in one call — the bulk read behind the admission stage's fleet load view. has[c] reports whether
 // class c has any backlog (oldest[c] is meaningful only then). Counts and
 // QPU sums are O(1) reads; the earliest Enqueued is the head of the
 // per-class oldest-heap once flagged heads are dropped, so the cost per call
 // is O(classes) plus amortized O(log n) per item ever removed.
 func (q *ClassQueue) ClassLoads() (counts [ClassProduction + 1]int, oldest [ClassProduction + 1]time.Duration, has [ClassProduction + 1]bool, qpu [ClassProduction + 1]time.Duration) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for c := range q.classes {
 		cq := &q.classes[c]
 		counts[c] = cq.live
@@ -570,8 +552,6 @@ func (q *ClassQueue) ClassLoads() (counts [ClassProduction + 1]int, oldest [Clas
 
 // LenClass returns the queued count for one class.
 func (q *ClassQueue) LenClass(c Class) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if c < ClassDev || c > ClassProduction {
 		return 0
 	}

@@ -5,6 +5,13 @@
 // scheduling experiments measure pure policy effects — QPU idle time, wait
 // times by priority class — deterministically and orders of magnitude faster
 // than wall clock. A 24-hour cluster trace simulates in milliseconds.
+//
+// A clock and everything that runs on it — the devices, the daemon, its
+// queues and policies — form one simulated world with one lock: the clock's.
+// The drive methods (Step, Run, RunUntil, Advance, NextEventAt) take it once
+// per event and hold it while the event's callback runs. Every other method
+// assumes the caller is already inside the world: in a callback, between
+// Lock and Unlock, or the only goroutine the world has.
 package simclock
 
 import (
@@ -12,12 +19,12 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Event is a scheduled callback. Callbacks run with the clock advanced to
-// their timestamp and must not block.
+// their timestamp, inside the world (the clock's lock is held), and must not
+// block or drive the clock.
 type Event struct {
 	At   time.Duration
 	Name string
@@ -70,6 +77,7 @@ func (h *eventHeap) Pop() any {
 // Clock is a discrete-event simulation clock. The zero value is not usable;
 // call New.
 type Clock struct {
+	// mu is the world's lock (see the package comment).
 	mu      sync.Mutex
 	now     time.Duration
 	events  eventHeap
@@ -77,10 +85,6 @@ type Clock struct {
 	// deferred counts the elements of live series that are not in the heap
 	// yet: String reports them as pending, as if each had its own slot.
 	deferred int
-	// nowAtomic mirrors now (written only under mu) so Now() is a lock-free
-	// load — it sits on every hot path (device status, span emission) and a
-	// mutex round-trip per read is measurable at replay rates.
-	nowAtomic atomic.Int64
 }
 
 // New returns a clock at time zero with no pending events.
@@ -88,9 +92,18 @@ func New() *Clock {
 	return &Clock{}
 }
 
+// Lock enters the world from outside it — an HTTP handler, a resource
+// adapter, a test goroutine — for one request; Unlock leaves it. Nothing
+// inside the world takes another lock of the world's, so a callback or a
+// listener must not call Lock, nor any drive method.
+func (c *Clock) Lock() { c.mu.Lock() }
+
+// Unlock leaves the world Lock entered.
+func (c *Clock) Unlock() { c.mu.Unlock() }
+
 // Now returns the current simulation time as an offset from the epoch.
 func (c *Clock) Now() time.Duration {
-	return time.Duration(c.nowAtomic.Load())
+	return c.now
 }
 
 // Schedule registers fn to run after delay. A negative delay is treated as
@@ -109,8 +122,6 @@ func (c *Clock) Schedule(delay time.Duration, name string, fn func()) *Event {
 // periodic process runs on one slot instead of one allocation per tick. Arming
 // an event that is still pending panics: the clock holds each event once.
 func (c *Clock) Arm(e *Event, delay time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if e.index >= 0 && e.index < len(c.events) && c.events[e.index] == e {
 		panic("simclock: Arm of a pending event " + e.Name)
 	}
@@ -122,14 +133,7 @@ func (c *Clock) Arm(e *Event, delay time.Duration) {
 // ScheduleAt registers fn at an absolute simulation time. Times in the past
 // are clamped to now.
 func (c *Clock) ScheduleAt(at time.Duration, name string, fn func()) *Event {
-	c.mu.Lock()
-	now := c.now
-	c.mu.Unlock()
-	delay := at - now
-	if delay < 0 {
-		delay = 0
-	}
-	return c.Schedule(delay, name, fn)
+	return c.Schedule(max(at-c.now, 0), name, fn)
 }
 
 // ScheduleSeries registers fn(0) … fn(n-1) at the absolute times at(0) ≤ at(1)
@@ -143,8 +147,8 @@ func (c *Clock) ScheduleAt(at time.Duration, name string, fn func()) *Event {
 // — element i fires where the i-th of those calls would have. NextEventAt and
 // Pending read the same too. An at(i) below at(i-1) breaks the precondition
 // and fires in index order, right after its predecessor. at is called once
-// per element, in index order, outside the clock's lock: at(0) here, at(i)
-// when element i-1 fires, just before fn(i-1) runs. So at may be a cursor —
+// per element, in index order: at(0) here, at(i) when element i-1 fires,
+// just before fn(i-1) runs. So at may be a cursor —
 // read element i from a stream when asked, and hold at most two elements,
 // i-1 awaiting fn and i — rather than a pure function of i.
 func (c *Clock) ScheduleSeries(n int, name string, at func(i int) time.Duration, fn func(i int)) {
@@ -152,8 +156,6 @@ func (c *Clock) ScheduleSeries(n int, name string, at func(i int) time.Duration,
 		return
 	}
 	first := at(0)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := &series{n: n, at: at, fn: fn, seq0: c.nextSeq}
 	c.nextSeq += uint64(n)
 	c.deferred += n - 1
@@ -166,8 +168,6 @@ func (c *Clock) Cancel(e *Event) {
 	if e == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if e.dead || e.index < 0 || e.index >= len(c.events) || c.events[e.index] != e {
 		return
 	}
@@ -184,6 +184,11 @@ func (c *Clock) Cancel(e *Event) {
 func (c *Clock) NextEventAt() (time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.next()
+}
+
+// next is NextEventAt inside the world.
+func (c *Clock) next() (time.Duration, bool) {
 	if len(c.events) == 0 {
 		return 0, false
 	}
@@ -194,16 +199,17 @@ func (c *Clock) NextEventAt() (time.Duration, bool) {
 // timestamp. It reports whether an event was fired.
 func (c *Clock) Step() bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fire()
+}
+
+// fire is Step inside the world.
+func (c *Clock) fire() bool {
 	if len(c.events) == 0 {
-		c.mu.Unlock()
 		return false
 	}
 	e := heap.Pop(&c.events).(*Event)
-	if e.At > c.now {
-		c.now = e.At
-		c.nowAtomic.Store(int64(e.At))
-	}
-	c.mu.Unlock()
+	c.now = max(c.now, e.At)
 	if s := e.series; s != nil {
 		// Re-arm before the callback runs: whatever fn(i) schedules must
 		// find element i+1 queued ahead of it, as n separate events would be.
@@ -212,10 +218,8 @@ func (c *Clock) Step() bool {
 		i := s.i
 		if s.i++; s.i < s.n {
 			e.At, e.seq = max(s.at(s.i), e.At), s.seq0+uint64(s.i)
-			c.mu.Lock()
 			c.deferred--
 			heap.Push(&c.events, e)
-			c.mu.Unlock()
 		}
 		s.fn(i)
 	} else if !e.dead && e.Fn != nil {
@@ -242,33 +246,34 @@ func (c *Clock) Run(maxEvents int) int {
 // to exactly the deadline. Events scheduled beyond the deadline stay queued.
 func (c *Clock) RunUntil(deadline time.Duration) int {
 	fired := 0
-	for {
-		c.mu.Lock()
-		if len(c.events) == 0 || c.events[0].At > deadline {
-			if c.now < deadline {
-				c.now = deadline
-				c.nowAtomic.Store(int64(deadline))
-			}
-			c.mu.Unlock()
-			return fired
-		}
-		c.mu.Unlock()
-		if !c.Step() {
-			return fired
-		}
+	for c.fireBy(deadline) {
 		fired++
 	}
+	return fired
+}
+
+// fireBy fires the earliest event due by deadline, in one hold of the lock,
+// or, when none is, moves the clock to the deadline and reports false.
+func (c *Clock) fireBy(deadline time.Duration) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.events) == 0 || c.events[0].At > deadline {
+		c.now = max(c.now, deadline)
+		return false
+	}
+	return c.fire()
 }
 
 // Advance moves the clock forward by d, firing everything due in between.
 func (c *Clock) Advance(d time.Duration) int {
-	return c.RunUntil(c.Now() + d)
+	c.mu.Lock()
+	deadline := c.now + d
+	c.mu.Unlock()
+	return c.RunUntil(deadline)
 }
 
 // String describes the clock state for debugging.
 func (c *Clock) String() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return fmt.Sprintf("simclock{now=%s pending=%d}", c.now, len(c.events)+c.deferred)
 }
 
