@@ -308,19 +308,14 @@ func (r *replayRun) run() (*Report, error) {
 	})
 	// The drain starts at the header's horizon or just past the last arrival,
 	// whichever is later, and a stream knows the last only once it is drawn:
-	// run to the header's horizon and on while arrivals remain (each event
-	// fired lies before the last arrival), then to the horizon both fix.
-	horizon := r.at(r.header.HorizonUS)
-	for r.err == nil {
-		next, ok := r.clk.NextEventAt()
-		if !ok || (next > horizon && r.fired >= n) {
-			break
-		}
-		r.clk.Step()
+	// fire events while arrivals remain (each lies before the last arrival),
+	// then run to the horizon both fix.
+	for r.err == nil && r.fired < n && r.clk.Step() {
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
+	horizon := r.at(r.header.HorizonUS)
 	if n > 0 && r.last >= horizon {
 		horizon = r.last + time.Microsecond
 	}
