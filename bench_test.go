@@ -571,7 +571,7 @@ func benchServed(b *testing.B, shape servedShape) {
 			Clock: clk, AdminToken: adminToken, EnablePreemption: true, ProgramCache: 64,
 			Registry: telemetry.NewRegistry(), TSDB: telemetry.NewTSDB(24*time.Hour, 0),
 			Flight: trace.NewFlightRecorder(trace.DefaultFlightCapacity), Seed: 1,
-			// Runs under daemon locks: count and signal, nothing else.
+			// Runs inside the world: count and signal, nothing else.
 			JobListener: func(ev daemon.JobEvent) {
 				switch ev.Type {
 				case daemon.JobEventSubmitted:

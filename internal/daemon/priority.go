@@ -36,9 +36,8 @@ type PriorityPolicy interface {
 	// including any inline parameters (e.g. "slo-urgency:deadline=120s").
 	Name() string
 	// Score rates a queued item at sim time now; higher is more urgent.
-	// Called under the partition queue lock, once per queued item of the
-	// winning class — it must be fast, pure, and must not call back into
-	// the daemon or the queue.
+	// Called at a pop, once per queued item of the winning class — it must
+	// be fast, pure, and must not call back into the daemon or the queue.
 	Score(it *sched.Item, now time.Duration) float64
 }
 

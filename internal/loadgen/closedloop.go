@@ -91,8 +91,8 @@ func GenerateClosedLoop(cfg ClosedLoopConfig) (*Trace, error) {
 					return
 				}
 				delete(owner, ev.Job.ID)
-				// The listener runs under daemon locks; hand the next submission
-				// to the clock instead of re-entering the daemon here.
+				// The listener runs inside the daemon's world; hand the next
+				// submission to the clock instead of re-entering the daemon here.
 				think := simclock.Seconds(rng.ExpFloat64() * cfg.ThinkMean.Seconds())
 				clk.Schedule(think, fmt.Sprintf("think-user-%02d", u), func() { submitUser(u) })
 			},

@@ -114,7 +114,7 @@ type JobTrace struct {
 
 // Listener is the span hook signature — the Config.JobListener analogue for
 // spans. Implementations must be fast and must not call back into the
-// emitting daemon: spans may be emitted while daemon locks are held.
+// emitting daemon: spans are emitted inside its world (see simclock).
 type Listener func(Span)
 
 // Tee fans one span emission out to several listeners, skipping nils. Used to
