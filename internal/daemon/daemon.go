@@ -200,7 +200,7 @@ type Daemon struct {
 	admitObserver admission.Observer
 	// admitDetails interns the reason-less admission span annotations
 	// ("<policy> <outcome>") so traced accepts don't concatenate per job.
-	admitDetails map[admission.Outcome]string
+	admitDetails [len(internedOutcomes)]string
 
 	// fleet and byDevice are immutable after NewDaemon: the partition pool
 	// (validated through device.FleetOf) with scheduling state layered on.

@@ -238,9 +238,10 @@ func (d *Daemon) newJob(sub *submission, device string) *Job {
 	if n := sub.nspans; n > 0 {
 		sub.spans[n-1].End = now
 		cls := j.Class.String()
-		for _, sp := range sub.spans[:n] {
+		for i := range sub.spans[:n] {
+			sp := &sub.spans[i]
 			sp.Job, sp.Class = j.ID, cls
-			d.emitSpan(sp)
+			d.emitSpan(*sp)
 		}
 	}
 	return j
