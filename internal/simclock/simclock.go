@@ -18,7 +18,9 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -78,10 +80,15 @@ func (h *eventHeap) Pop() any {
 // call New.
 type Clock struct {
 	// mu is the world's lock (see the package comment).
-	mu      sync.Mutex
-	now     time.Duration
-	events  eventHeap
-	nextSeq uint64
+	mu sync.Mutex
+	// entering counts the outside entries waiting in Lock. A drive method
+	// yields after each event while one waits: a running goroutine wins every
+	// race for a sync.Mutex it just released, for up to a millisecond, so a
+	// request would otherwise wait behind a whole drain instead of one event.
+	entering atomic.Int32
+	now      time.Duration
+	events   eventHeap
+	nextSeq  uint64
 	// deferred counts the elements of live series that are not in the heap
 	// yet: String reports them as pending, as if each had its own slot.
 	deferred int
@@ -96,7 +103,11 @@ func New() *Clock {
 // adapter, a test goroutine — for one request; Unlock leaves it. Nothing
 // inside the world takes another lock of the world's, so a callback or a
 // listener must not call Lock, nor any drive method.
-func (c *Clock) Lock() { c.mu.Lock() }
+func (c *Clock) Lock() {
+	c.entering.Add(1)
+	c.mu.Lock()
+	c.entering.Add(-1)
+}
 
 // Unlock leaves the world Lock entered.
 func (c *Clock) Unlock() { c.mu.Unlock() }
@@ -198,9 +209,18 @@ func (c *Clock) next() (time.Duration, bool) {
 // Step fires the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was fired.
 func (c *Clock) Step() bool {
+	defer c.yield() // after the unlock: deferred calls run last-in first-out
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.fire()
+}
+
+// yield lets an entry waiting in Lock take the world the drive method has
+// just released.
+func (c *Clock) yield() {
+	if c.entering.Load() > 0 {
+		runtime.Gosched()
+	}
 }
 
 // fire is Step inside the world.
@@ -255,6 +275,7 @@ func (c *Clock) RunUntil(deadline time.Duration) int {
 // fireBy fires the earliest event due by deadline, in one hold of the lock,
 // or, when none is, moves the clock to the deadline and reports false.
 func (c *Clock) fireBy(deadline time.Duration) bool {
+	defer c.yield()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.events) == 0 || c.events[0].At > deadline {
