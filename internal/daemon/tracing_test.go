@@ -347,7 +347,9 @@ func TestHTTPTraceEndpoints(t *testing.T) {
 
 	// A daemon without a recorder 404s rather than serving an empty listing.
 	bare := newHTTPEnv(t)
+	bare.clk.Lock() // the env's pump drives the clock
 	bareSess, _ := bare.d.OpenSession("bob")
+	bare.clk.Unlock()
 	if code, _ = httpDo(t, http.MethodGet, bare.ts.URL+"/api/v1/trace", bareSess.Token, nil); code != http.StatusNotFound {
 		t.Fatalf("recorder-less trace: HTTP %d, want 404", code)
 	}
