@@ -20,8 +20,8 @@ package daemon
 //	    │               PriorityPolicy — what urgency (registry Priorities)
 //	    ▼
 //	[4] dispatch    per-partition dispatch loop — when to run, whom to   dispatch.go
-//	    │               preempt (production preempts lower classes; serial
-//	    │                per device, concurrent across the fleet)
+//	    │               preempt (production preempts lower classes; one
+//	    │                loop per partition, all inside the world)
 //	    ▼
 //	    settle      device task → finish or requeue; cancel           settle.go
 //	    ▼
