@@ -110,16 +110,21 @@ profile-replay:
 	$(GO) tool pprof -sample_index alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/qcload $(PROFILE_DIR)/replay_mem.out
 	$(GO) tool pprof -sample_index alloc_space -top -cum -nodecount 40 $(PROFILE_DIR)/qcload $(PROFILE_DIR)/replay_mem.out
 
-# fuzz-smoke runs each trace-ingestion fuzz target for a fixed iteration
-# count — a deterministic-duration CI pass over the JSONL reader, the
-# streamed replay and the SWF/sacct importers (Go fuzzing accepts exactly one
-# -fuzz target per invocation, hence four commands). Crashers land in
-# internal/loadgen/testdata/fuzz/ for `go test` to replay forever after.
+# fuzz-smoke runs each fuzz target for a fixed iteration count — a
+# deterministic-duration CI pass over the trace-ingestion paths (the JSONL
+# reader, the streamed replay and the SWF/sacct importers) and over the ID
+# lookups where a job-N or qpu-task-N string enters (the daemon's job table,
+# the device's task table, the analyzer's track slab). Go fuzzing accepts
+# exactly one -fuzz target per invocation, hence one command each. Crashers
+# land in the package's testdata/fuzz/ for `go test` to replay forever after.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTrace$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayReader$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSWF$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSacct$$' -fuzztime=2000x ./internal/loadgen
+	$(GO) test -run='^$$' -fuzz='^FuzzJobLookup$$' -fuzztime=2000x ./internal/daemon
+	$(GO) test -run='^$$' -fuzz='^FuzzTaskLookup$$' -fuzztime=2000x ./internal/device
+	$(GO) test -run='^$$' -fuzz='^FuzzAnalyzerJobID$$' -fuzztime=2000x ./internal/loadgen
 
 # surface runs the exported-surface gate verbosely: every exported name under
 # internal/ that no non-test file reaches, printed with its reason from

@@ -147,7 +147,7 @@ func TestExactRulesReadTheMedian(t *testing.T) {
 		"BenchmarkLoadgenReplayTraced trace_overhead_pct":      10,
 		"BenchmarkLoadgenReplayPriority priority_overhead_pct": 10,
 		"BenchmarkServedSubmit http_requests_per_job":          1.5,
-		"BenchmarkLoadgenReplayLong allocs_per_job":            5.5,
+		"BenchmarkLoadgenReplayLong allocs_per_job":            4.5,
 		"BenchmarkSweepWideMatrix allocs_per_job":              8.5,
 		"BenchmarkServedMixed allocs_per_job":                  340,
 	}

@@ -59,7 +59,9 @@ func TestAdmitStageDoesNotAllocate(t *testing.T) {
 // record keeps. Submit returns the record by value and the device recycles
 // the task record with its exec callback. Retention evicts each record as
 // the next one ends (History 1), never through the job pool, whose reuse the
-// race detector randomizes.
+// race detector randomizes. The warm-up runs past job 99: strconv formats a
+// two-digit number without allocating, and AllocsPerRun rounds down, so a
+// measured run that began among them would hide an allocation per ID.
 func TestSubmitSettleForgetAllocs(t *testing.T) {
 	clk := simclock.New()
 	dev, err := device.New(device.Config{Clock: clk, Seed: 1, TimingOnly: true})
@@ -87,7 +89,7 @@ func TestSubmitSettleForgetAllocs(t *testing.T) {
 			clk.RunUntil(next)
 		}
 	}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 128; i++ {
 		job() // warm the memos, the tables and the free lists
 	}
 	if n := testing.AllocsPerRun(500, job); n > 5 {
@@ -130,7 +132,7 @@ func (r *viewRecorder) snapshot(now time.Duration) admission.View {
 	for c := sched.ClassDev; c <= sched.ClassProduction; c++ {
 		v.ByClass[c] = admission.ClassLoad{}
 	}
-	for _, j := range d.jobs {
+	for _, j := range tableJobs(d) {
 		switch j.State {
 		case JobRunning:
 			v.Running++

@@ -158,8 +158,9 @@ type deviceState struct {
 	// Pre-bound cache counter series (nil without a registry or cache).
 	gCacheHits, gCacheMisses, gCacheEvictions *telemetry.BoundSeries
 
+	// running is the job on the partition's device: a task the device
+	// settles is ours when it is running's DeviceTask.
 	running *Job
-	byTask  map[string]*Job
 	// gQueue and gUtil are pre-bound per-device telemetry series (nil when
 	// no registry is configured), so queue-depth emission does not rebuild
 	// label keys per dispatch; tsQueue is gQueue's TSDB side (nil without a
@@ -214,8 +215,8 @@ type Daemon struct {
 
 	rng      *rand.Rand
 	sessions map[string]*Session
-	jobs     map[string]*Job
-	nextJob  int
+	jobs     ring[Job] // the job table, indexed by each job's number
+
 	nextSess int
 
 	// accounting. Queue waits are kept as per-class running sums (the only
@@ -231,8 +232,8 @@ type Daemon struct {
 	rejectedTotal int
 	jobsBySource  map[string]int
 	// finished and rejected hold the terminal records still in the job
-	// table, in finish order — the two retention rings (retention.go).
-	finished, rejected finishRing
+	// table, in finish order — the two finish rings (retention.go).
+	finished, rejected ring[Job]
 
 	// Registry series, bound once in NewDaemon and indexed by class where
 	// there is one per class. All nil when no registry is configured
@@ -294,7 +295,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		byDevice:     make(map[string]*deviceState, len(devices)),
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		sessions:     make(map[string]*Session),
-		jobs:         make(map[string]*Job),
+		jobs:         ring[Job]{base: 1},
 		waitSum:      make(map[sched.Class]time.Duration),
 		waitCount:    make(map[sched.Class]int),
 		usageByUser:  make(map[string]float64),
@@ -319,12 +320,11 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	for _, dev := range fleet.Devices() {
 		ds := &deviceState{
-			id:     dev.ID(),
-			dev:    dev,
-			queue:  sched.NewClassQueue(),
-			spec:   dev.Spec(),
-			cache:  newProgLRU(cfg.ProgramCache),
-			byTask: make(map[string]*Job),
+			id:    dev.ID(),
+			dev:   dev,
+			queue: sched.NewClassQueue(),
+			spec:  dev.Spec(),
+			cache: newProgLRU(cfg.ProgramCache),
 		}
 		d.fleet = append(d.fleet, ds)
 		d.byDevice[ds.id] = ds
@@ -380,7 +380,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		}
 	}
 	for _, ds := range d.fleet {
-		ds.dev.SetTaskListener(d.onDeviceTask)
+		ds.dev.SetTaskListener(func(_, taskID string, state device.TaskState) { d.onDeviceTask(ds, taskID, state) })
 	}
 	return d, nil
 }
@@ -422,7 +422,7 @@ func (d *Daemon) CloseSession(token string) error {
 	delete(d.sessions, token)
 	var toCancel []string
 	for _, id := range s.Jobs {
-		if j := d.jobs[id]; j != nil && j.State == JobQueued {
+		if j := d.job(id); j != nil && j.State == JobQueued {
 			toCancel = append(toCancel, id)
 		}
 	}

@@ -45,7 +45,7 @@ func newEnv(t *testing.T) *testEnv {
 	return &testEnv{clk: clk, dev: dev, d: d, reg: reg}
 }
 
-func payload(t *testing.T, shots int) []byte {
+func payload(t testing.TB, shots int) []byte {
 	t.Helper()
 	omega := 2 * math.Pi
 	tPi := math.Pi / omega * 1000
@@ -267,7 +267,7 @@ func TestRefusedPushFailsJob(t *testing.T) {
 	if !ds.queue.Remove(queued.ID) {
 		t.Fatal("second job was not queued")
 	}
-	j := d.jobs[queued.ID]
+	j := d.job(queued.ID)
 	j.Class = sched.Class(9)
 	if err := d.push(ds, j); err == nil {
 		t.Fatal("queue accepted an invalid class")

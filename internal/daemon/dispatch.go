@@ -64,7 +64,7 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 	case run != nil && d.cfg.EnablePreemption && sched.ShouldPreempt(next.Class, run.Class):
 		run.Preemptions++
 		d.preemptTotal++
-		d.notify(JobEventPreempted, *run)
+		d.notify(JobEventPreempted, run)
 		// Cancelling the device task triggers onDeviceTask, which requeues
 		// the victim and dispatches the partition again.
 		_ = ds.dev.Cancel(run.DeviceTask)
@@ -175,7 +175,6 @@ func (d *Daemon) usage() map[string]float64 { return d.usageByUser }
 func (d *Daemon) startJob(ds *deviceState, j *Job, taskID string) {
 	now := d.cfg.Clock.Now()
 	ds.running = j
-	ds.byTask[taskID] = j
 	j.State = JobRunning
 	j.StartedAt = now
 	j.DeviceTask = taskID
@@ -184,7 +183,7 @@ func (d *Daemon) startJob(ds *deviceState, j *Job, taskID string) {
 	d.waitCount[j.Class]++
 	d.bWait[j.Class].Observe(wait.Seconds())
 	d.feed(admission.Signal{Class: j.Class, At: now, WaitSeconds: wait.Seconds()})
-	d.notify(JobEventStarted, *j)
+	d.notify(JobEventStarted, j)
 	if !d.traced() {
 		return
 	}

@@ -381,7 +381,7 @@ func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
 	// Free the device: its settlement dispatches the partition.
 	started := 0
 	ds.dev.SetTaskListener(func(deviceID, taskID string, state device.TaskState) {
-		env.d.onDeviceTask(deviceID, taskID, state)
+		env.d.onDeviceTask(ds, taskID, state)
 		if ds.running != nil {
 			started++
 		}
@@ -397,8 +397,8 @@ func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
 	if snap := ds.dev.AdminSnapshot(); snap.Running != "" || snap.QueueLength != 0 {
 		t.Fatalf("task left on the device: running=%q queued=%d", snap.Running, snap.QueueLength)
 	}
-	if ds.running != nil || len(ds.byTask) != 0 || ds.queue.Len() != 0 {
-		t.Fatalf("partition state leaked: running=%v byTask=%d queued=%d", ds.running != nil, len(ds.byTask), ds.queue.Len())
+	if ds.running != nil || ds.queue.Len() != 0 {
+		t.Fatalf("partition state leaked: running=%v queued=%d", ds.running != nil, ds.queue.Len())
 	}
 }
 
@@ -414,13 +414,12 @@ func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
 
 	// A production job whose cancellation has updated the state but not yet
 	// removed the queue entry.
-	env.d.nextJob++
-	ghost := &Job{
-		ID: fmt.Sprintf("job-%d", env.d.nextJob), Session: s.Token, User: "alice",
+	ghost := &Job{Session: s.Token, User: "alice",
 		Class: sched.ClassProduction, Device: ds.id, State: JobQueued,
 		SubmittedAt: env.clk.Now(),
 	}
-	env.d.jobs[ghost.ID] = ghost
+	ghost.seq = env.d.jobs.push(ghost)
+	ghost.ID = fmt.Sprintf("job-%d", ghost.seq)
 	if err := ds.queue.Push(env.d.queueItem(ghost)); err != nil {
 		t.Fatal(err)
 	}

@@ -470,7 +470,7 @@ func TestHTTPSubmitRequestParity(t *testing.T) {
 	check := func(intake, id string, source string) {
 		t.Helper()
 		clk.Lock()
-		j := *d.jobs[id]
+		j := *d.job(id)
 		clk.Unlock()
 		if j.State != JobQueued {
 			t.Fatalf("%s: job is %s, want queued", intake, j.State)

@@ -128,10 +128,12 @@ type Job struct {
 	// preemption requeue) — the start of its current queued/requeued trace
 	// span.
 	enqueuedAt time.Duration
-	// seq is the number ID was minted from — the listing's sort key, since
-	// "job-10" sorts before "job-9" as text.
+	// seq is the number ID was minted from: the record's index in the job
+	// table. ID, jobPrefix and seq in decimal, is its spelling for the edge.
 	seq int
 }
+
+const jobPrefix = "job-"
 
 // ClassName renders the class for JSON consumers.
 func (j *Job) ClassName() string { return j.Class.String() }
@@ -174,12 +176,12 @@ type JobEvent struct {
 
 // notify delivers a lifecycle event snapshot to the configured listener,
 // which runs inside the world and must not call back into the daemon (see
-// Config.JobListener).
-func (d *Daemon) notify(t JobEventType, j Job) {
+// Config.JobListener). The record is copied once, into the event.
+func (d *Daemon) notify(t JobEventType, j *Job) {
 	if d.cfg.JobListener == nil {
 		return
 	}
-	d.cfg.JobListener(JobEvent{Type: t, At: d.cfg.Clock.Now(), Job: j})
+	d.cfg.JobListener(JobEvent{Type: t, At: d.cfg.Clock.Now(), Job: *j})
 }
 
 // jobPool recycles Job records across replay cells. A thousand-cell sweep
@@ -207,11 +209,12 @@ func defaultSource(s string) string {
 func (d *Daemon) newJob(sub *submission, device string) *Job {
 	req, dec := &sub.req, &sub.dec
 	now := d.cfg.Clock.Now()
-	d.nextJob++
 	j := jobPool.Get().(*Job)
+	n := d.jobs.push(j)
+	var id [24]byte // built on the stack: the ID string is the one allocation
 	*j = Job{
-		ID:                 "job-" + strconv.Itoa(d.nextJob),
-		seq:                d.nextJob,
+		ID:                 string(strconv.AppendInt(append(id[:0], jobPrefix...), int64(n), 10)),
+		seq:                n,
 		Session:            sub.sess.Token,
 		User:               sub.sess.User,
 		Class:              dec.Class,
@@ -232,7 +235,6 @@ func (d *Daemon) newJob(sub *submission, device string) *Job {
 		j.AdmissionOutcome = string(dec.Outcome)
 		j.AdmissionReason = dec.Reason
 	}
-	d.jobs[j.ID] = j
 	sub.sess.Jobs = append(sub.sess.Jobs, j.ID)
 	d.jobsBySource[j.Source]++
 	if n := sub.nspans; n > 0 {
@@ -277,7 +279,7 @@ func (d *Daemon) finish(j *Job, state JobState, err error) bool {
 				Slowdown: took.Seconds() / j.ExpectedQPUSeconds})
 		}
 	}
-	d.notify(event, *j)
+	d.notify(event, j)
 	if d.traced() {
 		d.emitTerminalSpans(j, prior)
 	}

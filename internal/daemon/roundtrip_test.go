@@ -83,7 +83,7 @@ func newRoundTripEnvHistory(t *testing.T, history int) *roundTripEnv {
 		if state == device.TaskCompleted && e.failNext.CompareAndSwap(true, false) {
 			state = device.TaskFailed
 		}
-		e.d.onDeviceTask(deviceID, taskID, state)
+		e.d.onDeviceTask(e.d.byDevice[deviceID], taskID, state)
 	})
 	h := e.d.Handler()
 	e.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

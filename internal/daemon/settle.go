@@ -11,37 +11,26 @@ import (
 	"hpcqc/internal/trace"
 )
 
-// onDeviceTask is the fleet-wide device listener: terminal device tasks are
-// routed to their partition by device ID, then finish or requeue their
-// daemon job and trigger that partition's next dispatch. A task is registered
-// as soon as it is submitted, so one missing from byTask is not ours (e.g. a
-// pre-existing task on a FleetOf-wrapped device).
-func (d *Daemon) onDeviceTask(deviceID, taskID string, state device.TaskState) {
-	ds, ok := d.byDevice[deviceID]
-	if !ok {
+// onDeviceTask is a partition's device listener, bound to it at
+// construction: a terminal device task finishes or requeues its daemon job,
+// the device forgets it, and the partition dispatches again. The partition
+// has one task of its own on the device at a time, its running job's: a
+// preempted victim's cancel settles inside Device.Cancel, before the
+// partition starts another. Any other task is not ours (e.g. a pre-existing
+// task on a FleetOf-wrapped device).
+func (d *Daemon) onDeviceTask(ds *deviceState, taskID string, state device.TaskState) {
+	j := ds.running
+	if j == nil || j.DeviceTask != taskID {
 		return
 	}
-	j, ok := ds.byTask[taskID]
-	if !ok {
-		return
+	ds.running = nil
+	if d.spanMarks {
+		// Close the partition's busy occupancy span.
+		now := d.cfg.Clock.Now()
+		d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageBusy, Class: j.Class.String(),
+			Device: ds.id, Start: ds.occSince, End: now})
+		ds.occSince = now
 	}
-	delete(ds.byTask, taskID)
-	if ds.running == j {
-		ds.running = nil
-		if d.spanMarks {
-			// Close the partition's busy occupancy span.
-			now := d.cfg.Clock.Now()
-			d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageBusy, Class: j.Class.String(),
-				Device: ds.id, Start: ds.occSince, End: now})
-			ds.occSince = now
-		}
-	}
-	d.settleTask(ds, j, taskID, state)
-}
-
-// settleTask finalizes or requeues a job whose device task reached a
-// terminal state, then re-dispatches the partition.
-func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device.TaskState) {
 	switch {
 	case state == device.TaskCompleted || state == device.TaskFailed:
 		res, err := ds.dev.TaskResult(taskID)
@@ -89,7 +78,7 @@ func (d *Daemon) requeue(ds *deviceState, j *Job) {
 		target = d.requeuePartition(j, ds)
 	}
 	j.Device = target.id
-	d.notify(JobEventRequeued, *j)
+	d.notify(JobEventRequeued, j)
 	if d.spanMarks {
 		d.emitSpan(trace.Span{Job: j.ID, Stage: trace.MarkRequeued, Class: j.Class.String(),
 			Device: target.id, Start: now, End: now})
@@ -144,13 +133,13 @@ func (d *Daemon) CancelJob(token, jobID string, force bool) error {
 	var err error
 	if !force {
 		j, err = d.ownedJob(token, jobID)
-	} else if j = d.jobs[jobID]; j == nil {
+	} else if j = d.job(jobID); j == nil {
 		err = fmt.Errorf("%w %q", ErrUnknownJob, jobID)
 	}
 	if err != nil {
 		return err
 	}
-	// Turn the record terminal before touching the partition: settleTask
+	// Turn the record terminal before touching the partition: onDeviceTask
 	// then does not requeue the device task withdrawn below.
 	state, taskID, ds := j.State, j.DeviceTask, d.byDevice[j.Device]
 	switch {

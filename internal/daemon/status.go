@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
 	"time"
 
 	"hpcqc/internal/device"
@@ -47,8 +46,8 @@ func (d *Daemon) ownedJob(token, jobID string) (*Job, error) {
 	if _, ok := d.sessions[token]; !ok {
 		return nil, errors.New("daemon: invalid session token")
 	}
-	j, ok := d.jobs[jobID]
-	if !ok || j.Session != token {
+	j := d.job(jobID)
+	if j == nil || j.Session != token {
 		return nil, fmt.Errorf("%w %q", ErrUnknownJob, jobID)
 	}
 	return j, nil
@@ -199,16 +198,18 @@ func (d *Daemon) AdminStatus() StatusReport {
 }
 
 // ListJobs returns a snapshot of every record in the job table — the jobs in
-// flight and the retained history — newest first, for the admin plane. Mint
-// order is submit order (the clock never runs backwards), so it alone is the
-// key: a total order even among jobs submitted at one instant.
+// flight and the retained history — newest first, for the admin plane. The
+// table is in mint order, which is submit order (the clock never runs
+// backwards): a total order even among jobs submitted at one instant.
 func (d *Daemon) ListJobs() []*Job {
-	out := make([]*Job, 0, len(d.jobs))
-	for _, j := range d.jobs {
-		cp := *j
-		out = append(out, &cp)
+	t := &d.jobs
+	out := make([]*Job, 0, t.len())
+	for i := len(t.recs) - 1; i >= t.head; i-- {
+		if j := t.recs[i]; j != nil {
+			cp := *j
+			out = append(out, &cp)
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].seq > out[b].seq })
 	return out
 }
 

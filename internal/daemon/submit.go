@@ -70,13 +70,15 @@ type submission struct {
 	nspans int
 }
 
-// stageDone ends the submission's current pipeline stage, filing its span.
+// stageDone ends the submission's current pipeline stage, filing its span
+// field by field into its zeroed slot (newJob fills in Job and Class).
 func (d *Daemon) stageDone(sub *submission, stage trace.Stage, device, detail string) {
 	if !sub.traced {
 		return
 	}
 	now := d.cfg.Clock.Now()
-	sub.spans[sub.nspans] = trace.Span{Stage: stage, Device: device, Start: sub.mark, End: now, Detail: detail}
+	sp := &sub.spans[sub.nspans]
+	sp.Stage, sp.Device, sp.Start, sp.End, sp.Detail = stage, device, sub.mark, now, detail
 	sub.nspans++
 	sub.mark = now
 }
@@ -318,7 +320,7 @@ func (d *Daemon) fleetInfos() []DeviceInfo {
 // before the push, so it always precedes "started" in listener order.
 func (d *Daemon) enqueue(sub *submission, ds *deviceState) (*Job, error) {
 	j := d.newJob(sub, ds.id)
-	d.notify(JobEventSubmitted, *j)
+	d.notify(JobEventSubmitted, j)
 	return j, d.push(ds, j)
 }
 

@@ -119,7 +119,7 @@ func TestForgetRecyclesOnlyFinishedTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	late := d.tasks[cancelled].exec.Fn
+	late := d.task(cancelled).exec.Fn
 	if err := d.Cancel(cancelled); err != nil {
 		t.Fatal(err)
 	}

@@ -110,8 +110,8 @@ type Device struct {
 	status  Status
 	queue   []*task // FIFO of queued tasks
 	running *task
-	tasks   map[string]*task
-	nextID  int
+	tasks   ring[task] // the task table, indexed by each task's number
+
 	// free holds forgotten task records for reuse (see Forget).
 	free []*task
 
@@ -181,7 +181,7 @@ func New(cfg Config) (*Device, error) {
 		spec:      cfg.Spec,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		status:    StatusOnline,
-		tasks:     make(map[string]*task),
+		tasks:     ring[task]{base: 1},
 		createdAt: cfg.Clock.Now(),
 		calib: Calibration{
 			RabiFactor:     1.0,

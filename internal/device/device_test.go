@@ -355,9 +355,9 @@ func TestTaskIDsSorted(t *testing.T) {
 	if len(ids) != 12 {
 		t.Fatalf("got %d ids", len(ids))
 	}
-	for i := 1; i < len(ids); i++ {
-		if taskNum(ids[i]) <= taskNum(ids[i-1]) {
-			t.Fatalf("ids not sorted: %v", ids)
+	for i, id := range ids {
+		if id != "qpu-task-"+strconv.Itoa(i+1) {
+			t.Fatalf("ids not in submission order: %v", ids)
 		}
 	}
 }

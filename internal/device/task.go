@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"hpcqc/internal/qir"
@@ -11,9 +12,64 @@ import (
 	"hpcqc/internal/telemetry"
 )
 
+const taskPrefix = "qpu-task-"
+
+// ring is the daemon's retention ring (internal/daemon/retention.go) line for
+// line, as one shared type would export a name: recs[i] is the record
+// numbered base+i, or nil once dropped, and the dropped prefix goes once it
+// is half the slice.
+type ring[T any] struct {
+	recs []*T
+	base int // the number of recs[0]
+	head int // recs[:head] are dropped
+}
+
+// push appends x and returns its number.
+func (r *ring[T]) push(x *T) int {
+	r.recs = append(r.recs, x)
+	return r.base + len(r.recs) - 1
+}
+
+// at returns the record numbered n, nil if dropped or never minted.
+func (r *ring[T]) at(n int) *T {
+	if i := n - r.base; i >= r.head && i < len(r.recs) {
+		return r.recs[i]
+	}
+	return nil
+}
+
+// drop releases the record numbered n.
+func (r *ring[T]) drop(n int) {
+	i := n - r.base
+	if i < r.head || i >= len(r.recs) {
+		return
+	}
+	r.recs[i] = nil
+	for r.head < len(r.recs) && r.recs[r.head] == nil {
+		r.head++
+	}
+	if 2*r.head >= len(r.recs) {
+		k := copy(r.recs, r.recs[r.head:])
+		clear(r.recs[k:])
+		r.recs, r.base, r.head = r.recs[:k], r.base+r.head, 0
+	}
+}
+
+// task resolves a task ID: nil for one never minted or forgotten. The
+// record's own ID must equal the string, so "qpu-task-07" and
+// "qpu-task-+7" are not task 7.
+func (d *Device) task(id string) *task {
+	n, _ := strconv.Atoi(strings.TrimPrefix(id, taskPrefix))
+	if t := d.tasks.at(n); t != nil && t.id == id {
+		return t
+	}
+	return nil
+}
+
 // task is an internal execution record.
 type task struct {
 	id       string
+	num      int // id's number: the record's index in the task table
 	program  *qir.Program
 	state    TaskState
 	result   *qir.Result
@@ -52,13 +108,12 @@ func (d *Device) SubmitWithSetup(p *qir.Program, setupSeconds float64) (string, 
 	if d.status == StatusMaintenance {
 		return "", errors.New("device: in maintenance, not accepting tasks")
 	}
-	d.nextID++
 	t := d.newTask()
+	t.num = d.tasks.push(t)
 	var id [32]byte // built on the stack: the ID string is the one allocation
-	t.id = string(strconv.AppendInt(append(id[:0], "qpu-task-"...), int64(d.nextID), 10))
+	t.id = string(strconv.AppendInt(append(id[:0], taskPrefix...), int64(t.num), 10))
 	t.program, t.state = p, TaskQueued
 	t.queuedAt, t.setup = d.cfg.Clock.Now(), simclock.Seconds(setupSeconds)
-	d.tasks[t.id] = t
 	d.queue = append(d.queue, t)
 	d.pump()
 	d.emitTelemetry()
@@ -142,8 +197,8 @@ func (d *Device) finish(t *task) {
 
 // TaskStatus returns the lifecycle state of a task.
 func (d *Device) TaskStatus(id string) (TaskState, error) {
-	t, ok := d.tasks[id]
-	if !ok {
+	t := d.task(id)
+	if t == nil {
 		return "", fmt.Errorf("device: unknown task %q", id)
 	}
 	return t.state, nil
@@ -153,8 +208,8 @@ func (d *Device) TaskStatus(id string) (TaskState, error) {
 // the result's Counts and Metadata maps are shared with every other
 // timing-only result and must not be written; copy them to annotate.
 func (d *Device) TaskResult(id string) (*qir.Result, error) {
-	t, ok := d.tasks[id]
-	if !ok {
+	t := d.task(id)
+	if t == nil {
 		return nil, fmt.Errorf("device: unknown task %q", id)
 	}
 	switch t.state {
@@ -179,8 +234,8 @@ func (d *Device) TaskResult(id string) (*qir.Result, error) {
 // the record lets go of it. A cancelled task is only dropped, as a cancel is
 // rare enough that recycling it would buy nothing.
 func (d *Device) Forget(id string) {
-	if t, ok := d.tasks[id]; ok && t.state != TaskQueued && t.state != TaskRunning {
-		delete(d.tasks, id)
+	if t := d.task(id); t != nil && t.state != TaskQueued && t.state != TaskRunning {
+		d.tasks.drop(t.num)
 		if t.state != TaskCancelled {
 			*t = task{exec: t.exec}
 			d.free = append(d.free, t)
@@ -190,8 +245,8 @@ func (d *Device) Forget(id string) {
 
 // Cancel aborts a queued or running task.
 func (d *Device) Cancel(id string) error {
-	t, ok := d.tasks[id]
-	if !ok {
+	t := d.task(id)
+	if t == nil {
 		return fmt.Errorf("device: unknown task %q", id)
 	}
 	switch t.state {
@@ -226,8 +281,8 @@ func (d *Device) Cancel(id string) error {
 // WaitTime returns how long a task waited in queue before starting; zero for
 // tasks that have not started.
 func (d *Device) WaitTime(id string) (time.Duration, error) {
-	t, ok := d.tasks[id]
-	if !ok {
+	t := d.task(id)
+	if t == nil {
 		return 0, fmt.Errorf("device: unknown task %q", id)
 	}
 	if t.state == TaskQueued {

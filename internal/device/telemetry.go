@@ -1,10 +1,6 @@
 package device
 
-import (
-	"sort"
-	"strconv"
-	"time"
-)
+import "time"
 
 // emitTelemetry pushes the current state to the registry and TSDB.
 func (d *Device) emitTelemetry() {
@@ -69,21 +65,4 @@ func (d *Device) AdminSnapshot() Snapshot {
 		s.Running = d.running.id
 	}
 	return s
-}
-
-// TaskIDs lists all known task IDs sorted by submission order.
-func (d *Device) TaskIDs() []string {
-	ids := make([]string, 0, len(d.tasks))
-	for id := range d.tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		return taskNum(ids[i]) < taskNum(ids[j])
-	})
-	return ids
-}
-
-func taskNum(id string) int {
-	n, _ := strconv.Atoi(id[len("qpu-task-"):])
-	return n
 }

@@ -14,19 +14,39 @@ type liveState struct {
 	jobTable    int // records in the daemon's job table
 	deviceTasks int // largest per-device task table
 	sessionJobs int // summed length of the sessions' Jobs lists
-	tracked     int // entries in the analyzer's in-flight index
+	tracked     int // the analyzer's non-terminal tracks
 	inFlight    int // queued + running jobs in the daemon's table
+}
+
+// liveTracks counts the analyzer's non-terminal tracks, slot by slot.
+func liveTracks(a *Analyzer) int {
+	n := 0
+	for i := 0; i < a.used; i++ {
+		if !a.chunks[i/trackChunkSize][i%trackChunkSize].terminal {
+			n++
+		}
+	}
+	return n
 }
 
 // watchLiveState replays tr under cfg with a sampler riding the run's own
 // clock (every period of simulation time, so it fires between events, with
 // no daemon lock held). Each sample also checks the reclamation invariant:
-// the analyzer's in-flight index and the daemon's non-terminal records are
-// the same set, i.e. no queued or running job was ever released.
+// the analyzer's non-terminal tracks and the daemon's non-terminal records
+// are the same set, i.e. no queued or running job was ever released. A
+// device's task table is read through the tasks the daemon started on it:
+// every task it mints is started, and one that reads unknown is forgotten
+// for good.
 func watchLiveState(t *testing.T, tr *Trace, cfg ReplayConfig, period time.Duration) (liveState, *Report) {
 	t.Helper()
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	held := map[string][]string{} // device → tasks started and not yet seen forgotten
+	cfg.JobListener = func(ev daemon.JobEvent) {
+		if ev.Type == daemon.JobEventStarted {
+			held[ev.Job.Device] = append(held[ev.Job.Device], ev.Job.DeviceTask)
+		}
 	}
 	r, err := newReplayRun(tr.Header, tr.record, cfg)
 	if err != nil {
@@ -44,13 +64,14 @@ func watchLiveState(t *testing.T, tr *Trace, cfg ReplayConfig, period time.Durat
 				continue
 			}
 			inFlight++
-			if r.an.jobs[j.ID] == nil {
-				t.Errorf("t=%s: %s is %s in the daemon but gone from the analyzer's index", r.clk.Now(), j.ID, j.State)
+			if r.an.live(j.ID) == nil {
+				t.Errorf("t=%s: %s is %s in the daemon but its track is terminal or gone", r.clk.Now(), j.ID, j.State)
 			}
 		}
-		if inFlight != len(r.an.jobs) {
-			t.Errorf("t=%s: analyzer tracks %d in-flight jobs, the daemon holds %d non-terminal records — a live job was released",
-				r.clk.Now(), len(r.an.jobs), inFlight)
+		tracked := liveTracks(r.an)
+		if inFlight != tracked {
+			t.Errorf("t=%s: analyzer has %d non-terminal tracks, the daemon holds %d non-terminal records — a live job was released",
+				r.clk.Now(), tracked, inFlight)
 		}
 		sessionJobs := 0
 		for _, s := range r.sessions {
@@ -58,10 +79,17 @@ func watchLiveState(t *testing.T, tr *Trace, cfg ReplayConfig, period time.Durat
 		}
 		peak.jobTable = max(peak.jobTable, len(jobs))
 		peak.sessionJobs = max(peak.sessionJobs, sessionJobs)
-		peak.tracked = max(peak.tracked, len(r.an.jobs))
+		peak.tracked = max(peak.tracked, tracked)
 		peak.inFlight = max(peak.inFlight, inFlight)
 		for _, dev := range r.d.Devices() {
-			peak.deviceTasks = max(peak.deviceTasks, len(dev.TaskIDs()))
+			kept := held[dev.ID()][:0]
+			for _, id := range held[dev.ID()] {
+				if _, err := dev.TaskStatus(id); err == nil {
+					kept = append(kept, id)
+				}
+			}
+			held[dev.ID()] = kept
+			peak.deviceTasks = max(peak.deviceTasks, len(kept))
 		}
 		if submitted, terminal := r.an.Counts(); terminal < submitted || submitted < len(tr.Records) {
 			r.clk.Schedule(period, "live-state-sample", sample)
@@ -121,7 +149,7 @@ func TestReplayLiveStateBounded(t *testing.T) {
 		// A list is compacted once over half of it is released, so it holds
 		// at most twice the live records.
 		{"session job lists", peak.sessionJobs, 2 * (reclaimEvery + slack)},
-		{"analyzer in-flight index", peak.tracked, slack},
+		{"analyzer non-terminal tracks", peak.tracked, slack},
 	} {
 		if b.got > b.bound {
 			t.Errorf("%s peaked at %d over %d jobs, bound %d", b.what, b.got, len(tr.Records), b.bound)

@@ -3,6 +3,8 @@ package loadgen
 import (
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"hpcqc/internal/daemon"
@@ -10,166 +12,6 @@ import (
 	"hpcqc/internal/telemetry"
 	"hpcqc/internal/trace"
 )
-
-// Quantiles carries the p50/p95/p99 of one SLO distribution.
-type Quantiles struct {
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
-}
-
-// quantilesInPlace is the nearest-rank quantiles of a scratch slice the
-// caller owns, which it sorts.
-func quantilesInPlace(s []float64) Quantiles {
-	sort.Float64s(s)
-	return pickQuantiles(len(s), func(i int) float64 { return s[i] })
-}
-
-// pickQuantiles applies the nearest-rank convention to n sorted samples, of
-// which at reads the i-th (0-based); only the three picked ranks are read.
-//
-// The convention, locked in by table tests (N=0,1,2,100) because sweep
-// reports must stay byte-identical across refactors: the percentile p maps to
-// 1-based rank round(p·N) (half away from zero), clamped into [1, N], and the
-// quantile is the sample at that rank — no interpolation. Consequences worth
-// naming: an empty sample set yields zeros (never NaN or a panic); a single
-// sample is every percentile; at N=2 the p50 is the *lower* sample (rank
-// round(1.0) = 1) while p95/p99 take the upper; at N=100 the p50/p95/p99 are
-// the 50th/95th/99th order statistics.
-func pickQuantiles(n int, at func(i int) float64) Quantiles {
-	if n == 0 {
-		return Quantiles{}
-	}
-	pick := func(p float64) float64 {
-		return at(min(max(int(p*float64(n)+0.5)-1, 0), n-1))
-	}
-	return Quantiles{P50: pick(0.50), P95: pick(0.95), P99: pick(0.99)}
-}
-
-// ClassSLO is the per-priority-class slice of a report. Rejected, ShedRate
-// and Downgraded are keyed by the class the submitter *asked for* (a shed
-// test job counts against test even though it never ran); everything else is
-// keyed by the class the job actually ran at.
-type ClassSLO struct {
-	Jobs      int `json:"jobs"`
-	Completed int `json:"completed"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
-	// Rejected counts submissions of this class shed by the admission
-	// stage; ShedRate is Rejected over everything offered at this class.
-	Rejected int     `json:"rejected"`
-	ShedRate float64 `json:"shed_rate"`
-	// Downgraded counts submissions of this class the admission stage
-	// down-classed (they ran, but at a lower class).
-	Downgraded int `json:"downgraded"`
-	// GoodputJobsPerHour is completed work over the run's makespan — the
-	// companion to ShedRate: what shedding best-effort work buys.
-	GoodputJobsPerHour float64 `json:"goodput_jobs_per_hour"`
-	Preemptions        int     `json:"preemptions"`
-	// WaitSeconds is the distribution of time from submission to first
-	// start; MeanWaitSeconds is its mean.
-	WaitSeconds     Quantiles `json:"wait_seconds"`
-	MeanWaitSeconds float64   `json:"mean_wait_seconds"`
-	// Slowdown is turnaround divided by the job's expected QPU service time
-	// (1.0 = ran the instant it arrived, with no queueing or preemption).
-	Slowdown Quantiles `json:"slowdown"`
-	// CacheHits/CacheMisses count program-cache outcomes across the class's
-	// dispatches (a preempted job contributes one outcome per dispatch);
-	// CacheHitRate is hits over both. All zero — and omitted — when the
-	// replay ran without a program cache.
-	CacheHits    int     `json:"cache_hits,omitempty"`
-	CacheMisses  int     `json:"cache_misses,omitempty"`
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-	// DeadlineJobs counts admitted terminal jobs of this class that carried
-	// a deadline; DeadlineHits are those that completed within it, and
-	// everything else — late completion, failure, cancellation — is a miss.
-	// (Rejected submissions never count here: they surface in ShedRate.)
-	// DeadlineHitRate is hits over deadline jobs; LatenessSeconds is the
-	// finish−deadline distribution over deadline-carrying *completed* jobs
-	// (negative = finished early). All omitted when no job of the class
-	// carried a deadline, keeping deadline-less reports byte-identical.
-	DeadlineJobs    int        `json:"deadline_jobs,omitempty"`
-	DeadlineHits    int        `json:"deadline_hits,omitempty"`
-	DeadlineMisses  int        `json:"deadline_misses,omitempty"`
-	DeadlineHitRate float64    `json:"deadline_hit_rate,omitempty"`
-	LatenessSeconds *Quantiles `json:"lateness_seconds,omitempty"`
-	// Stages is the stage-latency attribution, present when the replay ran
-	// with tracing: per pipeline stage (validate, admission, route, queued,
-	// requeued, execute), the distribution of that stage's duration for jobs
-	// of this class — the decomposition that turns "p99 wait fell 11.5 s"
-	// into "9 s out of queueing, 2.5 s out of admission retry".
-	Stages map[string]*StageSLO `json:"stages,omitempty"`
-}
-
-// StageSLO is the per-stage slice of the stage-latency attribution.
-type StageSLO struct {
-	// Spans counts observed stage spans (a preempted job contributes one
-	// execute span per run segment, one requeued span per requeue).
-	Spans int `json:"spans"`
-	// Seconds is the distribution of the stage's span durations.
-	Seconds     Quantiles `json:"seconds"`
-	MeanSeconds float64   `json:"mean_seconds"`
-	// TotalSeconds is the summed stage time across the class's jobs — the
-	// stage's share of where the class's seconds went.
-	TotalSeconds float64 `json:"total_seconds"`
-}
-
-// DeviceSLO is the per-partition slice of a report.
-type DeviceSLO struct {
-	// Jobs counts jobs that finished homed on this partition.
-	Jobs        int `json:"jobs"`
-	Completed   int `json:"completed"`
-	Preemptions int `json:"preemptions"`
-	// Utilization is the partition's busy fraction over the run (filled by
-	// the replay driver from the device model).
-	Utilization float64 `json:"utilization"`
-}
-
-// Report is the SLO summary of one replayed policy combination.
-type Report struct {
-	Router    string `json:"router"`
-	Scheduler string `json:"scheduler"`
-	Admission string `json:"admission"`
-	// Priority names the dynamic-urgency axis; empty (and omitted) for the
-	// constant default, so pre-axis reports are byte-identical.
-	Priority string `json:"priority,omitempty"`
-	// FleetSize, Preemption, RateScale and ShotScale identify the cell along
-	// the generalized sweep axes. Each is omitted at its default — fleet size
-	// only stamped when the sweep crosses fleet sizes, preemption "off" only
-	// when disabled, scales only when ≠ 1 — so reports from sweeps that never
-	// touch these axes are byte-identical to their pre-axis form.
-	FleetSize  int     `json:"fleet_size,omitempty"`
-	Preemption string  `json:"preemption,omitempty"`
-	RateScale  float64 `json:"rate_scale,omitempty"`
-	ShotScale  float64 `json:"shot_scale,omitempty"`
-
-	// Jobs counts every offered submission, including rejected ones;
-	// Completed+Failed+Cancelled+Rejected covers the terminal states.
-	Jobs      int `json:"jobs"`
-	Completed int `json:"completed"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
-	// Rejected counts submissions shed at the admission stage; Downgraded
-	// counts submissions admitted at a lower class than requested.
-	Rejected     int `json:"rejected"`
-	Downgraded   int `json:"downgraded"`
-	SubmitErrors int `json:"submit_errors,omitempty"`
-	Preemptions  int `json:"preemptions"`
-	Requeues     int `json:"requeues"`
-	// CrossRequeues counts requeues that moved the job to a different
-	// partition (the cross-partition requeue path).
-	CrossRequeues int `json:"cross_requeues"`
-	// MakespanSeconds is the simulation time of the last terminal event.
-	MakespanSeconds float64 `json:"makespan_seconds"`
-	// ProgramCacheHits/Misses/HitRate aggregate the per-class cache
-	// outcomes; omitted when the replay ran without a program cache.
-	ProgramCacheHits    int     `json:"program_cache_hits,omitempty"`
-	ProgramCacheMisses  int     `json:"program_cache_misses,omitempty"`
-	ProgramCacheHitRate float64 `json:"program_cache_hit_rate,omitempty"`
-
-	PerClass  map[string]*ClassSLO  `json:"per_class"`
-	PerDevice map[string]*DeviceSLO `json:"per_device"`
-}
 
 // jobTrack is the analyzer's per-job lifecycle accumulator, what the peak heap
 // holds per job seen: pointer-free, so the GC never scans the slab behind it.
@@ -224,11 +66,10 @@ type stageCell struct {
 // loadgen_slowdown) so a live site scrapes SLO attainment from /metrics with
 // the same machinery as every other signal.
 type Analyzer struct {
-	// jobs indexes the tracks of jobs still in flight: an entry goes when its
-	// job turns terminal, so the map — and the ID strings it pins — follows
-	// the backlog, not the trace. The tracks themselves stay in the slab, in
-	// submission order, for Report.
-	jobs          map[string]*jobTrack
+	// first is the number of the first job's ID: the daemon mints job-N in
+	// submission order and each job gets one track, so job N's is slab slot
+	// N-first (newTrack, live) — an ID is read where its event enters.
+	first         int
 	preempts      int
 	requeues      int
 	crossRequeues int
@@ -261,8 +102,16 @@ type Analyzer struct {
 // trackChunkSize is the jobTrack slab block size (tracks per allocation).
 const trackChunkSize = 4096
 
-// newTrack hands out the next zeroed jobTrack from the slab.
-func (a *Analyzer) newTrack() *jobTrack {
+// newTrack hands out the next zeroed jobTrack from the slab, to job id when
+// it is the next job in submission order; any other ID gets none.
+func (a *Analyzer) newTrack(id string) *jobTrack {
+	n, ok := jobNumber(id)
+	if !ok || a.used > 0 && n != a.first+a.used {
+		return nil
+	}
+	if a.used == 0 {
+		a.first = n
+	}
 	ci, off := a.used/trackChunkSize, a.used%trackChunkSize
 	if ci == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]jobTrack, trackChunkSize))
@@ -271,6 +120,23 @@ func (a *Analyzer) newTrack() *jobTrack {
 	t := &a.chunks[ci][off]
 	*t = jobTrack{}
 	return t
+}
+
+// live returns the track of job id while it is in flight, else nil.
+func (a *Analyzer) live(id string) *jobTrack {
+	n, ok := jobNumber(id)
+	if i := n - a.first; ok && i >= 0 && i < a.used && !a.chunks[i/trackChunkSize][i%trackChunkSize].terminal {
+		return &a.chunks[i/trackChunkSize][i%trackChunkSize]
+	}
+	return nil
+}
+
+// jobNumber reads the number out of a daemon job ID, "job-" and a decimal
+// with neither sign nor leading zero: each number has one spelling.
+func jobNumber(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, "job-")
+	n, err := strconv.Atoi(digits)
+	return n, ok && err == nil && digits[0] != '+' && digits[0] != '-' && (digits[0] != '0' || len(digits) == 1)
 }
 
 // device returns the device-table index of id, adding it on first sight. The
@@ -290,11 +156,10 @@ func (a *Analyzer) device(id string) uint32 {
 // cell. Only registry-less analyzers are pooled (bound telemetry series
 // belong to a specific registry).
 func (a *Analyzer) Reset() {
-	clear(a.jobs)
 	clear(a.preemptByDev)
 	a.devices = a.devices[:0]
 	a.preempts, a.requeues, a.crossRequeues, a.terminal = 0, 0, 0, 0
-	a.lastTerminal, a.used = 0, 0
+	a.lastTerminal, a.used, a.first = 0, 0, 0
 	for c := range a.stages {
 		for i, cell := range a.stages[c] {
 			a.stages[c][i] = stageCell{durs: cell.durs[:0]}
@@ -304,10 +169,7 @@ func (a *Analyzer) Reset() {
 
 // NewAnalyzer returns an analyzer; reg may be nil to skip metric exposition.
 func NewAnalyzer(reg *telemetry.Registry) *Analyzer {
-	a := &Analyzer{
-		jobs:         make(map[string]*jobTrack),
-		preemptByDev: make(map[string]int),
-	}
+	a := &Analyzer{preemptByDev: make(map[string]int)}
 	if reg != nil {
 		mWait := reg.MustHistogram("loadgen_wait_seconds", "Job queue wait by class under generated load.",
 			[]float64{1, 5, 15, 60, 300, 1800, 7200})
@@ -327,28 +189,24 @@ func NewAnalyzer(reg *telemetry.Registry) *Analyzer {
 // intended single-threaded replay setup.
 func (a *Analyzer) Observe(ev daemon.JobEvent) {
 	switch ev.Type {
-	case daemon.JobEventSubmitted:
-		t := a.newTrack()
-		t.class, t.requested = uint8(ev.Job.Class), uint8(ev.Job.RequestedClass)
-		t.device = a.device(ev.Job.Device)
-		t.submitted = ev.Job.SubmittedAt
-		t.expected = ev.Job.ExpectedQPUSeconds
-		t.deadline = ev.Job.DeadlineSeconds
-		a.jobs[ev.Job.ID] = t
-	case daemon.JobEventRejected:
-		// Shed submissions are terminal from birth: they count as offered
-		// load (for shed rates) but never enter the wait distributions — or
-		// the in-flight index.
-		t := a.newTrack()
-		t.class = uint8(ev.Job.Class)
-		t.submitted = ev.Job.SubmittedAt
-		t.expected = ev.Job.ExpectedQPUSeconds
-		t.state, t.terminal = trackRejected, true
-		t.finished = ev.At
-		a.terminal++
-		a.lastTerminal = max(a.lastTerminal, ev.At)
+	case daemon.JobEventSubmitted, daemon.JobEventRejected:
+		t := a.newTrack(ev.Job.ID)
+		if t == nil {
+			return
+		}
+		t.class, t.submitted, t.expected = uint8(ev.Job.Class), ev.Job.SubmittedAt, ev.Job.ExpectedQPUSeconds
+		if ev.Type == daemon.JobEventRejected {
+			// Shed submissions are terminal from birth: they count as offered
+			// load (for shed rates) but never enter the wait distributions,
+			// and are never in flight.
+			t.state, t.terminal, t.finished = trackRejected, true, ev.At
+			a.terminal++
+			a.lastTerminal = max(a.lastTerminal, ev.At)
+			return
+		}
+		t.requested, t.device, t.deadline = uint8(ev.Job.RequestedClass), a.device(ev.Job.Device), ev.Job.DeadlineSeconds
 	case daemon.JobEventStarted:
-		t := a.jobs[ev.Job.ID]
+		t := a.live(ev.Job.ID)
 		if t == nil {
 			return
 		}
@@ -368,12 +226,12 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 	case daemon.JobEventPreempted:
 		a.preempts++
 		a.preemptByDev[ev.Job.Device]++
-		if t := a.jobs[ev.Job.ID]; t != nil {
+		if t := a.live(ev.Job.ID); t != nil {
 			t.preempts++
 		}
 	case daemon.JobEventRequeued:
 		a.requeues++
-		if t := a.jobs[ev.Job.ID]; t != nil {
+		if t := a.live(ev.Job.ID); t != nil {
 			dev := a.device(ev.Job.Device)
 			if dev != t.device {
 				a.crossRequeues++
@@ -381,11 +239,10 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 			t.device = dev
 		}
 	case daemon.JobEventFinished:
-		t := a.jobs[ev.Job.ID]
+		t := a.live(ev.Job.ID)
 		if t == nil {
 			return
 		}
-		delete(a.jobs, ev.Job.ID)
 		t.state, t.terminal = finishedStates[ev.Job.State], true
 		t.finished = ev.At
 		t.device = a.device(ev.Job.Device)
@@ -405,14 +262,40 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 // report. Occupancy spans, instant lifecycle marks and spans of no known
 // class are skipped; what accumulates is where each job's seconds went, per
 // class and stage. Like Observe, not safe for concurrent use with itself.
-func (a *Analyzer) ObserveSpan(s trace.Span) {
-	stage := slices.Index(spanStages[:], s.Stage)
-	class, err := sched.ParseClass(s.Class)
-	if stage < 0 || err != nil {
+// It is small enough to inline into the method value a listener holds, so
+// the span is read where the daemon passed it, not copied once more.
+func (a *Analyzer) ObserveSpan(s trace.Span) { a.observeSpan(s.Class, s.Stage, s.End-s.Start) }
+
+// observeSpan adds one span of class and stage, d long, to its cell of the
+// attribution table (spanStages' order).
+func (a *Analyzer) observeSpan(class string, stage trace.Stage, d time.Duration) {
+	c, i := sched.ClassDev, 0
+	switch class {
+	case "dev":
+	case "test":
+		c = sched.ClassTest
+	case "production":
+		c = sched.ClassProduction
+	default:
 		return
 	}
-	cell := &a.stages[class][stage]
-	if d := s.End - s.Start; d != 0 {
+	switch stage {
+	case trace.StageValidate:
+	case trace.StageAdmission:
+		i = 1
+	case trace.StageRoute:
+		i = 2
+	case trace.StageQueued:
+		i = 3
+	case trace.StageRequeued:
+		i = 4
+	case trace.StageExecute:
+		i = 5
+	default:
+		return
+	}
+	cell := &a.stages[c][i]
+	if d != 0 {
 		cell.durs = append(cell.durs, d)
 	} else {
 		cell.zeros++
