@@ -176,7 +176,8 @@ type JobEvent struct {
 
 // notify delivers a lifecycle event snapshot to the configured listener,
 // which runs inside the world and must not call back into the daemon (see
-// Config.JobListener). The record is copied once, into the event.
+// Config.JobListener). It takes the record by pointer, so no copy of it is
+// made before the event's own.
 func (d *Daemon) notify(t JobEventType, j *Job) {
 	if d.cfg.JobListener == nil {
 		return
@@ -209,28 +210,17 @@ func defaultSource(s string) string {
 func (d *Daemon) newJob(sub *submission, device string) *Job {
 	req, dec := &sub.req, &sub.dec
 	now := d.cfg.Clock.Now()
-	j := jobPool.Get().(*Job)
-	n := d.jobs.push(j)
+	j := jobPool.Get().(*Job) // zeroed: new, or cleared by evict before Put
+	j.seq = d.jobs.push(j)
 	var id [24]byte // built on the stack: the ID string is the one allocation
-	*j = Job{
-		ID:                 string(strconv.AppendInt(append(id[:0], jobPrefix...), int64(n), 10)),
-		seq:                n,
-		Session:            sub.sess.Token,
-		User:               sub.sess.User,
-		Class:              dec.Class,
-		RequestedClass:     req.Class,
-		Pattern:            req.Pattern,
-		Source:             defaultSource(req.Source),
-		Device:             device,
-		Pinned:             req.Device != "",
-		ExpectedQPUSeconds: req.ExpectedQPUSeconds,
-		State:              JobQueued,
-		DeadlineSeconds:    req.DeadlineSeconds,
-		SubmittedAt:        now,
-		prog:               sub.prog,
-		progHash:           sub.progHash,
-		enqueuedAt:         now,
-	}
+	j.ID = string(strconv.AppendInt(append(id[:0], jobPrefix...), int64(j.seq), 10))
+	// Field by field: a composite literal would be built aside and copied in.
+	j.Session, j.User, j.Source = sub.sess.Token, sub.sess.User, defaultSource(req.Source)
+	j.Class, j.RequestedClass, j.Pattern = dec.Class, req.Class, req.Pattern
+	j.Device, j.Pinned, j.State = device, req.Device != "", JobQueued
+	j.ExpectedQPUSeconds, j.DeadlineSeconds = req.ExpectedQPUSeconds, req.DeadlineSeconds
+	j.SubmittedAt, j.enqueuedAt = now, now
+	j.prog, j.progHash = sub.prog, sub.progHash
 	if dec.Outcome != admission.Accepted {
 		j.AdmissionOutcome = string(dec.Outcome)
 		j.AdmissionReason = dec.Reason
