@@ -216,7 +216,6 @@ type Daemon struct {
 	rng      *rand.Rand
 	sessions map[string]*Session
 	jobs     ring[Job] // the job table, indexed by each job's number
-
 	nextSess int
 
 	// accounting. Queue waits are kept as per-class running sums (the only

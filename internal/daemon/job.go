@@ -128,8 +128,8 @@ type Job struct {
 	// preemption requeue) — the start of its current queued/requeued trace
 	// span.
 	enqueuedAt time.Duration
-	// seq is the number ID was minted from: the record's index in the job
-	// table. ID, jobPrefix and seq in decimal, is its spelling for the edge.
+	// seq is the number the job was minted as: its index in the job table.
+	// ID spells it for the edge, jobPrefix and seq in decimal.
 	seq int
 }
 

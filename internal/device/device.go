@@ -111,7 +111,6 @@ type Device struct {
 	queue   []*task // FIFO of queued tasks
 	running *task
 	tasks   ring[task] // the task table, indexed by each task's number
-
 	// free holds forgotten task records for reuse (see Forget).
 	free []*task
 

@@ -66,10 +66,6 @@ type stageCell struct {
 // loadgen_slowdown) so a live site scrapes SLO attainment from /metrics with
 // the same machinery as every other signal.
 type Analyzer struct {
-	// first is the number of the first job's ID: the daemon mints job-N in
-	// submission order and each job gets one track, so job N's is slab slot
-	// N-first (newTrack, live) — an ID is read where its event enters.
-	first         int
 	preempts      int
 	requeues      int
 	crossRequeues int
@@ -103,14 +99,12 @@ type Analyzer struct {
 const trackChunkSize = 4096
 
 // newTrack hands out the next zeroed jobTrack from the slab, to job id when
-// it is the next job in submission order; any other ID gets none.
+// it is the next job: a daemon mints job-N in submission order from job-1,
+// so job N's track is slot N-1, and an ID is read only where its event
+// enters (newTrack, live). Any other ID gets no track.
 func (a *Analyzer) newTrack(id string) *jobTrack {
-	n, ok := jobNumber(id)
-	if !ok || a.used > 0 && n != a.first+a.used {
+	if n, ok := jobNumber(id); !ok || n != a.used+1 {
 		return nil
-	}
-	if a.used == 0 {
-		a.first = n
 	}
 	ci, off := a.used/trackChunkSize, a.used%trackChunkSize
 	if ci == len(a.chunks) {
@@ -125,7 +119,7 @@ func (a *Analyzer) newTrack(id string) *jobTrack {
 // live returns the track of job id while it is in flight, else nil.
 func (a *Analyzer) live(id string) *jobTrack {
 	n, ok := jobNumber(id)
-	if i := n - a.first; ok && i >= 0 && i < a.used && !a.chunks[i/trackChunkSize][i%trackChunkSize].terminal {
+	if i := n - 1; ok && i >= 0 && i < a.used && !a.chunks[i/trackChunkSize][i%trackChunkSize].terminal {
 		return &a.chunks[i/trackChunkSize][i%trackChunkSize]
 	}
 	return nil
@@ -159,7 +153,7 @@ func (a *Analyzer) Reset() {
 	clear(a.preemptByDev)
 	a.devices = a.devices[:0]
 	a.preempts, a.requeues, a.crossRequeues, a.terminal = 0, 0, 0, 0
-	a.lastTerminal, a.used, a.first = 0, 0, 0
+	a.lastTerminal, a.used = 0, 0
 	for c := range a.stages {
 		for i, cell := range a.stages[c] {
 			a.stages[c][i] = stageCell{durs: cell.durs[:0]}
@@ -271,10 +265,10 @@ func (a *Analyzer) ObserveSpan(s trace.Span) { a.observeSpan(s.Class, s.Stage, s
 func (a *Analyzer) observeSpan(class string, stage trace.Stage, d time.Duration) {
 	c, i := sched.ClassDev, 0
 	switch class {
-	case "dev":
-	case "test":
+	case sched.ClassDev.String():
+	case sched.ClassTest.String():
 		c = sched.ClassTest
-	case "production":
+	case sched.ClassProduction.String():
 		c = sched.ClassProduction
 	default:
 		return

@@ -179,7 +179,7 @@ func feedCell(a *Analyzer, seed int64, n int, devices []string) {
 	}
 	for k := 0; k < n; k++ {
 		at := time.Duration(k) * time.Minute
-		j := daemon.Job{ID: fmt.Sprintf("job-%d", k), Class: sched.Class(rng.Intn(3)),
+		j := daemon.Job{ID: fmt.Sprintf("job-%d", k+1), Class: sched.Class(rng.Intn(3)),
 			Device: devices[rng.Intn(len(devices))], SubmittedAt: at, ExpectedQPUSeconds: float64(rng.Intn(60))}
 		j.RequestedClass = j.Class
 		if j.Class > sched.ClassDev && rng.Intn(5) == 0 {
