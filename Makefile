@@ -114,7 +114,8 @@ profile-replay:
 # deterministic-duration CI pass over the trace-ingestion paths (the JSONL
 # reader, the streamed replay and the SWF/sacct importers) and over the ID
 # lookups where a job-N or qpu-task-N string enters (the daemon's job table,
-# the device's task table, the analyzer's track slab). Go fuzzing accepts
+# the device's task table, the analyzer's track slab, the flight recorder's
+# trace ring). Go fuzzing accepts
 # exactly one -fuzz target per invocation, hence one command each. Crashers
 # land in the package's testdata/fuzz/ for `go test` to replay forever after.
 fuzz-smoke:
@@ -125,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzJobLookup$$' -fuzztime=2000x ./internal/daemon
 	$(GO) test -run='^$$' -fuzz='^FuzzTaskLookup$$' -fuzztime=2000x ./internal/device
 	$(GO) test -run='^$$' -fuzz='^FuzzAnalyzerJobID$$' -fuzztime=2000x ./internal/loadgen
+	$(GO) test -run='^$$' -fuzz='^FuzzFlightRecorder$$' -fuzztime=2000x ./internal/trace
 
 # surface runs the exported-surface gate verbosely: every exported name under
 # internal/ that no non-test file reaches, printed with its reason from
@@ -138,9 +140,10 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # vet-trace is the trace-subsystem gate: vet plus the race detector over the
-# span pipeline. Span emission happens under daemon locks from dispatch-side
-# goroutines, so the trace package earns its own race pass beyond the
-# test-race bundle.
+# trace package's own tests. Spans are emitted inside the daemon's world and
+# the flight recorder keeps no lock of its own, so the served-path check that
+# every read of it holds the world is test-race's stress line
+# (TestServedEdgeStress reads the recorder through Handler() under -race).
 vet-trace:
 	$(GO) vet ./internal/trace/...
 	$(GO) test -race ./internal/trace/...

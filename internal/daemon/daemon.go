@@ -30,6 +30,7 @@ import (
 
 	"hpcqc/internal/admission"
 	"hpcqc/internal/device"
+	"hpcqc/internal/mint"
 	"hpcqc/internal/qir"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
@@ -92,7 +93,8 @@ type Config struct {
 	// Flight, when non-nil, is a flight recorder the daemon additionally
 	// feeds every span — the bounded in-process trace store behind
 	// GET /api/v1/trace and `qctl trace <job>`. Usable with or without a
-	// SpanListener.
+	// SpanListener. Like one, it lives inside the world and keeps no lock:
+	// read it only from inside (the trace handlers copy it there).
 	Flight *trace.FlightRecorder
 	// PipelineSpansOnly restricts emission to the duration-carrying pipeline
 	// stages (validate/admission/route/queued/requeued/execute), skipping
@@ -215,7 +217,7 @@ type Daemon struct {
 
 	rng      *rand.Rand
 	sessions map[string]*Session
-	jobs     ring[Job] // the job table, indexed by each job's number
+	jobs     mint.Ring[Job] // the job table, indexed by each job's number
 	nextSess int
 
 	// accounting. Queue waits are kept as per-class running sums (the only
@@ -232,7 +234,7 @@ type Daemon struct {
 	jobsBySource  map[string]int
 	// finished and rejected hold the terminal records still in the job
 	// table, in finish order — the two finish rings (retention.go).
-	finished, rejected ring[Job]
+	finished, rejected mint.Ring[Job]
 
 	// Registry series, bound once in NewDaemon and indexed by class where
 	// there is one per class. All nil when no registry is configured
@@ -294,7 +296,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		byDevice:     make(map[string]*deviceState, len(devices)),
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		sessions:     make(map[string]*Session),
-		jobs:         ring[Job]{base: 1},
 		waitSum:      make(map[sched.Class]time.Duration),
 		waitCount:    make(map[sched.Class]int),
 		usageByUser:  make(map[string]float64),

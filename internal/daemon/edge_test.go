@@ -25,7 +25,7 @@ import (
 // pump advances the clock from event to event with NextEventAt and RunUntil,
 // as the benchmark harness's served workloads do, so device completions and
 // the dispatches they trigger land between bursts, and an operator reads
-// the admin status. The pump steps only while no burst is open, so the
+// the admin status and the flight recorder's listing and traces. The pump steps only while no burst is open, so the
 // clock stands still from a burst's first POST to its DELETE, and every
 // cancel reaches a job still queued or running: each answers 200, on the
 // served path through the job table to the device's task table. At
@@ -166,6 +166,15 @@ func TestServedEdgeStress(t *testing.T) {
 	operatorDone := make(chan struct{})
 	go func() { // the operator
 		defer close(operatorDone)
+		code, out, err := do(http.MethodPost, "/api/v1/sessions", "", map[string]string{"user": "operator"})
+		var sess Session
+		if err == nil && code == http.StatusCreated {
+			err = json.Unmarshal(out, &sess)
+		}
+		if err != nil || code != http.StatusCreated {
+			t.Errorf("open operator session: HTTP %d, %v", code, err)
+			return
+		}
 		for {
 			select {
 			case <-stop:
@@ -175,6 +184,30 @@ func TestServedEdgeStress(t *testing.T) {
 			if code, out, err := do(http.MethodGet, "/admin/v1/status", adminToken, nil); err != nil || code != http.StatusOK {
 				t.Errorf("admin status: HTTP %d, %v: %s", code, err, out)
 				return
+			}
+			// The flight recorder, read while the pump and the submitters
+			// write it: the listing, then the newest trace it named, which
+			// may have been evicted since.
+			code, out, err := do(http.MethodGet, "/api/v1/trace", sess.Token, nil)
+			var listing struct{ Jobs []trace.JobTrace }
+			if err == nil {
+				err = json.Unmarshal(out, &listing)
+			}
+			if err != nil || code != http.StatusOK {
+				t.Errorf("trace listing: HTTP %d, %v: %s", code, err, out)
+				return
+			}
+			if n := len(listing.Jobs); n > 0 {
+				id := listing.Jobs[n-1].Job
+				code, out, err := do(http.MethodGet, "/api/v1/trace/"+id, sess.Token, nil)
+				var tr trace.JobTrace
+				if err == nil && code == http.StatusOK {
+					err = json.Unmarshal(out, &tr)
+				}
+				if err != nil || code != http.StatusOK && code != http.StatusNotFound || code == http.StatusOK && tr.Job != id {
+					t.Errorf("trace of %s: HTTP %d, %v: %s", id, code, err, out)
+					return
+				}
 			}
 		}
 	}()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hpcqc/internal/device"
+	"hpcqc/internal/mint"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
 )
@@ -418,8 +419,8 @@ func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
 		Class: sched.ClassProduction, Device: ds.id, State: JobQueued,
 		SubmittedAt: env.clk.Now(),
 	}
-	ghost.seq = env.d.jobs.push(ghost)
-	ghost.ID = fmt.Sprintf("job-%d", ghost.seq)
+	ghost.seq = env.d.jobs.Push(ghost)
+	ghost.ID = mint.Spell(mint.JobPrefix, ghost.seq)
 	if err := ds.queue.Push(env.d.queueItem(ghost)); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"hpcqc/internal/qrmi"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/telemetry"
+	"hpcqc/internal/trace"
 )
 
 // Handler returns the daemon's REST API:
@@ -213,33 +214,24 @@ func (d *Daemon) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "cancelled"})
 	}))
 
-	// The flight recorder has a lock of its own: the world is entered only
-	// to check the session.
+	// The flight recorder is a listener inside the world: a reply is copied
+	// out of it in the hold that checks the session, and encoded outside.
 	mux.HandleFunc("GET /api/v1/trace", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		if !d.inSession(w, token, func() {}) {
+		var v traceListView
+		if !d.inFlight(w, token, func() {
+			v.Live, v.Done = d.flight.Len()
+			v.Jobs, v.Occupancy = d.flight.Jobs(), d.flight.Occupancy()
+		}) {
 			return
 		}
-		if d.flight == nil {
-			writeErr(w, http.StatusNotFound, errors.New("flight recorder disabled"))
-			return
-		}
-		live, done := d.flight.Len()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"live":      live,
-			"done":      done,
-			"jobs":      d.flight.Jobs(),
-			"occupancy": d.flight.Occupancy(),
-		})
+		writeJSON(w, http.StatusOK, v)
 	}))
 	mux.HandleFunc("GET /api/v1/trace/{id}", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
-		if !d.inSession(w, token, func() {}) {
+		var t trace.JobTrace
+		var ok bool
+		if !d.inFlight(w, token, func() { t, ok = d.flight.Job(r.PathValue("id")) }) {
 			return
 		}
-		if d.flight == nil {
-			writeErr(w, http.StatusNotFound, errors.New("flight recorder disabled"))
-			return
-		}
-		t, ok := d.flight.Job(r.PathValue("id"))
 		if !ok {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("no trace for job %q (evicted or unknown)", r.PathValue("id")))
 			return
@@ -301,6 +293,23 @@ func (d *Daemon) inSession(w http.ResponseWriter, token string, fn func()) bool 
 	})
 	if err != nil {
 		writeErr(w, http.StatusUnauthorized, err)
+		return false
+	}
+	return true
+}
+
+// inFlight is inSession for a flight-recorder read: fn runs only when the
+// daemon has a recorder, and without one the request answers 404.
+func (d *Daemon) inFlight(w http.ResponseWriter, token string, fn func()) bool {
+	if !d.inSession(w, token, func() {
+		if d.flight != nil {
+			fn()
+		}
+	}) {
+		return false
+	}
+	if d.flight == nil {
+		writeErr(w, http.StatusNotFound, errors.New("flight recorder disabled"))
 		return false
 	}
 	return true

@@ -6,11 +6,11 @@ package daemon
 // leaves the table is retention.go's one rule.
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
 	"hpcqc/internal/admission"
+	"hpcqc/internal/mint"
 	"hpcqc/internal/qir"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
@@ -129,11 +129,9 @@ type Job struct {
 	// span.
 	enqueuedAt time.Duration
 	// seq is the number the job was minted as: its index in the job table.
-	// ID spells it for the edge, jobPrefix and seq in decimal.
+	// ID spells it for the edge (mint.Spell).
 	seq int
 }
-
-const jobPrefix = "job-"
 
 // ClassName renders the class for JSON consumers.
 func (j *Job) ClassName() string { return j.Class.String() }
@@ -211,9 +209,8 @@ func (d *Daemon) newJob(sub *submission, device string) *Job {
 	req, dec := &sub.req, &sub.dec
 	now := d.cfg.Clock.Now()
 	j := jobPool.Get().(*Job) // zeroed: new, or cleared by evict before Put
-	j.seq = d.jobs.push(j)
-	var id [24]byte // built on the stack: the ID string is the one allocation
-	j.ID = string(strconv.AppendInt(append(id[:0], jobPrefix...), int64(j.seq), 10))
+	j.seq = d.jobs.Push(j)
+	j.ID = mint.Spell(mint.JobPrefix, j.seq)
 	// Field by field: a composite literal would be built aside and copied in.
 	j.Session, j.User, j.Source = sub.sess.Token, sub.sess.User, defaultSource(req.Source)
 	j.Class, j.RequestedClass, j.Pattern = dec.Class, req.Class, req.Pattern
@@ -273,7 +270,7 @@ func (d *Daemon) finish(j *Job, state JobState, err error) bool {
 	if d.traced() {
 		d.emitTerminalSpans(j, prior)
 	}
-	ring.push(j)
+	ring.Push(j)
 	d.evict(ring, d.cfg.History, false)
 	return true
 }

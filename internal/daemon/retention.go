@@ -1,14 +1,12 @@
 package daemon
 
-import (
-	"strconv"
-	"strings"
-)
+import "hpcqc/internal/mint"
 
 // Retention: how a terminal record leaves the job table. There is one rule,
-// and one structure behind it, the ring. The job table is a ring indexed by
-// the number each job's ID was minted from; finish appends every record it
-// turns terminal to a finish-ordered ring; evict walks a finish ring from its
+// and one structure behind it, mint.Ring — the type every table of minted
+// records shares (DESIGN §5 INV-R1). The job table is a ring indexed by the
+// number each job's ID was minted from; finish appends every record it turns
+// terminal to a finish-ordered ring; evict walks a finish ring from its
 // oldest end down to a length to keep, and is the only code that drops a
 // record from the table. A serving daemon runs it at every terminal
 // transition with keep = Config.History, so the table holds the jobs in
@@ -24,69 +22,9 @@ import (
 // flood would push out completed jobs whose owners have not fetched the
 // result yet; with a ring of its own it only ever displaces older rejections.
 
-// ring is a table of records in the order they were minted: recs[i] is the
-// record numbered base+i, or nil once dropped. The dropped prefix goes once
-// it is half the slice, so the backing array is under twice the span from the
-// oldest record kept to the newest; a record kept (a queued job) holds one
-// 8-byte slot open per record minted after it. device.Device keeps its task
-// table by the same rule (DESIGN §5 INV-R1).
-type ring[T any] struct {
-	recs []*T
-	base int // the number of recs[0]
-	head int // recs[:head] are dropped
-}
-
-// len is the number of slots from the oldest record kept to the newest; on a
-// ring only ever dropped from its oldest end, the records it holds.
-func (r *ring[T]) len() int { return len(r.recs) - r.head }
-
-// push appends x and returns its number.
-func (r *ring[T]) push(x *T) int {
-	r.recs = append(r.recs, x)
-	return r.base + len(r.recs) - 1
-}
-
-// at returns the record numbered n, nil if dropped or never minted.
-func (r *ring[T]) at(n int) *T {
-	if i := n - r.base; i >= r.head && i < len(r.recs) {
-		return r.recs[i]
-	}
-	return nil
-}
-
-// drop releases the record numbered n.
-func (r *ring[T]) drop(n int) {
-	i := n - r.base
-	if i < r.head || i >= len(r.recs) {
-		return
-	}
-	r.recs[i] = nil
-	for r.head < len(r.recs) && r.recs[r.head] == nil {
-		r.head++
-	}
-	if 2*r.head >= len(r.recs) {
-		k := copy(r.recs, r.recs[r.head:])
-		clear(r.recs[k:])
-		r.recs, r.base, r.head = r.recs[:k], r.base+r.head, 0
-	}
-}
-
-// pop removes and returns the oldest record.
-func (r *ring[T]) pop() *T {
-	x := r.recs[r.head]
-	r.drop(r.base + r.head)
-	return x
-}
-
-// job resolves a job ID to its record, nil if never minted or evicted. The
-// slot's own ID must equal the string: "job-07" and "job-+7" are not job 7.
-func (d *Daemon) job(id string) *Job {
-	n, _ := strconv.Atoi(strings.TrimPrefix(id, jobPrefix))
-	if j := d.jobs.at(n); j != nil && j.ID == id {
-		return j
-	}
-	return nil
-}
+// job resolves a job ID to its record, nil if never minted or evicted: a
+// number has one spelling, so "job-07" and "job-+7" name no job.
+func (d *Daemon) job(id string) *Job { return d.jobs.At(mint.Number(mint.JobPrefix, id)) }
 
 // evict drops the oldest records of a finish ring until keep remain: out of
 // the job table, and out of the owning session's Jobs list — by amortized
@@ -96,10 +34,10 @@ func (d *Daemon) job(id string) *Job {
 // counters and lifecycle events have already seen it. pool additionally
 // recycles the records, which is safe only under Release's contract: the
 // dispatch path may still hold a pointer to a record it has just finished.
-func (d *Daemon) evict(r *ring[Job], keep int, pool bool) {
-	for r.len() > keep {
-		j := r.pop()
-		d.jobs.drop(j.seq)
+func (d *Daemon) evict(r *mint.Ring[Job], keep int, pool bool) {
+	for r.Len() > keep {
+		j := r.Pop()
+		d.jobs.Drop(j.seq)
 		if s := d.sessions[j.Session]; s != nil {
 			if s.released++; 2*s.released > len(s.Jobs) {
 				kept := s.Jobs[:0]

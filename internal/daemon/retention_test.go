@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -464,55 +463,10 @@ func TestJobStatusResultRacesEviction(t *testing.T) {
 // tableJobs lists the records in the job table, oldest first.
 func tableJobs(d *Daemon) []*Job {
 	var out []*Job
-	for _, j := range d.jobs.recs[d.jobs.head:] {
+	for _, j := range d.jobs.Slots() {
 		if j != nil {
 			out = append(out, j)
 		}
 	}
 	return out
-}
-
-// TestRingMatchesMap drives a ring and a map side by side through random
-// mints and drops — oldest first, newest first and anywhere between — and
-// after every step every number minted resolves the same on both, and the
-// backing slice is under twice the span from the oldest record kept to the
-// newest (empty when nothing is kept): the dropped prefix never outgrows
-// what is kept.
-func TestRingMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	r := ring[int]{base: 1}
-	ref := map[int]*int{}
-	minted, oldest := 0, 1
-	for step := 0; step < 20000; step++ {
-		switch k := rng.Intn(10); {
-		case k < 5 || len(ref) == 0:
-			v := step
-			n := r.push(&v)
-			if minted++; n != minted {
-				t.Fatalf("step %d: push numbered %d, want %d", step, n, minted)
-			}
-			ref[n] = &v
-		default:
-			n := minted - rng.Intn(min(minted, 64))
-			if k == 9 { // the oldest kept record, as a finish ring pops it
-				n = r.base + r.head
-			}
-			r.drop(n)
-			delete(ref, n)
-		}
-		for oldest <= minted && ref[oldest] == nil {
-			oldest++
-		}
-		if span := minted - oldest + 1; len(r.recs) >= max(2*span, 1) {
-			t.Fatalf("step %d: %d slots for a span of %d records", step, len(r.recs), span)
-		}
-		for n := max(1, minted-80); n <= minted+1; n++ {
-			if got, want := r.at(n), ref[n]; got != want {
-				t.Fatalf("step %d: at(%d) = %v, want %v", step, n, got, want)
-			}
-		}
-	}
-	if r.at(0) != nil || r.at(-1) != nil {
-		t.Fatal("a number never minted resolved")
-	}
 }

@@ -202,10 +202,10 @@ func (d *Daemon) AdminStatus() StatusReport {
 // table is in mint order, which is submit order (the clock never runs
 // backwards): a total order even among jobs submitted at one instant.
 func (d *Daemon) ListJobs() []*Job {
-	t := &d.jobs
-	out := make([]*Job, 0, t.len())
-	for i := len(t.recs) - 1; i >= t.head; i-- {
-		if j := t.recs[i]; j != nil {
+	slots := d.jobs.Slots()
+	out := make([]*Job, 0, len(slots))
+	for i := len(slots) - 1; i >= 0; i-- {
+		if j := slots[i]; j != nil {
 			cp := *j
 			out = append(out, &cp)
 		}

@@ -507,3 +507,49 @@ func TestTerminalDetailIsConstant(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceListingWire pins the GET /api/v1/trace body byte for byte:
+// testdata/trace_wire.golden was recorded from the map[string]any listing
+// the typed traceListView replaced (keys sorted: done, jobs, live,
+// occupancy), over an empty recorder, then one holding live, terminal and
+// evicted traces — a preemption, a cancel and a shed among them — on two
+// partitions' occupancy tracks. Fewer than ten jobs, so the mint order the
+// listing now keeps is also the ID-string order the map's sort kept.
+func TestTraceListingWire(t *testing.T) {
+	clk := simclock.New()
+	fleet, err := device.NewFleet(2, device.Config{Clock: clk, Seed: 31, TimingOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDaemon(Config{
+		Devices: fleet.Devices(), Router: NewRoundRobinRouter(), Clock: clk,
+		Admission:  &admission.QueueDepth{PerDeviceDepth: 1},
+		AdminToken: "admin", EnablePreemption: true, Flight: trace.NewFlightRecorder(3), Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := d.OpenSession("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &wireEnv{t: t, clk: clk, d: d, h: d.Handler(), token: s.Token}
+	e.record("empty", http.MethodGet, "/api/v1/trace", "")
+	dev0 := `,"device":"` + d.deviceIDs()[0] + `"`
+	e.submit("short test", `,"class":"test"`, 10)
+	e.submit("short dev", `,"class":"dev"`, 12)
+	clk.Advance(15 * time.Second)
+	long := e.submit("long dev", `,"class":"dev"`+dev0, 200)
+	e.submit("queued dev", `,"class":"dev"`+dev0, 20)
+	e.submit("queued dev behind it", `,"class":"dev"`+dev0, 20)
+	e.record("shed dev", http.MethodPost, "/api/v1/jobs", `{"class":"dev","program":`+string(payload(t, 20))+`}`)
+	clk.Advance(5 * time.Second)
+	e.submit("production preempts", `,"class":"production"`+dev0, 15)
+	cancelled := e.submit("cancelled test", `,"class":"test"`, 300)
+	clk.Advance(10 * time.Second)
+	e.record("cancel", http.MethodDelete, "/api/v1/jobs/"+cancelled, "")
+	clk.Advance(40 * time.Second)
+	e.record("listing", http.MethodGet, "/api/v1/trace", "")
+	e.record("one live", http.MethodGet, "/api/v1/trace/"+long, "")
+	checkGolden(t, "trace_wire.golden", e.out.String())
+}

@@ -6,6 +6,7 @@ import (
 	"hpcqc/internal/device"
 	"hpcqc/internal/qir"
 	"hpcqc/internal/telemetry"
+	"hpcqc/internal/trace"
 )
 
 // The reply views. Each was a map[string]any before it was a struct, and
@@ -121,4 +122,13 @@ type queryView struct {
 type pointView struct {
 	AtSeconds float64 `json:"at_seconds"`
 	Value     float64 `json:"value"`
+}
+
+// traceListView is the GET /api/v1/trace reply: the flight recorder's
+// counts, every trace it holds and each partition's occupancy track.
+type traceListView struct {
+	Done      int                     `json:"done"`
+	Jobs      []trace.JobTrace        `json:"jobs"`
+	Live      int                     `json:"live"`
+	Occupancy map[string][]trace.Span `json:"occupancy"`
 }

@@ -193,7 +193,7 @@ func TestJobWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.d.evict(&e.d.finished, e.d.finished.len()-1, false)
+	e.d.evict(&e.d.finished, e.d.finished.Len()-1, false)
 	e.record("status, evicted", http.MethodGet, "/api/v1/jobs/"+c, "")
 	e.record("status, also: completed, running, another session's, evicted, never minted, rejected", http.MethodGet,
 		"/api/v1/jobs/"+p+"?also="+a+"&also="+running.ID+"&also="+foreign.ID+"&also="+c+"&also=job-404&also="+d, "")

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"time"
 
+	"hpcqc/internal/mint"
 	"hpcqc/internal/qir"
 	"hpcqc/internal/simclock"
 	"hpcqc/internal/telemetry"
@@ -110,7 +111,7 @@ type Device struct {
 	status  Status
 	queue   []*task // FIFO of queued tasks
 	running *task
-	tasks   ring[task] // the task table, indexed by each task's number
+	tasks   mint.Ring[task] // the task table, indexed by each task's number
 	// free holds forgotten task records for reuse (see Forget).
 	free []*task
 
@@ -180,7 +181,6 @@ func New(cfg Config) (*Device, error) {
 		spec:      cfg.Spec,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		status:    StatusOnline,
-		tasks:     ring[task]{base: 1},
 		createdAt: cfg.Clock.Now(),
 		calib: Calibration{
 			RabiFactor:     1.0,

@@ -3,10 +3,9 @@ package device
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
+	"hpcqc/internal/mint"
 	"hpcqc/internal/qir"
 	"hpcqc/internal/simclock"
 	"hpcqc/internal/telemetry"
@@ -14,57 +13,8 @@ import (
 
 const taskPrefix = "qpu-task-"
 
-// ring is the daemon's retention ring (internal/daemon/retention.go) line for
-// line, as one shared type would export a name: recs[i] is the record
-// numbered base+i, or nil once dropped, and the dropped prefix goes once it
-// is half the slice.
-type ring[T any] struct {
-	recs []*T
-	base int // the number of recs[0]
-	head int // recs[:head] are dropped
-}
-
-// push appends x and returns its number.
-func (r *ring[T]) push(x *T) int {
-	r.recs = append(r.recs, x)
-	return r.base + len(r.recs) - 1
-}
-
-// at returns the record numbered n, nil if dropped or never minted.
-func (r *ring[T]) at(n int) *T {
-	if i := n - r.base; i >= r.head && i < len(r.recs) {
-		return r.recs[i]
-	}
-	return nil
-}
-
-// drop releases the record numbered n.
-func (r *ring[T]) drop(n int) {
-	i := n - r.base
-	if i < r.head || i >= len(r.recs) {
-		return
-	}
-	r.recs[i] = nil
-	for r.head < len(r.recs) && r.recs[r.head] == nil {
-		r.head++
-	}
-	if 2*r.head >= len(r.recs) {
-		k := copy(r.recs, r.recs[r.head:])
-		clear(r.recs[k:])
-		r.recs, r.base, r.head = r.recs[:k], r.base+r.head, 0
-	}
-}
-
-// task resolves a task ID: nil for one never minted or forgotten. The
-// record's own ID must equal the string, so "qpu-task-07" and
-// "qpu-task-+7" are not task 7.
-func (d *Device) task(id string) *task {
-	n, _ := strconv.Atoi(strings.TrimPrefix(id, taskPrefix))
-	if t := d.tasks.at(n); t != nil && t.id == id {
-		return t
-	}
-	return nil
-}
+// task resolves a task ID: nil for one never minted or forgotten.
+func (d *Device) task(id string) *task { return d.tasks.At(mint.Number(taskPrefix, id)) }
 
 // task is an internal execution record.
 type task struct {
@@ -109,9 +59,8 @@ func (d *Device) SubmitWithSetup(p *qir.Program, setupSeconds float64) (string, 
 		return "", errors.New("device: in maintenance, not accepting tasks")
 	}
 	t := d.newTask()
-	t.num = d.tasks.push(t)
-	var id [32]byte // built on the stack: the ID string is the one allocation
-	t.id = string(strconv.AppendInt(append(id[:0], taskPrefix...), int64(t.num), 10))
+	t.num = d.tasks.Push(t)
+	t.id = mint.Spell(taskPrefix, t.num)
 	t.program, t.state = p, TaskQueued
 	t.queuedAt, t.setup = d.cfg.Clock.Now(), simclock.Seconds(setupSeconds)
 	d.queue = append(d.queue, t)
@@ -235,7 +184,7 @@ func (d *Device) TaskResult(id string) (*qir.Result, error) {
 // rare enough that recycling it would buy nothing.
 func (d *Device) Forget(id string) {
 	if t := d.task(id); t != nil && t.state != TaskQueued && t.state != TaskRunning {
-		d.tasks.drop(t.num)
+		d.tasks.Drop(t.num)
 		if t.state != TaskCancelled {
 			*t = task{exec: t.exec}
 			d.free = append(d.free, t)

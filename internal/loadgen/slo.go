@@ -3,11 +3,10 @@ package loadgen
 import (
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"hpcqc/internal/daemon"
+	"hpcqc/internal/mint"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/telemetry"
 	"hpcqc/internal/trace"
@@ -42,9 +41,6 @@ const (
 	trackRejected
 )
 
-// finishedStates maps the states a job finishes in onto track states.
-var finishedStates = map[daemon.JobState]trackState{
-	daemon.JobCompleted: trackCompleted, daemon.JobFailed: trackFailed, daemon.JobCancelled: trackCancelled}
 
 // spanStages are the pipeline stages the attribution keeps, in table order.
 var spanStages = [...]trace.Stage{trace.StageValidate, trace.StageAdmission, trace.StageRoute,
@@ -103,7 +99,7 @@ const trackChunkSize = 4096
 // so job N's track is slot N-1, and an ID is read only where its event
 // enters (newTrack, live). Any other ID gets no track.
 func (a *Analyzer) newTrack(id string) *jobTrack {
-	if n, ok := jobNumber(id); !ok || n != a.used+1 {
+	if mint.Number(mint.JobPrefix, id) != a.used+1 {
 		return nil
 	}
 	ci, off := a.used/trackChunkSize, a.used%trackChunkSize
@@ -118,19 +114,10 @@ func (a *Analyzer) newTrack(id string) *jobTrack {
 
 // live returns the track of job id while it is in flight, else nil.
 func (a *Analyzer) live(id string) *jobTrack {
-	n, ok := jobNumber(id)
-	if i := n - 1; ok && i >= 0 && i < a.used && !a.chunks[i/trackChunkSize][i%trackChunkSize].terminal {
+	if i := mint.Number(mint.JobPrefix, id) - 1; i >= 0 && i < a.used && !a.chunks[i/trackChunkSize][i%trackChunkSize].terminal {
 		return &a.chunks[i/trackChunkSize][i%trackChunkSize]
 	}
 	return nil
-}
-
-// jobNumber reads the number out of a daemon job ID, "job-" and a decimal
-// with neither sign nor leading zero: each number has one spelling.
-func jobNumber(id string) (int, bool) {
-	digits, ok := strings.CutPrefix(id, "job-")
-	n, err := strconv.Atoi(digits)
-	return n, ok && err == nil && digits[0] != '+' && digits[0] != '-' && (digits[0] != '0' || len(digits) == 1)
 }
 
 // device returns the device-table index of id, adding it on first sight. The
@@ -237,8 +224,15 @@ func (a *Analyzer) Observe(ev daemon.JobEvent) {
 		if t == nil {
 			return
 		}
-		t.state, t.terminal = finishedStates[ev.Job.State], true
-		t.finished = ev.At
+		switch ev.Job.State { // a live track's state is trackOther
+		case daemon.JobCompleted:
+			t.state = trackCompleted
+		case daemon.JobFailed:
+			t.state = trackFailed
+		case daemon.JobCancelled:
+			t.state = trackCancelled
+		}
+		t.terminal, t.finished = true, ev.At
 		t.device = a.device(ev.Job.Device)
 		a.terminal++
 		a.lastTerminal = max(a.lastTerminal, ev.At)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"hpcqc/internal/emulator"
+	"hpcqc/internal/mint"
 	"hpcqc/internal/qir"
 )
 
@@ -19,10 +20,11 @@ type EmulatorResource struct {
 
 	mu       sync.Mutex
 	acquired map[string]bool
-	tasks    map[string]*localTask
+	tasks    mint.Ring[localTask] // indexed by the number emu-task-N spells
 	nextTok  int
-	nextTask int
 }
+
+const emuTaskPrefix = "emu-task-"
 
 type localTask struct {
 	state  TaskState
@@ -37,7 +39,6 @@ func NewEmulatorResource(b emulator.Backend, seed int64) *EmulatorResource {
 		backend:  b,
 		seed:     seed,
 		acquired: make(map[string]bool),
-		tasks:    make(map[string]*localTask),
 	}
 }
 
@@ -90,11 +91,9 @@ func (r *EmulatorResource) TaskStart(payload []byte) (string, error) {
 		r.mu.Unlock()
 		return "", ErrNotAcquired
 	}
-	r.nextTask++
-	id := fmt.Sprintf("emu-task-%d", r.nextTask)
 	t := &localTask{state: StateRunning}
-	r.tasks[id] = t
-	seed := r.seed + int64(r.nextTask)
+	n := r.tasks.Push(t)
+	id, seed := mint.Spell(emuTaskPrefix, n), r.seed+int64(n)
 	r.mu.Unlock()
 
 	var prog qir.Program
@@ -131,8 +130,8 @@ func (r *EmulatorResource) failTask(t *localTask, err error) {
 func (r *EmulatorResource) TaskStop(taskID string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.tasks[taskID]
-	if !ok {
+	t := r.tasks.At(mint.Number(emuTaskPrefix, taskID))
+	if t == nil {
 		return fmt.Errorf("qrmi: unknown task %q", taskID)
 	}
 	if !t.state.Terminal() {
@@ -145,8 +144,8 @@ func (r *EmulatorResource) TaskStop(taskID string) error {
 func (r *EmulatorResource) TaskStatus(taskID string) (TaskState, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.tasks[taskID]
-	if !ok {
+	t := r.tasks.At(mint.Number(emuTaskPrefix, taskID))
+	if t == nil {
 		return "", fmt.Errorf("qrmi: unknown task %q", taskID)
 	}
 	return t.state, nil
@@ -156,8 +155,8 @@ func (r *EmulatorResource) TaskStatus(taskID string) (TaskState, error) {
 func (r *EmulatorResource) TaskResult(taskID string) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.tasks[taskID]
-	if !ok {
+	t := r.tasks.At(mint.Number(emuTaskPrefix, taskID))
+	if t == nil {
 		return nil, fmt.Errorf("qrmi: unknown task %q", taskID)
 	}
 	switch t.state {

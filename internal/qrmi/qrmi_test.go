@@ -1,7 +1,9 @@
 package qrmi
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -303,5 +305,38 @@ func TestTaskStateTerminal(t *testing.T) {
 	}
 	if !StateCompleted.Terminal() || !StateFailed.Terminal() || !StateCancelled.Terminal() {
 		t.Fatal("terminal states not marked")
+	}
+}
+
+// TestEmulatorResourceTaskIDsAndSeeds: task N is emu-task-N, spelled one way
+// only, and runs on seed+N — the result bytes a direct backend run on that
+// seed gives.
+func TestEmulatorResourceTaskIDsAndSeeds(t *testing.T) {
+	backend := emulator.NewSVBackend(emulator.SVConfig{Noise: emulator.DefaultNoise()})
+	r := NewEmulatorResource(backend, 40)
+	r.Acquire()
+	prog := piPulseProgram(200)
+	payload, _ := EncodeProgram(prog)
+	for n := 1; n <= 3; n++ {
+		id, err := r.TaskStart(payload)
+		if want := fmt.Sprintf("emu-task-%d", n); err != nil || id != want {
+			t.Fatalf("task %d: ID %q, %v; want %q", n, id, err, want)
+		}
+		got, err := r.TaskResult(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := backend.Run(prog, 40+int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(res); !bytes.Equal(got, want) {
+			t.Fatalf("%s: result\n%s\nwant the seed-%d run\n%s", id, got, 40+n, want)
+		}
+	}
+	for _, id := range []string{"emu-task-01", "emu-task-+1", "emu-task-0", "emu-task-4", "qpu-task-1"} {
+		if _, err := r.TaskStatus(id); err == nil {
+			t.Fatalf("TaskStatus(%q) found a task", id)
+		}
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
+
+	"hpcqc/internal/mint"
 )
 
 // Chrome trace-event export: renders job traces and partition occupancy
@@ -159,22 +159,11 @@ func spanArgs(s Span) map[string]string {
 	return args
 }
 
-// jobOrderKey orders "job-2" before "job-10" by the numeric suffix, falling
-// back to lexicographic order for foreign ID schemes.
+// jobOrderKey orders jobs by number, "job-2" before "job-10"; an ID no
+// daemon minted reads as number 0, so such IDs come first, in text order.
 func jobOrderKey(a, b string) bool {
-	na, oka := trailingInt(a)
-	nb, okb := trailingInt(b)
-	if oka && okb && na != nb {
+	if na, nb := mint.Number(mint.JobPrefix, a), mint.Number(mint.JobPrefix, b); na != nb {
 		return na < nb
 	}
 	return a < b
-}
-
-func trailingInt(s string) (int, bool) {
-	if i := strings.LastIndexByte(s, '-'); i >= 0 {
-		if n, err := strconv.Atoi(s[i+1:]); err == nil {
-			return n, true
-		}
-	}
-	return 0, false
 }

@@ -1,53 +1,47 @@
 package trace
 
-import (
-	"sort"
-	"sync"
-)
+import "hpcqc/internal/mint"
 
-// FlightRecorder is the bounded in-daemon trace store: a ring buffer of the
-// last N terminal job traces plus the live (not yet terminal) ones, and a
-// bounded occupancy track per partition. It is the span consumer behind
-// GET /api/v1/trace and `qctl trace <job>` — enough history to answer "where
-// did that job's seconds go" without growing daemon memory with the job
-// count.
+// FlightRecorder is the bounded in-daemon trace store: the live (not yet
+// terminal) job traces plus the last N terminal ones, and a bounded occupancy
+// track per partition. It is the span consumer behind GET /api/v1/trace and
+// `qctl trace <job>` — enough history to answer "where did that job's seconds
+// go" without growing daemon memory with the job count.
 //
-// Memory stays flat under sustained load two ways: terminal traces evict
-// FIFO past the capacity, and the evicted traces' span slices are recycled
-// into a free list (the span-pool analogue of telemetry.BoundSeries — the
-// steady-state hot path appends into pre-owned backing arrays instead of
-// growing fresh ones per job).
+// It keeps the daemon's retention rule (DESIGN §5 INV-R1) on the same type:
+// one ring of traces indexed by job number, and a finish-order ring that
+// evicts the oldest terminal trace past the capacity. Like the analyzer's
+// tracks, a trace opens only for the next job number it has not seen, which
+// is the order a daemon mints jobs and emits their first spans in; a span
+// for any other unheld number opens nothing. An evicted trace goes whole,
+// span storage and all, onto a free list the next trace is taken from, so a
+// recorder at its capacity allocates nothing per job.
+//
+// Like every listener, it lives inside the daemon's world and keeps no lock:
+// Observe runs where spans are emitted, and a reader — the HTTP handlers,
+// or a driver after its replay — holds the world while it copies.
 type FlightRecorder struct {
-	mu sync.Mutex
 	// capacity bounds the terminal ring; live traces are bounded by the
 	// daemon's own queue depths (every queued or running job has exactly one
 	// live trace).
 	capacity int
-	live     map[string]*JobTrace
-	done     map[string]*JobTrace
-	ring     []string // terminal eviction order
+	traces   mint.Ring[JobTrace] // every trace held, indexed by job number
+	done     mint.Ring[JobTrace] // terminal traces in finish order
+	opened   int                 // the newest job number a trace opened for
+	live     int
+	free     []*JobTrace
 	// occ holds per-device occupancy spans, each track bounded at capacity.
-	occ      map[string][]Span
-	occOrder []string
-	// free is the recycled span-slice pool (len 0, capacity retained).
-	free [][]Span
-	// lastID/last memoize the most recent live lookup: a job's spans arrive
-	// in bursts (validate/admission/route together, then queued/dispatch,
-	// then execute/terminal), so consecutive spans usually hit the same
-	// trace and skip the map hash.
-	lastID string
-	last   *JobTrace
-	// spanArena and traceArena are bump allocators: fresh traces carve
-	// fixed-size blocks out of chunk allocations instead of paying one
-	// malloc per job on the emission path.
-	spanArena  []Span
-	traceArena []JobTrace
+	occ map[string][]Span
 }
 
 // DefaultFlightCapacity is the ring size when none is given: deep enough to
 // hold a burst of a few hundred jobs, small enough (~60 B/span, ~8 spans/job)
-// to be irrelevant next to the daemon's job map.
+// to be irrelevant next to the daemon's job table.
 const DefaultFlightCapacity = 256
+
+// spansPerTrace is a fresh trace's span capacity: a clean lifecycle is 7
+// pipeline spans plus a terminal mark; preempted jobs grow it.
+const spansPerTrace = 8
 
 // NewFlightRecorder returns a recorder retaining the last capacity terminal
 // job traces (DefaultFlightCapacity when capacity <= 0).
@@ -55,31 +49,26 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{
-		capacity: capacity,
-		live:     make(map[string]*JobTrace),
-		done:     make(map[string]*JobTrace),
-		occ:      make(map[string][]Span),
-	}
+	return &FlightRecorder{capacity: capacity, occ: make(map[string][]Span)}
 }
 
 // Observe consumes one span — attach it as (or inside) the daemon's span
-// listener. Safe for concurrent use.
+// listener. A span for a terminal trace is ignored: the trace is closed.
 func (r *FlightRecorder) Observe(s Span) {
-	r.mu.Lock()
 	if s.Stage == StageBusy || s.Stage == StageIdle {
-		r.observeOccupancyLocked(s)
-		r.mu.Unlock()
+		r.observeOccupancy(s)
 		return
 	}
-	t := r.last
-	if t == nil || r.lastID != s.Job {
-		t = r.live[s.Job]
-		if t == nil {
-			t = r.allocTraceLocked(s.Job)
-			r.live[s.Job] = t
+	n := mint.Number(mint.JobPrefix, s.Job)
+	t := r.traces.At(n)
+	if t == nil {
+		if n == 0 || n != r.opened+1 {
+			return
 		}
-		r.lastID, r.last = s.Job, t
+		t = r.open(s.Job)
+	}
+	if t.State != "" {
+		return
 	}
 	t.Spans = append(t.Spans, s)
 	if s.Class != "" {
@@ -89,32 +78,40 @@ func (r *FlightRecorder) Observe(s Span) {
 		t.Device = s.Device
 	}
 	if !s.Stage.Terminal() {
-		r.mu.Unlock()
 		return
 	}
 	t.State = s.Stage
-	r.lastID, r.last = "", nil
-	delete(r.live, s.Job)
-	r.done[s.Job] = t
-	r.ring = append(r.ring, s.Job)
-	if len(r.ring) > r.capacity {
-		evict := r.ring[0]
-		r.ring = r.ring[1:]
-		if old := r.done[evict]; old != nil {
-			r.recycleLocked(old.Spans)
-			delete(r.done, evict)
-		}
+	r.live--
+	r.done.Push(t)
+	if r.done.Len() > r.capacity {
+		old := r.done.Pop()
+		r.traces.Drop(old.num)
+		r.free = append(r.free, old)
 	}
-	r.mu.Unlock()
 }
 
-// observeOccupancyLocked appends to a partition's bounded occupancy track.
-// Tracks are allocated at full ring capacity up front (bounded, a few
-// hundred spans), so steady-state appends never grow the backing array.
-func (r *FlightRecorder) observeOccupancyLocked(s Span) {
+// open files a live trace for job, the next number, taking the record off
+// the free list when there is one.
+func (r *FlightRecorder) open(job string) *JobTrace {
+	var t *JobTrace
+	if n := len(r.free); n > 0 {
+		t, r.free = r.free[n-1], r.free[:n-1]
+		*t = JobTrace{Spans: t.Spans[:0]}
+	} else {
+		t = &JobTrace{Spans: make([]Span, 0, spansPerTrace)}
+	}
+	t.Job, r.live = job, r.live+1
+	r.opened = r.traces.Push(t)
+	t.num = r.opened
+	return t
+}
+
+// observeOccupancy appends to a partition's bounded occupancy track. Tracks
+// are allocated at full ring capacity up front (bounded, a few hundred
+// spans), so steady-state appends never grow the backing array.
+func (r *FlightRecorder) observeOccupancy(s Span) {
 	track, ok := r.occ[s.Device]
 	if !ok {
-		r.occOrder = append(r.occOrder, s.Device)
 		track = make([]Span, 0, r.capacity+1)
 	}
 	track = append(track, s)
@@ -124,93 +121,39 @@ func (r *FlightRecorder) observeOccupancyLocked(s Span) {
 	r.occ[s.Device] = track
 }
 
-// spansPerTrace is the arena block size: a clean lifecycle is 7 pipeline
-// spans plus a terminal mark; preempted jobs overflow the block and grow
-// normally.
-const spansPerTrace = 8
-
-// arenaChunk is how many traces' worth of arena is charged per chunk malloc.
-const arenaChunk = 64
-
-// allocTraceLocked hands out a fresh *JobTrace with span storage attached —
-// recycled from an evicted trace when available, otherwise carved from the
-// bump arenas so the per-job cost is 1/arenaChunk of a malloc.
-func (r *FlightRecorder) allocTraceLocked(job string) *JobTrace {
-	if len(r.traceArena) == 0 {
-		r.traceArena = make([]JobTrace, arenaChunk)
-	}
-	t := &r.traceArena[0]
-	r.traceArena = r.traceArena[1:]
-	t.Job = job
-	if n := len(r.free); n > 0 {
-		t.Spans = r.free[n-1]
-		r.free = r.free[:n-1]
-		return t
-	}
-	if len(r.spanArena) < spansPerTrace {
-		r.spanArena = make([]Span, arenaChunk*spansPerTrace)
-	}
-	t.Spans = r.spanArena[:0:spansPerTrace]
-	r.spanArena = r.spanArena[spansPerTrace:]
-	return t
-}
-
-// recycleLocked returns an evicted trace's backing array to the pool. The
-// pool is bounded by the ring capacity: at most one recycled slice per
-// retained trace can be outstanding.
-func (r *FlightRecorder) recycleLocked(s []Span) {
-	if cap(s) == 0 || len(r.free) >= r.capacity {
-		return
-	}
-	r.free = append(r.free, s[:0])
+// copyTrace is a trace with spans of its own.
+func copyTrace(t *JobTrace) JobTrace {
+	cp := *t
+	cp.Spans = append([]Span(nil), t.Spans...)
+	return cp
 }
 
 // Job returns a copy of one job's trace (live or retained terminal), or
 // false when the recorder no longer has it.
 func (r *FlightRecorder) Job(id string) (JobTrace, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.live[id]
-	if t == nil {
-		t = r.done[id]
+	if t := r.traces.At(mint.Number(mint.JobPrefix, id)); t != nil {
+		return copyTrace(t), true
 	}
-	if t == nil {
-		return JobTrace{}, false
-	}
-	cp := *t
-	cp.Spans = append([]Span(nil), t.Spans...)
-	return cp, true
+	return JobTrace{}, false
 }
 
 // Jobs returns copies of every held trace: live first, then terminal, each
-// group in job-ID order, so the listing is deterministic.
+// group in the order its jobs were minted.
 func (r *FlightRecorder) Jobs() []JobTrace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]JobTrace, 0, len(r.live)+len(r.done))
-	appendSorted := func(m map[string]*JobTrace) {
-		ids := make([]string, 0, len(m))
-		for id := range m {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			t := m[id]
-			cp := *t
-			cp.Spans = append([]Span(nil), t.Spans...)
-			out = append(out, cp)
+	out := make([]JobTrace, 0, r.live+r.done.Len())
+	for _, terminal := range [...]bool{false, true} {
+		for _, t := range r.traces.Slots() {
+			if t != nil && (t.State != "") == terminal {
+				out = append(out, copyTrace(t))
+			}
 		}
 	}
-	appendSorted(r.live)
-	appendSorted(r.done)
 	return out
 }
 
 // Occupancy returns each partition's occupancy track (copies), keyed by
 // device ID.
 func (r *FlightRecorder) Occupancy() map[string][]Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make(map[string][]Span, len(r.occ))
 	for dev, track := range r.occ {
 		out[dev] = append([]Span(nil), track...)
@@ -219,8 +162,4 @@ func (r *FlightRecorder) Occupancy() map[string][]Span {
 }
 
 // Len reports (live, terminal) trace counts.
-func (r *FlightRecorder) Len() (live, done int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.live), len(r.done)
-}
+func (r *FlightRecorder) Len() (live, done int) { return r.live, r.done.Len() }

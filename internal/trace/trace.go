@@ -63,7 +63,7 @@ const (
 )
 
 // Terminal reports whether the stage is a job-terminal mark — the signal the
-// FlightRecorder uses to move a live trace into its ring.
+// FlightRecorder uses to close a live trace and enter it in its finish ring.
 func (s Stage) Terminal() bool {
 	switch s {
 	case MarkCompleted, MarkFailed, MarkCancelled, MarkRejected:
@@ -110,6 +110,7 @@ type JobTrace struct {
 	// State is the terminal mark when the trace is complete ("" while live).
 	State Stage  `json:"state,omitempty"`
 	Spans []Span `json:"spans"`
+	num   int    // the job's number, where a FlightRecorder files the trace
 }
 
 // Listener is the span hook signature — the Config.JobListener analogue for

@@ -126,25 +126,53 @@ func TestFlightRecorderRingEviction(t *testing.T) {
 
 func TestFlightRecorderPoolReuse(t *testing.T) {
 	r := NewFlightRecorder(1)
-	for _, s := range terminalSeq("job-0", 0) {
+	for _, s := range terminalSeq("job-1", 0) {
 		r.Observe(s)
 	}
-	// job-1 evicts job-0; its span backing array enters the pool.
-	for _, s := range terminalSeq("job-1", time.Minute) {
+	// job-2 evicts job-1; its record, span storage and all, enters the free
+	// list.
+	for _, s := range terminalSeq("job-2", time.Minute) {
 		r.Observe(s)
 	}
 	if len(r.free) != 1 {
-		t.Fatalf("free pool = %d, want 1", len(r.free))
+		t.Fatalf("free list = %d, want 1", len(r.free))
 	}
-	recycled := r.free[0]
-	// job-2 should draw the recycled backing array rather than allocate.
-	r.Observe(span("job-2", StageValidate, 2*time.Minute, 2*time.Minute))
+	recycled, spans := r.free[0], r.free[0].Spans
+	// job-3 should draw the recycled record and its span storage rather than
+	// allocate.
+	r.Observe(span("job-3", StageValidate, 2*time.Minute, 2*time.Minute))
 	if len(r.free) != 0 {
-		t.Fatalf("pool not drained: %d", len(r.free))
+		t.Fatalf("free list not drained: %d", len(r.free))
 	}
-	got := r.live["job-2"].Spans
-	if &recycled[0:1][0] != &got[0:1][0] {
-		t.Fatal("job-2 did not reuse the recycled backing array")
+	got := r.traces.At(3)
+	if got != recycled || &spans[0:1][0] != &got.Spans[0:1][0] {
+		t.Fatal("job-3 did not reuse the recycled record and its span storage")
+	}
+	if got.Job != "job-3" || got.State != "" || got.Class != "" || len(got.Spans) != 1 {
+		t.Fatalf("recycled record not reset: %+v", *got)
+	}
+}
+
+// TestFlightRecorderListsInMintOrder: the listing is live traces, then
+// terminal ones, each group in the order the jobs were minted — job-9 before
+// job-10, which a sort of the ID strings reverses.
+func TestFlightRecorderListsInMintOrder(t *testing.T) {
+	r := NewFlightRecorder(16)
+	for n := 1; n <= 12; n++ {
+		id := fmt.Sprintf("job-%d", n)
+		r.Observe(span(id, StageValidate, 0, 0))
+		if n%3 != 0 {
+			r.Observe(span(id, MarkCompleted, time.Second, time.Second))
+		}
+	}
+	var got []string
+	for _, tr := range r.Jobs() {
+		got = append(got, tr.Job)
+	}
+	want := []string{"job-3", "job-6", "job-9", "job-12",
+		"job-1", "job-2", "job-4", "job-5", "job-7", "job-8", "job-10", "job-11"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Jobs() lists %v, want %v", got, want)
 	}
 }
 
