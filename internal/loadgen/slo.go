@@ -41,7 +41,6 @@ const (
 	trackRejected
 )
 
-
 // spanStages are the pipeline stages the attribution keeps, in table order.
 var spanStages = [...]trace.Stage{trace.StageValidate, trace.StageAdmission, trace.StageRoute,
 	trace.StageQueued, trace.StageRequeued, trace.StageExecute}
@@ -114,7 +113,8 @@ func (a *Analyzer) newTrack(id string) *jobTrack {
 
 // live returns the track of job id while it is in flight, else nil.
 func (a *Analyzer) live(id string) *jobTrack {
-	if i := mint.Number(mint.JobPrefix, id) - 1; i >= 0 && i < a.used && !a.chunks[i/trackChunkSize][i%trackChunkSize].terminal {
+	i := mint.Number(mint.JobPrefix, id) - 1
+	if i >= 0 && i < a.used && !a.chunks[i/trackChunkSize][i%trackChunkSize].terminal {
 		return &a.chunks[i/trackChunkSize][i%trackChunkSize]
 	}
 	return nil

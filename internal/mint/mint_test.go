@@ -74,13 +74,3 @@ func TestNumberReadsOnlySpell(t *testing.T) {
 		}
 	}
 }
-
-var sink string
-
-// TestSpellAllocatesOnce: the ID string is the one allocation a mint makes.
-func TestSpellAllocatesOnce(t *testing.T) {
-	n := 1 << 20
-	if a := testing.AllocsPerRun(100, func() { sink = Spell("qpu-task-", n) }); a != 1 {
-		t.Fatalf("Spell: %v allocations, want 1", a)
-	}
-}
