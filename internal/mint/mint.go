@@ -36,14 +36,14 @@ func Number(prefix, id string) int {
 }
 
 // Ring is a table of records in the order they were minted: the zero Ring
-// numbers its first record 1, and recs[i] is the record numbered off+i+1, or
+// numbers its first record 1, and recs[i] is the record numbered base+i, or
 // nil once dropped. The dropped prefix goes once it is half the slice, so the
 // backing array is under twice the span from the oldest record kept to the
 // newest; a record kept holds one 8-byte slot open per record minted after
 // it. A ring only ever dropped from its oldest end (Pop) is a FIFO.
 type Ring[T any] struct {
 	recs []*T
-	off  int // recs[0] is numbered off+1
+	base int // the number of recs[0]; 0 until the first Push
 	head int // recs[:head] are dropped
 }
 
@@ -53,13 +53,16 @@ func (r *Ring[T]) Len() int { return len(r.recs) - r.head }
 
 // Push appends x and returns its number.
 func (r *Ring[T]) Push(x *T) int {
+	if r.base == 0 {
+		r.base = 1
+	}
 	r.recs = append(r.recs, x)
-	return r.off + len(r.recs)
+	return r.base + len(r.recs) - 1
 }
 
 // At returns the record numbered n, nil if dropped or never minted.
 func (r *Ring[T]) At(n int) *T {
-	if i := n - r.off - 1; i >= r.head && i < len(r.recs) {
+	if i := n - r.base; i >= r.head && i < len(r.recs) {
 		return r.recs[i]
 	}
 	return nil
@@ -67,7 +70,7 @@ func (r *Ring[T]) At(n int) *T {
 
 // Drop releases the record numbered n.
 func (r *Ring[T]) Drop(n int) {
-	i := n - r.off - 1
+	i := n - r.base
 	if i < r.head || i >= len(r.recs) {
 		return
 	}
@@ -78,14 +81,14 @@ func (r *Ring[T]) Drop(n int) {
 	if 2*r.head >= len(r.recs) {
 		k := copy(r.recs, r.recs[r.head:])
 		clear(r.recs[k:])
-		r.recs, r.off, r.head = r.recs[:k], r.off+r.head, 0
+		r.recs, r.base, r.head = r.recs[:k], r.base+r.head, 0
 	}
 }
 
 // Pop removes and returns the oldest record.
 func (r *Ring[T]) Pop() *T {
 	x := r.recs[r.head]
-	r.Drop(r.off + r.head + 1)
+	r.Drop(r.base + r.head)
 	return x
 }
 
