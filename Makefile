@@ -44,8 +44,9 @@ bench:
 # search that gate the capacity-planning engine, plus the served write path
 # (in-process HTTP, the profiling entry point) alone, beside an operator's
 # reads and on the 1/2/8/32-client ladder, the TSDB append it leans on and the
-# job reply it ends with.
-BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkServedMixed|BenchmarkServedLadder|BenchmarkTSDBAppend$$|BenchmarkJobWireEncode
+# job reply it ends with, plus the emulator's SVD, the kernel of every MPS bond
+# gate, at 16, 32 and 64.
+BENCH_PATTERN = BenchmarkFleetDispatch|BenchmarkDaemonDispatch|BenchmarkLoadgen|BenchmarkProgramCache|BenchmarkWeightedRouterPick|BenchmarkClassQueuePop|BenchmarkSweepWideMatrix|BenchmarkSaturateSearch|BenchmarkServedSubmit|BenchmarkServedMixed|BenchmarkServedLadder|BenchmarkTSDBAppend$$|BenchmarkJobWireEncode|BenchmarkComplexSVD
 BENCH_PKGS = . ./internal/daemon
 
 # bench-diff is the perf gate: the suite built at BASE and from the working
@@ -54,7 +55,7 @@ BENCH_PKGS = . ./internal/daemon
 # the gate cannot do without. Ten pairs take ≈ 23 min on two cores.
 bench-diff:
 	$(GO) run ./cmd/benchdiff -base $(BASE) -pairs $(PAIRS) \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong:allocs_per_job,BenchmarkLoadgenReplayStream:peak_heap_mb,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix:allocs_per_job,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkServedMixed:allocs_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkLoadgenReplayBacklog,BenchmarkLoadgenReplayLong:allocs_per_job,BenchmarkLoadgenReplayStream:peak_heap_mb,BenchmarkLoadgenReadTrace,BenchmarkClassQueuePop,BenchmarkSweepWideMatrix:allocs_per_job,BenchmarkSaturateSearch,BenchmarkServedSubmit:http_requests_per_job,BenchmarkServedMixed:allocs_per_job,BenchmarkTSDBAppend,BenchmarkJobWireEncode,BenchmarkComplexSVD \
 		'$(BENCH_PATTERN)' $(BENCH_PKGS)
 
 # bench-e2e-quick keeps the end-to-end benchmark harness (benchmark/, a

@@ -62,9 +62,10 @@ func (i DeviceInfo) load() int {
 // into infos; infos always has at least one entry and is ordered by fleet
 // index. Routers should avoid partitions in maintenance when any other is
 // available (jobs routed to a maintenance partition wait for it to return).
-// Pick may be called concurrently. job and infos are lent for the call only:
-// the daemon reuses both for its next pick, so a Router must not retain
-// either (copy what it needs to keep).
+// Pick runs inside the world, one call at a time, so a Router may keep
+// unlocked state across picks (the round-robin scorer's rotation does). job
+// and infos are lent for the call only: the daemon reuses both for its next
+// pick, so a Router must not retain either (copy what it needs to keep).
 type Router interface {
 	// Name identifies the policy for logs and status reports.
 	Name() string

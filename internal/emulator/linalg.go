@@ -71,80 +71,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// hermitianEigen diagonalizes a Hermitian matrix in place using the cyclic
-// complex Jacobi method. It returns the eigenvalues (unsorted) and the
-// unitary V whose columns are the corresponding eigenvectors (A = V Λ V†).
-// Only the provided matrix's Hermitian part is used.
-func hermitianEigen(a *Matrix) ([]float64, *Matrix) {
-	n := a.Rows
-	if n != a.Cols {
-		panic("emulator: hermitianEigen requires a square matrix")
-	}
-	v := Identity(n)
-	if n == 1 {
-		return []float64{real(a.At(0, 0))}, v
-	}
-	const maxSweeps = 60
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += cmplx.Abs(a.At(i, j))
-			}
-		}
-		if off < 1e-13*float64(n) {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := a.At(p, q)
-				if cmplx.Abs(apq) < 1e-300 {
-					continue
-				}
-				app := real(a.At(p, p))
-				aqq := real(a.At(q, q))
-				// Phase that makes the off-diagonal real:
-				// apq = |apq| e^{iφ}; work with the rotated basis.
-				absApq := cmplx.Abs(apq)
-				phase := apq / complex(absApq, 0)
-				// Classic symmetric Jacobi angle.
-				theta := 0.5 * math.Atan2(2*absApq, app-aqq)
-				c := math.Cos(theta)
-				s := math.Sin(theta)
-				// Rotation: col_p' = c·col_p + s·e^{-iφ}·col_q
-				//           col_q' = -s·e^{iφ}·col_p + c·col_q
-				sp := complex(s, 0) * cmplx.Conj(phase)
-				sq := complex(s, 0) * phase
-				cc := complex(c, 0)
-				// Update rows p and q of A: A ← J† A J.
-				for k := 0; k < n; k++ {
-					akp := a.At(k, p)
-					akq := a.At(k, q)
-					a.Set(k, p, cc*akp+sp*akq)
-					a.Set(k, q, -sq*akp+cc*akq)
-				}
-				for k := 0; k < n; k++ {
-					apk := a.At(p, k)
-					aqk := a.At(q, k)
-					a.Set(p, k, cc*apk+cmplx.Conj(sp)*aqk)
-					a.Set(q, k, -cmplx.Conj(sq)*apk+cc*aqk)
-				}
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, cc*vkp+sp*vkq)
-					v.Set(k, q, -sq*vkp+cc*vkq)
-				}
-			}
-		}
-	}
-	eig := make([]float64, n)
-	for i := range eig {
-		eig[i] = real(a.At(i, i))
-	}
-	return eig, v
-}
-
 // SVDResult holds a thin singular value decomposition A = U diag(S) V†.
 type SVDResult struct {
 	U *Matrix   // m×r
@@ -152,46 +78,93 @@ type SVDResult struct {
 	V *Matrix   // n×r (columns are right singular vectors)
 }
 
-// SVD computes the thin singular value decomposition of A via the Hermitian
-// eigendecomposition of A†A (or AA† when that is smaller). It is numerically
-// adequate for MPS truncation, where only the relative magnitude of singular
-// values matters and the spectrum spans at most ~1e-8 of dynamic range.
+// SVD computes the thin singular value decomposition of A by one-sided
+// (Hestenes) Jacobi: plane rotations orthogonalize A's columns in place and
+// the same rotations build V, so A is never squared and each singular value
+// keeps its relative accuracy down to ε·σ₁ (Demmel & Veselić, SIAM J. Matrix
+// Anal. Appl. 13(4), 1992).
 func SVD(a *Matrix) SVDResult {
 	m, n := a.Rows, a.Cols
-	if m >= n {
-		// Eigen-decompose the n×n Gram matrix A†A.
-		gram := a.ConjTranspose().Mul(a)
-		eig, v := hermitianEigen(gram)
-		order := sortDescending(eig)
-		r := len(eig)
-		s := make([]float64, r)
-		vSorted := NewMatrix(n, r)
-		for col, src := range order {
-			ev := eig[src]
-			if ev < 0 {
-				ev = 0
-			}
-			s[col] = math.Sqrt(ev)
-			for row := 0; row < n; row++ {
-				vSorted.Set(row, col, v.At(row, src))
-			}
-		}
-		// U = A V Σ⁻¹, guarding zero singular values.
-		av := a.Mul(vSorted)
-		u := NewMatrix(m, r)
-		for col := 0; col < r; col++ {
-			if s[col] > 1e-150 {
-				inv := complex(1/s[col], 0)
-				for row := 0; row < m; row++ {
-					u.Set(row, col, av.At(row, col)*inv)
-				}
-			}
-		}
-		return SVDResult{U: u, S: s, V: vSorted}
+	if m < n {
+		// Decompose the adjoint and swap factors: A† = U' S V'† ⇒ A = V' S U'†.
+		res := SVD(a.ConjTranspose())
+		return SVDResult{U: res.V, S: res.S, V: res.U}
 	}
-	// m < n: decompose the adjoint and swap factors.
-	res := SVD(a.ConjTranspose()) // A† = U' S V'†  ⇒  A = V' S U'†
-	return SVDResult{U: res.V, S: res.S, V: res.U}
+	// w holds A's columns and v holds V's, both column-major, so a rotation
+	// works on two contiguous slices.
+	w := make([]complex128, m*n)
+	for i := 0; i < m; i++ {
+		for j, x := range a.Data[i*n : (i+1)*n] {
+			w[j*m+i] = x
+		}
+	}
+	v := Identity(n).Data // symmetric, so column-major as it stands
+	const maxSweeps = 60
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		rotated := false
+		for p := 0; p < n-1; p++ {
+			wp, vp := w[p*m:(p+1)*m], v[p*n:(p+1)*n]
+			for q := p + 1; q < n; q++ {
+				wq, vq := w[q*m:(q+1)*m], v[q*n:(q+1)*n]
+				var alpha, beta float64
+				var gamma complex128
+				for k, x := range wp {
+					y := wq[k]
+					alpha += real(x)*real(x) + imag(x)*imag(x)
+					beta += real(y)*real(y) + imag(y)*imag(y)
+					gamma += cmplx.Conj(x) * y
+				}
+				g := cmplx.Abs(gamma)
+				if g <= 1e-15*math.Sqrt(alpha*beta) {
+					continue
+				}
+				rotated = true
+				// With e = γ/|γ|, the pair (w_p, ē·w_q) has the real inner
+				// product |γ|; the real Jacobi rotation (c, s) zeroes it.
+				zeta := (beta - alpha) / (2 * g)
+				t := math.Copysign(1/(math.Abs(zeta)+math.Sqrt(1+zeta*zeta)), zeta)
+				c := 1 / math.Sqrt(1+t*t)
+				se := complex(c*t, 0) * cmplx.Conj(gamma/complex(g, 0))
+				rotate(wp, wq, c, se)
+				rotate(vp, vq, c, se)
+			}
+		}
+		if !rotated {
+			break
+		}
+	}
+	s := make([]float64, n)
+	for j := range s {
+		for _, x := range w[j*m : (j+1)*m] {
+			s[j] += real(x)*real(x) + imag(x)*imag(x)
+		}
+		s[j] = math.Sqrt(s[j])
+	}
+	res := SVDResult{U: NewMatrix(m, n), S: make([]float64, n), V: NewMatrix(n, n)}
+	for col, src := range sortDescending(s) {
+		sigma := s[src]
+		res.S[col] = sigma
+		for row, x := range w[src*m : (src+1)*m] {
+			if sigma > 0 {
+				res.U.Data[row*n+col] = complex(real(x)/sigma, imag(x)/sigma)
+			}
+		}
+		for row, x := range v[src*n : (src+1)*n] {
+			res.V.Data[row*n+col] = x
+		}
+	}
+	return res
+}
+
+// rotate applies one unitary Jacobi rotation to a column pair:
+// x ← c·x − s·y and y ← s̄·x + c·y, where s carries the phase ē.
+func rotate(x, y []complex128, c float64, s complex128) {
+	sbar := cmplx.Conj(s)
+	for k, xk := range x {
+		yk := y[k]
+		x[k] = complex(c*real(xk), c*imag(xk)) - s*yk
+		y[k] = sbar*xk + complex(c*real(yk), c*imag(yk))
+	}
 }
 
 // sortDescending returns the index order that sorts vals descending.

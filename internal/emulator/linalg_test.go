@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -78,64 +79,138 @@ func TestConjTranspose(t *testing.T) {
 	}
 }
 
-func TestHermitianEigenDiagonal(t *testing.T) {
-	a := NewMatrix(3, 3)
-	a.Set(0, 0, 3)
-	a.Set(1, 1, -1)
-	a.Set(2, 2, 7)
-	eig, v := hermitianEigen(clone(a))
-	// Eigenvalues of a diagonal matrix are its diagonal.
-	found := map[int]bool{}
-	for _, e := range eig {
-		for i, want := range []float64{3, -1, 7} {
-			if math.Abs(e-want) < 1e-10 {
-				found[i] = true
+// randomUnitary returns an n×n unitary: a complex Gaussian matrix
+// orthonormalized twice by modified Gram–Schmidt.
+func randomUnitary(rng *rand.Rand, n int) *Matrix {
+	q := randomMatrix(rng, n, n)
+	for pass := 0; pass < 2; pass++ {
+		for j := 0; j < n; j++ {
+			for k := 0; k < j; k++ {
+				var dot complex128
+				for i := 0; i < n; i++ {
+					dot += cmplx.Conj(q.At(i, k)) * q.At(i, j)
+				}
+				for i := 0; i < n; i++ {
+					q.Set(i, j, q.At(i, j)-dot*q.At(i, k))
+				}
+			}
+			var norm float64
+			for i := 0; i < n; i++ {
+				norm += real(q.At(i, j) * cmplx.Conj(q.At(i, j)))
+			}
+			for i := 0; i < n; i++ {
+				q.Set(i, j, q.At(i, j)/complex(math.Sqrt(norm), 0))
 			}
 		}
 	}
-	if len(found) != 3 {
-		t.Fatalf("eigenvalues %v", eig)
+	return q
+}
+
+// withSpectrum returns P·diag(sigma)·Q† for random m×m and n×n unitaries P
+// and Q: an m×n matrix whose singular values are sigma.
+func withSpectrum(rng *rand.Rand, m, n int, sigma []float64) *Matrix {
+	d := NewMatrix(m, n)
+	for k, s := range sigma {
+		d.Set(k, k, complex(s, 0))
 	}
-	// V must be unitary.
-	vhv := v.ConjTranspose().Mul(v)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
+	return randomUnitary(rng, m).Mul(d).Mul(randomUnitary(rng, n).ConjTranspose())
+}
+
+// orthonormalityError returns max |(M†M − I)ᵢⱼ| over the columns i, j < k.
+func orthonormalityError(m *Matrix, k int) float64 {
+	gram := m.ConjTranspose().Mul(m)
+	worst := 0.0
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
 			want := complex128(0)
 			if i == j {
 				want = 1
 			}
-			if cmplx.Abs(vhv.At(i, j)-want) > 1e-10 {
-				t.Fatalf("V not unitary: V†V[%d,%d] = %v", i, j, vhv.At(i, j))
-			}
+			worst = math.Max(worst, cmplx.Abs(gram.At(i, j)-want))
 		}
 	}
+	return worst
 }
 
-func TestHermitianEigenReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 5; trial++ {
-		n := 2 + rng.Intn(6)
-		// Build a random Hermitian matrix.
-		raw := randomMatrix(rng, n, n)
-		h := clone(raw)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				h.Set(i, j, (raw.At(i, j)+cmplx.Conj(raw.At(j, i)))/2)
+// TestSVDProperties holds SVD to 1e-12 relative on square, tall and wide
+// shapes, for random spectra, rank-deficient ones and graded ones from 1 down
+// to 1e-14, where squaring A into A†A would lose every σ below ≈ √ε·σ₁. Each
+// prescribed σ must come back within 1e-12·σ₁, A = UΣV† must hold to
+// 1e-12·‖A‖, and the columns of U and V kept for σ > 0 must be orthonormal to
+// 1e-12. A Gaussian matrix, whose spectrum is not prescribed, must keep its
+// singular values under a random unitary change of basis on either side.
+func TestSVDProperties(t *testing.T) {
+	const tol = 1e-12
+	rng := rand.New(rand.NewSource(11))
+	spectra := map[string]func(r int) []float64{
+		"random": func(r int) []float64 {
+			s := make([]float64, r)
+			for k := range s {
+				s[k] = 0.1 + rng.Float64()
 			}
-		}
-		eig, v := hermitianEigen(clone(h))
-		// Reconstruct V Λ V† and compare.
-		lam := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			lam.Set(i, i, complex(eig[i], 0))
-		}
-		rec := v.Mul(lam).Mul(v.ConjTranspose())
-		for i := range rec.Data {
-			if cmplx.Abs(rec.Data[i]-h.Data[i]) > 1e-8 {
-				t.Fatalf("trial %d: reconstruction error %g at %d", trial, cmplx.Abs(rec.Data[i]-h.Data[i]), i)
+			return s
+		},
+		"rank-deficient": func(r int) []float64 {
+			s := make([]float64, r)
+			for k := 0; k < r/2; k++ {
+				s[k] = 0.1 + rng.Float64()
 			}
+			return s
+		},
+		"graded": func(r int) []float64 {
+			s := make([]float64, r)
+			for k := range s {
+				s[k] = math.Pow(10, -14*float64(k)/float64(r-1))
+			}
+			return s
+		},
+	}
+	worst := map[string]float64{}
+	for _, shape := range [][2]int{{8, 8}, {16, 16}, {20, 9}, {9, 20}, {32, 24}} {
+		m, n := shape[0], shape[1]
+		r := min(m, n)
+		for _, name := range []string{"random", "rank-deficient", "graded", "gaussian"} {
+			var a *Matrix
+			var want []float64
+			if name == "gaussian" {
+				a = randomMatrix(rng, m, n)
+				want = SVD(randomUnitary(rng, m).Mul(a).Mul(randomUnitary(rng, n))).S
+			} else {
+				want = spectra[name](r)
+				sort.Sort(sort.Reverse(sort.Float64Slice(want)))
+				a = withSpectrum(rng, m, n, want)
+			}
+			res := SVD(clone(a))
+			if len(res.S) != r || res.U.Rows != m || res.U.Cols != r || res.V.Rows != n || res.V.Cols != r {
+				t.Fatalf("%dx%d %s: shapes U %dx%d, S %d, V %dx%d", m, n, name,
+					res.U.Rows, res.U.Cols, len(res.S), res.V.Rows, res.V.Cols)
+			}
+			sigmaErr := 0.0
+			kept := 0
+			for k, s := range res.S {
+				sigmaErr = math.Max(sigmaErr, math.Abs(s-want[k])/want[0])
+				if s > 0 {
+					kept++
+				}
+			}
+			sigma := NewMatrix(r, r)
+			for k, s := range res.S {
+				sigma.Set(k, k, complex(s, 0))
+			}
+			diff := res.U.Mul(sigma).Mul(res.V.ConjTranspose())
+			for i := range diff.Data {
+				diff.Data[i] -= a.Data[i]
+			}
+			recErr := diff.FrobeniusNorm() / a.FrobeniusNorm()
+			orthErr := math.Max(orthonormalityError(res.U, kept), orthonormalityError(res.V, kept))
+			if sigmaErr > tol || recErr > tol || orthErr > tol {
+				t.Errorf("%dx%d %s: |Δσ|/σ₁ = %.2g, ‖A−UΣV†‖/‖A‖ = %.2g, orthonormality %.2g (all must be ≤ %g)",
+					m, n, name, sigmaErr, recErr, orthErr, tol)
+			}
+			worst[name] = math.Max(worst[name], math.Max(sigmaErr, math.Max(recErr, orthErr)))
 		}
 	}
+	t.Logf("worst error per spectrum: %v", worst)
 }
 
 func TestSVDReconstruction(t *testing.T) {
@@ -179,11 +254,11 @@ func TestSVDRankDeficient(t *testing.T) {
 		}
 	}
 	res := SVD(a)
-	// The Gram-matrix route loses half the mantissa on tiny singular
-	// values, so rank is judged relative to the leading value.
+	// Rank is judged relative to the leading value: the zero singular
+	// values come back at rounding level, ≈ ε·σ₁.
 	nonzero := 0
 	for _, s := range res.S {
-		if s > 1e-6*res.S[0] {
+		if s > 1e-12*res.S[0] {
 			nonzero++
 		}
 	}

@@ -169,7 +169,9 @@ func TestBondSweepShape(t *testing.T) {
 
 // TestBondSweepShortSlice is the deterministic fast slice of A1 that stays
 // on in -short mode: one small register, mock mode versus a real χ, same
-// shape claims as the full sweep.
+// shape claims as the full sweep, and both fidelities pinned to within 1e-6
+// of recorded values, so a change to the emulator's numbers cannot pass on
+// shape alone.
 func TestBondSweepShortSlice(t *testing.T) {
 	rows, table, err := runBondSweep(3, []int{8}, []int{1, 8})
 	if err != nil {
@@ -190,6 +192,14 @@ func TestBondSweepShortSlice(t *testing.T) {
 	}
 	if mock.TruncErr != 0 || real.TruncErr == 0 {
 		t.Fatalf("truncation errors: mock=%g real=%g", mock.TruncErr, real.TruncErr)
+	}
+	for _, pin := range []struct {
+		row  BondSweepRow
+		want float64
+	}{{mock, 0.00015425626816039807}, {real, 0.97252770328840676}} {
+		if math.Abs(pin.row.Fidelity-pin.want) > 1e-6 {
+			t.Errorf("χ=%d fidelity = %.12f, pinned at %.12f ± 1e-6", pin.row.Chi, pin.row.Fidelity, pin.want)
+		}
 	}
 	if !strings.Contains(table.String(), "chi") {
 		t.Fatal("table rendering broken")

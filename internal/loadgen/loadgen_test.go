@@ -283,7 +283,7 @@ func TestAnalyzerTelemetryExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	rep, err := Replay(tr, ReplayConfig{Devices: 2, Seed: 9, Registry: reg})
+	rep, err := Replay(tr, ReplayConfig{Devices: 2, Seed: 9, JobListener: NewAnalyzer(reg).Observe})
 	if err != nil {
 		t.Fatal(err)
 	}

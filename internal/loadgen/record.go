@@ -17,8 +17,9 @@ import (
 type Recorder struct {
 	shotRate float64
 
-	// mu guards records: a live daemon calls its listeners from several
-	// goroutines.
+	// mu orders Trace against Observe: the daemon calls Observe inside its
+	// world, one event at a time, and the lock lets a reader on another
+	// goroutine take the trace while a live run goes on.
 	mu      sync.Mutex
 	records []Record
 }

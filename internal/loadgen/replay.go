@@ -14,7 +14,6 @@ import (
 	"hpcqc/internal/qir"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
-	"hpcqc/internal/telemetry"
 	"hpcqc/internal/trace"
 )
 
@@ -63,8 +62,6 @@ type ReplayConfig struct {
 	// SetupSeconds is the cold-setup occupancy a program-cache miss charges
 	// the device, in QPU seconds. Requires ProgramCache > 0.
 	SetupSeconds float64
-	// Registry optionally receives the analyzer's telemetry histograms.
-	Registry *telemetry.Registry
 	// DrainGrace bounds how far past the trace horizon the replay advances
 	// waiting for the backlog to drain (default 14 days of simulation time).
 	DrainGrace time.Duration
@@ -127,8 +124,7 @@ func (cfg *ReplayConfig) label() string {
 }
 
 // analyzerPool recycles SLO analyzers (their maps, stage sample buffers and
-// jobTrack slabs) across replay cells. Only registry-less analyzers — the
-// sweep/saturate case — are pooled.
+// jobTrack slabs) across replay cells.
 var analyzerPool = sync.Pool{New: func() any { return NewAnalyzer(nil) }}
 
 // reclaimEvery is how many arrivals pass between the replay cursor's
@@ -241,16 +237,11 @@ func newReplayRun(header TraceHeader, source func(int, *Record) error, cfg Repla
 		cfg.RateScale = 1
 	}
 
-	// Registry-less analyzers come from the shared pool: their maps, sample
-	// buffers and track slabs are recycled across the cells of a sweep, so a
-	// thousand-cell run's live heap stays proportional to its worker count.
-	var an *Analyzer
-	if cfg.Registry == nil {
-		an = analyzerPool.Get().(*Analyzer)
-		an.Reset()
-	} else {
-		an = NewAnalyzer(cfg.Registry)
-	}
+	// The analyzer comes from the shared pool: its maps, sample buffers and
+	// track slabs are recycled across the cells of a sweep, so a thousand-cell
+	// run's live heap stays proportional to its worker count.
+	an := analyzerPool.Get().(*Analyzer)
+	an.Reset()
 	clk := simclock.New()
 	listener := an.Observe
 	if extra := cfg.JobListener; extra != nil {
@@ -265,7 +256,7 @@ func newReplayRun(header TraceHeader, source func(int, *Record) error, cfg Repla
 		Device: device.Config{TimingOnly: true},
 		Daemon: daemon.Config{Clock: clk, AdminToken: "loadgen", EnablePreemption: !cfg.DisablePreemption,
 			Seed: cfg.Seed, ProgramCache: cfg.ProgramCache, SetupSeconds: cfg.SetupSeconds,
-			JobListener: listener, Registry: cfg.Registry},
+			JobListener: listener},
 		Router: cfg.Router, Scheduler: cfg.Scheduler, Admission: cfg.Admission, Priority: cfg.Priority,
 	}
 	if cfg.ShotScale != 0 && cfg.ShotScale != 1 {
@@ -424,8 +415,6 @@ func (r *replayRun) drain(horizon time.Duration) (*Report, error) {
 	// copies) and the analyzer returns with its slab for the next cell. Error
 	// paths skip this: a dropped analyzer is just a pool miss.
 	d.Release()
-	if cfg.Registry == nil {
-		analyzerPool.Put(an)
-	}
+	analyzerPool.Put(an)
 	return rep, nil
 }

@@ -26,6 +26,11 @@ type EmulatorResource struct {
 
 const emuTaskPrefix = "emu-task-"
 
+// emuTaskHistory bounds the tasks an EmulatorResource keeps, as the daemon's
+// History default bounds its finished jobs: past it the oldest task goes, and
+// its ID then reads as an unknown task.
+const emuTaskHistory = 16384
+
 type localTask struct {
 	state  TaskState
 	result []byte
@@ -93,6 +98,9 @@ func (r *EmulatorResource) TaskStart(payload []byte) (string, error) {
 	}
 	t := &localTask{state: StateRunning}
 	n := r.tasks.Push(t)
+	for r.tasks.Len() > emuTaskHistory {
+		r.tasks.Pop()
+	}
 	id, seed := mint.Spell(emuTaskPrefix, n), r.seed+int64(n)
 	r.mu.Unlock()
 

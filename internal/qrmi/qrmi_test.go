@@ -340,3 +340,44 @@ func TestEmulatorResourceTaskIDsAndSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestEmulatorResourceDropsOldestTask mints past the task bound: the oldest
+// tasks go, oldest first, and read as unknown, while the oldest kept and the
+// newest still answer.
+func TestEmulatorResourceDropsOldestTask(t *testing.T) {
+	r := NewEmulatorResource(emulator.NewSVBackend(emulator.SVConfig{}), 1)
+	r.Acquire()
+	for n := 1; n < emuTaskHistory+3; n++ {
+		if _, err := r.TaskStart([]byte("not json")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload, _ := EncodeProgram(piPulseProgram(10))
+	newest, err := r.TaskStart(payload)
+	if want := fmt.Sprintf("emu-task-%d", emuTaskHistory+3); err != nil || newest != want {
+		t.Fatalf("newest ID %q, %v; want %q", newest, err, want)
+	}
+	if n := r.tasks.Len(); n != emuTaskHistory {
+		t.Fatalf("ring holds %d tasks, want %d", n, emuTaskHistory)
+	}
+	for _, id := range []string{"emu-task-1", "emu-task-3"} {
+		if _, err := r.TaskStatus(id); err == nil || !strings.Contains(err.Error(), "unknown task") {
+			t.Fatalf("TaskStatus(%q) = %v, want unknown task", id, err)
+		}
+		if _, err := r.TaskResult(id); err == nil {
+			t.Fatalf("TaskResult(%q) answered for a dropped task", id)
+		}
+		if err := r.TaskStop(id); err == nil {
+			t.Fatalf("TaskStop(%q) accepted a dropped task", id)
+		}
+	}
+	if st, err := r.TaskStatus("emu-task-4"); err != nil || st != StateFailed {
+		t.Fatalf("oldest kept task: %s, %v; want failed", st, err)
+	}
+	if st, err := r.TaskStatus(newest); err != nil || st != StateCompleted {
+		t.Fatalf("newest task: %s, %v; want completed", st, err)
+	}
+	if _, err := r.TaskResult(newest); err != nil {
+		t.Fatal(err)
+	}
+}
