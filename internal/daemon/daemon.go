@@ -73,8 +73,9 @@ type Config struct {
 	// EnablePreemption lets production jobs preempt running lower-class
 	// jobs (the paper's policy). It is off unless set: qcsd, closed-loop
 	// capture and the experiments (all but the exclusive-FIFO baseline) set
-	// it, and replay sets it unless the sweep's preemption axis says off. Preemption is confined to the
-	// partition the production job was routed to.
+	// it, and replay sets it unless the sweep's preemption axis says off.
+	// Preemption is confined to the partition the production job was routed
+	// to.
 	EnablePreemption bool
 	// AllowedLowLevelOps is the gated allowlist of low-level control
 	// operations exposed to integrators (§2.5). Others are rejected.

@@ -144,8 +144,8 @@ func SVD(a *Matrix) SVDResult {
 	for col, src := range sortDescending(s) {
 		sigma := s[src]
 		res.S[col] = sigma
-		for row, x := range w[src*m : (src+1)*m] {
-			if sigma > 0 {
+		if sigma > 0 { // a zero column leaves U's column zero
+			for row, x := range w[src*m : (src+1)*m] {
 				res.U.Data[row*n+col] = complex(real(x)/sigma, imag(x)/sigma)
 			}
 		}
