@@ -113,10 +113,11 @@ profile-replay:
 
 # fuzz-smoke runs each fuzz target for a fixed iteration count — a
 # deterministic-duration CI pass over the trace-ingestion paths (the JSONL
-# reader, the streamed replay and the SWF/sacct importers) and over the ID
+# reader, the streamed replay and the SWF/sacct importers), over the ID
 # lookups where a job-N or qpu-task-N string enters (the daemon's job table,
 # the device's task table, the analyzer's track slab, the flight recorder's
-# trace ring). Go fuzzing accepts
+# trace ring) and over the submit body the served daemon reads from the
+# wire. Go fuzzing accepts
 # exactly one -fuzz target per invocation, hence one command each. Crashers
 # land in the package's testdata/fuzz/ for `go test` to replay forever after.
 fuzz-smoke:
@@ -125,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSWF$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSacct$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzJobLookup$$' -fuzztime=2000x ./internal/daemon
+	$(GO) test -run='^$$' -fuzz='^FuzzSubmitBody$$' -fuzztime=2000x ./internal/daemon
 	$(GO) test -run='^$$' -fuzz='^FuzzTaskLookup$$' -fuzztime=2000x ./internal/device
 	$(GO) test -run='^$$' -fuzz='^FuzzAnalyzerJobID$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzFlightRecorder$$' -fuzztime=2000x ./internal/trace

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -155,8 +156,9 @@ type deviceState struct {
 	dev   *device.Device
 	queue *sched.ClassQueue
 	// spec is the partition's device spec, snapshotted once at construction
-	// (specs are immutable) so routing does not copy it per pick.
+	// (specs are immutable); kind is its index in Daemon.kinds.
 	spec qir.DeviceSpec
+	kind int
 	// cache is the partition's calibration-warm program cache, nil when
 	// Config.ProgramCache is zero.
 	cache *progLRU
@@ -212,6 +214,9 @@ type Daemon struct {
 	// (validated through device.FleetOf) with scheduling state layered on.
 	fleet    []*deviceState
 	byDevice map[string]*deviceState
+	// kinds are the fleet's distinct specs (DeviceSpec.Equal) in order of
+	// first appearance: validate checks a program once against each.
+	kinds []*qir.DeviceSpec
 
 	// routeInfos and routeJob are the fleet snapshot and scratch job every
 	// pick reuses.
@@ -329,8 +334,15 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 			spec:  dev.Spec(),
 			cache: newProgLRU(cfg.ProgramCache),
 		}
+		if ds.kind = slices.IndexFunc(d.kinds, ds.spec.Equal); ds.kind < 0 {
+			ds.kind = len(d.kinds)
+			d.kinds = append(d.kinds, &ds.spec)
+		}
 		d.fleet = append(d.fleet, ds)
 		d.byDevice[ds.id] = ds
+	}
+	if len(d.kinds) > 64 { // a specSet's bits
+		return nil, fmt.Errorf("daemon: %d distinct device specs in the fleet (at most 64)", len(d.kinds))
 	}
 	d.routeInfos = make([]DeviceInfo, len(d.fleet))
 	if reg := cfg.Registry; reg != nil {

@@ -104,12 +104,12 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 		}
 	}
 
-	// The program was decoded and validated against this partition's spec at
-	// submission (and requeue only ever targets same-spec partitions), so
-	// dispatch reuses that decode.
+	// The program was decoded at submission, and validate decided there that
+	// this partition can run it (routing and requeue keep a job to its
+	// capable set), so the device takes the decode without a second check.
 	taskID, err := ds.dev.SubmitWithSetup(j.prog, setup)
 	if err != nil {
-		// Submission failed (validation drift, maintenance window, ...).
+		// Submission failed (maintenance window, ...).
 		d.finish(j, JobFailed, err)
 		return true
 	}

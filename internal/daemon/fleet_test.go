@@ -415,7 +415,7 @@ func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
 
 	// A production job whose cancellation has updated the state but not yet
 	// removed the queue entry.
-	ghost := &Job{Session: s.Token, User: "alice",
+	ghost := &Job{sess: s, User: "alice",
 		Class: sched.ClassProduction, Device: ds.id, State: JobQueued,
 		SubmittedAt: env.clk.Now(),
 	}

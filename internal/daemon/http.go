@@ -335,10 +335,8 @@ func (d *Daemon) handleMetricsQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("name")
 	if name == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": "missing name parameter",
-			"names": db.SeriesNames(),
-		})
+		names := db.SeriesNames()
+		writeJSON(w, http.StatusBadRequest, errorView{Error: "missing name parameter", Names: &names})
 		return
 	}
 	from, err := parseSimTime(q.Get("from"), 0)
@@ -523,5 +521,5 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	writeJSON(w, code, errorView{Error: err.Error()})
 }

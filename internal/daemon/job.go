@@ -55,7 +55,6 @@ type Session struct {
 // Job is the daemon's job record.
 type Job struct {
 	ID      string        `json:"id"`
-	Session string        `json:"-"`
 	User    string        `json:"user"`
 	Class   sched.Class   `json:"-"`
 	Pattern sched.Pattern `json:"pattern,omitempty"`
@@ -118,6 +117,10 @@ type Job struct {
 	// in the decode cache — the partition program-cache key. Zero means no
 	// fingerprint (the job bypasses the cache).
 	progHash uint64
+	// capable is validate's answer, the spec kinds that can run prog; sess
+	// is the owning session, which may since have been closed.
+	capable specSet
+	sess    *Session
 	// res is the completed device result, marshalled lazily: JobResult
 	// renders (and memoizes, in result) the JSON on first read, so replays —
 	// where no one ever fetches results — skip a per-job reflection-based
@@ -212,12 +215,12 @@ func (d *Daemon) newJob(sub *submission, device string) *Job {
 	j.seq = d.jobs.Push(j)
 	j.ID = mint.Spell(mint.JobPrefix, j.seq)
 	// Field by field: a composite literal would be built aside and copied in.
-	j.Session, j.User, j.Source = sub.sess.Token, sub.sess.User, defaultSource(req.Source)
+	j.sess, j.User, j.Source = sub.sess, sub.sess.User, defaultSource(req.Source)
 	j.Class, j.RequestedClass, j.Pattern = dec.Class, req.Class, req.Pattern
 	j.Device, j.Pinned, j.State = device, req.Device != "", JobQueued
 	j.ExpectedQPUSeconds, j.DeadlineSeconds = req.ExpectedQPUSeconds, req.DeadlineSeconds
 	j.SubmittedAt, j.enqueuedAt = now, now
-	j.prog, j.progHash = sub.prog, sub.progHash
+	j.prog, j.progHash, j.capable = sub.prog, sub.progHash, sub.capable
 	if dec.Outcome != admission.Accepted {
 		j.AdmissionOutcome = string(dec.Outcome)
 		j.AdmissionReason = dec.Reason

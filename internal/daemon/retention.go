@@ -27,7 +27,8 @@ import "hpcqc/internal/mint"
 func (d *Daemon) job(id string) *Job { return d.jobs.At(mint.Number(mint.JobPrefix, id)) }
 
 // evict drops the oldest records of a finish ring until keep remain: out of
-// the job table, and out of the owning session's Jobs list — by amortized
+// the job table, and out of the owning session's Jobs list (the record's own
+// session, whether or not it has been closed since) — by amortized
 // compaction, a list being rebuilt only once more than half of it is evicted,
 // so a list is at most twice its live records and the whole walk is
 // O(evicted) whatever the backlog. An evicted ID reads as an unknown job;
@@ -38,16 +39,15 @@ func (d *Daemon) evict(r *mint.Ring[Job], keep int, pool bool) {
 	for r.Len() > keep {
 		j := r.Pop()
 		d.jobs.Drop(j.seq)
-		if s := d.sessions[j.Session]; s != nil {
-			if s.released++; 2*s.released > len(s.Jobs) {
-				kept := s.Jobs[:0]
-				for _, id := range s.Jobs {
-					if d.job(id) != nil {
-						kept = append(kept, id)
-					}
+		s := j.sess
+		if s.released++; 2*s.released > len(s.Jobs) {
+			kept := s.Jobs[:0]
+			for _, id := range s.Jobs {
+				if d.job(id) != nil {
+					kept = append(kept, id)
 				}
-				s.Jobs, s.released = kept, 0
 			}
+			s.Jobs, s.released = kept, 0
 		}
 		if pool {
 			*j = Job{} // drop result references before pooling

@@ -5,7 +5,6 @@ import (
 
 	"hpcqc/internal/device"
 	"hpcqc/internal/policy"
-	"hpcqc/internal/qir"
 	"hpcqc/internal/sched"
 )
 
@@ -23,7 +22,8 @@ import (
 // fleet index, so picks are deterministic). The historical single-policy
 // routers are single-scorer presets with weight 1 and keep their names and
 // exact pick sequences; the parameterized "affinity" router blends the load,
-// cache-affinity and capability/class scorers with configurable weights.
+// cache-affinity and class-home scorers with configurable weights. Every
+// router picks only among the partitions that can run the job's program.
 
 // DeviceInfo is the router's point-in-time view of one fleet partition.
 type DeviceInfo struct {
@@ -44,9 +44,16 @@ type DeviceInfo struct {
 	// affinity scorer's O(1) warm-set probe. The daemon fills it; probes are
 	// side-effect-free, so scoring never perturbs cache state.
 	cache *progLRU
-	// spec points at the partition's immutable device spec, the capability
-	// scorer's validation target. The daemon fills it; nil skips the check.
-	spec *qir.DeviceSpec
+	// incapable marks a partition whose spec cannot run the job's program,
+	// as the daemon's validate stage decided; no router picks it. The zero
+	// value, capable, is what a hand-built info means.
+	incapable bool
+}
+
+// usable reports whether a job may be routed to the partition now: it can
+// run the program and is not in maintenance.
+func (i DeviceInfo) usable() bool {
+	return !i.incapable && i.Status != device.StatusMaintenance
 }
 
 // load is the scalar the least-loaded policy minimizes.
@@ -59,9 +66,10 @@ func (i DeviceInfo) load() int {
 }
 
 // Router picks the target partition for a job. Pick must return an index
-// into infos; infos always has at least one entry and is ordered by fleet
-// index. Routers should avoid partitions in maintenance when any other is
-// available (jobs routed to a maintenance partition wait for it to return).
+// into infos; infos always has at least one entry that can run the job and is
+// ordered by fleet index. Routers should avoid partitions in maintenance when
+// any other is available (jobs routed to a maintenance partition wait for it
+// to return).
 // Pick runs inside the world, one call at a time, so a Router may keep
 // unlocked state across picks (the round-robin scorer's rotation does). job
 // and infos are lent for the call only: the daemon reuses both for its next
@@ -73,20 +81,23 @@ type Router interface {
 	Pick(job *Job, infos []DeviceInfo) int
 }
 
-// eligibleInto fills buf with the indices of partitions not in maintenance,
-// or every index when the whole fleet is down (the job then waits out the
-// window, matching single-device semantics). Reusing the caller's buffer
-// keeps Pick allocation-free on the dispatch hot path.
+// eligibleInto fills buf with the indices of the usable partitions, or of
+// every partition that can run the job when all of those are in maintenance
+// (the job then waits out the window, matching single-device semantics).
+// Reusing the caller's buffer keeps Pick allocation-free on the dispatch hot
+// path.
 func eligibleInto(buf []int, infos []DeviceInfo) []int {
 	buf = buf[:0]
 	for i, info := range infos {
-		if info.Status != device.StatusMaintenance {
+		if info.usable() {
 			buf = append(buf, i)
 		}
 	}
 	if len(buf) == 0 {
-		for i := range infos {
-			buf = append(buf, i)
+		for i, info := range infos {
+			if !info.incapable {
+				buf = append(buf, i)
+			}
 		}
 	}
 	return buf
@@ -138,11 +149,9 @@ func (affinityScorer) score(j *Job, infos []DeviceInfo, el []int, out []float64)
 	}
 }
 
-// capScorer is the capability/class grade: a partition whose spec cannot run
-// the job's program scores 0 (heterogeneous-fleet guard, memoized through
-// qir.ValidateCached so the probe is a map hit); a capable partition scores
-// 0.5, raised to 1.0 on the job's class-home partition (production → 0,
-// test → 1, dev → 2 — the class-affinity isolation prior).
+// capScorer is the class grade of the capable partitions (the eligible set
+// holds no other): 0.5, raised to 1.0 on the job's class-home partition
+// (production → 0, test → 1, dev → 2 — the class-affinity isolation prior).
 type capScorer struct{}
 
 func (capScorer) score(j *Job, infos []DeviceInfo, el []int, out []float64) {
@@ -153,11 +162,6 @@ func (capScorer) score(j *Job, infos []DeviceInfo, el []int, out []float64) {
 		}
 	}
 	for k, i := range el {
-		if j != nil && j.prog != nil && infos[i].spec != nil &&
-			qir.ValidateCached(j.prog, infos[i].spec) != nil {
-			out[k] = 0
-			continue
-		}
 		if i == home {
 			out[k] = 1
 		} else {
@@ -194,11 +198,12 @@ func (r *roundRobinScorer) score(_ *Job, _ []DeviceInfo, el []int, out []float64
 // traffic is isolated from dev churn. Fleets smaller than the class count
 // spill the overflow classes across the non-production partitions (never
 // back onto partition 0, which would defeat the isolation), and a home in
-// maintenance falls back to the least-loaded eligible partition.
+// maintenance, or that cannot run the program, falls back to the
+// least-loaded eligible partition.
 //
 // Saturation spill: a non-production job whose home partition is saturated
 // (busy with backlog, load ≥ 2) overflows to the lowest-index completely idle
-// non-home partition, excluding partition 0 — trading a little isolation for
+// usable non-home partition, excluding partition 0 — trading a little isolation for
 // wait time only when there is provably idle capacity. Production never
 // spills: it preempts on its home, and keeping it on partition 0 is the
 // isolation the policy exists for.
@@ -224,7 +229,7 @@ func classHomePick(j *Job, infos []DeviceInfo, el []int) int {
 		return leastLoadedPick(infos, el)
 	}
 	if home < len(infos) {
-		if infos[home].Status == device.StatusMaintenance {
+		if !infos[home].usable() {
 			return leastLoadedPick(infos, el)
 		}
 		if j.Class != sched.ClassProduction && infos[home].load() >= 2 {
@@ -232,7 +237,7 @@ func classHomePick(j *Job, infos []DeviceInfo, el []int) int {
 				if i == home {
 					continue
 				}
-				if infos[i].Status != device.StatusMaintenance && infos[i].load() == 0 {
+				if infos[i].usable() && infos[i].load() == 0 {
 					return i
 				}
 			}
@@ -243,7 +248,7 @@ func classHomePick(j *Job, infos []DeviceInfo, el []int) int {
 	// non-production partitions, keeping partition 0 clear for production.
 	best := -1
 	for i := 1; i < len(infos); i++ {
-		if infos[i].Status == device.StatusMaintenance {
+		if !infos[i].usable() {
 			continue
 		}
 		if best == -1 || infos[i].load() < infos[best].load() {
@@ -364,7 +369,7 @@ func init() {
 		// Default weights: load still dominates (idle capacity beats warmth
 		// when the spread is large), warmth breaks backlog near-ties (a 0.3
 		// bonus outweighs the load-score gap between, say, 3 and 5 queued
-		// jobs), and the capability/class grade is a thin prior.
+		// jobs), and the class-home grade is a thin prior.
 		weights := []float64{0.6, 0.3, 0.1}
 		err := s.Apply(
 			policy.Float("load", policy.NonNegative, policy.Into(&weights[0])),

@@ -263,24 +263,20 @@ func TestCacheHotPathAllocs(t *testing.T) {
 
 // TestDaemonPickAllocs: the daemon's routing step fills one reused fleet
 // snapshot and lends the router one reused scratch job, so a least-loaded
-// pick on four partitions allocates nothing — and the scratch job lets go of
-// the program once the router has answered.
+// pick on four partitions allocates nothing.
 func TestDaemonPickAllocs(t *testing.T) {
 	env := newFleetEnv(t, 4, NewLeastLoadedRouter())
-	prog, hash, err := cachedProgram(payload(t, 5))
+	_, hash, err := cachedProgram(payload(t, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pick := func() {
-		if _, err := env.d.pick(sched.ClassDev, "", "", prog, hash); err != nil {
+		if _, err := env.d.pick(sched.ClassDev, "", "", 1, hash); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := testing.AllocsPerRun(100, pick); n != 0 {
 		t.Fatalf("a least-loaded pick allocates %.1f/op", n)
-	}
-	if env.d.routeJob.prog != nil {
-		t.Fatal("the scratch job still holds the last program")
 	}
 }
 

@@ -6,6 +6,7 @@ package daemon
 
 import (
 	"fmt"
+	"slices"
 
 	"hpcqc/internal/device"
 	"hpcqc/internal/trace"
@@ -91,35 +92,26 @@ func (d *Daemon) requeue(ds *deviceState, j *Job) {
 
 // requeuePartition picks where a preempted job that may move — unpinned, on
 // a fleet of more than one partition — waits next. It stays on its original
-// partition unless some other same-spec partition is completely idle — then
-// the router re-picks from a fresh fleet snapshot (the first ROADMAP
+// partition unless some other partition that can run it is completely idle —
+// then the router re-picks from a fresh fleet snapshot (the first ROADMAP
 // follow-up: work lost to preemption flows to idle capacity instead of
 // queueing behind its preemptor). The router's pick is honored only when it
 // lands on such an idle partition: a load-blind pick (round-robin pointing at
 // a backlogged partition) must not strand the victim somewhere worse than
 // where it was.
 func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
-	infos := d.fleetInfos()
-	// idleTarget reports whether partition i can absorb the victim now: not
-	// the original, online, zero load, and the same spec the job's program
-	// was validated against (heterogeneous fleets may mix specs).
-	idleTarget := func(i int) bool {
-		ds := d.fleet[i]
-		return ds != orig && infos[i].Status == device.StatusOnline &&
-			infos[i].load() == 0 && ds.spec.Name == orig.spec.Name
+	infos := d.fleetInfos(j.capable)
+	// idle reports whether a partition can absorb the victim now: not the
+	// original, able to run it, online and at zero load.
+	idle := func(info DeviceInfo) bool {
+		return d.fleet[info.Index] != orig && !info.incapable &&
+			info.Status == device.StatusOnline && info.load() == 0
 	}
-	idleElsewhere := false
-	for i := range infos {
-		if idleTarget(i) {
-			idleElsewhere = true
-			break
-		}
-	}
-	if !idleElsewhere {
+	if !slices.ContainsFunc(infos, idle) {
 		return orig
 	}
-	idx := d.routerPick(infos, j.Class, j.Pattern, j.prog, j.progHash)
-	if idx < 0 || idx >= len(d.fleet) || !idleTarget(idx) {
+	idx := d.routerPick(infos, j.Class, j.Pattern, j.progHash)
+	if idx < 0 || idx >= len(d.fleet) || !idle(infos[idx]) {
 		return orig
 	}
 	return d.fleet[idx]

@@ -43,11 +43,12 @@ var ErrUnknownJob = errors.New("daemon: unknown job")
 // an evicted one and one that never existed all read the same:
 // ErrUnknownJob.
 func (d *Daemon) ownedJob(token, jobID string) (*Job, error) {
-	if _, ok := d.sessions[token]; !ok {
+	s := d.sessions[token]
+	if s == nil {
 		return nil, errors.New("daemon: invalid session token")
 	}
 	j := d.job(jobID)
-	if j == nil || j.Session != token {
+	if j == nil || j.sess != s {
 		return nil, fmt.Errorf("%w %q", ErrUnknownJob, jobID)
 	}
 	return j, nil

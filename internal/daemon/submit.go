@@ -46,11 +46,12 @@ type SubmitRequest struct {
 type submission struct {
 	req  SubmitRequest
 	sess *Session
-	// prog is the decoded program and progHash its fingerprint; spec is the
-	// device spec it was validated against.
+	// prog is the decoded program and progHash its fingerprint; capable holds
+	// the spec kinds that can run it, kind the first, which estimates use.
 	prog     *qir.Program
 	progHash uint64
-	spec     *qir.DeviceSpec
+	capable  specSet
+	kind     int
 	// estimated marks req.ExpectedQPUSeconds as the daemon's own estimate
 	// rather than the submitter's declaration.
 	estimated bool
@@ -123,15 +124,15 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (Job, error) {
 	return *j, nil
 }
 
-// validate is the stage before admission: request sanity, decode, and a
-// check that some partition could run the program. It precedes admission so a
-// submission no partition could run (bad pin, undecodable or invalid program)
-// cannot drain a stateful policy's quota: tokens are spent only on
-// submissions some partition could execute. The pinned device's spec is
-// authoritative for pins; otherwise any one fleet spec accepting the program
-// suffices. Residual (heterogeneous fleets only): a spec-blind router may
-// still land on a partition whose re-check in route fails after admission
-// spent the token — capability-aware routing is the open ROADMAP fix.
+// specSet is a set of spec kinds, bit k for Daemon.kinds[k].
+type specSet uint64
+
+// validate is the stage before admission: request sanity, decode, and the
+// capability rule — the one place the daemon decides which partitions can run
+// the program, validating it once per distinct spec (kind) in the fleet, or
+// for the pinned partition's alone. Routing, requeue and dispatch keep to that
+// answer, so admission, which comes next, spends a stateful policy's quota
+// only on submissions that will run where they land.
 func (d *Daemon) validate(sub *submission) error {
 	req := &sub.req
 	if req.Class < sched.ClassDev || req.Class > sched.ClassProduction {
@@ -147,35 +148,31 @@ func (d *Daemon) validate(sub *submission) error {
 	if sub.prog, sub.progHash, err = cachedProgram(req.Program); err != nil {
 		return err
 	}
+	var pinned *deviceState
 	if req.Device != "" {
-		pinned, unknown := d.lookupDevice(req.Device)
-		if unknown != nil {
-			return unknown
+		if pinned, err = d.lookupDevice(req.Device); err != nil {
+			return err
 		}
-		sub.spec = &pinned.spec
-		err = qir.ValidateCached(sub.prog, sub.spec)
-	} else {
-		// Partitions sharing a spec share its verdict: skip repeats of the
-		// spec that just refused, which is the whole scan on a homogeneous
-		// fleet.
-		for _, ds := range d.fleet {
-			if err != nil && ds.spec.Name == sub.spec.Name {
-				continue
-			}
-			sub.spec = &ds.spec
-			if err = qir.ValidateCached(sub.prog, sub.spec); err == nil {
-				break
+	}
+	for k, spec := range d.kinds {
+		if pinned == nil || k == pinned.kind {
+			if err = qir.ValidateCached(sub.prog, spec); err == nil {
+				if sub.capable == 0 {
+					sub.kind = k
+				}
+				sub.capable |= 1 << k
 			}
 		}
 	}
-	if err != nil {
+	if sub.capable == 0 { // every verdict, the last one in err, refused
 		return fmt.Errorf("daemon: program rejected: %w", err)
 	}
 	// Resolve the duration hint before admission too, so policies — and the
 	// terminal record of a shed submission — see the daemon's estimate, not
-	// a missing hint. route re-derives it if it lands on a different spec.
+	// a missing hint: against the first capable kind, which route re-derives
+	// it from if the job lands on another.
 	if sub.estimated = req.ExpectedQPUSeconds == 0; sub.estimated {
-		req.ExpectedQPUSeconds = sub.prog.EstimatedQPUSeconds(sub.spec)
+		req.ExpectedQPUSeconds = sub.prog.EstimatedQPUSeconds(d.kinds[sub.kind])
 	}
 	d.stageDone(sub, trace.StageValidate, "", "")
 	return nil
@@ -224,22 +221,14 @@ func (d *Daemon) shed(sub *submission) error {
 // route is stage 2: pick the partition and settle what depends on the pick.
 func (d *Daemon) route(sub *submission) (*deviceState, error) {
 	req := &sub.req
-	ds, err := d.pick(sub.dec.Class, req.Pattern, req.Device, sub.prog, sub.progHash)
+	ds, err := d.pick(sub.dec.Class, req.Pattern, req.Device, sub.capable, sub.progHash)
 	if err != nil {
 		return nil, err
 	}
-	// Heterogeneous fleets only: the router may land on a different spec
-	// than the one validated pre-admission. Re-check so users get immediate
-	// feedback instead of a failed device task later, and re-derive a
-	// daemon-made duration estimate against the device that will actually
-	// run the job (a submitter-declared hint is never touched).
-	if ds.spec.Name != sub.spec.Name {
-		if err := qir.ValidateCached(sub.prog, &ds.spec); err != nil {
-			return nil, fmt.Errorf("daemon: program rejected: %w", err)
-		}
-		if sub.estimated {
-			req.ExpectedQPUSeconds = sub.prog.EstimatedQPUSeconds(&ds.spec)
-		}
+	// The job may land on another capable kind than its daemon-made estimate
+	// came from: re-derive it there (a submitter's hint is never touched).
+	if sub.estimated && ds.kind != sub.kind {
+		req.ExpectedQPUSeconds = sub.prog.EstimatedQPUSeconds(&ds.spec)
 	}
 	// Tighten the daemon-made estimate with the setup model: a cold dispatch
 	// occupies the device for setup + execution, so the hint the shortest-
@@ -261,20 +250,19 @@ func (d *Daemon) route(sub *submission) (*deviceState, error) {
 	return ds, nil
 }
 
-// pick chooses the target partition. An explicit pin wins; otherwise the
-// router chooses from a point-in-time fleet snapshot. The chosen class,
-// pattern and program identity travel on a scratch job record so routers can
-// specialize — the affinity scorer probes partition caches by fingerprint,
-// the capability scorer validates the decoded program — without the daemon
-// pre-creating the real one.
-func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pin string, prog *qir.Program, progHash uint64) (*deviceState, error) {
+// pick chooses the target partition: the pin, or the router's choice among
+// the partitions that can run the program, from a point-in-time fleet
+// snapshot. Class, pattern and fingerprint travel on a scratch job record (the
+// affinity scorer probes partition caches by fingerprint), so the daemon need
+// not pre-create the real one.
+func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pin string, capable specSet, progHash uint64) (*deviceState, error) {
 	switch {
 	case pin != "":
 		return d.lookupDevice(pin)
 	case len(d.fleet) == 1:
 		return d.fleet[0], nil
 	}
-	idx := d.routerPick(d.fleetInfos(), class, pattern, prog, progHash)
+	idx := d.routerPick(d.fleetInfos(capable), class, pattern, progHash)
 	if idx < 0 || idx >= len(d.fleet) {
 		return nil, fmt.Errorf("daemon: router %q picked invalid device index %d", d.router.Name(), idx)
 	}
@@ -283,27 +271,25 @@ func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pin string, prog
 
 // routerPick asks the router for a partition on the snapshot infos, lending
 // it the reused scratch job; Pick retains neither (see Router).
-func (d *Daemon) routerPick(infos []DeviceInfo, class sched.Class, pattern sched.Pattern, prog *qir.Program, progHash uint64) int {
+func (d *Daemon) routerPick(infos []DeviceInfo, class sched.Class, pattern sched.Pattern, progHash uint64) int {
 	j := &d.routeJob
-	j.Class, j.Pattern, j.prog, j.progHash = class, pattern, prog, progHash
-	idx := d.router.Pick(j, infos)
-	j.prog = nil // the scratch job must not keep the program alive
-	return idx
+	j.Class, j.Pattern, j.progHash = class, pattern, progHash
+	return d.router.Pick(j, infos)
 }
 
-// fleetInfos fills the router's point-in-time fleet load view — the single
-// definition shared by routing and requeue, so the two can never disagree
-// about what counts as load — into the one slice every pick reuses.
-func (d *Daemon) fleetInfos() []DeviceInfo {
+// fleetInfos fills the router's point-in-time fleet view of a job the capable
+// kinds can run — one definition for routing and requeue, so the two never
+// disagree about load or capability — into the one slice every pick reuses.
+func (d *Daemon) fleetInfos(capable specSet) []DeviceInfo {
 	infos := d.routeInfos
 	for i, ds := range d.fleet {
 		info := DeviceInfo{
-			ID:     ds.id,
-			Index:  i,
-			Status: ds.dev.Status(),
-			Queued: ds.queue.Len(),
-			cache:  ds.cache,
-			spec:   &ds.spec,
+			ID:        ds.id,
+			Index:     i,
+			Status:    ds.dev.Status(),
+			Queued:    ds.queue.Len(),
+			cache:     ds.cache,
+			incapable: capable&(1<<ds.kind) == 0,
 		}
 		if ds.running != nil {
 			info.Busy = true

@@ -79,6 +79,13 @@ func newJobView(j *Job) jobView {
 	return v
 }
 
+// errorView is every error reply's body. Names, a key present even when
+// empty, is set by the metrics query alone, on a request that names no series.
+type errorView struct {
+	Error string    `json:"error"`
+	Names *[]string `json:"names,omitempty"`
+}
+
 // maxAlso bounds the jobs one status request can name beside its own; memoSize,
 // those and its own, bounds each of the two lists Client keeps to name them.
 const maxAlso, memoSize = 31, 32

@@ -36,24 +36,23 @@ type task struct {
 
 // Submit validates and enqueues a program, returning a task ID. Execution
 // happens on the simulation clock at the device shot rate. Validation runs
-// through the qir verdict memo: the daemon dispatches the same decoded
-// program against the same spec thousands of times per replay, and the memo
-// collapses the repeated full-waveform walks to one. Submitted programs must
-// therefore not be mutated afterwards.
+// through the qir verdict memo, so a decoded program resubmitted many times
+// pays one full-waveform walk. Submitted programs must therefore not be
+// mutated afterwards.
 func (d *Device) Submit(p *qir.Program) (string, error) {
+	if err := qir.ValidateCached(p, &d.spec); err != nil {
+		return "", err
+	}
 	return d.SubmitWithSetup(p, 0)
 }
 
-// SubmitWithSetup is Submit with an explicit cold-setup charge: the task
-// occupies the QPU for setupSeconds before its shots begin. The daemon's
-// program-cache layer uses it to make cache misses pay calibration/compile
-// setup while warm hits skip it; zero setup is exactly Submit.
+// SubmitWithSetup is Submit without the validation, for a caller that has
+// validated p against Spec() itself (the daemon, once per spec at
+// submission), and with a cold-setup charge: the task occupies the QPU for
+// setupSeconds before its shots begin, what a daemon program-cache miss pays.
 func (d *Device) SubmitWithSetup(p *qir.Program, setupSeconds float64) (string, error) {
 	if setupSeconds < 0 {
 		return "", fmt.Errorf("device: negative setup seconds %g", setupSeconds)
-	}
-	if err := qir.ValidateCached(p, &d.spec); err != nil {
-		return "", err
 	}
 	if d.status == StatusMaintenance {
 		return "", errors.New("device: in maintenance, not accepting tasks")

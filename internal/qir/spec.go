@@ -3,6 +3,7 @@ package qir
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // DeviceSpec describes the static capabilities of an execution target. It is
@@ -38,6 +39,19 @@ type DeviceSpec struct {
 	ShotRateHz float64 `json:"shot_rate_hz"`
 	// MaxShotsPerTask bounds a single submission.
 	MaxShotsPerTask int `json:"max_shots_per_task"`
+}
+
+// Equal reports whether s and o have the same contents. Two specs it calls
+// equal are indistinguishable to Validate — including the error strings,
+// which embed the spec name — so a verdict on one is exact for the other:
+// the validation memo and the daemon's capability rule both rest on that.
+// New DeviceSpec fields must be compared here.
+func (s *DeviceSpec) Equal(o *DeviceSpec) bool {
+	return s.Name == o.Name && s.MaxQubits == o.MaxQubits && s.MinAtomSpacing == o.MinAtomSpacing &&
+		s.MaxRabi == o.MaxRabi && s.MaxDetuning == o.MaxDetuning && s.MaxSequenceDuration == o.MaxSequenceDuration &&
+		s.MaxSlope == o.MaxSlope && s.C6 == o.C6 && s.SupportsLocalDetuning == o.SupportsLocalDetuning &&
+		s.Digital == o.Digital && s.ShotRateHz == o.ShotRateHz && s.MaxShotsPerTask == o.MaxShotsPerTask &&
+		slices.Equal(s.NativeGates, o.NativeGates)
 }
 
 // DefaultAnalogSpec returns a spec modelled after a production analog

@@ -5,34 +5,18 @@ import (
 	"sync"
 )
 
-// specIdent is the memo's name for one spec's contents: interned, so equal
-// specs share it, and owned by no device, so a memo key holding it pins
-// nothing but a copy of the spec.
-type specIdent struct{ spec DeviceSpec }
-
-// describes reports whether s has the contents id names. Two specs it calls
-// equal are indistinguishable to Validate — including the error strings,
-// which embed the spec name — so a verdict memoized under one is exact for
-// the other. New DeviceSpec fields must be compared here or the memo goes
-// stale.
-func (id *specIdent) describes(s *DeviceSpec) bool {
-	a := &id.spec
-	return a.Name == s.Name && a.MaxQubits == s.MaxQubits && a.MinAtomSpacing == s.MinAtomSpacing &&
-		a.MaxRabi == s.MaxRabi && a.MaxDetuning == s.MaxDetuning && a.MaxSequenceDuration == s.MaxSequenceDuration &&
-		a.MaxSlope == s.MaxSlope && a.C6 == s.C6 && a.SupportsLocalDetuning == s.SupportsLocalDetuning &&
-		a.Digital == s.Digital && a.ShotRateHz == s.ShotRateHz && a.MaxShotsPerTask == s.MaxShotsPerTask &&
-		slices.Equal(a.NativeGates, s.NativeGates)
-}
-
+// validKey names a verdict: the program by identity, the spec by its
+// interned copy — shared by equal specs (DeviceSpec.Equal) and owned by no
+// device, so a key pins nothing but the copy.
 type validKey struct {
 	prog *Program
-	spec *specIdent
+	spec *DeviceSpec
 }
 
 var (
 	validMu   sync.Mutex
 	validMemo = make(map[validKey]error)
-	idents    []*specIdent
+	idents    []*DeviceSpec
 )
 
 // validMemoLimit bounds the verdict memo and identLimit the interned specs. A
@@ -45,19 +29,17 @@ const (
 )
 
 // identLocked interns the contents of s; caller holds validMu.
-func identLocked(s *DeviceSpec) *specIdent {
-	for _, id := range idents {
-		if id.describes(s) {
-			return id
-		}
+func identLocked(s *DeviceSpec) *DeviceSpec {
+	if i := slices.IndexFunc(idents, s.Equal); i >= 0 {
+		return idents[i]
 	}
 	if len(idents) >= identLimit {
 		idents = nil
 	}
-	id := &specIdent{spec: *s}
-	id.spec.NativeGates = slices.Clone(s.NativeGates)
-	idents = append(idents, id)
-	return id
+	id := *s
+	id.NativeGates = slices.Clone(s.NativeGates)
+	idents = append(idents, &id)
+	return &id
 }
 
 // ValidateCached is Validate with a process-wide verdict memo keyed by the
