@@ -271,7 +271,7 @@ func TestDaemonPickAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pick := func() {
-		if _, err := env.d.pick(sched.ClassDev, "", "", 1, hash); err != nil {
+		if _, err := env.d.pick(sched.ClassDev, "", nil, 1, hash); err != nil {
 			t.Fatal(err)
 		}
 	}

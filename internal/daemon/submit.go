@@ -47,11 +47,13 @@ type submission struct {
 	req  SubmitRequest
 	sess *Session
 	// prog is the decoded program and progHash its fingerprint; capable holds
-	// the spec kinds that can run it, kind the first, which estimates use.
+	// the spec kinds that can run it, kind the first, which estimates use;
+	// pinned is the partition req.Device names.
 	prog     *qir.Program
 	progHash uint64
 	capable  specSet
 	kind     int
+	pinned   *deviceState
 	// estimated marks req.ExpectedQPUSeconds as the daemon's own estimate
 	// rather than the submitter's declaration.
 	estimated bool
@@ -130,9 +132,9 @@ type specSet uint64
 // validate is the stage before admission: request sanity, decode, and the
 // capability rule — the one place the daemon decides which partitions can run
 // the program, validating it once per distinct spec (kind) in the fleet, or
-// for the pinned partition's alone. Routing, requeue and dispatch keep to that
-// answer, so admission, which comes next, spends a stateful policy's quota
-// only on submissions that will run where they land.
+// for the pinned partition's kind alone. Routing, requeue and dispatch keep
+// to that answer, so admission, which comes next, spends a stateful policy's
+// quota only on submissions that will run where they land.
 func (d *Daemon) validate(sub *submission) error {
 	req := &sub.req
 	if req.Class < sched.ClassDev || req.Class > sched.ClassProduction {
@@ -148,14 +150,13 @@ func (d *Daemon) validate(sub *submission) error {
 	if sub.prog, sub.progHash, err = cachedProgram(req.Program); err != nil {
 		return err
 	}
-	var pinned *deviceState
 	if req.Device != "" {
-		if pinned, err = d.lookupDevice(req.Device); err != nil {
+		if sub.pinned, err = d.lookupDevice(req.Device); err != nil {
 			return err
 		}
 	}
 	for k, spec := range d.kinds {
-		if pinned == nil || k == pinned.kind {
+		if sub.pinned == nil || k == sub.pinned.kind {
 			if err = qir.ValidateCached(sub.prog, spec); err == nil {
 				if sub.capable == 0 {
 					sub.kind = k
@@ -221,7 +222,7 @@ func (d *Daemon) shed(sub *submission) error {
 // route is stage 2: pick the partition and settle what depends on the pick.
 func (d *Daemon) route(sub *submission) (*deviceState, error) {
 	req := &sub.req
-	ds, err := d.pick(sub.dec.Class, req.Pattern, req.Device, sub.capable, sub.progHash)
+	ds, err := d.pick(sub.dec.Class, req.Pattern, sub.pinned, sub.capable, sub.progHash)
 	if err != nil {
 		return nil, err
 	}
@@ -255,10 +256,10 @@ func (d *Daemon) route(sub *submission) (*deviceState, error) {
 // snapshot. Class, pattern and fingerprint travel on a scratch job record (the
 // affinity scorer probes partition caches by fingerprint), so the daemon need
 // not pre-create the real one.
-func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pin string, capable specSet, progHash uint64) (*deviceState, error) {
+func (d *Daemon) pick(class sched.Class, pattern sched.Pattern, pinned *deviceState, capable specSet, progHash uint64) (*deviceState, error) {
 	switch {
-	case pin != "":
-		return d.lookupDevice(pin)
+	case pinned != nil:
+		return pinned, nil
 	case len(d.fleet) == 1:
 		return d.fleet[0], nil
 	}
