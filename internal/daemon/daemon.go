@@ -124,10 +124,12 @@ type Config struct {
 	// is already warm. Requires ProgramCache > 0 (with no cache every
 	// dispatch would pay it, which models nothing).
 	SetupSeconds float64
-	// Registry receives daemon metrics when non-nil.
+	// Registry receives daemon metrics when non-nil, and TSDB queue
+	// telemetry. Neither keeps a lock: the daemon writes and reads them
+	// inside its world (GET /metrics and the metrics query too), so any
+	// other caller holds the clock's lock, or drives the world itself.
 	Registry *telemetry.Registry
-	// TSDB receives queue telemetry when non-nil.
-	TSDB *telemetry.TSDB
+	TSDB     *telemetry.TSDB
 	// Seed drives session-token generation.
 	Seed int64
 }

@@ -25,8 +25,10 @@ import (
 // pump advances the clock from event to event with NextEventAt and RunUntil,
 // as the benchmark harness's served workloads do, so device completions and
 // the dispatches they trigger land between bursts, and an operator reads
-// the admin status and the flight recorder's listing and traces. The pump steps only while no burst is open, so the
-// clock stands still from a burst's first POST to its DELETE, and every
+// the admin status, the flight recorder's listing and traces, the metrics
+// exposition and the TSDB query. The pump steps only while no burst is
+// open, so the clock stands still from a burst's first POST to its DELETE,
+// and every
 // cancel reaches a job still queued or running: each answers 200, on the
 // served path through the job table to the device's task table. At
 // quiescence every accepted job is terminal, the jobs are conserved
@@ -206,6 +208,19 @@ func TestServedEdgeStress(t *testing.T) {
 				}
 				if err != nil || code != http.StatusOK && code != http.StatusNotFound || code == http.StatusOK && tr.Job != id {
 					t.Errorf("trace of %s: HTTP %d, %v: %s", id, code, err, out)
+					return
+				}
+			}
+			// Telemetry, which keeps no lock either: the exposition, a range
+			// query and a downsampled one, read while the pump and the
+			// submitters write both stores.
+			for _, path := range []string{
+				"/metrics",
+				"/api/v1/metrics/query?name=daemon_queue_length&class=dev",
+				"/api/v1/metrics/query?name=daemon_device_queue_length&device=analog-qpu-p1&class=test&from=0&window=30s&agg=max",
+			} {
+				if code, out, err := do(http.MethodGet, path, "", nil); err != nil || code != http.StatusOK {
+					t.Errorf("GET %s: HTTP %d, %v: %s", path, code, err, out)
 					return
 				}
 			}

@@ -15,9 +15,10 @@ import (
 
 // FuzzSubmitBody: whatever body a valid session POSTs to /api/v1/jobs, the
 // served daemon answers without panicking and with a status the endpoint
-// documents — 202 accepted, 400 malformed body, class or pattern, 413 over the
-// body cap, 422 refused by the daemon (an undecodable or invalid program, an
-// unknown partition, a negative hint) or 429 shed by the door — never a 5xx.
+// documents — 202 accepted, 400 a bad request (a malformed body, class or
+// pattern, an unknown partition, a negative hint), 413 over the body cap, 422
+// a program the daemon cannot decode or no partition can run, or 429 shed by
+// the door — never a 5xx.
 // The clock moves a little after each request, so jobs finish, the token
 // bucket refills and the door both accepts and sheds.
 func FuzzSubmitBody(f *testing.F) {

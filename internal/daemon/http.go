@@ -25,6 +25,10 @@ import (
 //	DELETE /api/v1/sessions                 close session (token auth)
 //	GET    /api/v1/devices                  fleet partition listing (token auth)
 //	POST   /api/v1/jobs                     submit {program, class, pattern, device}
+//	                                        (400 a bad request: body, class, pattern,
+//	                                        unknown partition, negative hint; 422 a
+//	                                        program it cannot decode or no partition
+//	                                        runs; 429 shed at the door)
 //	GET    /api/v1/jobs/{id}                job status; a completed job's reply
 //	                                        carries its result as "result"; ≤ 31 ?also=<id>
 //	                                        (more: 400) add "also": those the session sees, likewise
@@ -49,7 +53,7 @@ import (
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		writeJSON(w, http.StatusOK, statusView{"ok"})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		if d.cfg.Registry == nil {
@@ -59,7 +63,7 @@ func (d *Daemon) Handler() http.Handler {
 		buf := bodies.Get().(*bytes.Buffer)
 		defer bodies.Put(buf)
 		buf.Reset()
-		d.cfg.Registry.WriteText(buf)
+		d.inWorld(func() { d.cfg.Registry.WriteText(buf) })
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_, _ = w.Write(buf.Bytes())
 	})
@@ -95,7 +99,7 @@ func (d *Daemon) Handler() http.Handler {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "closed"})
+		writeJSON(w, http.StatusOK, statusView{"closed"})
 	}))
 	mux.HandleFunc("GET /api/v1/devices", d.withSession(func(token string, w http.ResponseWriter, r *http.Request) {
 		out := devicesView{Devices: make([]deviceView, len(d.fleet)), Router: d.RouterName()}
@@ -131,9 +135,12 @@ func (d *Daemon) Handler() http.Handler {
 			return
 		}
 		var rej *RejectedError
+		var reqErr requestError
 		switch {
 		case bad != nil:
 			writeErr(w, code, bad)
+		case errors.As(err, &reqErr):
+			writeErr(w, http.StatusBadRequest, err)
 		case errors.As(err, &rej):
 			// The admission stage shed the job: 429 Too Many Requests, with
 			// the terminal rejected record so the caller can see the policy
@@ -211,7 +218,7 @@ func (d *Daemon) Handler() http.Handler {
 			writeErr(w, code, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "cancelled"})
+		writeJSON(w, http.StatusOK, statusView{"cancelled"})
 	}))
 
 	// The flight recorder is a listener inside the world: a reply is copied
@@ -268,7 +275,7 @@ func (d *Daemon) Handler() http.Handler {
 			writeErr(w, http.StatusForbidden, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": msg})
+		writeJSON(w, http.StatusOK, statusView{msg})
 	}))
 	return mux
 }
@@ -335,7 +342,8 @@ func (d *Daemon) handleMetricsQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("name")
 	if name == "" {
-		names := db.SeriesNames()
+		var names []string
+		d.inWorld(func() { names = db.SeriesNames() })
 		writeJSON(w, http.StatusBadRequest, errorView{Error: "missing name parameter", Names: &names})
 		return
 	}
@@ -344,11 +352,8 @@ func (d *Daemon) handleMetricsQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad from: %w", err))
 		return
 	}
-	var now time.Duration
-	if q.Get("to") == "" {
-		d.inWorld(func() { now = d.cfg.Clock.Now() })
-	}
-	to, err := parseSimTime(q.Get("to"), now)
+	toNow := q.Get("to") == ""
+	to, err := parseSimTime(q.Get("to"), 0)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad to: %w", err))
 		return
@@ -368,20 +373,23 @@ func (d *Daemon) handleMetricsQuery(w http.ResponseWriter, r *http.Request) {
 			labels[k] = vs[0]
 		}
 	}
-	var points []telemetry.Point
+	var kind telemetry.AggregateKind
 	if window > 0 {
-		kind, err := parseAgg(q.Get("agg"))
-		if err != nil {
+		if kind, err = parseAgg(q.Get("agg")); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		points = db.Downsample(name, labels, from, to, window, kind)
 	} else if q.Get("agg") != "" {
 		writeErr(w, http.StatusBadRequest, errors.New("agg requires window"))
 		return
-	} else {
-		points = db.Query(name, labels, from, to)
 	}
+	var points []telemetry.Point
+	d.inWorld(func() {
+		if toNow {
+			to = d.cfg.Clock.Now()
+		}
+		points = db.Downsample(name, labels, from, to, window, kind) // a zero window is Query
+	})
 	out := queryView{Labels: labels, Name: name, Points: make([]pointView, len(points))}
 	for i, p := range points {
 		out.Points[i] = pointView{AtSeconds: p.At.Seconds(), Value: p.Value}

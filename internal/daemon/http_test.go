@@ -257,6 +257,46 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitRequestErrorsAre400: POST /api/v1/jobs answers 400 to what
+// the request itself got wrong — a pin to a partition the fleet lacks, a
+// negative duration hint or deadline — and keeps 422 for a program the daemon
+// cannot decode or no partition can run.
+func TestHTTPSubmitRequestErrorsAre400(t *testing.T) {
+	env := newHTTPEnv(t)
+	_, data := httpDo(t, "POST", env.ts.URL+"/api/v1/sessions", "", map[string]string{"user": "u"})
+	var sess Session
+	if err := json.Unmarshal(data, &sess); err != nil {
+		t.Fatal(err)
+	}
+	seq := qir.NewAnalogSequence(qir.LinearRegister("wide", 1000, 20))
+	seq.Add(qir.GlobalRydberg, qir.Pulse{
+		Amplitude: qir.ConstantWaveform{Dur: 500, Val: 1},
+		Detuning:  qir.ConstantWaveform{Dur: 500, Val: 0},
+	})
+	wide, err := qir.NewAnalogProgram(seq, 10).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := analogPayload(t, 10)
+	for _, tc := range []struct {
+		name string
+		body map[string]any
+		code int
+		says string
+	}{
+		{"unknown pin", map[string]any{"program": prog, "device": "analog-qpu-p9"}, http.StatusBadRequest, "unknown device"},
+		{"negative hint", map[string]any{"program": prog, "expected_qpu_seconds": -1}, http.StatusBadRequest, "negative expected QPU seconds"},
+		{"negative deadline", map[string]any{"program": prog, "deadline_seconds": -5}, http.StatusBadRequest, "negative deadline seconds"},
+		{"undecodable program", map[string]any{"program": json.RawMessage(`{"kind":"analog","shots":1}`)}, http.StatusUnprocessableEntity, ""},
+		{"program no partition runs", map[string]any{"program": json.RawMessage(wide)}, http.StatusUnprocessableEntity, "program rejected"},
+	} {
+		code, out := httpDo(t, "POST", env.ts.URL+"/api/v1/jobs", sess.Token, tc.body)
+		if code != tc.code || !strings.Contains(string(out), tc.says) {
+			t.Errorf("%s: answered %d %s; want %d saying %q", tc.name, code, out, tc.code, tc.says)
+		}
+	}
+}
+
 // TestHTTPBodyLimit: both endpoints that decode a request body stop reading
 // at maxBodyBytes and answer 413; a body just under the cap is still judged
 // on its content.

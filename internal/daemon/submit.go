@@ -126,6 +126,12 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (Job, error) {
 	return *j, nil
 }
 
+// requestError is a submission the request itself got wrong — a class out of
+// range, a negative hint, a pin to a partition the fleet lacks — as against a
+// program the daemon cannot decode or no partition can run. POST /api/v1/jobs
+// answers it 400, and the program refusals 422.
+type requestError struct{ error }
+
 // specSet is a set of spec kinds, bit k for Daemon.kinds[k].
 type specSet uint64
 
@@ -138,13 +144,13 @@ type specSet uint64
 func (d *Daemon) validate(sub *submission) error {
 	req := &sub.req
 	if req.Class < sched.ClassDev || req.Class > sched.ClassProduction {
-		return fmt.Errorf("daemon: invalid class %d", req.Class)
+		return requestError{fmt.Errorf("daemon: invalid class %d", req.Class)}
 	}
 	if req.ExpectedQPUSeconds < 0 {
-		return fmt.Errorf("daemon: negative expected QPU seconds %g", req.ExpectedQPUSeconds)
+		return requestError{fmt.Errorf("daemon: negative expected QPU seconds %g", req.ExpectedQPUSeconds)}
 	}
 	if req.DeadlineSeconds < 0 {
-		return fmt.Errorf("daemon: negative deadline seconds %g", req.DeadlineSeconds)
+		return requestError{fmt.Errorf("daemon: negative deadline seconds %g", req.DeadlineSeconds)}
 	}
 	var err error
 	if sub.prog, sub.progHash, err = cachedProgram(req.Program); err != nil {
@@ -152,7 +158,7 @@ func (d *Daemon) validate(sub *submission) error {
 	}
 	if req.Device != "" {
 		if sub.pinned, err = d.lookupDevice(req.Device); err != nil {
-			return err
+			return requestError{err}
 		}
 	}
 	for k, spec := range d.kinds {

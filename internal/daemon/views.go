@@ -86,6 +86,12 @@ type errorView struct {
 	Names *[]string `json:"names,omitempty"`
 }
 
+// statusView is every success reply that carries no record: the liveness
+// check's, a closed session's, a cancel's and a low-level op's.
+type statusView struct {
+	Status string `json:"status"`
+}
+
 // maxAlso bounds the jobs one status request can name beside its own; memoSize,
 // those and its own, bounds each of the two lists Client keeps to name them.
 const maxAlso, memoSize = 31, 32

@@ -2,7 +2,7 @@ package loadgen
 
 import (
 	"math"
-	"sync"
+	"slices"
 
 	"hpcqc/internal/daemon"
 )
@@ -14,14 +14,13 @@ import (
 // load — including completion-coupled arrival patterns a closed-loop
 // generator produced — as an open-loop schedule. The records stay in memory
 // until Trace packages them; Trace.Write puts them on disk.
+//
+// A Recorder is a job listener like any other and keeps no lock: the daemon
+// calls Observe inside its world, so Trace is read after the run, or from
+// inside the world while it goes on.
 type Recorder struct {
 	shotRate float64
-
-	// mu orders Trace against Observe: the daemon calls Observe inside its
-	// world, one event at a time, and the lock lets a reader on another
-	// goroutine take the trace while a live run goes on.
-	mu      sync.Mutex
-	records []Record
+	records  []Record
 }
 
 // NewRecorder returns a recorder. shotRateHz converts the daemon's expected-
@@ -51,8 +50,6 @@ func (r *Recorder) Observe(ev daemon.JobEvent) {
 	if ev.Job.RequestedClass > class {
 		class = ev.Job.RequestedClass
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.records = append(r.records, Record{
 		Seq:                len(r.records),
 		AtUS:               ev.At.Microseconds(),
@@ -68,10 +65,7 @@ func (r *Recorder) Observe(ev daemon.JobEvent) {
 // Trace packages the captured arrivals under a "recorded" header. The seed
 // and process describe provenance; horizon should cover the run.
 func (r *Recorder) Trace(seed int64, process string, horizon int64) *Trace {
-	r.mu.Lock()
-	records := make([]Record, len(r.records))
-	copy(records, r.records)
-	r.mu.Unlock()
+	records := slices.Clone(r.records)
 	return &Trace{
 		Header: TraceHeader{
 			Format:    TraceFormat,

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"hpcqc/internal/device"
+	"hpcqc/internal/mint"
 	"hpcqc/internal/qir"
 	"hpcqc/internal/simclock"
 )
@@ -22,7 +22,8 @@ import (
 // harness owns the clock (the experiment drivers do this). The device lives
 // inside its clock's world (see simclock): every call reaching it enters the
 // world through the clock's lock, so the resource is safe for concurrent use
-// beside whatever else drives that clock.
+// beside whatever else drives that clock. Its own state — the tokens it handed
+// out and the tasks it started — lives in that world too, under the same lock.
 type DeviceResource struct {
 	dev   *device.Device
 	clock *simclock.Clock
@@ -32,9 +33,12 @@ type DeviceResource struct {
 	// AutoAdvance moves the clock forward by this much per status poll.
 	AutoAdvance time.Duration
 
-	mu      sync.Mutex
 	tokens  map[string]bool
 	nextTok int
+	// started holds the IDs of the tasks TaskStart submitted, oldest first.
+	// Past emuTaskHistory the oldest goes, and the device forgets it (a task
+	// still queued or running then is left to the device).
+	started mint.Ring[string]
 }
 
 // NewDeviceResource wraps an existing device and its clock.
@@ -79,13 +83,10 @@ func (r *DeviceResource) Metadata() (map[string]string, error) {
 // multiple holders are safe.
 func (r *DeviceResource) Acquire() (string, error) {
 	r.clock.Lock()
-	status := r.dev.Status()
-	r.clock.Unlock()
-	if status == device.StatusMaintenance {
+	defer r.clock.Unlock()
+	if r.dev.Status() == device.StatusMaintenance {
 		return "", fmt.Errorf("qrmi: device %s is in maintenance", r.Target())
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.nextTok++
 	tok := fmt.Sprintf("qpu-token-%d", r.nextTok)
 	r.tokens[tok] = true
@@ -94,8 +95,8 @@ func (r *DeviceResource) Acquire() (string, error) {
 
 // Release implements Resource.
 func (r *DeviceResource) Release(token string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.clock.Lock()
+	defer r.clock.Unlock()
 	if !r.tokens[token] {
 		return fmt.Errorf("qrmi: unknown token %q", token)
 	}
@@ -103,21 +104,27 @@ func (r *DeviceResource) Release(token string) error {
 	return nil
 }
 
-// TaskStart implements Resource.
+// TaskStart implements Resource. The payload is decoded before the world is
+// entered; an unacquired resource answers ErrNotAcquired before a decode error.
 func (r *DeviceResource) TaskStart(payload []byte) (string, error) {
-	r.mu.Lock()
-	held := len(r.tokens) > 0
-	r.mu.Unlock()
-	if !held {
+	prog, decodeErr := decodeProgram(payload)
+	r.clock.Lock()
+	defer r.clock.Unlock()
+	if len(r.tokens) == 0 {
 		return "", ErrNotAcquired
 	}
-	prog, err := decodeProgram(payload)
+	if decodeErr != nil {
+		return "", decodeErr
+	}
+	id, err := r.dev.Submit(prog)
 	if err != nil {
 		return "", err
 	}
-	r.clock.Lock()
-	defer r.clock.Unlock()
-	return r.dev.Submit(prog)
+	r.started.Push(&id)
+	if r.started.Len() > emuTaskHistory {
+		r.dev.Forget(*r.started.Pop())
+	}
+	return id, nil
 }
 
 // TaskStop implements Resource.

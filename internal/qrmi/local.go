@@ -26,9 +26,9 @@ type EmulatorResource struct {
 
 const emuTaskPrefix = "emu-task-"
 
-// emuTaskHistory bounds the tasks an EmulatorResource keeps, as the daemon's
-// History default bounds its finished jobs: past it the oldest task goes, and
-// its ID then reads as an unknown task.
+// emuTaskHistory bounds the tasks an EmulatorResource or a DeviceResource
+// keeps, as the daemon's History default bounds its finished jobs: past it the
+// oldest task goes, and its ID then reads as an unknown task.
 const emuTaskHistory = 16384
 
 type localTask struct {

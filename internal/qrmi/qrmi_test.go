@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"hpcqc/internal/device"
 	"hpcqc/internal/emulator"
@@ -132,6 +134,9 @@ func TestDeviceResourceLifecycle(t *testing.T) {
 	r := NewDeviceResource(dev, clk)
 	r.AutoAdvance = 10 * simclock.Seconds(1)
 
+	if _, err := r.TaskStart([]byte("not json")); err != ErrNotAcquired {
+		t.Fatalf("pre-acquire TaskStart err = %v, want ErrNotAcquired", err)
+	}
 	md, _ := r.Metadata()
 	if md["kind"] != "qpu" || md["status"] != "online" {
 		t.Fatalf("metadata = %v", md)
@@ -159,6 +164,94 @@ func TestDeviceResourceMaintenanceBlocksAcquire(t *testing.T) {
 	if _, err := r.Acquire(); err == nil {
 		t.Fatal("acquire during maintenance accepted")
 	}
+}
+
+// TestDeviceResourceForgetsOldestTask starts past the task bound, each task
+// run to its end before the next: the device forgets the oldest ones, oldest
+// first, and their IDs read as unknown tasks, while the oldest kept and the
+// newest still answer.
+func TestDeviceResourceForgetsOldestTask(t *testing.T) {
+	clk := simclock.New()
+	dev, err := device.New(device.Config{Clock: clk, Seed: 5, TimingOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewDeviceResource(dev, clk)
+	r.AutoAdvance = 10 * time.Second // one poll runs a 1-shot task to its end
+	if _, err := r.Acquire(); err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := EncodeProgram(piPulseProgram(1))
+	var ids []string
+	for n := 0; n < emuTaskHistory+3; n++ {
+		id, err := r.TaskStart(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := r.TaskStatus(id); err != nil || st != StateCompleted {
+			t.Fatalf("%s: %s, %v; want completed", id, st, err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids[:3] {
+		if _, err := r.TaskStatus(id); err == nil || !strings.Contains(err.Error(), "unknown task") {
+			t.Fatalf("TaskStatus(%q) = %v, want unknown task", id, err)
+		}
+		if _, err := r.TaskResult(id); err == nil {
+			t.Fatalf("TaskResult(%q) answered for a forgotten task", id)
+		}
+	}
+	for _, id := range []string{ids[3], ids[len(ids)-1]} {
+		if _, err := r.TaskResult(id); err != nil {
+			t.Fatalf("TaskResult(%q): %v", id, err)
+		}
+	}
+}
+
+// TestDeviceResourceConcurrentUse: goroutines acquire, start, poll and
+// release on one qpu-direct resource at once (its value is under -race; make
+// test-race runs it). Tokens, tasks and the clock are one world behind the
+// clock's lock, and every task ends completed.
+func TestDeviceResourceConcurrentUse(t *testing.T) {
+	r, err := NewResource("qpu-direct", map[string]string{"seed": "3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := EncodeProgram(piPulseProgram(5))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				tok, err := r.Acquire()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				id, err := r.TaskStart(payload)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				st := StateQueued
+				for polls := 0; !st.Terminal() && polls < 1000; polls++ {
+					if st, err = r.TaskStatus(id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if st != StateCompleted {
+					t.Errorf("%s ended %s", id, st)
+				}
+				if err := r.Release(tok); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestConfigFromEnviron(t *testing.T) {

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -39,7 +38,6 @@ func (s DriftState) String() string {
 // step for QPU observability. It is deliberately simple, dependency-free and
 // cheap enough to run per-parameter per-sample.
 type DriftDetector struct {
-	mu       sync.Mutex
 	baseline float64
 	tracker  float64
 	n        int
@@ -57,8 +55,6 @@ func NewDriftDetector() *DriftDetector { return &DriftDetector{} }
 
 // Observe folds in a sample and returns the resulting state.
 func (d *DriftDetector) Observe(v float64) DriftState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.n == 0 {
 		d.baseline = v
 		d.tracker = v
@@ -69,20 +65,14 @@ func (d *DriftDetector) Observe(v float64) DriftState {
 	d.tracker = trackerAlpha*v + (1-trackerAlpha)*d.tracker
 	// The baseline only absorbs samples while the system is healthy, so a
 	// real drift does not silently become the new normal.
-	if d.stateLocked() == DriftOK {
+	if d.State() == DriftOK {
 		d.baseline = baselineAlpha*v + (1-baselineAlpha)*d.baseline
 	}
-	return d.stateLocked()
+	return d.State()
 }
 
 // Deviation returns the current relative deviation |tracker-baseline|/|baseline|.
 func (d *DriftDetector) Deviation() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.deviationLocked()
-}
-
-func (d *DriftDetector) deviationLocked() float64 {
 	if d.baseline == 0 {
 		if d.tracker == 0 {
 			return 0
@@ -94,14 +84,7 @@ func (d *DriftDetector) deviationLocked() float64 {
 
 // State returns the current classification.
 func (d *DriftDetector) State() DriftState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stateLocked()
-}
-
-func (d *DriftDetector) stateLocked() DriftState {
-	dev := d.deviationLocked()
-	switch {
+	switch dev := d.Deviation(); {
 	case dev >= criticalThreshold:
 		return DriftCritical
 	case dev >= warnThreshold:
@@ -153,7 +136,6 @@ type Alert struct {
 // AlertManager evaluates rules against a TSDB.
 type AlertManager struct {
 	db    *TSDB
-	mu    sync.Mutex
 	rules []*AlertRule
 	// pendingSince tracks when each rule's predicate first became true.
 	pendingSince map[string]time.Duration
@@ -174,8 +156,6 @@ func (am *AlertManager) AddRule(r *AlertRule) error {
 	if r.Name == "" || r.Predicate == nil || r.Series == "" {
 		return fmt.Errorf("telemetry: alert rule needs name, series and predicate")
 	}
-	am.mu.Lock()
-	defer am.mu.Unlock()
 	for _, existing := range am.rules {
 		if existing.Name == r.Name {
 			return fmt.Errorf("telemetry: duplicate alert rule %q", r.Name)
@@ -188,8 +168,6 @@ func (am *AlertManager) AddRule(r *AlertRule) error {
 // Evaluate checks every rule against the latest samples at the given
 // simulation time and returns alerts that transitioned into firing.
 func (am *AlertManager) Evaluate(now time.Duration) []Alert {
-	am.mu.Lock()
-	defer am.mu.Unlock()
 	var fired []Alert
 	for _, r := range am.rules {
 		p, ok := am.db.Latest(r.Series, r.Labels)
@@ -222,8 +200,6 @@ func (am *AlertManager) Evaluate(now time.Duration) []Alert {
 
 // Firing lists currently-firing rule names, sorted by registration order.
 func (am *AlertManager) Firing() []string {
-	am.mu.Lock()
-	defer am.mu.Unlock()
 	var out []string
 	for _, r := range am.rules {
 		if am.firing[r.Name] {

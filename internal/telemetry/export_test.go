@@ -7,8 +7,6 @@ import (
 
 // Value returns the current value of a counter/gauge series (0 if absent).
 func (m *Metric) Value(l Labels) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if s, ok := m.series[l.key()]; ok {
 		return s.value
 	}
@@ -17,8 +15,6 @@ func (m *Metric) Value(l Labels) float64 {
 
 // HistogramCount returns the observation count of a histogram series.
 func (m *Metric) HistogramCount(l Labels) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if s, ok := m.series[l.key()]; ok {
 		return s.count
 	}
@@ -28,8 +24,6 @@ func (m *Metric) HistogramCount(l Labels) uint64 {
 // HistogramSum returns the running sum of a histogram series' observations,
 // so consumers can derive means (sum/count) without re-aggregating samples.
 func (m *Metric) HistogramSum(l Labels) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if s, ok := m.series[l.key()]; ok {
 		return s.sum
 	}
@@ -39,8 +33,6 @@ func (m *Metric) HistogramSum(l Labels) float64 {
 // HistogramQuantile estimates quantile q ∈ [0,1] by linear interpolation
 // within the owning bucket, Prometheus-style. Returns NaN with no data.
 func (m *Metric) HistogramQuantile(l Labels, q float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	s, ok := m.series[l.key()]
 	if !ok || s.count == 0 {
 		return math.NaN()
@@ -66,8 +58,6 @@ func (m *Metric) HistogramQuantile(l Labels, q float64) float64 {
 
 // Get returns a registered metric family, or nil.
 func (r *Registry) Get(name string) *Metric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.metrics[name]
 }
 

