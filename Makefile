@@ -3,7 +3,8 @@
 # reproductions; `make test-race` puts the race detector on the concurrent
 # fleet/scheduler/malleable-pool/device/emulator/telemetry paths and on the
 # clock and the edges that enter its world (qrmi, slurm), then runs the
-# daemon's concurrent-intake tests and the served-edge stress twenty times
+# streamed replay's tests (its decoder goroutine hands batches to the world's),
+# the daemon's concurrent-intake tests and the served-edge stress twenty times
 # over, so every entry into the world is stressed on every run.
 
 GO ?= go
@@ -22,6 +23,7 @@ test-full:
 test-race:
 	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/hybrid/... ./internal/device/... ./internal/emulator/... ./internal/telemetry/... ./internal/simclock/... ./internal/qrmi/... ./internal/slurm/...
 	$(GO) test -race -short ./internal/loadgen/...
+	$(GO) test -race -count=20 -run 'ReplayReader' ./internal/loadgen/
 	$(GO) test -race -count=20 -run 'Concurrent|TestServedEdgeStress' ./internal/daemon/
 
 # examples builds each program under examples/ and runs it from a fresh

@@ -135,9 +135,9 @@ const reclaimEvery = 1024
 
 // Replay submits every trace record at its recorded arrival instant against
 // a fresh fleet on a fresh virtual clock, runs the clock to completion, and
-// returns the SLO report. Everything executes on the calling goroutine, so
-// event order — and therefore every schedule decision — is a pure function
-// of (trace, config).
+// returns the SLO report. The world — clock, fleet, daemon, analyzer — runs
+// on the calling goroutine alone, so event order — and therefore every
+// schedule decision — is a pure function of (trace, config).
 func Replay(tr *Trace, cfg ReplayConfig) (*Report, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -161,20 +161,87 @@ func (t *Trace) record(i int, rec *Record) error {
 	return nil
 }
 
-// ReplayReader is Replay of a trace read as the replay runs: each record is
-// decoded and checked when the clock asks for its arrival, so the run holds
-// the jobs in flight, not the trace. Its report is Replay's of the same file,
-// byte for byte; a file ReadTrace refuses ends it with an error and no report.
+// ReplayReader is Replay of a trace read as the replay runs, holding the jobs
+// in flight, not the trace: a second goroutine decodes and checks records a few
+// batches ahead of the world, which runs on the caller's. Its report is
+// Replay's of the same file, byte for byte; a file ReadTrace refuses ends it
+// with ReadTrace's error and no report. It returns once the decoder has exited.
 func ReplayReader(r io.Reader, cfg ReplayConfig) (*Report, error) {
 	rd, err := streamTrace(r)
 	if err != nil {
 		return nil, err
 	}
-	run, err := newReplayRun(rd.header, rd.record, cfg)
+	ahead := &readAhead{full: make(chan []Record, decodeDepth), free: make(chan []Record, decodeDepth),
+		cur: make([]Record, 0, decodeBatchLen)}
+	for range decodeDepth - 1 {
+		ahead.free <- make([]Record, 0, decodeBatchLen)
+	}
+	go ahead.decode(rd)
+	defer ahead.join()
+	run, err := newReplayRun(rd.header, ahead.record, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return run.run()
+}
+
+// The decoder's read-ahead, 24 KB of records: live heap from a replay's first
+// instant, which at 512-record batches shifted the GC's pacing enough to raise
+// BenchmarkLoadgenReplayStream's peak heap by 1 MB, for no speed.
+const (
+	decodeBatchLen = 64
+	decodeDepth    = 4
+)
+
+// readAhead is the replay's end of a decoder goroutine, which owns the
+// traceReader and touches nothing of the world: the two share only batches,
+// each owned by one side at a time, and the interned strings nobody writes.
+type readAhead struct {
+	full, free chan []Record
+	err        error    // why the decoder stopped short, set before the short batch
+	cur        []Record // the batch holding record i; the first draw hands it over empty
+}
+
+// decode hands over records 0 … Jobs-1 in full batches, in file order, up to the
+// first defect; it closes full when free is, or a batch comes back after that.
+// Only decodeDepth batches exist, so no send blocks.
+func (a *readAhead) decode(rd *traceReader) {
+	defer close(a.full)
+	i := 0
+	for b := range a.free {
+		if i >= rd.header.Jobs || a.err != nil {
+			return
+		}
+		for b = b[:0]; len(b) < cap(b) && i < rd.header.Jobs && a.err == nil; i++ {
+			var rec Record
+			if a.err = rd.record(i, &rec); a.err == nil {
+				b = append(b, rec)
+			}
+		}
+		a.full <- b
+	}
+}
+
+// record is the replay's source: record i, or the defect found at its index.
+func (a *readAhead) record(i int, rec *Record) error {
+	k := i % decodeBatchLen
+	if k == 0 {
+		a.free <- a.cur
+		a.cur = <-a.full
+	}
+	if k < len(a.cur) {
+		*rec = a.cur[k]
+		return nil
+	}
+	return a.err
+}
+
+// join stops the decoder wherever it is and waits for it to exit, so the
+// caller may close the reader.
+func (a *readAhead) join() {
+	close(a.free)
+	for range a.full {
+	}
 }
 
 // replayRun is one replay assembled and ready to run: a fresh clock, fleet,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -94,11 +96,17 @@ func checkStreamAgainstReadTrace(t *testing.T, data []byte, sameText bool) error
 	return gotErr
 }
 
-// TestReplayReaderErrors: a defect anywhere in the file — the header, a
-// record, the count at either end — ends the streamed replay with ReadTrace's
-// own error and no report, and a file ReadTrace accepts replays to Replay's
-// report.
-func TestReplayReaderErrors(t *testing.T) {
+// streamCase is a trace file and ReadTrace's error on it, "" when it replays.
+type streamCase struct {
+	name string
+	data []byte
+	want string
+}
+
+// streamCases is a well-formed file and one copy of it per defect: the
+// header, a record, the count at either end.
+func streamCases(t *testing.T) []streamCase {
+	t.Helper()
 	tr, header, records := streamFixture(t)
 	n := len(records)
 	withJobs := func(jobs string) string {
@@ -116,11 +124,7 @@ func TestReplayReaderErrors(t *testing.T) {
 	bad := line(func(r *Record) { r.Shots = 0 })
 	hint := line(func(r *Record) { r.ExpectedQPUSeconds = -5 })
 	whole := traceFile(header, records...)
-	for _, tc := range []struct {
-		name string
-		data []byte
-		want string // ReadTrace's error, "" when the file replays
-	}{
+	return []streamCase{
 		{"well-formed", whole, ""},
 		{"bad header", traceFile(`{"format":"hpcqc-loadgen-trace","version":`, records...),
 			"loadgen: parsing trace header: unexpected end of JSON input"},
@@ -146,7 +150,15 @@ func TestReplayReaderErrors(t *testing.T) {
 		{"blank lines", bytes.ReplaceAll(whole, []byte("\n"), []byte("\n\n")), ""},
 		{"header claiming 10^15 jobs", traceFile(withJobs("1000000000000000"), records...),
 			"loadgen: header says 1000000000000000 jobs, file has " + strconv.Itoa(n)},
-	} {
+	}
+}
+
+// TestReplayReaderErrors: a defect anywhere in the file — the header, a
+// record, the count at either end — ends the streamed replay with ReadTrace's
+// own error and no report, and a file ReadTrace accepts replays to Replay's
+// report.
+func TestReplayReaderErrors(t *testing.T) {
+	for _, tc := range streamCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, readErr := ReadTrace(bytes.NewReader(tc.data))
 			if got := errText(readErr); got != tc.want {
@@ -154,6 +166,70 @@ func TestReplayReaderErrors(t *testing.T) {
 			}
 			if got := errText(checkStreamAgainstReadTrace(t, tc.data, true)); got != tc.want {
 				t.Fatalf("ReplayReader error %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// joinCheckReader hands out at most 64 bytes a Read, so the decoder reads
+// throughout the replay, and fails the test on a Read once returned is
+// closed.
+type joinCheckReader struct {
+	t        *testing.T
+	data     []byte
+	returned chan struct{}
+}
+
+func (r *joinCheckReader) Read(p []byte) (int, error) {
+	select {
+	case <-r.returned:
+		r.t.Errorf("the trace was read after ReplayReader returned")
+	default:
+	}
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), 64)], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestReplayReaderJoinsDecoder: ReplayReader returns only once its decoder
+// goroutine has exited — on a well-formed file, on every defect of
+// streamCases (the header counts among them), and on a run that fails
+// mid-replay while the decoder is batches ahead — so no Read reaches the
+// file after the caller closes it and no goroutine is left behind. Under
+// -race (make test-race) it also checks the batch hand-off.
+func TestReplayReaderJoinsDecoder(t *testing.T) {
+	long, err := Generate(Config{Seed: 6, Horizon: 10 * time.Minute, Process: &Poisson{RatePerHour: 4000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(long.Records) <= 100+decodeDepth*decodeBatchLen {
+		t.Fatalf("trace has %d records: too short to leave the decoder ahead of the failure", len(long.Records))
+	}
+	long.Records[100].User = "" // passes the record check; OpenSession refuses it
+	var file bytes.Buffer
+	if err := long.Write(&file); err != nil {
+		t.Fatal(err)
+	}
+	cases := append(streamCases(t), streamCase{"run fails mid-replay", file.Bytes(),
+		"daemon: session requires a user name"})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			r := &joinCheckReader{t: t, data: tc.data, returned: make(chan struct{})}
+			_, err := ReplayReader(r, ReplayConfig{Devices: 2, Seed: 1})
+			close(r.returned)
+			if got := errText(err); got != tc.want {
+				t.Fatalf("ReplayReader error %q, want %q", got, tc.want)
+			}
+			// The decoder's last act is to signal its exit, so the runtime
+			// may count it for a moment after the join.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after ReplayReader returned, %d before", runtime.NumGoroutine(), baseline)
+				}
 			}
 		})
 	}

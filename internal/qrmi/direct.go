@@ -36,8 +36,9 @@ type DeviceResource struct {
 	tokens  map[string]bool
 	nextTok int
 	// started holds the IDs of the tasks TaskStart submitted, oldest first.
-	// Past emuTaskHistory the oldest goes, and the device forgets it (a task
-	// still queued or running then is left to the device).
+	// Past emuTaskHistory the oldest goes once it is terminal, and the device
+	// forgets it; a live oldest task waits for a later TaskStart, so the ring
+	// exceeds the bound by at most the tasks outstanding.
 	started mint.Ring[string]
 }
 
@@ -121,7 +122,10 @@ func (r *DeviceResource) TaskStart(payload []byte) (string, error) {
 		return "", err
 	}
 	r.started.Push(&id)
-	if r.started.Len() > emuTaskHistory {
+	for r.started.Len() > emuTaskHistory {
+		if st, _ := r.dev.TaskStatus(*r.started.Slots()[0]); !mapDeviceState(st).Terminal() {
+			break
+		}
 		r.dev.Forget(*r.started.Pop())
 	}
 	return id, nil

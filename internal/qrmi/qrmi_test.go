@@ -208,6 +208,55 @@ func TestDeviceResourceForgetsOldestTask(t *testing.T) {
 	}
 }
 
+// TestDeviceResourceForgetsOnlyTerminalTasks: past the bound, a task still
+// queued or running is not let go. 16 385 tasks are started on a clock that
+// is not advanced, so all are outstanding and the ring holds one over the
+// bound; the clock then runs them all to their end, and the next 16 384
+// starts let go of every one, the device forgetting each.
+func TestDeviceResourceForgetsOnlyTerminalTasks(t *testing.T) {
+	clk := simclock.New()
+	dev, err := device.New(device.Config{Clock: clk, Seed: 5, TimingOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewDeviceResource(dev, clk)
+	if _, err := r.Acquire(); err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := EncodeProgram(piPulseProgram(1))
+	start := func() string {
+		id, err := r.TaskStart(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	var held []string
+	for range emuTaskHistory + 1 {
+		held = append(held, start())
+	}
+	if n := r.started.Len(); n != emuTaskHistory+1 {
+		t.Fatalf("ring holds %d tasks with all outstanding, want %d", n, emuTaskHistory+1)
+	}
+	for {
+		if st, err := r.TaskStatus(held[len(held)-1]); err != nil || st == StateCompleted {
+			break
+		}
+		clk.Advance(time.Hour)
+	}
+	for range emuTaskHistory {
+		start()
+	}
+	for _, id := range held {
+		if _, err := r.TaskStatus(id); err == nil || !strings.Contains(err.Error(), "unknown task") {
+			t.Fatalf("TaskStatus(%q) = %v after the drain and %d more starts, want unknown task", id, err, emuTaskHistory)
+		}
+	}
+	if n := r.started.Len(); n != emuTaskHistory {
+		t.Fatalf("ring holds %d tasks, want %d", n, emuTaskHistory)
+	}
+}
+
 // TestDeviceResourceConcurrentUse: goroutines acquire, start, poll and
 // release on one qpu-direct resource at once (its value is under -race; make
 // test-race runs it). Tokens, tasks and the clock are one world behind the

@@ -15,7 +15,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
@@ -33,8 +32,7 @@ type Event struct {
 	Fn   func()
 
 	seq    uint64  // tie-break: FIFO among equal timestamps
-	index  int     // heap bookkeeping
-	dead   bool    // cancelled
+	index  int     // its place in the heap, -1 once out of it
 	series *series // non-nil: the re-arming slot of a ScheduleSeries
 }
 
@@ -47,33 +45,54 @@ type series struct {
 	seq0 uint64 // element i has tie-break sequence seq0+i
 }
 
+// eventHeap is a binary min-heap of events; each event knows its index.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
+// before is the heap order, a total one: earlier instant first, then FIFO.
+func (e *Event) before(o *Event) bool {
+	return e.At < o.At || (e.At == o.At && e.seq < o.seq)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
+
+func (h *eventHeap) push(e *Event) {
 	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+
+// remove takes the event at index i out of the heap.
+func (h *eventHeap) remove(i int) {
+	old, n := *h, len(*h)-1
+	e := old[i]
+	old[i], old[n], *h = old[n], nil, old[:n]
+	if i < n && !h.down(i) {
+		h.up(i)
+	}
 	e.index = -1
-	*h = old[:n-1]
-	return e
+}
+
+// up moves the event at index j rootwards past every parent it is before.
+func (h eventHeap) up(j int) {
+	e := h[j]
+	for p := (j - 1) / 2; j > 0 && e.before(h[p]); j, p = p, (p-1)/2 {
+		h[j], h[p].index = h[p], j
+	}
+	h[j], e.index = e, j
+}
+
+// down moves the event at index i leafwards past every child before it and
+// reports whether it moved.
+func (h eventHeap) down(i int) bool {
+	e, start := h[i], i
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i], h[c].index = h[c], i
+	}
+	h[i], e.index = e, i
+	return i > start
 }
 
 // Clock is a discrete-event simulation clock. The zero value is not usable;
@@ -136,9 +155,9 @@ func (c *Clock) Arm(e *Event, delay time.Duration) {
 	if e.index >= 0 && e.index < len(c.events) && c.events[e.index] == e {
 		panic("simclock: Arm of a pending event " + e.Name)
 	}
-	e.At, e.seq, e.dead = c.now+max(delay, 0), c.nextSeq, false
+	e.At, e.seq = c.now+max(delay, 0), c.nextSeq
 	c.nextSeq++
-	heap.Push(&c.events, e)
+	c.events.push(e)
 }
 
 // ScheduleAt registers fn at an absolute simulation time. Times in the past
@@ -158,10 +177,10 @@ func (c *Clock) ScheduleAt(at time.Duration, name string, fn func()) *Event {
 // — element i fires where the i-th of those calls would have. NextEventAt and
 // Pending read the same too. An at(i) below at(i-1) breaks the precondition
 // and fires in index order, right after its predecessor. at is called once
-// per element, in index order: at(0) here, at(i) when element i-1 fires,
-// just before fn(i-1) runs. So at may be a cursor —
-// read element i from a stream when asked, and hold at most two elements,
-// i-1 awaiting fn and i — rather than a pure function of i.
+// per element, in index order: at(0) here, at(i) when element i-1 fires, just
+// before fn(i-1) runs. So at may be a cursor rather than a pure function of i:
+// take element i from a source when asked — a stream, or records another
+// goroutine decoded ahead — and hold at most two, i-1 awaiting fn and i.
 func (c *Clock) ScheduleSeries(n int, name string, at func(i int) time.Duration, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -170,20 +189,15 @@ func (c *Clock) ScheduleSeries(n int, name string, at func(i int) time.Duration,
 	s := &series{n: n, at: at, fn: fn, seq0: c.nextSeq}
 	c.nextSeq += uint64(n)
 	c.deferred += n - 1
-	heap.Push(&c.events, &Event{At: max(first, c.now), Name: name, seq: s.seq0, series: s})
+	c.events.push(&Event{At: max(first, c.now), Name: name, seq: s.seq0, series: s})
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (c *Clock) Cancel(e *Event) {
-	if e == nil {
-		return
+	if e != nil && e.index >= 0 && e.index < len(c.events) && c.events[e.index] == e {
+		c.events.remove(e.index)
 	}
-	if e.dead || e.index < 0 || e.index >= len(c.events) || c.events[e.index] != e {
-		return
-	}
-	e.dead = true
-	heap.Remove(&c.events, e.index)
 }
 
 // NextEventAt returns the timestamp of the earliest pending event. ok is
@@ -228,22 +242,27 @@ func (c *Clock) fire() bool {
 	if len(c.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&c.events).(*Event)
+	e := c.events[0]
 	c.now = max(c.now, e.At)
 	if s := e.series; s != nil {
 		// Re-arm before the callback runs: whatever fn(i) schedules must
 		// find element i+1 queued ahead of it, as n separate events would be.
 		// e.At already carries the clamp, so max with it keeps both the clamp
-		// and index order.
+		// and index order. The slot only moves later: it sifts down in place.
 		i := s.i
 		if s.i++; s.i < s.n {
 			e.At, e.seq = max(s.at(s.i), e.At), s.seq0+uint64(s.i)
 			c.deferred--
-			heap.Push(&c.events, e)
+			c.events.down(0)
+		} else {
+			c.events.remove(0)
 		}
 		s.fn(i)
-	} else if !e.dead && e.Fn != nil {
-		e.Fn()
+	} else {
+		c.events.remove(0)
+		if e.Fn != nil {
+			e.Fn()
+		}
 	}
 	return true
 }
