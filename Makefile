@@ -1,9 +1,10 @@
 # Tier-1 entry points. `make test` is the fast gate (short mode, seconds);
 # `make test-full` runs everything including the ~40s experiment
 # reproductions; `make test-race` puts the race detector on the concurrent
-# fleet/scheduler/malleable-pool/device/emulator/telemetry paths and on the
-# clock and the edges that enter its world (qrmi, slurm), then runs the
-# streamed replay's tests (its decoder goroutine hands batches to the world's),
+# fleet/scheduler/malleable-pool/device/emulator/telemetry paths, on the
+# clock and the edge that enters its world (qrmi), and on the batch system
+# that runs inside it (slurm), then runs the streamed replay's tests (its
+# decoder goroutine hands batches to the world's),
 # the daemon's concurrent-intake tests and the served-edge stress twenty times
 # over, so every entry into the world is stressed on every run.
 
@@ -118,10 +119,11 @@ profile-replay:
 # reader, the streamed replay and the SWF/sacct importers), over the ID
 # lookups where a job-N or qpu-task-N string enters (the daemon's job table,
 # the device's task table, the analyzer's track slab, the flight recorder's
-# trace ring) and over the submit body the served daemon reads from the
-# wire. Go fuzzing accepts
-# exactly one -fuzz target per invocation, hence one command each. Crashers
-# land in the package's testdata/fuzz/ for `go test` to replay forever after.
+# trace ring), over the submit body the served daemon reads from the wire
+# and over a job status request's path ID and ?also= query. Go fuzzing
+# accepts exactly one -fuzz target per invocation, hence one command each.
+# Crashers land in the package's testdata/fuzz/ for `go test` to replay
+# forever after.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTrace$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayReader$$' -fuzztime=2000x ./internal/loadgen
@@ -129,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzImportSacct$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzJobLookup$$' -fuzztime=2000x ./internal/daemon
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitBody$$' -fuzztime=2000x ./internal/daemon
+	$(GO) test -run='^$$' -fuzz='^FuzzJobStatusQuery$$' -fuzztime=2000x ./internal/daemon
 	$(GO) test -run='^$$' -fuzz='^FuzzTaskLookup$$' -fuzztime=2000x ./internal/device
 	$(GO) test -run='^$$' -fuzz='^FuzzAnalyzerJobID$$' -fuzztime=2000x ./internal/loadgen
 	$(GO) test -run='^$$' -fuzz='^FuzzFlightRecorder$$' -fuzztime=2000x ./internal/trace

@@ -2,9 +2,12 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"testing"
 	"time"
 
@@ -61,5 +64,117 @@ func FuzzSubmitBody(f *testing.F) {
 			t.Fatalf("POST %q answered %d: %s", body, rec.Code, rec.Body)
 		}
 		clk.Advance(10 * time.Second)
+	})
+}
+
+// FuzzJobStatusQuery: whatever job ID and raw query a valid session GETs
+// /api/v1/jobs/{id} with, the served daemon answers without panicking and
+// with 400 for more than maxAlso also parameters, else 404 for an ID the
+// session cannot see, else 200 — never a 5xx. A 200 reply is the path ID's
+// job, and its also array holds exactly the also IDs the session can see, in
+// request order. The table holds the session's jobs queued and finished,
+// another session's job and, behind History 2, evicted ones.
+func FuzzJobStatusQuery(f *testing.F) {
+	clk := simclock.New()
+	fleet, err := device.NewFleet(2, device.Config{Clock: clk, Seed: 1, TimingOnly: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	d, err := NewDaemon(Config{Devices: fleet.Devices(), Clock: clk, AdminToken: "admin", History: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	alice, _ := d.OpenSession("alice")
+	bob, _ := d.OpenSession("bob")
+	prog := payload(f, 30)
+	for i := 0; i < 12; i++ {
+		if _, err := d.Submit(alice.Token, SubmitRequest{Program: prog}); err != nil {
+			f.Fatal(err)
+		}
+		if i < 8 {
+			clk.Advance(20 * time.Second)
+		}
+	}
+	if _, err := d.Submit(bob.Token, SubmitRequest{Program: prog}); err != nil {
+		f.Fatal(err)
+	}
+	mine := map[string]bool{} // the IDs alice can see
+	states := map[JobState]bool{}
+	held := map[string]bool{}
+	for _, j := range d.ListJobs() {
+		held[j.ID] = true
+		if j.User == "alice" {
+			mine[j.ID] = true
+			states[j.State] = true
+		}
+	}
+	if mine["job-1"] || !mine["job-12"] || !held["job-13"] || mine["job-13"] || !states[JobCompleted] || !states[JobQueued] {
+		f.Fatalf("fixture: alice sees %v in states %v; want evicted, completed and queued jobs and bob's job-13 held", mine, states)
+	}
+	h := d.Handler()
+	alsoAll := func(ids ...string) string { return url.Values{"also": ids}.Encode() }
+	many := make([]string, maxAlso+1)
+	for i := range many {
+		many[i] = fmt.Sprintf("job-%d", i%14)
+	}
+	for _, q := range []string{
+		"", alsoAll("job-12"), alsoAll("job-13", "job-1", "job-11", "job-0", "job-12", "job-11"),
+		alsoAll(many[:maxAlso]...), alsoAll(many...), "also=%zz&also=job-12", "also=job-12;also=job-11",
+		"also&also=&x=job-12", "ALSO=job-12", "also=job-012&also=job-%2B12",
+	} {
+		for _, id := range []string{"job-12", "job-9", "job-13", "job-1", "job-012", "", ".", "a/b", "%"} {
+			f.Add(id, q)
+		}
+	}
+	for _, id := range idSpellings {
+		f.Add(id, "")
+	}
+	f.Fuzz(func(t *testing.T, id, query string) {
+		if id == "" || id == "." || id == ".." {
+			t.Skip("the mux answers itself: no segment for {id}, or a path it cleans and redirects")
+		}
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/jobs/x", nil)
+		req.URL.Path, req.URL.RawPath = "/api/v1/jobs/"+id, "/api/v1/jobs/"+url.PathEscape(id)
+		req.URL.RawQuery = query
+		req.Header.Set("Authorization", "Bearer "+alice.Token)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		vals, _ := url.ParseQuery(query) // what the handler reads, bad pairs dropped
+		asked := vals["also"]
+		want := http.StatusOK
+		switch {
+		case len(asked) > maxAlso:
+			want = http.StatusBadRequest
+		case !mine[id]:
+			want = http.StatusNotFound
+		}
+		if rec.Code != want {
+			t.Fatalf("GET %q ?%q answered %d, want %d: %s", id, query, rec.Code, want, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var reply struct {
+			ID   string `json:"id"`
+			Also []struct {
+				ID string `json:"id"`
+			} `json:"also"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Fatalf("GET %q ?%q: %v: %s", id, query, err, rec.Body)
+		}
+		var got, wantAlso []string
+		for _, a := range reply.Also {
+			got = append(got, a.ID)
+		}
+		for _, a := range asked {
+			if mine[a] {
+				wantAlso = append(wantAlso, a)
+			}
+		}
+		if reply.ID != id || !slices.Equal(got, wantAlso) {
+			t.Fatalf("GET %q ?%q: reply is %q with also %v; want %q with also %v",
+				id, query, reply.ID, got, id, wantAlso)
+		}
 	})
 }

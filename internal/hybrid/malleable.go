@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"hpcqc/internal/simclock"
@@ -59,10 +58,10 @@ func (t *MalleableTask) Validate(poolSize int) error {
 // MalleablePool schedules malleable tasks on a fixed worker pool with
 // dynamic equipartition: every reallocation gives each running task its
 // minimum, then spreads the surplus round-robin up to each task's maximum.
+// It lives inside its clock's world and keeps no lock (DESIGN §5).
 type MalleablePool struct {
 	clock   *simclock.Clock
 	size    int
-	mu      sync.Mutex
 	active  []*MalleableTask
 	queue   []*MalleableTask
 	all     map[string]*MalleableTask
@@ -97,22 +96,19 @@ func (p *MalleablePool) Submit(t *MalleableTask) error {
 	if err := t.Validate(p.size); err != nil {
 		return err
 	}
-	p.mu.Lock()
 	if _, dup := p.all[t.ID]; dup {
-		p.mu.Unlock()
 		return fmt.Errorf("hybrid: duplicate task %q", t.ID)
 	}
 	t.remaining = t.Work
 	t.arrived = p.clock.Now()
 	p.all[t.ID] = t
 	p.queue = append(p.queue, t)
-	p.mu.Unlock()
 	p.reallocate()
 	return nil
 }
 
-// progressLocked advances all running tasks to the current instant.
-func (p *MalleablePool) progressLocked(now time.Duration) {
+// progress advances all running tasks to the current instant.
+func (p *MalleablePool) progress(now time.Duration) {
 	dt := (now - p.lastUpd).Seconds()
 	if dt <= 0 {
 		return
@@ -131,9 +127,8 @@ func (p *MalleablePool) progressLocked(now time.Duration) {
 // tasks whose minimum fits, equipartition the pool, and schedule the next
 // completion event.
 func (p *MalleablePool) reallocate() {
-	p.mu.Lock()
 	now := p.clock.Now()
-	p.progressLocked(now)
+	p.progress(now)
 
 	// Retire finished tasks.
 	var stillActive []*MalleableTask
@@ -209,7 +204,7 @@ func (p *MalleablePool) reallocate() {
 		// Seconds truncates to whole nanoseconds, so the completion event
 		// can fire marginally before the task's floating-point remainder
 		// reaches zero. A zero-delay reschedule would then re-fire at the
-		// same instant without advancing time (progressLocked sees dt == 0)
+		// same instant without advancing time (progress sees dt == 0)
 		// and spin forever; clamp to one tick so every firing makes progress.
 		delay := simclock.Seconds(next)
 		if delay < time.Nanosecond {
@@ -217,13 +212,10 @@ func (p *MalleablePool) reallocate() {
 		}
 		p.event = p.clock.Schedule(delay, "malleable-completion", p.reallocate)
 	}
-	p.mu.Unlock()
 }
 
 // Done reports whether every submitted task has finished.
 func (p *MalleablePool) Done() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.doneN == len(p.all)
 }
 
@@ -237,8 +229,6 @@ type PoolMetrics struct {
 
 // Metrics summarizes the run so far.
 func (p *MalleablePool) Metrics() PoolMetrics {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	m := PoolMetrics{TasksCompleted: p.doneN}
 	m.Makespan = p.lastEnd - p.createdAt
 	if m.Makespan > 0 {

@@ -89,7 +89,7 @@ func (r *EmulatorResource) Release(token string) error {
 func (r *EmulatorResource) anyAcquiredLocked() bool { return len(r.acquired) > 0 }
 
 // TaskStart implements Resource: synchronous execution, then a completed (or
-// failed) task record.
+// failed) task record, unless a TaskStop cancelled the task meanwhile.
 func (r *EmulatorResource) TaskStart(payload []byte) (string, error) {
 	r.mu.Lock()
 	if !r.anyAcquiredLocked() {
@@ -106,35 +106,35 @@ func (r *EmulatorResource) TaskStart(payload []byte) (string, error) {
 
 	var prog qir.Program
 	if err := json.Unmarshal(payload, &prog); err != nil {
-		r.failTask(t, fmt.Errorf("qrmi: decoding program: %w", err))
+		r.settle(t, nil, fmt.Errorf("qrmi: decoding program: %w", err))
 		return id, nil
 	}
 	res, err := r.backend.Run(&prog, seed)
-	if err != nil {
-		r.failTask(t, err)
-		return id, nil
+	var raw []byte
+	if err == nil {
+		raw, err = json.Marshal(res)
 	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		r.failTask(t, err)
-		return id, nil
-	}
-	r.mu.Lock()
-	t.state = StateCompleted
-	t.result = raw
-	r.mu.Unlock()
+	r.settle(t, raw, err)
 	return id, nil
 }
 
-func (r *EmulatorResource) failTask(t *localTask, err error) {
+// settle ends a task the backend is done with: failed with err, or completed
+// with raw. A task stopped while the backend ran stays cancelled.
+func (r *EmulatorResource) settle(t *localTask, raw []byte, err error) {
 	r.mu.Lock()
-	t.state = StateFailed
-	t.err = err
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	switch {
+	case t.state != StateRunning:
+	case err != nil:
+		t.state, t.err = StateFailed, err
+	default:
+		t.state, t.result = StateCompleted, raw
+	}
 }
 
-// TaskStop implements Resource. Synchronous tasks are already terminal, so
-// this only validates the ID.
+// TaskStop implements Resource. It cancels a task whose backend run is still
+// under way on another goroutine; a task already ended keeps its state, so
+// for a task started on this goroutine this only validates the ID.
 func (r *EmulatorResource) TaskStop(taskID string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -82,6 +82,61 @@ func TestEmulatorResourceLifecycle(t *testing.T) {
 	}
 }
 
+// blockingBackend is an emulator.Backend whose Run signals started, waits for
+// release, and then fails with err or runs the wrapped backend.
+type blockingBackend struct {
+	emulator.Backend
+	started, release chan struct{}
+	err              error
+}
+
+func (b blockingBackend) Run(p *qir.Program, seed int64) (*qir.Result, error) {
+	b.started <- struct{}{}
+	<-b.release
+	if b.err != nil {
+		return nil, b.err
+	}
+	return b.Backend.Run(p, seed)
+}
+
+// TestEmulatorResourceStopMidRunHolds: a TaskStop that lands while another
+// goroutine's TaskStart is inside the backend cancels the task, and the run's
+// end, successful or not, leaves it cancelled.
+func TestEmulatorResourceStopMidRunHolds(t *testing.T) {
+	for _, runErr := range []error{nil, fmt.Errorf("backend failed")} {
+		b := blockingBackend{emulator.NewSVBackend(emulator.SVConfig{}), make(chan struct{}), make(chan struct{}), runErr}
+		r := NewEmulatorResource(b, 1)
+		r.Acquire()
+		payload, _ := EncodeProgram(piPulseProgram(10))
+		started := make(chan string)
+		go func() {
+			id, err := r.TaskStart(payload)
+			if err != nil {
+				t.Error(err)
+			}
+			started <- id
+		}()
+		<-b.started
+		const id = "emu-task-1"
+		if st, err := r.TaskStatus(id); err != nil || st != StateRunning {
+			t.Errorf("mid-run status = %s, %v; want running", st, err)
+		}
+		if err := r.TaskStop(id); err != nil {
+			t.Errorf("mid-run TaskStop: %v", err)
+		}
+		close(b.release)
+		if got := <-started; got != id {
+			t.Fatalf("TaskStart returned %q, want %q", got, id)
+		}
+		if st, _ := r.TaskStatus(id); st != StateCancelled {
+			t.Fatalf("run error %v: stopped task reads %s, want cancelled", runErr, st)
+		}
+		if _, err := r.TaskResult(id); err != ErrResultNotReady {
+			t.Fatalf("run error %v: stopped task's result: %v", runErr, err)
+		}
+	}
+}
+
 func TestEmulatorResourceBadPayload(t *testing.T) {
 	r := NewEmulatorResource(emulator.NewSVBackend(emulator.SVConfig{}), 1)
 	r.Acquire()

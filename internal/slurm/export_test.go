@@ -27,10 +27,8 @@ type JobInfo struct {
 
 // Cancel removes a pending job or stops a running one.
 func (c *Cluster) Cancel(id int) error {
-	c.mu.Lock()
 	j, ok := c.jobs[id]
 	if !ok {
-		c.mu.Unlock()
 		return fmt.Errorf("slurm: unknown job %d", id)
 	}
 	switch j.State {
@@ -43,25 +41,20 @@ func (c *Cluster) Cancel(id int) error {
 		}
 		j.State = StateCancelled
 		j.EndAt = c.cfg.Clock.Now()
-		c.mu.Unlock()
 		if j.Spec.OnFinish != nil {
 			j.Spec.OnFinish(j.ID, StateCancelled)
 		}
 		return nil
 	case StateRunning:
-		c.mu.Unlock()
 		c.complete(j, StateCancelled)
 		return nil
 	default:
-		c.mu.Unlock()
 		return fmt.Errorf("slurm: job %d already %s", id, j.State)
 	}
 }
 
 // JobInfo returns the externally visible state of a job.
 func (c *Cluster) JobInfo(id int) (JobInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	j, ok := c.jobs[id]
 	if !ok {
 		return JobInfo{}, fmt.Errorf("slurm: unknown job %d", id)

@@ -12,7 +12,8 @@ import (
 
 // TestNoOversubscriptionProperty: whatever the submission stream, the
 // cluster never allocates more nodes or GRES units than it has, at any
-// instant of the simulation.
+// instant of the simulation. Some jobs submit a follow-up job when they
+// start, so a scheduling pass runs inside another pass's callbacks.
 func TestNoOversubscriptionProperty(t *testing.T) {
 	f := func(seed int64, nJobs uint8) bool {
 		clk := simclock.New()
@@ -35,18 +36,31 @@ func TestNoOversubscriptionProperty(t *testing.T) {
 				violated = true
 			}
 		}
-		for i := 0; i < int(nJobs)%20+1; i++ {
+		newSpec := func(name string) JobSpec {
 			part := "lo"
 			if rng.Intn(2) == 0 {
 				part = "hi"
 			}
-			spec := JobSpec{
-				Name: fmt.Sprintf("j%d", i), User: "u", Partition: part,
+			return JobSpec{
+				Name: name, User: "u", Partition: part,
 				Nodes:    rng.Intn(nodes) + 1,
 				Walltime: time.Duration(rng.Intn(300)+1) * time.Second,
 				QPUUnits: rng.Intn(gres + 1),
 				OnStart:  func(int, map[string]string) { check() },
 				OnFinish: func(int, JobState) { check() },
+			}
+		}
+		for i := 0; i < int(nJobs)%20+1; i++ {
+			spec := newSpec(fmt.Sprintf("j%d", i))
+			if rng.Intn(2) == 0 {
+				next := newSpec(fmt.Sprintf("j%d-next", i))
+				spec.OnStart = func(int, map[string]string) {
+					check()
+					if _, err := cluster.Submit(next); err != nil {
+						violated = true
+					}
+					check()
+				}
 			}
 			at := time.Duration(rng.Intn(600)) * time.Second
 			clk.Schedule(at, "submit", func() {

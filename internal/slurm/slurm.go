@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"hpcqc/internal/simclock"
@@ -85,10 +84,12 @@ type JobSpec struct {
 	// Hint is the workload-pattern scheduler hint from the paper's
 	// Table 1: "qc-heavy", "cc-heavy", "qc-balanced" or empty.
 	Hint string
-	// OnStart runs when the job starts (simulation callback). The env map
-	// carries the plugin-resolved runtime configuration.
+	// OnStart runs when the job starts, once its scheduling pass has
+	// allocated every job it picked; env is the plugin-resolved runtime
+	// configuration.
 	OnStart func(jobID int, env map[string]string)
-	// OnFinish runs when the job completes or is cancelled.
+	// OnFinish runs when the job completes or is cancelled. Both callbacks
+	// may Submit; they must not drive the clock.
 	OnFinish func(jobID int, state JobState)
 }
 
@@ -104,11 +105,11 @@ type Job struct {
 	partition *Partition
 }
 
-// Cluster is the simulated resource manager.
+// Cluster is the simulated resource manager. Like the daemon, it lives
+// inside its clock's world and keeps no lock (DESIGN §5 "One owner").
 type Cluster struct {
 	cfg ClusterConfig
 
-	mu         sync.Mutex
 	partitions map[string]*Partition
 	jobs       map[int]*Job
 	pending    []*Job
@@ -159,26 +160,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 // Submit enqueues a job and triggers a scheduling pass.
 func (c *Cluster) Submit(spec JobSpec) (int, error) {
-	c.mu.Lock()
 	p, ok := c.partitions[spec.Partition]
-	if !ok {
-		c.mu.Unlock()
+	switch {
+	case !ok:
 		return 0, fmt.Errorf("slurm: unknown partition %q", spec.Partition)
-	}
-	if spec.Nodes < 1 {
-		c.mu.Unlock()
+	case spec.Nodes < 1:
 		return 0, fmt.Errorf("slurm: job requests %d nodes", spec.Nodes)
-	}
-	if spec.Nodes > c.cfg.Nodes {
-		c.mu.Unlock()
+	case spec.Nodes > c.cfg.Nodes:
 		return 0, fmt.Errorf("slurm: job requests %d nodes, cluster has %d", spec.Nodes, c.cfg.Nodes)
-	}
-	if spec.QPUUnits < 0 || spec.QPUUnits > c.cfg.QPUGres {
-		c.mu.Unlock()
+	case spec.QPUUnits < 0 || spec.QPUUnits > c.cfg.QPUGres:
 		return 0, fmt.Errorf("slurm: job requests %d QPU units, cluster has %d", spec.QPUUnits, c.cfg.QPUGres)
-	}
-	if spec.Walltime <= 0 {
-		c.mu.Unlock()
+	case spec.Walltime <= 0:
 		return 0, errors.New("slurm: job needs a positive walltime")
 	}
 	if spec.ActualRuntime <= 0 || spec.ActualRuntime > spec.Walltime {
@@ -194,7 +186,6 @@ func (c *Cluster) Submit(spec JobSpec) (int, error) {
 	}
 	c.jobs[j.ID] = j
 	c.pending = append(c.pending, j)
-	c.mu.Unlock()
 	c.Schedule()
 	return j.ID, nil
 }
@@ -205,57 +196,48 @@ func (c *Cluster) priority(j *Job) float64 {
 	return float64(j.partition.Priority)*1000 + age*agePriorityPerMinute
 }
 
-// Schedule runs one scheduling pass: priority order with EASY backfill. It
-// is idempotent and safe to call at any time.
+// Schedule runs one scheduling pass: priority order with EASY backfill. The
+// pass allocates each job it starts as it picks it, so the shadow time counts
+// them, and only then runs their OnStart callbacks, so a callback that submits
+// a follow-up job sees every allocation of the pass. It is idempotent.
 func (c *Cluster) Schedule() {
-	type startable struct {
-		job *Job
-		env map[string]string
-	}
-	var toStart []startable
-
-	c.mu.Lock()
-	if len(c.pending) == 0 {
-		c.mu.Unlock()
-		return
-	}
 	// Sort pending by priority, descending; FIFO within equal priority.
 	sort.SliceStable(c.pending, func(a, b int) bool {
 		return c.priority(c.pending[a]) > c.priority(c.pending[b])
 	})
 
 	now := c.cfg.Clock.Now()
-	freeNodes, freeGres := c.freeNodes, c.freeGres
-	var stillPending []*Job
+	var started, stillPending []*Job
 	headBlocked := false
 	var shadowTime time.Duration // earliest start of the blocked head job
 	for i, j := range c.pending {
-		fits := j.Spec.Nodes <= freeNodes && j.Spec.QPUUnits <= freeGres
+		fits := j.Spec.Nodes <= c.freeNodes && j.Spec.QPUUnits <= c.freeGres
 		// Behind a blocked head job, EASY backfill starts a job only if it
 		// is among the first backfillDepth and finishes by the shadow time.
 		if fits && (!headBlocked || (i < backfillDepth && now+j.Spec.Walltime <= shadowTime)) {
-			freeNodes -= j.Spec.Nodes
-			freeGres -= j.Spec.QPUUnits
-			toStart = append(toStart, startable{j, c.resolvePluginLocked(j)})
+			c.start(j)
+			started = append(started, j)
 			continue
 		}
 		if !headBlocked {
 			headBlocked = true
-			shadowTime = c.shadowTimeLocked(j.Spec.Nodes, j.Spec.QPUUnits, freeNodes, freeGres)
+			shadowTime = c.shadowTime(j.Spec.Nodes, j.Spec.QPUUnits)
 		}
 		stillPending = append(stillPending, j)
 	}
 	c.pending = stillPending
-	c.mu.Unlock()
 
-	for _, s := range toStart {
-		c.start(s.job, s.env)
+	for _, j := range started {
+		// An earlier callback of this pass may have cancelled the job.
+		if j.State == StateRunning && j.Spec.OnStart != nil {
+			j.Spec.OnStart(j.ID, c.resolvePlugin(j))
+		}
 	}
 }
 
-// shadowTimeLocked returns the earliest simulation time at which the blocked
-// head job could start, assuming running jobs end at their walltime.
-func (c *Cluster) shadowTimeLocked(needNodes, needGres, freeNodes, freeGres int) time.Duration {
+// shadowTime returns the earliest simulation time at which the blocked head
+// job could start, assuming running jobs end at their walltime.
+func (c *Cluster) shadowTime(needNodes, needGres int) time.Duration {
 	type release struct {
 		at    time.Duration
 		nodes int
@@ -266,7 +248,7 @@ func (c *Cluster) shadowTimeLocked(needNodes, needGres, freeNodes, freeGres int)
 		releases = append(releases, release{j.StartAt + j.Spec.Walltime, j.Spec.Nodes, j.Spec.QPUUnits})
 	}
 	sort.Slice(releases, func(a, b int) bool { return releases[a].at < releases[b].at })
-	nodes, gres := freeNodes, freeGres
+	nodes, gres := c.freeNodes, c.freeGres
 	for _, r := range releases {
 		nodes += r.nodes
 		gres += r.gres
@@ -278,10 +260,10 @@ func (c *Cluster) shadowTimeLocked(needNodes, needGres, freeNodes, freeGres int)
 	return c.cfg.Clock.Now()
 }
 
-// resolvePluginLocked implements the Spank-style plugin: the `--qpu` option
+// resolvePlugin implements the Spank-style plugin: the `--qpu` option
 // becomes environment configuration for the job's runtime, decoupling the
 // quantum resource definition from program source (paper §2.1, §3.2).
-func (c *Cluster) resolvePluginLocked(j *Job) map[string]string {
+func (c *Cluster) resolvePlugin(j *Job) map[string]string {
 	env := map[string]string{
 		"SLURM_JOB_ID":        fmt.Sprintf("%d", j.ID),
 		"SLURM_JOB_PARTITION": j.Spec.Partition,
@@ -303,13 +285,9 @@ func (c *Cluster) resolvePluginLocked(j *Job) map[string]string {
 	return env
 }
 
-// start transitions a job to RUNNING and schedules its completion.
-func (c *Cluster) start(j *Job, env map[string]string) {
-	c.mu.Lock()
-	if j.State != StatePending {
-		c.mu.Unlock()
-		return
-	}
+// start allocates a pending job's nodes and GRES units, marks it RUNNING and
+// schedules its completion.
+func (c *Cluster) start(j *Job) {
 	j.State = StateRunning
 	j.StartAt = c.cfg.Clock.Now()
 	c.freeNodes -= j.Spec.Nodes
@@ -318,17 +296,11 @@ func (c *Cluster) start(j *Job, env map[string]string) {
 	j.endEvent = c.cfg.Clock.Schedule(j.Spec.ActualRuntime, fmt.Sprintf("slurm-end-%d", j.ID), func() {
 		c.complete(j, StateCompleted)
 	})
-	c.mu.Unlock()
-	if j.Spec.OnStart != nil {
-		j.Spec.OnStart(j.ID, env)
-	}
 }
 
 // complete finishes a running job with the given terminal state.
 func (c *Cluster) complete(j *Job, state JobState) {
-	c.mu.Lock()
 	if j.State != StateRunning {
-		c.mu.Unlock()
 		return
 	}
 	c.cfg.Clock.Cancel(j.endEvent)
@@ -340,7 +312,6 @@ func (c *Cluster) complete(j *Job, state JobState) {
 	c.freeNodes += j.Spec.Nodes
 	c.freeGres += j.Spec.QPUUnits
 	delete(c.running, j.ID)
-	c.mu.Unlock()
 	if j.Spec.OnFinish != nil {
 		j.Spec.OnFinish(j.ID, state)
 	}
@@ -362,8 +333,6 @@ type Stats struct {
 
 // Stats returns usage counters including time-integrated utilization.
 func (c *Cluster) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	now := c.cfg.Clock.Now()
 	elapsed := (now - c.createdAt).Seconds()
 	s := Stats{

@@ -204,6 +204,23 @@ func TestBackfillDoesNotDelayHead(t *testing.T) {
 	}
 }
 
+// TestBackfillCountsJobsStartedInSamePass: when the blocker ends, one pass
+// starts A and then blocks on H. H's shadow time is A's end at 110 s, so B
+// (50 s) backfills at 10 s. A shadow time that ignored A would read 10 s and
+// leave B pending.
+func TestBackfillCountsJobsStartedInSamePass(t *testing.T) {
+	clk := simclock.New()
+	c := newTestCluster(t, clk, 4, 0)
+	c.Submit(JobSpec{Partition: "dev", Nodes: 4, Walltime: 10 * time.Second})
+	c.Submit(JobSpec{Name: "A", Partition: "production", Nodes: 2, Walltime: 100 * time.Second})
+	c.Submit(JobSpec{Name: "H", Partition: "test", Nodes: 4, Walltime: 100 * time.Second})
+	bID, _ := c.Submit(JobSpec{Name: "B", Partition: "dev", Nodes: 1, Walltime: 50 * time.Second})
+	clk.Advance(11 * time.Second)
+	if b, _ := c.JobInfo(bID); b.State != StateRunning {
+		t.Fatalf("B at 11s: %s, want RUNNING (it ends at 60s, before the head's shadow time of 110s)", b.State)
+	}
+}
+
 func TestCancelPending(t *testing.T) {
 	clk := simclock.New()
 	c := newTestCluster(t, clk, 1, 0)

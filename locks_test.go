@@ -23,8 +23,6 @@ var lockReasons = map[string]string{
 	"internal/qir.validMu":              "process-wide verdict memo that every daemon and sweep worker shares",
 	"internal/loadgen.programCache.mu":  "process-wide payload memo that replays and sweep workers share",
 	"internal/qrmi.EmulatorResource.mu": "an emulator resource runs on no clock, so it has no world to join",
-	"internal/slurm.Cluster.mu":         "the batch system is a world of its own (ROADMAP item 19)",
-	"internal/hybrid.MalleablePool.mu":  "the malleable pool is a world of its own (ROADMAP item 19)",
 }
 
 // TestLocksAreListed holds ROADMAP item 19's rule that nothing inside a world
